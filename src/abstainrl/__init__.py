@@ -10,7 +10,8 @@ from abstainrl.grpo import (
     EvalReport,
     GrpoConfig,
     GrpoDivergenceError,
-    RolloutGroup,
+    RewardTable,
+    RolloutBatch,
     TrainEnv,
     TrainLog,
     compute_advantages,

@@ -25,7 +25,7 @@ from abstainrl.grpo import (
     TrainEnv,
     TrainLog,
     evaluate_items,
-    evaluate_policy,
+    summarize_items,
     train_rl,
 )
 from abstainrl.policy import PolicyParams, make_expert_traces, sft_train
@@ -278,11 +278,12 @@ def _train_once(
 
     log.write(out_dir / "train_log.jsonl")
     (out_dir / "policy.json").write_text(params.dumps() + "\n", encoding="utf-8")
-    _write_summary_csv(out_dir / "summary.csv", evaluate_items(params, items, variant))
+    evals = evaluate_items(params, items, variant)
+    _write_summary_csv(out_dir / "summary.csv", evals)
     (out_dir / "curves.svg").write_text(
         render_curves_svg([(run_name, log)]), encoding="utf-8"
     )
-    return evaluate_policy(params, items, variant)
+    return summarize_items(evals)
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -477,7 +478,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     variant = RewardVariant.from_name(args.reward_variant)
     rows = evaluate_items(params, items, variant)
     _write_summary_csv(Path(args.out), rows)
-    _print_report(evaluate_policy(params, items, variant))
+    _print_report(summarize_items(rows))
     print(f"wrote per-item metrics -> {args.out}")
     return EXIT_OK
 

@@ -5,6 +5,10 @@ completions per sampled question under that snapshot, scores them with the
 rule-based reward, standardizes rewards within each group into advantages,
 and takes gradient-ascent steps on the clipped importance-weighted surrogate
 with a k3 KL penalty against a frozen reference policy.
+
+A batch is held as B x G arrays of action indices, and rewards come from a
+table over (item, action) pairs, since an item has only 6 possible
+completions; no completion text is rebuilt or re-scored per draw.
 """
 
 from __future__ import annotations
@@ -16,15 +20,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from abstainrl import kernels
 from abstainrl.policy import (
     ALL_ACTIONS,
-    ActionId,
     N_ACTIONS,
     N_FEATURES,
     PolicyParams,
     greedy_action,
+    inverse_cdf,
+    log_softmax,
     render_completion,
 )
 from abstainrl.reward import (
@@ -38,7 +43,6 @@ from abstainrl.reward import (
 from abstainrl.synthenv import SynthQAItem
 from abstainrl.textmetrics import (
     ConfusionCounts,
-    abstention_confusion,
     exact_match,
     rouge_l,
     rouge_n,
@@ -47,7 +51,7 @@ from abstainrl.textmetrics import (
 
 
 class GrpoDivergenceError(RuntimeError):
-    """Raised when the objective stops being finite."""
+    """Raised when the logits or the objective stop being finite."""
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,9 @@ class GrpoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("clip_eps", "kl_beta", "lr", "std_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.group_size < 2:
             raise ValueError("group_size must be >= 2")
         if not 0.0 < self.clip_eps < 1.0:
@@ -79,25 +86,6 @@ class GrpoConfig:
             raise ValueError("std_eps must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-
-
-@dataclass(frozen=True)
-class RolloutGroup:
-    """G completions for one question under a fixed old-policy snapshot."""
-
-    item: SynthQAItem
-    actions: tuple[ActionId, ...]
-    rendered: tuple[str, ...]
-    logp_old: np.ndarray
-    logp_ref: np.ndarray
-    rewards: np.ndarray
-    advantages: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = len(self.actions)
-        for name in ("rendered", "logp_old", "logp_ref", "rewards", "advantages"):
-            if len(getattr(self, name)) != g:
-                raise ValueError(f"{name} must have length {g}")
 
 
 @dataclass(frozen=True)
@@ -174,156 +162,173 @@ class TrainEnv:
         return total_reward(raw, item.gold, variant)
 
 
+class RewardTable:
+    """Reward and abstention flag of every (item, action) pair of one
+    environment under one reward variant.
+
+    A reward depends only on the item and the rendered action, so each entry
+    is computed once, the first time its pair is looked up, through
+    ``env.reward`` (which honours a ``reward_fn`` override) and the
+    completion parser.  Filling lazily never evaluates more rewards than
+    scoring every draw would, and evaluates far fewer when items repeat.
+    """
+
+    def __init__(self, env: TrainEnv, variant: RewardVariant = DEFAULT_VARIANT) -> None:
+        self.env = env
+        self.variant = variant
+        shape = (len(env.items), N_ACTIONS)
+        self.rewards = np.full(shape, np.nan)  # NaN: not evaluated yet
+        self.abstained = np.zeros(shape, dtype=bool)
+
+    def lookup(self, items: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rewards and abstention flags at the (broadcast) index arrays."""
+        rewards = self.rewards[items, actions]
+        missing = np.isnan(rewards)
+        if missing.any():
+            items, actions = np.broadcast_arrays(items, actions)
+            pairs = zip(items[missing].tolist(), actions[missing].tolist())
+            for j, a in dict.fromkeys(pairs):  # first-seen order
+                self._fill(j, a)
+            rewards = self.rewards[items, actions]
+        return rewards, self.abstained[items, actions]
+
+    def _fill(self, j: int, a: int) -> None:
+        item = self.env.items[j]
+        text = render_completion(ALL_ACTIONS[a], item)
+        self.rewards[j, a] = self.env.reward(text, item, self.variant).total
+        self.abstained[j, a] = is_no_answer(parse_completion(text).answer)
+
+
+@dataclass(frozen=True)
+class RolloutBatch:
+    """B groups of G completions drawn under one old-policy snapshot.
+
+    Group b answers item ``item_idx[b]`` of the environment, whose feature
+    row is ``rows[b]``; the per-completion arrays are B x G.
+    """
+
+    item_idx: np.ndarray
+    rows: np.ndarray
+    unanswerable: np.ndarray
+    actions: np.ndarray
+    logp_old: np.ndarray
+    logp_ref: np.ndarray
+    rewards: np.ndarray
+    abstained: np.ndarray
+    advantages: np.ndarray
+
+
 def compute_advantages(
     rewards: Sequence[float] | np.ndarray, std_eps: float = 1e-8
 ) -> np.ndarray:
-    """Group-standardized rewards: (r - mean) / (population std + std_eps).
+    """Group-standardized rewards along the last axis:
+    (r - mean) / (population std + std_eps).
 
     A zero-variance group maps to all-zero advantages.
     """
     r = np.asarray(rewards, dtype=np.float64)
-    if r.size < 2:
-        raise ValueError("advantage normalization needs a group of >= 2 rewards")
-    if float(r.max()) == float(r.min()):
-        # exactly zero variance (np.std of identical values can round to
-        # a nonzero dust value, so compare the extremes instead)
-        return np.zeros_like(r)
-    mean = float(r.mean())
-    std = float(r.std())
-    return (r - mean) / (std + std_eps)
+    if r.ndim == 0 or r.shape[-1] < 2:
+        raise ValueError("advantage normalization needs groups of >= 2 rewards")
+    # exactly zero variance (np.std of identical values can round to a
+    # nonzero dust value, so compare the extremes instead)
+    flat = r.max(axis=-1, keepdims=True) == r.min(axis=-1, keepdims=True)
+    centered = r - r.mean(axis=-1, keepdims=True)
+    scale = r.std(axis=-1, keepdims=True) + std_eps
+    return np.divide(centered, scale, out=np.zeros_like(r), where=~flat)
 
 
-def importance_ratio(logp_new: float, logp_old: float) -> float:
-    return math.exp(logp_new - logp_old)
+def importance_ratio(logp_new: ArrayLike, logp_old: ArrayLike) -> np.ndarray | float:
+    return np.exp(np.subtract(logp_new, logp_old))
 
 
-def clipped_term(ratio: float, advantage: float, clip_eps: float) -> float:
+def clipped_term(
+    ratio: ArrayLike, advantage: ArrayLike, clip_eps: float
+) -> np.ndarray | float:
     if not 0.0 < clip_eps < 1.0:
         raise ValueError("clip_eps must lie in (0, 1)")
-    clipped = min(max(ratio, 1.0 - clip_eps), 1.0 + clip_eps)
-    return min(ratio * advantage, clipped * advantage)
+    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)
+    return np.minimum(np.multiply(ratio, advantage), clipped * advantage)
 
 
-def kl_k3(logp_theta: float, logp_ref: float) -> float:
-    """k3 estimator u - log(u) - 1 with u = pi_ref / pi_theta; always >= 0."""
-    d = logp_ref - logp_theta
+def kl_k3(logp_theta: ArrayLike, logp_ref: ArrayLike) -> np.ndarray | float:
+    """k3 estimator u - log(u) - 1 with u = pi_ref / pi_theta; always >= 0.
+
+    Elementwise on arrays, as are ``importance_ratio`` and ``clipped_term``.
+    """
+    d = np.subtract(logp_ref, logp_theta)
     # expm1 keeps u - 1 accurate near u = 1; the true value is nonnegative,
     # so clamp away float dust.
-    return max(0.0, math.expm1(d) - d)
+    return np.maximum(0.0, np.expm1(d) - d)
 
 
-def _row_log_probs_table(params: PolicyParams) -> np.ndarray:
-    out = np.empty((N_FEATURES, N_ACTIONS))
-    for row in range(N_FEATURES):
-        out[row] = kernels.log_softmax(params.logits[row])
-    return out
-
-
-def rollout_group(
+def rollout_batch(
     params_old: PolicyParams,
     params_ref: PolicyParams,
-    env: TrainEnv,
-    item: SynthQAItem,
+    table: RewardTable,
     cfg: GrpoConfig,
     rng: np.random.Generator,
-    variant: RewardVariant = DEFAULT_VARIANT,
-) -> RolloutGroup:
-    """Sample G completions for one item under the old-policy snapshot."""
-    row = item.feature.index
-    logp_old_row = np.asarray(kernels.log_softmax(params_old.logits[row]))
-    logp_ref_row = np.asarray(kernels.log_softmax(params_ref.logits[row]))
-    probs = np.exp(logp_old_row)
-    actions = []
-    rendered = []
-    rewards = np.empty(cfg.group_size)
-    logp_old = np.empty(cfg.group_size)
-    logp_ref = np.empty(cfg.group_size)
-    for i in range(cfg.group_size):
-        idx = kernels.sample_categorical(probs, float(rng.random()))
-        action = ALL_ACTIONS[idx]
-        text = render_completion(action, item)
-        actions.append(action)
-        rendered.append(text)
-        rewards[i] = env.reward(text, item, variant).total
-        logp_old[i] = logp_old_row[idx]
-        logp_ref[i] = logp_ref_row[idx]
-    advantages = compute_advantages(rewards, cfg.std_eps)
-    return RolloutGroup(
-        item=item,
-        actions=tuple(actions),
-        rendered=tuple(rendered),
-        logp_old=logp_old,
-        logp_ref=logp_ref,
+) -> RolloutBatch:
+    """Draw B items, then G completions of each under the old-policy snapshot.
+
+    The generator is consumed as B one-group rollouts would consume it: the
+    B item indices first, then the B * G uniforms in group order.
+    """
+    items = table.env.items
+    item_idx = rng.integers(0, len(items), size=cfg.batch_size)
+    u = rng.random((cfg.batch_size, cfg.group_size))
+    drawn = [items[j] for j in item_idx.tolist()]
+    rows = np.array([item.feature.index for item in drawn])
+    logp_old_rows = log_softmax(params_old.logits)[rows]
+    actions = inverse_cdf(np.exp(logp_old_rows), u)
+    rewards, abstained = table.lookup(item_idx[:, None], actions)
+    return RolloutBatch(
+        item_idx=item_idx,
+        rows=rows,
+        unanswerable=np.array([item.gold.is_no_answer for item in drawn]),
+        actions=actions,
+        logp_old=np.take_along_axis(logp_old_rows, actions, axis=1),
+        logp_ref=log_softmax(params_ref.logits)[rows[:, None], actions],
         rewards=rewards,
-        advantages=advantages,
+        abstained=abstained,
+        advantages=compute_advantages(rewards, cfg.std_eps),
     )
 
 
-def grpo_objective(
-    params: PolicyParams, groups: Sequence[RolloutGroup], cfg: GrpoConfig
-) -> float:
+def _batch_log_probs(log_probs: np.ndarray, batch: RolloutBatch) -> np.ndarray:
+    return log_probs[batch.rows[:, None], batch.actions]
+
+
+def grpo_objective(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) -> float:
     """Mean over groups of the per-group mean clipped surrogate minus beta * KL."""
-    if not groups:
-        raise ValueError("objective needs at least one rollout group")
-    log_probs = _row_log_probs_table(params)
-    total = 0.0
-    for group in groups:
-        if len(group.actions) != cfg.group_size:
-            raise ValueError("rollout group size does not match the configuration")
-        row = group.item.feature.index
-        acc = 0.0
-        for i, action in enumerate(group.actions):
-            logp_new = log_probs[row, action.index]
-            ratio = importance_ratio(logp_new, float(group.logp_old[i]))
-            acc += clipped_term(ratio, float(group.advantages[i]), cfg.clip_eps)
-            acc -= cfg.kl_beta * kl_k3(logp_new, float(group.logp_ref[i]))
-        total += acc / cfg.group_size
-    return total / len(groups)
+    if batch.actions.shape[1] != cfg.group_size:
+        raise ValueError("rollout group size does not match the configuration")
+    logp_new = _batch_log_probs(log_softmax(params.logits), batch)
+    surrogate = clipped_term(
+        importance_ratio(logp_new, batch.logp_old), batch.advantages, cfg.clip_eps
+    )
+    return float((surrogate - cfg.kl_beta * kl_k3(logp_new, batch.logp_ref)).mean())
 
 
-def grpo_gradient(
-    params: PolicyParams, groups: Sequence[RolloutGroup], cfg: GrpoConfig
-) -> np.ndarray:
+def grpo_gradient(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) -> np.ndarray:
     """Exact gradient of the objective with respect to the logits.
 
     The min/clip is handled by active-branch selection: a clipped term
     contributes no gradient through the ratio (ties go to the unclipped
     branch).
     """
-    if not groups:
-        raise ValueError("gradient needs at least one rollout group")
-    log_probs = _row_log_probs_table(params)
+    log_probs = log_softmax(params.logits)
+    logp_new = _batch_log_probs(log_probs, batch)
+    ratio = importance_ratio(logp_new, batch.logp_old)
+    unclipped = ratio * batch.advantages
+    clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * batch.advantages
+    coeff = np.where(unclipped <= clipped, unclipped, 0.0)
+    coeff += cfg.kl_beta * (np.exp(batch.logp_ref - logp_new) - 1.0)
+    weight = (1.0 / coeff.size) * coeff
+    # d logpi / d logits on a row is onehot(action) - softmax(row)
     grad = np.zeros((N_FEATURES, N_ACTIONS))
-    lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
-    scale = 1.0 / (len(groups) * cfg.group_size)
-    for group in groups:
-        row = group.item.feature.index
-        probs = np.exp(log_probs[row])
-        for i, action in enumerate(group.actions):
-            logp_new = log_probs[row, action.index]
-            ratio = math.exp(logp_new - float(group.logp_old[i]))
-            advantage = float(group.advantages[i])
-            unclipped = ratio * advantage
-            clipped = min(max(ratio, lo), hi) * advantage
-            coeff = 0.0
-            if unclipped <= clipped:
-                coeff += unclipped
-            u = math.exp(float(group.logp_ref[i]) - logp_new)
-            coeff += cfg.kl_beta * (u - 1.0)
-            # d logpi / d logits on this row is onehot(action) - softmax(row)
-            grad[row] -= scale * coeff * probs
-            grad[row, action.index] += scale * coeff
+    np.add.at(grad, (batch.rows[:, None], batch.actions), weight)
+    np.add.at(grad, batch.rows, -weight.sum(axis=1)[:, None] * np.exp(log_probs[batch.rows]))
     return grad
-
-
-def _batch_confusion(groups: Sequence[RolloutGroup]) -> ConfusionCounts:
-    pairs = []
-    for group in groups:
-        for text in group.rendered:
-            answer = parse_completion(text).answer
-            pred = None if is_no_answer(answer) else answer
-            pairs.append((pred, group.item.gold))
-    return abstention_confusion(pairs)
 
 
 def train_rl(
@@ -340,50 +345,40 @@ def train_rl(
     ref = params0
     params = params0
     rng = np.random.default_rng(cfg.seed)
+    table = RewardTable(env, variant)
     log = TrainLog()
-    n_items = len(env.items)
-    for iteration in range(cfg.outer_iters):
-        old = params
-        item_idx = rng.integers(0, n_items, size=cfg.batch_size)
-        groups = [
-            rollout_group(old, ref, env, env.items[int(j)], cfg, rng, variant)
-            for j in item_idx
-        ]
-        for _ in range(cfg.inner_steps):
-            step = grpo_gradient(params, groups, cfg)
-            params = PolicyParams(params.logits + cfg.lr * step)
-        objective = grpo_objective(params, groups, cfg)
-        if not math.isfinite(objective):
-            raise GrpoDivergenceError(
-                f"objective became non-finite at iteration {iteration}"
-            )
-        rewards = np.concatenate([g.rewards for g in groups])
-        abstained = 0
-        kl_total = 0.0
-        count = 0
-        log_probs = _row_log_probs_table(params)
-        for group in groups:
-            row = group.item.feature.index
-            for i, action in enumerate(group.actions):
-                kl_total += kl_k3(
-                    float(log_probs[row, action.index]), float(group.logp_ref[i])
+    # overflow and inf - inf arise only once a run diverges; the finiteness
+    # checks turn that into GrpoDivergenceError instead of warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(cfg.outer_iters):
+            batch = rollout_batch(params, ref, table, cfg, rng)
+            for _ in range(cfg.inner_steps):
+                logits = params.logits + cfg.lr * grpo_gradient(params, batch, cfg)
+                if not np.isfinite(logits).all():
+                    raise GrpoDivergenceError(
+                        f"logits became non-finite at iteration {iteration}"
+                    )
+                params = PolicyParams(logits)
+            objective = grpo_objective(params, batch, cfg)
+            if not math.isfinite(objective):
+                raise GrpoDivergenceError(
+                    f"objective became non-finite at iteration {iteration}"
                 )
-                if is_no_answer(parse_completion(group.rendered[i]).answer):
-                    abstained += 1
-                count += 1
-        confusion = _batch_confusion(groups)
-        log.records.append(
-            TrainRecord(
-                iteration=iteration,
-                mean_reward=float(rewards.mean()),
-                abstain_rate=abstained / count,
-                kl=kl_total / count,
-                objective=float(objective),
-                tp=confusion.tp,
-                fp=confusion.fp,
-                fn=confusion.fn,
+            kl = kl_k3(_batch_log_probs(log_softmax(params.logits), batch), batch.logp_ref)
+            abstained = batch.abstained
+            unanswerable = batch.unanswerable[:, None]
+            log.records.append(
+                TrainRecord(
+                    iteration=iteration,
+                    mean_reward=float(batch.rewards.mean()),
+                    abstain_rate=int(abstained.sum()) / abstained.size,
+                    kl=float(kl.sum()) / kl.size,
+                    objective=objective,
+                    tp=int((abstained & unanswerable).sum()),
+                    fp=int((abstained & ~unanswerable).sum()),
+                    fn=int((~abstained & unanswerable).sum()),
+                )
             )
-        )
     return params, log
 
 
@@ -466,14 +461,9 @@ def evaluate_items(
     return out
 
 
-def evaluate_policy(
-    params: PolicyParams,
-    dataset: Sequence[SynthQAItem],
-    variant: RewardVariant = DEFAULT_VARIANT,
-) -> EvalReport:
-    """Aggregate greedy-decoding report; ROUGE/semantic means cover the
+def summarize_items(evals: Sequence[ItemEval]) -> EvalReport:
+    """Aggregate per-item evaluations; ROUGE/semantic means cover the
     answerable subset."""
-    evals = evaluate_items(params, dataset, variant)
     answerable = [e for e in evals if e.tp == 0 and e.fn == 0]
     confusion = ConfusionCounts(
         tp=sum(e.tp for e in evals), fp=sum(e.fp for e in evals), fn=sum(e.fn for e in evals)
@@ -493,3 +483,12 @@ def evaluate_policy(
         rouge_l=_mean([e.rouge_l for e in answerable]),
         semantic=_mean([e.semantic for e in answerable]),
     )
+
+
+def evaluate_policy(
+    params: PolicyParams,
+    dataset: Sequence[SynthQAItem],
+    variant: RewardVariant = DEFAULT_VARIANT,
+) -> EvalReport:
+    """Aggregate greedy-decoding report of every item."""
+    return summarize_items(evaluate_items(params, dataset, variant))

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from abstainrl import kernels
 from abstainrl.reward import (
     NO_ANSWER_TEXT,
     answer_reward,
@@ -149,9 +148,29 @@ class PolicyParams:
         return cls.from_json_dict(json.loads(text))
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable log-softmax along the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Indices drawn by inverting each row's CDF at the uniform draws ``u``.
+
+    ``probs`` is (..., K) and ``u`` is (..., M), one row of draws per row of
+    probabilities.  A draw lands on the first index i < K - 1 whose running
+    sum exceeds it, else on K - 1; the running sums are accumulated left to
+    right, as a scalar loop over the row would.
+    """
+    cum = np.cumsum(probs[..., :-1], axis=-1)
+    # running sums never decrease, so the sums <= u form a prefix whose
+    # length is the first index past u
+    return (u[..., :, None] >= cum[..., None, :]).sum(axis=-1)
+
+
 def row_log_probs(params: PolicyParams, feature: ContextFeature) -> np.ndarray:
     """Log-softmax over the 6 actions for one feature row."""
-    return np.asarray(kernels.log_softmax(params.logits[feature.index]))
+    return log_softmax(params.logits[feature.index])
 
 
 def action_log_prob(params: PolicyParams, feature: ContextFeature, action: ActionId) -> float:
@@ -169,8 +188,7 @@ def sample_action(
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     probs = action_probs(params, feature)
-    idx = kernels.sample_categorical(probs, float(rng.random()))
-    return ALL_ACTIONS[idx]
+    return ALL_ACTIONS[int(inverse_cdf(probs, np.array([rng.random()]))[0])]
 
 
 def greedy_action(params: PolicyParams, feature: ContextFeature) -> ActionId:
@@ -256,18 +274,22 @@ def sft_train(
     lr: float = 0.5,
     epochs: int = 200,
 ) -> PolicyParams:
-    """Full-batch gradient ascent on the mean log-likelihood of trace actions."""
+    """Full-batch gradient ascent on the mean log-likelihood of trace actions.
+
+    The likelihood depends on the traces only through how often each
+    (feature, action) pair occurs, so they are reduced once to a count
+    matrix C; each epoch's gradient is then C - n_row * softmax(row).
+    """
     if not traces:
         raise ValueError("sft_train needs at least one trace")
+    counts = np.zeros((N_FEATURES, N_ACTIONS))
+    for trace in traces:
+        counts[trace.feature.index, trace.action.index] += 1.0
+    row_totals = counts.sum(axis=1, keepdims=True)
     logits = np.array(params.logits)
     n = len(traces)
     for _ in range(epochs):
-        grad = np.zeros_like(logits)
-        for trace in traces:
-            row = trace.feature.index
-            probs = np.exp(kernels.log_softmax(logits[row]))
-            grad[row] -= probs
-            grad[row, trace.action.index] += 1.0
+        grad = counts - row_totals * np.exp(log_softmax(logits))
         logits += lr * grad / n
     return PolicyParams(logits)
 

@@ -1,0 +1,227 @@
+"""Per-sample scalar reference implementations of the training hot path.
+
+These are the loops the array code in ``abstainrl.grpo`` and
+``abstainrl.policy.sft_train`` replaced: one rollout group at a time, one
+completion at a time, rewards recomputed from text on every draw.  They are
+kept only as oracles; the tests hold the array path to them.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass
+
+import numpy as np
+
+from abstainrl import kernels
+from abstainrl.grpo import GrpoConfig, TrainEnv, TrainLog, TrainRecord
+from abstainrl.policy import (
+    ALL_ACTIONS,
+    N_ACTIONS,
+    N_FEATURES,
+    ActionId,
+    ExpertTrace,
+    PolicyParams,
+    render_completion,
+)
+from abstainrl.reward import DEFAULT_VARIANT, RewardVariant, is_no_answer, parse_completion
+from abstainrl.synthenv import SynthQAItem
+from abstainrl.textmetrics import ConfusionCounts, abstention_confusion
+
+
+def kl_k3(logp_theta: float, logp_ref: float) -> float:
+    d = logp_ref - logp_theta
+    return max(0.0, math.expm1(d) - d)
+
+
+def clipped_term(ratio: float, advantage: float, clip_eps: float) -> float:
+    clipped = min(max(ratio, 1.0 - clip_eps), 1.0 + clip_eps)
+    return min(ratio * advantage, clipped * advantage)
+
+
+def compute_advantages(rewards: np.ndarray, std_eps: float) -> np.ndarray:
+    r = np.asarray(rewards, dtype=np.float64)
+    if float(r.max()) == float(r.min()):
+        return np.zeros_like(r)
+    mean = float(r.mean())
+    std = float(r.std())
+    return (r - mean) / (std + std_eps)
+
+
+@dataclass(frozen=True)
+class RolloutGroup:
+    """G completions for one question under a fixed old-policy snapshot."""
+
+    item: SynthQAItem
+    actions: tuple[ActionId, ...]
+    rendered: tuple[str, ...]
+    logp_old: np.ndarray
+    logp_ref: np.ndarray
+    rewards: np.ndarray
+    advantages: np.ndarray
+
+
+def row_log_probs_table(params: PolicyParams) -> np.ndarray:
+    out = np.empty((N_FEATURES, N_ACTIONS))
+    for row in range(N_FEATURES):
+        out[row] = kernels.log_softmax(params.logits[row])
+    return out
+
+
+def rollout_group(
+    params_old: PolicyParams,
+    params_ref: PolicyParams,
+    env: TrainEnv,
+    item: SynthQAItem,
+    cfg: GrpoConfig,
+    rng: np.random.Generator,
+    variant: RewardVariant = DEFAULT_VARIANT,
+) -> RolloutGroup:
+    row = item.feature.index
+    logp_old_row = np.asarray(kernels.log_softmax(params_old.logits[row]))
+    logp_ref_row = np.asarray(kernels.log_softmax(params_ref.logits[row]))
+    probs = np.exp(logp_old_row)
+    actions, rendered = [], []
+    rewards = np.empty(cfg.group_size)
+    logp_old = np.empty(cfg.group_size)
+    logp_ref = np.empty(cfg.group_size)
+    for i in range(cfg.group_size):
+        idx = kernels.sample_categorical(probs, float(rng.random()))
+        action = ALL_ACTIONS[idx]
+        text = render_completion(action, item)
+        actions.append(action)
+        rendered.append(text)
+        rewards[i] = env.reward(text, item, variant).total
+        logp_old[i] = logp_old_row[idx]
+        logp_ref[i] = logp_ref_row[idx]
+    return RolloutGroup(
+        item=item,
+        actions=tuple(actions),
+        rendered=tuple(rendered),
+        logp_old=logp_old,
+        logp_ref=logp_ref,
+        rewards=rewards,
+        advantages=compute_advantages(rewards, cfg.std_eps),
+    )
+
+
+def grpo_objective(
+    params: PolicyParams, groups: Sequence[RolloutGroup], cfg: GrpoConfig
+) -> float:
+    log_probs = row_log_probs_table(params)
+    total = 0.0
+    for group in groups:
+        row = group.item.feature.index
+        acc = 0.0
+        for i, action in enumerate(group.actions):
+            logp_new = log_probs[row, action.index]
+            ratio = math.exp(logp_new - float(group.logp_old[i]))
+            acc += clipped_term(ratio, float(group.advantages[i]), cfg.clip_eps)
+            acc -= cfg.kl_beta * kl_k3(logp_new, float(group.logp_ref[i]))
+        total += acc / cfg.group_size
+    return total / len(groups)
+
+
+def grpo_gradient(
+    params: PolicyParams, groups: Sequence[RolloutGroup], cfg: GrpoConfig
+) -> np.ndarray:
+    log_probs = row_log_probs_table(params)
+    grad = np.zeros((N_FEATURES, N_ACTIONS))
+    lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
+    scale = 1.0 / (len(groups) * cfg.group_size)
+    for group in groups:
+        row = group.item.feature.index
+        probs = np.exp(log_probs[row])
+        for i, action in enumerate(group.actions):
+            logp_new = log_probs[row, action.index]
+            ratio = math.exp(logp_new - float(group.logp_old[i]))
+            advantage = float(group.advantages[i])
+            unclipped = ratio * advantage
+            clipped = min(max(ratio, lo), hi) * advantage
+            coeff = 0.0
+            if unclipped <= clipped:
+                coeff += unclipped
+            u = math.exp(float(group.logp_ref[i]) - logp_new)
+            coeff += cfg.kl_beta * (u - 1.0)
+            grad[row] -= scale * coeff * probs
+            grad[row, action.index] += scale * coeff
+    return grad
+
+
+def batch_confusion(groups: Sequence[RolloutGroup]) -> ConfusionCounts:
+    pairs = []
+    for group in groups:
+        for text in group.rendered:
+            answer = parse_completion(text).answer
+            pairs.append((None if is_no_answer(answer) else answer, group.item.gold))
+    return abstention_confusion(pairs)
+
+
+def train_rl(
+    params0: PolicyParams,
+    env: TrainEnv,
+    variant: RewardVariant = DEFAULT_VARIANT,
+    cfg: GrpoConfig = GrpoConfig(),
+) -> tuple[PolicyParams, TrainLog, list[RolloutGroup]]:
+    """The per-group training loop; also returns every rollout group drawn."""
+    ref = params0
+    params = params0
+    rng = np.random.default_rng(cfg.seed)
+    log = TrainLog()
+    drawn: list[RolloutGroup] = []
+    for iteration in range(cfg.outer_iters):
+        old = params
+        item_idx = rng.integers(0, len(env.items), size=cfg.batch_size)
+        groups = [
+            rollout_group(old, ref, env, env.items[int(j)], cfg, rng, variant)
+            for j in item_idx
+        ]
+        drawn.extend(groups)
+        for _ in range(cfg.inner_steps):
+            step = grpo_gradient(params, groups, cfg)
+            params = PolicyParams(params.logits + cfg.lr * step)
+        objective = grpo_objective(params, groups, cfg)
+        rewards = np.concatenate([g.rewards for g in groups])
+        abstained = 0
+        kl_total = 0.0
+        count = 0
+        log_probs = row_log_probs_table(params)
+        for group in groups:
+            row = group.item.feature.index
+            for i, action in enumerate(group.actions):
+                kl_total += kl_k3(float(log_probs[row, action.index]), float(group.logp_ref[i]))
+                if is_no_answer(parse_completion(group.rendered[i]).answer):
+                    abstained += 1
+                count += 1
+        confusion = batch_confusion(groups)
+        log.records.append(
+            TrainRecord(
+                iteration=iteration,
+                mean_reward=float(rewards.mean()),
+                abstain_rate=abstained / count,
+                kl=kl_total / count,
+                objective=float(objective),
+                tp=confusion.tp,
+                fp=confusion.fp,
+                fn=confusion.fn,
+            )
+        )
+    return params, log, drawn
+
+
+def sft_train(
+    params: PolicyParams, traces: Sequence[ExpertTrace], lr: float = 0.5, epochs: int = 200
+) -> PolicyParams:
+    """Full-batch SFT, one trace at a time."""
+    logits = np.array(params.logits)
+    n = len(traces)
+    for _ in range(epochs):
+        grad = np.zeros_like(logits)
+        for trace in traces:
+            row = trace.feature.index
+            probs = np.exp(kernels.log_softmax(logits[row]))
+            grad[row] -= probs
+            grad[row, trace.action.index] += 1.0
+        logits += lr * grad / n
+    return PolicyParams(logits)

@@ -12,6 +12,7 @@ import pytest
 from abstainrl.cli import main
 from abstainrl.grpo import (
     GrpoConfig,
+    RewardTable,
     TrainEnv,
     compute_advantages,
     evaluate_items,
@@ -19,7 +20,7 @@ from abstainrl.grpo import (
     grpo_gradient,
     grpo_objective,
     kl_k3,
-    rollout_group,
+    rollout_batch,
     train_rl,
 )
 from abstainrl.policy import (
@@ -168,29 +169,27 @@ def test_a5_gradient_check():
     """Analytic GRPO gradient vs central finite differences (h=1e-5), 20
     random (params, batch) instances, beta in {0, 0.01}, rel err < 1e-4."""
     items = generate_dataset(GenConfig(n_items=50, p_unans=0.4, ambiguity=0.4, seed=2))
-    env = TrainEnv(items=items)
+    table = RewardTable(TrainEnv(items=items))
     rng = np.random.default_rng(404)
     h = 1e-5
     for trial in range(20):
         beta = 0.0 if trial % 2 == 0 else 0.01
-        cfg = GrpoConfig(kl_beta=beta, seed=trial)
+        cfg = GrpoConfig(kl_beta=beta, batch_size=5, seed=trial)
         old = PolicyParams(rng.normal(0, 0.5, (6, 6)))
         ref = PolicyParams(rng.normal(0, 0.5, (6, 6)))
-        groups = [
-            rollout_group(old, ref, env, items[int(rng.integers(0, len(items)))], cfg, rng)
-            for _ in range(5)
-        ]
+        # the batch and gradient functions train_rl itself calls
+        batch = rollout_batch(old, ref, table, cfg, rng)
         # evaluate away from the old snapshot so some ratios clip; random
         # offsets land on exact clip boundaries with probability zero
         params = PolicyParams(old.logits + rng.normal(0, 0.3, (6, 6)))
-        analytic = grpo_gradient(params, groups, cfg)
+        analytic = grpo_gradient(params, batch, cfg)
         for r in range(6):
             for c in range(6):
                 bump = np.zeros((6, 6))
                 bump[r, c] = h
                 numeric = (
-                    grpo_objective(PolicyParams(params.logits + bump), groups, cfg)
-                    - grpo_objective(PolicyParams(params.logits - bump), groups, cfg)
+                    grpo_objective(PolicyParams(params.logits + bump), batch, cfg)
+                    - grpo_objective(PolicyParams(params.logits - bump), batch, cfg)
                 ) / (2 * h)
                 denom = max(abs(numeric), 1e-8)
                 assert abs(analytic[r, c] - numeric) / denom < 1e-4

@@ -1,0 +1,284 @@
+"""The array training path against the per-sample scalar loops it replaced.
+
+``scalar_reference`` keeps those loops as oracles: one rollout group and one
+completion at a time, every draw re-rendered and re-scored from text.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scalar_reference as ref
+from abstainrl import grpo, kernels
+from abstainrl.grpo import (
+    GrpoConfig,
+    RewardTable,
+    TrainEnv,
+    compute_advantages,
+    grpo_gradient,
+    grpo_objective,
+    rollout_batch,
+    train_rl,
+)
+from abstainrl.policy import (
+    ALL_ACTIONS,
+    ALL_FEATURES,
+    ExpertTrace,
+    PolicyParams,
+    inverse_cdf,
+    log_softmax,
+    make_expert_traces,
+    render_completion,
+    sft_train,
+)
+from abstainrl.reward import (
+    DEFAULT_VARIANT,
+    RewardBreakdown,
+    RewardVariant,
+    is_no_answer,
+    parse_completion,
+    total_reward,
+)
+from abstainrl.synthenv import GenConfig, generate_dataset
+from abstainrl.textmetrics import GoldAnswer
+
+ITEMS = generate_dataset(GenConfig(n_items=40, p_unans=0.4, ambiguity=0.4, seed=31))
+
+
+def _payout(raw: str, item) -> RewardBreakdown:
+    """The bandit payout rule of acceptance criterion A6."""
+    pc = parse_completion(raw)
+    if pc.format_ok and pc.answer == item.candidate_a:
+        return RewardBreakdown(format=0.5, answer=2.0, total=2.5)
+    return RewardBreakdown(format=0.0, answer=0.5, total=0.5)
+
+
+class _CountingEnv(TrainEnv):
+    """An environment that counts its reward evaluations."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.calls = 0
+
+    def reward(self, raw, item, variant=DEFAULT_VARIANT):
+        self.calls += 1
+        return super().reward(raw, item, variant)
+
+
+index_pairs = st.lists(
+    st.tuples(st.integers(0, len(ITEMS) - 1), st.integers(0, len(ALL_ACTIONS) - 1)),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestRewardTable:
+    @given(index_pairs, st.sampled_from(list(RewardVariant)), st.booleans())
+    def test_entries_equal_per_call_reward(self, pairs, variant, bandit):
+        env = TrainEnv(items=ITEMS, reward_fn=_payout if bandit else None)
+        table = RewardTable(env, variant)
+        items = np.array([j for j, _ in pairs])
+        actions = np.array([a for _, a in pairs])
+        rewards, abstained = table.lookup(items, actions)
+        for k, (j, a) in enumerate(pairs):
+            text = render_completion(ALL_ACTIONS[a], ITEMS[j])
+            assert rewards[k] == env.reward(text, ITEMS[j], variant).total
+            assert abstained[k] == is_no_answer(parse_completion(text).answer)
+
+    @given(index_pairs)
+    def test_each_pair_evaluated_once(self, pairs):
+        env = _CountingEnv(items=ITEMS)
+        table = RewardTable(env)
+        items = np.array([j for j, _ in pairs])
+        actions = np.array([a for _, a in pairs])
+        first, _ = table.lookup(items, actions)
+        again, _ = table.lookup(items, actions)
+        assert env.calls == len(set(pairs))
+        np.testing.assert_array_equal(first, again)
+
+    @given(st.sampled_from(["No Answer", "no answer", "No  Answer.", "no-answer", "No", "Answer"]))
+    def test_abstained_follows_the_text_not_the_action(self, candidate):
+        item = dataclasses.replace(ITEMS[0], candidate_a=candidate)
+        table = RewardTable(TrainEnv(items=[item]))
+        actions = np.arange(len(ALL_ACTIONS))
+        rewards, abstained = table.lookup(np.zeros(len(actions), dtype=int), actions)
+        for a, action in enumerate(ALL_ACTIONS):
+            text = render_completion(action, item)
+            assert abstained[a] == is_no_answer(parse_completion(text).answer)
+            assert rewards[a] == total_reward(text, item.gold).total
+        if candidate == "No Answer":
+            assert abstained[:2].all()  # both renderings of candidate A read as abstention
+
+
+probs_rows = st.lists(
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=6, max_size=6
+).filter(lambda w: sum(w) > 0).map(lambda w: np.array(w) / sum(w))
+
+
+class TestSampler:
+    @given(probs_rows, st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
+    def test_matches_scalar_sampler_per_draw(self, probs, draws):
+        # u = 0, every running sum exactly, and the float just below each one
+        cum = np.cumsum(probs[:-1])
+        u = np.array([0.0, *cum, *np.nextafter(cum, 0.0), *draws])
+        got = inverse_cdf(probs[None, :], u[None, :])[0]
+        want = [kernels.sample_categorical(probs, float(x)) for x in u]
+        assert got.tolist() == want
+
+    @given(st.lists(probs_rows, min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+    def test_rows_are_independent(self, rows, seed):
+        probs = np.stack(rows)
+        u = np.random.default_rng(seed).random((len(rows), 5))
+        got = inverse_cdf(probs, u)
+        for b in range(len(rows)):
+            assert got[b].tolist() == inverse_cdf(probs[b], u[b]).tolist()
+
+
+class TestAdvantages:
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 1 / 3]), min_size=4, max_size=4),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_batched_rows_equal_single_groups(self, rows):
+        batched = compute_advantages(np.array(rows))
+        for b, row in enumerate(rows):
+            np.testing.assert_array_equal(batched[b], ref.compute_advantages(np.array(row), 1e-8))
+
+    @pytest.mark.parametrize("std_eps", [1e-8, 0.0])
+    def test_flat_groups_are_exactly_zero(self, std_eps):
+        # the mean of three 0.1s rounds away from 0.1, so only the explicit
+        # zero-variance rule gives exact zeros (and no 0/0 at std_eps = 0)
+        rewards = np.array([[0.1, 0.1, 0.1], [0.0, 0.5, 1.0]])
+        with np.errstate(all="raise"):
+            adv = compute_advantages(rewards, std_eps)
+        assert not adv[0].any()
+        assert adv[1].any()
+
+
+class TestSft:
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=60
+        ),
+        st.floats(0.01, 1.0),
+        st.integers(0, 30),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50)
+    def test_count_matrix_equals_per_trace_loop(self, pairs, lr, epochs, seed):
+        traces = [
+            ExpertTrace(ALL_FEATURES[f], ALL_ACTIONS[a], "", GoldAnswer.no_answer())
+            for f, a in pairs
+        ]
+        params = PolicyParams(np.random.default_rng(seed).normal(size=(6, 6)))
+        got = sft_train(params, traces, lr=lr, epochs=epochs)
+        want = ref.sft_train(params, traces, lr=lr, epochs=epochs)
+        np.testing.assert_allclose(got.logits, want.logits, rtol=0, atol=1e-12)
+
+
+class TestLogSoftmax:
+    def test_matches_kernel(self):
+        logits = np.random.default_rng(3).normal(scale=5.0, size=(200, 6))
+        want = np.array([kernels.log_softmax(row) for row in logits])
+        np.testing.assert_allclose(log_softmax(logits), want, rtol=0, atol=1e-15)
+
+
+def _as_groups(batch, env):
+    """The batch as the scalar oracle's rollout groups."""
+    groups = []
+    for b, j in enumerate(batch.item_idx.tolist()):
+        item = env.items[j]
+        actions = tuple(ALL_ACTIONS[a] for a in batch.actions[b].tolist())
+        groups.append(
+            ref.RolloutGroup(
+                item=item,
+                actions=actions,
+                rendered=tuple(render_completion(a, item) for a in actions),
+                logp_old=batch.logp_old[b],
+                logp_ref=batch.logp_ref[b],
+                rewards=batch.rewards[b],
+                advantages=batch.advantages[b],
+            )
+        )
+    return groups
+
+
+class TestGradient:
+    @pytest.mark.parametrize("beta", [0.0, 0.01, 1.0])
+    def test_gradient_and_objective_equal_scalar_oracle(self, beta):
+        env = TrainEnv(items=ITEMS)
+        table = RewardTable(env)
+        rng = np.random.default_rng(55)
+        for trial in range(20):
+            cfg = GrpoConfig(kl_beta=beta, batch_size=6, group_size=2 + trial % 5, seed=trial)
+            old = PolicyParams(rng.normal(0, 0.5, (6, 6)))
+            reference = PolicyParams(rng.normal(0, 0.5, (6, 6)))
+            batch = rollout_batch(old, reference, table, cfg, rng)
+            groups = _as_groups(batch, env)
+            # far enough from the snapshot that some ratios clip
+            params = PolicyParams(old.logits + rng.normal(0, 0.3, (6, 6)))
+            np.testing.assert_allclose(
+                grpo_gradient(params, batch, cfg),
+                ref.grpo_gradient(params, groups, cfg),
+                rtol=0,
+                atol=1e-12,
+            )
+            assert grpo_objective(params, batch, cfg) == pytest.approx(
+                ref.grpo_objective(params, groups, cfg), rel=0, abs=1e-12
+            )
+
+    def test_train_rl_steps_with_grpo_gradient(self, monkeypatch):
+        """The gradient A5 checks is the one train_rl steps with."""
+        calls = []
+        original = grpo.grpo_gradient
+
+        def spy(params, batch, cfg):
+            calls.append(batch)
+            return original(params, batch, cfg)
+
+        monkeypatch.setattr(grpo, "grpo_gradient", spy)
+        cfg = GrpoConfig(outer_iters=3, inner_steps=2, batch_size=4, seed=0)
+        train_rl(PolicyParams.zeros(), TrainEnv(items=ITEMS), cfg=cfg)
+        assert len(calls) == 6
+
+
+class TestTrainRl:
+    @pytest.mark.parametrize(
+        "variant, bandit, inner_steps, sft",
+        [
+            (RewardVariant.ROUGE_PLUS_EM, False, 1, True),
+            (RewardVariant.ROUGE_PLUS_SEM_PLUS_EM, False, 3, False),
+            (RewardVariant.ROUGE_ONLY, True, 1, False),
+        ],
+    )
+    def test_matches_scalar_loop(self, variant, bandit, inner_steps, sft):
+        items = generate_dataset(GenConfig(n_items=80, p_unans=0.5, ambiguity=0.5, seed=8))
+        reward_fn = _payout if bandit else None
+        env = _CountingEnv(items=items, reward_fn=reward_fn)
+        params0 = PolicyParams.zeros()
+        if sft:
+            params0 = sft_train(params0, make_expert_traces(items))
+        cfg = GrpoConfig(outer_iters=40, inner_steps=inner_steps, lr=0.05, batch_size=16, seed=4)
+        params, log = train_rl(params0, env, variant, cfg)
+        want_params, want_log, drawn = ref.train_rl(
+            params0, TrainEnv(items=items, reward_fn=reward_fn), variant, cfg
+        )
+        np.testing.assert_allclose(params.logits, want_params.logits, rtol=0, atol=1e-12)
+        assert len(log.records) == len(want_log.records)
+        for got, want in zip(log.records, want_log.records):
+            assert (got.iteration, got.tp, got.fp, got.fn) == (
+                want.iteration, want.tp, want.fp, want.fn
+            )
+            for field in ("mean_reward", "abstain_rate", "kl", "objective"):
+                assert getattr(got, field) == pytest.approx(
+                    getattr(want, field), rel=1e-9, abs=0.0
+                ), (got.iteration, field)
+        # one reward evaluation per distinct (item, action) pair drawn
+        distinct = {(g.item.id, a.index) for g in drawn for a in g.actions}
+        assert env.calls == len(distinct) < len(drawn) * cfg.group_size

@@ -2,13 +2,19 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import abstainrl
 from abstainrl.cli import main
 from abstainrl.policy import ALL_FEATURES, ActionId, Choice, Evidence, PolicyParams
 from abstainrl.synthenv import GenConfig, generate_dataset, item_to_dict
 
 import numpy as np
+import pytest
 
 
 def _gen(tmp_path, name="data.jsonl", n=60, p=0.3, seed=5, ambiguity=0.25):
@@ -217,6 +223,33 @@ class TestTrain:
         assert main(_train_args(data, out)) == 0
         params = PolicyParams.loads((out / "policy.json").read_text())
         assert params.logits.shape == (6, 6)
+
+    def test_non_finite_hyperparameter_is_usage_error(self, tmp_path, capsys):
+        data = _gen(tmp_path)
+        for flag, field in (("--lr", "lr"), ("--beta", "kl_beta"), ("--std-eps", "std_eps")):
+            capsys.readouterr()
+            assert main(_train_args(data, tmp_path / "o", extra=[flag, "nan"])) == 2
+            assert f"{field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--lr", "1e308"], ["--lr", "1e308", "--inner-steps", "3"]])
+    def test_overflowing_lr_is_numerical_failure(self, tmp_path, extra):
+        """The run diverges at once, through the objective or through the
+        logits; the exit code says so, and stderr holds one message, with no
+        traceback and no numpy warning."""
+        data = _gen(tmp_path)
+        src_root = str(Path(abstainrl.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src_root, PYTHONWARNINGS="default")
+        proc = subprocess.run(
+            [sys.executable, "-m", "abstainrl.cli",
+             *_train_args(data, tmp_path / "o", extra=extra)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("numerical failure:")
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
 
 
 def _oracle_checkpoint(tmp_path):

@@ -1,6 +1,7 @@
 """GRPO pieces: advantages, ratios, clipping, the k3 KL estimator, the
 objective/gradient pair, the training loop, and greedy evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from abstainrl.grpo import (
     GrpoConfig,
+    RewardTable,
     TrainEnv,
     clipped_term,
     compute_advantages,
@@ -18,7 +20,7 @@ from abstainrl.grpo import (
     grpo_objective,
     importance_ratio,
     kl_k3,
-    rollout_group,
+    rollout_batch,
     train_rl,
 )
 from abstainrl.policy import (
@@ -140,12 +142,12 @@ def _env(n=60, p_unans=0.4, ambiguity=0.4, seed=2):
     return TrainEnv(items=generate_dataset(GenConfig(n, p_unans=p_unans, ambiguity=ambiguity, seed=seed)))
 
 
-def _groups(env, old, ref, cfg, seed, count=6):
+def _batch(env, old, ref, cfg, seed, count=6):
+    """A rollout batch of ``count`` groups."""
     rng = np.random.default_rng(seed)
-    return [
-        rollout_group(old, ref, env, env.items[int(rng.integers(0, len(env.items)))], cfg, rng)
-        for _ in range(count)
-    ]
+    return rollout_batch(
+        old, ref, RewardTable(env), dataclasses.replace(cfg, batch_size=count), rng
+    )
 
 
 class TestObjective:
@@ -153,39 +155,36 @@ class TestObjective:
         env = _env()
         cfg = GrpoConfig(kl_beta=0.0, seed=0)
         params = PolicyParams(np.random.default_rng(1).normal(size=(6, 6)))
-        groups = _groups(env, params, params, cfg, seed=3)
+        batch = _batch(env, params, params, cfg, seed=3)
         # ratios are 1, so the objective is the mean advantage, which centers to 0
-        assert grpo_objective(params, groups, cfg) == pytest.approx(0.0, abs=1e-9)
+        assert grpo_objective(params, batch, cfg) == pytest.approx(0.0, abs=1e-9)
 
     def test_kl_term_zero_when_ref_equals_params(self):
         env = _env()
         params = PolicyParams(np.random.default_rng(4).normal(size=(6, 6)))
-        groups = _groups(env, params, params, GrpoConfig(seed=0), seed=5)
-        without = grpo_objective(params, groups, GrpoConfig(kl_beta=0.0, seed=0))
-        with_kl = grpo_objective(params, groups, GrpoConfig(kl_beta=5.0, seed=0))
+        batch = _batch(env, params, params, GrpoConfig(seed=0), seed=5)
+        without = grpo_objective(params, batch, GrpoConfig(kl_beta=0.0, seed=0))
+        with_kl = grpo_objective(params, batch, GrpoConfig(kl_beta=5.0, seed=0))
         assert with_kl == pytest.approx(without, abs=1e-12)
 
     def test_raising_best_action_logit_increases_objective(self):
         env = _env()
         cfg = GrpoConfig(kl_beta=0.0, seed=0)
         old = PolicyParams.zeros()
-        groups = _groups(env, old, old, cfg, seed=6, count=12)
-        base = grpo_objective(old, groups, cfg)
+        batch = _batch(env, old, old, cfg, seed=6, count=12)
+        base = grpo_objective(old, batch, cfg)
         # find a rollout with the highest advantage in its group
-        group = max(groups, key=lambda g: float(g.advantages.max()))
-        i = int(np.argmax(group.advantages))
-        action = group.actions[i]
-        row = group.item.feature.index
+        b, i = np.unravel_index(np.argmax(batch.advantages), batch.advantages.shape)
         bumped = np.array(old.logits)
-        bumped[row, action.index] += 0.05  # ratio stays well under 1 + eps
-        assert grpo_objective(PolicyParams(bumped), groups, cfg) > base
+        bumped[batch.rows[b], batch.actions[b, i]] += 0.05  # ratio stays well under 1 + eps
+        assert grpo_objective(PolicyParams(bumped), batch, cfg) > base
 
     def test_group_size_mismatch_rejected(self):
         env = _env()
         params = PolicyParams.zeros()
-        groups = _groups(env, params, params, GrpoConfig(group_size=4, seed=0), seed=7)
+        batch = _batch(env, params, params, GrpoConfig(group_size=4, seed=0), seed=7)
         with pytest.raises(ValueError):
-            grpo_objective(params, groups, GrpoConfig(group_size=8, seed=0))
+            grpo_objective(params, batch, GrpoConfig(group_size=8, seed=0))
 
 
 class TestGradient:
@@ -193,28 +192,17 @@ class TestGradient:
         env = _env()
         cfg = GrpoConfig(kl_beta=0.0, seed=0)
         params = PolicyParams.zeros()
-        groups = _groups(env, params, params, cfg, seed=8, count=3)
-        flattened = [
-            type(g)(
-                item=g.item,
-                actions=g.actions,
-                rendered=g.rendered,
-                logp_old=g.logp_old,
-                logp_ref=g.logp_ref,
-                rewards=g.rewards,
-                advantages=np.zeros_like(g.advantages),
-            )
-            for g in groups
-        ]
+        batch = _batch(env, params, params, cfg, seed=8, count=3)
+        flattened = dataclasses.replace(batch, advantages=np.zeros_like(batch.advantages))
         np.testing.assert_allclose(grpo_gradient(params, flattened, cfg), 0.0, atol=1e-15)
 
     def test_rows_absent_from_batch_are_zero(self):
         env = _env()
         cfg = GrpoConfig(seed=0)
         params = PolicyParams.zeros()
-        groups = _groups(env, params, params, cfg, seed=9, count=4)
-        present = {g.item.feature.index for g in groups}
-        grad = grpo_gradient(params, groups, cfg)
+        batch = _batch(env, params, params, cfg, seed=9, count=4)
+        present = set(batch.rows.tolist())
+        grad = grpo_gradient(params, batch, cfg)
         for f in ALL_FEATURES:
             if f.index not in present:
                 assert not grad[f.index].any()
@@ -226,17 +214,17 @@ class TestGradient:
         cfg = GrpoConfig(kl_beta=beta, seed=0)
         old = PolicyParams(rng.normal(0, 0.5, (6, 6)))
         ref = PolicyParams(rng.normal(0, 0.5, (6, 6)))
-        groups = _groups(env, old, ref, cfg, seed=11, count=5)
+        batch = _batch(env, old, ref, cfg, seed=11, count=5)
         params = PolicyParams(old.logits + rng.normal(0, 0.3, (6, 6)))
-        analytic = grpo_gradient(params, groups, cfg)
+        analytic = grpo_gradient(params, batch, cfg)
         h = 1e-5
         for r in range(6):
             for c in range(6):
                 bump = np.zeros((6, 6))
                 bump[r, c] = h
                 numeric = (
-                    grpo_objective(PolicyParams(params.logits + bump), groups, cfg)
-                    - grpo_objective(PolicyParams(params.logits - bump), groups, cfg)
+                    grpo_objective(PolicyParams(params.logits + bump), batch, cfg)
+                    - grpo_objective(PolicyParams(params.logits - bump), batch, cfg)
                 ) / (2 * h)
                 denom = max(abs(numeric), 1e-8)
                 assert abs(analytic[r, c] - numeric) / denom < 1e-4

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +22,12 @@ def test_some_backend_is_active():
 
 def test_env_var_forces_python_backend():
     code = "from abstainrl import kernels; print(kernels.BACKEND)"
+    # the child sees a scrubbed environment, so hand it the package's source
+    # root explicitly; an installed package would be found without it
+    src_root = str(Path(kernels.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={"ABSTAINRL_KERNELS": "python", "PATH": "/usr/bin:/bin"},
+        env={"ABSTAINRL_KERNELS": "python", "PATH": "/usr/bin:/bin", "PYTHONPATH": src_root},
         capture_output=True,
         text=True,
         check=True,
