@@ -21,14 +21,13 @@ from abstainrl import retrieval, synthenv
 from abstainrl.grpo import (
     EvalReport,
     GrpoConfig,
-    GrpoDivergenceError,
     TrainEnv,
     TrainLog,
     evaluate_items,
     summarize_items,
     train_rl,
 )
-from abstainrl.policy import PolicyParams, make_expert_traces, sft_train
+from abstainrl.policy import DivergenceError, PolicyParams, make_expert_traces, sft_train
 from abstainrl.reward import DEFAULT_VARIANT, RewardVariant
 from abstainrl.retrieval import (
     ExtractionClientConfig,
@@ -84,6 +83,27 @@ _TRAIN_DEFAULTS: dict[str, Any] = {
 }
 
 
+# Written into a run's config.json besides the train settings ("p_unans" by a
+# p-unans sweep), so that the file is accepted back as --config.
+_RUN_RECORD_KEYS = frozenset({"command", "p_unans"})
+
+
+def _check_config_value(key: str, value: Any, default: Any) -> None:
+    """A config-file value must have its default's JSON type: an integer for
+    an int, any number for a float, a string (or null) where the default is
+    a string or null."""
+    if isinstance(value, bool):  # an int subclass, but never a setting here
+        ok = False
+    elif isinstance(default, int):
+        ok = isinstance(value, int)
+    elif isinstance(default, float):
+        ok = isinstance(value, (int, float))
+    else:
+        ok = value is None or isinstance(value, str)
+    if not ok:
+        raise UsageError(f"config key {key!r} has the wrong type: {value!r}")
+
+
 def _resolve(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any]:
     """Merge flag values over config-file values over defaults (flags win)."""
     from_file: dict[str, Any] = {}
@@ -92,6 +112,12 @@ def _resolve(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, An
         from_file = json.loads(Path(config_path).read_text(encoding="utf-8"))
         if not isinstance(from_file, dict):
             raise UsageError("config file must hold a JSON object")
+        unknown = sorted(set(from_file) - set(defaults) - _RUN_RECORD_KEYS)
+        if unknown:
+            raise UsageError(f"unknown config keys: {', '.join(map(repr, unknown))}")
+        for key, default in defaults.items():
+            if key in from_file:
+                _check_config_value(key, from_file[key], default)
     resolved = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
@@ -471,7 +497,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise DatasetError(f"checkpoint not found: {checkpoint_path}")
     if not dataset_path.exists():
         raise DatasetError(f"dataset not found: {dataset_path}")
-    params = PolicyParams.loads(checkpoint_path.read_text(encoding="utf-8"))
+    try:
+        params = PolicyParams.loads(checkpoint_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DatasetError(f"malformed checkpoint {checkpoint_path}: {exc}") from exc
     items = read_dataset(dataset_path)
     if not items:
         raise UsageError(f"dataset is empty: {dataset_path}")
@@ -728,13 +757,13 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except GrpoDivergenceError as exc:
+    except DivergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except DatasetError as exc:
         print(f"input-data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing path, a directory given as a file, ...
         print(f"input-data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

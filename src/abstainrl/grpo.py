@@ -26,6 +26,7 @@ from abstainrl.policy import (
     ALL_ACTIONS,
     N_ACTIONS,
     N_FEATURES,
+    DivergenceError,
     PolicyParams,
     greedy_action,
     inverse_cdf,
@@ -50,8 +51,8 @@ from abstainrl.textmetrics import (
 )
 
 
-class GrpoDivergenceError(RuntimeError):
-    """Raised when the logits or the objective stop being finite."""
+class GrpoDivergenceError(DivergenceError):
+    """Raised when the RL logits or the objective stop being finite."""
 
 
 @dataclass(frozen=True)

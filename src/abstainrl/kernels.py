@@ -1,55 +1,44 @@
-"""Kernel backend selection.
-
-The compiled extension is used when it is importable; otherwise the
-pure-Python implementations take over with identical semantics.  Set
-``ABSTAINRL_KERNELS=python`` or ``ABSTAINRL_KERNELS=compiled`` to force a
-backend (the latter raises if the extension was never built).
-"""
+"""The two numeric kernels under the text metrics: LCS length and hashed
+character-trigram counts."""
 
 from __future__ import annotations
 
-import os
-from types import ModuleType
+from collections.abc import Sequence
 
-from abstainrl import _pykernels
+import numpy as np
 
-_forced = os.environ.get("ABSTAINRL_KERNELS", "").strip().lower()
-
-_compiled: ModuleType | None
-if _forced == "python":
-    _compiled = None
-else:
-    try:
-        from abstainrl import _ckernels as _compiled  # type: ignore[attr-defined]
-    except ImportError:
-        _compiled = None
-
-if _forced == "compiled" and _compiled is None:
-    raise ImportError(
-        "ABSTAINRL_KERNELS=compiled was requested but the extension is not "
-        "built; run `python setup.py build_ext --inplace`"
-    )
-
-_impl: ModuleType = _compiled if _compiled is not None else _pykernels
-
-BACKEND: str = _impl.NAME
-
-lcs_length = _impl.lcs_length
-trigram_counts = _impl.trigram_counts
-log_softmax = _impl.log_softmax
-sample_categorical = _impl.sample_categorical
+# The one implementation; the benchmark records this name with its results.
+BACKEND = "python"
 
 
-def available_backends() -> dict[str, ModuleType]:
-    """Importable backends keyed by name; used by tests and the benchmark."""
-    out: dict[str, ModuleType] = {"python": _pykernels}
-    if _compiled is not None:
-        out["compiled"] = _compiled
-    else:
-        try:
-            from abstainrl import _ckernels  # type: ignore[attr-defined]
+def lcs_length(a: Sequence[object], b: Sequence[object]) -> int:
+    """Length of the longest common subsequence of two token sequences."""
+    n, m = len(a), len(b)
+    if n == 0 or m == 0:
+        return 0
+    prev = [0] * (m + 1)
+    for i in range(1, n + 1):
+        cur = [0] * (m + 1)
+        ai = a[i - 1]
+        for j in range(1, m + 1):
+            if ai == b[j - 1]:
+                cur[j] = prev[j - 1] + 1
+            else:
+                left = cur[j - 1]
+                up = prev[j]
+                cur[j] = left if left >= up else up
+        prev = cur
+    return prev[m]
 
-            out["compiled"] = _ckernels
-        except ImportError:
-            pass
+
+def trigram_counts(text: str, dim: int) -> np.ndarray:
+    """Hashed character-trigram count vector of ``text``.
+
+    Each trigram is bucketed by a fixed base-31 polynomial over its code
+    points, modulo ``dim``.
+    """
+    out = np.zeros(dim, dtype=np.float64)
+    for i in range(len(text) - 2):
+        h = (ord(text[i]) * 961 + ord(text[i + 1]) * 31 + ord(text[i + 2])) % dim
+        out[h] += 1.0
     return out

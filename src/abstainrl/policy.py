@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -104,6 +105,23 @@ N_FEATURES = len(ALL_FEATURES)
 N_ACTIONS = len(ALL_ACTIONS)
 
 
+class DivergenceError(RuntimeError):
+    """Raised when training drives the logits or the objective non-finite."""
+
+
+def _exact_keys(obj: object, names: Sequence[str], where: str) -> dict:
+    """``obj`` as a dict holding exactly ``names``; ValueError otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - set(names))
+    if unknown:
+        raise ValueError(f"{where} has unknown keys {unknown}")
+    missing = [name for name in names if name not in obj]
+    if missing:
+        raise ValueError(f"{where} is missing {missing}")
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class PolicyParams:
     """A 6x6 table of logits; treated as an immutable value between updates."""
@@ -131,13 +149,27 @@ class PolicyParams:
         return {"logits": table}
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "PolicyParams":
-        arr = np.zeros((N_FEATURES, N_ACTIONS))
-        table = payload["logits"]
-        for fname, row in table.items():
-            f = ContextFeature.from_name(fname)
-            for aname, value in row.items():
-                arr[f.index, ActionId.from_name(aname).index] = float(value)
+    def from_json_dict(cls, payload: object) -> "PolicyParams":
+        """Inverse of ``to_json_dict``.  Every one of the 36 entries must be
+        present as a finite number and no other key may appear; ValueError
+        names the first key that breaks this."""
+        table = _exact_keys(payload, ["logits"], "checkpoint")["logits"]
+        rows = _exact_keys(table, [f.name for f in ALL_FEATURES], "logits")
+        arr = np.empty((N_FEATURES, N_ACTIONS))
+        for f in ALL_FEATURES:
+            where = f"logits[{f.name!r}]"
+            row = _exact_keys(rows[f.name], [a.name for a in ALL_ACTIONS], where)
+            for a in ALL_ACTIONS:
+                value = row[a.name]
+                # bool is an int subclass; NaN fails the comparison, and an int
+                # too large for a float compares exactly instead of overflowing
+                if (
+                    isinstance(value, bool)
+                    or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max
+                ):
+                    raise ValueError(f"{where}[{a.name!r}] must be a finite number, got {value!r}")
+                arr[f.index, a.index] = value
         return cls(arr)
 
     def dumps(self) -> str:
@@ -279,6 +311,7 @@ def sft_train(
     The likelihood depends on the traces only through how often each
     (feature, action) pair occurs, so they are reduced once to a count
     matrix C; each epoch's gradient is then C - n_row * softmax(row).
+    Raises DivergenceError once the logits stop being finite.
     """
     if not traces:
         raise ValueError("sft_train needs at least one trace")
@@ -288,9 +321,14 @@ def sft_train(
     row_totals = counts.sum(axis=1, keepdims=True)
     logits = np.array(params.logits)
     n = len(traces)
-    for _ in range(epochs):
-        grad = counts - row_totals * np.exp(log_softmax(logits))
-        logits += lr * grad / n
+    # overflow and inf - inf arise only once a run diverges; the finiteness
+    # check turns that into DivergenceError instead of warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            grad = counts - row_totals * np.exp(log_softmax(logits))
+            logits += lr * grad / n
+            if not np.isfinite(logits).all():
+                raise DivergenceError(f"SFT logits became non-finite at epoch {epoch}")
     return PolicyParams(logits)
 
 

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from abstainrl import kernels
+from abstainrl.kernels import lcs_length
 
 EMBEDDING_DIM = 512
 
@@ -93,14 +94,6 @@ def normalize_text(raw: str) -> list[str]:
     """Normalized token sequence: lowercased, punctuation-stripped, articles removed."""
     stripped = "".join(_keep(ch) for ch in raw.lower())
     return [tok for tok in stripped.split() if tok not in _ARTICLES]
-
-
-def lcs_length(x: Sequence[str], y: Sequence[str]) -> int:
-    """Length of the longest common subsequence of two token sequences."""
-    ids: dict[str, int] = {}
-    xa = [ids.setdefault(t, len(ids)) for t in x]
-    ya = [ids.setdefault(t, len(ids)) for t in y]
-    return int(kernels.lcs_length(xa, ya))
 
 
 def _require_answerable(references: GoldAnswer, op: str) -> None:

@@ -3,7 +3,9 @@
 These are the loops the array code in ``abstainrl.grpo`` and
 ``abstainrl.policy.sft_train`` replaced: one rollout group at a time, one
 completion at a time, rewards recomputed from text on every draw.  They are
-kept only as oracles; the tests hold the array path to them.
+kept only as oracles; the tests hold the array path to them.  The scalar
+log-softmax and inverse-CDF sampler they call are the oracles for
+``policy.log_softmax`` and ``policy.inverse_cdf``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from abstainrl import kernels
 from abstainrl.grpo import GrpoConfig, TrainEnv, TrainLog, TrainRecord
 from abstainrl.policy import (
     ALL_ACTIONS,
@@ -28,6 +29,28 @@ from abstainrl.policy import (
 from abstainrl.reward import DEFAULT_VARIANT, RewardVariant, is_no_answer, parse_completion
 from abstainrl.synthenv import SynthQAItem
 from abstainrl.textmetrics import ConfusionCounts, abstention_confusion
+
+
+def log_softmax(row: np.ndarray) -> np.ndarray:
+    """Numerically stable log-softmax of a 1-D array."""
+    row = np.asarray(row, dtype=np.float64)
+    shifted = row - row.max()
+    ex = np.exp(shifted)
+    total = 0.0
+    for v in ex:
+        total += float(v)
+    return shifted - math.log(total)
+
+
+def sample_categorical(probs: np.ndarray, u: float) -> int:
+    """Index sampled from ``probs`` by inverting the CDF at uniform draw ``u``."""
+    cum = 0.0
+    last = len(probs) - 1
+    for i in range(last):
+        cum += float(probs[i])
+        if u < cum:
+            return i
+    return last
 
 
 def kl_k3(logp_theta: float, logp_ref: float) -> float:
@@ -65,7 +88,7 @@ class RolloutGroup:
 def row_log_probs_table(params: PolicyParams) -> np.ndarray:
     out = np.empty((N_FEATURES, N_ACTIONS))
     for row in range(N_FEATURES):
-        out[row] = kernels.log_softmax(params.logits[row])
+        out[row] = log_softmax(params.logits[row])
     return out
 
 
@@ -79,15 +102,15 @@ def rollout_group(
     variant: RewardVariant = DEFAULT_VARIANT,
 ) -> RolloutGroup:
     row = item.feature.index
-    logp_old_row = np.asarray(kernels.log_softmax(params_old.logits[row]))
-    logp_ref_row = np.asarray(kernels.log_softmax(params_ref.logits[row]))
+    logp_old_row = np.asarray(log_softmax(params_old.logits[row]))
+    logp_ref_row = np.asarray(log_softmax(params_ref.logits[row]))
     probs = np.exp(logp_old_row)
     actions, rendered = [], []
     rewards = np.empty(cfg.group_size)
     logp_old = np.empty(cfg.group_size)
     logp_ref = np.empty(cfg.group_size)
     for i in range(cfg.group_size):
-        idx = kernels.sample_categorical(probs, float(rng.random()))
+        idx = sample_categorical(probs, float(rng.random()))
         action = ALL_ACTIONS[idx]
         text = render_completion(action, item)
         actions.append(action)
@@ -220,7 +243,7 @@ def sft_train(
         grad = np.zeros_like(logits)
         for trace in traces:
             row = trace.feature.index
-            probs = np.exp(kernels.log_softmax(logits[row]))
+            probs = np.exp(log_softmax(logits[row]))
             grad[row] -= probs
             grad[row, trace.action.index] += 1.0
         logits += lr * grad / n

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes, formats."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -9,12 +11,14 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import abstainrl
-from abstainrl.cli import main
-from abstainrl.policy import ALL_FEATURES, ActionId, Choice, Evidence, PolicyParams
+from abstainrl.cli import _TRAIN_DEFAULTS, main
+from abstainrl.policy import ALL_ACTIONS, ALL_FEATURES, ActionId, Choice, Evidence, PolicyParams
 from abstainrl.synthenv import GenConfig, generate_dataset, item_to_dict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 
 def _gen(tmp_path, name="data.jsonl", n=60, p=0.3, seed=5, ambiguity=0.25):
@@ -231,12 +235,20 @@ class TestTrain:
             assert main(_train_args(data, tmp_path / "o", extra=[flag, "nan"])) == 2
             assert f"{field} must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [["--lr", "1e308"], ["--lr", "1e308", "--inner-steps", "3"]])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--lr", "1e308"],
+            ["--lr", "1e308", "--inner-steps", "3"],
+            ["--sft-traces", "{data}", "--sft-lr", "1e308"],
+        ],
+    )
     def test_overflowing_lr_is_numerical_failure(self, tmp_path, extra):
-        """The run diverges at once, through the objective or through the
-        logits; the exit code says so, and stderr holds one message, with no
-        traceback and no numpy warning."""
+        """The run diverges at once, in RL through the objective or the
+        logits, or in SFT; the exit code says so, and stderr holds one
+        message, with no traceback and no numpy warning."""
         data = _gen(tmp_path)
+        extra = [arg.format(data=data) for arg in extra]
         src_root = str(Path(abstainrl.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src_root, PYTHONWARNINGS="default")
         proc = subprocess.run(
@@ -248,8 +260,25 @@ class TestTrain:
         )
         assert proc.returncode == 4, proc.stderr
         assert proc.stderr.startswith("numerical failure:")
+        assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
         assert "Warning" not in proc.stderr
+
+    def test_own_config_is_accepted_as_config(self, tmp_path):
+        data = _gen(tmp_path)
+        first = tmp_path / "first"
+        assert main(_train_args(data, first, extra=["--lr", "0.05", "--sft-traces", str(data)])) == 0
+        again = tmp_path / "again"
+        assert main(["train", "--config", str(first / "config.json"), "--out-dir", str(again)]) == 0
+        assert (again / "train_log.jsonl").read_bytes() == (first / "train_log.jsonl").read_bytes()
+
+
+def _set_logit(edit):
+    """A zero checkpoint with one entry replaced."""
+    feature, action_name, value = edit
+    payload = PolicyParams.zeros().to_json_dict()
+    payload["logits"][feature.name][action_name] = value
+    return payload
 
 
 def _oracle_checkpoint(tmp_path):
@@ -307,6 +336,30 @@ class TestEval:
         data = _gen(tmp_path)
         assert main(["eval", "--checkpoint", str(tmp_path / "no.json"),
                      "--dataset", str(data)]) == 3
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda t: t.clear(), "supports:easy"),
+            (lambda t: t.update(bogus={}), "bogus"),
+            (lambda t: t["contradicts:hard"].pop("abstain:bare"), "abstain:bare"),
+            (lambda t: t["contradicts:hard"].update({"answer_a:loud": 0.0}), "answer_a:loud"),
+            (lambda t: t["supports:easy"].update({"answer_b:bare": float("nan")}), "answer_b:bare"),
+            (lambda t: t["supports:easy"].update({"answer_b:bare": "1.0"}), "answer_b:bare"),
+            (lambda t: t["supports:easy"].update({"answer_b:bare": True}), "answer_b:bare"),
+        ],
+        ids=["empty", "unknown-feature", "missing-action", "unknown-action", "nan", "string", "bool"],
+    )
+    def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, edit, named):
+        payload = json.loads(_oracle_checkpoint(tmp_path).read_text())
+        edit(payload["logits"])
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(json.dumps(payload))
+        data = _gen(tmp_path)
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data),
+                     "--out", str(tmp_path / "s.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input-data error: malformed checkpoint") and named in err
 
 
 class TestSweep:
@@ -395,6 +448,107 @@ class TestReport:
         run = tmp_path / "solo"
         assert main(_train_args(data, run, iters="4")) == 0
         ET.fromstring((run / "curves.svg").read_text())
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--out", "{tmp}/x.jsonl"],
+            ["build-mc", "--in", "{tmp}/x.jsonl", "--out", "{tmp}/y.jsonl"],
+            ["train", "--dataset", "{tmp}/x.jsonl", "--out-dir", "{tmp}/o"],
+            ["sweep", "--axis", "beta", "--values", "0,1", "--dataset", "{tmp}/x.jsonl",
+             "--out-dir", "{tmp}/s"],
+        ],
+    )
+    def test_unknown_keys_are_usage_error(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "bogus_key": 1, "lr_typo": 0.1}))
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main([*argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "'bogus_key'" in err and "'lr_typo'" in err
+
+    @pytest.mark.parametrize("value", [None, "3", 3.0, True, [3]])
+    def test_wrongly_typed_value_is_usage_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": value}))
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.jsonl")]) == 2
+        assert "'n'" in capsys.readouterr().err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["gen", "--n", "20", "--seed", "1", "--out", str(root / "data.jsonl")]) == 0
+    return root
+
+
+def _main_stderr(argv):
+    """Exit code and stderr of one in-process run; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestFuzz:
+    """Any JSON object as a config file or a checkpoint ends in a contract
+    exit code (an escaping exception would fail the test) with no traceback."""
+
+    # the flags pin the run's size, so that a fuzzed config cannot ask for a
+    # long run; every other setting comes from the fuzzed file
+    SIZE_FLAGS = ["--iters", "1", "--batch-size", "2", "--group-size", "2",
+                  "--inner-steps", "1", "--sft-epochs", "1"]
+
+    @given(
+        st.sampled_from(["gen", "train"]),
+        st.dictionaries(
+            st.sampled_from([*_TRAIN_DEFAULTS, "n", "p_unans", "difficulty_mix", "ambiguity"])
+            | st.text(max_size=8),
+            json_values,
+            max_size=4,
+        ),
+    )
+    @example("train", {"sft_traces": "."})
+    @settings(max_examples=150)
+    def test_config_files(self, fuzz_dir, command, config):
+        cfg = fuzz_dir / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        if command == "gen":
+            argv = ["gen", "--n", "5", "--out", str(fuzz_dir / "gen.jsonl")]
+        else:
+            argv = ["train", "--dataset", str(fuzz_dir / "data.jsonl"),
+                    "--out-dir", str(fuzz_dir / "run"), *self.SIZE_FLAGS]
+        code, err = _main_stderr([*argv, "--config", str(cfg)])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+
+    @given(
+        st.one_of(
+            st.dictionaries(st.text(max_size=8), json_values, max_size=3),
+            st.fixed_dictionaries({"logits": json_values}),
+            st.tuples(
+                st.sampled_from(ALL_FEATURES), st.sampled_from([a.name for a in ALL_ACTIONS]),
+                json_values,
+            ).map(_set_logit),
+        )
+    )
+    @settings(max_examples=150)
+    def test_checkpoints(self, fuzz_dir, payload):
+        ckpt = fuzz_dir / "ckpt.json"
+        ckpt.write_text(json.dumps(payload))
+        code, err = _main_stderr(["eval", "--checkpoint", str(ckpt), "--dataset",
+                                  str(fuzz_dir / "data.jsonl"), "--out", str(fuzz_dir / "s.csv")])
+        assert code in (0, 3)
+        assert "Traceback" not in err
 
 
 class TestUsage:

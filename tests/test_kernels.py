@@ -1,78 +1,56 @@
-"""Backend selection and compiled-vs-Python kernel equivalence."""
+"""The numeric kernels against brute force and fixed vectors, and the scalar
+sampler oracle at its edge draws."""
 
-import subprocess
-import sys
-from pathlib import Path
+import itertools
 
 import numpy as np
-import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import scalar_reference as ref
 from abstainrl import kernels
-
-BACKENDS = kernels.available_backends()
-needs_compiled = pytest.mark.skipif(
-    "compiled" not in BACKENDS, reason="compiled extension not built"
-)
+from abstainrl.policy import inverse_cdf
 
 
-def test_some_backend_is_active():
-    assert kernels.BACKEND in ("python", "compiled")
-    assert "python" in BACKENDS
+def _brute_force_lcs(x, y):
+    def subsequences(seq):
+        return {s for r in range(len(seq) + 1) for s in itertools.combinations(seq, r)}
+
+    return max(len(s) for s in subsequences(tuple(x)) & subsequences(tuple(y)))
 
 
-def test_env_var_forces_python_backend():
-    code = "from abstainrl import kernels; print(kernels.BACKEND)"
-    # the child sees a scrubbed environment, so hand it the package's source
-    # root explicitly; an installed package would be found without it
-    src_root = str(Path(kernels.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"ABSTAINRL_KERNELS": "python", "PATH": "/usr/bin:/bin", "PYTHONPATH": src_root},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
+str_seqs = st.lists(st.sampled_from(["red", "blue", "green"]), max_size=7)
+int_seqs = st.lists(st.integers(0, 3), max_size=7)
 
 
-@needs_compiled
-class TestBackendEquivalence:
-    def test_lcs_identical(self):
-        rng = np.random.default_rng(0)
-        py, cc = BACKENDS["python"], BACKENDS["compiled"]
-        for _ in range(200):
-            a = rng.integers(0, 5, size=int(rng.integers(0, 12))).tolist()
-            b = rng.integers(0, 5, size=int(rng.integers(0, 12))).tolist()
-            assert py.lcs_length(a, b) == cc.lcs_length(a, b)
+@given(st.one_of(st.tuples(str_seqs, str_seqs), st.tuples(int_seqs, int_seqs)))
+def test_lcs_length_matches_brute_force(pair):
+    x, y = pair
+    assert kernels.lcs_length(x, y) == _brute_force_lcs(x, y)
 
-    def test_trigram_counts_identical(self):
-        py, cc = BACKENDS["python"], BACKENDS["compiled"]
-        for text in ("", "a", "ab", "paris", "tranmere rovers", "\x02café 1968\x03"):
-            np.testing.assert_array_equal(
-                py.trigram_counts(text, 512), cc.trigram_counts(text, 512)
-            )
 
-    def test_log_softmax_close(self):
-        rng = np.random.default_rng(1)
-        py, cc = BACKENDS["python"], BACKENDS["compiled"]
-        for _ in range(100):
-            row = rng.normal(scale=5, size=6)
-            np.testing.assert_allclose(
-                py.log_softmax(row), cc.log_softmax(row), rtol=0, atol=1e-12
-            )
+def test_trigram_counts_fixed_vector():
+    # \x02ca, caf, afé, fé_, é_1, _19, 196, 968, 68\x03: nine distinct buckets
+    want = np.zeros(512)
+    want[[72, 186, 187, 270, 317, 356, 385, 456, 480]] = 1.0
+    np.testing.assert_array_equal(kernels.trigram_counts("\x02café 1968\x03", 512), want)
 
-    def test_sample_categorical_identical(self):
-        rng = np.random.default_rng(2)
-        py, cc = BACKENDS["python"], BACKENDS["compiled"]
-        for _ in range(300):
-            raw = rng.random(6)
-            probs = raw / raw.sum()
-            u = float(rng.random())
-            assert py.sample_categorical(probs, u) == cc.sample_categorical(probs, u)
 
-    def test_sample_categorical_edge_draws(self):
-        probs = np.array([0.25, 0.25, 0.25, 0.25])
-        for backend in BACKENDS.values():
-            assert backend.sample_categorical(probs, 0.0) == 0
-            # u at or beyond the final cumulative boundary lands on the last index
-            assert backend.sample_categorical(probs, 0.999999999) == 3
+def test_trigram_counts_repeats_and_short_text():
+    # "aaa" occurs three times in "aaaaa"; 97 * (961 + 31 + 1) % 7 == 1
+    want = np.zeros(7)
+    want[1] = 3.0
+    np.testing.assert_array_equal(kernels.trigram_counts("aaaaa", 7), want)
+    np.testing.assert_array_equal(kernels.trigram_counts("ab", 7), np.zeros(7))
+
+
+def test_backend_is_python():
+    assert kernels.BACKEND == "python"
+
+
+def test_sample_categorical_edge_draws():
+    probs = np.array([0.25, 0.25, 0.25, 0.25])
+    # u at or beyond the final cumulative boundary lands on the last index
+    for u, want in ((0.0, 0), (0.999999999, 3)):
+        assert ref.sample_categorical(probs, u) == want
+        assert inverse_cdf(probs, np.array([u])).tolist() == [want]
