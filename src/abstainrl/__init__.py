@@ -12,7 +12,6 @@ from abstainrl.grpo import (
     GrpoDivergenceError,
     RewardTable,
     RolloutBatch,
-    TrainEnv,
     TrainLog,
     compute_advantages,
     evaluate_policy,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -21,7 +22,7 @@ from abstainrl import retrieval, synthenv
 from abstainrl.grpo import (
     EvalReport,
     GrpoConfig,
-    TrainEnv,
+    RewardTable,
     TrainLog,
     evaluate_items,
     summarize_items,
@@ -142,6 +143,30 @@ def _grpo_config(resolved: dict[str, Any]) -> GrpoConfig:
         batch_size=int(resolved["batch_size"]),
         seed=int(resolved["seed"]),
     )
+
+
+def _sft_settings(resolved: dict[str, Any]) -> tuple[float, int]:
+    """The SFT learning rate and epoch count, checked as ``GrpoConfig``
+    checks ``lr`` and ``inner_steps``."""
+    lr, epochs = float(resolved["sft_lr"]), int(resolved["sft_epochs"])
+    if not math.isfinite(lr):
+        raise UsageError(f"sft_lr must be finite, got {lr}")
+    if lr < 0.0:
+        raise UsageError("sft_lr must be >= 0")
+    if epochs < 0:
+        raise UsageError("sft_epochs must be >= 0")
+    return lr, epochs
+
+
+def _read_items(path: str | Path) -> list[synthenv.SynthQAItem]:
+    """The dataset at ``path``; a missing or empty file is an input-data error."""
+    path = Path(path)
+    if not path.exists():
+        raise DatasetError(f"dataset not found: {path}")
+    items = read_dataset(path)
+    if not items:
+        raise DatasetError(f"dataset is empty: {path}")
+    return items
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -278,33 +303,31 @@ def render_curves_svg(runs: list[tuple[str, TrainLog]]) -> str:
 # --- training driver (shared by train and sweep) ----------------------------------
 
 def _train_once(
-    items: list[synthenv.SynthQAItem],
-    cfg: GrpoConfig,
-    variant: RewardVariant,
-    out_dir: Path,
-    resolved: dict[str, Any],
-    run_name: str,
-    sft_traces_path: str | None,
-    sft_lr: float,
-    sft_epochs: int,
+    items: list[synthenv.SynthQAItem], resolved: dict[str, Any], run_name: str
 ) -> EvalReport:
+    """Optional SFT cold start, RL and one greedy evaluation, all set by
+    ``resolved``, which is written to the run directory as config.json."""
+    cfg = _grpo_config(resolved)
+    variant = RewardVariant.from_name(str(resolved["reward_variant"]))
+    sft_lr, sft_epochs = _sft_settings(resolved)
+    out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json", resolved)
 
     params0 = PolicyParams.zeros()
-    if sft_traces_path:
-        trace_items = read_dataset(sft_traces_path)
-        traces = make_expert_traces(trace_items)
+    if resolved["sft_traces"]:
+        traces = make_expert_traces(read_dataset(resolved["sft_traces"]))
         if not traces:
-            raise DatasetError(f"no usable expert traces in {sft_traces_path}")
+            raise DatasetError(f"no usable expert traces in {resolved['sft_traces']}")
         params0 = sft_train(params0, traces, lr=sft_lr, epochs=sft_epochs)
 
-    env = TrainEnv(items=items)
-    params, log = train_rl(params0, env, variant, cfg)
+    table = RewardTable(items, variant)
+    params, log = train_rl(params0, table, cfg)
 
     log.write(out_dir / "train_log.jsonl")
     (out_dir / "policy.json").write_text(params.dumps() + "\n", encoding="utf-8")
-    evals = evaluate_items(params, items, variant)
+    # evaluation reads the RL table, so no pair training scored is scored again
+    evals = evaluate_items(params, table)
     _write_summary_csv(out_dir / "summary.csv", evals)
     (out_dir / "curves.svg").write_text(
         render_curves_svg([(run_name, log)]), encoding="utf-8"
@@ -462,26 +485,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _TRAIN_DEFAULTS)
     if not resolved["dataset"] or not resolved["out_dir"]:
         raise UsageError("train requires --dataset and --out-dir")
-    dataset_path = Path(resolved["dataset"])
-    if not dataset_path.exists():
-        raise DatasetError(f"dataset not found: {dataset_path}")
-    items = read_dataset(dataset_path)
-    if not items:
-        raise DatasetError(f"dataset is empty: {dataset_path}")
-    cfg = _grpo_config(resolved)
-    variant = RewardVariant.from_name(str(resolved["reward_variant"]))
-    resolved_out = dict(resolved)
-    resolved_out["command"] = "train"
+    items = _read_items(resolved["dataset"])
     report = _train_once(
-        items,
-        cfg,
-        variant,
-        Path(resolved["out_dir"]),
-        resolved_out,
-        run_name=Path(resolved["out_dir"]).name,
-        sft_traces_path=resolved["sft_traces"],
-        sft_lr=float(resolved["sft_lr"]),
-        sft_epochs=int(resolved["sft_epochs"]),
+        items, {**resolved, "command": "train"}, run_name=Path(resolved["out_dir"]).name
     )
     _print_report(report)
     print(f"artifacts -> {resolved['out_dir']}")
@@ -492,20 +498,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if not args.checkpoint or not args.dataset:
         raise UsageError("eval requires --checkpoint and --dataset")
     checkpoint_path = Path(args.checkpoint)
-    dataset_path = Path(args.dataset)
     if not checkpoint_path.exists():
         raise DatasetError(f"checkpoint not found: {checkpoint_path}")
-    if not dataset_path.exists():
-        raise DatasetError(f"dataset not found: {dataset_path}")
     try:
         params = PolicyParams.loads(checkpoint_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise DatasetError(f"malformed checkpoint {checkpoint_path}: {exc}") from exc
-    items = read_dataset(dataset_path)
-    if not items:
-        raise UsageError(f"dataset is empty: {dataset_path}")
-    variant = RewardVariant.from_name(args.reward_variant)
-    rows = evaluate_items(params, items, variant)
+    table = RewardTable(_read_items(args.dataset), RewardVariant.from_name(args.reward_variant))
+    rows = evaluate_items(params, table)
     _write_summary_csv(Path(args.out), rows)
     _print_report(summarize_items(rows))
     print(f"wrote per-item metrics -> {args.out}")
@@ -558,28 +558,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             if not resolved["dataset"]:
                 raise UsageError(f"sweep over {args.axis} requires --dataset")
-            items = read_dataset(resolved["dataset"])
-            if not items:
-                raise DatasetError(f"dataset is empty: {resolved['dataset']}")
+            items = _read_items(resolved["dataset"])
             if args.axis == "beta":
                 run_resolved["beta"] = float(value)
             else:
                 run_resolved["reward_variant"] = str(value)
-        cfg = _grpo_config(run_resolved)
-        variant = RewardVariant.from_name(str(run_resolved["reward_variant"]))
         run_resolved["command"] = "train"
         run_resolved["out_dir"] = str(run_dir)
-        report = _train_once(
-            items,
-            cfg,
-            variant,
-            run_dir,
-            run_resolved,
-            run_name=run_name,
-            sft_traces_path=resolved["sft_traces"],
-            sft_lr=float(resolved["sft_lr"]),
-            sft_epochs=int(resolved["sft_epochs"]),
-        )
+        report = _train_once(items, run_resolved, run_name)
         c = report.confusion
         summary_rows.append(
             [
@@ -643,6 +629,26 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 # --- parser ------------------------------------------------------------------------
 
+def _add_train_flags(parser: argparse.ArgumentParser, *, out_dir: bool) -> None:
+    """One flag per ``_TRAIN_DEFAULTS`` key, typed as its default (a path
+    where the default is None), then ``--config``.  ``sweep`` keeps its own
+    ``--out-dir``, the parent of its run directories."""
+    for key, default in _TRAIN_DEFAULTS.items():
+        if key == "out_dir" and not out_dir:
+            continue
+        parser.add_argument(
+            "--" + key.replace("_", "-"),
+            dest=key,
+            type=str if default is None else type(default),
+            help=(
+                "dataset JSONL; expert traces are derived from it and filtered for correctness"
+                if key == "sft_traces"
+                else None
+            ),
+        )
+    parser.add_argument("--config", type=str)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abstainrl",
@@ -684,27 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.set_defaults(handler=_cmd_extract)
 
     p_train = sub.add_parser("train", help="SFT cold start (optional) plus RL training")
-    p_train.add_argument("--dataset", type=str)
-    p_train.add_argument("--out-dir", dest="out_dir", type=str)
-    p_train.add_argument("--iters", type=int)
-    p_train.add_argument("--group-size", dest="group_size", type=int)
-    p_train.add_argument("--clip-eps", dest="clip_eps", type=float)
-    p_train.add_argument("--beta", type=float)
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--inner-steps", dest="inner_steps", type=int)
-    p_train.add_argument("--std-eps", dest="std_eps", type=float)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--reward-variant", dest="reward_variant", type=str)
-    p_train.add_argument(
-        "--sft-traces",
-        dest="sft_traces",
-        type=str,
-        help="dataset JSONL; expert traces are derived from it and filtered for correctness",
-    )
-    p_train.add_argument("--sft-lr", dest="sft_lr", type=float)
-    p_train.add_argument("--sft-epochs", dest="sft_epochs", type=int)
-    p_train.add_argument("--config", type=str)
+    _add_train_flags(p_train, out_dir=True)
     p_train.set_defaults(handler=_cmd_train)
 
     p_eval = sub.add_parser("eval", help="greedy evaluation of a checkpoint")
@@ -718,24 +704,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", type=str, required=True)
     p_sweep.add_argument("--values", type=str, required=True)
     p_sweep.add_argument("--out-dir", dest="out_dir_sweep", type=str)
-    p_sweep.add_argument("--dataset", type=str)
     p_sweep.add_argument("--n", type=int, default=200)
     p_sweep.add_argument("--difficulty-mix", dest="difficulty_mix", type=float, default=0.5)
     p_sweep.add_argument("--ambiguity", type=float, default=0.25)
-    p_sweep.add_argument("--iters", type=int)
-    p_sweep.add_argument("--group-size", dest="group_size", type=int)
-    p_sweep.add_argument("--clip-eps", dest="clip_eps", type=float)
-    p_sweep.add_argument("--beta", type=float)
-    p_sweep.add_argument("--lr", type=float)
-    p_sweep.add_argument("--inner-steps", dest="inner_steps", type=int)
-    p_sweep.add_argument("--std-eps", dest="std_eps", type=float)
-    p_sweep.add_argument("--batch-size", dest="batch_size", type=int)
-    p_sweep.add_argument("--seed", type=int)
-    p_sweep.add_argument("--reward-variant", dest="reward_variant", type=str)
-    p_sweep.add_argument("--sft-traces", dest="sft_traces", type=str)
-    p_sweep.add_argument("--sft-lr", dest="sft_lr", type=float)
-    p_sweep.add_argument("--sft-epochs", dest="sft_epochs", type=int)
-    p_sweep.add_argument("--config", type=str)
+    _add_train_flags(p_sweep, out_dir=False)
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_rep = sub.add_parser("report", help="learning-curve SVG and aggregate CSV from run dirs")

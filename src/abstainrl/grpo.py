@@ -28,7 +28,6 @@ from abstainrl.policy import (
     N_FEATURES,
     DivergenceError,
     PolicyParams,
-    greedy_action,
     inverse_cdf,
     log_softmax,
     render_completion,
@@ -139,45 +138,31 @@ class TrainLog:
 RewardFn = Callable[[str, SynthQAItem], RewardBreakdown]
 
 
-@dataclass
-class TrainEnv:
-    """Question source plus the reward rule applied to rendered completions.
-
-    The default rule is the rule-based QA reward against the item's gold;
-    ``reward_fn`` overrides it, which is how the bandit sanity environments
-    install their own payout tables.
-    """
-
-    items: Sequence[SynthQAItem]
-    reward_fn: RewardFn | None = None
-
-    def __post_init__(self) -> None:
-        if not self.items:
-            raise ValueError("environment needs at least one item")
-
-    def reward(
-        self, raw: str, item: SynthQAItem, variant: RewardVariant = DEFAULT_VARIANT
-    ) -> RewardBreakdown:
-        if self.reward_fn is not None:
-            return self.reward_fn(raw, item)
-        return total_reward(raw, item.gold, variant)
-
-
 class RewardTable:
-    """Reward and abstention flag of every (item, action) pair of one
-    environment under one reward variant.
+    """Reward and abstention flag of every (item, action) pair of a dataset.
 
-    A reward depends only on the item and the rendered action, so each entry
-    is computed once, the first time its pair is looked up, through
-    ``env.reward`` (which honours a ``reward_fn`` override) and the
-    completion parser.  Filling lazily never evaluates more rewards than
-    scoring every draw would, and evaluates far fewer when items repeat.
+    The reward rule is the rule-based QA reward against the item's gold
+    under ``variant``; ``reward_fn`` overrides it, which is how the bandit
+    sanity environments install their own payout tables.  A reward depends
+    only on the item and the rendered action, so each entry is computed
+    once, the first time its pair is looked up, and training and
+    evaluation read the same entries.  Filling lazily never evaluates more
+    rewards than scoring every draw would, and evaluates far fewer when
+    items repeat.
     """
 
-    def __init__(self, env: TrainEnv, variant: RewardVariant = DEFAULT_VARIANT) -> None:
-        self.env = env
+    def __init__(
+        self,
+        items: Sequence[SynthQAItem],
+        variant: RewardVariant = DEFAULT_VARIANT,
+        reward_fn: RewardFn | None = None,
+    ) -> None:
+        if not items:
+            raise ValueError("a reward table needs at least one item")
+        self.items = items
         self.variant = variant
-        shape = (len(env.items), N_ACTIONS)
+        self.reward_fn = reward_fn
+        shape = (len(items), N_ACTIONS)
         self.rewards = np.full(shape, np.nan)  # NaN: not evaluated yet
         self.abstained = np.zeros(shape, dtype=bool)
 
@@ -194,9 +179,13 @@ class RewardTable:
         return rewards, self.abstained[items, actions]
 
     def _fill(self, j: int, a: int) -> None:
-        item = self.env.items[j]
+        item = self.items[j]
         text = render_completion(ALL_ACTIONS[a], item)
-        self.rewards[j, a] = self.env.reward(text, item, self.variant).total
+        if self.reward_fn is not None:
+            breakdown = self.reward_fn(text, item)
+        else:
+            breakdown = total_reward(text, item.gold, self.variant)
+        self.rewards[j, a] = breakdown.total
         self.abstained[j, a] = is_no_answer(parse_completion(text).answer)
 
 
@@ -204,7 +193,7 @@ class RewardTable:
 class RolloutBatch:
     """B groups of G completions drawn under one old-policy snapshot.
 
-    Group b answers item ``item_idx[b]`` of the environment, whose feature
+    Group b answers item ``item_idx[b]`` of the reward table, whose feature
     row is ``rows[b]``; the per-completion arrays are B x G.
     """
 
@@ -274,7 +263,7 @@ def rollout_batch(
     The generator is consumed as B one-group rollouts would consume it: the
     B item indices first, then the B * G uniforms in group order.
     """
-    items = table.env.items
+    items = table.items
     item_idx = rng.integers(0, len(items), size=cfg.batch_size)
     u = rng.random((cfg.batch_size, cfg.group_size))
     drawn = [items[j] for j in item_idx.tolist()]
@@ -333,20 +322,17 @@ def grpo_gradient(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) ->
 
 
 def train_rl(
-    params0: PolicyParams,
-    env: TrainEnv,
-    variant: RewardVariant = DEFAULT_VARIANT,
-    cfg: GrpoConfig = GrpoConfig(),
+    params0: PolicyParams, table: RewardTable, cfg: GrpoConfig = GrpoConfig()
 ) -> tuple[PolicyParams, TrainLog]:
-    """Run the full RL loop; the reference policy is params0, frozen.
+    """Run the full RL loop over the table's items; the reference policy is
+    params0, frozen.
 
-    Deterministic given (params0, env, variant, cfg): the same seed
-    reproduces an identical training log.
+    Deterministic given (params0, the table's items and reward rule, cfg):
+    the same seed reproduces an identical training log.
     """
     ref = params0
     params = params0
     rng = np.random.default_rng(cfg.seed)
-    table = RewardTable(env, variant)
     log = TrainLog()
     # overflow and inf - inf arise only once a run diverges; the finiteness
     # checks turn that into GrpoDivergenceError instead of warnings
@@ -418,37 +404,38 @@ class EvalReport:
     semantic: float
 
 
-def evaluate_items(
-    params: PolicyParams,
-    dataset: Sequence[SynthQAItem],
-    variant: RewardVariant = DEFAULT_VARIANT,
-) -> list[ItemEval]:
-    """Greedy (argmax) evaluation of every item."""
-    if not dataset:
-        raise ValueError("evaluation needs a non-empty dataset")
+def evaluate_items(params: PolicyParams, table: RewardTable) -> list[ItemEval]:
+    """Greedy (argmax) evaluation of every item of the table.
+
+    Rewards and abstention flags are read from the table, so a pair it
+    already holds is not scored again; only answerable items render their
+    answer, which the lexical and semantic scores need.
+    """
+    items = table.items
+    rows = np.array([item.feature.index for item in items])
+    actions = np.argmax(params.logits, axis=1)[rows]
+    rewards, abstained = table.lookup(np.arange(len(items)), actions)
     out: list[ItemEval] = []
-    for item in dataset:
-        action = greedy_action(params, item.feature)
-        text = render_completion(action, item)
-        breakdown = total_reward(text, item.gold, variant)
-        answer = parse_completion(text).answer
-        abstained = is_no_answer(answer)
+    for item, a, reward, abstain in zip(
+        items, actions.tolist(), rewards.tolist(), abstained.tolist()
+    ):
         if item.gold.is_no_answer:
-            em = 1.0 if abstained else 0.0
+            em = 1.0 if abstain else 0.0
             r1 = r2 = rl = sem = 0.0
-            tp, fp, fn = (1, 0, 0) if abstained else (0, 0, 1)
+            tp, fp, fn = (1, 0, 0) if abstain else (0, 0, 1)
         else:
+            answer = parse_completion(render_completion(ALL_ACTIONS[a], item)).answer
             em = exact_match(answer, item.gold)
             r1 = rouge_n(answer, item.gold, 1).f1
             r2 = rouge_n(answer, item.gold, 2).f1
             rl = rouge_l(answer, item.gold).f1
             sem = max(semantic_sim(answer, alias) for alias in item.gold.aliases)
-            tp, fp, fn = (0, 1, 0) if abstained else (0, 0, 0)
+            tp, fp, fn = (0, 1, 0) if abstain else (0, 0, 0)
         out.append(
             ItemEval(
                 item_id=item.id,
-                reward=breakdown.total,
-                abstained=abstained,
+                reward=reward,
+                abstained=abstain,
                 em=em,
                 rouge1=r1,
                 rouge2=r2,
@@ -486,10 +473,6 @@ def summarize_items(evals: Sequence[ItemEval]) -> EvalReport:
     )
 
 
-def evaluate_policy(
-    params: PolicyParams,
-    dataset: Sequence[SynthQAItem],
-    variant: RewardVariant = DEFAULT_VARIANT,
-) -> EvalReport:
-    """Aggregate greedy-decoding report of every item."""
-    return summarize_items(evaluate_items(params, dataset, variant))
+def evaluate_policy(params: PolicyParams, table: RewardTable) -> EvalReport:
+    """Aggregate greedy-decoding report of every item of the table."""
+    return summarize_items(evaluate_items(params, table))

@@ -200,29 +200,6 @@ def inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u[..., :, None] >= cum[..., None, :]).sum(axis=-1)
 
 
-def row_log_probs(params: PolicyParams, feature: ContextFeature) -> np.ndarray:
-    """Log-softmax over the 6 actions for one feature row."""
-    return log_softmax(params.logits[feature.index])
-
-
-def action_log_prob(params: PolicyParams, feature: ContextFeature, action: ActionId) -> float:
-    return float(row_log_probs(params, feature)[action.index])
-
-
-def action_probs(params: PolicyParams, feature: ContextFeature) -> np.ndarray:
-    return np.exp(row_log_probs(params, feature))
-
-
-def sample_action(
-    params: PolicyParams, feature: ContextFeature, rng: np.random.Generator | int
-) -> ActionId:
-    """Draw an action from the softmax distribution; deterministic given the rng state."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    probs = action_probs(params, feature)
-    return ALL_ACTIONS[int(inverse_cdf(probs, np.array([rng.random()]))[0])]
-
-
 def greedy_action(params: PolicyParams, feature: ContextFeature) -> ActionId:
     return ALL_ACTIONS[int(np.argmax(params.logits[feature.index]))]
 
@@ -241,17 +218,6 @@ def render_completion(action: ActionId, item: "SynthQAItem") -> str:
     if action.formatted:
         return f"<think>{think}</think><answer>{answer}</answer>"
     return answer
-
-
-def grad_log_prob(
-    params: PolicyParams, feature: ContextFeature, action: ActionId
-) -> np.ndarray:
-    """Exact gradient of log pi(action | feature) with respect to the logits."""
-    grad = np.zeros((N_FEATURES, N_ACTIONS))
-    row = -action_probs(params, feature)
-    row[action.index] += 1.0
-    grad[feature.index] = row
-    return grad
 
 
 @dataclass(frozen=True)
@@ -330,13 +296,3 @@ def sft_train(
             if not np.isfinite(logits).all():
                 raise DivergenceError(f"SFT logits became non-finite at epoch {epoch}")
     return PolicyParams(logits)
-
-
-def sft_log_likelihood(params: PolicyParams, traces: Sequence[ExpertTrace]) -> float:
-    """Mean log-likelihood of the trace actions under the policy."""
-    if not traces:
-        raise ValueError("no traces")
-    total = 0.0
-    for trace in traces:
-        total += action_log_prob(params, trace.feature, trace.action)
-    return total / len(traces)

@@ -44,9 +44,6 @@ class TimeInterval:
         if self.start > self.end:
             raise ValueError(f"interval start {self.start} exceeds end {self.end}")
 
-    def contains(self, year: int) -> bool:
-        return self.start <= year <= self.end
-
     def intersects(self, lo: int, hi: int) -> bool:
         return self.start <= hi and self.end >= lo
 
@@ -380,22 +377,59 @@ def item_to_dict(item: SynthQAItem) -> dict:
     }
 
 
+def _json_list(value: object, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list, got {value!r}")
+    return value
+
+
+def _json_str(value: object, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _json_int(value: object, where: str) -> int:
+    # bool is an int subclass, but never a year
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def item_from_dict(payload: dict) -> SynthQAItem:
-    spec = TimeSpecifier(SpecKind(payload["specifier"]["kind"]), tuple(payload["specifier"]["years"]))
+    """Inverse of ``item_to_dict``.  Texts must be strings and years
+    integers; ValueError names the first field that breaks this."""
+    years = _json_list(payload["specifier"]["years"], "specifier years")
+    spec = TimeSpecifier(
+        SpecKind(payload["specifier"]["kind"]),
+        tuple(_json_int(y, "specifier year") for y in years),
+    )
     facts = tuple(
-        TemporalFact(f["subject"], f["relation"], f["object"], TimeInterval(f["start"], f["end"]))
-        for f in payload["facts"]
+        TemporalFact(
+            _json_str(f["subject"], "fact subject"),
+            _json_str(f["relation"], "fact relation"),
+            _json_str(f["object"], "fact object"),
+            TimeInterval(_json_int(f["start"], "fact start"), _json_int(f["end"], "fact end")),
+        )
+        for f in _json_list(payload["facts"], "facts")
     )
     gold_aliases = payload["gold"]
-    gold = GoldAnswer.no_answer() if gold_aliases is None else GoldAnswer.of(*gold_aliases)
+    if gold_aliases is None:
+        gold = GoldAnswer.no_answer()
+    else:
+        gold = GoldAnswer.of(*_json_list(gold_aliases, "gold"))
     feature = ContextFeature(
         Evidence(payload["feature"]["evidence"]),
         Difficulty(payload["feature"]["difficulty"]),
     )
-    candidates = payload["candidates"]
+    candidates = [
+        _json_str(c, "candidate") for c in _json_list(payload["candidates"], "candidates")
+    ]
+    if len(candidates) != 2:
+        raise ValueError(f"candidates must hold two options, got {len(candidates)}")
     return SynthQAItem(
         id=str(payload["id"]),
-        question=payload["question"],
+        question=_json_str(payload["question"], "question"),
         facts=facts,
         specifier=spec,
         gold=gold,

@@ -86,9 +86,6 @@ class ConfusionCounts:
     fp: int = 0
     fn: int = 0
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
-
 
 def normalize_text(raw: str) -> list[str]:
     """Normalized token sequence: lowercased, punctuation-stripped, articles removed."""

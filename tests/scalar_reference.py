@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from abstainrl.grpo import GrpoConfig, TrainEnv, TrainLog, TrainRecord
+from abstainrl.grpo import GrpoConfig, RewardFn, TrainLog, TrainRecord
 from abstainrl.policy import (
     ALL_ACTIONS,
     N_ACTIONS,
@@ -26,7 +26,13 @@ from abstainrl.policy import (
     PolicyParams,
     render_completion,
 )
-from abstainrl.reward import DEFAULT_VARIANT, RewardVariant, is_no_answer, parse_completion
+from abstainrl.reward import (
+    DEFAULT_VARIANT,
+    RewardVariant,
+    is_no_answer,
+    parse_completion,
+    total_reward,
+)
 from abstainrl.synthenv import SynthQAItem
 from abstainrl.textmetrics import ConfusionCounts, abstention_confusion
 
@@ -92,14 +98,23 @@ def row_log_probs_table(params: PolicyParams) -> np.ndarray:
     return out
 
 
+def reward(
+    text: str, item: SynthQAItem, variant: RewardVariant, reward_fn: RewardFn | None
+) -> float:
+    """The reward rule applied to one rendered completion."""
+    if reward_fn is not None:
+        return reward_fn(text, item).total
+    return total_reward(text, item.gold, variant).total
+
+
 def rollout_group(
     params_old: PolicyParams,
     params_ref: PolicyParams,
-    env: TrainEnv,
     item: SynthQAItem,
     cfg: GrpoConfig,
     rng: np.random.Generator,
     variant: RewardVariant = DEFAULT_VARIANT,
+    reward_fn: RewardFn | None = None,
 ) -> RolloutGroup:
     row = item.feature.index
     logp_old_row = np.asarray(log_softmax(params_old.logits[row]))
@@ -115,7 +130,7 @@ def rollout_group(
         text = render_completion(action, item)
         actions.append(action)
         rendered.append(text)
-        rewards[i] = env.reward(text, item, variant).total
+        rewards[i] = reward(text, item, variant, reward_fn)
         logp_old[i] = logp_old_row[idx]
         logp_ref[i] = logp_ref_row[idx]
     return RolloutGroup(
@@ -183,9 +198,10 @@ def batch_confusion(groups: Sequence[RolloutGroup]) -> ConfusionCounts:
 
 def train_rl(
     params0: PolicyParams,
-    env: TrainEnv,
+    items: Sequence[SynthQAItem],
     variant: RewardVariant = DEFAULT_VARIANT,
     cfg: GrpoConfig = GrpoConfig(),
+    reward_fn: RewardFn | None = None,
 ) -> tuple[PolicyParams, TrainLog, list[RolloutGroup]]:
     """The per-group training loop; also returns every rollout group drawn."""
     ref = params0
@@ -195,9 +211,9 @@ def train_rl(
     drawn: list[RolloutGroup] = []
     for iteration in range(cfg.outer_iters):
         old = params
-        item_idx = rng.integers(0, len(env.items), size=cfg.batch_size)
+        item_idx = rng.integers(0, len(items), size=cfg.batch_size)
         groups = [
-            rollout_group(old, ref, env, env.items[int(j)], cfg, rng, variant)
+            rollout_group(old, ref, items[int(j)], cfg, rng, variant, reward_fn)
             for j in item_idx
         ]
         drawn.extend(groups)

@@ -13,7 +13,6 @@ from abstainrl.cli import main
 from abstainrl.grpo import (
     GrpoConfig,
     RewardTable,
-    TrainEnv,
     compute_advantages,
     evaluate_items,
     evaluate_policy,
@@ -32,7 +31,6 @@ from abstainrl.policy import (
     PolicyParams,
     greedy_action,
     make_expert_traces,
-    render_completion,
     sft_train,
 )
 from abstainrl.retrieval import (
@@ -169,7 +167,7 @@ def test_a5_gradient_check():
     """Analytic GRPO gradient vs central finite differences (h=1e-5), 20
     random (params, batch) instances, beta in {0, 0.01}, rel err < 1e-4."""
     items = generate_dataset(GenConfig(n_items=50, p_unans=0.4, ambiguity=0.4, seed=2))
-    table = RewardTable(TrainEnv(items=items))
+    table = RewardTable(items)
     rng = np.random.default_rng(404)
     h = 1e-5
     for trial in range(20):
@@ -195,8 +193,8 @@ def test_a5_gradient_check():
                 assert abs(analytic[r, c] - numeric) / denom < 1e-4
 
 
-def _bandit_env(seed: int) -> TrainEnv:
-    """Environment whose payout rule gives one action 2.5 and every other
+def _bandit_table(seed: int) -> RewardTable:
+    """Items under a payout rule that gives one action 2.5 and every other
     action at most 0.5 (margin 2.0)."""
 
     def payout(raw: str, item) -> RewardBreakdown:
@@ -206,26 +204,23 @@ def _bandit_env(seed: int) -> TrainEnv:
         return RewardBreakdown(format=0.0, answer=0.5, total=0.5)
 
     items = generate_dataset(GenConfig(n_items=120, p_unans=0.5, ambiguity=0.3, seed=seed))
-    return TrainEnv(items=items, reward_fn=payout)
+    return RewardTable(items, reward_fn=payout)
 
 
 def test_a6_bandit_sanity():
     """300 GRPO iterations at the defaults recover the dominant action in all
     6 feature rows."""
-    env = _bandit_env(seed=5)
+    table = _bandit_table(seed=5)
     target = ActionId(Choice.ANSWER_A, formatted=True)
     # closed-form payout table: the target action earns 2.5 on every item,
     # every other action earns 0.5 -- margin 2.0 >= 1.0
-    for item in env.items:
-        payouts = {
-            a: env.reward(render_completion(a, item), item).total
-            for a in ALL_ACTIONS
-        }
-        assert payouts[target] == 2.5
-        assert max(v for a, v in payouts.items() if a != target) <= 0.5
+    n_items = len(table.items)
+    payouts, _ = table.lookup(np.arange(n_items)[:, None], np.arange(len(ALL_ACTIONS)))
+    assert (payouts[:, target.index] == 2.5).all()
+    assert (np.delete(payouts, target.index, axis=1) <= 0.5).all()
 
     cfg = GrpoConfig(outer_iters=300, seed=9)  # G=4, eps=0.2, beta=0.01, lr=1e-2
-    trained, _ = train_rl(PolicyParams.zeros(), env, cfg=cfg)
+    trained, _ = train_rl(PolicyParams.zeros(), table, cfg)
     for feature in ALL_FEATURES:
         assert greedy_action(trained, feature) == target, feature.name
 
@@ -265,12 +260,14 @@ def test_a7_data_ratio_collapse():
         items = generate_dataset(
             GenConfig(n_items=400, p_unans=p_unans, ambiguity=ambiguity, seed=11)
         )
-        params, _ = train_rl(PolicyParams.zeros(), TrainEnv(items=items), cfg=cfg)
-        return items, params
+        table = RewardTable(items)
+        params, _ = train_rl(PolicyParams.zeros(), table, cfg)
+        return table, params
 
-    items_hi, params_hi = run(0.5)
-    report_hi = evaluate_policy(params_hi, items_hi)
-    evals = evaluate_items(params_hi, items_hi)
+    table_hi, params_hi = run(0.5)
+    items_hi = table_hi.items
+    report_hi = evaluate_policy(params_hi, table_hi)
+    evals = evaluate_items(params_hi, table_hi)
     ambiguous = [
         e for e, item in zip(evals, items_hi)
         if item.feature.evidence is Evidence.NO_EVIDENCE
@@ -281,8 +278,8 @@ def test_a7_data_ratio_collapse():
     assert report_hi.confusion.fn == 0
     assert report_hi.confusion.fp > 0  # collapse signature: over-abstention
 
-    items_lo, params_lo = run(0.124)
-    report_lo = evaluate_policy(params_lo, items_lo)
+    table_lo, params_lo = run(0.124)
+    report_lo = evaluate_policy(params_lo, table_lo)
     assert report_lo.abstain_rate < report_hi.abstain_rate
 
 
@@ -410,13 +407,13 @@ def test_a12_sft_cold_start_direction():
     wins = 0
     for seed in (1, 2, 3):
         items = generate_dataset(GenConfig(n_items=300, seed=seed))
-        env = TrainEnv(items=items)
+        table = RewardTable(items)
         traces = make_expert_traces(items)
         sft_params = sft_train(PolicyParams.zeros(), traces)
         cfg = GrpoConfig(outer_iters=100, seed=seed)
-        from_sft, _ = train_rl(sft_params, env, cfg=cfg)
-        from_scratch, _ = train_rl(PolicyParams.zeros(), env, cfg=cfg)
-        reward_sft = evaluate_policy(from_sft, items).mean_reward
-        reward_scratch = evaluate_policy(from_scratch, items).mean_reward
+        from_sft, _ = train_rl(sft_params, table, cfg)
+        from_scratch, _ = train_rl(PolicyParams.zeros(), table, cfg)
+        reward_sft = evaluate_policy(from_sft, table).mean_reward
+        reward_scratch = evaluate_policy(from_scratch, table).mean_reward
         wins += reward_sft >= reward_scratch
     assert wins >= 2

@@ -16,8 +16,8 @@ from abstainrl import grpo
 from abstainrl.grpo import (
     GrpoConfig,
     RewardTable,
-    TrainEnv,
     compute_advantages,
+    evaluate_items,
     grpo_gradient,
     grpo_objective,
     rollout_batch,
@@ -56,16 +56,24 @@ def _payout(raw: str, item) -> RewardBreakdown:
     return RewardBreakdown(format=0.0, answer=0.5, total=0.5)
 
 
-class _CountingEnv(TrainEnv):
-    """An environment that counts its reward evaluations."""
+class _CountingRule:
+    """A ``reward_fn`` that records each completion it scores: ``rule`` if
+    given, else the rule-based reward under ``variant``."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.calls = 0
+    def __init__(self, rule=None, variant=DEFAULT_VARIANT) -> None:
+        self.rule = rule
+        self.variant = variant
+        self.scored = []
 
-    def reward(self, raw, item, variant=DEFAULT_VARIANT):
-        self.calls += 1
-        return super().reward(raw, item, variant)
+    @property
+    def calls(self) -> int:
+        return len(self.scored)
+
+    def __call__(self, raw, item) -> RewardBreakdown:
+        self.scored.append((item.id, raw))
+        if self.rule is not None:
+            return self.rule(raw, item)
+        return total_reward(raw, item.gold, self.variant)
 
 
 index_pairs = st.lists(
@@ -78,31 +86,48 @@ index_pairs = st.lists(
 class TestRewardTable:
     @given(index_pairs, st.sampled_from(list(RewardVariant)), st.booleans())
     def test_entries_equal_per_call_reward(self, pairs, variant, bandit):
-        env = TrainEnv(items=ITEMS, reward_fn=_payout if bandit else None)
-        table = RewardTable(env, variant)
+        table = RewardTable(ITEMS, variant, reward_fn=_payout if bandit else None)
         items = np.array([j for j, _ in pairs])
         actions = np.array([a for _, a in pairs])
         rewards, abstained = table.lookup(items, actions)
         for k, (j, a) in enumerate(pairs):
             text = render_completion(ALL_ACTIONS[a], ITEMS[j])
-            assert rewards[k] == env.reward(text, ITEMS[j], variant).total
+            rule = _payout(text, ITEMS[j]) if bandit else total_reward(text, ITEMS[j].gold, variant)
+            assert rewards[k] == rule.total
             assert abstained[k] == is_no_answer(parse_completion(text).answer)
 
     @given(index_pairs)
     def test_each_pair_evaluated_once(self, pairs):
-        env = _CountingEnv(items=ITEMS)
-        table = RewardTable(env)
+        rule = _CountingRule()
+        table = RewardTable(ITEMS, reward_fn=rule)
         items = np.array([j for j, _ in pairs])
         actions = np.array([a for _, a in pairs])
         first, _ = table.lookup(items, actions)
         again, _ = table.lookup(items, actions)
-        assert env.calls == len(set(pairs))
+        assert rule.calls == len(set(pairs))
         np.testing.assert_array_equal(first, again)
+
+    def test_evaluation_rescores_no_pair_training_scored(self):
+        rule = _CountingRule()
+        table = RewardTable(ITEMS, reward_fn=rule)
+        cfg = GrpoConfig(outer_iters=5, batch_size=8, seed=1)
+        params, _ = train_rl(PolicyParams.zeros(), table, cfg)
+        after_training = rule.calls
+        evals = evaluate_items(params, table)
+        # every pair, from training or evaluation, is scored exactly once
+        assert rule.calls == len(set(rule.scored)) == np.isfinite(table.rewards).sum()
+        # some greedy pairs were already in the table
+        assert rule.calls - after_training < len(ITEMS)
+        for item, e in zip(ITEMS, evals):
+            action = ALL_ACTIONS[int(np.argmax(params.logits[item.feature.index]))]
+            text = render_completion(action, item)
+            assert e.reward == total_reward(text, item.gold).total
+            assert e.abstained == is_no_answer(parse_completion(text).answer)
 
     @given(st.sampled_from(["No Answer", "no answer", "No  Answer.", "no-answer", "No", "Answer"]))
     def test_abstained_follows_the_text_not_the_action(self, candidate):
         item = dataclasses.replace(ITEMS[0], candidate_a=candidate)
-        table = RewardTable(TrainEnv(items=[item]))
+        table = RewardTable([item])
         actions = np.arange(len(ALL_ACTIONS))
         rewards, abstained = table.lookup(np.zeros(len(actions), dtype=int), actions)
         for a, action in enumerate(ALL_ACTIONS):
@@ -189,11 +214,11 @@ class TestLogSoftmax:
         np.testing.assert_allclose(log_softmax(logits), want, rtol=0, atol=1e-15)
 
 
-def _as_groups(batch, env):
+def _as_groups(batch, items):
     """The batch as the scalar oracle's rollout groups."""
     groups = []
     for b, j in enumerate(batch.item_idx.tolist()):
-        item = env.items[j]
+        item = items[j]
         actions = tuple(ALL_ACTIONS[a] for a in batch.actions[b].tolist())
         groups.append(
             ref.RolloutGroup(
@@ -212,15 +237,14 @@ def _as_groups(batch, env):
 class TestGradient:
     @pytest.mark.parametrize("beta", [0.0, 0.01, 1.0])
     def test_gradient_and_objective_equal_scalar_oracle(self, beta):
-        env = TrainEnv(items=ITEMS)
-        table = RewardTable(env)
+        table = RewardTable(ITEMS)
         rng = np.random.default_rng(55)
         for trial in range(20):
             cfg = GrpoConfig(kl_beta=beta, batch_size=6, group_size=2 + trial % 5, seed=trial)
             old = PolicyParams(rng.normal(0, 0.5, (6, 6)))
             reference = PolicyParams(rng.normal(0, 0.5, (6, 6)))
             batch = rollout_batch(old, reference, table, cfg, rng)
-            groups = _as_groups(batch, env)
+            groups = _as_groups(batch, ITEMS)
             # far enough from the snapshot that some ratios clip
             params = PolicyParams(old.logits + rng.normal(0, 0.3, (6, 6)))
             np.testing.assert_allclose(
@@ -244,7 +268,7 @@ class TestGradient:
 
         monkeypatch.setattr(grpo, "grpo_gradient", spy)
         cfg = GrpoConfig(outer_iters=3, inner_steps=2, batch_size=4, seed=0)
-        train_rl(PolicyParams.zeros(), TrainEnv(items=ITEMS), cfg=cfg)
+        train_rl(PolicyParams.zeros(), RewardTable(ITEMS), cfg)
         assert len(calls) == 6
 
 
@@ -260,15 +284,13 @@ class TestTrainRl:
     def test_matches_scalar_loop(self, variant, bandit, inner_steps, sft):
         items = generate_dataset(GenConfig(n_items=80, p_unans=0.5, ambiguity=0.5, seed=8))
         reward_fn = _payout if bandit else None
-        env = _CountingEnv(items=items, reward_fn=reward_fn)
+        rule = _CountingRule(reward_fn, variant)
         params0 = PolicyParams.zeros()
         if sft:
             params0 = sft_train(params0, make_expert_traces(items))
         cfg = GrpoConfig(outer_iters=40, inner_steps=inner_steps, lr=0.05, batch_size=16, seed=4)
-        params, log = train_rl(params0, env, variant, cfg)
-        want_params, want_log, drawn = ref.train_rl(
-            params0, TrainEnv(items=items, reward_fn=reward_fn), variant, cfg
-        )
+        params, log = train_rl(params0, RewardTable(items, reward_fn=rule), cfg)
+        want_params, want_log, drawn = ref.train_rl(params0, items, variant, cfg, reward_fn)
         np.testing.assert_allclose(params.logits, want_params.logits, rtol=0, atol=1e-12)
         assert len(log.records) == len(want_log.records)
         for got, want in zip(log.records, want_log.records):
@@ -281,4 +303,4 @@ class TestTrainRl:
                 ), (got.iteration, field)
         # one reward evaluation per distinct (item, action) pair drawn
         distinct = {(g.item.id, a.index) for g in drawn for a in g.actions}
-        assert env.calls == len(distinct) < len(drawn) * cfg.group_size
+        assert rule.calls == len(distinct) < len(drawn) * cfg.group_size

@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import abstainrl
-from abstainrl.cli import _TRAIN_DEFAULTS, main
+from abstainrl.cli import _TRAIN_DEFAULTS, build_parser, main
 from abstainrl.policy import ALL_ACTIONS, ALL_FEATURES, ActionId, Choice, Evidence, PolicyParams
 from abstainrl.synthenv import GenConfig, generate_dataset, item_to_dict
 
@@ -221,6 +221,38 @@ class TestTrain:
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert main(_train_args(tmp_path / "nope.jsonl", tmp_path / "o")) == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            _train_args("{empty}", "{tmp}/o"),
+            ["sweep", "--axis", "beta", "--values", "0,1", "--dataset", "{empty}",
+             "--out-dir", "{tmp}/s"],
+        ],
+        ids=["train", "sweep"],
+    )
+    def test_empty_dataset_is_data_error(self, tmp_path, argv):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main([arg.format(empty=empty, tmp=tmp_path) for arg in argv]) == 3
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--sft-lr", "-1", "sft_lr must be >= 0"),
+            ("--sft-lr", "nan", "sft_lr must be finite"),
+            ("--sft-lr", "inf", "sft_lr must be finite"),
+            ("--sft-epochs", "-3", "sft_epochs must be >= 0"),
+        ],
+    )
+    def test_bad_sft_setting_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        data = _gen(tmp_path)
+        out = tmp_path / "o"
+        extra = ["--sft-traces", str(data), f"{flag}={value}"]
+        capsys.readouterr()
+        assert main(_train_args(data, out, extra=extra)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_loadable(self, tmp_path):
         data = _gen(tmp_path)
         out = tmp_path / "ckpt_run"
@@ -326,11 +358,11 @@ class TestEval:
         printed = capsys.readouterr().out
         assert "em_rate=1.0000" in printed
 
-    def test_empty_dataset_is_usage_error(self, tmp_path):
+    def test_empty_dataset_is_data_error(self, tmp_path):
         ckpt = _oracle_checkpoint(tmp_path)
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(empty)]) == 2
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(empty)]) == 3
 
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         data = _gen(tmp_path)
@@ -450,6 +482,21 @@ class TestReport:
         ET.fromstring((run / "curves.svg").read_text())
 
 
+class TestTrainFlags:
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("key", list(_TRAIN_DEFAULTS))
+    def test_every_train_key_is_a_flag(self, command, key):
+        default = _TRAIN_DEFAULTS[key]
+        value = {type(None): "x.jsonl", int: 3, float: 0.25, str: "rouge"}[type(default)]
+        argv = [command, f"--{key.replace('_', '-')}", str(value)]
+        if command == "sweep":
+            argv += ["--axis", "beta", "--values", "0,1"]
+        args = build_parser().parse_args(argv)
+        # sweep's --out-dir names the parent of its run directories
+        dest = "out_dir_sweep" if (command, key) == ("sweep", "out_dir") else key
+        assert getattr(args, dest) == value
+
+
 class TestConfigKeys:
     @pytest.mark.parametrize(
         "argv",
@@ -549,6 +596,62 @@ class TestFuzz:
                                   str(fuzz_dir / "data.jsonl"), "--out", str(fuzz_dir / "s.csv")])
         assert code in (0, 3)
         assert "Traceback" not in err
+
+
+def _field(record, path):
+    for key in path:
+        record = record[key]
+    return record
+
+
+# a valid answerable record with one fact, and a path to each of its values
+VALID_RECORD = item_to_dict(generate_dataset(GenConfig(n_items=1, p_unans=0.0, seed=4))[0])
+RECORD_PATHS = [
+    ("id",), ("question",), ("gold",), ("gold", 0), ("candidates",), ("candidates", 0),
+    ("candidates", 1), ("specifier",), ("specifier", "kind"), ("specifier", "years"),
+    ("specifier", "years", 0), ("facts",), ("facts", 0),
+    *[("facts", 0, key) for key in ("subject", "relation", "object", "start", "end")],
+    ("feature",), ("feature", "evidence"), ("feature", "difficulty"),
+]
+
+
+def _retyped_field(path):
+    """``path`` and a JSON value of another type than the valid record's
+    (bool and int count as different types, as do int and float)."""
+    original = type(_field(VALID_RECORD, path))
+    return st.tuples(st.just(path), json_values.filter(lambda v: type(v) is not original))
+
+
+class TestDatasetFuzz:
+    """A dataset record with one value of the wrong JSON type ends in exit 0
+    (the value is accepted) or 3 (the record is rejected), never in a
+    traceback, for every command that reads a dataset."""
+
+    @given(st.sampled_from(RECORD_PATHS).flatmap(_retyped_field))
+    @example((("candidates", 0), 1))
+    @example((("facts", 0, "subject"), 7))
+    @example((("specifier", "years", 0), 1.5))
+    @example((("facts", 0, "start"), True))
+    @settings(max_examples=100)
+    def test_one_retyped_field(self, fuzz_dir, edit):
+        path, value = edit
+        record = json.loads(json.dumps(VALID_RECORD))
+        *parents, last = path
+        _field(record, parents)[last] = value
+        data = fuzz_dir / "retyped.jsonl"
+        data.write_text(json.dumps(record) + "\n")
+        ckpt = fuzz_dir / "zeros.json"
+        ckpt.write_text(PolicyParams.zeros().dumps())
+        for argv in (
+            ["train", "--dataset", str(data), "--out-dir", str(fuzz_dir / "run"),
+             *TestFuzz.SIZE_FLAGS],
+            ["eval", "--checkpoint", str(ckpt), "--dataset", str(data),
+             "--out", str(fuzz_dir / "s.csv")],
+            ["extract", "--mode", "kg", "--dataset", str(data), "--out", str(fuzz_dir / "kg.jsonl")],
+        ):
+            code, err = _main_stderr(argv)
+            assert code in (0, 3), (argv[0], err)
+            assert "Traceback" not in err
 
 
 class TestUsage:

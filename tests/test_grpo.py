@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from abstainrl.grpo import (
     GrpoConfig,
     RewardTable,
-    TrainEnv,
     clipped_term,
     compute_advantages,
     evaluate_policy,
@@ -29,7 +28,7 @@ from abstainrl.policy import (
     Choice,
     Evidence,
     PolicyParams,
-    action_probs,
+    log_softmax,
 )
 from abstainrl.synthenv import GenConfig, generate_dataset
 
@@ -138,40 +137,39 @@ class TestKlK3:
         assert estimate == pytest.approx(exact, abs=1e-2)
 
 
-def _env(n=60, p_unans=0.4, ambiguity=0.4, seed=2):
-    return TrainEnv(items=generate_dataset(GenConfig(n, p_unans=p_unans, ambiguity=ambiguity, seed=seed)))
+def _table(n=60, p_unans=0.4, ambiguity=0.4, seed=2):
+    cfg = GenConfig(n, p_unans=p_unans, ambiguity=ambiguity, seed=seed)
+    return RewardTable(generate_dataset(cfg))
 
 
-def _batch(env, old, ref, cfg, seed, count=6):
+def _batch(table, old, ref, cfg, seed, count=6):
     """A rollout batch of ``count`` groups."""
     rng = np.random.default_rng(seed)
-    return rollout_batch(
-        old, ref, RewardTable(env), dataclasses.replace(cfg, batch_size=count), rng
-    )
+    return rollout_batch(old, ref, table, dataclasses.replace(cfg, batch_size=count), rng)
 
 
 class TestObjective:
     def test_zero_at_old_params_without_kl(self):
-        env = _env()
+        table = _table()
         cfg = GrpoConfig(kl_beta=0.0, seed=0)
         params = PolicyParams(np.random.default_rng(1).normal(size=(6, 6)))
-        batch = _batch(env, params, params, cfg, seed=3)
+        batch = _batch(table, params, params, cfg, seed=3)
         # ratios are 1, so the objective is the mean advantage, which centers to 0
         assert grpo_objective(params, batch, cfg) == pytest.approx(0.0, abs=1e-9)
 
     def test_kl_term_zero_when_ref_equals_params(self):
-        env = _env()
+        table = _table()
         params = PolicyParams(np.random.default_rng(4).normal(size=(6, 6)))
-        batch = _batch(env, params, params, GrpoConfig(seed=0), seed=5)
+        batch = _batch(table, params, params, GrpoConfig(seed=0), seed=5)
         without = grpo_objective(params, batch, GrpoConfig(kl_beta=0.0, seed=0))
         with_kl = grpo_objective(params, batch, GrpoConfig(kl_beta=5.0, seed=0))
         assert with_kl == pytest.approx(without, abs=1e-12)
 
     def test_raising_best_action_logit_increases_objective(self):
-        env = _env()
+        table = _table()
         cfg = GrpoConfig(kl_beta=0.0, seed=0)
         old = PolicyParams.zeros()
-        batch = _batch(env, old, old, cfg, seed=6, count=12)
+        batch = _batch(table, old, old, cfg, seed=6, count=12)
         base = grpo_objective(old, batch, cfg)
         # find a rollout with the highest advantage in its group
         b, i = np.unravel_index(np.argmax(batch.advantages), batch.advantages.shape)
@@ -180,27 +178,27 @@ class TestObjective:
         assert grpo_objective(PolicyParams(bumped), batch, cfg) > base
 
     def test_group_size_mismatch_rejected(self):
-        env = _env()
+        table = _table()
         params = PolicyParams.zeros()
-        batch = _batch(env, params, params, GrpoConfig(group_size=4, seed=0), seed=7)
+        batch = _batch(table, params, params, GrpoConfig(group_size=4, seed=0), seed=7)
         with pytest.raises(ValueError):
             grpo_objective(params, batch, GrpoConfig(group_size=8, seed=0))
 
 
 class TestGradient:
     def test_zero_when_all_advantages_zero_and_beta_zero(self):
-        env = _env()
+        table = _table()
         cfg = GrpoConfig(kl_beta=0.0, seed=0)
         params = PolicyParams.zeros()
-        batch = _batch(env, params, params, cfg, seed=8, count=3)
+        batch = _batch(table, params, params, cfg, seed=8, count=3)
         flattened = dataclasses.replace(batch, advantages=np.zeros_like(batch.advantages))
         np.testing.assert_allclose(grpo_gradient(params, flattened, cfg), 0.0, atol=1e-15)
 
     def test_rows_absent_from_batch_are_zero(self):
-        env = _env()
+        table = _table()
         cfg = GrpoConfig(seed=0)
         params = PolicyParams.zeros()
-        batch = _batch(env, params, params, cfg, seed=9, count=4)
+        batch = _batch(table, params, params, cfg, seed=9, count=4)
         present = set(batch.rows.tolist())
         grad = grpo_gradient(params, batch, cfg)
         for f in ALL_FEATURES:
@@ -209,12 +207,12 @@ class TestGradient:
 
     @pytest.mark.parametrize("beta", [0.0, 0.01])
     def test_finite_difference_agreement(self, beta):
-        env = _env()
+        table = _table()
         rng = np.random.default_rng(10)
         cfg = GrpoConfig(kl_beta=beta, seed=0)
         old = PolicyParams(rng.normal(0, 0.5, (6, 6)))
         ref = PolicyParams(rng.normal(0, 0.5, (6, 6)))
-        batch = _batch(env, old, ref, cfg, seed=11, count=5)
+        batch = _batch(table, old, ref, cfg, seed=11, count=5)
         params = PolicyParams(old.logits + rng.normal(0, 0.3, (6, 6)))
         analytic = grpo_gradient(params, batch, cfg)
         h = 1e-5
@@ -232,53 +230,48 @@ class TestGradient:
 
 class TestTrainRl:
     def test_zero_lr_keeps_params_and_logs(self):
-        env = _env(n=30)
+        table = _table(n=30)
         cfg = GrpoConfig(outer_iters=5, lr=0.0, batch_size=8, seed=1)
         params0 = PolicyParams(np.random.default_rng(12).normal(size=(6, 6)))
-        params, log = train_rl(params0, env, cfg=cfg)
+        params, log = train_rl(params0, table, cfg)
         np.testing.assert_array_equal(params.logits, params0.logits)
         assert len(log.records) == 5
 
     def test_same_seed_identical_logs(self):
-        env = _env(n=40)
+        table = _table(n=40)
         cfg = GrpoConfig(outer_iters=8, batch_size=8, seed=5)
-        _, log_a = train_rl(PolicyParams.zeros(), env, cfg=cfg)
-        _, log_b = train_rl(PolicyParams.zeros(), env, cfg=cfg)
+        _, log_a = train_rl(PolicyParams.zeros(), table, cfg)
+        _, log_b = train_rl(PolicyParams.zeros(), table, cfg)
         assert log_a.jsonl_lines() == log_b.jsonl_lines()
 
     def test_log_fields_finite(self):
-        env = _env(n=30)
+        table = _table(n=30)
         _, log = train_rl(
-            PolicyParams.zeros(), env, cfg=GrpoConfig(outer_iters=4, batch_size=8, seed=2)
+            PolicyParams.zeros(), table, GrpoConfig(outer_iters=4, batch_size=8, seed=2)
         )
         for record in log.records:
             for value in (record.mean_reward, record.abstain_rate, record.kl, record.objective):
                 assert math.isfinite(value)
 
     def test_inner_steps_exercise_clipping(self):
-        env = _env(n=40)
+        table = _table(n=40)
         cfg = GrpoConfig(outer_iters=6, inner_steps=3, lr=0.3, batch_size=8, seed=3)
-        params, log = train_rl(PolicyParams.zeros(), env, cfg=cfg)
+        params, log = train_rl(PolicyParams.zeros(), table, cfg)
         assert len(log.records) == 6
         assert np.all(np.isfinite(params.logits))
 
     def test_kl_anchoring_monotone_in_beta(self):
         items = generate_dataset(GenConfig(n_items=200, p_unans=0.5, ambiguity=0.3, seed=21))
-        env = TrainEnv(items=items)
+        table = RewardTable(items)
         ref = PolicyParams.zeros()
         tv = {}
         for beta in (0.0, 0.01, 10.0):
             trained, _ = train_rl(
-                ref, env, cfg=GrpoConfig(outer_iters=150, lr=0.05, kl_beta=beta, seed=7)
+                ref, table, GrpoConfig(outer_iters=150, lr=0.05, kl_beta=beta, seed=7)
             )
-            tv[beta] = float(
-                np.mean(
-                    [
-                        0.5 * np.abs(action_probs(trained, f) - action_probs(ref, f)).sum()
-                        for f in ALL_FEATURES
-                    ]
-                )
-            )
+            gap = np.exp(log_softmax(trained.logits)) - np.exp(log_softmax(ref.logits))
+            # mean over feature rows of the total-variation distance
+            tv[beta] = float(np.mean(0.5 * np.abs(gap).sum(axis=1)))
         assert tv[10.0] <= tv[0.01] <= tv[0.0]
         assert tv[10.0] < tv[0.0]
 
@@ -292,14 +285,16 @@ def _constant_policy(action: ActionId) -> PolicyParams:
 class TestEvaluatePolicy:
     def test_always_abstain_on_all_unanswerable(self):
         items = generate_dataset(GenConfig(n_items=25, p_unans=1.0, seed=6))
-        report = evaluate_policy(_constant_policy(ActionId(Choice.ABSTAIN, True)), items)
+        abstain = _constant_policy(ActionId(Choice.ABSTAIN, True))
+        report = evaluate_policy(abstain, RewardTable(items))
         assert report.confusion.tp == 25
         assert report.confusion.fp == 0
         assert report.confusion.fn == 0
 
     def test_always_abstain_on_all_answerable(self):
         items = generate_dataset(GenConfig(n_items=25, p_unans=0.0, seed=7))
-        report = evaluate_policy(_constant_policy(ActionId(Choice.ABSTAIN, True)), items)
+        abstain = _constant_policy(ActionId(Choice.ABSTAIN, True))
+        report = evaluate_policy(abstain, RewardTable(items))
         assert report.confusion.fp == 25
         assert report.em_rate == 0.0
 
@@ -316,13 +311,13 @@ class TestEvaluatePolicy:
                 else ActionId(Choice.ABSTAIN, True)
             )
             logits[f.index, target.index] = 50.0
-        report = evaluate_policy(PolicyParams(logits), items)
+        report = evaluate_policy(PolicyParams(logits), RewardTable(items))
         assert report.confusion.fp == 0
         assert report.confusion.fn == 0
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_policy(PolicyParams.zeros(), [])
+            evaluate_policy(PolicyParams.zeros(), RewardTable([]))
 
 
 class TestConfigValidation:

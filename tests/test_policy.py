@@ -14,15 +14,12 @@ from abstainrl.policy import (
     ContextFeature,
     ExpertTrace,
     PolicyParams,
-    action_log_prob,
-    action_probs,
-    grad_log_prob,
     greedy_action,
+    inverse_cdf,
+    log_softmax,
     make_expert_traces,
     oracle_action,
     render_completion,
-    sample_action,
-    sft_log_likelihood,
     sft_train,
 )
 from abstainrl.reward import answer_reward, parse_completion
@@ -30,6 +27,15 @@ from abstainrl.synthenv import GenConfig, generate_dataset
 from abstainrl.textmetrics import GoldAnswer
 
 F0 = ALL_FEATURES[0]
+
+
+def _probs(params):
+    return np.exp(log_softmax(params.logits))
+
+
+def _draws(params, feature, rng, n):
+    """``n`` actions of ``feature``'s row, as the rollout samples them."""
+    return inverse_cdf(_probs(params)[feature.index], rng.random(n)).tolist()
 
 
 class TestIndexing:
@@ -62,10 +68,8 @@ class TestIndexing:
 
 class TestLogProbs:
     def test_uniform(self):
-        params = PolicyParams.zeros()
-        for f in ALL_FEATURES:
-            for a in ALL_ACTIONS:
-                assert action_log_prob(params, f, a) == pytest.approx(math.log(1 / 6))
+        log_probs = log_softmax(PolicyParams.zeros().logits)
+        np.testing.assert_allclose(log_probs, math.log(1 / 6), rtol=1e-12, atol=0)
 
     def test_dominant_logit(self):
         logits = np.zeros((6, 6))
@@ -73,24 +77,22 @@ class TestLogProbs:
         params = PolicyParams(logits)
         # exact softmax value: e^10 / (e^10 + 5)
         expected = math.exp(10.0) / (math.exp(10.0) + 5.0)
-        assert action_probs(params, F0)[0] == pytest.approx(expected, abs=1e-12)
-        assert action_probs(params, F0)[0] > 0.999
+        assert _probs(params)[F0.index, 0] == pytest.approx(expected, abs=1e-12)
+        assert _probs(params)[F0.index, 0] > 0.999
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(6, 6))
         shifted = logits.copy()
         shifted[F0.index] += 17.5
-        for a in ALL_ACTIONS:
-            assert action_log_prob(PolicyParams(logits), F0, a) == pytest.approx(
-                action_log_prob(PolicyParams(shifted), F0, a), abs=1e-12
-            )
+        np.testing.assert_allclose(
+            log_softmax(shifted)[F0.index], log_softmax(logits)[F0.index], rtol=0, atol=1e-12
+        )
 
     def test_normalization(self):
         rng = np.random.default_rng(2)
         params = PolicyParams(rng.normal(scale=3, size=(6, 6)))
-        for f in ALL_FEATURES:
-            assert float(np.sum(action_probs(params, f))) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(_probs(params).sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestSampling:
@@ -99,26 +101,22 @@ class TestSampling:
         logits[F0.index, 3] = 1e6
         params = PolicyParams(logits)
         rng = np.random.default_rng(0)
-        draws = [sample_action(params, F0, rng).index for _ in range(1000)]
-        assert all(d == 3 for d in draws)
+        assert _draws(params, F0, rng, 1000) == [3] * 1000
 
     def test_uniform_frequencies(self):
         params = PolicyParams.zeros()
         rng = np.random.default_rng(7)
-        counts = collections.Counter(
-            sample_action(params, F0, rng).index for _ in range(10000)
-        )
+        counts = collections.Counter(_draws(params, F0, rng, 10000))
         for idx in range(6):
             assert counts[idx] / 10000 == pytest.approx(1 / 6, abs=0.05)
 
     def test_seed_determinism(self):
         params = PolicyParams(np.random.default_rng(3).normal(size=(6, 6)))
-        seq1 = [sample_action(params, F0, np.random.default_rng(11)).index for _ in range(1)]
         rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
-        seq_a = [sample_action(params, F0, rng_a).index for _ in range(50)]
-        seq_b = [sample_action(params, F0, rng_b).index for _ in range(50)]
+        seq_a = _draws(params, F0, rng_a, 50)
+        # one uniform per draw: drawing one at a time gives the same sequence
+        seq_b = [_draws(params, F0, rng_b, 1)[0] for _ in range(50)]
         assert seq_a == seq_b
-        assert seq1[0] == seq_a[0]
 
 
 def _one_item():
@@ -151,11 +149,18 @@ class TestRenderCompletion:
             assert parse_completion(render_completion(action, item)).answer == expected
 
 
+def _sft_step(params, feature, action):
+    """One SFT epoch at lr 1 on a single trace: the gradient of
+    log pi(action | feature) that SFT ascends."""
+    trace = ExpertTrace(feature, action, "", GoldAnswer.no_answer())
+    return sft_train(params, [trace], lr=1.0, epochs=1).logits - params.logits
+
+
 class TestGradLogProb:
     def test_uniform_formula(self):
         params = PolicyParams.zeros()
         action = ALL_ACTIONS[2]
-        grad = grad_log_prob(params, F0, action)
+        grad = _sft_step(params, F0, action)
         expected_row = np.full(6, -1 / 6)
         expected_row[action.index] = 5 / 6
         np.testing.assert_allclose(grad[F0.index], expected_row, atol=1e-12)
@@ -163,7 +168,7 @@ class TestGradLogProb:
     def test_other_rows_zero(self):
         rng = np.random.default_rng(5)
         params = PolicyParams(rng.normal(size=(6, 6)))
-        grad = grad_log_prob(params, ALL_FEATURES[3], ALL_ACTIONS[1])
+        grad = _sft_step(params, ALL_FEATURES[3], ALL_ACTIONS[1])
         for f in ALL_FEATURES:
             if f.index != 3:
                 assert not grad[f.index].any()
@@ -171,22 +176,22 @@ class TestGradLogProb:
     def test_row_sums_to_zero(self):
         rng = np.random.default_rng(6)
         params = PolicyParams(rng.normal(size=(6, 6)))
-        grad = grad_log_prob(params, F0, ALL_ACTIONS[4])
+        grad = _sft_step(params, F0, ALL_ACTIONS[4])
         assert float(grad[F0.index].sum()) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         params = PolicyParams(rng.normal(size=(6, 6)))
         feature, action = ALL_FEATURES[2], ALL_ACTIONS[5]
-        analytic = grad_log_prob(params, feature, action)
+        analytic = _sft_step(params, feature, action)
         h = 1e-5
         worst = 0.0
         for r in range(6):
             for c in range(6):
                 bump = np.zeros((6, 6))
                 bump[r, c] = h
-                plus = action_log_prob(PolicyParams(params.logits + bump), feature, action)
-                minus = action_log_prob(PolicyParams(params.logits - bump), feature, action)
+                plus = log_softmax(params.logits + bump)[feature.index, action.index]
+                minus = log_softmax(params.logits - bump)[feature.index, action.index]
                 worst = max(worst, abs((plus - minus) / (2 * h) - analytic[r, c]))
         assert worst < 1e-6
 
@@ -228,7 +233,7 @@ class TestSftTrain:
     def test_convergence_on_single_action(self):
         traces = self._traces(F0, ALL_ACTIONS[2])
         params = sft_train(PolicyParams.zeros(), traces, lr=0.5, epochs=200)
-        assert action_probs(params, F0)[2] > 0.95
+        assert _probs(params)[F0.index, 2] > 0.95
 
     def test_zero_epochs_is_identity(self):
         params = PolicyParams(np.random.default_rng(13).normal(size=(6, 6)))
@@ -249,10 +254,16 @@ class TestSftTrain:
         items = generate_dataset(GenConfig(n_items=120, p_unans=0.3, seed=14))
         traces = make_expert_traces(items)
         params = PolicyParams.zeros()
-        previous = -sft_log_likelihood(params, traces)
+        rows = [t.feature.index for t in traces]
+        actions = [t.action.index for t in traces]
+
+        def loss(params):
+            return -float(log_softmax(params.logits)[rows, actions].mean())
+
+        previous = loss(params)
         for _ in range(20):
             params = sft_train(params, traces, lr=0.5, epochs=10)
-            current = -sft_log_likelihood(params, traces)
+            current = loss(params)
             assert current <= previous + 1e-9
             previous = current
 

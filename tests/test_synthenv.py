@@ -176,6 +176,29 @@ class TestDatasetSerialization:
         with pytest.raises(DatasetError, match=":2:"):
             read_dataset(path)
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda d: d.update(question=5), "question"),
+            (lambda d: d.update(candidates=[1, 2]), "candidate"),
+            (lambda d: d.update(candidates=["a", "b", "c"]), "candidates"),
+            (lambda d: d["facts"][0].update(subject=7), "fact subject"),
+            (lambda d: d["facts"][0].update(end=1990.0), "fact end"),
+            (lambda d: d["facts"][0].update(start=True), "fact start"),
+            (lambda d: d["specifier"].update(years=[1.5]), "specifier year"),
+            (lambda d: d["specifier"].update(years="1990"), "specifier years"),
+        ],
+        ids=["question", "candidates", "three-candidates", "subject", "float-end", "bool-start",
+             "float-year", "string-years"],
+    )
+    def test_wrongly_typed_field_is_rejected(self, tmp_path, edit, named):
+        record = item_to_dict(generate_dataset(GenConfig(n_items=1, p_unans=0.0, seed=0))[0])
+        edit(record)
+        path = tmp_path / "typed.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f":1: bad dataset record: {named} must"):
+            read_dataset(path)
+
 
 class TestIngestTimeqa:
     def _write(self, tmp_path, lines):
