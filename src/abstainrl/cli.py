@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 from xml.sax.saxutils import escape
@@ -50,6 +52,7 @@ from abstainrl.synthenv import (
     read_dataset,
     read_mc_sources,
     write_dataset,
+    write_lines,
     write_mc_items,
 )
 
@@ -169,30 +172,39 @@ def _read_items(path: str | Path) -> list[synthenv.SynthQAItem]:
     return items
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+class _Echo:
+    """A csv writer's target that hands back each row it is given."""
+
+    @staticmethod
+    def write(row: str) -> str:
+        return row
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    """``header`` then ``rows`` as CSV lines, formatted one row at a time."""
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    write_lines(path, (writer.writerow(row)[:-1] for row in itertools.chain([header], rows)))
 
 
 def _write_summary_csv(path: Path, rows: list) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "r1", "r2", "rl", "sem", "em", "tp", "fp", "fn"])
-        for e in rows:
-            writer.writerow(
-                [
-                    e.item_id,
-                    f"{e.rouge1:.6f}",
-                    f"{e.rouge2:.6f}",
-                    f"{e.rouge_l:.6f}",
-                    f"{e.semantic:.6f}",
-                    int(e.em),
-                    e.tp,
-                    e.fp,
-                    e.fn,
-                ]
-            )
+    _write_csv(
+        path,
+        ["id", "r1", "r2", "rl", "sem", "em", "tp", "fp", "fn"],
+        (
+            [
+                e.item_id,
+                f"{e.rouge1:.6f}",
+                f"{e.rouge2:.6f}",
+                f"{e.rouge_l:.6f}",
+                f"{e.semantic:.6f}",
+                int(e.em),
+                e.tp,
+                e.fp,
+                e.fn,
+            ]
+            for e in rows
+        ),
+    )
 
 
 def _print_report(report: EvalReport) -> None:
@@ -218,9 +230,10 @@ def _polyline(points: list[tuple[float, float]], color: str, dashed: bool = Fals
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} points="{coords}"/>'
 
 
-def render_curves_svg(runs: list[tuple[str, TrainLog]]) -> str:
-    """Standalone SVG: learning curves (mean reward solid, abstain rate dashed,
-    both on their own vertical scales) plus final TP/FP/FN bars per run."""
+def render_curves_svg(runs: list[tuple[str, TrainLog]]) -> list[str]:
+    """The lines of a standalone SVG: learning curves (mean reward solid,
+    abstain rate dashed, both on their own vertical scales) plus final
+    TP/FP/FN bars per run."""
     width, height = 960, 700
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -247,14 +260,16 @@ def render_curves_svg(runs: list[tuple[str, TrainLog]]) -> str:
     parts.append(f'<text x="{x0 - 60}" y="{y1}">0.00</text>')
     parts.append(f'<text x="{x1 - 30}" y="{y1 + 16}">{max_iter}</text>')
 
+    # a record is plotted at its position in the log, which is its iteration
+    # in every log train writes
     for idx, (name, log) in enumerate(runs):
         color = _PALETTE[idx % len(_PALETTE)]
         reward_pts = [
-            (_x(rec.iteration), y1 - (y1 - y0) * (rec.mean_reward / max_reward))
-            for rec in log.records
+            (_x(i), y1 - (y1 - y0) * (rec.mean_reward / max_reward))
+            for i, rec in enumerate(log.records)
         ]
         abstain_pts = [
-            (_x(rec.iteration), y1 - (y1 - y0) * rec.abstain_rate) for rec in log.records
+            (_x(i), y1 - (y1 - y0) * rec.abstain_rate) for i, rec in enumerate(log.records)
         ]
         parts.append(_polyline(reward_pts, color))
         parts.append(_polyline(abstain_pts, color, dashed=True))
@@ -297,41 +312,53 @@ def render_curves_svg(runs: list[tuple[str, TrainLog]]) -> str:
             f"{escape(name[:36])}</text>"
         )
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts
 
 
 # --- training driver (shared by train and sweep) ----------------------------------
 
+def _check_run(resolved: dict[str, Any]) -> None:
+    """Raise on any bad setting of a run, the SFT ones included, so that a
+    run is refused before anything is read or written."""
+    _sft_settings(resolved)
+    _grpo_config(resolved)
+    RewardVariant.from_name(str(resolved["reward_variant"]))
+
+
+def _cold_start(resolved: dict[str, Any]) -> PolicyParams:
+    """The policy RL starts from: the SFT fit to the expert traces of
+    ``sft_traces`` when that is set, else the zero policy."""
+    if not resolved["sft_traces"]:
+        return PolicyParams.zeros()
+    sft_lr, sft_epochs = _sft_settings(resolved)
+    traces = make_expert_traces(read_dataset(resolved["sft_traces"]))
+    if not traces:
+        raise DatasetError(f"no usable expert traces in {resolved['sft_traces']}")
+    return sft_train(PolicyParams.zeros(), traces, lr=sft_lr, epochs=sft_epochs)
+
+
 def _train_once(
-    items: list[synthenv.SynthQAItem], resolved: dict[str, Any], run_name: str
+    items: list[synthenv.SynthQAItem],
+    resolved: dict[str, Any],
+    run_name: str,
+    params0: PolicyParams,
 ) -> EvalReport:
-    """Optional SFT cold start, RL and one greedy evaluation, all set by
-    ``resolved``, which is written to the run directory as config.json."""
+    """RL from ``params0`` and one greedy evaluation, set by ``resolved``,
+    which is written to the run directory as config.json."""
     cfg = _grpo_config(resolved)
     variant = RewardVariant.from_name(str(resolved["reward_variant"]))
-    sft_lr, sft_epochs = _sft_settings(resolved)
     out_dir = Path(resolved["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "config.json", resolved)
-
-    params0 = PolicyParams.zeros()
-    if resolved["sft_traces"]:
-        traces = make_expert_traces(read_dataset(resolved["sft_traces"]))
-        if not traces:
-            raise DatasetError(f"no usable expert traces in {resolved['sft_traces']}")
-        params0 = sft_train(params0, traces, lr=sft_lr, epochs=sft_epochs)
+    write_lines(out_dir / "config.json", [json.dumps(resolved, sort_keys=True, indent=2)])
 
     table = RewardTable(items, variant)
     params, log = train_rl(params0, table, cfg)
 
     log.write(out_dir / "train_log.jsonl")
-    (out_dir / "policy.json").write_text(params.dumps() + "\n", encoding="utf-8")
+    write_lines(out_dir / "policy.json", [params.dumps()])
     # evaluation reads the RL table, so no pair training scored is scored again
     evals = evaluate_items(params, table)
     _write_summary_csv(out_dir / "summary.csv", evals)
-    (out_dir / "curves.svg").write_text(
-        render_curves_svg([(run_name, log)]), encoding="utf-8"
-    )
+    write_lines(out_dir / "curves.svg", render_curves_svg([(run_name, log)]))
     return summarize_items(evals)
 
 
@@ -470,14 +497,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if fallback_reason:
         payload["fallback_reason"] = fallback_reason
 
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
+        write_lines(args.out, [text])
         print(f"wrote extraction -> {args.out}")
     else:
-        sys.stdout.write(text)
+        print(text)
     return EXIT_OK
 
 
@@ -486,8 +511,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if not resolved["dataset"] or not resolved["out_dir"]:
         raise UsageError("train requires --dataset and --out-dir")
     items = _read_items(resolved["dataset"])
+    _check_run(resolved)
+    params0 = _cold_start(resolved)
     report = _train_once(
-        items, {**resolved, "command": "train"}, run_name=Path(resolved["out_dir"]).name
+        items, {**resolved, "command": "train"}, Path(resolved["out_dir"]).name, params0
     )
     _print_report(report)
     print(f"artifacts -> {resolved['out_dir']}")
@@ -534,14 +561,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if len(set(values)) != len(values):
             raise UsageError("duplicate sweep values are not allowed")
 
-    resolved = _resolve(args, _TRAIN_DEFAULTS)
+    resolved = {**_resolve(args, _TRAIN_DEFAULTS), "command": "train"}
+    if args.axis != "p-unans" and not resolved["dataset"]:
+        raise UsageError(f"sweep over {args.axis} requires --dataset")
     out_dir = Path(args.out_dir_sweep)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary_rows = []
+    runs: list[tuple[Any, GenConfig | None, str, dict[str, Any]]] = []
     for value in values:
-        run_resolved = dict(resolved)
         run_name = f"{args.axis}_{value}"
-        run_dir = out_dir / run_name
+        run_resolved = {**resolved, "out_dir": str(out_dir / run_name)}
+        gen_cfg = None
         if args.axis == "p-unans":
             gen_cfg = GenConfig(
                 n_items=int(args.n),
@@ -550,22 +578,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 ambiguity=float(args.ambiguity),
                 seed=int(resolved["seed"]),
             )
-            items = generate_dataset(gen_cfg)
-            dataset_path = run_dir / "dataset.jsonl"
-            write_dataset(items, dataset_path)
-            run_resolved["dataset"] = str(dataset_path)
+            run_resolved["dataset"] = str(out_dir / run_name / "dataset.jsonl")
             run_resolved["p_unans"] = float(value)
+        elif args.axis == "beta":
+            run_resolved["beta"] = float(value)
         else:
-            if not resolved["dataset"]:
-                raise UsageError(f"sweep over {args.axis} requires --dataset")
-            items = _read_items(resolved["dataset"])
-            if args.axis == "beta":
-                run_resolved["beta"] = float(value)
-            else:
-                run_resolved["reward_variant"] = str(value)
-        run_resolved["command"] = "train"
-        run_resolved["out_dir"] = str(run_dir)
-        report = _train_once(items, run_resolved, run_name)
+            run_resolved["reward_variant"] = str(value)
+        _check_run(run_resolved)
+        runs.append((value, gen_cfg, run_name, run_resolved))
+
+    # no axis changes the shared dataset or the cold start: read and fit them once
+    items = None if args.axis == "p-unans" else _read_items(resolved["dataset"])
+    params0 = _cold_start(resolved)
+    summary_rows = []
+    for value, gen_cfg, run_name, run_resolved in runs:
+        if gen_cfg is not None:
+            items = generate_dataset(gen_cfg)
+            write_dataset(items, run_resolved["dataset"])
+        report = _train_once(items, run_resolved, run_name, params0)
         c = report.confusion
         summary_rows.append(
             [
@@ -583,14 +613,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"abstain_rate={report.abstain_rate:.4f} tp={c.tp} fp={c.fp} fn={c.fn}")
 
     summary_path = out_dir / "sweep_summary.csv"
-    with summary_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["axis", "value", "mean_reward", "abstain_rate", "em_rate", "tp", "fp", "fn"]
-        )
-        writer.writerows(summary_rows)
+    _write_csv(
+        summary_path,
+        ["axis", "value", "mean_reward", "abstain_rate", "em_rate", "tp", "fp", "fn"],
+        summary_rows,
+    )
     print(f"sweep summary -> {summary_path}")
     return EXIT_OK
+
+
+def _aggregate_row(name: str, log: TrainLog) -> list:
+    """A run's row of aggregate.csv; a run with no records leaves the final
+    columns empty."""
+    if not log.records:
+        return [name, 0, "", "", "", "", ""]
+    final = log.records[-1]
+    return [
+        name,
+        len(log.records),
+        f"{final.mean_reward:.6f}",
+        f"{final.abstain_rate:.6f}",
+        final.tp,
+        final.fp,
+        final.fn,
+    ]
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -602,27 +648,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise DatasetError(f"missing train log: {log_path}")
         runs.append((run_dir.name, TrainLog.read(log_path)))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    (out_dir / "curves.svg").write_text(render_curves_svg(runs), encoding="utf-8")
-    with (out_dir / "aggregate.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["run", "iterations", "final_mean_reward", "final_abstain_rate", "tp", "fp", "fn"]
-        )
-        for name, log in runs:
-            final = log.records[-1]
-            writer.writerow(
-                [
-                    name,
-                    len(log.records),
-                    f"{final.mean_reward:.6f}",
-                    f"{final.abstain_rate:.6f}",
-                    final.tp,
-                    final.fp,
-                    final.fn,
-                ]
-            )
+    write_lines(out_dir / "curves.svg", render_curves_svg(runs))
+    _write_csv(
+        out_dir / "aggregate.csv",
+        ["run", "iterations", "final_mean_reward", "final_abstain_rate", "tp", "fp", "fn"],
+        (_aggregate_row(name, log) for name, log in runs),
+    )
     print(f"report -> {out_dir / 'curves.svg'} and {out_dir / 'aggregate.csv'}")
     return EXIT_OK
 

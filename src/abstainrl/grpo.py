@@ -13,10 +13,11 @@ completions; no completion text is rebuilt or re-scored per draw.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from abstainrl.reward import (
     parse_completion,
     total_reward,
 )
-from abstainrl.synthenv import SynthQAItem
+from abstainrl.synthenv import DatasetError, SynthQAItem, read_jsonl, write_lines
 from abstainrl.textmetrics import (
     ConfusionCounts,
     exact_match,
@@ -88,6 +89,24 @@ class GrpoConfig:
             raise ValueError("batch_size must be >= 1")
 
 
+_COUNT_FIELDS = frozenset({"iteration", "tp", "fp", "fn"})
+
+
+def _record_field(d: dict, name: str) -> int | float:
+    """Field ``name`` of a train log record: an integer (not a bool) for the
+    iteration and the counts, a number that fits a float for the rest."""
+    value = d.get(name)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if name in _COUNT_FIELDS:
+        if number and isinstance(value, int):
+            return value
+        raise ValueError(f"train record field {name!r} must be an integer, got {value!r}")
+    if number:
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise ValueError(f"train record field {name!r} must be a float, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainRecord:
     iteration: int
@@ -120,18 +139,22 @@ class TrainLog:
         return [json.dumps(r.to_json_dict(), sort_keys=True) for r in self.records]
 
     def write(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("".join(line + "\n" for line in self.jsonl_lines()), encoding="utf-8")
+        write_lines(path, self.jsonl_lines())
 
     @classmethod
     def read(cls, path: str | Path) -> "TrainLog":
+        """The records of a log ``write`` wrote.  Each line needs the eight
+        ``TrainRecord`` fields; other keys are ignored, so that a log with
+        fields added later still reads."""
         records = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            records.append(TrainRecord(**d))
+        for lineno, d in read_jsonl(path):
+            if not isinstance(d, dict):
+                raise DatasetError(f"{path}:{lineno}: train record must be a JSON object")
+            try:
+                values = {f.name: _record_field(d, f.name) for f in fields(TrainRecord)}
+            except ValueError as exc:
+                raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+            records.append(TrainRecord(**values))
         return cls(records)
 
 

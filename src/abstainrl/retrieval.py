@@ -23,6 +23,7 @@ import numpy as np
 
 from abstainrl import prompts
 from abstainrl.synthenv import YEAR_FLOOR, YEAR_HORIZON, TemporalFact, TimeInterval
+from abstainrl.synthenv import DatasetError, read_jsonl, write_jsonl
 from abstainrl.textmetrics import cosine, normalize_text, trigram_embedding
 
 DEFAULT_TOP_K = 10
@@ -85,37 +86,27 @@ class KGStore:
         return list(self._sentences)
 
     def write_jsonl(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as fh:
-            for quad in self._quads:
-                fh.write(
-                    json.dumps(
-                        {
-                            "head": quad.head,
-                            "relation": quad.relation,
-                            "tail": quad.tail,
-                            "timestamp": quad.timestamp,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        write_jsonl(
+            path,
+            (
+                {
+                    "head": quad.head,
+                    "relation": quad.relation,
+                    "tail": quad.tail,
+                    "timestamp": quad.timestamp,
+                }
+                for quad in self._quads
+            ),
+        )
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "KGStore":
         store = cls()
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    d = json.loads(line)
-                    store.add(
-                        Quadruple(d["head"], d["relation"], d["tail"], d.get("timestamp"))
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(f"{path}:{lineno}: bad quadruple record: {exc}") from exc
+        for lineno, d in read_jsonl(path):
+            try:
+                store.add(Quadruple(d["head"], d["relation"], d["tail"], d.get("timestamp")))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DatasetError(f"{path}:{lineno}: bad quadruple record: {exc}") from exc
         return store
 
 

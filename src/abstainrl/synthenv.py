@@ -13,8 +13,9 @@ from __future__ import annotations
 import enum
 import json
 import math
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+import os
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,46 @@ CONTRADICT_FRACTION = 0.5
 
 class DatasetError(ValueError):
     """Raised for malformed dataset files or invalid source records."""
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Yield ``(line number, decoded value)`` for each non-blank line of the
+    UTF-8 JSON-Lines file at ``path``.  Invalid JSON raises ``DatasetError``
+    naming ``path:line``; checking the values is left to the caller."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
+                raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            yield lineno, value
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and a newline to ``path`` (UTF-8), creating
+    its parent directories.  The lines stream into a temporary file beside
+    ``path`` that then replaces it, so a process that fails or is interrupted
+    part-way leaves the previous file intact; nothing is fsynced, so this is
+    no guard against power loss.  The file gets the mode a plain ``open``
+    gives (0o666 less the umask)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, records: Iterable[object]) -> None:
+    """Write one sorted-key JSON value per line, through ``write_lines``."""
+    write_lines(path, (json.dumps(record, sort_keys=True) for record in records))
 
 
 @dataclass(frozen=True)
@@ -440,23 +481,16 @@ def item_from_dict(payload: dict) -> SynthQAItem:
 
 
 def write_dataset(items: Iterable[SynthQAItem], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(json.dumps(item_to_dict(item), sort_keys=True) + "\n")
+    write_jsonl(path, map(item_to_dict, items))
 
 
 def read_dataset(path: str | Path) -> list[SynthQAItem]:
     items: list[SynthQAItem] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                items.append(item_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError, IndexError) as exc:
-                raise DatasetError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
+    for lineno, record in read_jsonl(path):
+        try:
+            items.append(item_from_dict(record))
+        except (KeyError, ValueError, TypeError, IndexError) as exc:
+            raise DatasetError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
     return items
 
 
@@ -472,42 +506,35 @@ def ingest_timeqa_jsonl(path: str | Path) -> list[SynthQAItem]:
     items: list[SynthQAItem] = []
     placeholder_spec = TimeSpecifier.in_year(0)
     placeholder_feature = ContextFeature(Evidence.NO_EVIDENCE, Difficulty.EASY)
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise DatasetError(f"{path}:{lineno}: record must be a JSON object")
-            for field in ("question", "context", "targets"):
-                if field not in record:
-                    raise DatasetError(f"{path}:{lineno}: missing required field {field!r}")
-            question = record["question"]
-            targets = record["targets"]
-            if not isinstance(question, str) or not isinstance(record["context"], str):
-                raise DatasetError(f"{path}:{lineno}: question and context must be strings")
-            if not isinstance(targets, list) or any(not isinstance(t, str) for t in targets):
-                raise DatasetError(f"{path}:{lineno}: targets must be a list of strings")
-            aliases = tuple(t for t in targets if t)
-            gold = GoldAnswer.of(*aliases) if aliases else GoldAnswer.no_answer()
-            candidate_a = aliases[0] if aliases else _INGEST_DISTRACTOR
-            candidate_b = _INGEST_DISTRACTOR if candidate_a != _INGEST_DISTRACTOR else "n/a"
-            item_id = str(record.get("idx", f"t{lineno:05d}"))
-            items.append(
-                SynthQAItem(
-                    id=item_id,
-                    question=question,
-                    facts=(),
-                    specifier=placeholder_spec,
-                    gold=gold,
-                    candidate_a=candidate_a,
-                    candidate_b=candidate_b,
-                    feature=placeholder_feature,
-                )
+    for lineno, record in read_jsonl(path):
+        if not isinstance(record, dict):
+            raise DatasetError(f"{path}:{lineno}: record must be a JSON object")
+        for field in ("question", "context", "targets"):
+            if field not in record:
+                raise DatasetError(f"{path}:{lineno}: missing required field {field!r}")
+        question = record["question"]
+        targets = record["targets"]
+        if not isinstance(question, str) or not isinstance(record["context"], str):
+            raise DatasetError(f"{path}:{lineno}: question and context must be strings")
+        if not isinstance(targets, list) or any(not isinstance(t, str) for t in targets):
+            raise DatasetError(f"{path}:{lineno}: targets must be a list of strings")
+        aliases = tuple(t for t in targets if t)
+        gold = GoldAnswer.of(*aliases) if aliases else GoldAnswer.no_answer()
+        candidate_a = aliases[0] if aliases else _INGEST_DISTRACTOR
+        candidate_b = _INGEST_DISTRACTOR if candidate_a != _INGEST_DISTRACTOR else "n/a"
+        item_id = str(record.get("idx", f"t{lineno:05d}"))
+        items.append(
+            SynthQAItem(
+                id=item_id,
+                question=question,
+                facts=(),
+                specifier=placeholder_spec,
+                gold=gold,
+                candidate_a=candidate_a,
+                candidate_b=candidate_b,
+                feature=placeholder_feature,
             )
+        )
     return items
 
 
@@ -566,45 +593,28 @@ def build_abstained_mc(
 
 
 def mc_source_from_dict(payload: dict) -> MCSourceRecord:
+    """A source record from its JSON object: a string question, a list of
+    exactly four string options and a string answer key."""
     try:
+        options = _json_list(payload["options"], "options")
         return MCSourceRecord(
-            question=payload["question"],
-            options=tuple(payload["options"]),
-            answer_key=payload["answer_key"],
+            question=_json_str(payload["question"], "question"),
+            options=tuple(_json_str(option, "option") for option in options),
+            answer_key=_json_str(payload["answer_key"], "answer_key"),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"bad multiple-choice source record: {exc}") from exc
 
 
 def read_mc_sources(path: str | Path) -> list[MCSourceRecord]:
     records: list[MCSourceRecord] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(mc_source_from_dict(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            except DatasetError as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, payload in read_jsonl(path):
+        try:
+            records.append(mc_source_from_dict(payload))
+        except DatasetError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
     return records
 
 
 def write_mc_items(items: Iterable[MCItem], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(
-                json.dumps(
-                    {
-                        "question": item.question,
-                        "options": list(item.options),
-                        "answer_key": item.answer_key,
-                        "unanswerable": item.unanswerable,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(path, map(asdict, items))

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes, formats."""
 
+import collections
 import contextlib
 import csv
 import io
@@ -11,6 +12,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import abstainrl
+from abstainrl import cli
 from abstainrl.cli import _TRAIN_DEFAULTS, build_parser, main
 from abstainrl.policy import ALL_ACTIONS, ALL_FEATURES, ActionId, Choice, Evidence, PolicyParams
 from abstainrl.synthenv import GenConfig, generate_dataset, item_to_dict
@@ -438,6 +440,53 @@ class TestSweep:
         cfg = json.loads((out / "beta_0.01" / "config.json").read_text())
         assert cfg["beta"] == 0.01
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--axis", "p-unans", "--values", "0.1,0.5", "--n", "20", "--sft-lr=-1"],
+            ["--axis", "beta", "--values", "0.01,-1", "--dataset", "{data}"],
+            ["--axis", "p-unans", "--values", "0.1,1.5", "--n", "20"],
+        ],
+        ids=["sft-lr", "late-beta", "late-p-unans"],
+    )
+    def test_bad_run_setting_writes_nothing(self, tmp_path, argv):
+        """Every run is checked before the first one writes anything."""
+        data = _gen(tmp_path)
+        out = tmp_path / "s"
+        argv = [arg.format(data=data) for arg in argv]
+        assert main(["sweep", *argv, "--out-dir", str(out), "--iters", "2",
+                     "--batch-size", "4"]) == 2
+        assert not out.exists()
+
+    def test_shared_inputs_are_read_and_fitted_once(self, tmp_path, monkeypatch):
+        """The dataset and the traces are read once and the cold start is
+        fitted once, and every run still matches a lone train run."""
+        data = _gen(tmp_path)
+        calls = collections.Counter()
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        counted("read_dataset")
+        counted("sft_train")
+        flags = ["--dataset", str(data), "--iters", "6", "--batch-size", "8", "--seed", "2",
+                 "--sft-traces", str(data), "--sft-epochs", "20"]
+        out = tmp_path / "betas"
+        assert main(["sweep", "--axis", "beta", "--values", "0,0.01,0.1",
+                     "--out-dir", str(out), *flags]) == 0
+        assert calls == {"read_dataset": 2, "sft_train": 1}
+        for beta in ("0.0", "0.01", "0.1"):
+            alone = tmp_path / f"alone_{beta}"
+            assert main(["train", "--out-dir", str(alone), "--beta", beta, *flags]) == 0
+            for name in ("policy.json", "train_log.jsonl"):
+                assert (out / f"beta_{beta}" / name).read_bytes() == (alone / name).read_bytes()
+
     def test_duplicate_values_rejected(self, tmp_path):
         assert main(
             ["sweep", "--axis", "beta", "--values", "0.1,0.1",
@@ -474,6 +523,50 @@ class TestReport:
     def test_missing_log_is_data_error(self, tmp_path):
         assert main(["report", "--runs", str(tmp_path / "ghost"),
                      "--out-dir", str(tmp_path / "r")]) == 3
+
+    def test_run_without_records(self, tmp_path):
+        data = _gen(tmp_path)
+        run = tmp_path / "idle"
+        assert main(_train_args(data, run, iters="0")) == 0
+        out = tmp_path / "report"
+        assert main(["report", "--runs", str(run), "--out-dir", str(out)]) == 0
+        assert (out / "aggregate.csv").read_text().splitlines()[1] == "idle,0,,,,,"
+        ET.fromstring((out / "curves.svg").read_text())
+
+    RECORD = {"iteration": 0, "mean_reward": 0.5, "abstain_rate": 0.25, "kl": 0.0,
+              "objective": 0.1, "tp": 1, "fp": 2, "fn": 3}
+
+    def _report(self, tmp_path, second_line):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "train_log.jsonl").write_text(json.dumps(self.RECORD) + "\n" + second_line + "\n")
+        return _main_stderr(["report", "--runs", str(run), "--out-dir", str(tmp_path / "r")])
+
+    def test_unknown_key_is_ignored(self, tmp_path):
+        later = {**self.RECORD, "iteration": 1, "entropy": 0.3}
+        code, _ = self._report(tmp_path, json.dumps(later))
+        assert code == 0
+        assert (tmp_path / "r" / "aggregate.csv").read_text().splitlines()[1] == (
+            "run,2,0.500000,0.250000,1,2,3"
+        )
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (json.dumps({**RECORD, "mean_reward": "a"}), "field 'mean_reward' must be a float"),
+            (json.dumps({**RECORD, "mean_reward": 10**400}), "field 'mean_reward' must be a float"),
+            (json.dumps({**RECORD, "tp": True}), "field 'tp' must be an integer"),
+            (json.dumps({**RECORD, "iteration": 1.0}), "field 'iteration' must be an integer"),
+            (json.dumps({k: v for k, v in RECORD.items() if k != "kl"}), "field 'kl' must be"),
+            ("[1, 2]", "train record must be a JSON object"),
+            ("{not json", "invalid JSON"),
+        ],
+        ids=["string", "overflowing", "bool", "float-count", "missing", "array", "bad-json"],
+    )
+    def test_malformed_log_is_data_error(self, tmp_path, line, message):
+        code, err = self._report(tmp_path, line)
+        assert code == 3
+        assert "train_log.jsonl:2: " in err and message in err
 
     def test_single_run_svg_parses(self, tmp_path):
         data = _gen(tmp_path)
@@ -615,10 +708,10 @@ RECORD_PATHS = [
 ]
 
 
-def _retyped_field(path):
+def _retyped_field(path, record=VALID_RECORD):
     """``path`` and a JSON value of another type than the valid record's
     (bool and int count as different types, as do int and float)."""
-    original = type(_field(VALID_RECORD, path))
+    original = type(_field(record, path))
     return st.tuples(st.just(path), json_values.filter(lambda v: type(v) is not original))
 
 
@@ -652,6 +745,80 @@ class TestDatasetFuzz:
             code, err = _main_stderr(argv)
             assert code in (0, 3), (argv[0], err)
             assert "Traceback" not in err
+
+
+VALID_MC_SOURCE = {"question": "q", "options": ["a", "b", "c", "d"], "answer_key": "B"}
+MC_SOURCE_PATHS = [
+    ("question",), ("options",), *[("options", i) for i in range(4)], ("answer_key",),
+]
+
+
+class TestMcSourceFuzz:
+    """A multiple-choice source record with one value of another JSON type
+    breaks the schema build-mc requires (a string question, four string
+    options, a string answer key), so it ends in exit 3, never in a
+    traceback, and nothing is written."""
+
+    @given(st.sampled_from(MC_SOURCE_PATHS).flatmap(lambda p: _retyped_field(p, VALID_MC_SOURCE)))
+    @example((("options",), "abcd"))
+    @example((("question",), 7))
+    @example((("options", 0), 1))
+    @settings(max_examples=100)
+    def test_one_retyped_field(self, fuzz_dir, edit):
+        path, value = edit
+        record = json.loads(json.dumps(VALID_MC_SOURCE))
+        *parents, last = path
+        _field(record, parents)[last] = value
+        src = fuzz_dir / "mc_src.jsonl"
+        src.write_text(json.dumps(record) + "\n")
+        out = fuzz_dir / "mc_out.jsonl"
+        code, err = _main_stderr(["build-mc", "--in", str(src), "--out", str(out)])
+        assert code == 3, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+TRAIN_RECORD_PATHS = [(key,) for key in TestReport.RECORD]
+
+
+class TestTrainLogFuzz:
+    """A train log record with one value of another JSON type ends in exit 0
+    (an integer where a float is due) or 3, never in a traceback."""
+
+    @given(st.sampled_from(TRAIN_RECORD_PATHS).flatmap(
+        lambda p: _retyped_field(p, TestReport.RECORD)))
+    @example((("iteration",), 10**400))
+    @settings(max_examples=100)
+    def test_one_retyped_field(self, fuzz_dir, edit):
+        (key,), value = edit
+        run = fuzz_dir / "logged"
+        run.mkdir(exist_ok=True)
+        (run / "train_log.jsonl").write_text(json.dumps({**TestReport.RECORD, key: value}) + "\n")
+        code, err = _main_stderr(["report", "--runs", str(run), "--out-dir", str(fuzz_dir / "rep")])
+        assert code in (0, 3), err
+        assert "Traceback" not in err
+
+
+class TestWriteTargets:
+    """An artifact path that is a directory is an input-data error, and the
+    temporary file the artifact was streamed into is removed."""
+
+    @pytest.mark.parametrize("command", ["gen", "train", "extract"])
+    def test_directory_target_is_data_error(self, tmp_path, command):
+        data = _gen(tmp_path)
+        target = tmp_path / "target"
+        argv = {
+            "gen": ["gen", "--n", "5", "--out", str(target)],
+            # policy.json is written after config.json and the train log
+            "train": _train_args(data, target.parent / "run", iters="2"),
+            "extract": ["extract", "--question", "Who in 1990?", "--context", "In 1990.",
+                        "--out", str(target)],
+        }[command]
+        if command == "train":
+            target = target.parent / "run" / "policy.json"
+        target.mkdir(parents=True)
+        assert main(argv) == 3
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestUsage:

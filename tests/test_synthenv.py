@@ -1,10 +1,14 @@
-"""Generator consistency, ingestion, and the abstained-MC builder."""
+"""Generator consistency, ingestion, the abstained-MC builder, and the
+JSON-Lines reader and atomic writer every file goes through."""
 
 import json
+import os
 
 import pytest
 
+from abstainrl.grpo import TrainLog
 from abstainrl.policy import Difficulty, Evidence
+from abstainrl.retrieval import KGStore
 from abstainrl.synthenv import (
     DatasetError,
     GenConfig,
@@ -20,6 +24,7 @@ from abstainrl.synthenv import (
     read_dataset,
     read_mc_sources,
     write_dataset,
+    write_lines,
 )
 from abstainrl.textmetrics import abstention_confusion, normalize_text
 
@@ -325,3 +330,44 @@ class TestBuildAbstainedMc:
         )
         with pytest.raises(DatasetError, match=":2:"):
             read_mc_sources(path)
+
+
+class TestFiles:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        write_lines(path, ["old 1", "old 2"])
+        before = path.read_bytes()
+
+        def lines():
+            yield "new 1"
+            raise RuntimeError("cut off")
+
+        with pytest.raises(RuntimeError, match="cut off"):
+            write_lines(path, lines())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            write_lines(tmp_path / "new.csv", ["a,b"])
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o644
+
+    def test_each_line_ends_in_a_newline(self, tmp_path):
+        path = tmp_path / "a" / "b" / "c.txt"
+        write_lines(path, ["x", "", "y"])
+        assert path.read_bytes() == b"x\n\ny\n"
+
+    @pytest.mark.parametrize(
+        "read",
+        [read_dataset, ingest_timeqa_jsonl, read_mc_sources, KGStore.read_jsonl, TrainLog.read],
+        ids=["dataset", "timeqa", "mc-sources", "kg-store", "train-log"],
+    )
+    def test_invalid_json_names_its_line(self, tmp_path, read):
+        # line 1 is blank and skipped, so the error must still count it
+        path = tmp_path / "broken.jsonl"
+        path.write_text("\n{not json\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=":2: invalid JSON"):
+            read(path)
