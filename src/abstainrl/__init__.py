@@ -33,9 +33,11 @@ from abstainrl.policy import (
     sft_train,
 )
 from abstainrl.reward import (
+    AnswerMetrics,
     ParsedCompletion,
     RewardBreakdown,
     RewardVariant,
+    Scorer,
     answer_reward,
     format_reward,
     is_no_answer,

@@ -18,7 +18,6 @@ import sys
 from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
-from xml.sax.saxutils import escape
 
 from abstainrl import retrieval, synthenv
 from abstainrl.grpo import (
@@ -222,6 +221,13 @@ def _print_report(report: EvalReport) -> None:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` as XML entities, as
+    ``xml.sax.saxutils.escape`` writes them; that module is not imported
+    because it imports ``urllib.request``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _polyline(points: list[tuple[float, float]], color: str, dashed: bool = False) -> str:
     if len(points) == 1:
         points = points * 2
@@ -275,7 +281,7 @@ def render_curves_svg(runs: list[tuple[str, TrainLog]]) -> list[str]:
         parts.append(_polyline(abstain_pts, color, dashed=True))
         parts.append(
             f'<text x="{x0 + 6}" y="{y0 + 16 + 16 * idx}" fill="{color}">'
-            f"{escape(name)}</text>"
+            f"{_escape(name)}</text>"
         )
 
     # grouped confusion bars from each run's final record
@@ -309,7 +315,7 @@ def render_curves_svg(runs: list[tuple[str, TrainLog]]) -> list[str]:
             )
         parts.append(
             f'<text x="{gx - group_width / 2 + 4:.2f}" y="{by1 + 30}">'
-            f"{escape(name[:36])}</text>"
+            f"{_escape(name[:36])}</text>"
         )
     parts.append("</svg>")
     return parts
@@ -325,13 +331,20 @@ def _check_run(resolved: dict[str, Any]) -> None:
     RewardVariant.from_name(str(resolved["reward_variant"]))
 
 
-def _cold_start(resolved: dict[str, Any]) -> PolicyParams:
+def _cold_start(
+    resolved: dict[str, Any], items: list[synthenv.SynthQAItem] | None = None
+) -> PolicyParams:
     """The policy RL starts from: the SFT fit to the expert traces of
-    ``sft_traces`` when that is set, else the zero policy."""
+    ``sft_traces`` when that is set, else the zero policy.  ``items``, the
+    parsed ``dataset``, stand in for the traces file when both paths name
+    the same file, so that it is not read twice."""
     if not resolved["sft_traces"]:
         return PolicyParams.zeros()
     sft_lr, sft_epochs = _sft_settings(resolved)
-    traces = make_expert_traces(read_dataset(resolved["sft_traces"]))
+    sft_path = Path(resolved["sft_traces"]).resolve()
+    if items is None or sft_path != Path(resolved["dataset"]).resolve():
+        items = read_dataset(resolved["sft_traces"])
+    traces = make_expert_traces(items)
     if not traces:
         raise DatasetError(f"no usable expert traces in {resolved['sft_traces']}")
     return sft_train(PolicyParams.zeros(), traces, lr=sft_lr, epochs=sft_epochs)
@@ -439,7 +452,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if not args.question:
         raise UsageError("extract requires --question")
     if args.context_file:
-        context = Path(args.context_file).read_text(encoding="utf-8")
+        context = synthenv.read_text(args.context_file)
     elif args.context is not None:
         context = args.context
     else:
@@ -512,7 +525,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise UsageError("train requires --dataset and --out-dir")
     items = _read_items(resolved["dataset"])
     _check_run(resolved)
-    params0 = _cold_start(resolved)
+    params0 = _cold_start(resolved, items)
     report = _train_once(
         items, {**resolved, "command": "train"}, Path(resolved["out_dir"]).name, params0
     )

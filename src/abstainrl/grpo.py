@@ -8,7 +8,8 @@ with a k3 KL penalty against a frozen reference policy.
 
 A batch is held as B x G arrays of action indices, and rewards come from a
 table over (item, action) pairs, since an item has only 6 possible
-completions; no completion text is rebuilt or re-scored per draw.
+completions; no completion text is rebuilt or re-scored per draw, and a
+completion text is scored against a gold once, however many pairs share it.
 """
 
 from __future__ import annotations
@@ -37,18 +38,13 @@ from abstainrl.reward import (
     DEFAULT_VARIANT,
     RewardBreakdown,
     RewardVariant,
+    Scorer,
     is_no_answer,
     parse_completion,
-    total_reward,
+    total_reward,  # noqa: F401  re-exported: e2ebench's tracer tests wrap it here
 )
 from abstainrl.synthenv import DatasetError, SynthQAItem, read_jsonl, write_lines
-from abstainrl.textmetrics import (
-    ConfusionCounts,
-    exact_match,
-    rouge_l,
-    rouge_n,
-    semantic_sim,
-)
+from abstainrl.textmetrics import ConfusionCounts
 
 
 class GrpoDivergenceError(DivergenceError):
@@ -93,14 +89,16 @@ _COUNT_FIELDS = frozenset({"iteration", "tp", "fp", "fn"})
 
 
 def _record_field(d: dict, name: str) -> int | float:
-    """Field ``name`` of a train log record: an integer (not a bool) for the
-    iteration and the counts, a number that fits a float for the rest."""
+    """Field ``name`` of a train log record: an integer (not a bool) >= 0 for
+    the iteration and the counts, a number that fits a float for the rest."""
     value = d.get(name)
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if name in _COUNT_FIELDS:
-        if number and isinstance(value, int):
+        if number and isinstance(value, int) and value >= 0:
             return value
-        raise ValueError(f"train record field {name!r} must be an integer, got {value!r}")
+        raise ValueError(
+            f"train record field {name!r} must be an integer >= 0, got {value!r}"
+        )
     if number:
         with contextlib.suppress(OverflowError):
             return float(value)
@@ -165,13 +163,13 @@ class RewardTable:
     """Reward and abstention flag of every (item, action) pair of a dataset.
 
     The reward rule is the rule-based QA reward against the item's gold
-    under ``variant``; ``reward_fn`` overrides it, which is how the bandit
-    sanity environments install their own payout tables.  A reward depends
-    only on the item and the rendered action, so each entry is computed
-    once, the first time its pair is looked up, and training and
-    evaluation read the same entries.  Filling lazily never evaluates more
-    rewards than scoring every draw would, and evaluates far fewer when
-    items repeat.
+    under ``variant``, read through ``scorer``, which scores each distinct
+    (completion, gold) once; ``reward_fn`` overrides it, which is how the
+    bandit sanity environments install their own payout tables, and is
+    called once per (item, action) pair, since a payout may depend on the
+    item.  Each entry is filled the first time its pair is looked up, and
+    training and evaluation read the same entries.  ``scorer`` also holds
+    the eval metrics ``evaluate_items`` reads.
     """
 
     def __init__(
@@ -183,7 +181,7 @@ class RewardTable:
         if not items:
             raise ValueError("a reward table needs at least one item")
         self.items = items
-        self.variant = variant
+        self.scorer = Scorer(variant)
         self.reward_fn = reward_fn
         shape = (len(items), N_ACTIONS)
         self.rewards = np.full(shape, np.nan)  # NaN: not evaluated yet
@@ -204,12 +202,13 @@ class RewardTable:
     def _fill(self, j: int, a: int) -> None:
         item = self.items[j]
         text = render_completion(ALL_ACTIONS[a], item)
-        if self.reward_fn is not None:
-            breakdown = self.reward_fn(text, item)
+        if self.reward_fn is None:
+            breakdown, abstains = self.scorer.score(text, item.gold)
         else:
-            breakdown = total_reward(text, item.gold, self.variant)
+            breakdown = self.reward_fn(text, item)
+            abstains = is_no_answer(parse_completion(text).answer)
         self.rewards[j, a] = breakdown.total
-        self.abstained[j, a] = is_no_answer(parse_completion(text).answer)
+        self.abstained[j, a] = abstains
 
 
 @dataclass(frozen=True)
@@ -432,7 +431,7 @@ def evaluate_items(params: PolicyParams, table: RewardTable) -> list[ItemEval]:
 
     Rewards and abstention flags are read from the table, so a pair it
     already holds is not scored again; only answerable items render their
-    answer, which the lexical and semantic scores need.
+    answer, whose lexical and semantic scores come from the table's scorer.
     """
     items = table.items
     rows = np.array([item.feature.index for item in items])
@@ -448,11 +447,8 @@ def evaluate_items(params: PolicyParams, table: RewardTable) -> list[ItemEval]:
             tp, fp, fn = (1, 0, 0) if abstain else (0, 0, 1)
         else:
             answer = parse_completion(render_completion(ALL_ACTIONS[a], item)).answer
-            em = exact_match(answer, item.gold)
-            r1 = rouge_n(answer, item.gold, 1).f1
-            r2 = rouge_n(answer, item.gold, 2).f1
-            rl = rouge_l(answer, item.gold).f1
-            sem = max(semantic_sim(answer, alias) for alias in item.gold.aliases)
+            m = table.scorer.metrics(answer, item.gold)
+            em, r1, r2, rl, sem = m.em, m.rouge1, m.rouge2, m.rouge_l, m.semantic
             tp, fp, fn = (0, 1, 0) if abstain else (0, 0, 0)
         out.append(
             ItemEval(

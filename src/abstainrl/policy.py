@@ -18,11 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from abstainrl.reward import (
-    NO_ANSWER_TEXT,
-    answer_reward,
-    parse_completion,
-)
+from abstainrl.reward import NO_ANSWER_TEXT, Scorer
 from abstainrl.textmetrics import GoldAnswer, exact_match
 
 if TYPE_CHECKING:
@@ -245,7 +241,9 @@ def make_expert_traces(
     actions: Sequence[ActionId] | None = None,
 ) -> list[ExpertTrace]:
     """Render expert traces and keep only the ones whose answer is verifiably
-    right: exact match against the gold, or a correct abstention.
+    right: exact match against the gold, or a correct abstention, i.e. an
+    answer reward of at least 1 under the default variant.  Each distinct
+    (trace, gold) is scored once.
 
     ``actions`` overrides the oracle's per-item choice, which lets callers
     exercise the correctness filter with deliberately wrong proposals.
@@ -257,11 +255,11 @@ def make_expert_traces(
         if len(actions) != len(items):
             raise ValueError("actions must align one-to-one with items")
         chosen = list(actions)
+    scorer = Scorer()
     kept: list[ExpertTrace] = []
     for item, action in zip(items, chosen):
         rendered = render_completion(action, item)
-        parsed = parse_completion(rendered)
-        if answer_reward(parsed.answer, item.gold) >= 1.0:
+        if scorer.score(rendered, item.gold)[0].answer >= 1.0:
             kept.append(ExpertTrace(item.feature, action, rendered, item.gold))
     return kept
 

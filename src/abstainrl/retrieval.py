@@ -13,8 +13,6 @@ import enum
 import json
 import os
 import re
-import urllib.error
-import urllib.request
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -340,6 +338,11 @@ def llm_extract(
     TransportError / ResponseFormatError / SchemaError so callers can fall
     back to the rule-based extractors.
     """
+    # imported here, not at the top: urllib.request pulls in http.client and
+    # email, which every other use of this module would pay for at import
+    import urllib.error
+    import urllib.request
+
     api_key = os.environ.get(cfg.api_key_env)
     if not api_key:
         raise TransportError(

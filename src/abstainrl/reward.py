@@ -8,6 +8,10 @@ but whitespace outside them.  The total reward is a format component
 * 1.0 when both prediction and gold are No-Answer,
 * a lexical/semantic score when neither side is No-Answer,
 * 0 otherwise (hallucination and over-abstention both score zero).
+
+``Scorer`` memoizes these scores, and the eval metrics of an answer, by
+content: every caller that scores the same text against the same gold
+shares one evaluation.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from abstainrl.textmetrics import (
     exact_match,
     normalize_text,
     rouge_l,
+    rouge_n,
     semantic_sim,
 )
 
@@ -132,3 +137,57 @@ def total_reward(
     fmt = format_reward(pc)
     ans = answer_reward(pc.answer, gold, variant)
     return RewardBreakdown(format=fmt, answer=ans, total=fmt + ans)
+
+
+@dataclass(frozen=True)
+class AnswerMetrics:
+    """Eval metrics of an answer against an answerable gold, each the best
+    over the gold's aliases (F1 for the ROUGE scores)."""
+
+    em: float
+    rouge1: float
+    rouge2: float
+    rouge_l: float
+    semantic: float
+
+
+class Scorer:
+    """Rule-based reward and eval metrics, each computed once per distinct
+    content key.
+
+    A completion's reward under ``variant`` and its abstention flag depend
+    only on (completion text, gold), and an answer's metrics only on
+    (answer, gold).  Items draw their candidates from small banks, so far
+    fewer keys occur than items or draws; each is scored the first time it
+    is asked for, by the same functions a direct call would use, so a
+    memoized value is the value a direct call returns.
+    """
+
+    def __init__(self, variant: RewardVariant = DEFAULT_VARIANT) -> None:
+        self.variant = variant
+        self._scores: dict[tuple[str, GoldAnswer], tuple[RewardBreakdown, bool]] = {}
+        self._metrics: dict[tuple[str, GoldAnswer], AnswerMetrics] = {}
+
+    def score(self, text: str, gold: GoldAnswer) -> tuple[RewardBreakdown, bool]:
+        """The reward of completion ``text`` and whether its answer abstains."""
+        key = (text, gold)
+        entry = self._scores.get(key)
+        if entry is None:
+            abstains = is_no_answer(parse_completion(text).answer)
+            entry = self._scores[key] = (total_reward(text, gold, self.variant), abstains)
+        return entry
+
+    def metrics(self, answer: str, gold: GoldAnswer) -> AnswerMetrics:
+        """EM, ROUGE-1/2/L F1 and semantic similarity of ``answer``; ``gold``
+        must be answerable."""
+        key = (answer, gold)
+        entry = self._metrics.get(key)
+        if entry is None:
+            entry = self._metrics[key] = AnswerMetrics(
+                em=exact_match(answer, gold),
+                rouge1=rouge_n(answer, gold, 1).f1,
+                rouge2=rouge_n(answer, gold, 2).f1,
+                rouge_l=rouge_l(answer, gold).f1,
+                semantic=max(semantic_sim(answer, alias) for alias in gold.aliases),
+            )
+        return entry

@@ -14,6 +14,7 @@ import enum
 import json
 import math
 import os
+import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -36,12 +37,37 @@ class DatasetError(ValueError):
     """Raised for malformed dataset files or invalid source records."""
 
 
+# Decoding with errors="surrogateescape" turns each byte that is not part of
+# valid UTF-8 into one of these code points, which valid UTF-8 never yields.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+def _require_utf8(path: str | Path, text: str, lineno: int = 1) -> None:
+    """Raise ``DatasetError`` naming ``path:line`` if ``text`` (``path``
+    from line ``lineno`` on, decoded with errors="surrogateescape") holds a
+    byte that is not UTF-8."""
+    bad = None if text.isascii() else _NOT_UTF8.search(text)
+    if bad is not None:
+        line = lineno + text.count("\n", 0, bad.start())
+        raise DatasetError(f"{path}:{line}: not valid UTF-8")
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text file at ``path``; bytes that are not UTF-8 raise
+    ``DatasetError`` naming ``path:line``."""
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    _require_utf8(path, text)
+    return text
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """Yield ``(line number, decoded value)`` for each non-blank line of the
-    UTF-8 JSON-Lines file at ``path``.  Invalid JSON raises ``DatasetError``
-    naming ``path:line``; checking the values is left to the caller."""
-    with Path(path).open("r", encoding="utf-8") as fh:
+    UTF-8 JSON-Lines file at ``path``.  Bytes that are not UTF-8 and invalid
+    JSON raise ``DatasetError`` naming ``path:line``; checking the values is
+    left to the caller."""
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            _require_utf8(path, line, lineno)
             if not line.strip():
                 continue
             try:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from abstainrl import grpo
+from abstainrl import grpo, reward
 from abstainrl.grpo import (
     GrpoConfig,
     RewardTable,
@@ -304,3 +304,33 @@ class TestTrainRl:
         # one reward evaluation per distinct (item, action) pair drawn
         distinct = {(g.item.id, a.index) for g in drawn for a in g.actions}
         assert rule.calls == len(distinct) < len(drawn) * cfg.group_size
+
+    @pytest.mark.parametrize(
+        "variant", [RewardVariant.ROUGE_PLUS_EM, RewardVariant.ROUGE_PLUS_SEM_PLUS_EM]
+    )
+    def test_default_rule_scores_each_content_key_once(self, monkeypatch, variant):
+        """The default rule reads the table's content-keyed scorer: the rule
+        runs once per distinct (completion, gold) drawn, and the run equals
+        one that scores every (item, action) pair through ``reward_fn``."""
+        items = generate_dataset(GenConfig(n_items=80, p_unans=0.5, ambiguity=0.5, seed=8))
+        cfg = GrpoConfig(outer_iters=40, lr=0.05, batch_size=16, seed=4)
+        per_pair = _CountingRule(variant=variant)
+        want_params, want_log = train_rl(
+            PolicyParams.zeros(), RewardTable(items, reward_fn=per_pair), cfg
+        )
+
+        scored = []
+
+        def counted(raw, gold, variant):
+            scored.append((raw, gold))
+            return total_reward(raw, gold, variant)
+
+        monkeypatch.setattr(reward, "total_reward", counted)
+        params, log = train_rl(PolicyParams.zeros(), RewardTable(items, variant), cfg)
+        np.testing.assert_array_equal(params.logits, want_params.logits)
+        assert log.jsonl_lines() == want_log.jsonl_lines()
+        gold_of = {item.id: item.gold for item in items}
+        drawn = {(raw, gold_of[item_id]) for item_id, raw in per_pair.scored}
+        assert len(scored) == len(set(scored))
+        assert set(scored) == drawn
+        assert len(drawn) < per_pair.calls  # items share completions

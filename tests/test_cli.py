@@ -101,6 +101,15 @@ class TestBuildMc:
         bad.write_text(json.dumps({"question": "q", "options": ["a", "b"], "answer_key": "A"}) + "\n")
         assert main(["build-mc", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")]) == 3
 
+    def test_non_utf8_source_is_data_error(self, tmp_path):
+        src = self._sources(tmp_path, n=3)
+        src.write_bytes(src.read_bytes() + b"\xff\n")
+        out = tmp_path / "o.jsonl"
+        code, err = _main_stderr(["build-mc", "--in", str(src), "--out", str(out)])
+        assert code == 3
+        assert f"{src}:4: not valid UTF-8" in err
+        assert not out.exists()
+
 
 class TestExtract:
     def test_sub_context_rules(self, tmp_path, capsys):
@@ -165,6 +174,14 @@ class TestExtract:
     def test_missing_question_is_usage_error(self):
         assert main(["extract", "--mode", "sub-context", "--context", "c"]) == 2
 
+    def test_non_utf8_context_file_is_data_error(self, tmp_path):
+        context = tmp_path / "context.txt"
+        context.write_bytes(b"He moved in 1921.\r\nHe left in \xe9t\xe9 1980.\n")
+        code, err = _main_stderr(["extract", "--question", "Where in 1921?",
+                                  "--context-file", str(context)])
+        assert code == 3
+        assert f"{context}:2: not valid UTF-8" in err
+
 
 def _train_args(data, out_dir, iters="12", extra=()):
     return [
@@ -222,6 +239,50 @@ class TestTrain:
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert main(_train_args(tmp_path / "nope.jsonl", tmp_path / "o")) == 3
+
+    def test_non_utf8_dataset_is_data_error(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(b"\xff" + _gen(tmp_path, name="valid.jsonl").read_bytes())
+        code, err = _main_stderr(_train_args(data, tmp_path / "o"))
+        assert code == 3
+        assert f"{data}:1: not valid UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_sft_traces_naming_the_dataset_are_read_once(self, tmp_path, monkeypatch):
+        """--sft-traces that resolves to the --dataset file reuses its parsed
+        items, with the same artifacts as traces read from a copy."""
+        data = _gen(tmp_path)
+        copy = tmp_path / "copy.jsonl"
+        copy.write_bytes(data.read_bytes())
+        reads = []
+        read_dataset = cli.read_dataset
+        monkeypatch.setattr(
+            cli, "read_dataset", lambda path: reads.append(path) or read_dataset(path)
+        )
+        same = tmp_path / "same"
+        spelled = tmp_path / "sub" / ".." / data.name
+        (tmp_path / "sub").mkdir()
+        assert main(_train_args(data, same, extra=["--sft-traces", str(spelled)])) == 0
+        assert list(map(Path, reads)) == [data]
+        copied = tmp_path / "copied"
+        assert main(_train_args(data, copied, extra=["--sft-traces", str(copy)])) == 0
+        assert list(map(Path, reads[1:])) == [data, copy]
+        for name in ("policy.json", "train_log.jsonl", "summary.csv"):
+            assert (same / name).read_bytes() == (copied / name).read_bytes()
+
+    @pytest.mark.parametrize("traces", ["missing", "not-utf8", "no-traces"])
+    def test_bad_sft_traces_are_data_error(self, tmp_path, traces):
+        data = _gen(tmp_path)
+        path = tmp_path / "traces.jsonl"
+        if traces == "not-utf8":
+            path.write_bytes(b"\xff\n")
+        elif traces == "no-traces":
+            path.write_text("")
+        out = tmp_path / "o"
+        code, err = _main_stderr(_train_args(data, out, extra=["--sft-traces", str(path)]))
+        assert code == 3
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -568,6 +629,13 @@ class TestReport:
         assert code == 3
         assert "train_log.jsonl:2: " in err and message in err
 
+    @pytest.mark.parametrize("field", ["iteration", "tp", "fp", "fn"])
+    def test_negative_count_is_data_error(self, tmp_path, field):
+        code, err = self._report(tmp_path, json.dumps({**self.RECORD, field: -5}))
+        assert code == 3
+        assert f"train_log.jsonl:2: train record field {field!r} must be an integer >= 0" in err
+        assert not (tmp_path / "r").exists()
+
     def test_single_run_svg_parses(self, tmp_path):
         data = _gen(tmp_path)
         run = tmp_path / "solo"
@@ -819,6 +887,28 @@ class TestWriteTargets:
         target.mkdir(parents=True)
         assert main(argv) == 3
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+class TestImport:
+    def test_cli_import_leaves_out_urllib(self):
+        """urllib.request (with http.client and email) is imported only by
+        the remote extraction client, not by every CLI call."""
+        src_root = str(Path(abstainrl.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, abstainrl.cli; print('urllib.request' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src_root),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    @given(st.text(alphabet=st.sampled_from("&<>;a\"' "), max_size=20) | st.text(max_size=20))
+    def test_svg_escape_equals_saxutils(self, text):
+        from xml.sax.saxutils import escape
+
+        assert cli._escape(text) == escape(text)
 
 
 class TestUsage:

@@ -1,18 +1,21 @@
-"""Completion parsing and the piecewise reward rules."""
+"""Completion parsing, the piecewise reward rules and the content-keyed scorer."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from abstainrl import reward
 from abstainrl.reward import (
+    AnswerMetrics,
     RewardVariant,
+    Scorer,
     answer_reward,
     format_reward,
     is_no_answer,
     parse_completion,
     total_reward,
 )
-from abstainrl.textmetrics import GoldAnswer
+from abstainrl.textmetrics import GoldAnswer, exact_match, rouge_l, rouge_n, semantic_sim
 
 NO_ANSWER_GOLD = GoldAnswer.no_answer()
 PARIS = GoldAnswer.of("paris")
@@ -172,3 +175,67 @@ class TestRewardBounds:
     def test_abstention_answer_component(self, gold):
         breakdown = total_reward("<think>.</think><answer>No Answer</answer>", gold)
         assert breakdown.answer == (1.0 if gold.is_no_answer else 0.0)
+
+
+# Candidates that stress the content key: a closing tag inside the answer
+# (the completion no longer parses as formatted), surrounding whitespace
+# (trimmed from the answer, kept in the text), abstention spellings and
+# case variants of one answer.
+_candidates = st.sampled_from(
+    ["Paris", "paris", "PARIS", " paris ", "paris</answer>", "</answer>", "No Answer",
+     "no answer.", "\tNo Answer\n", "x y", "London", ""]
+)
+_scored_texts = st.one_of(
+    _candidates,
+    st.builds("<think>t</think><answer>{}</answer>".format, _candidates),
+    st.builds(" <think>{}</think>\n<answer>{}</answer> ".format, _candidates, _candidates),
+)
+# aliases that differ only by case make distinct golds with equal scores
+_scored_golds = st.sampled_from(
+    [NO_ANSWER_GOLD, PARIS, GoldAnswer.of("Paris"), GoldAnswer.of("PARIS", "paris"),
+     GoldAnswer.of("x y", "london")]
+)
+
+
+class TestScorer:
+    """Every memoized value equals a direct call on the same inputs, over a
+    sequence of keys scored by one scorer, so that a key collision or a
+    stale entry would show."""
+
+    @given(st.lists(st.tuples(_scored_texts, _scored_golds), min_size=1, max_size=30),
+           st.sampled_from(list(RewardVariant)))
+    def test_score_equals_direct_reward(self, pairs, variant):
+        scorer = Scorer(variant)
+        for text, gold in pairs * 2:  # the second pass reads the memo
+            breakdown, abstains = scorer.score(text, gold)
+            assert breakdown == total_reward(text, gold, variant)
+            assert abstains == is_no_answer(parse_completion(text).answer)
+
+    @given(st.lists(st.tuples(_candidates | st.text(max_size=12), _scored_golds.filter(
+        lambda gold: not gold.is_no_answer)), min_size=1, max_size=30))
+    def test_metrics_equal_direct_metrics(self, pairs):
+        scorer = Scorer()
+        for answer, gold in pairs * 2:
+            assert scorer.metrics(answer, gold) == AnswerMetrics(
+                em=exact_match(answer, gold),
+                rouge1=rouge_n(answer, gold, 1).f1,
+                rouge2=rouge_n(answer, gold, 2).f1,
+                rouge_l=rouge_l(answer, gold).f1,
+                semantic=max(semantic_sim(answer, alias) for alias in gold.aliases),
+            )
+
+    def test_each_key_is_scored_once(self, monkeypatch):
+        scored = []
+
+        def counted(text, gold, variant):
+            scored.append((text, gold))
+            return total_reward(text, gold, variant)
+
+        monkeypatch.setattr(reward, "total_reward", counted)
+        scorer = Scorer()
+        keys = [("paris", PARIS), ("paris", GoldAnswer.of("Paris")), ("paris", PARIS),
+                (" paris", PARIS), ("paris", GoldAnswer.of("paris"))]
+        for text, gold in keys:
+            scorer.score(text, gold)
+        # GoldAnswer.of("paris") == PARIS, so it shares PARIS's entry
+        assert scored == [("paris", PARIS), ("paris", GoldAnswer.of("Paris")), (" paris", PARIS)]

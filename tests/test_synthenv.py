@@ -23,6 +23,7 @@ from abstainrl.synthenv import (
     item_to_dict,
     read_dataset,
     read_mc_sources,
+    read_text,
     write_dataset,
     write_lines,
 )
@@ -370,4 +371,18 @@ class TestFiles:
         path = tmp_path / "broken.jsonl"
         path.write_text("\n{not json\n", encoding="utf-8")
         with pytest.raises(DatasetError, match=":2: invalid JSON"):
+            read(path)
+
+    @pytest.mark.parametrize(
+        "read",
+        [read_dataset, ingest_timeqa_jsonl, read_mc_sources, KGStore.read_jsonl, TrainLog.read,
+         read_text],
+        ids=["dataset", "timeqa", "mc-sources", "kg-store", "train-log", "text"],
+    )
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_bytes_not_utf8_name_their_line(self, tmp_path, read, newline):
+        # line 1 is blank; the stray byte sits past a valid two-byte character
+        path = tmp_path / "broken.jsonl"
+        path.write_bytes(newline + '"\u00e9'.encode() + b"\xff" + b'"' + newline)
+        with pytest.raises(DatasetError, match=":2: not valid UTF-8"):
             read(path)
