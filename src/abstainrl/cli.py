@@ -368,7 +368,7 @@ def _train_once(
 
     log.write(out_dir / "train_log.jsonl")
     write_lines(out_dir / "policy.json", [params.dumps()])
-    # evaluation reads the RL table, so no pair training scored is scored again
+    # evaluation gathers from the table training read, so nothing is scored again
     evals = evaluate_items(params, table)
     _write_summary_csv(out_dir / "summary.csv", evals)
     write_lines(out_dir / "curves.svg", render_curves_svg([(run_name, log)]))
@@ -602,7 +602,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     # no axis changes the shared dataset or the cold start: read and fit them once
     items = None if args.axis == "p-unans" else _read_items(resolved["dataset"])
-    params0 = _cold_start(resolved)
+    params0 = _cold_start(resolved, items)
     summary_rows = []
     for value, gen_cfg, run_name, run_resolved in runs:
         if gen_cfg is not None:

@@ -6,10 +6,10 @@ rule-based reward, standardizes rewards within each group into advantages,
 and takes gradient-ascent steps on the clipped importance-weighted surrogate
 with a k3 KL penalty against a frozen reference policy.
 
-A batch is held as B x G arrays of action indices, and rewards come from a
-table over (item, action) pairs, since an item has only 6 possible
-completions; no completion text is rebuilt or re-scored per draw, and a
-completion text is scored against a gold once, however many pairs share it.
+A batch is held as B x G arrays of action indices.  An item has only 6
+possible completions, so the reward table scores every (item, action) pair
+once when it is built, one row per distinct item content; rollout and
+evaluation gather from it and never render or score completion text.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ _COUNT_FIELDS = frozenset({"iteration", "tp", "fp", "fn"})
 
 def _record_field(d: dict, name: str) -> int | float:
     """Field ``name`` of a train log record: an integer (not a bool) >= 0 for
-    the iteration and the counts, a number that fits a float for the rest."""
+    the iteration and the counts, a finite float for the rest."""
     value = d.get(name)
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if name in _COUNT_FIELDS:
@@ -101,8 +101,9 @@ def _record_field(d: dict, name: str) -> int | float:
         )
     if number:
         with contextlib.suppress(OverflowError):
-            return float(value)
-    raise ValueError(f"train record field {name!r} must be a float, got {value!r}")
+            if math.isfinite(value := float(value)):
+                return value
+    raise ValueError(f"train record field {name!r} must be a float and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -160,16 +161,19 @@ RewardFn = Callable[[str, SynthQAItem], RewardBreakdown]
 
 
 class RewardTable:
-    """Reward and abstention flag of every (item, action) pair of a dataset.
+    """Reward, abstention flag and eval metrics of every (item, action) pair
+    of a dataset, computed once when the table is built.
 
-    The reward rule is the rule-based QA reward against the item's gold
-    under ``variant``, read through ``scorer``, which scores each distinct
-    (completion, gold) once; ``reward_fn`` overrides it, which is how the
-    bandit sanity environments install their own payout tables, and is
-    called once per (item, action) pair, since a payout may depend on the
-    item.  Each entry is filled the first time its pair is looked up, and
-    training and evaluation read the same entries.  ``scorer`` also holds
-    the eval metrics ``evaluate_items`` reads.
+    An item's six completions depend only on its two candidates, and the
+    rule-based QA reward under ``variant`` only on the completion and the
+    gold, so items with the same (candidate_a, candidate_b, gold) share a
+    content row; ``row`` maps each item to its row, and a lookup is a
+    gather.  ``reward_fn`` overrides the rule, which is how the bandit
+    sanity environments install their own payout tables; it is called once
+    per (item, action) pair, and every item gets its own row, since a
+    payout may depend on the item.  Each distinct (completion, gold) is
+    scored once, as are the eval metrics of each distinct (answer, gold),
+    which are zero where the gold is No-Answer.
     """
 
     def __init__(
@@ -181,34 +185,41 @@ class RewardTable:
         if not items:
             raise ValueError("a reward table needs at least one item")
         self.items = items
-        self.scorer = Scorer(variant)
-        self.reward_fn = reward_fn
-        shape = (len(items), N_ACTIONS)
-        self.rewards = np.full(shape, np.nan)  # NaN: not evaluated yet
-        self.abstained = np.zeros(shape, dtype=bool)
+        self.features = np.array([item.feature.index for item in items])
+        self.unanswerable = np.array([item.gold.is_no_answer for item in items])
+        if reward_fn is None:
+            index: dict[tuple, int] = {}
+            keys = ((item.candidate_a, item.candidate_b, item.gold) for item in items)
+            self.row = np.array([index.setdefault(key, len(index)) for key in keys])
+            # rows are numbered in first-seen order; each is built from its first item
+            rows = [items[j] for j in np.unique(self.row, return_index=True)[1].tolist()]
+        else:
+            self.row = np.arange(len(items))
+            rows = items
+        shape = (len(rows), N_ACTIONS)
+        self.rewards = np.empty(shape)
+        self.abstained = np.empty(shape, dtype=bool)
+        # em, rouge1, rouge2, rouge_l and semantic, in ItemEval's order
+        self.metrics = np.zeros(shape + (5,))
+        scorer = Scorer(variant)
+        for r, item in enumerate(rows):
+            for a, action in enumerate(ALL_ACTIONS):
+                text = render_completion(action, item)
+                if reward_fn is None:
+                    breakdown, abstains = scorer.score(text, item.gold)
+                else:
+                    breakdown = reward_fn(text, item)
+                    abstains = is_no_answer(parse_completion(text).answer)
+                self.rewards[r, a] = breakdown.total
+                self.abstained[r, a] = abstains
+                if not item.gold.is_no_answer:
+                    m = scorer.metrics(parse_completion(text).answer, item.gold)
+                    self.metrics[r, a] = (m.em, m.rouge1, m.rouge2, m.rouge_l, m.semantic)
 
     def lookup(self, items: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rewards and abstention flags at the (broadcast) index arrays."""
-        rewards = self.rewards[items, actions]
-        missing = np.isnan(rewards)
-        if missing.any():
-            items, actions = np.broadcast_arrays(items, actions)
-            pairs = zip(items[missing].tolist(), actions[missing].tolist())
-            for j, a in dict.fromkeys(pairs):  # first-seen order
-                self._fill(j, a)
-            rewards = self.rewards[items, actions]
-        return rewards, self.abstained[items, actions]
-
-    def _fill(self, j: int, a: int) -> None:
-        item = self.items[j]
-        text = render_completion(ALL_ACTIONS[a], item)
-        if self.reward_fn is None:
-            breakdown, abstains = self.scorer.score(text, item.gold)
-        else:
-            breakdown = self.reward_fn(text, item)
-            abstains = is_no_answer(parse_completion(text).answer)
-        self.rewards[j, a] = breakdown.total
-        self.abstained[j, a] = abstains
+        rows = self.row[items]
+        return self.rewards[rows, actions], self.abstained[rows, actions]
 
 
 @dataclass(frozen=True)
@@ -285,18 +296,16 @@ def rollout_batch(
     The generator is consumed as B one-group rollouts would consume it: the
     B item indices first, then the B * G uniforms in group order.
     """
-    items = table.items
-    item_idx = rng.integers(0, len(items), size=cfg.batch_size)
+    item_idx = rng.integers(0, len(table.items), size=cfg.batch_size)
     u = rng.random((cfg.batch_size, cfg.group_size))
-    drawn = [items[j] for j in item_idx.tolist()]
-    rows = np.array([item.feature.index for item in drawn])
+    rows = table.features[item_idx]
     logp_old_rows = log_softmax(params_old.logits)[rows]
     actions = inverse_cdf(np.exp(logp_old_rows), u)
     rewards, abstained = table.lookup(item_idx[:, None], actions)
     return RolloutBatch(
         item_idx=item_idx,
         rows=rows,
-        unanswerable=np.array([item.gold.is_no_answer for item in drawn]),
+        unanswerable=table.unanswerable[item_idx],
         actions=actions,
         logp_old=np.take_along_axis(logp_old_rows, actions, axis=1),
         logp_ref=log_softmax(params_ref.logits)[rows[:, None], actions],
@@ -427,45 +436,26 @@ class EvalReport:
 
 
 def evaluate_items(params: PolicyParams, table: RewardTable) -> list[ItemEval]:
-    """Greedy (argmax) evaluation of every item of the table.
-
-    Rewards and abstention flags are read from the table, so a pair it
-    already holds is not scored again; only answerable items render their
-    answer, whose lexical and semantic scores come from the table's scorer.
-    """
-    items = table.items
-    rows = np.array([item.feature.index for item in items])
-    actions = np.argmax(params.logits, axis=1)[rows]
-    rewards, abstained = table.lookup(np.arange(len(items)), actions)
-    out: list[ItemEval] = []
-    for item, a, reward, abstain in zip(
-        items, actions.tolist(), rewards.tolist(), abstained.tolist()
-    ):
-        if item.gold.is_no_answer:
-            em = 1.0 if abstain else 0.0
-            r1 = r2 = rl = sem = 0.0
-            tp, fp, fn = (1, 0, 0) if abstain else (0, 0, 1)
-        else:
-            answer = parse_completion(render_completion(ALL_ACTIONS[a], item)).answer
-            m = table.scorer.metrics(answer, item.gold)
-            em, r1, r2, rl, sem = m.em, m.rouge1, m.rouge2, m.rouge_l, m.semantic
-            tp, fp, fn = (0, 1, 0) if abstain else (0, 0, 0)
-        out.append(
-            ItemEval(
-                item_id=item.id,
-                reward=reward,
-                abstained=abstain,
-                em=em,
-                rouge1=r1,
-                rouge2=r2,
-                rouge_l=rl,
-                semantic=sem,
-                tp=tp,
-                fp=fp,
-                fn=fn,
-            )
+    """Greedy (argmax) evaluation of every item of the table, gathered from
+    the table's rewards, abstention flags and metrics."""
+    actions = np.argmax(params.logits, axis=1)[table.features]
+    # items of one content row with the same greedy action share every value
+    _, first, cell = np.unique(
+        table.row * N_ACTIONS + actions, return_index=True, return_inverse=True
+    )
+    rows, actions = table.row[first], actions[first]
+    abstained, unanswerable = table.abstained[rows, actions], table.unanswerable[first]
+    metrics = table.metrics[rows, actions]
+    # on an unanswerable item a correct abstention is the exact match
+    metrics[:, 0] = np.where(unanswerable, abstained, metrics[:, 0])
+    tp, fp, fn = abstained & unanswerable, abstained & ~unanswerable, ~abstained & unanswerable
+    values = list(
+        zip(
+            table.rewards[rows, actions].tolist(), abstained.tolist(), *metrics.T.tolist(),
+            *np.array([tp, fp, fn], dtype=int).tolist(),
         )
-    return out
+    )
+    return [ItemEval(item.id, *values[c]) for item, c in zip(table.items, cell.tolist())]
 
 
 def summarize_items(evals: Sequence[ItemEval]) -> EvalReport:

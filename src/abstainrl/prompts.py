@@ -1,10 +1,7 @@
-"""Prompt templates shipped as data.
+"""Extraction prompt templates shipped as data.
 
-The extraction templates take ``question`` and ``context`` format fields and
-are what the optional remote-extraction client sends.  The remaining
-templates document the completion format the policy renders and the
-in-context variants supported by downstream experiments; nothing in this
-package calls a hosted model with them.
+Both templates take ``question`` and ``context`` format fields and are what
+the optional remote-extraction client sends.
 """
 
 SUB_CONTEXT_EXTRACTION_PROMPT = """\
@@ -60,51 +57,3 @@ IMPORTANT NOTES:
 Query: {question}
 Context: {context}
 assistant:"""
-
-RL_TRAINING_TEMPLATE = """\
-A conversation between User and Assistant. The user asks a question, and \
-the Assistant solves it based on the given information. The assistant \
-first thinks about the reasoning process in the mind and then provides the \
-user with the answer within 80 words. If there is no correct answer to the \
-question, print No Answer. The reasoning process and answer are enclosed \
-within <think> </think> and <answer> </answer> tags, respectively, i.e., \
-<think> reasoning process here </think><answer> answer here </answer>. \
-user: {prompt}. assistant:"""
-
-VANILLA_PROMPT = """\
-Think and give the correct answer of the following question without any \
-other explanation based on the given context.
-If there is no correct answer to the question, print No Answer."""
-
-CONTRASTIVE_PROMPT = """\
-Think and give the correct answer of the following question without any \
-other explanation based on the given examples and context.
-Examples:
-Question: Which team did George Moorhouse play for from 1921 to 1923? \
-Answer: Tranmere Rovers
-Question: What was the place of detention for Josep Rull from Jun 2019 to \
-Jun 2020? Answer: No Answer
-If there is no correct answer to the question, print No Answer."""
-
-POSITIVE_PROMPT = """\
-Think and give the correct answer of the following question without any \
-other explanation based on the given examples and context.
-Examples:
-Question: Which team did George Moorhouse play for from 1921 to 1923? \
-Answer: Tranmere Rovers
-If there is no correct answer to the question, print No Answer."""
-
-NEGATIVE_PROMPT = """\
-Think and give the correct answer of the following question without any \
-other explanation based on the given examples and context.
-Examples:
-Question: What was the place of detention for Josep Rull from Jun 2019 to \
-Jun 2020? Answer: No Answer
-If there is no correct answer to the question, print No Answer."""
-
-IN_CONTEXT_PROMPTS = {
-    "vanilla": VANILLA_PROMPT,
-    "contrastive": CONTRASTIVE_PROMPT,
-    "positive": POSITIVE_PROMPT,
-    "negative": NEGATIVE_PROMPT,
-}

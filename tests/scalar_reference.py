@@ -2,7 +2,8 @@
 
 These are the loops the array code in ``abstainrl.grpo`` and
 ``abstainrl.policy.sft_train`` replaced: one rollout group at a time, one
-completion at a time, rewards recomputed from text on every draw.  They are
+completion at a time, rewards recomputed from text on every draw, and
+evaluation one item at a time from its rendered greedy completion.  They are
 kept only as oracles; the tests hold the array path to them.  The scalar
 log-softmax and inverse-CDF sampler they call are the oracles for
 ``policy.log_softmax`` and ``policy.inverse_cdf``.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from abstainrl.grpo import GrpoConfig, RewardFn, TrainLog, TrainRecord
+from abstainrl.grpo import GrpoConfig, ItemEval, RewardFn, TrainLog, TrainRecord
 from abstainrl.policy import (
     ALL_ACTIONS,
     N_ACTIONS,
@@ -34,7 +35,14 @@ from abstainrl.reward import (
     total_reward,
 )
 from abstainrl.synthenv import SynthQAItem
-from abstainrl.textmetrics import ConfusionCounts, abstention_confusion
+from abstainrl.textmetrics import (
+    ConfusionCounts,
+    abstention_confusion,
+    exact_match,
+    rouge_l,
+    rouge_n,
+    semantic_sim,
+)
 
 
 def log_softmax(row: np.ndarray) -> np.ndarray:
@@ -202,13 +210,12 @@ def train_rl(
     variant: RewardVariant = DEFAULT_VARIANT,
     cfg: GrpoConfig = GrpoConfig(),
     reward_fn: RewardFn | None = None,
-) -> tuple[PolicyParams, TrainLog, list[RolloutGroup]]:
-    """The per-group training loop; also returns every rollout group drawn."""
+) -> tuple[PolicyParams, TrainLog]:
+    """The per-group training loop."""
     ref = params0
     params = params0
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
-    drawn: list[RolloutGroup] = []
     for iteration in range(cfg.outer_iters):
         old = params
         item_idx = rng.integers(0, len(items), size=cfg.batch_size)
@@ -216,7 +223,6 @@ def train_rl(
             rollout_group(old, ref, items[int(j)], cfg, rng, variant, reward_fn)
             for j in item_idx
         ]
-        drawn.extend(groups)
         for _ in range(cfg.inner_steps):
             step = grpo_gradient(params, groups, cfg)
             params = PolicyParams(params.logits + cfg.lr * step)
@@ -246,7 +252,7 @@ def train_rl(
                 fn=confusion.fn,
             )
         )
-    return params, log, drawn
+    return params, log
 
 
 def sft_train(
@@ -264,3 +270,38 @@ def sft_train(
             grad[row, trace.action.index] += 1.0
         logits += lr * grad / n
     return PolicyParams(logits)
+
+
+def evaluate_items(
+    params: PolicyParams,
+    items: Sequence[SynthQAItem],
+    variant: RewardVariant = DEFAULT_VARIANT,
+    reward_fn: RewardFn | None = None,
+) -> list[ItemEval]:
+    """Greedy evaluation one item at a time: render the argmax action, parse
+    it, and score the answer against the gold directly."""
+    out = []
+    for item in items:
+        action = ALL_ACTIONS[int(np.argmax(params.logits[item.feature.index]))]
+        text = render_completion(action, item)
+        answer = parse_completion(text).answer
+        abstain = is_no_answer(answer)
+        gold = item.gold
+        if gold.is_no_answer:
+            em = 1.0 if abstain else 0.0
+            r1 = r2 = rl = sem = 0.0
+            tp, fp, fn = (1, 0, 0) if abstain else (0, 0, 1)
+        else:
+            em = exact_match(answer, gold)
+            r1 = rouge_n(answer, gold, 1).f1
+            r2 = rouge_n(answer, gold, 2).f1
+            rl = rouge_l(answer, gold).f1
+            sem = max(semantic_sim(answer, alias) for alias in gold.aliases)
+            tp, fp, fn = (0, 1, 0) if abstain else (0, 0, 0)
+        out.append(
+            ItemEval(
+                item.id, reward(text, item, variant, reward_fn), abstain,
+                em, r1, r2, rl, sem, tp, fp, fn,
+            )
+        )
+    return out

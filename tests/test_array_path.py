@@ -98,26 +98,28 @@ class TestRewardTable:
 
     @given(index_pairs)
     def test_each_pair_evaluated_once(self, pairs):
+        """A ``reward_fn`` scores every (item, action) pair once, when the
+        table is built, and never on lookup."""
         rule = _CountingRule()
         table = RewardTable(ITEMS, reward_fn=rule)
+        every_pair = [(item.id, render_completion(a, item)) for item in ITEMS for a in ALL_ACTIONS]
+        assert sorted(rule.scored) == sorted(every_pair)
         items = np.array([j for j, _ in pairs])
         actions = np.array([a for _, a in pairs])
         first, _ = table.lookup(items, actions)
         again, _ = table.lookup(items, actions)
-        assert rule.calls == len(set(pairs))
+        assert rule.calls == len(every_pair)
         np.testing.assert_array_equal(first, again)
 
     def test_evaluation_rescores_no_pair_training_scored(self):
         rule = _CountingRule()
         table = RewardTable(ITEMS, reward_fn=rule)
+        built = rule.calls
         cfg = GrpoConfig(outer_iters=5, batch_size=8, seed=1)
         params, _ = train_rl(PolicyParams.zeros(), table, cfg)
-        after_training = rule.calls
         evals = evaluate_items(params, table)
-        # every pair, from training or evaluation, is scored exactly once
-        assert rule.calls == len(set(rule.scored)) == np.isfinite(table.rewards).sum()
-        # some greedy pairs were already in the table
-        assert rule.calls - after_training < len(ITEMS)
+        # the table scored every pair once; training and evaluation only gather
+        assert rule.calls == built == len(set(rule.scored)) == len(ITEMS) * len(ALL_ACTIONS)
         for item, e in zip(ITEMS, evals):
             action = ALL_ACTIONS[int(np.argmax(params.logits[item.feature.index]))]
             text = render_completion(action, item)
@@ -136,6 +138,51 @@ class TestRewardTable:
             assert rewards[a] == total_reward(text, item.gold).total
         if candidate == "No Answer":
             assert abstained[:2].all()  # both renderings of candidate A read as abstention
+
+    def test_rows_are_keyed_by_candidates_and_gold(self):
+        """Items that differ only in id, question and facts share a content
+        row; a gold that differs only by case gets its own."""
+        base = next(item for item in ITEMS if not item.gold.is_no_answer)
+        twin = dataclasses.replace(base, id="twin", question="Who else?", facts=())
+        recased = dataclasses.replace(
+            base, id="recased", gold=GoldAnswer(tuple(a.swapcase() for a in base.gold.aliases))
+        )
+        items = [base, twin, recased]
+        table = RewardTable(items)
+        assert table.row.tolist() == [0, 0, 1]
+        assert table.rewards.shape == (2, len(ALL_ACTIONS))
+        for j, item in enumerate(items):
+            for a, action in enumerate(ALL_ACTIONS):
+                text = render_completion(action, item)
+                assert table.lookup(np.array(j), np.array(a))[0] == total_reward(text, item.gold).total
+
+    @pytest.mark.parametrize("variant", list(RewardVariant))
+    def test_all_distinct_items_equal_per_pair_reward(self, variant):
+        """With no content shared, the table holds one row per item, equal to
+        the rule applied to each rendered pair."""
+        items = [
+            dataclasses.replace(item, candidate_a=f"{item.candidate_a} {j}")
+            for j, item in enumerate(ITEMS)
+        ]
+        table = RewardTable(items, variant)
+        assert table.row.tolist() == list(range(len(items)))
+        for j, item in enumerate(items):
+            for a, action in enumerate(ALL_ACTIONS):
+                text = render_completion(action, item)
+                assert table.rewards[j, a] == total_reward(text, item.gold, variant).total
+                assert table.abstained[j, a] == is_no_answer(parse_completion(text).answer)
+
+    @given(
+        st.integers(0, 2**32 - 1), st.sampled_from(list(RewardVariant)), st.booleans()
+    )
+    @settings(max_examples=30)
+    def test_evaluation_equals_per_item_scoring(self, seed, variant, bandit):
+        """Gathered greedy evaluation equals rendering, parsing and scoring
+        each item's completion."""
+        reward_fn = _payout if bandit else None
+        params = PolicyParams(np.random.default_rng(seed).normal(size=(6, 6)))
+        got = evaluate_items(params, RewardTable(ITEMS, variant, reward_fn))
+        assert got == ref.evaluate_items(params, ITEMS, variant, reward_fn)
 
 
 probs_rows = st.lists(
@@ -289,8 +336,10 @@ class TestTrainRl:
         if sft:
             params0 = sft_train(params0, make_expert_traces(items))
         cfg = GrpoConfig(outer_iters=40, inner_steps=inner_steps, lr=0.05, batch_size=16, seed=4)
-        params, log = train_rl(params0, RewardTable(items, reward_fn=rule), cfg)
-        want_params, want_log, drawn = ref.train_rl(params0, items, variant, cfg, reward_fn)
+        table = RewardTable(items, reward_fn=rule)
+        built = rule.calls
+        params, log = train_rl(params0, table, cfg)
+        want_params, want_log = ref.train_rl(params0, items, variant, cfg, reward_fn)
         np.testing.assert_allclose(params.logits, want_params.logits, rtol=0, atol=1e-12)
         assert len(log.records) == len(want_log.records)
         for got, want in zip(log.records, want_log.records):
@@ -301,17 +350,17 @@ class TestTrainRl:
                 assert getattr(got, field) == pytest.approx(
                     getattr(want, field), rel=1e-9, abs=0.0
                 ), (got.iteration, field)
-        # one reward evaluation per distinct (item, action) pair drawn
-        distinct = {(g.item.id, a.index) for g in drawn for a in g.actions}
-        assert rule.calls == len(distinct) < len(drawn) * cfg.group_size
+        # one reward evaluation per (item, action) pair, when the table is built
+        assert rule.calls == built == len(items) * len(ALL_ACTIONS)
 
     @pytest.mark.parametrize(
         "variant", [RewardVariant.ROUGE_PLUS_EM, RewardVariant.ROUGE_PLUS_SEM_PLUS_EM]
     )
     def test_default_rule_scores_each_content_key_once(self, monkeypatch, variant):
         """The default rule reads the table's content-keyed scorer: the rule
-        runs once per distinct (completion, gold) drawn, and the run equals
-        one that scores every (item, action) pair through ``reward_fn``."""
+        runs once per distinct (completion, gold) of the table's rows, when
+        it is built, and the run equals one that scores every (item, action)
+        pair through ``reward_fn``."""
         items = generate_dataset(GenConfig(n_items=80, p_unans=0.5, ambiguity=0.5, seed=8))
         cfg = GrpoConfig(outer_iters=40, lr=0.05, batch_size=16, seed=4)
         per_pair = _CountingRule(variant=variant)
@@ -326,11 +375,15 @@ class TestTrainRl:
             return total_reward(raw, gold, variant)
 
         monkeypatch.setattr(reward, "total_reward", counted)
-        params, log = train_rl(PolicyParams.zeros(), RewardTable(items, variant), cfg)
+        table = RewardTable(items, variant)
+        built = list(scored)
+        params, log = train_rl(PolicyParams.zeros(), table, cfg)
+        evaluate_items(params, table)
         np.testing.assert_array_equal(params.logits, want_params.logits)
         assert log.jsonl_lines() == want_log.jsonl_lines()
+        assert scored == built  # training and evaluation score nothing
         gold_of = {item.id: item.gold for item in items}
-        drawn = {(raw, gold_of[item_id]) for item_id, raw in per_pair.scored}
+        keys = {(raw, gold_of[item_id]) for item_id, raw in per_pair.scored}
         assert len(scored) == len(set(scored))
-        assert set(scored) == drawn
-        assert len(drawn) < per_pair.calls  # items share completions
+        assert set(scored) == keys
+        assert len(keys) < per_pair.calls  # items share completions

@@ -541,7 +541,7 @@ class TestSweep:
         out = tmp_path / "betas"
         assert main(["sweep", "--axis", "beta", "--values", "0,0.01,0.1",
                      "--out-dir", str(out), *flags]) == 0
-        assert calls == {"read_dataset": 2, "sft_train": 1}
+        assert calls == {"read_dataset": 1, "sft_train": 1}
         for beta in ("0.0", "0.01", "0.1"):
             alone = tmp_path / f"alone_{beta}"
             assert main(["train", "--out-dir", str(alone), "--beta", beta, *flags]) == 0
@@ -616,13 +616,22 @@ class TestReport:
         [
             (json.dumps({**RECORD, "mean_reward": "a"}), "field 'mean_reward' must be a float"),
             (json.dumps({**RECORD, "mean_reward": 10**400}), "field 'mean_reward' must be a float"),
+            (json.dumps({**RECORD, "mean_reward": float("nan")}),
+             "field 'mean_reward' must be a float and finite, got nan"),
+            (json.dumps({**RECORD, "abstain_rate": float("inf")}),
+             "field 'abstain_rate' must be a float and finite, got inf"),
+            (json.dumps({**RECORD, "kl": float("-inf")}),
+             "field 'kl' must be a float and finite, got -inf"),
+            (json.dumps({**RECORD, "objective": float("nan")}),
+             "field 'objective' must be a float and finite, got nan"),
             (json.dumps({**RECORD, "tp": True}), "field 'tp' must be an integer"),
             (json.dumps({**RECORD, "iteration": 1.0}), "field 'iteration' must be an integer"),
             (json.dumps({k: v for k, v in RECORD.items() if k != "kl"}), "field 'kl' must be"),
             ("[1, 2]", "train record must be a JSON object"),
             ("{not json", "invalid JSON"),
         ],
-        ids=["string", "overflowing", "bool", "float-count", "missing", "array", "bad-json"],
+        ids=["string", "overflowing", "nan", "inf", "minus-inf", "nan-objective", "bool",
+             "float-count", "missing", "array", "bad-json"],
     )
     def test_malformed_log_is_data_error(self, tmp_path, line, message):
         code, err = self._report(tmp_path, line)
