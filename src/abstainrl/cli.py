@@ -422,10 +422,18 @@ def _cmd_build_mc(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _question_interval(args_window: str | None, question: str) -> TimeInterval:
-    if args_window:
-        lo, hi = (int(part) for part in args_window.split(":"))
+def _parse_window(text: str) -> TimeInterval:
+    """``--window LO:HI``: two integer years, LO <= HI."""
+    try:
+        lo, hi = (int(part) for part in text.split(":"))
         return TimeInterval(lo, hi)
+    except ValueError:  # not two parts, not integers, or LO > HI
+        raise UsageError(f"--window takes LO:HI with integer years LO <= HI, got {text!r}") from None
+
+
+def _question_interval(window: TimeInterval | None, question: str) -> TimeInterval:
+    if window is not None:
+        return window
     intervals = retrieval.parse_time_expressions(question)
     if intervals:
         return intervals[0]
@@ -435,6 +443,7 @@ def _question_interval(args_window: str | None, question: str) -> TimeInterval:
 def _cmd_extract(args: argparse.Namespace) -> int:
     mode = args.mode
     payload: dict[str, Any]
+    window = _parse_window(args.window) if args.window is not None else None
 
     if args.dataset:
         if mode != "kg":
@@ -486,7 +495,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         if source == "remote":
             sentences = remote_result
         else:
-            interval = _question_interval(args.window, args.question)
+            interval = _question_interval(window, args.question)
             sentences = retrieval.extract_time_sentences(interval, context)
         payload = {"mode": mode, "source": source, "sentences": sentences}
     else:

@@ -246,11 +246,19 @@ def make_expert_traces(
     (trace, gold) is scored once.
 
     ``actions`` overrides the oracle's per-item choice, which lets callers
-    exercise the correctness filter with deliberately wrong proposals.
+    exercise the correctness filter with deliberately wrong proposals.  The
+    oracle's choice depends only on (candidate_a, candidate_b, gold), so it
+    is made once per distinct triple.
     """
     items = list(items)
     if actions is None:
-        chosen = [oracle_action(item) for item in items]
+        by_content: dict[tuple[str, str, GoldAnswer], ActionId] = {}
+        chosen = []
+        for item in items:
+            key = (item.candidate_a, item.candidate_b, item.gold)
+            if key not in by_content:
+                by_content[key] = oracle_action(item)
+            chosen.append(by_content[key])
     else:
         if len(actions) != len(items):
             raise ValueError("actions must align one-to-one with items")

@@ -13,7 +13,8 @@ import enum
 import json
 import os
 import re
-from collections.abc import Callable, Iterable, Sequence
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,12 +23,10 @@ import numpy as np
 from abstainrl import prompts
 from abstainrl.synthenv import YEAR_FLOOR, YEAR_HORIZON, TemporalFact, TimeInterval
 from abstainrl.synthenv import DatasetError, read_jsonl, write_jsonl
-from abstainrl.textmetrics import cosine, normalize_text, trigram_embedding
+from abstainrl.textmetrics import EMBEDDING_DIM, normalize_text, trigram_embedding
 
 DEFAULT_TOP_K = 10
 DEFAULT_MAX_KEYWORDS = 5
-
-EmbeddingFn = Callable[[str], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,92 @@ def fact_to_quadruple(fact: TemporalFact) -> Quadruple:
     )
 
 
+class _TrigramIndex:
+    """Inverted index of fact-sentence embeddings: per trigram bucket, the ids
+    and counts of the facts that have it, in fact order, and per fact its
+    embedding norm.
+
+    Every embedding entry is an integer count, so the dot products gathered
+    here and the squared norms are exact integer sums in any order, and each
+    score is bit-identical to ``cosine`` of the two embeddings.
+    """
+
+    def __init__(self) -> None:
+        self.ids = [array("i") for _ in range(EMBEDDING_DIM)]
+        self.counts = [array("i") for _ in range(EMBEDDING_DIM)]
+        self.norms = array("d")
+
+    def __len__(self) -> int:
+        return len(self.norms)
+
+    def extend(self, sentences: Iterable[str]) -> None:
+        for sentence in sentences:
+            fact = len(self.norms)
+            vec = trigram_embedding(sentence)
+            buckets = np.flatnonzero(vec)
+            for bucket, count in zip(buckets.tolist(), vec[buckets].astype(int).tolist()):
+                self.ids[bucket].append(fact)
+                self.counts[bucket].append(count)
+            self.norms.append(float(np.linalg.norm(vec)))
+
+    def cosines(self, query: str) -> np.ndarray:
+        qv = trigram_embedding(query)
+        qn = float(np.linalg.norm(qv))
+        norms = np.frombuffer(self.norms, dtype=np.float64)
+        if qn == 0.0:
+            return np.zeros(len(norms))
+        buckets = np.flatnonzero(qv).tolist()
+        ids = np.concatenate([np.frombuffer(self.ids[b], dtype=np.intc) for b in buckets])
+        weights = np.concatenate(
+            [np.frombuffer(self.counts[b], dtype=np.intc) * qv[b] for b in buckets]
+        )
+        dots = np.bincount(ids, weights=weights, minlength=len(norms))
+        return dots / (qn * norms)
+
+
+class _TokenIndex:
+    """Inverted index of fact tokens: token -> ids of the facts whose head,
+    relation, tail or timestamp contains it, in fact order."""
+
+    def __init__(self) -> None:
+        self.postings: dict[str, array] = {}
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def extend(self, quads: Iterable[Quadruple]) -> None:
+        for quad in quads:
+            tokens: set[str] = set()
+            for part in (quad.head, quad.relation, quad.tail, quad.timestamp or ""):
+                tokens.update(normalize_text(part))
+            for token in tokens:
+                self.postings.setdefault(token, array("i")).append(self.size)
+            self.size += 1
+
+    def overlaps(self, keywords: Iterable[str]) -> np.ndarray:
+        """Per fact, how many of the (distinct) keywords it contains."""
+        hits = [
+            np.frombuffer(self.postings[kw], dtype=np.intc) for kw in keywords if kw in self.postings
+        ]
+        if not hits:
+            return np.zeros(self.size, dtype=np.intp)
+        return np.bincount(np.concatenate(hits), minlength=self.size)
+
+
 class KGStore:
-    """Append-only quadruple store with parallel serialized sentences."""
+    """Append-only quadruple store with parallel serialized sentences.
+
+    The retrieval indexes are built on the first query and extended by the
+    facts added since, so ``add`` stays an O(1) append and a store that is
+    only written never embeds or tokenizes a fact.
+    """
 
     def __init__(self, quads: Iterable[Quadruple] = ()) -> None:
         self._quads: list[Quadruple] = []
         self._sentences: list[str] = []
+        self._trigrams: _TrigramIndex | None = None
+        self._tokens: _TokenIndex | None = None
         for quad in quads:
             self.add(quad)
 
@@ -82,6 +161,18 @@ class KGStore:
     @property
     def sentences(self) -> list[str]:
         return list(self._sentences)
+
+    def _trigram_index(self) -> _TrigramIndex:
+        if self._trigrams is None:
+            self._trigrams = _TrigramIndex()
+        self._trigrams.extend(self._sentences[len(self._trigrams) :])
+        return self._trigrams
+
+    def _token_index(self) -> _TokenIndex:
+        if self._tokens is None:
+            self._tokens = _TokenIndex()
+        self._tokens.extend(self._quads[len(self._tokens) :])
+        return self._tokens
 
     def write_jsonl(self, path: str | Path) -> None:
         write_jsonl(
@@ -178,27 +269,26 @@ def default_embedding(text: str) -> np.ndarray:
     return trigram_embedding(text)
 
 
-def _ranked(scores: Sequence[float], k: int) -> list[int]:
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return order[: min(k, len(scores))]
-
-
-def topk_semantic(
-    store: KGStore,
-    query: str,
-    k: int = DEFAULT_TOP_K,
-    embed: EmbeddingFn = default_embedding,
-) -> list[tuple[Quadruple, float]]:
-    """Top-k facts by cosine similarity between embedded query and embedded
-    fact sentences; ties break toward earlier store entries."""
+def _check_query(store: KGStore, k: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(store) == 0:
         raise ValueError("cannot query an empty store")
-    qv = embed(query)
-    scores = [cosine(qv, embed(sentence)) for sentence in store.sentences]
-    quads = store.quads
-    return [(quads[i], scores[i]) for i in _ranked(scores, k)]
+
+
+def _ranked(scores: np.ndarray, k: int) -> list[int]:
+    """Indices of the k highest scores; ties break toward the earlier index."""
+    return np.argsort(-scores, kind="stable")[:k].tolist()
+
+
+def topk_semantic(
+    store: KGStore, query: str, k: int = DEFAULT_TOP_K
+) -> list[tuple[Quadruple, float]]:
+    """Top-k facts by cosine similarity between the embedded query and the
+    embedded fact sentences; ties break toward earlier store entries."""
+    _check_query(store, k)
+    scores = store._trigram_index().cosines(query)
+    return [(store._quads[i], float(scores[i])) for i in _ranked(scores, k)]
 
 
 _STOPWORDS = frozenset(
@@ -236,19 +326,9 @@ def topk_lexical(
 ) -> list[tuple[Quadruple, int]]:
     """Top-k facts by the number of question keywords present in the fact's
     head, relation, tail, or timestamp (token match after normalization)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(store) == 0:
-        raise ValueError("cannot query an empty store")
-    keywords = extract_keywords(question)
-    scores: list[int] = []
-    for quad in store.quads:
-        tokens: set[str] = set()
-        for part in (quad.head, quad.relation, quad.tail, quad.timestamp or ""):
-            tokens.update(normalize_text(part))
-        scores.append(sum(1 for kw in keywords if kw in tokens))
-    quads = store.quads
-    return [(quads[i], scores[i]) for i in _ranked([float(s) for s in scores], k)]
+    _check_query(store, k)
+    scores = store._token_index().overlaps(extract_keywords(question))
+    return [(store._quads[i], int(scores[i])) for i in _ranked(scores, k)]
 
 
 def rephrase_quadruples(quads: Sequence[Quadruple]) -> str:

@@ -174,6 +174,21 @@ class TestExtract:
     def test_missing_question_is_usage_error(self):
         assert main(["extract", "--mode", "sub-context", "--context", "c"]) == 2
 
+    def test_window_sets_the_question_interval(self, capsys):
+        argv = ["extract", "--question", "Where did he live in 1921?",
+                "--context", "He moved in 1921. He left in 1980."]
+        assert main([*argv, "--window", "1979:1990"]) == 0
+        assert json.loads(capsys.readouterr().out)["sentences"] == ["He left in 1980."]
+
+    @pytest.mark.parametrize("window", ["1990", "a:b", "1:2:3", "1995:1990", "", "1990:"])
+    def test_malformed_window_is_usage_error(self, window):
+        code, err = _main_stderr(["extract", "--question", "Where in 1921?",
+                                  "--context", "He moved in 1921.", "--window", window])
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "--window" in lines[0] and "LO:HI" in lines[0] and repr(window) in lines[0]
+
     def test_non_utf8_context_file_is_data_error(self, tmp_path):
         context = tmp_path / "context.txt"
         context.write_bytes(b"He moved in 1921.\r\nHe left in \xe9t\xe9 1980.\n")

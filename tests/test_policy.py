@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from abstainrl import policy
 from abstainrl.policy import (
     ALL_ACTIONS,
     ALL_FEATURES,
@@ -215,6 +216,23 @@ class TestExpertTraces:
         items = generate_dataset(GenConfig(n_items=3, seed=11))
         with pytest.raises(ValueError):
             make_expert_traces(items, [ActionId(Choice.ABSTAIN, True)])
+
+    def test_oracle_action_chosen_once_per_content(self, monkeypatch):
+        items = generate_dataset(GenConfig(n_items=300, p_unans=0.3, ambiguity=0.5, seed=14))
+        per_item = [oracle_action(item) for item in items]
+        one_item_per_key = {(i.candidate_a, i.candidate_b, i.gold): i for i in items}
+        assert len(one_item_per_key) < len(items)
+        calls = []
+        real = policy.exact_match
+        monkeypatch.setattr(policy, "exact_match", lambda c, g: calls.append((c, g)) or real(c, g))
+        for item in one_item_per_key.values():
+            oracle_action(item)
+        once_per_key = sorted(calls, key=repr)
+        calls.clear()
+        traces = make_expert_traces(items)
+        assert sorted(calls, key=repr) == once_per_key
+        assert [trace.action for trace in traces] == per_item
+        assert traces == make_expert_traces(items, per_item)
 
     def test_oracle_answers_correct_candidate(self):
         items = generate_dataset(GenConfig(n_items=60, p_unans=0.0, seed=12))

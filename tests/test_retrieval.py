@@ -6,7 +6,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abstainrl import cli, retrieval, synthenv, textmetrics
 from abstainrl.retrieval import (
     DEFAULT_TOP_K,
     ExtractionClientConfig,
@@ -413,3 +416,126 @@ class TestHeuristicKgFallback:
 
     def test_undated_context_yields_nothing(self):
         assert quadruples_from_context("q", "No years mentioned here.") == []
+
+
+_WORDS = ["alpha", "bravo", "the", "Ann Lee", "o'neil", "who", "ember", "x"]
+_STAMPS = [None, "1990", "1990-1995", "2001–2003"]
+_quads = st.builds(
+    Quadruple,
+    head=st.sampled_from(_WORDS),
+    relation=st.sampled_from(_WORDS),
+    tail=st.sampled_from(_WORDS),
+    timestamp=st.sampled_from(_STAMPS),
+)
+_queries = st.one_of(
+    st.sampled_from(["", "who was the of", "Who was Ann Lee's bravo in 1990?", "alpha alpha x"]),
+    st.lists(st.sampled_from(_WORDS + ["1990", "in", "?"]), max_size=6).map(" ".join),
+)
+
+
+def _assert_matches_brute_force(store, query):
+    n = len(store)
+    for k in (1, 10, n, n + 5):
+        assert topk_semantic(store, query, k) == brute_force_semantic(store, query, k)
+        assert topk_lexical(store, query, k) == brute_force_lexical(store, query, k)
+
+
+class TestIndexedTopK:
+    """The store's lazy index against the brute-force helpers above."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        facts=st.lists(_quads, min_size=1, max_size=20),
+        repeats=st.integers(0, 5),
+        query=_queries,
+    )
+    def test_matches_brute_force_with_ties(self, facts, repeats, query):
+        store = KGStore(facts + facts[:repeats])  # duplicate facts tie exactly
+        _assert_matches_brute_force(store, query)
+
+    def test_empty_and_stopword_queries_score_zero(self):
+        store = KGStore([Quadruple("alpha", "bravo", "chart", None), Quadruple("a", "b", "c")])
+        _assert_matches_brute_force(store, "")
+        _assert_matches_brute_force(store, "who was the of")
+        assert [s for _, s in topk_semantic(store, "", 2)] == [0.0, 0.0]
+        assert [s for _, s in topk_lexical(store, "who was the of", 2)] == [0, 0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        first=st.lists(_quads, min_size=1, max_size=12),
+        later=st.lists(_quads, min_size=1, max_size=12),
+        query=_queries,
+    )
+    def test_add_after_query_equals_fresh_store(self, first, later, query):
+        store = KGStore(first)
+        _assert_matches_brute_force(store, query)
+        for quad in later:
+            store.add(quad)
+        fresh = KGStore(first + later)
+        n = len(fresh)
+        for k in (1, 10, n, n + 5):
+            assert topk_semantic(store, query, k) == topk_semantic(fresh, query, k)
+            assert topk_lexical(store, query, k) == topk_lexical(fresh, query, k)
+
+
+class _CallCounter:
+    """Counts calls of ``trigram_embedding`` and ``normalize_text`` at every
+    module that binds them."""
+
+    def __init__(self, monkeypatch):
+        self.counts = {"trigram_embedding": 0, "normalize_text": 0}
+        for name in self.counts:
+            real = getattr(textmetrics, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                self.counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in (textmetrics, retrieval, synthenv):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+
+    def reset(self):
+        self.counts = dict.fromkeys(self.counts, 0)
+
+
+class TestIndexCost:
+    def _quads(self, n=12):
+        return [Quadruple(f"Person {i}", "employer", f"Firm {i % 3}", "1990-1995") for i in range(n)]
+
+    def test_writers_never_build_the_index(self, tmp_path, monkeypatch):
+        data = tmp_path / "data.jsonl"
+        assert cli.main(["gen", "--n", "20", "--seed", "3", "--out", str(data)]) == 0
+        KGStore(self._quads()).write_jsonl(tmp_path / "store.jsonl")
+        counter = _CallCounter(monkeypatch)
+        KGStore(self._quads())
+        KGStore.read_jsonl(tmp_path / "store.jsonl")
+        code = cli.main(
+            ["extract", "--mode", "kg", "--dataset", str(data), "--out", str(tmp_path / "kg.jsonl")]
+        )
+        assert code == 0
+        assert counter.counts == {"trigram_embedding": 0, "normalize_text": 0}
+
+    def test_queries_after_the_first_embed_only_the_query(self, monkeypatch):
+        quads = self._quads()
+        store = KGStore(quads)
+        counter = _CallCounter(monkeypatch)
+        topk_semantic(store, "Who employed Person 3?")
+        assert counter.counts["trigram_embedding"] == 1 + len(quads)
+        for query in ("Who employed Person 3?", "Firm 2", ""):
+            counter.reset()
+            topk_semantic(store, query)
+            assert counter.counts == {"trigram_embedding": 1, "normalize_text": 0}
+        store.add(Quadruple("Person 99", "employer", "Firm 9"))
+        counter.reset()
+        topk_semantic(store, "Person 99")
+        assert counter.counts["trigram_embedding"] == 2  # the query and the new fact
+
+    def test_lexical_queries_tokenize_only_the_question(self, monkeypatch):
+        store = KGStore(self._quads())
+        counter = _CallCounter(monkeypatch)
+        topk_lexical(store, "Who employed Person 3?")
+        assert counter.counts == {"trigram_embedding": 0, "normalize_text": 1 + 4 * len(store)}
+        counter.reset()
+        topk_lexical(store, "Firm 2 employer")
+        assert counter.counts == {"trigram_embedding": 0, "normalize_text": 1}
