@@ -14,8 +14,9 @@ import csv
 import itertools
 import json
 import math
+import re
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -23,6 +24,7 @@ from abstainrl import retrieval, synthenv
 from abstainrl.grpo import (
     EvalReport,
     GrpoConfig,
+    ItemEval,
     RewardTable,
     TrainLog,
     evaluate_items,
@@ -185,25 +187,32 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     write_lines(path, (writer.writerow(row)[:-1] for row in itertools.chain([header], rows)))
 
 
-def _write_summary_csv(path: Path, rows: list) -> None:
-    _write_csv(
-        path,
-        ["id", "r1", "r2", "rl", "sem", "em", "tp", "fp", "fn"],
-        (
-            [
-                e.item_id,
-                f"{e.rouge1:.6f}",
-                f"{e.rouge2:.6f}",
-                f"{e.rouge_l:.6f}",
-                f"{e.semantic:.6f}",
-                int(e.em),
-                e.tp,
-                e.fp,
-                e.fn,
-            ]
-            for e in rows
-        ),
-    )
+# a field that holds one of these is quoted, as csv quotes it; csv itself
+# leaves a lone "\r" bare, which a reader then takes for the end of the row
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _write_summary_csv(
+    path: Path, items: Sequence[synthenv.SynthQAItem], evals: Sequence[ItemEval]
+) -> None:
+    """One CSV row per item: its id, then the values of its evaluation.
+    Items share ``ItemEval`` objects (see ``evaluate_items``), so each
+    distinct one's values are formatted once and each item adds its id."""
+    tails: dict[int, str] = {}  # id() of an ItemEval -> ",<its values>"
+
+    def line(item: synthenv.SynthQAItem, e: ItemEval) -> str:
+        tail = tails.get(id(e))
+        if tail is None:
+            tail = tails[id(e)] = (
+                f",{e.rouge1:.6f},{e.rouge2:.6f},{e.rouge_l:.6f},{e.semantic:.6f}"
+                f",{int(e.em)},{e.tp},{e.fp},{e.fn}"
+            )
+        if _CSV_SPECIAL.search(item.id) is None:
+            return item.id + tail
+        return '"' + item.id.replace('"', '""') + '"' + tail
+
+    header = "id,r1,r2,rl,sem,em,tp,fp,fn"
+    write_lines(path, itertools.chain([header], map(line, items, evals)))
 
 
 def _print_report(report: EvalReport) -> None:
@@ -370,7 +379,7 @@ def _train_once(
     write_lines(out_dir / "policy.json", [params.dumps()])
     # evaluation gathers from the table training read, so nothing is scored again
     evals = evaluate_items(params, table)
-    _write_summary_csv(out_dir / "summary.csv", evals)
+    _write_summary_csv(out_dir / "summary.csv", items, evals)
     write_lines(out_dir / "curves.svg", render_curves_svg([(run_name, log)]))
     return summarize_items(evals)
 
@@ -554,9 +563,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise DatasetError(f"malformed checkpoint {checkpoint_path}: {exc}") from exc
     table = RewardTable(_read_items(args.dataset), RewardVariant.from_name(args.reward_variant))
-    rows = evaluate_items(params, table)
-    _write_summary_csv(Path(args.out), rows)
-    _print_report(summarize_items(rows))
+    evals = evaluate_items(params, table)
+    _write_summary_csv(Path(args.out), table.items, evals)
+    _print_report(summarize_items(evals))
     print(f"wrote per-item metrics -> {args.out}")
     return EXIT_OK
 

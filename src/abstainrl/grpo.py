@@ -406,10 +406,11 @@ class ItemEval:
 
     Lexical/semantic scores are against the gold aliases and are zero for
     unanswerable items, where only the abstention buckets are meaningful;
-    ``em`` treats a correct abstention as a match.
+    ``em`` treats a correct abstention as a match.  The values depend only
+    on the item's content row and greedy action, so items that share both
+    share one object, which therefore names no item.
     """
 
-    item_id: str
     reward: float
     abstained: bool
     em: float
@@ -436,8 +437,10 @@ class EvalReport:
 
 
 def evaluate_items(params: PolicyParams, table: RewardTable) -> list[ItemEval]:
-    """Greedy (argmax) evaluation of every item of the table, gathered from
-    the table's rewards, abstention flags and metrics."""
+    """Greedy (argmax) evaluation of every item of the table, in item
+    order, gathered from the table's rewards, abstention flags and metrics.
+    Items with the same content row and greedy action get the same
+    ``ItemEval`` object."""
     actions = np.argmax(params.logits, axis=1)[table.features]
     # items of one content row with the same greedy action share every value
     _, first, cell = np.unique(
@@ -449,13 +452,14 @@ def evaluate_items(params: PolicyParams, table: RewardTable) -> list[ItemEval]:
     # on an unanswerable item a correct abstention is the exact match
     metrics[:, 0] = np.where(unanswerable, abstained, metrics[:, 0])
     tp, fp, fn = abstained & unanswerable, abstained & ~unanswerable, ~abstained & unanswerable
-    values = list(
-        zip(
+    evals = [
+        ItemEval(*values)
+        for values in zip(
             table.rewards[rows, actions].tolist(), abstained.tolist(), *metrics.T.tolist(),
             *np.array([tp, fp, fn], dtype=int).tolist(),
         )
-    )
-    return [ItemEval(item.id, *values[c]) for item, c in zip(table.items, cell.tolist())]
+    ]
+    return [evals[c] for c in cell.tolist()]
 
 
 def summarize_items(evals: Sequence[ItemEval]) -> EvalReport:

@@ -463,41 +463,130 @@ def _json_int(value: object, where: str) -> int:
     return value
 
 
-def item_from_dict(payload: dict) -> SynthQAItem:
+def _json_object(value: object, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+class _DatasetParts:
+    """The value parts one ``read_dataset`` call has built, each keyed by its
+    JSON content: specifiers by (kind, *years), golds by their aliases
+    (``None`` for No-Answer), features by (evidence, difficulty) and fact
+    scopes by (start, end).  Facts are not kept: almost none repeat."""
+
+    __slots__ = ("specifiers", "golds", "features", "scopes")
+
+    def __init__(self) -> None:
+        self.specifiers: dict[tuple, TimeSpecifier] = {}
+        self.golds: dict[tuple[str, ...] | None, GoldAnswer] = {}
+        self.features: dict[tuple[str, str], ContextFeature] = {}
+        self.scopes: dict[tuple[int, int], TimeInterval] = {}
+
+
+def item_from_dict(payload: object, parts: _DatasetParts) -> SynthQAItem:
     """Inverse of ``item_to_dict``.  Texts must be strings and years
-    integers; ValueError names the first field that breaks this."""
-    years = _json_list(payload["specifier"]["years"], "specifier years")
-    spec = TimeSpecifier(
-        SpecKind(payload["specifier"]["kind"]),
-        tuple(_json_int(y, "specifier year") for y in years),
-    )
-    facts = tuple(
-        TemporalFact(
-            _json_str(f["subject"], "fact subject"),
-            _json_str(f["relation"], "fact relation"),
-            _json_str(f["object"], "fact object"),
-            TimeInterval(_json_int(f["start"], "fact start"), _json_int(f["end"], "fact end")),
-        )
-        for f in _json_list(payload["facts"], "facts")
-    )
-    gold_aliases = payload["gold"]
-    if gold_aliases is None:
-        gold = GoldAnswer.no_answer()
+    integers; ValueError names the first field that breaks this, and
+    KeyError the first missing one.
+
+    A specifier, gold, feature or fact scope whose JSON content ``parts``
+    holds is that object, not a new one.  A key is looked up only once its
+    values have exactly the accepted JSON types, since ``true == 1`` and
+    ``1990.0 == 1990`` hash alike; any other value takes the checks below,
+    which raise.  Fields are checked in one fixed order, so a record with
+    several faults always reports the same one.
+    """
+    # each ``if type(x) is not T: _json_t(x, ...)`` raises: JSON decoding
+    # yields no subclass of str, int, list or dict
+    if type(payload) is not dict:
+        _json_object(payload, "record")
+    spec_json = payload["specifier"]
+    if type(spec_json) is not dict:
+        _json_object(spec_json, "specifier")
+    years = spec_json["years"]
+    if type(years) is not list:
+        _json_list(years, "specifier years")
+    kind = spec_json["kind"]
+    if type(kind) is str and all(type(y) is int for y in years):
+        key = (kind, *years)
+        spec = parts.specifiers.get(key)
+        if spec is None:
+            spec = parts.specifiers[key] = TimeSpecifier(SpecKind(kind), key[1:])
     else:
-        gold = GoldAnswer.of(*_json_list(gold_aliases, "gold"))
-    feature = ContextFeature(
-        Evidence(payload["feature"]["evidence"]),
-        Difficulty(payload["feature"]["difficulty"]),
-    )
-    candidates = [
-        _json_str(c, "candidate") for c in _json_list(payload["candidates"], "candidates")
-    ]
+        spec = TimeSpecifier(SpecKind(kind), tuple(_json_int(y, "specifier year") for y in years))
+
+    facts_json = payload["facts"]
+    if type(facts_json) is not list:
+        _json_list(facts_json, "facts")
+    scopes = parts.scopes
+    facts = []
+    for f in facts_json:
+        if type(f) is not dict:
+            _json_object(f, "fact")
+        subject = f["subject"]
+        if type(subject) is not str:
+            _json_str(subject, "fact subject")
+        relation = f["relation"]
+        if type(relation) is not str:
+            _json_str(relation, "fact relation")
+        obj = f["object"]
+        if type(obj) is not str:
+            _json_str(obj, "fact object")
+        start = f["start"]
+        if type(start) is not int:
+            _json_int(start, "fact start")
+        end = f["end"]
+        if type(end) is not int:
+            _json_int(end, "fact end")
+        scope = scopes.get((start, end))
+        if scope is None:
+            scope = scopes[start, end] = TimeInterval(start, end)
+        facts.append(TemporalFact(subject, relation, obj, scope))
+
+    aliases = payload["gold"]
+    if aliases is None or (type(aliases) is list and all(type(a) is str for a in aliases)):
+        key = aliases if aliases is None else tuple(aliases)
+        gold = parts.golds.get(key)
+        if gold is None:
+            gold = parts.golds[key] = (
+                GoldAnswer.no_answer() if key is None else GoldAnswer.of(*key)
+            )
+    else:
+        gold = GoldAnswer.of(*_json_list(aliases, "gold"))
+
+    feature_json = payload["feature"]
+    if type(feature_json) is not dict:
+        _json_object(feature_json, "feature")
+    evidence = feature_json["evidence"]
+    difficulty = feature_json.get("difficulty")
+    if type(evidence) is str and type(difficulty) is str:
+        key = (evidence, difficulty)
+        feature = parts.features.get(key)
+        if feature is None:
+            feature = parts.features[key] = ContextFeature(
+                Evidence(evidence), Difficulty(difficulty)
+            )
+    else:
+        feature = ContextFeature(Evidence(evidence), Difficulty(feature_json["difficulty"]))
+
+    candidates = payload["candidates"]
+    if type(candidates) is not list:
+        _json_list(candidates, "candidates")
+    for candidate in candidates:
+        if type(candidate) is not str:
+            _json_str(candidate, "candidate")
     if len(candidates) != 2:
         raise ValueError(f"candidates must hold two options, got {len(candidates)}")
+    item_id = payload["id"]
+    if type(item_id) is not str:
+        _json_str(item_id, "id")
+    question = payload["question"]
+    if type(question) is not str:
+        _json_str(question, "question")
     return SynthQAItem(
-        id=str(payload["id"]),
-        question=_json_str(payload["question"], "question"),
-        facts=facts,
+        id=item_id,
+        question=question,
+        facts=tuple(facts),
         specifier=spec,
         gold=gold,
         candidate_a=candidates[0],
@@ -511,11 +600,21 @@ def write_dataset(items: Iterable[SynthQAItem], path: str | Path) -> None:
 
 
 def read_dataset(path: str | Path) -> list[SynthQAItem]:
+    """The items of the dataset file at ``path``.  Equal specifiers, golds,
+    features and fact scopes within the file are one shared object.  A
+    record that is not a JSON object, lacks a field or holds a value of
+    another type raises ``DatasetError`` naming ``path:line`` and the
+    field."""
+    parts = _DatasetParts()
     items: list[SynthQAItem] = []
     for lineno, record in read_jsonl(path):
         try:
-            items.append(item_from_dict(record))
-        except (KeyError, ValueError, TypeError, IndexError) as exc:
+            items.append(item_from_dict(record, parts))
+        except KeyError as exc:
+            raise DatasetError(
+                f"{path}:{lineno}: bad dataset record: missing field {exc.args[0]!r}"
+            ) from exc
+        except ValueError as exc:
             raise DatasetError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
     return items
 

@@ -7,6 +7,7 @@ exact match score against every alias of a gold answer and keep the best.
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from collections import Counter
 from collections.abc import Iterable
@@ -88,9 +89,19 @@ class ConfusionCounts:
 
 
 def normalize_text(raw: str) -> list[str]:
-    """Normalized token sequence: lowercased, punctuation-stripped, articles removed."""
+    """Normalized token sequence: lowercased, punctuation-stripped, articles
+    removed.  Each call returns a new list."""
+    return list(_normalized_tokens(raw))
+
+
+# Scoring normalizes the same few aliases and candidates over and over (a
+# train request has 25 distinct strings), so the tokens of recent strings
+# are kept; the bound caps what a long-lived process holds, say one serving
+# retrieval queries, whose questions rarely repeat.
+@functools.lru_cache(maxsize=256)
+def _normalized_tokens(raw: str) -> tuple[str, ...]:
     stripped = "".join(_keep(ch) for ch in raw.lower())
-    return [tok for tok in stripped.split() if tok not in _ARTICLES]
+    return tuple(tok for tok in stripped.split() if tok not in _ARTICLES)
 
 
 def _require_answerable(references: GoldAnswer, op: str) -> None:

@@ -6,7 +6,9 @@ completion at a time, rewards recomputed from text on every draw, and
 evaluation one item at a time from its rendered greedy completion.  They are
 kept only as oracles; the tests hold the array path to them.  The scalar
 log-softmax and inverse-CDF sampler they call are the oracles for
-``policy.log_softmax`` and ``policy.inverse_cdf``.
+``policy.log_softmax`` and ``policy.inverse_cdf``.  ``item_from_dict``, which
+builds every part of a dataset record afresh, is the oracle for
+``synthenv.read_dataset``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from abstainrl.policy import (
     N_ACTIONS,
     N_FEATURES,
     ActionId,
+    ContextFeature,
+    Difficulty,
+    Evidence,
     ExpertTrace,
     PolicyParams,
     render_completion,
@@ -34,9 +39,20 @@ from abstainrl.reward import (
     parse_completion,
     total_reward,
 )
-from abstainrl.synthenv import SynthQAItem
+from abstainrl.synthenv import (
+    SpecKind,
+    SynthQAItem,
+    TemporalFact,
+    TimeInterval,
+    TimeSpecifier,
+    _json_int,
+    _json_list,
+    _json_object,
+    _json_str,
+)
 from abstainrl.textmetrics import (
     ConfusionCounts,
+    GoldAnswer,
     abstention_confusion,
     exact_match,
     rouge_l,
@@ -300,8 +316,54 @@ def evaluate_items(
             tp, fp, fn = (0, 1, 0) if abstain else (0, 0, 0)
         out.append(
             ItemEval(
-                item.id, reward(text, item, variant, reward_fn), abstain,
-                em, r1, r2, rl, sem, tp, fp, fn,
+                reward(text, item, variant, reward_fn), abstain, em, r1, r2, rl, sem, tp, fp, fn
             )
         )
     return out
+
+
+def item_from_dict(payload: object) -> SynthQAItem:
+    """One dataset record, every part built afresh.  Texts must be strings
+    and years integers; ValueError names the first field that breaks this,
+    and KeyError the first missing one."""
+    record = _json_object(payload, "record")
+    spec_json = _json_object(record["specifier"], "specifier")
+    years = _json_list(spec_json["years"], "specifier years")
+    spec = TimeSpecifier(
+        SpecKind(spec_json["kind"]),
+        tuple(_json_int(y, "specifier year") for y in years),
+    )
+    facts = tuple(
+        TemporalFact(
+            _json_str(f["subject"], "fact subject"),
+            _json_str(f["relation"], "fact relation"),
+            _json_str(f["object"], "fact object"),
+            TimeInterval(_json_int(f["start"], "fact start"), _json_int(f["end"], "fact end")),
+        )
+        for f in (_json_object(f, "fact") for f in _json_list(record["facts"], "facts"))
+    )
+    gold_aliases = record["gold"]
+    if gold_aliases is None:
+        gold = GoldAnswer.no_answer()
+    else:
+        gold = GoldAnswer.of(*_json_list(gold_aliases, "gold"))
+    feature_json = _json_object(record["feature"], "feature")
+    feature = ContextFeature(
+        Evidence(feature_json["evidence"]),
+        Difficulty(feature_json["difficulty"]),
+    )
+    candidates = [
+        _json_str(c, "candidate") for c in _json_list(record["candidates"], "candidates")
+    ]
+    if len(candidates) != 2:
+        raise ValueError(f"candidates must hold two options, got {len(candidates)}")
+    return SynthQAItem(
+        id=_json_str(record["id"], "id"),
+        question=_json_str(record["question"], "question"),
+        facts=facts,
+        specifier=spec,
+        gold=gold,
+        candidate_a=candidates[0],
+        candidate_b=candidates[1],
+        feature=feature,
+    )

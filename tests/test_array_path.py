@@ -184,6 +184,20 @@ class TestRewardTable:
         got = evaluate_items(params, RewardTable(ITEMS, variant, reward_fn))
         assert got == ref.evaluate_items(params, ITEMS, variant, reward_fn)
 
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=30)
+    def test_evaluation_shares_one_object_per_cell(self, seed, bandit):
+        """Items with the same content row and greedy action get one shared
+        ``ItemEval``, and items in different cells never share one."""
+        table = RewardTable(ITEMS, reward_fn=_payout if bandit else None)
+        params = PolicyParams(np.random.default_rng(seed).normal(size=(6, 6)))
+        evals = evaluate_items(params, table)
+        greedy = np.argmax(params.logits, axis=1)[table.features]
+        by_cell: dict = {}
+        for cell, e in zip(zip(table.row.tolist(), greedy.tolist()), evals):
+            assert by_cell.setdefault(cell, e) is e
+        assert len({id(e) for e in evals}) == len(by_cell)
+
 
 probs_rows = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=6, max_size=6

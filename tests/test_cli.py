@@ -3,6 +3,7 @@
 import collections
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import abstainrl
 from abstainrl import cli
 from abstainrl.cli import _TRAIN_DEFAULTS, build_parser, main
+from abstainrl.grpo import RewardTable, evaluate_items
 from abstainrl.policy import ALL_ACTIONS, ALL_FEATURES, ActionId, Choice, Evidence, PolicyParams
 from abstainrl.synthenv import GenConfig, generate_dataset, item_to_dict
 
@@ -420,6 +422,9 @@ def _oracle_solvable_dataset(tmp_path):
     return path
 
 
+_SUMMARY_ITEMS = generate_dataset(GenConfig(n_items=12, p_unans=0.4, ambiguity=0.5, seed=3))
+
+
 class TestEval:
     def test_csv_header_and_oracle_scores(self, tmp_path, capsys):
         data = _oracle_solvable_dataset(tmp_path)
@@ -435,6 +440,48 @@ class TestEval:
         assert all(row["fp"] == "0" and row["fn"] == "0" for row in rows)
         printed = capsys.readouterr().out
         assert "em_rate=1.0000" in printed
+
+    def test_id_column_is_the_dataset_ids(self, tmp_path):
+        ids = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " pad ", "plain"]
+        items = generate_dataset(GenConfig(n_items=len(ids), p_unans=0.3, seed=9))
+        data = tmp_path / "ids.jsonl"
+        data.write_text("".join(
+            json.dumps({**item_to_dict(item), "id": item_id}) + "\n"
+            for item, item_id in zip(items, ids)
+        ))
+        out = tmp_path / "summary.csv"
+        assert main(["eval", "--checkpoint", str(_oracle_checkpoint(tmp_path)),
+                     "--dataset", str(data), "--out", str(out)]) == 0
+        with out.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == ids
+
+    @given(st.lists(st.text(max_size=6), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+    @example(["a\rb", 'c"\r'], 0)
+    @settings(max_examples=50)
+    def test_summary_equals_one_csv_row_per_item(self, tmp_path_factory, ids, seed):
+        """Each distinct evaluation is formatted once, yet the file reads
+        back as one row per item, and where no id holds a carriage return
+        it is what the csv writer writes row by row."""
+        items = [
+            dataclasses.replace(item, id=item_id)
+            for item, item_id in zip(_SUMMARY_ITEMS, ids)
+        ]
+        params = PolicyParams(np.random.default_rng(seed).normal(size=(6, 6)))
+        evals = evaluate_items(params, RewardTable(items))
+        path = tmp_path_factory.mktemp("summary") / "summary.csv"
+        cli._write_summary_csv(path, items, evals)
+        rows = [["id", "r1", "r2", "rl", "sem", "em", "tp", "fp", "fn"]] + [
+            [item.id, f"{e.rouge1:.6f}", f"{e.rouge2:.6f}", f"{e.rouge_l:.6f}",
+             f"{e.semantic:.6f}", str(int(e.em)), str(e.tp), str(e.fp), str(e.fn)]
+            for item, e in zip(items, evals)
+        ]
+        text = path.read_bytes().decode("utf-8")
+        assert list(csv.reader(io.StringIO(text, newline=""))) == rows
+        if not any("\r" in item_id for item_id in ids):
+            want = io.StringIO()
+            csv.writer(want, lineterminator="\n").writerows(rows)
+            assert text == want.getvalue()
 
     def test_empty_dataset_is_data_error(self, tmp_path):
         ckpt = _oracle_checkpoint(tmp_path)

@@ -1,11 +1,16 @@
 """Generator consistency, ingestion, the abstained-MC builder, and the
 JSON-Lines reader and atomic writer every file goes through."""
 
+import copy
 import json
 import os
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import scalar_reference as ref
 from abstainrl.grpo import TrainLog
 from abstainrl.policy import Difficulty, Evidence
 from abstainrl.retrieval import KGStore
@@ -186,6 +191,8 @@ class TestDatasetSerialization:
         "edit, named",
         [
             (lambda d: d.update(question=5), "question"),
+            (lambda d: d.update(id={"a": 1}), "id"),
+            (lambda d: d.update(id=7), "id"),
             (lambda d: d.update(candidates=[1, 2]), "candidate"),
             (lambda d: d.update(candidates=["a", "b", "c"]), "candidates"),
             (lambda d: d["facts"][0].update(subject=7), "fact subject"),
@@ -194,8 +201,8 @@ class TestDatasetSerialization:
             (lambda d: d["specifier"].update(years=[1.5]), "specifier year"),
             (lambda d: d["specifier"].update(years="1990"), "specifier years"),
         ],
-        ids=["question", "candidates", "three-candidates", "subject", "float-end", "bool-start",
-             "float-year", "string-years"],
+        ids=["question", "object-id", "int-id", "candidates", "three-candidates", "subject",
+             "float-end", "bool-start", "float-year", "string-years"],
     )
     def test_wrongly_typed_field_is_rejected(self, tmp_path, edit, named):
         record = item_to_dict(generate_dataset(GenConfig(n_items=1, p_unans=0.0, seed=0))[0])
@@ -203,6 +210,185 @@ class TestDatasetSerialization:
         path = tmp_path / "typed.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match=f":1: bad dataset record: {named} must"):
+            read_dataset(path)
+
+
+# Valid dataset records drawn from small pools, so that records repeat their
+# specifiers, facts' scopes, golds and features; 0 and 1 are among the years
+# so that a later record can hold their bool twins.
+_YEARS = st.sampled_from([0, 1, 1990, 1991])
+_TEXTS = st.sampled_from(["Alma", "Seabrook Rovers", "x, \"y\""])
+
+
+def _scope(years):
+    start, end = sorted(years)
+    return {"start": start, "end": end}
+
+
+_VALID_RECORDS = st.fixed_dictionaries(
+    {
+        "id": st.text(max_size=3),
+        "question": st.text(max_size=3),
+        "specifier": st.one_of(
+            st.builds(lambda kind, y: {"kind": kind, "years": [y]},
+                      st.sampled_from(["in_year", "after", "before", "early_decade"]), _YEARS),
+            st.builds(lambda ys: {"kind": "between", "years": sorted(ys)},
+                      st.lists(_YEARS, min_size=2, max_size=2)),
+        ),
+        "facts": st.lists(
+            st.builds(
+                lambda s, r, o, scope: {"subject": s, "relation": r, "object": o, **scope},
+                _TEXTS, _TEXTS, _TEXTS,
+                st.lists(_YEARS, min_size=2, max_size=2).map(_scope),
+            ),
+            max_size=2,
+        ),
+        "gold": st.none() | st.lists(_TEXTS, min_size=1, max_size=2),
+        "candidates": st.lists(_TEXTS, min_size=2, max_size=2),
+        "feature": st.fixed_dictionaries(
+            {"evidence": st.sampled_from([e.value for e in Evidence]),
+             "difficulty": st.sampled_from([d.value for d in Difficulty])}
+        ),
+    }
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=4,
+)
+_DELETE = object()
+
+
+def _paths(value, prefix=()):
+    """The path of every value nested in ``value``, ``value`` itself first."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield from _paths(inner, (*prefix, key))
+    elif isinstance(value, list):
+        for i, inner in enumerate(value):
+            yield from _paths(inner, (*prefix, i))
+
+
+def _twins(value):
+    """JSON values of another type that compare equal to ``value``, or a list
+    holding it, which cannot be hashed."""
+    twins = [[value]]
+    if type(value) is int:
+        twins.append(float(value))
+        if value in (0, 1):
+            twins.append(bool(value))
+    return twins
+
+
+@st.composite
+def _faulty_record(draw, record):
+    """``record`` with one to three of its values replaced, by a twin or any
+    JSON value, or deleted."""
+    record = copy.deepcopy(record)
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, last = draw(st.sampled_from(list(_paths(record))[1:]))
+        owner = record
+        for key in parents:
+            owner = owner[key]
+        if not isinstance(owner, (dict, list)) or (isinstance(owner, list) and last >= len(owner)):
+            continue  # an earlier edit replaced this part
+        old = owner[last]
+        new = draw(st.sampled_from([_DELETE, *_twins(old)]) | _JSON_VALUES)
+        if new is _DELETE:
+            del owner[last]
+        else:
+            owner[last] = new
+    return record
+
+
+@st.composite
+def _records(draw):
+    """Valid records, then a copy of one of them with faults."""
+    records = draw(st.lists(_VALID_RECORDS, min_size=1, max_size=6))
+    records.append(draw(_faulty_record(draw(st.sampled_from(records)))))
+    return records
+
+
+def _oracle_read(records):
+    """The items of ``records``, or the message ``read_dataset`` gives, past
+    the path, for the first one ``ref.item_from_dict`` rejects."""
+    items = []
+    for lineno, record in enumerate(records, start=1):
+        try:
+            items.append(ref.item_from_dict(record))
+        except KeyError as exc:
+            return f":{lineno}: bad dataset record: missing field {exc.args[0]!r}"
+        except ValueError as exc:
+            return f":{lineno}: bad dataset record: {exc}"
+    return items
+
+
+def _record(**fields):
+    """A valid record, with ``fields`` replaced."""
+    record = item_to_dict(generate_dataset(GenConfig(n_items=1, p_unans=0.0, seed=0))[0])
+    return {**record, **fields}
+
+
+def _record_with_year(year):
+    return _record(specifier={"kind": "in_year", "years": [year]})
+
+
+_FACT = {"subject": "s", "relation": "r", "object": "o", "start": 0, "end": 1}
+
+
+class TestReadDataset:
+    """``read_dataset`` shares the parts of records with equal JSON content,
+    and is held to ``ref.item_from_dict``, which builds every part afresh."""
+
+    @given(_records())
+    @example([_record_with_year(1), _record_with_year(True)])
+    @example([_record_with_year(1990), _record_with_year(1990.0)])
+    @example([_record_with_year(1990), {**_record_with_year(1990), "gold": [["x"]]}])
+    @example([_record(facts=[_FACT]), _record(facts=[{**_FACT, "start": False}])])
+    @example([_record(feature={"evidence": "none"}, candidates=[1], id=2)])
+    @settings(max_examples=400)
+    def test_equals_per_record_oracle(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("oracle") / "data.jsonl"
+        write_lines(path, [json.dumps(record) for record in records])
+        try:
+            got = read_dataset(path)
+        except DatasetError as exc:
+            got = str(exc).removeprefix(str(path))
+        assert got == _oracle_read(records)
+
+    def test_equal_parts_are_one_object(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_dataset(generate_dataset(GenConfig(n_items=300, p_unans=0.4, seed=8)), path)
+        items = read_dataset(path)
+        parts = {
+            "specifier": [item.specifier for item in items],
+            "gold": [item.gold for item in items],
+            "feature": [item.feature for item in items],
+            "scope": [fact.scope for item in items for fact in item.facts],
+        }
+        for name, values in parts.items():
+            first: dict = {}
+            assert all(first.setdefault(v, v) is v for v in values), name
+            assert len(first) < len(values), name
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ([1, 2], "record must be a JSON object, got [1, 2]"),
+            ("text", "record must be a JSON object, got 'text'"),
+            ({}, "missing field 'specifier'"),
+            *[
+                ({k: v for k, v in _record().items() if k != field}, f"missing field {field!r}")
+                for field in ("id", "question", "gold", "feature")
+            ],
+            (_record(feature={"evidence": "supports"}), "missing field 'difficulty'"),
+        ],
+    )
+    def test_bad_record_shape_is_named(self, tmp_path, record, message):
+        path = tmp_path / "data.jsonl"
+        write_lines(path, [json.dumps(record)])
+        with pytest.raises(DatasetError, match=f":1: bad dataset record: {re.escape(message)}$"):
             read_dataset(path)
 
 

@@ -1,6 +1,7 @@
 """Text metrics against brute-force oracles and the documented edge cases."""
 
 import itertools
+import unicodedata
 
 import numpy as np
 import pytest
@@ -48,6 +49,20 @@ class TestNormalizeText:
 
     def test_article_drop_and_whitespace_collapse(self):
         assert normalize_text("The  No   Answer") == ["no", "answer"]
+
+    @given(st.lists(st.text(max_size=12) | st.sampled_from(["The Rovers.", "a, b"]), max_size=6))
+    def test_equals_unmemoized_normalization(self, texts):
+        for raw in texts + texts:
+            stripped = "".join(
+                ch for ch in raw.lower() if not unicodedata.category(ch).startswith("P")
+            )
+            assert normalize_text(raw) == [t for t in stripped.split() if t not in ("a", "an", "the")]
+
+    def test_each_call_returns_a_new_list(self):
+        first = normalize_text("The Seabrook Rovers")
+        first.append("mutated")
+        first[0] = "x"
+        assert normalize_text("The Seabrook Rovers") == ["seabrook", "rovers"]
 
     @given(st.text(max_size=40))
     def test_tokens_are_clean(self, raw):
