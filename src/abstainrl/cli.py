@@ -541,8 +541,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _TRAIN_DEFAULTS)
     if not resolved["dataset"] or not resolved["out_dir"]:
         raise UsageError("train requires --dataset and --out-dir")
-    items = _read_items(resolved["dataset"])
     _check_run(resolved)
+    items = _read_items(resolved["dataset"])
     params0 = _cold_start(resolved, items)
     report = _train_once(
         items, {**resolved, "command": "train"}, Path(resolved["out_dir"]).name, params0
@@ -555,6 +555,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     if not args.checkpoint or not args.dataset:
         raise UsageError("eval requires --checkpoint and --dataset")
+    variant = RewardVariant.from_name(args.reward_variant)
     checkpoint_path = Path(args.checkpoint)
     if not checkpoint_path.exists():
         raise DatasetError(f"checkpoint not found: {checkpoint_path}")
@@ -562,7 +563,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         params = PolicyParams.loads(checkpoint_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise DatasetError(f"malformed checkpoint {checkpoint_path}: {exc}") from exc
-    table = RewardTable(_read_items(args.dataset), RewardVariant.from_name(args.reward_variant))
+    table = RewardTable(_read_items(args.dataset), variant)
     evals = evaluate_items(params, table)
     _write_summary_csv(Path(args.out), table.items, evals)
     _print_report(summarize_items(evals))

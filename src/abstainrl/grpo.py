@@ -31,7 +31,6 @@ from abstainrl.policy import (
     DivergenceError,
     PolicyParams,
     inverse_cdf,
-    log_softmax,
     render_completion,
 )
 from abstainrl.reward import (
@@ -218,8 +217,8 @@ class RewardTable:
 
     def lookup(self, items: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rewards and abstention flags at the (broadcast) index arrays."""
-        rows = self.row[items]
-        return self.rewards[rows, actions], self.abstained[rows, actions]
+        cells = self.row[items] * N_ACTIONS + actions
+        return self.rewards.take(cells), self.abstained.take(cells)
 
 
 @dataclass(frozen=True)
@@ -227,13 +226,16 @@ class RolloutBatch:
     """B groups of G completions drawn under one old-policy snapshot.
 
     Group b answers item ``item_idx[b]`` of the reward table, whose feature
-    row is ``rows[b]``; the per-completion arrays are B x G.
+    row is ``rows[b]``; the per-completion arrays are B x G.  ``cells`` is
+    each completion's flat index ``row * 6 + action`` into a 6 x 6 table,
+    so a per-completion log-probability is one ``take``.
     """
 
     item_idx: np.ndarray
     rows: np.ndarray
     unanswerable: np.ndarray
     actions: np.ndarray
+    cells: np.ndarray
     logp_old: np.ndarray
     logp_ref: np.ndarray
     rewards: np.ndarray
@@ -255,9 +257,11 @@ def compute_advantages(
     # exactly zero variance (np.std of identical values can round to a
     # nonzero dust value, so compare the extremes instead)
     flat = r.max(axis=-1, keepdims=True) == r.min(axis=-1, keepdims=True)
-    centered = r - r.mean(axis=-1, keepdims=True)
-    scale = r.std(axis=-1, keepdims=True) + std_eps
-    return np.divide(centered, scale, out=np.zeros_like(r), where=~flat)
+    # np.mean and np.std's own operations, with the centered values shared
+    n = r.shape[-1]
+    centered = r - np.add.reduce(r, axis=-1, keepdims=True) / n
+    scale = np.sqrt(np.add.reduce(np.square(centered), axis=-1, keepdims=True) / n) + std_eps
+    return np.divide(centered, scale, out=np.zeros(r.shape), where=~flat)
 
 
 def importance_ratio(logp_new: ArrayLike, logp_old: ArrayLike) -> np.ndarray | float:
@@ -299,35 +303,33 @@ def rollout_batch(
     item_idx = rng.integers(0, len(table.items), size=cfg.batch_size)
     u = rng.random((cfg.batch_size, cfg.group_size))
     rows = table.features[item_idx]
-    logp_old_rows = log_softmax(params_old.logits)[rows]
-    actions = inverse_cdf(np.exp(logp_old_rows), u)
+    actions = inverse_cdf(np.exp(params_old.log_probs)[rows], u)
+    cells = rows[:, None] * N_ACTIONS + actions
     rewards, abstained = table.lookup(item_idx[:, None], actions)
     return RolloutBatch(
         item_idx=item_idx,
         rows=rows,
         unanswerable=table.unanswerable[item_idx],
         actions=actions,
-        logp_old=np.take_along_axis(logp_old_rows, actions, axis=1),
-        logp_ref=log_softmax(params_ref.logits)[rows[:, None], actions],
+        cells=cells,
+        logp_old=params_old.log_probs.take(cells),
+        logp_ref=params_ref.log_probs.take(cells),
         rewards=rewards,
         abstained=abstained,
         advantages=compute_advantages(rewards, cfg.std_eps),
     )
 
 
-def _batch_log_probs(log_probs: np.ndarray, batch: RolloutBatch) -> np.ndarray:
-    return log_probs[batch.rows[:, None], batch.actions]
-
-
 def grpo_objective(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) -> float:
     """Mean over groups of the per-group mean clipped surrogate minus beta * KL."""
     if batch.actions.shape[1] != cfg.group_size:
         raise ValueError("rollout group size does not match the configuration")
-    logp_new = _batch_log_probs(log_softmax(params.logits), batch)
+    logp_new = params.log_probs.take(batch.cells)
     surrogate = clipped_term(
         importance_ratio(logp_new, batch.logp_old), batch.advantages, cfg.clip_eps
     )
-    return float((surrogate - cfg.kl_beta * kl_k3(logp_new, batch.logp_ref)).mean())
+    terms = surrogate - cfg.kl_beta * kl_k3(logp_new, batch.logp_ref)
+    return float(terms.sum()) / terms.size
 
 
 def grpo_gradient(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) -> np.ndarray:
@@ -337,19 +339,23 @@ def grpo_gradient(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) ->
     contributes no gradient through the ratio (ties go to the unclipped
     branch).
     """
-    log_probs = log_softmax(params.logits)
-    logp_new = _batch_log_probs(log_probs, batch)
+    logp_new = params.log_probs.take(batch.cells)
     ratio = importance_ratio(logp_new, batch.logp_old)
     unclipped = ratio * batch.advantages
     clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * batch.advantages
     coeff = np.where(unclipped <= clipped, unclipped, 0.0)
     coeff += cfg.kl_beta * (np.exp(batch.logp_ref - logp_new) - 1.0)
     weight = (1.0 / coeff.size) * coeff
-    # d logpi / d logits on a row is onehot(action) - softmax(row)
-    grad = np.zeros((N_FEATURES, N_ACTIONS))
-    np.add.at(grad, (batch.rows[:, None], batch.actions), weight)
-    np.add.at(grad, batch.rows, -weight.sum(axis=1)[:, None] * np.exp(log_probs[batch.rows]))
-    return grad
+    # d logpi / d logits on a row is onehot(action) - softmax(row); each cell
+    # sums its one-hot terms in batch order, then its softmax terms
+    softmax_cells = batch.rows[:, None] * N_ACTIONS + np.arange(N_ACTIONS)
+    softmax_terms = -weight.sum(axis=1)[:, None] * np.exp(params.log_probs)[batch.rows]
+    grad = np.bincount(
+        np.concatenate((batch.cells.ravel(), softmax_cells.ravel())),
+        np.concatenate((weight.ravel(), softmax_terms.ravel())),
+        minlength=N_FEATURES * N_ACTIONS,
+    )
+    return grad.reshape(N_FEATURES, N_ACTIONS)
 
 
 def train_rl(
@@ -382,19 +388,21 @@ def train_rl(
                 raise GrpoDivergenceError(
                     f"objective became non-finite at iteration {iteration}"
                 )
-            kl = kl_k3(_batch_log_probs(log_softmax(params.logits), batch), batch.logp_ref)
+            kl = kl_k3(params.log_probs.take(batch.cells), batch.logp_ref)
             abstained = batch.abstained
-            unanswerable = batch.unanswerable[:, None]
+            n_abstained = int(np.count_nonzero(abstained))
+            tp = int(np.count_nonzero(abstained & batch.unanswerable[:, None]))
+            n_unanswerable = int(np.count_nonzero(batch.unanswerable)) * abstained.shape[1]
             log.records.append(
                 TrainRecord(
                     iteration=iteration,
-                    mean_reward=float(batch.rewards.mean()),
-                    abstain_rate=int(abstained.sum()) / abstained.size,
+                    mean_reward=float(batch.rewards.sum()) / batch.rewards.size,
+                    abstain_rate=n_abstained / abstained.size,
                     kl=float(kl.sum()) / kl.size,
                     objective=objective,
-                    tp=int((abstained & unanswerable).sum()),
-                    fp=int((abstained & ~unanswerable).sum()),
-                    fn=int((~abstained & unanswerable).sum()),
+                    tp=tp,
+                    fp=n_abstained - tp,
+                    fn=n_unanswerable - tp,
                 )
             )
     return params, log

@@ -14,6 +14,7 @@ import json
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,7 +53,8 @@ class ContextFeature:
     evidence: Evidence
     difficulty: Difficulty
 
-    @property
+    # cached on the object: the items of a dataset share their features
+    @cached_property
     def index(self) -> int:
         return _EVIDENCE_ORDER.index(self.evidence) * 2 + _DIFFICULTY_ORDER.index(
             self.difficulty
@@ -128,7 +130,7 @@ class PolicyParams:
         arr = np.array(self.logits, dtype=np.float64)
         if arr.shape != (N_FEATURES, N_ACTIONS):
             raise ValueError(f"logits must have shape (6, 6), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("logits must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "logits", arr)
@@ -136,6 +138,14 @@ class PolicyParams:
     @classmethod
     def zeros(cls) -> "PolicyParams":
         return cls(np.zeros((N_FEATURES, N_ACTIONS)))
+
+    @cached_property
+    def log_probs(self) -> np.ndarray:
+        """Row-wise log-softmax of the logits, computed once per snapshot;
+        read-only, like the logits."""
+        out = log_softmax(self.logits)
+        out.flags.writeable = False
+        return out
 
     def to_json_dict(self) -> dict:
         table = {
@@ -178,8 +188,9 @@ class PolicyParams:
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable log-softmax along the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # the reductions .max and .sum run, without their Python wrappers
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -190,10 +201,10 @@ def inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     sum exceeds it, else on K - 1; the running sums are accumulated left to
     right, as a scalar loop over the row would.
     """
-    cum = np.cumsum(probs[..., :-1], axis=-1)
+    cum = np.add.accumulate(probs[..., :-1], axis=-1)
     # running sums never decrease, so the sums <= u form a prefix whose
     # length is the first index past u
-    return (u[..., :, None] >= cum[..., None, :]).sum(axis=-1)
+    return np.add.reduce(u[..., :, None] >= cum[..., None, :], axis=-1)
 
 
 def greedy_action(params: PolicyParams, feature: ContextFeature) -> ActionId:

@@ -56,7 +56,8 @@ class GoldAnswer:
             raise ValueError("an answerable gold needs at least one alias")
         return cls(tuple(aliases))
 
-    @property
+    # cached on the object: the items of a dataset share their golds
+    @functools.cached_property
     def is_no_answer(self) -> bool:
         return not self.aliases
 

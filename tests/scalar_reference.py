@@ -6,7 +6,9 @@ completion at a time, rewards recomputed from text on every draw, and
 evaluation one item at a time from its rendered greedy completion.  They are
 kept only as oracles; the tests hold the array path to them.  The scalar
 log-softmax and inverse-CDF sampler they call are the oracles for
-``policy.log_softmax`` and ``policy.inverse_cdf``.  ``item_from_dict``, which
+``policy.log_softmax`` and ``policy.inverse_cdf``.  ``grpo_gradient_add_at``
+is the batched gradient as two ``np.add.at`` scatters, the oracle for the
+single ``np.bincount`` in ``grpo.grpo_gradient``.  ``item_from_dict``, which
 builds every part of a dataset record afresh, is the oracle for
 ``synthenv.read_dataset``.
 """
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from abstainrl.grpo import GrpoConfig, ItemEval, RewardFn, TrainLog, TrainRecord
+from abstainrl import policy
+from abstainrl.grpo import GrpoConfig, ItemEval, RewardFn, RolloutBatch, TrainLog, TrainRecord
 from abstainrl.policy import (
     ALL_ACTIONS,
     N_ACTIONS,
@@ -208,6 +211,25 @@ def grpo_gradient(
             coeff += cfg.kl_beta * (u - 1.0)
             grad[row] -= scale * coeff * probs
             grad[row, action.index] += scale * coeff
+    return grad
+
+
+def grpo_gradient_add_at(
+    params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig
+) -> np.ndarray:
+    """The batched gradient with every one-hot term scattered by one
+    ``np.add.at``, in batch order, then every row's softmax terms by a second."""
+    log_probs = policy.log_softmax(params.logits)
+    logp_new = log_probs[batch.rows[:, None], batch.actions]
+    ratio = np.exp(logp_new - batch.logp_old)
+    unclipped = ratio * batch.advantages
+    clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * batch.advantages
+    coeff = np.where(unclipped <= clipped, unclipped, 0.0)
+    coeff += cfg.kl_beta * (np.exp(batch.logp_ref - logp_new) - 1.0)
+    weight = (1.0 / coeff.size) * coeff
+    grad = np.zeros((N_FEATURES, N_ACTIONS))
+    np.add.at(grad, (batch.rows[:, None], batch.actions), weight)
+    np.add.at(grad, batch.rows, -weight.sum(axis=1)[:, None] * np.exp(log_probs[batch.rows]))
     return grad
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from abstainrl import grpo, reward
+from abstainrl import grpo, policy, reward
 from abstainrl.grpo import (
     GrpoConfig,
     RewardTable,
@@ -42,7 +42,7 @@ from abstainrl.reward import (
     parse_completion,
     total_reward,
 )
-from abstainrl.synthenv import GenConfig, generate_dataset
+from abstainrl.synthenv import GenConfig, generate_dataset, read_dataset, write_dataset
 from abstainrl.textmetrics import GoldAnswer
 
 ITEMS = generate_dataset(GenConfig(n_items=40, p_unans=0.4, ambiguity=0.4, seed=31))
@@ -156,6 +156,25 @@ class TestRewardTable:
                 text = render_completion(action, item)
                 assert table.lookup(np.array(j), np.array(a))[0] == total_reward(text, item.gold).total
 
+    def test_item_columns_equal_per_item_construction(self, tmp_path):
+        """Features and unanswerable flags cached on each distinct feature
+        and gold object, and the content rows, equal the per-item
+        construction, whether items share those objects (as read from a
+        file), hold equal copies, or mix both."""
+        path = tmp_path / "items.jsonl"
+        write_dataset(ITEMS, path)
+        read = read_dataset(path)
+        copied = [
+            dataclasses.replace(item, gold=GoldAnswer(tuple(item.gold.aliases))) for item in ITEMS
+        ]
+        for items in (ITEMS, read, copied, read + copied[::-1]):
+            table = RewardTable(items)
+            index: dict = {}
+            row = [index.setdefault((i.candidate_a, i.candidate_b, i.gold), len(index)) for i in items]
+            assert np.array_equal(table.features, [ALL_FEATURES.index(i.feature) for i in items])
+            assert np.array_equal(table.unanswerable, [not i.gold.aliases for i in items])
+            assert np.array_equal(table.row, row)
+
     @pytest.mark.parametrize("variant", list(RewardVariant))
     def test_all_distinct_items_equal_per_pair_reward(self, variant):
         """With no content shared, the table holds one row per item, equal to
@@ -235,6 +254,27 @@ class TestAdvantages:
         batched = compute_advantages(np.array(rows))
         for b, row in enumerate(rows):
             np.testing.assert_array_equal(batched[b], ref.compute_advantages(np.array(row), 1e-8))
+
+    @given(
+        st.lists(
+            st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5)
+            | st.lists(st.sampled_from([0.0, 0.1, 1 / 3, 1.5]), min_size=5, max_size=5)
+            | st.builds(lambda x: [x] * 5, st.floats(-3.0, 3.0)),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from([1e-8, 0.0, 0.5]),
+    )
+    def test_equals_numpy_mean_and_std(self, rows, std_eps):
+        """Sharing the centered values changes no bit: every group equals
+        (r - mean) / (std + eps) by np.mean and np.std, and a group whose
+        rewards are all equal is exactly zero."""
+        r = np.array(rows)
+        flat = r.max(axis=-1, keepdims=True) == r.min(axis=-1, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            formula = (r - r.mean(-1, keepdims=True)) / (r.std(-1, keepdims=True) + std_eps)
+        want = np.where(flat, 0.0, formula)
+        assert compute_advantages(r, std_eps).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("std_eps", [1e-8, 0.0])
     def test_flat_groups_are_exactly_zero(self, std_eps):
@@ -317,6 +357,42 @@ class TestGradient:
             assert grpo_objective(params, batch, cfg) == pytest.approx(
                 ref.grpo_objective(params, groups, cfg), rel=0, abs=1e-12
             )
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.01, 1.0]),
+        st.integers(2, 9),
+        st.sampled_from([0.05, 0.2, 0.5]),
+    )
+    @settings(max_examples=60)
+    def test_gradient_equals_add_at_form(self, seed, beta, group_size, clip_eps):
+        """One bincount over the one-hot cells, then the softmax cells, adds
+        to each cell in the order the two np.add.at scatters did: the
+        gradients are equal bit for bit."""
+        rng = np.random.default_rng(seed)
+        cfg = GrpoConfig(kl_beta=beta, batch_size=int(rng.integers(1, 12)),
+                         group_size=group_size, clip_eps=clip_eps)
+        old = PolicyParams(rng.normal(0, 1.0, (6, 6)))
+        reference = PolicyParams(rng.normal(0, 1.0, (6, 6)))
+        batch = rollout_batch(old, reference, RewardTable(ITEMS), cfg, rng)
+        params = PolicyParams(old.logits + rng.normal(0, 0.5, (6, 6)))
+        got = grpo_gradient(params, batch, cfg)
+        assert got.tobytes() == ref.grpo_gradient_add_at(params, batch, cfg).tobytes()
+
+    def test_one_log_softmax_per_snapshot(self, monkeypatch):
+        """The reference and every snapshot an update builds compute their
+        log-probs once, shared by sampling, gradient, objective and KL."""
+        calls = []
+        original = policy.log_softmax
+        monkeypatch.setattr(
+            policy, "log_softmax", lambda logits: calls.append(logits) or original(logits)
+        )
+        cfg = GrpoConfig(outer_iters=7, inner_steps=3, batch_size=4, seed=0)
+        params0, table = PolicyParams.zeros(), RewardTable(ITEMS)
+        assert not calls
+        params, _ = train_rl(params0, table, cfg)
+        assert len(calls) == 1 + cfg.outer_iters * cfg.inner_steps
+        assert not params.log_probs.flags.writeable
 
     def test_train_rl_steps_with_grpo_gradient(self, monkeypatch):
         """The gradient A5 checks is the one train_rl steps with."""

@@ -257,6 +257,21 @@ class TestTrain:
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert main(_train_args(tmp_path / "nope.jsonl", tmp_path / "o")) == 3
 
+    @pytest.mark.parametrize(
+        "setting",
+        [["--lr", "nan"], ["--group-size", "1"], ["--reward-variant", "bogus"],
+         ["--sft-lr=-1", "--sft-traces", "t.jsonl"]],
+    )
+    def test_bad_setting_is_refused_before_the_dataset_is_read(
+        self, tmp_path, monkeypatch, setting
+    ):
+        missing = tmp_path / "nope.jsonl"
+        assert main(_train_args(missing, tmp_path / "o", extra=setting)) == 2
+        data = _gen(tmp_path)
+        monkeypatch.setattr(cli, "read_dataset", lambda path: pytest.fail("dataset read"))
+        assert main(_train_args(data, tmp_path / "o", extra=setting)) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_non_utf8_dataset_is_data_error(self, tmp_path):
         data = tmp_path / "data.jsonl"
         data.write_bytes(b"\xff" + _gen(tmp_path, name="valid.jsonl").read_bytes())
@@ -426,6 +441,14 @@ _SUMMARY_ITEMS = generate_dataset(GenConfig(n_items=12, p_unans=0.4, ambiguity=0
 
 
 class TestEval:
+    def test_bad_reward_variant_is_refused_before_anything_is_read(self, tmp_path, monkeypatch):
+        argv = ["eval", "--checkpoint", str(tmp_path / "nope.json"),
+                "--dataset", str(tmp_path / "nope.jsonl"), "--reward-variant", "bogus"]
+        assert main(argv) == 2
+        argv[2], argv[4] = str(_oracle_checkpoint(tmp_path)), str(_gen(tmp_path))
+        monkeypatch.setattr(cli, "read_dataset", lambda path: pytest.fail("dataset read"))
+        assert main(argv) == 2
+
     def test_csv_header_and_oracle_scores(self, tmp_path, capsys):
         data = _oracle_solvable_dataset(tmp_path)
         ckpt = _oracle_checkpoint(tmp_path)

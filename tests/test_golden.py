@@ -10,6 +10,18 @@ as recorded by the per-sample scalar training loop.  A change that reorders
 float sums may move the floats by rounding, but nothing else: integer log
 fields must match exactly, float log fields within ``LOG_RTOL`` relative,
 logits within ``LOGITS_ATOL``, and the greedy evaluation byte for byte.
+
+``tests/data/golden_multistep`` holds the artifacts of a run on the same
+dataset through the paths the default run skips: several inner steps per
+snapshot, so that some ratios clip, with a larger group and batch and a
+stronger KL penalty,
+
+    abstainrl train --dataset data.jsonl --out-dir run --iters 40 \\
+        --inner-steps 3 --group-size 8 --batch-size 64 --beta 0.1 --lr 5
+
+as recorded by the array training path before its step shared one
+log-softmax per snapshot.  The step's float operations are meant to be
+unchanged, so these must match byte for byte.
 """
 
 import json
@@ -20,6 +32,9 @@ import pytest
 from abstainrl.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_train"
+GOLDEN_MULTISTEP = Path(__file__).parent / "data" / "golden_multistep"
+MULTISTEP = ["--iters", "40", "--inner-steps", "3", "--group-size", "8", "--batch-size", "64",
+             "--beta", "0.1", "--lr", "5"]
 LOG_RTOL = 1e-9
 LOGITS_ATOL = 1e-12
 REPORT = (
@@ -37,6 +52,14 @@ def run_dir(tmp_path_factory):
     argv = ["train", "--dataset", str(data), "--out-dir", str(out), "--iters", "50",
             "--sft-traces", str(data)]
     assert main(argv) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def multistep_dir(run_dir):
+    out = run_dir.parent / "multistep"
+    data = run_dir.parent / "data.jsonl"
+    assert main(["train", "--dataset", str(data), "--out-dir", str(out), *MULTISTEP]) == 0
     return out
 
 
@@ -76,3 +99,8 @@ def test_evaluation_matches_golden(run_dir, capsys):
     assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data),
                  "--out", str(run_dir.parent / "eval.csv")]) == 0
     assert capsys.readouterr().out.splitlines()[0] == REPORT
+
+
+@pytest.mark.parametrize("name", ["train_log.jsonl", "policy.json", "summary.csv"])
+def test_multistep_run_matches_golden_bytes(multistep_dir, name):
+    assert (multistep_dir / name).read_bytes() == (GOLDEN_MULTISTEP / name).read_bytes()
