@@ -39,7 +39,7 @@ from abstainrl.reward import (
     RewardVariant,
     Scorer,
     is_no_answer,
-    parse_completion,
+    parse_completion,  # noqa: F401  re-exported: e2ebench's tracer tests wrap it here
     total_reward,  # noqa: F401  re-exported: e2ebench's tracer tests wrap it here
 )
 from abstainrl.synthenv import DatasetError, SynthQAItem, read_jsonl, write_lines
@@ -208,11 +208,11 @@ class RewardTable:
                     breakdown, abstains = scorer.score(text, item.gold)
                 else:
                     breakdown = reward_fn(text, item)
-                    abstains = is_no_answer(parse_completion(text).answer)
+                    abstains = is_no_answer(scorer.answer(text))
                 self.rewards[r, a] = breakdown.total
                 self.abstained[r, a] = abstains
                 if not item.gold.is_no_answer:
-                    m = scorer.metrics(parse_completion(text).answer, item.gold)
+                    m = scorer.metrics(scorer.answer(text), item.gold)
                     self.metrics[r, a] = (m.em, m.rouge1, m.rouge2, m.rouge_l, m.semantic)
 
     def lookup(self, items: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

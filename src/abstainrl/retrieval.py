@@ -22,7 +22,7 @@ import numpy as np
 
 from abstainrl import prompts
 from abstainrl.synthenv import YEAR_FLOOR, YEAR_HORIZON, TemporalFact, TimeInterval
-from abstainrl.synthenv import DatasetError, read_jsonl, write_jsonl
+from abstainrl.synthenv import DatasetError, _json_object, _json_str, read_jsonl, write_jsonl
 from abstainrl.textmetrics import EMBEDDING_DIM, normalize_text, trigram_embedding
 
 DEFAULT_TOP_K = 10
@@ -59,46 +59,54 @@ def fact_to_quadruple(fact: TemporalFact) -> Quadruple:
 
 
 class _TrigramIndex:
-    """Inverted index of fact-sentence embeddings: per trigram bucket, the ids
-    and counts of the facts that have it, in fact order, and per fact its
-    embedding norm.
+    """Fact-sentence embeddings as a bucket-major count matrix: column ``f``
+    of ``counts[:, :len(self)]`` is the trigram embedding of fact ``f``, and
+    ``norms[f]`` its norm.
 
-    Every embedding entry is an integer count, so the dot products gathered
-    here and the squared norms are exact integer sums in any order, and each
-    score is bit-identical to ``cosine`` of the two embeddings.
+    The matrix is held in the smallest unsigned type that fits the largest
+    count seen, and widened when a larger one arrives.  Its capacity grows
+    geometrically, and at least to the size of each batch ``extend`` gets,
+    so each fact is embedded and copied in amortized constant time.
+    Every embedding entry is an integer count, so a dot product over the
+    matrix and the squared norms are exact integer sums in any order, and
+    each score is bit-identical to ``cosine`` of the two embeddings.
     """
 
     def __init__(self) -> None:
-        self.ids = [array("i") for _ in range(EMBEDDING_DIM)]
-        self.counts = [array("i") for _ in range(EMBEDDING_DIM)]
-        self.norms = array("d")
+        self.counts = np.zeros((EMBEDDING_DIM, 0), dtype=np.uint8)
+        self.norms = np.zeros(0)
+        self.size = 0
 
     def __len__(self) -> int:
-        return len(self.norms)
+        return self.size
 
-    def extend(self, sentences: Iterable[str]) -> None:
-        for sentence in sentences:
-            fact = len(self.norms)
+    def extend(self, sentences: Sequence[str]) -> None:
+        stop = self.size + len(sentences)
+        capacity = self.counts.shape[1]
+        if stop > capacity:
+            capacity = max(stop, 2 * capacity)
+            counts = np.zeros((EMBEDDING_DIM, capacity), dtype=self.counts.dtype)
+            counts[:, : self.size] = self.counts[:, : self.size]
+            norms = np.zeros(capacity)
+            norms[: self.size] = self.norms[: self.size]
+            self.counts, self.norms = counts, norms
+        for fact, sentence in enumerate(sentences, self.size):
             vec = trigram_embedding(sentence)
-            buckets = np.flatnonzero(vec)
-            for bucket, count in zip(buckets.tolist(), vec[buckets].astype(int).tolist()):
-                self.ids[bucket].append(fact)
-                self.counts[bucket].append(count)
-            self.norms.append(float(np.linalg.norm(vec)))
+            top = int(vec.max())
+            if top > np.iinfo(self.counts.dtype).max:
+                self.counts = self.counts.astype(np.min_scalar_type(top))
+            self.counts[:, fact] = vec
+            self.norms[fact] = np.linalg.norm(vec)
+        self.size = stop
 
     def cosines(self, query: str) -> np.ndarray:
         qv = trigram_embedding(query)
         qn = float(np.linalg.norm(qv))
-        norms = np.frombuffer(self.norms, dtype=np.float64)
+        n = self.size
         if qn == 0.0:
-            return np.zeros(len(norms))
-        buckets = np.flatnonzero(qv).tolist()
-        ids = np.concatenate([np.frombuffer(self.ids[b], dtype=np.intc) for b in buckets])
-        weights = np.concatenate(
-            [np.frombuffer(self.counts[b], dtype=np.intc) * qv[b] for b in buckets]
-        )
-        dots = np.bincount(ids, weights=weights, minlength=len(norms))
-        return dots / (qn * norms)
+            return np.zeros(n)
+        b = np.flatnonzero(qv)
+        return qv[b] @ self.counts[b, :n] / (qn * self.norms[:n])
 
 
 class _TokenIndex:
@@ -193,8 +201,19 @@ class KGStore:
         store = cls()
         for lineno, d in read_jsonl(path):
             try:
-                store.add(Quadruple(d["head"], d["relation"], d["tail"], d.get("timestamp")))
-            except (KeyError, TypeError, ValueError) as exc:
+                _json_object(d, "record")
+                head, relation, tail = (
+                    _json_str(d[name], name) for name in ("head", "relation", "tail")
+                )
+                timestamp = d.get("timestamp")
+                if timestamp is not None:
+                    _json_str(timestamp, "timestamp")
+                store.add(Quadruple(head, relation, tail, timestamp))
+            except KeyError as exc:
+                raise DatasetError(
+                    f"{path}:{lineno}: bad quadruple record: missing field {exc.args[0]!r}"
+                ) from exc
+            except ValueError as exc:
                 raise DatasetError(f"{path}:{lineno}: bad quadruple record: {exc}") from exc
         return store
 
@@ -277,8 +296,19 @@ def _check_query(store: KGStore, k: int) -> None:
 
 
 def _ranked(scores: np.ndarray, k: int) -> list[int]:
-    """Indices of the k highest scores; ties break toward the earlier index."""
-    return np.argsort(-scores, kind="stable")[:k].tolist()
+    """Indices of the k highest scores; ties break toward the earlier index.
+
+    The order of ``np.argsort(-scores, kind="stable")[:k]``, from a partial
+    sort: every score tied with the k-th best is kept (and a NaN never
+    compares greater), so the stable sort of those candidates begins with
+    the same k indices as the full one.  With k clamped to the length, the
+    k-th value is the largest (or a NaN) and every index is a candidate.
+    """
+    neg = -scores
+    k = min(k, len(neg))
+    kth = np.partition(neg, k - 1)[k - 1]
+    cand = np.flatnonzero(~(neg > kth))
+    return cand[np.argsort(neg[cand], kind="stable")[:k]].tolist()
 
 
 def topk_semantic(

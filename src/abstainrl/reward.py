@@ -155,25 +155,34 @@ class Scorer:
     """Rule-based reward and eval metrics, each computed once per distinct
     content key.
 
-    A completion's reward under ``variant`` and its abstention flag depend
-    only on (completion text, gold), and an answer's metrics only on
-    (answer, gold).  Items draw their candidates from small banks, so far
-    fewer keys occur than items or draws; each is scored the first time it
-    is asked for, by the same functions a direct call would use, so a
-    memoized value is the value a direct call returns.
+    A completion's answer segment depends only on its text, its reward
+    under ``variant`` and its abstention flag only on (completion text,
+    gold), and an answer's metrics only on (answer, gold).  Items draw
+    their candidates from small banks, so far fewer keys occur than items
+    or draws; each is computed the first time it is asked for, by the same
+    functions a direct call would use, so a memoized value is the value a
+    direct call returns.
     """
 
     def __init__(self, variant: RewardVariant = DEFAULT_VARIANT) -> None:
         self.variant = variant
+        self._answers: dict[str, str] = {}
         self._scores: dict[tuple[str, GoldAnswer], tuple[RewardBreakdown, bool]] = {}
         self._metrics: dict[tuple[str, GoldAnswer], AnswerMetrics] = {}
+
+    def answer(self, text: str) -> str:
+        """The answer segment of completion ``text``."""
+        answer = self._answers.get(text)
+        if answer is None:
+            answer = self._answers[text] = parse_completion(text).answer
+        return answer
 
     def score(self, text: str, gold: GoldAnswer) -> tuple[RewardBreakdown, bool]:
         """The reward of completion ``text`` and whether its answer abstains."""
         key = (text, gold)
         entry = self._scores.get(key)
         if entry is None:
-            abstains = is_no_answer(parse_completion(text).answer)
+            abstains = is_no_answer(self.answer(text))
             entry = self._scores[key] = (total_reward(text, gold, self.variant), abstains)
         return entry
 

@@ -443,6 +443,19 @@ class TestTrainRl:
         # one reward evaluation per (item, action) pair, when the table is built
         assert rule.calls == built == len(items) * len(ALL_ACTIONS)
 
+    def test_each_completion_text_is_parsed_once(self, monkeypatch):
+        """A table build parses each distinct completion text once for its
+        answer, plus once inside ``total_reward`` per scored (text, gold)."""
+        items = generate_dataset(GenConfig(n_items=80, p_unans=0.5, ambiguity=0.5, seed=8))
+        parsed = []
+        real = reward.parse_completion
+        monkeypatch.setattr(reward, "parse_completion", lambda raw: parsed.append(raw) or real(raw))
+        RewardTable(items)
+        pairs = [(render_completion(action, item), item.gold) for item in items for action in ALL_ACTIONS]
+        texts = {text for text, _ in pairs}
+        assert set(parsed) == texts
+        assert len(parsed) == len(texts) + len(set(pairs)) < len(pairs)
+
     @pytest.mark.parametrize(
         "variant", [RewardVariant.ROUGE_PLUS_EM, RewardVariant.ROUGE_PLUS_SEM_PLUS_EM]
     )

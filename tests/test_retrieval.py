@@ -257,6 +257,28 @@ class TestStorePersistence:
         assert again.quads == store.quads
         assert again.sentences == store.sentences
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            *(
+                (json.dumps({"head": "a", "relation": "b", "tail": "c", "timestamp": "1990", field: 1}),
+                 f"{field} must be a string, got 1")
+                for field in ("head", "relation", "tail", "timestamp")
+            ),
+            ('{"relation": "b", "tail": "c"}', "missing field 'head'"),
+            ('{"head": "a", "tail": "c"}', "missing field 'relation'"),
+            ('{"head": "a", "relation": "b"}', "missing field 'tail'"),
+            ("[1]", r"record must be a JSON object, got \[1\]"),
+        ],
+        ids=["head-int", "relation-int", "tail-int", "timestamp-int",
+             "no-head", "no-relation", "no-tail", "not-object"],
+    )
+    def test_bad_record_names_its_fault(self, tmp_path, line, message):
+        path = tmp_path / "store.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(synthenv.DatasetError, match=f":1: bad quadruple record: {message}$"):
+            KGStore.read_jsonl(path)
+
     def test_fact_conversion(self):
         items = generate_dataset(GenConfig(n_items=5, p_unans=0.0, seed=6))
         fact = items[0].facts[0]
@@ -418,7 +440,8 @@ class TestHeuristicKgFallback:
         assert quadruples_from_context("q", "No years mentioned here.") == []
 
 
-_WORDS = ["alpha", "bravo", "the", "Ann Lee", "o'neil", "who", "ember", "x"]
+# "a" * 300 holds one trigram more than 255 times, past the smallest count type
+_WORDS = ["alpha", "bravo", "the", "Ann Lee", "o'neil", "who", "ember", "x", "a" * 300]
 _STAMPS = [None, "1990", "1990-1995", "2001–2003"]
 _quads = st.builds(
     Quadruple,
@@ -452,6 +475,23 @@ class TestIndexedTopK:
     def test_matches_brute_force_with_ties(self, facts, repeats, query):
         store = KGStore(facts + facts[:repeats])  # duplicate facts tie exactly
         _assert_matches_brute_force(store, query)
+
+    @given(
+        scores=st.one_of(
+            st.lists(
+                st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, np.inf, np.nan]) | st.floats(),
+                min_size=1,
+                max_size=30,
+            ).map(np.array),
+            st.lists(st.integers(-3, 3), min_size=1, max_size=30).map(
+                lambda values: np.array(values, dtype=np.intp)
+            ),
+        )
+    )
+    def test_ranked_equals_full_stable_sort(self, scores):
+        n = len(scores)
+        for k in {1, n - 1, n, n + 5} - {0}:
+            assert retrieval._ranked(scores, k) == np.argsort(-scores, kind="stable")[:k].tolist()
 
     def test_empty_and_stopword_queries_score_zero(self):
         store = KGStore([Quadruple("alpha", "bravo", "chart", None), Quadruple("a", "b", "c")])
