@@ -54,7 +54,6 @@ from abstainrl.synthenv import (
     answerability_oracle,
     build_abstained_mc,
     generate_dataset,
-    ingest_timeqa_jsonl,
 )
 from abstainrl.textmetrics import (
     ConfusionCounts,

@@ -10,7 +10,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -114,9 +113,12 @@ def _resolve(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, An
     from_file: dict[str, Any] = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        from_file = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        try:
+            from_file = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
+            raise UsageError(f"config file {config_path}: {exc}") from None
         if not isinstance(from_file, dict):
-            raise UsageError("config file must hold a JSON object")
+            raise UsageError(f"config file {config_path}: must hold a JSON object")
         unknown = sorted(set(from_file) - set(defaults) - _RUN_RECORD_KEYS)
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(map(repr, unknown))}")
@@ -173,23 +175,23 @@ def _read_items(path: str | Path) -> list[synthenv.SynthQAItem]:
     return items
 
 
-class _Echo:
-    """A csv writer's target that hands back each row it is given."""
+# a field that holds one of these is quoted: a lone "\r" too, since a reader
+# takes a bare one for the end of the row
+_CSV_SPECIAL = re.compile('[,"\r\n]')
 
-    @staticmethod
-    def write(row: str) -> str:
-        return row
+
+def _csv_field(value: object) -> str:
+    """``value`` as one CSV field: quoted, its quotes doubled, when it holds
+    a comma, a quote or a line break."""
+    text = str(value)
+    if _CSV_SPECIAL.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
-    """``header`` then ``rows`` as CSV lines, formatted one row at a time."""
-    writer = csv.writer(_Echo(), lineterminator="\n")
-    write_lines(path, (writer.writerow(row)[:-1] for row in itertools.chain([header], rows)))
-
-
-# a field that holds one of these is quoted, as csv quotes it; csv itself
-# leaves a lone "\r" bare, which a reader then takes for the end of the row
-_CSV_SPECIAL = re.compile('[,"\r\n]')
+    """``header`` then ``rows`` as CSV lines."""
+    write_lines(path, (",".join(map(_csv_field, row)) for row in itertools.chain([header], rows)))
 
 
 def _write_summary_csv(
@@ -207,9 +209,7 @@ def _write_summary_csv(
                 f",{e.rouge1:.6f},{e.rouge2:.6f},{e.rouge_l:.6f},{e.semantic:.6f}"
                 f",{int(e.em)},{e.tp},{e.fp},{e.fn}"
             )
-        if _CSV_SPECIAL.search(item.id) is None:
-            return item.id + tail
-        return '"' + item.id.replace('"', '""') + '"' + tail
+        return _csv_field(item.id) + tail
 
     header = "id,r1,r2,rl,sem,em,tp,fp,fn"
     write_lines(path, itertools.chain([header], map(line, items, evals)))
@@ -768,8 +768,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", type=str, required=True)
     p_sweep.add_argument("--out-dir", dest="out_dir_sweep", type=str)
     p_sweep.add_argument("--n", type=int, default=200)
-    p_sweep.add_argument("--difficulty-mix", dest="difficulty_mix", type=float, default=0.5)
-    p_sweep.add_argument("--ambiguity", type=float, default=0.25)
+    p_sweep.add_argument(
+        "--difficulty-mix", dest="difficulty_mix", type=float, default=GenConfig.difficulty_mix
+    )
+    p_sweep.add_argument("--ambiguity", type=float, default=GenConfig.ambiguity)
     _add_train_flags(p_sweep, out_dir=False)
     p_sweep.set_defaults(handler=_cmd_sweep)
 

@@ -1,5 +1,5 @@
-"""Synthetic temporal-QA generation, TimeQA-style ingestion, and the
-abstained multiple-choice dataset builder.
+"""Synthetic temporal-QA generation and the abstained multiple-choice
+dataset builder.
 
 Every generated item is consistent by construction: the gold answer equals
 what the answerability oracle derives from the item's facts and time
@@ -616,50 +616,6 @@ def read_dataset(path: str | Path) -> list[SynthQAItem]:
             ) from exc
         except ValueError as exc:
             raise DatasetError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
-    return items
-
-
-# --- TimeQA-style ingestion ---------------------------------------------------
-
-_INGEST_DISTRACTOR = "unknown"
-
-
-def ingest_timeqa_jsonl(path: str | Path) -> list[SynthQAItem]:
-    """Map TimeQA-style records (question/context/targets, optional idx) onto
-    environment items.  Empty targets (or targets of empty strings) mean the
-    question is unanswerable.  Extra fields are ignored."""
-    items: list[SynthQAItem] = []
-    placeholder_spec = TimeSpecifier.in_year(0)
-    placeholder_feature = ContextFeature(Evidence.NO_EVIDENCE, Difficulty.EASY)
-    for lineno, record in read_jsonl(path):
-        if not isinstance(record, dict):
-            raise DatasetError(f"{path}:{lineno}: record must be a JSON object")
-        for field in ("question", "context", "targets"):
-            if field not in record:
-                raise DatasetError(f"{path}:{lineno}: missing required field {field!r}")
-        question = record["question"]
-        targets = record["targets"]
-        if not isinstance(question, str) or not isinstance(record["context"], str):
-            raise DatasetError(f"{path}:{lineno}: question and context must be strings")
-        if not isinstance(targets, list) or any(not isinstance(t, str) for t in targets):
-            raise DatasetError(f"{path}:{lineno}: targets must be a list of strings")
-        aliases = tuple(t for t in targets if t)
-        gold = GoldAnswer.of(*aliases) if aliases else GoldAnswer.no_answer()
-        candidate_a = aliases[0] if aliases else _INGEST_DISTRACTOR
-        candidate_b = _INGEST_DISTRACTOR if candidate_a != _INGEST_DISTRACTOR else "n/a"
-        item_id = str(record.get("idx", f"t{lineno:05d}"))
-        items.append(
-            SynthQAItem(
-                id=item_id,
-                question=question,
-                facts=(),
-                specifier=placeholder_spec,
-                gold=gold,
-                candidate_a=candidate_a,
-                candidate_b=candidate_b,
-                feature=placeholder_feature,
-            )
-        )
     return items
 
 

@@ -730,6 +730,20 @@ class TestReport:
         assert f"train_log.jsonl:2: train record field {field!r} must be an integer >= 0" in err
         assert not (tmp_path / "r").exists()
 
+    def test_run_names_with_csv_specials_read_back(self, tmp_path):
+        # a lone "\r" must be quoted too, or a reader ends the row there
+        names = ["a\rb", "c,d", 'e"f', "g\r\nh", "plain"]
+        for name in names:
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "train_log.jsonl").write_text(json.dumps(self.RECORD) + "\n")
+        out = tmp_path / "r"
+        assert main(["report", "--runs", *(str(tmp_path / n) for n in names),
+                     "--out-dir", str(out)]) == 0
+        with open(out / "aggregate.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == names
+        assert all(row[1:] == ["1", "0.500000", "0.250000", "1", "2", "3"] for row in rows[1:])
+
     def test_single_run_svg_parses(self, tmp_path):
         data = _gen(tmp_path)
         run = tmp_path / "solo"
@@ -777,6 +791,23 @@ class TestConfigKeys:
         cfg.write_text(json.dumps({"n": value}))
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.jsonl")]) == 2
         assert "'n'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"{bad", "Expecting property name enclosed in double quotes"),
+            (b'{"n": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+            (b"[1]", "must hold a JSON object"),
+        ],
+        ids=["invalid-json", "not-utf8", "not-an-object"],
+    )
+    def test_bad_file_is_named(self, tmp_path, content, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        code, err = _main_stderr(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.jsonl")])
+        assert code == 2
+        assert err.startswith(f"error: config file {cfg}: ") and message in err
+        assert not (tmp_path / "x.jsonl").exists()
 
 
 json_values = st.recursive(

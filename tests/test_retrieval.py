@@ -318,6 +318,7 @@ def stub_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
 
 

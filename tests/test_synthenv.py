@@ -1,5 +1,5 @@
-"""Generator consistency, ingestion, the abstained-MC builder, and the
-JSON-Lines reader and atomic writer every file goes through."""
+"""Generator consistency, the dataset reader, the abstained-MC builder, and
+the JSON-Lines reader and atomic writer every file goes through."""
 
 import copy
 import json
@@ -24,7 +24,6 @@ from abstainrl.synthenv import (
     answerability_oracle,
     build_abstained_mc,
     generate_dataset,
-    ingest_timeqa_jsonl,
     item_to_dict,
     read_dataset,
     read_mc_sources,
@@ -32,7 +31,7 @@ from abstainrl.synthenv import (
     write_dataset,
     write_lines,
 )
-from abstainrl.textmetrics import abstention_confusion, normalize_text
+from abstainrl.textmetrics import normalize_text
 
 
 class TestTimeInterval:
@@ -392,74 +391,6 @@ class TestReadDataset:
             read_dataset(path)
 
 
-class TestIngestTimeqa:
-    def _write(self, tmp_path, lines):
-        path = tmp_path / "timeqa.jsonl"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return path
-
-    def test_answerable_aliases_preserved(self, tmp_path):
-        path = self._write(
-            tmp_path,
-            [json.dumps({"question": "q", "context": "c", "targets": ["Tranmere Rovers", "Rovers"]})],
-        )
-        items = ingest_timeqa_jsonl(path)
-        assert items[0].gold.aliases == ("Tranmere Rovers", "Rovers")
-        assert items[0].candidate_a == "Tranmere Rovers"
-
-    def test_empty_targets_mean_no_answer(self, tmp_path):
-        path = self._write(
-            tmp_path,
-            [
-                json.dumps({"question": "q1", "context": "c", "targets": []}),
-                json.dumps({"question": "q2", "context": "c", "targets": [""]}),
-            ],
-        )
-        items = ingest_timeqa_jsonl(path)
-        assert all(i.gold.is_no_answer for i in items)
-
-    def test_truncated_line_fails_with_line_number(self, tmp_path):
-        path = self._write(
-            tmp_path,
-            [
-                json.dumps({"question": "q", "context": "c", "targets": ["x"]}),
-                '{"question": "q2", "context"',
-            ],
-        )
-        with pytest.raises(DatasetError, match=":2:"):
-            ingest_timeqa_jsonl(path)
-
-    def test_missing_field_fails(self, tmp_path):
-        path = self._write(tmp_path, [json.dumps({"question": "q", "targets": ["x"]})])
-        with pytest.raises(DatasetError, match="context"):
-            ingest_timeqa_jsonl(path)
-
-    def test_extra_fields_ignored(self, tmp_path):
-        path = self._write(
-            tmp_path,
-            [json.dumps({"question": "q", "context": "c", "targets": ["x"], "idx": 7, "junk": 1})],
-        )
-        items = ingest_timeqa_jsonl(path)
-        assert items[0].id == "7"
-
-    def test_oracle_predictor_has_clean_confusion(self, tmp_path):
-        path = self._write(
-            tmp_path,
-            [
-                json.dumps({"question": "q1", "context": "c", "targets": ["x"]}),
-                json.dumps({"question": "q2", "context": "c", "targets": []}),
-                json.dumps({"question": "q3", "context": "c", "targets": ["y", "z"]}),
-            ],
-        )
-        items = ingest_timeqa_jsonl(path)
-        pairs = [
-            (None if item.gold.is_no_answer else item.gold.aliases[0], item.gold)
-            for item in items
-        ]
-        counts = abstention_confusion(pairs)
-        assert counts.fp == 0 and counts.fn == 0
-
-
 def _mc_records(n):
     return [
         MCSourceRecord(
@@ -549,8 +480,8 @@ class TestFiles:
 
     @pytest.mark.parametrize(
         "read",
-        [read_dataset, ingest_timeqa_jsonl, read_mc_sources, KGStore.read_jsonl, TrainLog.read],
-        ids=["dataset", "timeqa", "mc-sources", "kg-store", "train-log"],
+        [read_dataset, read_mc_sources, KGStore.read_jsonl, TrainLog.read],
+        ids=["dataset", "mc-sources", "kg-store", "train-log"],
     )
     def test_invalid_json_names_its_line(self, tmp_path, read):
         # line 1 is blank and skipped, so the error must still count it
@@ -561,9 +492,8 @@ class TestFiles:
 
     @pytest.mark.parametrize(
         "read",
-        [read_dataset, ingest_timeqa_jsonl, read_mc_sources, KGStore.read_jsonl, TrainLog.read,
-         read_text],
-        ids=["dataset", "timeqa", "mc-sources", "kg-store", "train-log", "text"],
+        [read_dataset, read_mc_sources, KGStore.read_jsonl, TrainLog.read, read_text],
+        ids=["dataset", "mc-sources", "kg-store", "train-log", "text"],
     )
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_bytes_not_utf8_name_their_line(self, tmp_path, read, newline):
