@@ -515,15 +515,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         payload = {
             "mode": mode,
             "source": source,
-            "quadruples": [
-                {
-                    "head": q.head,
-                    "relation": q.relation,
-                    "tail": q.tail,
-                    "timestamp": q.timestamp,
-                }
-                for q in quads
-            ],
+            "quadruples": [vars(quad) for quad in quads],
         }
     if fallback_reason:
         payload["fallback_reason"] = fallback_reason

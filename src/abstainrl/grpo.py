@@ -42,7 +42,7 @@ from abstainrl.reward import (
     parse_completion,  # noqa: F401  re-exported: e2ebench's tracer tests wrap it here
     total_reward,  # noqa: F401  re-exported: e2ebench's tracer tests wrap it here
 )
-from abstainrl.synthenv import DatasetError, SynthQAItem, read_jsonl, write_lines
+from abstainrl.synthenv import SynthQAItem, read_records, write_lines
 from abstainrl.textmetrics import ConfusionCounts
 
 
@@ -90,21 +90,20 @@ _COUNT_FIELDS = frozenset({"iteration", "tp", "fp", "fn"})
 def _record_field(d: dict, name: str) -> int | float:
     """Field ``name`` of a train log record: an integer (not a bool) >= 0 for
     the iteration and the counts, a finite float for the rest."""
-    value = d.get(name)
+    value = d[name]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if name in _COUNT_FIELDS:
         if number and isinstance(value, int) and value >= 0:
             return value
-        raise ValueError(
-            f"train record field {name!r} must be an integer >= 0, got {value!r}"
-        )
+        raise ValueError(f"field {name!r} must be an integer >= 0, got {value!r}")
     if number:
         with contextlib.suppress(OverflowError):
             if math.isfinite(value := float(value)):
                 return value
-    raise ValueError(f"train record field {name!r} must be a float and finite, got {value!r}")
+    raise ValueError(f"field {name!r} must be a float and finite, got {value!r}")
 
 
+# written as vars(record): that holds exactly the fields only while there is no cached_property
 @dataclass(frozen=True)
 class TrainRecord:
     iteration: int
@@ -116,17 +115,9 @@ class TrainRecord:
     fp: int
     fn: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "mean_reward": self.mean_reward,
-            "abstain_rate": self.abstain_rate,
-            "kl": self.kl,
-            "objective": self.objective,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-        }
+
+def _train_record_from_dict(d: dict) -> TrainRecord:
+    return TrainRecord(**{f.name: _record_field(d, f.name) for f in fields(TrainRecord)})
 
 
 @dataclass
@@ -134,7 +125,7 @@ class TrainLog:
     records: list[TrainRecord] = field(default_factory=list)
 
     def jsonl_lines(self) -> list[str]:
-        return [json.dumps(r.to_json_dict(), sort_keys=True) for r in self.records]
+        return [json.dumps(vars(r), sort_keys=True) for r in self.records]
 
     def write(self, path: str | Path) -> None:
         write_lines(path, self.jsonl_lines())
@@ -144,16 +135,7 @@ class TrainLog:
         """The records of a log ``write`` wrote.  Each line needs the eight
         ``TrainRecord`` fields; other keys are ignored, so that a log with
         fields added later still reads."""
-        records = []
-        for lineno, d in read_jsonl(path):
-            if not isinstance(d, dict):
-                raise DatasetError(f"{path}:{lineno}: train record must be a JSON object")
-            try:
-                values = {f.name: _record_field(d, f.name) for f in fields(TrainRecord)}
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-            records.append(TrainRecord(**values))
-        return cls(records)
+        return cls(list(read_records(path, "train", _train_record_from_dict)))
 
 
 RewardFn = Callable[[str, SynthQAItem], RewardBreakdown]

@@ -22,13 +22,14 @@ import numpy as np
 
 from abstainrl import prompts
 from abstainrl.synthenv import YEAR_FLOOR, YEAR_HORIZON, TemporalFact, TimeInterval
-from abstainrl.synthenv import DatasetError, _json_object, _json_str, read_jsonl, write_jsonl
+from abstainrl.synthenv import _json_str, read_records, write_jsonl
 from abstainrl.textmetrics import EMBEDDING_DIM, normalize_text, trigram_embedding
 
 DEFAULT_TOP_K = 10
 DEFAULT_MAX_KEYWORDS = 5
 
 
+# written as vars(quad): that holds exactly the fields only while there is no cached_property
 @dataclass(frozen=True)
 class Quadruple:
     head: str
@@ -39,6 +40,16 @@ class Quadruple:
     def __post_init__(self) -> None:
         if not self.head or not self.relation or not self.tail:
             raise ValueError("quadruples need non-empty head, relation, and tail")
+
+
+def _quadruple_from_dict(d: dict) -> Quadruple:
+    """A quadruple from its KG store record: string ``head``, ``relation``
+    and ``tail``, and a string or null (or absent) ``timestamp``."""
+    head, relation, tail = (_json_str(d[name], name) for name in ("head", "relation", "tail"))
+    timestamp = d.get("timestamp")
+    if timestamp is not None:
+        _json_str(timestamp, "timestamp")
+    return Quadruple(head, relation, tail, timestamp)
 
 
 def kg_sentence(quad: Quadruple) -> str:
@@ -183,39 +194,11 @@ class KGStore:
         return self._tokens
 
     def write_jsonl(self, path: str | Path) -> None:
-        write_jsonl(
-            path,
-            (
-                {
-                    "head": quad.head,
-                    "relation": quad.relation,
-                    "tail": quad.tail,
-                    "timestamp": quad.timestamp,
-                }
-                for quad in self._quads
-            ),
-        )
+        write_jsonl(path, map(vars, self._quads))
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "KGStore":
-        store = cls()
-        for lineno, d in read_jsonl(path):
-            try:
-                _json_object(d, "record")
-                head, relation, tail = (
-                    _json_str(d[name], name) for name in ("head", "relation", "tail")
-                )
-                timestamp = d.get("timestamp")
-                if timestamp is not None:
-                    _json_str(timestamp, "timestamp")
-                store.add(Quadruple(head, relation, tail, timestamp))
-            except KeyError as exc:
-                raise DatasetError(
-                    f"{path}:{lineno}: bad quadruple record: missing field {exc.args[0]!r}"
-                ) from exc
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: bad quadruple record: {exc}") from exc
-        return store
+        return cls(read_records(path, "quadruple", _quadruple_from_dict))
 
 
 # --- time-expression parsing ---------------------------------------------------

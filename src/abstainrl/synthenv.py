@@ -11,13 +11,15 @@ what makes abstention a genuine decision problem for the policy.
 from __future__ import annotations
 
 import enum
+import errno
 import json
 import math
 import os
 import re
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import asdict, dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
 
@@ -31,6 +33,8 @@ YEAR_HORIZON = 2100
 # fact in the queried window).  Tests derive closed-form reward oracles
 # from this constant, so keep it in sync with _generate_item.
 CONTRADICT_FRACTION = 0.5
+
+_T = TypeVar("_T")
 
 
 class DatasetError(ValueError):
@@ -60,21 +64,35 @@ def read_text(path: str | Path) -> str:
     return text
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
-    """Yield ``(line number, decoded value)`` for each non-blank line of the
-    UTF-8 JSON-Lines file at ``path``.  Bytes that are not UTF-8 and invalid
-    JSON raise ``DatasetError`` naming ``path:line``; checking the values is
-    left to the caller."""
+def read_records(
+    path: str | Path, kind: str, parse: Callable[[dict], _T]
+) -> Iterator[_T]:
+    """Yield ``parse(record)`` for each non-blank line of the UTF-8
+    JSON-Lines file at ``path``, line by line.  Bytes that are not UTF-8,
+    invalid JSON and a value that is not a JSON object raise
+    ``DatasetError`` naming ``path:line``, as do a ``KeyError`` from
+    ``parse`` (``bad <kind> record: missing field 'x'``) and a
+    ``ValueError`` (``bad <kind> record: <message>``)."""
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             _require_utf8(path, line, lineno)
             if not line.strip():
                 continue
             try:
-                value = json.loads(line)
+                record = json.loads(line)
             except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
                 raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            yield lineno, value
+            try:
+                if type(record) is not dict:
+                    _json_object(record, "record")
+                value = parse(record)
+            except KeyError as exc:
+                raise DatasetError(
+                    f"{path}:{lineno}: bad {kind} record: missing field {exc.args[0]!r}"
+                ) from exc
+            except ValueError as exc:
+                raise DatasetError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
+            yield value
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
@@ -83,8 +101,12 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     ``path`` that then replaces it, so a process that fails or is interrupted
     part-way leaves the previous file intact; nothing is fsynced, so this is
     no guard against power loss.  The file gets the mode a plain ``open``
-    gives (0o666 less the umask)."""
+    gives (0o666 less the umask).  A ``path`` that is a directory raises
+    ``IsADirectoryError`` before a line is written, not once ``os.replace``
+    refuses it."""
     path = Path(path)
+    if path.is_dir() and not path.is_symlink():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -484,7 +506,7 @@ class _DatasetParts:
         self.scopes: dict[tuple[int, int], TimeInterval] = {}
 
 
-def item_from_dict(payload: object, parts: _DatasetParts) -> SynthQAItem:
+def item_from_dict(payload: dict, parts: _DatasetParts) -> SynthQAItem:
     """Inverse of ``item_to_dict``.  Texts must be strings and years
     integers; ValueError names the first field that breaks this, and
     KeyError the first missing one.
@@ -498,8 +520,6 @@ def item_from_dict(payload: object, parts: _DatasetParts) -> SynthQAItem:
     """
     # each ``if type(x) is not T: _json_t(x, ...)`` raises: JSON decoding
     # yields no subclass of str, int, list or dict
-    if type(payload) is not dict:
-        _json_object(payload, "record")
     spec_json = payload["specifier"]
     if type(spec_json) is not dict:
         _json_object(spec_json, "specifier")
@@ -606,17 +626,7 @@ def read_dataset(path: str | Path) -> list[SynthQAItem]:
     another type raises ``DatasetError`` naming ``path:line`` and the
     field."""
     parts = _DatasetParts()
-    items: list[SynthQAItem] = []
-    for lineno, record in read_jsonl(path):
-        try:
-            items.append(item_from_dict(record, parts))
-        except KeyError as exc:
-            raise DatasetError(
-                f"{path}:{lineno}: bad dataset record: missing field {exc.args[0]!r}"
-            ) from exc
-        except ValueError as exc:
-            raise DatasetError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
-    return items
+    return list(read_records(path, "dataset", lambda record: item_from_dict(record, parts)))
 
 
 # --- Abstained multiple-choice construction ------------------------------------
@@ -637,6 +647,7 @@ class MCSourceRecord:
             raise DatasetError(f"answer key must be one of {_MC_LABELS}, got {self.answer_key!r}")
 
 
+# written as vars(item): that holds exactly the fields only while there is no cached_property
 @dataclass(frozen=True)
 class MCItem:
     question: str
@@ -676,26 +687,17 @@ def build_abstained_mc(
 def mc_source_from_dict(payload: dict) -> MCSourceRecord:
     """A source record from its JSON object: a string question, a list of
     exactly four string options and a string answer key."""
-    try:
-        options = _json_list(payload["options"], "options")
-        return MCSourceRecord(
-            question=_json_str(payload["question"], "question"),
-            options=tuple(_json_str(option, "option") for option in options),
-            answer_key=_json_str(payload["answer_key"], "answer_key"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetError(f"bad multiple-choice source record: {exc}") from exc
+    options = _json_list(payload["options"], "options")
+    return MCSourceRecord(
+        question=_json_str(payload["question"], "question"),
+        options=tuple(_json_str(option, "option") for option in options),
+        answer_key=_json_str(payload["answer_key"], "answer_key"),
+    )
 
 
 def read_mc_sources(path: str | Path) -> list[MCSourceRecord]:
-    records: list[MCSourceRecord] = []
-    for lineno, payload in read_jsonl(path):
-        try:
-            records.append(mc_source_from_dict(payload))
-        except DatasetError as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-    return records
+    return list(read_records(path, "multiple-choice source", mc_source_from_dict))
 
 
 def write_mc_items(items: Iterable[MCItem], path: str | Path) -> None:
-    write_jsonl(path, map(asdict, items))
+    write_jsonl(path, map(vars, items))

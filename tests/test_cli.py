@@ -711,8 +711,9 @@ class TestReport:
              "field 'objective' must be a float and finite, got nan"),
             (json.dumps({**RECORD, "tp": True}), "field 'tp' must be an integer"),
             (json.dumps({**RECORD, "iteration": 1.0}), "field 'iteration' must be an integer"),
-            (json.dumps({k: v for k, v in RECORD.items() if k != "kl"}), "field 'kl' must be"),
-            ("[1, 2]", "train record must be a JSON object"),
+            (json.dumps({k: v for k, v in RECORD.items() if k != "kl"}),
+             "bad train record: missing field 'kl'"),
+            ("[1, 2]", "bad train record: record must be a JSON object, got [1, 2]"),
             ("{not json", "invalid JSON"),
         ],
         ids=["string", "overflowing", "nan", "inf", "minus-inf", "nan-objective", "bool",
@@ -727,7 +728,7 @@ class TestReport:
     def test_negative_count_is_data_error(self, tmp_path, field):
         code, err = self._report(tmp_path, json.dumps({**self.RECORD, field: -5}))
         assert code == 3
-        assert f"train_log.jsonl:2: train record field {field!r} must be an integer >= 0" in err
+        assert f"train_log.jsonl:2: bad train record: field {field!r} must be an integer >= 0" in err
         assert not (tmp_path / "r").exists()
 
     def test_run_names_with_csv_specials_read_back(self, tmp_path):
@@ -996,7 +997,7 @@ class TestWriteTargets:
     """An artifact path that is a directory is an input-data error, and the
     temporary file the artifact was streamed into is removed."""
 
-    @pytest.mark.parametrize("command", ["gen", "train", "extract"])
+    @pytest.mark.parametrize("command", ["gen", "train", "extract", "eval"])
     def test_directory_target_is_data_error(self, tmp_path, command):
         data = _gen(tmp_path)
         target = tmp_path / "target"
@@ -1006,11 +1007,15 @@ class TestWriteTargets:
             "train": _train_args(data, target.parent / "run", iters="2"),
             "extract": ["extract", "--question", "Who in 1990?", "--context", "In 1990.",
                         "--out", str(target)],
+            "eval": ["eval", "--checkpoint", str(_oracle_checkpoint(tmp_path)),
+                     "--dataset", str(data), "--out", str(target)],
         }[command]
         if command == "train":
             target = target.parent / "run" / "policy.json"
         target.mkdir(parents=True)
-        assert main(argv) == 3
+        code, err = _main_stderr(argv)
+        assert code == 3
+        assert f"Is a directory: {str(target)!r}" in err
         assert not list(tmp_path.rglob("*.tmp"))
 
 

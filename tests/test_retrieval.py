@@ -257,6 +257,16 @@ class TestStorePersistence:
         assert again.quads == store.quads
         assert again.sentences == store.sentences
 
+    def test_written_bytes(self, tmp_path):
+        store = KGStore([Quadruple("Ann Lee", "team", "Rovers", "1990-1992"),
+                         Quadruple("Bo", "role", "Chief")])
+        path = tmp_path / "store.jsonl"
+        store.write_jsonl(path)
+        assert path.read_bytes() == (
+            b'{"head": "Ann Lee", "relation": "team", "tail": "Rovers", "timestamp": "1990-1992"}\n'
+            b'{"head": "Bo", "relation": "role", "tail": "Chief", "timestamp": null}\n'
+        )
+
     @pytest.mark.parametrize(
         "line, message",
         [

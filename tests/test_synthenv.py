@@ -491,6 +491,42 @@ class TestFiles:
             read(path)
 
     @pytest.mark.parametrize(
+        "read, kind, first_field",
+        [
+            (read_dataset, "dataset", "specifier"),
+            (read_mc_sources, "multiple-choice source", "options"),
+            (KGStore.read_jsonl, "quadruple", "head"),
+            (TrainLog.read, "train", "iteration"),
+        ],
+        ids=["dataset", "mc-sources", "kg-store", "train-log"],
+    )
+    @pytest.mark.parametrize("line", ["[1]", "{}"], ids=["not-object", "empty-object"])
+    def test_same_fault_same_message(self, tmp_path, read, kind, first_field, line):
+        path = tmp_path / "broken.jsonl"
+        path.write_text("\n" + line + "\n", encoding="utf-8")
+        fault = {
+            "[1]": "record must be a JSON object, got [1]",
+            "{}": f"missing field {first_field!r}",
+        }[line]
+        with pytest.raises(DatasetError, match=f":2: bad {kind} record: {re.escape(fault)}$"):
+            read(path)
+
+    def test_directory_target_is_refused_before_writing(self, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        consumed = []
+
+        def lines():
+            consumed.append(True)
+            yield "x"
+
+        with pytest.raises(IsADirectoryError) as info:
+            write_lines(target, lines())
+        assert info.value.filename == str(target)
+        assert not consumed
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize(
         "read",
         [read_dataset, read_mc_sources, KGStore.read_jsonl, TrainLog.read, read_text],
         ids=["dataset", "mc-sources", "kg-store", "train-log", "text"],
