@@ -19,7 +19,7 @@ from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import Any
 
-from abstainrl import retrieval, synthenv
+from abstainrl import policy, retrieval, synthenv
 from abstainrl.grpo import (
     EvalReport,
     GrpoConfig,
@@ -82,8 +82,8 @@ _TRAIN_DEFAULTS: dict[str, Any] = {
     "seed": 0,
     "reward_variant": DEFAULT_VARIANT.value,
     "sft_traces": None,
-    "sft_lr": 0.5,
-    "sft_epochs": 200,
+    "sft_lr": policy.DEFAULT_SFT_LR,
+    "sft_epochs": policy.DEFAULT_SFT_EPOCHS,
 }
 
 
@@ -228,6 +228,8 @@ def _print_report(report: EvalReport) -> None:
 # --- SVG rendering ---------------------------------------------------------------
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+# the characters XML 1.0 forbids in a document
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _escape(text: str) -> str:
@@ -248,7 +250,9 @@ def _polyline(points: list[tuple[float, float]], color: str, dashed: bool = Fals
 def render_curves_svg(runs: list[tuple[str, TrainLog]]) -> list[str]:
     """The lines of a standalone SVG: learning curves (mean reward solid,
     abstain rate dashed, both on their own vertical scales) plus final
-    TP/FP/FN bars per run."""
+    TP/FP/FN bars per run; a run name's characters that XML forbids show as
+    U+FFFD."""
+    runs = [(_NOT_XML_CHAR.sub("\ufffd", name), log) for name, log in runs]
     width, height = 960, 700
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -332,6 +336,11 @@ def render_curves_svg(runs: list[tuple[str, TrainLog]]) -> list[str]:
 
 # --- training driver (shared by train and sweep) ----------------------------------
 
+def _run_name(run_dir: str | Path) -> str:
+    """The name of a run directory, its bytes that are not UTF-8 as U+FFFD."""
+    return Path(run_dir).name.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+
+
 def _check_run(resolved: dict[str, Any]) -> None:
     """Raise on any bad setting of a run, the SFT ones included, so that a
     run is refused before anything is read or written."""
@@ -390,7 +399,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     resolved = _resolve(
         args,
         {
-            "n": 200,
+            "n": GenConfig.n_items,
             "p_unans": GenConfig.p_unans,
             "difficulty_mix": GenConfig.difficulty_mix,
             "ambiguity": GenConfig.ambiguity,
@@ -419,7 +428,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_build_mc(args: argparse.Namespace) -> int:
     resolved = _resolve(
-        args, {"in_path": None, "ratio": 0.12, "seed": 0, "out": None}
+        args, {"in_path": None, "ratio": synthenv.DEFAULT_MC_RATIO, "seed": 0, "out": None}
     )
     if resolved["in_path"] is None or resolved["out"] is None:
         raise UsageError("build-mc requires --in and --out")
@@ -537,7 +546,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     items = _read_items(resolved["dataset"])
     params0 = _cold_start(resolved, items)
     report = _train_once(
-        items, {**resolved, "command": "train"}, Path(resolved["out_dir"]).name, params0
+        items, {**resolved, "command": "train"}, _run_name(resolved["out_dir"]), params0
     )
     _print_report(report)
     print(f"artifacts -> {resolved['out_dir']}")
@@ -670,7 +679,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         log_path = run_dir / "train_log.jsonl"
         if not log_path.exists():
             raise DatasetError(f"missing train log: {log_path}")
-        runs.append((run_dir.name, TrainLog.read(log_path)))
+        runs.append((_run_name(run_dir), TrainLog.read(log_path)))
     out_dir = Path(args.out_dir)
     write_lines(out_dir / "curves.svg", render_curves_svg(runs))
     _write_csv(
@@ -759,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", type=str, required=True)
     p_sweep.add_argument("--values", type=str, required=True)
     p_sweep.add_argument("--out-dir", dest="out_dir_sweep", type=str)
-    p_sweep.add_argument("--n", type=int, default=200)
+    p_sweep.add_argument("--n", type=int, default=GenConfig.n_items)
     p_sweep.add_argument(
         "--difficulty-mix", dest="difficulty_mix", type=float, default=GenConfig.difficulty_mix
     )

@@ -152,9 +152,9 @@ class RewardTable:
     gather.  ``reward_fn`` overrides the rule, which is how the bandit
     sanity environments install their own payout tables; it is called once
     per (item, action) pair, and every item gets its own row, since a
-    payout may depend on the item.  Each distinct (completion, gold) is
-    scored once, as are the eval metrics of each distinct (answer, gold),
-    which are zero where the gold is No-Answer.
+    payout may depend on the item.  Each distinct text is parsed and each
+    distinct (answer, answerable gold) measured once, and the rule reads its
+    reward from those eval metrics; they are zero for a No-Answer gold.
     """
 
     def __init__(
@@ -186,15 +186,15 @@ class RewardTable:
         for r, item in enumerate(rows):
             for a, action in enumerate(ALL_ACTIONS):
                 text = render_completion(action, item)
+                answer = scorer.parse(text).answer
                 if reward_fn is None:
                     breakdown, abstains = scorer.score(text, item.gold)
                 else:
-                    breakdown = reward_fn(text, item)
-                    abstains = is_no_answer(scorer.answer(text))
+                    breakdown, abstains = reward_fn(text, item), is_no_answer(answer)
                 self.rewards[r, a] = breakdown.total
                 self.abstained[r, a] = abstains
                 if not item.gold.is_no_answer:
-                    m = scorer.metrics(scorer.answer(text), item.gold)
+                    m = scorer.metrics(answer, item.gold)
                     self.metrics[r, a] = (m.em, m.rouge1, m.rouge2, m.rouge_l, m.semantic)
 
     def lookup(self, items: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

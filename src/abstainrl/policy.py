@@ -102,6 +102,9 @@ ALL_ACTIONS = tuple(ActionId.from_index(i) for i in range(6))
 N_FEATURES = len(ALL_FEATURES)
 N_ACTIONS = len(ALL_ACTIONS)
 
+DEFAULT_SFT_LR = 0.5
+DEFAULT_SFT_EPOCHS = 200
+
 
 class DivergenceError(RuntimeError):
     """Raised when training drives the logits or the objective non-finite."""
@@ -247,47 +250,34 @@ def oracle_action(item: "SynthQAItem") -> ActionId:
     return ActionId(Choice.ABSTAIN, formatted=True)
 
 
-def make_expert_traces(
-    items: Iterable["SynthQAItem"],
-    actions: Sequence[ActionId] | None = None,
-) -> list[ExpertTrace]:
-    """Render expert traces and keep only the ones whose answer is verifiably
-    right: exact match against the gold, or a correct abstention, i.e. an
-    answer reward of at least 1 under the default variant.  Each distinct
-    (trace, gold) is scored once.
-
-    ``actions`` overrides the oracle's per-item choice, which lets callers
-    exercise the correctness filter with deliberately wrong proposals.  The
-    oracle's choice depends only on (candidate_a, candidate_b, gold), so it
-    is made once per distinct triple.
+def make_expert_traces(items: Iterable["SynthQAItem"]) -> list[ExpertTrace]:
+    """The oracle's expert traces whose answer is verifiably right: an
+    answer reward of at least 1 under the default variant (exact match, or
+    a correct abstention).  The action, its text and the verdict depend only
+    on (candidate_a, candidate_b, gold), so each is decided once per triple.
     """
-    items = list(items)
-    if actions is None:
-        by_content: dict[tuple[str, str, GoldAnswer], ActionId] = {}
-        chosen = []
-        for item in items:
-            key = (item.candidate_a, item.candidate_b, item.gold)
-            if key not in by_content:
-                by_content[key] = oracle_action(item)
-            chosen.append(by_content[key])
-    else:
-        if len(actions) != len(items):
-            raise ValueError("actions must align one-to-one with items")
-        chosen = list(actions)
     scorer = Scorer()
+    # (candidate_a, candidate_b, gold) -> (action, rendered), or None if wrong
+    by_content: dict[tuple[str, str, GoldAnswer], tuple[ActionId, str] | None] = {}
     kept: list[ExpertTrace] = []
-    for item, action in zip(items, chosen):
-        rendered = render_completion(action, item)
-        if scorer.score(rendered, item.gold)[0].answer >= 1.0:
-            kept.append(ExpertTrace(item.feature, action, rendered, item.gold))
+    for item in items:
+        key = (item.candidate_a, item.candidate_b, item.gold)
+        if key not in by_content:
+            action = oracle_action(item)
+            rendered = render_completion(action, item)
+            right = scorer.answer_reward(scorer.parse(rendered).answer, item.gold) >= 1.0
+            by_content[key] = (action, rendered) if right else None
+        trace = by_content[key]
+        if trace is not None:
+            kept.append(ExpertTrace(item.feature, *trace, item.gold))
     return kept
 
 
 def sft_train(
     params: PolicyParams,
     traces: Sequence[ExpertTrace],
-    lr: float = 0.5,
-    epochs: int = 200,
+    lr: float = DEFAULT_SFT_LR,
+    epochs: int = DEFAULT_SFT_EPOCHS,
 ) -> PolicyParams:
     """Full-batch gradient ascent on the mean log-likelihood of trace actions.
 

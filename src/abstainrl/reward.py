@@ -6,12 +6,12 @@ but whitespace outside them.  The total reward is a format component
 (0.5 or 0) plus a piecewise answer component:
 
 * 1.0 when both prediction and gold are No-Answer,
-* a lexical/semantic score when neither side is No-Answer,
+* when neither is, ROUGE-L F1 plus EM and semantic similarity as the
+  variant uses them, read from the answer's eval metrics,
 * 0 otherwise (hallucination and over-abstention both score zero).
 
-``Scorer`` memoizes these scores, and the eval metrics of an answer, by
-content: every caller that scores the same text against the same gold
-shares one evaluation.
+``Scorer`` memoizes parses, metrics and rewards by content: every caller
+that scores the same text against the same gold shares one evaluation.
 """
 
 from __future__ import annotations
@@ -112,33 +112,6 @@ def is_no_answer(answer: str) -> bool:
     return normalize_text(answer) == _NO_ANSWER_TOKENS
 
 
-def answer_reward(
-    pred: str, gold: GoldAnswer, variant: RewardVariant = DEFAULT_VARIANT
-) -> float:
-    """Piecewise answer reward on the answer segment only."""
-    pred_abstains = is_no_answer(pred)
-    if pred_abstains and gold.is_no_answer:
-        return 1.0
-    if pred_abstains or gold.is_no_answer:
-        return 0.0
-    score = rouge_l(pred, gold).f1
-    if variant.uses_em:
-        score += exact_match(pred, gold)
-    if variant.uses_sem:
-        score += max(semantic_sim(pred, alias) for alias in gold.aliases)
-    return score
-
-
-def total_reward(
-    raw: str, gold: GoldAnswer, variant: RewardVariant = DEFAULT_VARIANT
-) -> RewardBreakdown:
-    """Parse the completion, then combine format and answer rewards."""
-    pc = parse_completion(raw)
-    fmt = format_reward(pc)
-    ans = answer_reward(pc.answer, gold, variant)
-    return RewardBreakdown(format=fmt, answer=ans, total=fmt + ans)
-
-
 @dataclass(frozen=True)
 class AnswerMetrics:
     """Eval metrics of an answer against an answerable gold, each the best
@@ -151,52 +124,78 @@ class AnswerMetrics:
     semantic: float
 
 
-class Scorer:
-    """Rule-based reward and eval metrics, each computed once per distinct
-    content key.
+def answer_metrics(answer: str, gold: GoldAnswer) -> AnswerMetrics:
+    """EM, ROUGE-1/2/L F1 and semantic similarity of ``answer``; ``gold``
+    must be answerable."""
+    return AnswerMetrics(
+        em=exact_match(answer, gold),
+        rouge1=rouge_n(answer, gold, 1).f1,
+        rouge2=rouge_n(answer, gold, 2).f1,
+        rouge_l=rouge_l(answer, gold).f1,
+        semantic=max(semantic_sim(answer, alias) for alias in gold.aliases),
+    )
 
-    A completion's answer segment depends only on its text, its reward
-    under ``variant`` and its abstention flag only on (completion text,
-    gold), and an answer's metrics only on (answer, gold).  Items draw
-    their candidates from small banks, so far fewer keys occur than items
-    or draws; each is computed the first time it is asked for, by the same
-    functions a direct call would use, so a memoized value is the value a
-    direct call returns.
-    """
+
+class Scorer:
+    """Parses per completion text, eval metrics per (answer, gold), and,
+    built from those two, the reward under ``variant`` and the abstention
+    flag per (completion text, gold), each computed once per distinct key:
+    items draw their candidates from small banks, so far fewer keys occur
+    than items or draws."""
 
     def __init__(self, variant: RewardVariant = DEFAULT_VARIANT) -> None:
         self.variant = variant
-        self._answers: dict[str, str] = {}
-        self._scores: dict[tuple[str, GoldAnswer], tuple[RewardBreakdown, bool]] = {}
+        self._parsed: dict[str, ParsedCompletion] = {}
         self._metrics: dict[tuple[str, GoldAnswer], AnswerMetrics] = {}
+        self._scores: dict[tuple[str, GoldAnswer], tuple[RewardBreakdown, bool]] = {}
 
-    def answer(self, text: str) -> str:
-        """The answer segment of completion ``text``."""
-        answer = self._answers.get(text)
-        if answer is None:
-            answer = self._answers[text] = parse_completion(text).answer
-        return answer
+    def parse(self, text: str) -> ParsedCompletion:
+        parsed = self._parsed.get(text)
+        if parsed is None:
+            parsed = self._parsed[text] = parse_completion(text)
+        return parsed
+
+    def metrics(self, answer: str, gold: GoldAnswer) -> AnswerMetrics:
+        """``answer_metrics``; ``gold`` must be answerable."""
+        key = (answer, gold)
+        entry = self._metrics.get(key)
+        if entry is None:
+            entry = self._metrics[key] = answer_metrics(answer, gold)
+        return entry
+
+    def answer_reward(self, answer: str, gold: GoldAnswer) -> float:
+        """The piecewise answer reward of ``answer`` under ``variant``."""
+        abstains = is_no_answer(answer)
+        if abstains or gold.is_no_answer:
+            return 1.0 if abstains and gold.is_no_answer else 0.0
+        m = self.metrics(answer, gold)
+        score = m.rouge_l
+        if self.variant.uses_em:
+            score += m.em
+        if self.variant.uses_sem:
+            score += m.semantic
+        return score
 
     def score(self, text: str, gold: GoldAnswer) -> tuple[RewardBreakdown, bool]:
         """The reward of completion ``text`` and whether its answer abstains."""
         key = (text, gold)
         entry = self._scores.get(key)
         if entry is None:
-            abstains = is_no_answer(self.answer(text))
-            entry = self._scores[key] = (total_reward(text, gold, self.variant), abstains)
+            parsed = self.parse(text)
+            fmt = format_reward(parsed)
+            ans = self.answer_reward(parsed.answer, gold)
+            breakdown = RewardBreakdown(format=fmt, answer=ans, total=fmt + ans)
+            entry = self._scores[key] = (breakdown, is_no_answer(parsed.answer))
         return entry
 
-    def metrics(self, answer: str, gold: GoldAnswer) -> AnswerMetrics:
-        """EM, ROUGE-1/2/L F1 and semantic similarity of ``answer``; ``gold``
-        must be answerable."""
-        key = (answer, gold)
-        entry = self._metrics.get(key)
-        if entry is None:
-            entry = self._metrics[key] = AnswerMetrics(
-                em=exact_match(answer, gold),
-                rouge1=rouge_n(answer, gold, 1).f1,
-                rouge2=rouge_n(answer, gold, 2).f1,
-                rouge_l=rouge_l(answer, gold).f1,
-                semantic=max(semantic_sim(answer, alias) for alias in gold.aliases),
-            )
-        return entry
+
+def answer_reward(pred: str, gold: GoldAnswer, variant: RewardVariant = DEFAULT_VARIANT) -> float:
+    """Piecewise answer reward on the answer segment only."""
+    return Scorer(variant).answer_reward(pred, gold)
+
+
+def total_reward(
+    raw: str, gold: GoldAnswer, variant: RewardVariant = DEFAULT_VARIANT
+) -> RewardBreakdown:
+    """Parse the completion, then combine format and answer rewards."""
+    return Scorer(variant).score(raw, gold)[0]

@@ -235,7 +235,7 @@ class SynthQAItem:
 
 @dataclass(frozen=True)
 class GenConfig:
-    n_items: int
+    n_items: int = 200
     p_unans: float = 0.124
     difficulty_mix: float = 0.5
     ambiguity: float = 0.25
@@ -632,6 +632,7 @@ def read_dataset(path: str | Path) -> list[SynthQAItem]:
 # --- Abstained multiple-choice construction ------------------------------------
 
 _MC_LABELS = ("A", "B", "C", "D")
+DEFAULT_MC_RATIO = 0.12  # of the records made unanswerable
 
 
 @dataclass(frozen=True)
@@ -657,7 +658,7 @@ class MCItem:
 
 
 def build_abstained_mc(
-    records: Sequence[MCSourceRecord], ratio: float = 0.12, seed: int = 0
+    records: Sequence[MCSourceRecord], ratio: float = DEFAULT_MC_RATIO, seed: int = 0
 ) -> list[MCItem]:
     """Standardize 4-option records to 3 options, making floor(ratio * N) of
     them unanswerable by deleting their correct option and relabeling the

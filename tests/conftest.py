@@ -1,9 +1,25 @@
 import re
 
+import pytest
 from hypothesis import settings
+
+from abstainrl import reward
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
+
+@pytest.fixture
+def scoring_calls(monkeypatch):
+    """The lists of the texts ``reward.parse_completion`` and the (answer,
+    gold) pairs ``reward.answer_metrics`` are called with from here on."""
+    parsed, measured = [], []
+    parse, measure = reward.parse_completion, reward.answer_metrics
+    monkeypatch.setattr(reward, "parse_completion", lambda raw: parsed.append(raw) or parse(raw))
+    monkeypatch.setattr(
+        reward, "answer_metrics", lambda a, gold: measured.append((a, gold)) or measure(a, gold)
+    )
+    return parsed, measured
+
 
 _CRITERION_RE = re.compile(r"::test_(a\d+)_")
 _acceptance_results: dict[str, str] = {}

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from abstainrl import grpo, policy, reward
+from abstainrl import grpo, policy
 from abstainrl.grpo import (
     GrpoConfig,
     RewardTable,
@@ -190,6 +190,36 @@ class TestRewardTable:
                 text = render_completion(action, item)
                 assert table.rewards[j, a] == total_reward(text, item.gold, variant).total
                 assert table.abstained[j, a] == is_no_answer(parse_completion(text).answer)
+
+    @pytest.mark.parametrize("variant", list(RewardVariant))
+    def test_rewards_are_read_from_the_metrics(self, variant):
+        """Bit for bit, each cell's reward is its format reward plus 1 for
+        abstaining on a No-Answer gold, 0 for any other abstention or
+        No-Answer gold, and else ROUGE-L, then EM, then semantic similarity
+        as the variant uses them, read from the cell's own metrics row."""
+        items = generate_dataset(GenConfig(n_items=300, p_unans=0.4, ambiguity=0.5, seed=21))
+        table = RewardTable(items, variant)
+        gold_of_row = {}
+        for item, r in zip(items, table.row.tolist()):
+            gold_of_row.setdefault(r, item.gold)
+        assert len(gold_of_row) == len(table.rewards)
+        answered = 0
+        for r, gold in gold_of_row.items():
+            for a, action in enumerate(ALL_ACTIONS):
+                want = 0.5 if action.formatted else 0.0
+                if table.abstained[r, a] and gold.is_no_answer:
+                    want += 1.0
+                elif not table.abstained[r, a] and not gold.is_no_answer:
+                    em, _, _, rouge_l, semantic = table.metrics[r, a].tolist()
+                    score = rouge_l
+                    if variant.uses_em:
+                        score += em
+                    if variant.uses_sem:
+                        score += semantic
+                    want += score
+                    answered += score > 0
+                assert table.rewards[r, a] == want, (r, a)
+        assert answered > 0
 
     @given(
         st.integers(0, 2**32 - 1), st.sampled_from(list(RewardVariant)), st.booleans()
@@ -443,50 +473,49 @@ class TestTrainRl:
         # one reward evaluation per (item, action) pair, when the table is built
         assert rule.calls == built == len(items) * len(ALL_ACTIONS)
 
-    def test_each_completion_text_is_parsed_once(self, monkeypatch):
-        """A table build parses each distinct completion text once for its
-        answer, plus once inside ``total_reward`` per scored (text, gold)."""
+    def test_each_completion_text_is_parsed_once(self, scoring_calls):
+        """A table build parses each distinct completion text once, for its
+        answer, its format and its reward alike."""
         items = generate_dataset(GenConfig(n_items=80, p_unans=0.5, ambiguity=0.5, seed=8))
-        parsed = []
-        real = reward.parse_completion
-        monkeypatch.setattr(reward, "parse_completion", lambda raw: parsed.append(raw) or real(raw))
+        parsed, _ = scoring_calls
         RewardTable(items)
-        pairs = [(render_completion(action, item), item.gold) for item in items for action in ALL_ACTIONS]
-        texts = {text for text, _ in pairs}
+        texts = {render_completion(action, item) for item in items for action in ALL_ACTIONS}
         assert set(parsed) == texts
-        assert len(parsed) == len(texts) + len(set(pairs)) < len(pairs)
+        assert len(parsed) == len(texts) < len(items) * len(ALL_ACTIONS)
 
     @pytest.mark.parametrize(
         "variant", [RewardVariant.ROUGE_PLUS_EM, RewardVariant.ROUGE_PLUS_SEM_PLUS_EM]
     )
-    def test_default_rule_scores_each_content_key_once(self, monkeypatch, variant):
-        """The default rule reads the table's content-keyed scorer: the rule
-        runs once per distinct (completion, gold) of the table's rows, when
-        it is built, and the run equals one that scores every (item, action)
-        pair through ``reward_fn``."""
+    def test_default_rule_scores_each_content_key_once(self, scoring_calls, variant):
+        """The default rule reads the table's content-keyed scorer: when the
+        table is built, each distinct completion text is parsed once and
+        each distinct (answer, answerable gold) measured once, and the run
+        equals one that scores every (item, action) pair through
+        ``reward_fn``."""
         items = generate_dataset(GenConfig(n_items=80, p_unans=0.5, ambiguity=0.5, seed=8))
         cfg = GrpoConfig(outer_iters=40, lr=0.05, batch_size=16, seed=4)
         per_pair = _CountingRule(variant=variant)
         want_params, want_log = train_rl(
             PolicyParams.zeros(), RewardTable(items, reward_fn=per_pair), cfg
         )
+        gold_of = {item.id: item.gold for item in items}
+        texts = {raw for _, raw in per_pair.scored}
+        answers = {
+            (parse_completion(raw).answer, gold_of[item_id])
+            for item_id, raw in per_pair.scored
+            if not gold_of[item_id].is_no_answer
+        }
 
-        scored = []
-
-        def counted(raw, gold, variant):
-            scored.append((raw, gold))
-            return total_reward(raw, gold, variant)
-
-        monkeypatch.setattr(reward, "total_reward", counted)
+        parsed, measured = scoring_calls
+        parsed.clear()
+        measured.clear()
         table = RewardTable(items, variant)
-        built = list(scored)
+        built = (list(parsed), list(measured))
         params, log = train_rl(PolicyParams.zeros(), table, cfg)
         evaluate_items(params, table)
         np.testing.assert_array_equal(params.logits, want_params.logits)
         assert log.jsonl_lines() == want_log.jsonl_lines()
-        assert scored == built  # training and evaluation score nothing
-        gold_of = {item.id: item.gold for item in items}
-        keys = {(raw, gold_of[item_id]) for item_id, raw in per_pair.scored}
-        assert len(scored) == len(set(scored))
-        assert set(scored) == keys
-        assert len(keys) < per_pair.calls  # items share completions
+        assert (parsed, measured) == built  # training and evaluation score nothing
+        assert len(parsed) == len(set(parsed)) and set(parsed) == texts
+        assert len(measured) == len(set(measured)) and set(measured) == answers
+        assert len(texts) < per_pair.calls  # items share completions

@@ -745,6 +745,19 @@ class TestReport:
         assert [row[0] for row in rows[1:]] == names
         assert all(row[1:] == ["1", "0.500000", "0.250000", "1", "2", "3"] for row in rows[1:])
 
+    # a name with a character XML forbids, and one with a byte that is not UTF-8
+    @pytest.mark.parametrize("name", ["a\x01b", os.fsdecode(b"run\xff")])
+    def test_any_run_name_gives_well_formed_artifacts(self, tmp_path, name):
+        data = _gen(tmp_path)
+        run = tmp_path / name
+        assert main(_train_args(data, run, iters="4")) == 0
+        ET.fromstring((run / "curves.svg").read_text(encoding="utf-8"))
+        out = tmp_path / "r"
+        assert main(["report", "--runs", str(run), "--out-dir", str(out)]) == 0
+        ET.fromstring((out / "curves.svg").read_text(encoding="utf-8"))
+        rows = (out / "aggregate.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1].split(",")[:2] == [name.replace("\udcff", "\ufffd"), "4"]
+
     def test_single_run_svg_parses(self, tmp_path):
         data = _gen(tmp_path)
         run = tmp_path / "solo"

@@ -1,6 +1,7 @@
 """Softmax policy: probabilities, sampling, rendering, gradients, SFT."""
 
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -207,15 +208,19 @@ class TestExpertTraces:
             assert answer_reward(answer, trace.gold) >= 1.0
 
     def test_wrong_proposals_filtered(self):
-        items = generate_dataset(GenConfig(n_items=40, p_unans=0.0, seed=10))
-        # propose abstention everywhere: wrong on every answerable item
-        actions = [ActionId(Choice.ABSTAIN, True)] * len(items)
-        assert make_expert_traces(items, actions) == []
-
-    def test_action_alignment_checked(self):
-        items = generate_dataset(GenConfig(n_items=3, seed=11))
-        with pytest.raises(ValueError):
-            make_expert_traces(items, [ActionId(Choice.ABSTAIN, True)])
+        items = generate_dataset(GenConfig(n_items=40, p_unans=0.3, seed=10))
+        # a gold in neither candidate: the oracle abstains, which is wrong on
+        # every answerable item and right on every unanswerable one
+        elsewhere = GoldAnswer.of("Nowhere In Particular")
+        items = [
+            item if item.gold.is_no_answer else dataclasses.replace(item, gold=elsewhere)
+            for item in items
+        ]
+        unanswerable = [item for item in items if item.gold.is_no_answer]
+        assert 0 < len(unanswerable) < len(items)
+        traces = make_expert_traces(items)
+        assert [(t.feature, t.gold) for t in traces] == [(i.feature, i.gold) for i in unanswerable]
+        assert all(t.action == ActionId(Choice.ABSTAIN, True) for t in traces)
 
     def test_oracle_action_chosen_once_per_content(self, monkeypatch):
         items = generate_dataset(GenConfig(n_items=300, p_unans=0.3, ambiguity=0.5, seed=14))
@@ -231,8 +236,10 @@ class TestExpertTraces:
         calls.clear()
         traces = make_expert_traces(items)
         assert sorted(calls, key=repr) == once_per_key
-        assert [trace.action for trace in traces] == per_item
-        assert traces == make_expert_traces(items, per_item)
+        assert traces == [
+            ExpertTrace(item.feature, action, render_completion(action, item), item.gold)
+            for item, action in zip(items, per_item)
+        ]
 
     def test_oracle_answers_correct_candidate(self):
         items = generate_dataset(GenConfig(n_items=60, p_unans=0.0, seed=12))

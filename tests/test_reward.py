@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from abstainrl import reward
 from abstainrl.reward import (
     AnswerMetrics,
     RewardVariant,
@@ -224,18 +223,19 @@ class TestScorer:
                 semantic=max(semantic_sim(answer, alias) for alias in gold.aliases),
             )
 
-    def test_each_key_is_scored_once(self, monkeypatch):
-        scored = []
-
-        def counted(text, gold, variant):
-            scored.append((text, gold))
-            return total_reward(text, gold, variant)
-
-        monkeypatch.setattr(reward, "total_reward", counted)
+    def test_each_key_is_scored_once(self, scoring_calls):
+        """Each distinct text is parsed once and each distinct (answer,
+        answerable gold) measured once, however often it is scored; an
+        abstention or a No-Answer gold needs no metrics to be scored."""
+        parsed, measured = scoring_calls
         scorer = Scorer()
         keys = [("paris", PARIS), ("paris", GoldAnswer.of("Paris")), ("paris", PARIS),
-                (" paris", PARIS), ("paris", GoldAnswer.of("paris"))]
+                (" paris", PARIS), ("paris", GoldAnswer.of("paris")), ("No Answer", PARIS),
+                ("paris", NO_ANSWER_GOLD), ("<think>t</think><answer>paris</answer>", PARIS)]
         for text, gold in keys:
             scorer.score(text, gold)
-        # GoldAnswer.of("paris") == PARIS, so it shares PARIS's entry
-        assert scored == [("paris", PARIS), ("paris", GoldAnswer.of("Paris")), (" paris", PARIS)]
+        scorer.metrics("paris", PARIS)
+        assert parsed == ["paris", " paris", "No Answer", "<think>t</think><answer>paris</answer>"]
+        # every text above but "No Answer" has the answer "paris", and
+        # GoldAnswer.of("paris") == PARIS, so it shares PARIS's entries
+        assert measured == [("paris", PARIS), ("paris", GoldAnswer.of("Paris"))]
