@@ -749,8 +749,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--remote", action="store_true")
     p_ext.add_argument("--endpoint", type=str)
     p_ext.add_argument("--model", type=str)
-    p_ext.add_argument("--api-key-env", dest="api_key_env", type=str, default="ABSTAINRL_API_KEY")
-    p_ext.add_argument("--timeout", type=float, default=30.0)
+    p_ext.add_argument(
+        "--api-key-env",
+        dest="api_key_env",
+        type=str,
+        default=ExtractionClientConfig.api_key_env,
+    )
+    p_ext.add_argument("--timeout", type=float, default=ExtractionClientConfig.timeout)
     p_ext.set_defaults(handler=_cmd_extract)
 
     p_train = sub.add_parser("train", help="SFT cold start (optional) plus RL training")

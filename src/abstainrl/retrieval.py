@@ -71,74 +71,49 @@ def fact_to_quadruple(fact: TemporalFact) -> Quadruple:
 
 class _TrigramIndex:
     """Fact-sentence embeddings as a bucket-major count matrix: column ``f``
-    of ``counts[:, :len(self)]`` is the trigram embedding of fact ``f``, and
-    ``norms[f]`` its norm.
+    of ``counts`` is the trigram embedding of fact ``f``, and ``norms[f]``
+    its norm.
 
     The matrix is held in the smallest unsigned type that fits the largest
-    count seen, and widened when a larger one arrives.  Its capacity grows
-    geometrically, and at least to the size of each batch ``extend`` gets,
-    so each fact is embedded and copied in amortized constant time.
-    Every embedding entry is an integer count, so a dot product over the
-    matrix and the squared norms are exact integer sums in any order, and
-    each score is bit-identical to ``cosine`` of the two embeddings.
+    count seen, and widened when a larger one arrives.  Every embedding
+    entry is an integer count, so a dot product over the matrix and the
+    squared norms are exact integer sums in any order, and each score is
+    bit-identical to ``cosine`` of the two embeddings.
     """
 
-    def __init__(self) -> None:
-        self.counts = np.zeros((EMBEDDING_DIM, 0), dtype=np.uint8)
-        self.norms = np.zeros(0)
-        self.size = 0
-
-    def __len__(self) -> int:
-        return self.size
-
-    def extend(self, sentences: Sequence[str]) -> None:
-        stop = self.size + len(sentences)
-        capacity = self.counts.shape[1]
-        if stop > capacity:
-            capacity = max(stop, 2 * capacity)
-            counts = np.zeros((EMBEDDING_DIM, capacity), dtype=self.counts.dtype)
-            counts[:, : self.size] = self.counts[:, : self.size]
-            norms = np.zeros(capacity)
-            norms[: self.size] = self.norms[: self.size]
-            self.counts, self.norms = counts, norms
-        for fact, sentence in enumerate(sentences, self.size):
+    def __init__(self, sentences: Sequence[str]) -> None:
+        self.counts = np.zeros((EMBEDDING_DIM, len(sentences)), dtype=np.uint8)
+        self.norms = np.zeros(len(sentences))
+        for fact, sentence in enumerate(sentences):
             vec = trigram_embedding(sentence)
             top = int(vec.max())
             if top > np.iinfo(self.counts.dtype).max:
                 self.counts = self.counts.astype(np.min_scalar_type(top))
             self.counts[:, fact] = vec
             self.norms[fact] = np.linalg.norm(vec)
-        self.size = stop
 
     def cosines(self, query: str) -> np.ndarray:
         qv = trigram_embedding(query)
         qn = float(np.linalg.norm(qv))
-        n = self.size
         if qn == 0.0:
-            return np.zeros(n)
+            return np.zeros(len(self.norms))
         b = np.flatnonzero(qv)
-        return qv[b] @ self.counts[b, :n] / (qn * self.norms[:n])
+        return qv[b] @ self.counts[b] / (qn * self.norms)
 
 
 class _TokenIndex:
     """Inverted index of fact tokens: token -> ids of the facts whose head,
     relation, tail or timestamp contains it, in fact order."""
 
-    def __init__(self) -> None:
+    def __init__(self, quads: Sequence[Quadruple]) -> None:
+        self.n_facts = len(quads)
         self.postings: dict[str, array] = {}
-        self.size = 0
-
-    def __len__(self) -> int:
-        return self.size
-
-    def extend(self, quads: Iterable[Quadruple]) -> None:
-        for quad in quads:
+        for fact, quad in enumerate(quads):
             tokens: set[str] = set()
             for part in (quad.head, quad.relation, quad.tail, quad.timestamp or ""):
                 tokens.update(normalize_text(part))
             for token in tokens:
-                self.postings.setdefault(token, array("i")).append(self.size)
-            self.size += 1
+                self.postings.setdefault(token, array("i")).append(fact)
 
     def overlaps(self, keywords: Iterable[str]) -> np.ndarray:
         """Per fact, how many of the (distinct) keywords it contains."""
@@ -146,21 +121,21 @@ class _TokenIndex:
             np.frombuffer(self.postings[kw], dtype=np.intc) for kw in keywords if kw in self.postings
         ]
         if not hits:
-            return np.zeros(self.size, dtype=np.intp)
-        return np.bincount(np.concatenate(hits), minlength=self.size)
+            return np.zeros(self.n_facts, dtype=np.intp)
+        return np.bincount(np.concatenate(hits), minlength=self.n_facts)
 
 
 class KGStore:
-    """Append-only quadruple store with parallel serialized sentences.
+    """Append-only quadruple store.
 
-    The retrieval indexes are built on the first query and extended by the
-    facts added since, so ``add`` stays an O(1) append and a store that is
-    only written never embeds or tokenizes a fact.
+    Each retrieval index is built in one pass over all the facts by the
+    first query that needs it, and ``add`` drops both, so a store that is
+    only written never embeds or tokenizes a fact.  A query after an
+    ``add`` rebuilds the index it reads from every fact.
     """
 
     def __init__(self, quads: Iterable[Quadruple] = ()) -> None:
         self._quads: list[Quadruple] = []
-        self._sentences: list[str] = []
         self._trigrams: _TrigramIndex | None = None
         self._tokens: _TokenIndex | None = None
         for quad in quads:
@@ -168,7 +143,7 @@ class KGStore:
 
     def add(self, quad: Quadruple) -> None:
         self._quads.append(quad)
-        self._sentences.append(kg_sentence(quad))
+        self._trigrams = self._tokens = None
 
     def __len__(self) -> int:
         return len(self._quads)
@@ -179,18 +154,16 @@ class KGStore:
 
     @property
     def sentences(self) -> list[str]:
-        return list(self._sentences)
+        return [kg_sentence(quad) for quad in self._quads]
 
     def _trigram_index(self) -> _TrigramIndex:
         if self._trigrams is None:
-            self._trigrams = _TrigramIndex()
-        self._trigrams.extend(self._sentences[len(self._trigrams) :])
+            self._trigrams = _TrigramIndex(self.sentences)
         return self._trigrams
 
     def _token_index(self) -> _TokenIndex:
         if self._tokens is None:
-            self._tokens = _TokenIndex()
-        self._tokens.extend(self._quads[len(self._tokens) :])
+            self._tokens = _TokenIndex(self._quads)
         return self._tokens
 
     def write_jsonl(self, path: str | Path) -> None:

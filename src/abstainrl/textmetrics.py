@@ -1,4 +1,5 @@
-"""Text normalization, lexical overlap metrics, and abstention confusion counts.
+"""Text normalization, lexical overlap metrics, trigram embeddings, and
+abstention confusion counts.
 
 Normalization follows the extractive-QA convention: lowercase, strip
 punctuation, drop the articles a/an/the, split on whitespace.  ROUGE and
@@ -10,13 +11,10 @@ from __future__ import annotations
 import functools
 import unicodedata
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-
-from abstainrl import kernels
-from abstainrl.kernels import lcs_length
 
 EMBEDDING_DIM = 512
 
@@ -110,6 +108,26 @@ def _require_answerable(references: GoldAnswer, op: str) -> None:
         raise ValueError(f"{op} is undefined against a No-Answer gold")
 
 
+def lcs_length(a: Sequence[object], b: Sequence[object]) -> int:
+    """Length of the longest common subsequence of two token sequences."""
+    n, m = len(a), len(b)
+    if n == 0 or m == 0:
+        return 0
+    prev = [0] * (m + 1)
+    for i in range(1, n + 1):
+        cur = [0] * (m + 1)
+        ai = a[i - 1]
+        for j in range(1, m + 1):
+            if ai == b[j - 1]:
+                cur[j] = prev[j - 1] + 1
+            else:
+                left = cur[j - 1]
+                up = prev[j]
+                cur[j] = left if left >= up else up
+        prev = cur
+    return prev[m]
+
+
 def rouge_l(candidate: str, references: GoldAnswer) -> ScoreTriple:
     """LCS-based precision/recall/F1; the best-scoring alias (by F1) wins."""
     _require_answerable(references, "rouge_l")
@@ -157,16 +175,17 @@ def exact_match(candidate: str, references: GoldAnswer) -> float:
     return 1.0 if any(cand == normalize_text(alias) for alias in references.aliases) else 0.0
 
 
-def trigram_embedding(text: str, dim: int = EMBEDDING_DIM) -> np.ndarray:
+def trigram_embedding(text: str) -> np.ndarray:
     """Hashed character-trigram count vector of the lowercased text.
 
-    Non-empty inputs are padded with boundary sentinels so even one-character
-    strings embed to a non-zero vector; only the empty string maps to zero.
+    The text is padded with boundary sentinels so even one-character strings
+    embed to a non-zero vector; only the empty string maps to zero.  Each
+    trigram is bucketed by a fixed base-31 polynomial over its code points,
+    modulo ``EMBEDDING_DIM``.
     """
-    lowered = text.lower()
-    if not lowered:
-        return np.zeros(dim, dtype=np.float64)
-    return kernels.trigram_counts("\x02" + lowered + "\x03", dim)
+    codes = [ord(ch) for ch in "\x02" + text.lower() + "\x03"]
+    buckets = [(a * 961 + b * 31 + c) % EMBEDDING_DIM for a, b, c in zip(codes, codes[1:], codes[2:])]
+    return np.bincount(buckets, minlength=EMBEDDING_DIM).astype(np.float64)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

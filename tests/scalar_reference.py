@@ -10,7 +10,8 @@ log-softmax and inverse-CDF sampler they call are the oracles for
 is the batched gradient as two ``np.add.at`` scatters, the oracle for the
 single ``np.bincount`` in ``grpo.grpo_gradient``.  ``item_from_dict``, which
 builds every part of a dataset record afresh, is the oracle for
-``synthenv.read_dataset``.
+``synthenv.read_dataset``.  ``trigram_counts``, a per-character loop over an
+already padded string, is the oracle for ``textmetrics.trigram_embedding``.
 """
 
 from __future__ import annotations
@@ -84,6 +85,19 @@ def sample_categorical(probs: np.ndarray, u: float) -> int:
         if u < cum:
             return i
     return last
+
+
+def trigram_counts(text: str, dim: int) -> np.ndarray:
+    """Hashed character-trigram count vector of ``text``.
+
+    Each trigram is bucketed by a fixed base-31 polynomial over its code
+    points, modulo ``dim``.
+    """
+    out = np.zeros(dim, dtype=np.float64)
+    for i in range(len(text) - 2):
+        h = (ord(text[i]) * 961 + ord(text[i + 1]) * 31 + ord(text[i + 2])) % dim
+        out[h] += 1.0
+    return out
 
 
 def kl_k3(logp_theta: float, logp_ref: float) -> float:

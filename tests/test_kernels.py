@@ -1,5 +1,6 @@
-"""The numeric kernels against brute force and fixed vectors, and the scalar
-sampler oracle at its edge draws."""
+"""The kernel backend name, the LCS kernel against brute force, and the scalar
+sampler oracle at its edge draws. The trigram kernel is tested with the text
+metrics."""
 
 import itertools
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from abstainrl import kernels
 from abstainrl.policy import inverse_cdf
+from abstainrl.textmetrics import lcs_length
 
 
 def _brute_force_lcs(x, y):
@@ -26,22 +28,7 @@ int_seqs = st.lists(st.integers(0, 3), max_size=7)
 @given(st.one_of(st.tuples(str_seqs, str_seqs), st.tuples(int_seqs, int_seqs)))
 def test_lcs_length_matches_brute_force(pair):
     x, y = pair
-    assert kernels.lcs_length(x, y) == _brute_force_lcs(x, y)
-
-
-def test_trigram_counts_fixed_vector():
-    # \x02ca, caf, afé, fé_, é_1, _19, 196, 968, 68\x03: nine distinct buckets
-    want = np.zeros(512)
-    want[[72, 186, 187, 270, 317, 356, 385, 456, 480]] = 1.0
-    np.testing.assert_array_equal(kernels.trigram_counts("\x02café 1968\x03", 512), want)
-
-
-def test_trigram_counts_repeats_and_short_text():
-    # "aaa" occurs three times in "aaaaa"; 97 * (961 + 31 + 1) % 7 == 1
-    want = np.zeros(7)
-    want[1] = 3.0
-    np.testing.assert_array_equal(kernels.trigram_counts("aaaaa", 7), want)
-    np.testing.assert_array_equal(kernels.trigram_counts("ab", 7), np.zeros(7))
+    assert lcs_length(x, y) == _brute_force_lcs(x, y)
 
 
 def test_backend_is_python():

@@ -577,10 +577,14 @@ class TestIndexCost:
             counter.reset()
             topk_semantic(store, query)
             assert counter.counts == {"trigram_embedding": 1, "normalize_text": 0}
+        # an add drops the index, so the next query embeds itself and every fact
         store.add(Quadruple("Person 99", "employer", "Firm 9"))
         counter.reset()
         topk_semantic(store, "Person 99")
-        assert counter.counts["trigram_embedding"] == 2  # the query and the new fact
+        assert counter.counts == {"trigram_embedding": 1 + len(quads) + 1, "normalize_text": 0}
+        counter.reset()
+        topk_semantic(store, "Person 99")
+        assert counter.counts == {"trigram_embedding": 1, "normalize_text": 0}
 
     def test_lexical_queries_tokenize_only_the_question(self, monkeypatch):
         store = KGStore(self._quads())
@@ -589,4 +593,12 @@ class TestIndexCost:
         assert counter.counts == {"trigram_embedding": 0, "normalize_text": 1 + 4 * len(store)}
         counter.reset()
         topk_lexical(store, "Firm 2 employer")
+        assert counter.counts == {"trigram_embedding": 0, "normalize_text": 1}
+        # an add drops the index, so the next query tokenizes every fact again
+        store.add(Quadruple("Person 99", "employer", "Firm 9"))
+        counter.reset()
+        topk_lexical(store, "Person 99")
+        assert counter.counts == {"trigram_embedding": 0, "normalize_text": 1 + 4 * len(store)}
+        counter.reset()
+        topk_lexical(store, "Person 99")
         assert counter.counts == {"trigram_embedding": 0, "normalize_text": 1}

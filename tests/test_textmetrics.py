@@ -5,10 +5,12 @@ import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import scalar_reference as ref
 from abstainrl.textmetrics import (
+    EMBEDDING_DIM,
     ConfusionCounts,
     GoldAnswer,
     ScoreTriple,
@@ -200,6 +202,44 @@ class TestSemanticSim:
 
     def test_embedding_deterministic(self):
         np.testing.assert_array_equal(trigram_embedding("paris"), trigram_embedding("paris"))
+
+
+# Every code point, lone surrogates (category Cs) included, and a few with
+# a special lowercase: "İ" lowers to two characters, "\U00010400" outside the BMP.
+_any_text = st.text(st.characters(exclude_categories=()), max_size=30)
+_odd_text = st.text(st.sampled_from("aİß\U00010400\U0001F600\ud800\udfff \x02\x03"), max_size=12)
+
+
+class TestTrigramEmbedding:
+    @given(st.one_of(_any_text, _odd_text))
+    @example("")
+    @example("İ")
+    @example("\ud800")
+    @example("\U00010400x")
+    def test_equals_scalar_oracle(self, text):
+        got = trigram_embedding(text)
+        want = ref.trigram_counts("\x02" + text.lower() + "\x03", EMBEDDING_DIM)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_fixed_vector(self):
+        # \x02ca, caf, afé, fé_, é_1, _19, 196, 968, 68\x03: nine distinct buckets
+        want = np.zeros(512)
+        want[[72, 186, 187, 270, 317, 356, 385, 456, 480]] = 1.0
+        np.testing.assert_array_equal(trigram_embedding("café 1968"), want)
+
+    def test_repeats_and_short_text(self):
+        # "aaa" occurs three times in "aaaaa"; the sentinel trigrams \x02aa and
+        # aa\x03 land in buckets of their own
+        vec = trigram_embedding("aaaaa")
+        assert vec[97 * (961 + 31 + 1) % 512] == 3.0
+        assert vec[(2 * 961 + 97 * 31 + 97) % 512] == 1.0
+        assert vec[(97 * 961 + 97 * 31 + 3) % 512] == 1.0
+        assert vec.sum() == 5.0
+        # one character still makes one trigram: \x02a\x03
+        want = np.zeros(512)
+        want[(2 * 961 + 97 * 31 + 3) % 512] = 1.0
+        np.testing.assert_array_equal(trigram_embedding("a"), want)
 
 
 class TestAbstentionConfusion:
