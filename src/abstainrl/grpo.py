@@ -231,7 +231,10 @@ def compute_advantages(
     """Group-standardized rewards along the last axis:
     (r - mean) / (population std + std_eps).
 
-    A zero-variance group maps to all-zero advantages.
+    A zero-variance group maps to all-zero advantages.  A group whose std
+    underflows to 0 while its rewards differ (a subnormal spread) divides by
+    a zero ``scale`` into +-inf or NaN, as the formula does; ``train_rl``'s
+    finiteness check rejects that.
     """
     r = np.asarray(rewards, dtype=np.float64)
     if r.ndim == 0 or r.shape[-1] < 2:
@@ -243,7 +246,8 @@ def compute_advantages(
     n = r.shape[-1]
     centered = r - np.add.reduce(r, axis=-1, keepdims=True) / n
     scale = np.sqrt(np.add.reduce(np.square(centered), axis=-1, keepdims=True) / n) + std_eps
-    return np.divide(centered, scale, out=np.zeros(r.shape), where=~flat)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(centered, scale, out=np.zeros(r.shape), where=~flat)
 
 
 def importance_ratio(logp_new: ArrayLike, logp_old: ArrayLike) -> np.ndarray | float:

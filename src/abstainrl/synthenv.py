@@ -44,6 +44,9 @@ class DatasetError(ValueError):
 # Decoding with errors="surrogateescape" turns each byte that is not part of
 # valid UTF-8 into one of these code points, which valid UTF-8 never yields.
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
+# Any surrogate code point: JSON's escape "\ud800" decodes to one, and UTF-8
+# cannot encode it, so no artifact could write a text that holds it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _require_utf8(path: str | Path, text: str, lineno: int = 1) -> None:
@@ -137,7 +140,9 @@ class TimeInterval:
         return self.start <= hi and self.end >= lo
 
 
-@dataclass(frozen=True)
+# Slotted, as is SynthQAItem: a parsed dataset holds one per record, and a
+# per-instance __dict__ would be a large share of its memory.
+@dataclass(frozen=True, slots=True)
 class TemporalFact:
     subject: str
     relation: str
@@ -221,7 +226,7 @@ class TimeSpecifier:
         return f"in the early {self.years[0]}s"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SynthQAItem:
     id: str
     question: str
@@ -491,32 +496,55 @@ def _json_object(value: object, where: str) -> dict:
     return value
 
 
+def _json_text(value: object, where: str) -> str:
+    """``value``, if it is a string that UTF-8 can encode: one that holds no
+    lone surrogate."""
+    text = _json_str(value, where)
+    if not text.isascii() and _SURROGATE.search(text):
+        raise ValueError(f"{where} must not hold a lone surrogate, got {text!r}")
+    return text
+
+
 class _DatasetParts:
     """The value parts one ``read_dataset`` call has built, each keyed by its
     JSON content: specifiers by (kind, *years), golds by their aliases
     (``None`` for No-Answer), features by (evidence, difficulty) and fact
-    scopes by (start, end).  Facts are not kept: almost none repeat."""
+    scopes by (start, end).  ``texts`` maps each fact subject, relation and
+    object, candidate and gold alias to the first equal string read, so a
+    text that repeats across records is one object, checked once.  Ids and
+    questions are not kept: almost none repeat."""
 
-    __slots__ = ("specifiers", "golds", "features", "scopes")
+    __slots__ = ("specifiers", "golds", "features", "scopes", "texts")
 
     def __init__(self) -> None:
         self.specifiers: dict[tuple, TimeSpecifier] = {}
         self.golds: dict[tuple[str, ...] | None, GoldAnswer] = {}
         self.features: dict[tuple[str, str], ContextFeature] = {}
         self.scopes: dict[tuple[int, int], TimeInterval] = {}
+        self.texts: dict[str, str] = {}
+
+    def text(self, value: object, where: str) -> str:
+        """The first-read string equal to ``value``; ``_json_text``'s checks
+        run once per distinct text."""
+        if type(value) is not str:
+            _json_str(value, where)
+        shared = self.texts.get(value)
+        if shared is None:
+            shared = self.texts[value] = _json_text(value, where)
+        return shared
 
 
 def item_from_dict(payload: dict, parts: _DatasetParts) -> SynthQAItem:
-    """Inverse of ``item_to_dict``.  Texts must be strings and years
-    integers; ValueError names the first field that breaks this, and
-    KeyError the first missing one.
+    """Inverse of ``item_to_dict``.  Texts must be strings that UTF-8 can
+    encode (no lone surrogate) and years integers; ValueError names the
+    first field that breaks this, and KeyError the first missing one.
 
-    A specifier, gold, feature or fact scope whose JSON content ``parts``
-    holds is that object, not a new one.  A key is looked up only once its
-    values have exactly the accepted JSON types, since ``true == 1`` and
-    ``1990.0 == 1990`` hash alike; any other value takes the checks below,
-    which raise.  Fields are checked in one fixed order, so a record with
-    several faults always reports the same one.
+    A specifier, gold, feature, fact scope or text whose JSON content
+    ``parts`` holds is that object, not a new one.  A key is looked up only
+    once its values have exactly the accepted JSON types, since ``true == 1``
+    and ``1990.0 == 1990`` hash alike; any other value takes the checks
+    below, which raise.  Fields are checked in one fixed order, so a record
+    with several faults always reports the same one.
     """
     # each ``if type(x) is not T: _json_t(x, ...)`` raises: JSON decoding
     # yields no subclass of str, int, list or dict
@@ -539,19 +567,14 @@ def item_from_dict(payload: dict, parts: _DatasetParts) -> SynthQAItem:
     if type(facts_json) is not list:
         _json_list(facts_json, "facts")
     scopes = parts.scopes
+    text = parts.text
     facts = []
     for f in facts_json:
         if type(f) is not dict:
             _json_object(f, "fact")
-        subject = f["subject"]
-        if type(subject) is not str:
-            _json_str(subject, "fact subject")
-        relation = f["relation"]
-        if type(relation) is not str:
-            _json_str(relation, "fact relation")
-        obj = f["object"]
-        if type(obj) is not str:
-            _json_str(obj, "fact object")
+        subject = text(f["subject"], "fact subject")
+        relation = text(f["relation"], "fact relation")
+        obj = text(f["object"], "fact object")
         start = f["start"]
         if type(start) is not int:
             _json_int(start, "fact start")
@@ -569,7 +592,9 @@ def item_from_dict(payload: dict, parts: _DatasetParts) -> SynthQAItem:
         gold = parts.golds.get(key)
         if gold is None:
             gold = parts.golds[key] = (
-                GoldAnswer.no_answer() if key is None else GoldAnswer.of(*key)
+                GoldAnswer.no_answer()
+                if key is None
+                else GoldAnswer.of(*[text(a, "gold alias") for a in key])
             )
     else:
         gold = GoldAnswer.of(*_json_list(aliases, "gold"))
@@ -592,17 +617,16 @@ def item_from_dict(payload: dict, parts: _DatasetParts) -> SynthQAItem:
     candidates = payload["candidates"]
     if type(candidates) is not list:
         _json_list(candidates, "candidates")
-    for candidate in candidates:
-        if type(candidate) is not str:
-            _json_str(candidate, "candidate")
+    candidates = [text(candidate, "candidate") for candidate in candidates]
     if len(candidates) != 2:
         raise ValueError(f"candidates must hold two options, got {len(candidates)}")
+    # an ASCII string holds no surrogate; any other value takes the checks
     item_id = payload["id"]
-    if type(item_id) is not str:
-        _json_str(item_id, "id")
+    if type(item_id) is not str or not item_id.isascii():
+        _json_text(item_id, "id")
     question = payload["question"]
-    if type(question) is not str:
-        _json_str(question, "question")
+    if type(question) is not str or not question.isascii():
+        _json_text(question, "question")
     return SynthQAItem(
         id=item_id,
         question=question,
@@ -621,10 +645,10 @@ def write_dataset(items: Iterable[SynthQAItem], path: str | Path) -> None:
 
 def read_dataset(path: str | Path) -> list[SynthQAItem]:
     """The items of the dataset file at ``path``.  Equal specifiers, golds,
-    features and fact scopes within the file are one shared object.  A
-    record that is not a JSON object, lacks a field or holds a value of
-    another type raises ``DatasetError`` naming ``path:line`` and the
-    field."""
+    features, fact scopes and texts other than ids and questions within the
+    file are one shared object.  A record that is not a JSON object, lacks a
+    field, holds a value of another type or a text with a lone surrogate
+    raises ``DatasetError`` naming ``path:line`` and the field."""
     parts = _DatasetParts()
     return list(read_records(path, "dataset", lambda record: item_from_dict(record, parts)))
 

@@ -52,7 +52,7 @@ from abstainrl.synthenv import (
     _json_int,
     _json_list,
     _json_object,
-    _json_str,
+    _json_text,
 )
 from abstainrl.textmetrics import (
     ConfusionCounts,
@@ -360,8 +360,8 @@ def evaluate_items(
 
 def item_from_dict(payload: object) -> SynthQAItem:
     """One dataset record, every part built afresh.  Texts must be strings
-    and years integers; ValueError names the first field that breaks this,
-    and KeyError the first missing one."""
+    with no lone surrogate and years integers; ValueError names the first
+    field that breaks this, and KeyError the first missing one."""
     record = _json_object(payload, "record")
     spec_json = _json_object(record["specifier"], "specifier")
     years = _json_list(spec_json["years"], "specifier years")
@@ -371,9 +371,9 @@ def item_from_dict(payload: object) -> SynthQAItem:
     )
     facts = tuple(
         TemporalFact(
-            _json_str(f["subject"], "fact subject"),
-            _json_str(f["relation"], "fact relation"),
-            _json_str(f["object"], "fact object"),
+            _json_text(f["subject"], "fact subject"),
+            _json_text(f["relation"], "fact relation"),
+            _json_text(f["object"], "fact object"),
             TimeInterval(_json_int(f["start"], "fact start"), _json_int(f["end"], "fact end")),
         )
         for f in (_json_object(f, "fact") for f in _json_list(record["facts"], "facts"))
@@ -382,20 +382,25 @@ def item_from_dict(payload: object) -> SynthQAItem:
     if gold_aliases is None:
         gold = GoldAnswer.no_answer()
     else:
-        gold = GoldAnswer.of(*_json_list(gold_aliases, "gold"))
+        aliases = _json_list(gold_aliases, "gold")
+        # all-string aliases are checked for surrogates before GoldAnswer's
+        # own checks; GoldAnswer names any other alias
+        if all(isinstance(a, str) for a in aliases):
+            aliases = [_json_text(a, "gold alias") for a in aliases]
+        gold = GoldAnswer.of(*aliases)
     feature_json = _json_object(record["feature"], "feature")
     feature = ContextFeature(
         Evidence(feature_json["evidence"]),
         Difficulty(feature_json["difficulty"]),
     )
     candidates = [
-        _json_str(c, "candidate") for c in _json_list(record["candidates"], "candidates")
+        _json_text(c, "candidate") for c in _json_list(record["candidates"], "candidates")
     ]
     if len(candidates) != 2:
         raise ValueError(f"candidates must hold two options, got {len(candidates)}")
     return SynthQAItem(
-        id=_json_str(record["id"], "id"),
-        question=_json_str(record["question"], "question"),
+        id=_json_text(record["id"], "id"),
+        question=_json_text(record["question"], "question"),
         facts=facts,
         specifier=spec,
         gold=gold,

@@ -8,7 +8,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
@@ -295,10 +295,13 @@ class TestAdvantages:
         ),
         st.sampled_from([1e-8, 0.0, 0.5]),
     )
+    # a subnormal spread: the std underflows to 0 while the rewards differ
+    @example(rows=[[0.0, 0.0, 0.0, 0.0, 1.1125369292536007e-308]], std_eps=0.0)
     def test_equals_numpy_mean_and_std(self, rows, std_eps):
         """Sharing the centered values changes no bit: every group equals
-        (r - mean) / (std + eps) by np.mean and np.std, and a group whose
-        rewards are all equal is exactly zero."""
+        (r - mean) / (std + eps) by np.mean and np.std, +-inf and NaN
+        included where the std underflows, and a group whose rewards are all
+        equal is exactly zero."""
         r = np.array(rows)
         flat = r.max(axis=-1, keepdims=True) == r.min(axis=-1, keepdims=True)
         with np.errstate(invalid="ignore", divide="ignore"):

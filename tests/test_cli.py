@@ -280,6 +280,28 @@ class TestTrain:
         assert f"{data}:1: not valid UTF-8" in err
         assert "Traceback" not in err
 
+    def test_lone_surrogate_in_dataset_is_data_error(self, tmp_path):
+        """An id JSON-escaped as a lone surrogate, which UTF-8 cannot encode,
+        is refused before any artifact is written."""
+        data = _gen(tmp_path)
+        *lines, last = data.read_text().splitlines()
+        lines.append(json.dumps({**json.loads(last), "id": "q\ud800x"}))
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "earlier.txt").write_text("kept")
+        code, err = _main_stderr(_train_args(data, out))
+        assert code == 3
+        assert f"{data}:{len(lines)}: bad dataset record: id must not hold a lone surrogate" in err
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["earlier.txt"]
+        assert (out / "earlier.txt").read_text() == "kept"
+        summary = tmp_path / "s.csv"
+        code, err = _main_stderr(["eval", "--checkpoint", str(_oracle_checkpoint(tmp_path)),
+                                  "--dataset", str(data), "--out", str(summary)])
+        assert code == 3 and f"{data}:{len(lines)}: bad dataset record: id" in err
+        assert not summary.exists()
+
     def test_sft_traces_naming_the_dataset_are_read_once(self, tmp_path, monkeypatch):
         """--sft-traces that resolves to the --dataset file reuses its parsed
         items, with the same artifacts as traces read from a copy."""

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from abstainrl.grpo import (
     GrpoConfig,
+    GrpoDivergenceError,
     RewardTable,
     clipped_term,
     compute_advantages,
@@ -30,6 +31,7 @@ from abstainrl.policy import (
     PolicyParams,
     log_softmax,
 )
+from abstainrl.reward import RewardBreakdown, parse_completion
 from abstainrl.synthenv import GenConfig, generate_dataset
 
 
@@ -259,6 +261,21 @@ class TestTrainRl:
         params, log = train_rl(PolicyParams.zeros(), table, cfg)
         assert len(log.records) == 6
         assert np.all(np.isfinite(params.logits))
+
+    def test_underflowing_group_std_is_divergence(self):
+        """Rewards a subnormal apart have a group std of exactly 0, so at
+        std_eps = 0 their advantages are infinite: train_rl stops with
+        GrpoDivergenceError, not with numpy's divide-by-zero warning."""
+        tiny = 1.1125369292536007e-308
+
+        def payout(raw: str, item) -> RewardBreakdown:
+            reward = tiny if parse_completion(raw).format_ok else 0.0
+            return RewardBreakdown(format=reward, answer=0.0, total=reward)
+
+        items = generate_dataset(GenConfig(n_items=20, seed=4))
+        table = RewardTable(items, reward_fn=payout)
+        with pytest.raises(GrpoDivergenceError, match="iteration 0"):
+            train_rl(PolicyParams.zeros(), table, GrpoConfig(outer_iters=3, std_eps=0.0, seed=1))
 
     def test_kl_anchoring_monotone_in_beta(self):
         items = generate_dataset(GenConfig(n_items=200, p_unans=0.5, ambiguity=0.3, seed=21))

@@ -2,6 +2,7 @@
 the JSON-Lines reader and atomic writer every file goes through."""
 
 import copy
+import dataclasses
 import json
 import os
 import re
@@ -179,6 +180,18 @@ class TestDatasetSerialization:
             "id", "question", "specifier", "facts", "gold", "candidates", "feature",
         }
 
+    def test_items_and_facts_are_slotted(self):
+        """No per-instance ``__dict__``; replace, equality and hashing hold."""
+        item = generate_dataset(GenConfig(n_items=1, p_unans=0.0, seed=0))[0]
+        for value, field in ((item, "id"), (item.facts[0], "obj")):
+            assert not hasattr(value, "__dict__")
+            twin = dataclasses.replace(value)
+            assert twin == value and twin is not value and hash(twin) == hash(value)
+            other = dataclasses.replace(value, **{field: "other"})
+            assert getattr(other, field) == "other" and other != value
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field, "other")
+
     def test_bad_record_reports_line(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         good = json.dumps(item_to_dict(generate_dataset(GenConfig(n_items=1, seed=0))[0]))
@@ -199,9 +212,16 @@ class TestDatasetSerialization:
             (lambda d: d["facts"][0].update(start=True), "fact start"),
             (lambda d: d["specifier"].update(years=[1.5]), "specifier year"),
             (lambda d: d["specifier"].update(years="1990"), "specifier years"),
+            # lone surrogates: json.dumps writes each as its \u escape
+            (lambda d: d.update(id="q\ud800x"), "id"),
+            (lambda d: d.update(question="When?\udfff"), "question"),
+            (lambda d: d.update(candidates=["Ashford", "\udc80"]), "candidate"),
+            (lambda d: d["facts"][0].update(object="Veridian\ud83d"), "fact object"),
+            (lambda d: d.update(gold=["\udbff"]), "gold alias"),
         ],
         ids=["question", "object-id", "int-id", "candidates", "three-candidates", "subject",
-             "float-end", "bool-start", "float-year", "string-years"],
+             "float-end", "bool-start", "float-year", "string-years", "surrogate-id",
+             "surrogate-question", "surrogate-candidate", "surrogate-object", "surrogate-gold"],
     )
     def test_wrongly_typed_field_is_rejected(self, tmp_path, edit, named):
         record = item_to_dict(generate_dataset(GenConfig(n_items=1, p_unans=0.0, seed=0))[0])
@@ -251,7 +271,8 @@ _VALID_RECORDS = st.fixed_dictionaries(
     }
 )
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["\ud800", "a\udfff"]),
     lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
     max_leaves=4,
 )
@@ -346,6 +367,9 @@ class TestReadDataset:
     @example([_record_with_year(1990), {**_record_with_year(1990), "gold": [["x"]]}])
     @example([_record(facts=[_FACT]), _record(facts=[{**_FACT, "start": False}])])
     @example([_record(feature={"evidence": "none"}, candidates=[1], id=2)])
+    @example([_record(gold=["", "\ud800"])])
+    @example([_record(gold=["\ud800", 5])])
+    @example([_record(candidates=["a", "b"]), _record(candidates=["a\udfff", 1], id="\ud800")])
     @settings(max_examples=400)
     def test_equals_per_record_oracle(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("oracle") / "data.jsonl"
@@ -365,6 +389,12 @@ class TestReadDataset:
             "gold": [item.gold for item in items],
             "feature": [item.feature for item in items],
             "scope": [fact.scope for item in items for fact in item.facts],
+            # one pool across fields: an alias equal to a candidate is one object
+            "text": [
+                *(t for item in items for f in item.facts for t in (f.subject, f.relation, f.obj)),
+                *(t for item in items for t in (item.candidate_a, item.candidate_b)),
+                *(t for item in items for t in item.gold.aliases),
+            ],
         }
         for name, values in parts.items():
             first: dict = {}
