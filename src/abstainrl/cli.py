@@ -15,7 +15,7 @@ import json
 import math
 import re
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -49,6 +49,7 @@ from abstainrl.synthenv import (
     TimeInterval,
     build_abstained_mc,
     generate_dataset,
+    iter_dataset,
     read_dataset,
     read_mc_sources,
     write_dataset,
@@ -175,6 +176,19 @@ def _read_items(path: str | Path) -> list[synthenv.SynthQAItem]:
     return items
 
 
+def _stream_items(path: str | Path) -> Iterator[synthenv.SynthQAItem]:
+    """The items of the dataset at ``path``, streamed; a missing or empty
+    file is an input-data error, raised before the first item is yielded."""
+    path = Path(path)
+    if not path.exists():
+        raise DatasetError(f"dataset not found: {path}")
+    items = iter_dataset(path)
+    first = next(items, None)
+    if first is None:
+        raise DatasetError(f"dataset is empty: {path}")
+    return itertools.chain([first], items)
+
+
 # a field that holds one of these is quoted: a lone "\r" too, since a reader
 # takes a bare one for the end of the row
 _CSV_SPECIAL = re.compile('[,"\r\n]')
@@ -194,25 +208,23 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     write_lines(path, (",".join(map(_csv_field, row)) for row in itertools.chain([header], rows)))
 
 
-def _write_summary_csv(
-    path: Path, items: Sequence[synthenv.SynthQAItem], evals: Sequence[ItemEval]
-) -> None:
+def _write_summary_csv(path: Path, ids: Sequence[str], evals: Sequence[ItemEval]) -> None:
     """One CSV row per item: its id, then the values of its evaluation.
     Items share ``ItemEval`` objects (see ``evaluate_items``), so each
     distinct one's values are formatted once and each item adds its id."""
     tails: dict[int, str] = {}  # id() of an ItemEval -> ",<its values>"
 
-    def line(item: synthenv.SynthQAItem, e: ItemEval) -> str:
+    def line(item_id: str, e: ItemEval) -> str:
         tail = tails.get(id(e))
         if tail is None:
             tail = tails[id(e)] = (
                 f",{e.rouge1:.6f},{e.rouge2:.6f},{e.rouge_l:.6f},{e.semantic:.6f}"
                 f",{int(e.em)},{e.tp},{e.fp},{e.fn}"
             )
-        return _csv_field(item.id) + tail
+        return _csv_field(item_id) + tail
 
     header = "id,r1,r2,rl,sem,em,tp,fp,fn"
-    write_lines(path, itertools.chain([header], map(line, items, evals)))
+    write_lines(path, itertools.chain([header], map(line, ids, evals)))
 
 
 def _print_report(report: EvalReport) -> None:
@@ -346,49 +358,61 @@ def _check_run(resolved: dict[str, Any]) -> None:
     run is refused before anything is read or written."""
     _sft_settings(resolved)
     _grpo_config(resolved)
-    RewardVariant.from_name(str(resolved["reward_variant"]))
+    _variant(resolved)
+
+
+def _variant(resolved: dict[str, Any]) -> RewardVariant:
+    return RewardVariant.from_name(str(resolved["reward_variant"]))
+
+
+def _sft_reads_dataset(resolved: dict[str, Any]) -> bool:
+    """Whether ``sft_traces`` names the ``dataset`` file."""
+    traces = resolved["sft_traces"]
+    return bool(traces) and Path(traces).resolve() == Path(resolved["dataset"]).resolve()
 
 
 def _cold_start(
-    resolved: dict[str, Any], items: list[synthenv.SynthQAItem] | None = None
+    resolved: dict[str, Any], items: Iterable[synthenv.SynthQAItem] | None = None
 ) -> PolicyParams:
     """The policy RL starts from: the SFT fit to the expert traces of
-    ``sft_traces`` when that is set, else the zero policy.  ``items``, the
-    parsed ``dataset``, stand in for the traces file when both paths name
-    the same file, so that it is not read twice."""
+    ``sft_traces`` when that is set, else the zero policy.  ``items``, when
+    given, are the parsed ``sft_traces`` file; else it is streamed."""
     if not resolved["sft_traces"]:
         return PolicyParams.zeros()
     sft_lr, sft_epochs = _sft_settings(resolved)
-    sft_path = Path(resolved["sft_traces"]).resolve()
-    if items is None or sft_path != Path(resolved["dataset"]).resolve():
-        items = read_dataset(resolved["sft_traces"])
-    traces = make_expert_traces(items)
+    traces = make_expert_traces(iter_dataset(resolved["sft_traces"]) if items is None else items)
     if not traces:
         raise DatasetError(f"no usable expert traces in {resolved['sft_traces']}")
     return sft_train(PolicyParams.zeros(), traces, lr=sft_lr, epochs=sft_epochs)
 
 
+def _table_and_cold_start(resolved: dict[str, Any]) -> tuple[RewardTable, PolicyParams]:
+    """The reward table of ``dataset`` and the policy RL starts from.  The
+    dataset streams into the table, so no list of its items is held, unless
+    ``sft_traces`` names the same file: then the file is read once into a
+    list that the table and the expert traces both read."""
+    if _sft_reads_dataset(resolved):
+        items = _read_items(resolved["dataset"])
+        return RewardTable(items, _variant(resolved)), _cold_start(resolved, items)
+    return RewardTable(_stream_items(resolved["dataset"]), _variant(resolved)), _cold_start(resolved)
+
+
 def _train_once(
-    items: list[synthenv.SynthQAItem],
-    resolved: dict[str, Any],
-    run_name: str,
-    params0: PolicyParams,
+    table: RewardTable, resolved: dict[str, Any], run_name: str, params0: PolicyParams
 ) -> EvalReport:
-    """RL from ``params0`` and one greedy evaluation, set by ``resolved``,
-    which is written to the run directory as config.json."""
+    """RL over ``table`` from ``params0`` and one greedy evaluation, set by
+    ``resolved``, which is written to the run directory as config.json."""
     cfg = _grpo_config(resolved)
-    variant = RewardVariant.from_name(str(resolved["reward_variant"]))
     out_dir = Path(resolved["out_dir"])
     write_lines(out_dir / "config.json", [json.dumps(resolved, sort_keys=True, indent=2)])
 
-    table = RewardTable(items, variant)
     params, log = train_rl(params0, table, cfg)
 
     log.write(out_dir / "train_log.jsonl")
     write_lines(out_dir / "policy.json", [params.dumps()])
     # evaluation gathers from the table training read, so nothing is scored again
     evals = evaluate_items(params, table)
-    _write_summary_csv(out_dir / "summary.csv", items, evals)
+    _write_summary_csv(out_dir / "summary.csv", table.ids, evals)
     write_lines(out_dir / "curves.svg", render_curves_svg([(run_name, log)]))
     return summarize_items(evals)
 
@@ -543,10 +567,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if not resolved["dataset"] or not resolved["out_dir"]:
         raise UsageError("train requires --dataset and --out-dir")
     _check_run(resolved)
-    items = _read_items(resolved["dataset"])
-    params0 = _cold_start(resolved, items)
+    table, params0 = _table_and_cold_start(resolved)
     report = _train_once(
-        items, {**resolved, "command": "train"}, _run_name(resolved["out_dir"]), params0
+        table, {**resolved, "command": "train"}, _run_name(resolved["out_dir"]), params0
     )
     _print_report(report)
     print(f"artifacts -> {resolved['out_dir']}")
@@ -564,9 +587,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         params = PolicyParams.loads(checkpoint_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise DatasetError(f"malformed checkpoint {checkpoint_path}: {exc}") from exc
-    table = RewardTable(_read_items(args.dataset), variant)
+    table = RewardTable(_stream_items(args.dataset), variant)
     evals = evaluate_items(params, table)
-    _write_summary_csv(Path(args.out), table.items, evals)
+    _write_summary_csv(Path(args.out), table.ids, evals)
     _print_report(summarize_items(evals))
     print(f"wrote per-item metrics -> {args.out}")
     return EXIT_OK
@@ -620,15 +643,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _check_run(run_resolved)
         runs.append((value, gen_cfg, run_name, run_resolved))
 
-    # no axis changes the shared dataset or the cold start: read and fit them once
-    items = None if args.axis == "p-unans" else _read_items(resolved["dataset"])
-    params0 = _cold_start(resolved, items)
+    # no axis changes the shared dataset or the cold start: read and fit them
+    # once, and score once per reward variant: every beta run shares a table
+    table = items = None
+    if args.axis == "beta":
+        table, params0 = _table_and_cold_start(resolved)
+    elif args.axis == "reward-variant":
+        items = _read_items(resolved["dataset"])
+        params0 = _cold_start(resolved, items if _sft_reads_dataset(resolved) else None)
+    else:
+        params0 = _cold_start(resolved)
     summary_rows = []
     for value, gen_cfg, run_name, run_resolved in runs:
         if gen_cfg is not None:
             items = generate_dataset(gen_cfg)
             write_dataset(items, run_resolved["dataset"])
-        report = _train_once(items, run_resolved, run_name, params0)
+        if args.axis != "beta":
+            table = RewardTable(items, _variant(run_resolved))
+        report = _train_once(table, run_resolved, run_name, params0)
         c = report.confusion
         summary_rows.append(
             [

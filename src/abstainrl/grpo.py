@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -145,38 +145,51 @@ class RewardTable:
     """Reward, abstention flag and eval metrics of every (item, action) pair
     of a dataset, computed once when the table is built.
 
-    An item's six completions depend only on its two candidates, and the
-    rule-based QA reward under ``variant`` only on the completion and the
-    gold, so items with the same (candidate_a, candidate_b, gold) share a
-    content row; ``row`` maps each item to its row, and a lookup is a
-    gather.  ``reward_fn`` overrides the rule, which is how the bandit
-    sanity environments install their own payout tables; it is called once
-    per (item, action) pair, and every item gets its own row, since a
-    payout may depend on the item.  Each distinct text is parsed and each
-    distinct (answer, answerable gold) measured once, and the rule reads its
-    reward from those eval metrics; they are zero for a No-Answer gold.
+    The table reads ``items`` once, in order, so they may stream from a
+    file (``synthenv.iter_dataset``).  Of each item it keeps only columns:
+    ``ids``, ``features`` (the feature row index), ``unanswerable`` and
+    ``row``, its content row.  An item's six completions depend only on its
+    two candidates, and the rule-based QA reward under ``variant`` only on
+    the completion and the gold, so items with the same (candidate_a,
+    candidate_b, gold) share a content row, numbered in first-seen order and
+    scored from its first item; a lookup is a gather.  ``reward_fn``
+    overrides the rule, which is how the bandit sanity environments install
+    their own payout tables; it is called once per (item, action) pair, and
+    every item gets its own row, since a payout may depend on the item.
+    Each distinct text is parsed and each distinct (answer, answerable gold)
+    measured once, and the rule reads its reward from those eval metrics;
+    they are zero for a No-Answer gold.
     """
 
     def __init__(
         self,
-        items: Sequence[SynthQAItem],
+        items: Iterable[SynthQAItem],
         variant: RewardVariant = DEFAULT_VARIANT,
         reward_fn: RewardFn | None = None,
     ) -> None:
-        if not items:
+        ids: list[str] = []
+        features: list[int] = []
+        unanswerable: list[bool] = []
+        row: list[int] = []
+        index: dict[tuple, int] = {}
+        rows: list[SynthQAItem] = []  # the item each content row is scored from
+        for item in items:
+            ids.append(item.id)
+            features.append(item.feature.index)
+            unanswerable.append(item.gold.is_no_answer)
+            if reward_fn is None:
+                r = index.setdefault((item.candidate_a, item.candidate_b, item.gold), len(rows))
+            else:
+                r = len(rows)
+            if r == len(rows):
+                rows.append(item)
+            row.append(r)
+        if not ids:
             raise ValueError("a reward table needs at least one item")
-        self.items = items
-        self.features = np.array([item.feature.index for item in items])
-        self.unanswerable = np.array([item.gold.is_no_answer for item in items])
-        if reward_fn is None:
-            index: dict[tuple, int] = {}
-            keys = ((item.candidate_a, item.candidate_b, item.gold) for item in items)
-            self.row = np.array([index.setdefault(key, len(index)) for key in keys])
-            # rows are numbered in first-seen order; each is built from its first item
-            rows = [items[j] for j in np.unique(self.row, return_index=True)[1].tolist()]
-        else:
-            self.row = np.arange(len(items))
-            rows = items
+        self.ids = ids
+        self.features = np.array(features)
+        self.unanswerable = np.array(unanswerable)
+        self.row = np.array(row)
         shape = (len(rows), N_ACTIONS)
         self.rewards = np.empty(shape)
         self.abstained = np.empty(shape, dtype=bool)
@@ -196,6 +209,10 @@ class RewardTable:
                 if not item.gold.is_no_answer:
                     m = scorer.metrics(answer, item.gold)
                     self.metrics[r, a] = (m.em, m.rouge1, m.rouge2, m.rouge_l, m.semantic)
+
+    def __len__(self) -> int:
+        """The number of items."""
+        return len(self.ids)
 
     def lookup(self, items: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rewards and abstention flags at the (broadcast) index arrays."""
@@ -286,7 +303,7 @@ def rollout_batch(
     The generator is consumed as B one-group rollouts would consume it: the
     B item indices first, then the B * G uniforms in group order.
     """
-    item_idx = rng.integers(0, len(table.items), size=cfg.batch_size)
+    item_idx = rng.integers(0, len(table), size=cfg.batch_size)
     u = rng.random((cfg.batch_size, cfg.group_size))
     rows = table.features[item_idx]
     actions = inverse_cdf(np.exp(params_old.log_probs)[rows], u)

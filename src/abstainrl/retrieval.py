@@ -98,7 +98,9 @@ class _TrigramIndex:
         if qn == 0.0:
             return np.zeros(len(self.norms))
         b = np.flatnonzero(qv)
-        return qv[b] @ self.counts[b] / (qn * self.norms)
+        # einsum widens the gathered counts in buffered chunks, where a
+        # matrix product would first cast them all to one float64 temporary
+        return np.einsum("i,ij->j", qv[b], self.counts[b]) / (qn * self.norms)
 
 
 class _TokenIndex:

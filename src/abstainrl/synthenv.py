@@ -506,7 +506,7 @@ def _json_text(value: object, where: str) -> str:
 
 
 class _DatasetParts:
-    """The value parts one ``read_dataset`` call has built, each keyed by its
+    """The value parts one ``iter_dataset`` call has built, each keyed by its
     JSON content: specifiers by (kind, *years), golds by their aliases
     (``None`` for No-Answer), features by (evidence, difficulty) and fact
     scopes by (start, end).  ``texts`` maps each fact subject, relation and
@@ -643,14 +643,21 @@ def write_dataset(items: Iterable[SynthQAItem], path: str | Path) -> None:
     write_jsonl(path, map(item_to_dict, items))
 
 
-def read_dataset(path: str | Path) -> list[SynthQAItem]:
-    """The items of the dataset file at ``path``.  Equal specifiers, golds,
-    features, fact scopes and texts other than ids and questions within the
-    file are one shared object.  A record that is not a JSON object, lacks a
-    field, holds a value of another type or a text with a lone surrogate
-    raises ``DatasetError`` naming ``path:line`` and the field."""
+def iter_dataset(path: str | Path) -> Iterator[SynthQAItem]:
+    """The items of the dataset file at ``path``, one line at a time; the
+    file is opened when the first item is asked for.  Equal specifiers,
+    golds, features, fact scopes and texts other than ids and questions
+    within the file are one shared object.  A record that is not a JSON
+    object, lacks a field, holds a value of another type or a text with a
+    lone surrogate raises ``DatasetError`` naming ``path:line`` and the
+    field, once the iteration reaches it."""
     parts = _DatasetParts()
-    return list(read_records(path, "dataset", lambda record: item_from_dict(record, parts)))
+    return read_records(path, "dataset", lambda record: item_from_dict(record, parts))
+
+
+def read_dataset(path: str | Path) -> list[SynthQAItem]:
+    """The items of ``iter_dataset(path)`` as a list."""
+    return list(iter_dataset(path))
 
 
 # --- Abstained multiple-choice construction ------------------------------------

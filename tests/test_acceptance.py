@@ -214,7 +214,7 @@ def test_a6_bandit_sanity():
     target = ActionId(Choice.ANSWER_A, formatted=True)
     # closed-form payout table: the target action earns 2.5 on every item,
     # every other action earns 0.5 -- margin 2.0 >= 1.0
-    n_items = len(table.items)
+    n_items = len(table)
     payouts, _ = table.lookup(np.arange(n_items)[:, None], np.arange(len(ALL_ACTIONS)))
     assert (payouts[:, target.index] == 2.5).all()
     assert (np.delete(payouts, target.index, axis=1) <= 0.5).all()
@@ -262,10 +262,9 @@ def test_a7_data_ratio_collapse():
         )
         table = RewardTable(items)
         params, _ = train_rl(PolicyParams.zeros(), table, cfg)
-        return table, params
+        return items, table, params
 
-    table_hi, params_hi = run(0.5)
-    items_hi = table_hi.items
+    items_hi, table_hi, params_hi = run(0.5)
     report_hi = evaluate_policy(params_hi, table_hi)
     evals = evaluate_items(params_hi, table_hi)
     ambiguous = [
@@ -278,7 +277,7 @@ def test_a7_data_ratio_collapse():
     assert report_hi.confusion.fn == 0
     assert report_hi.confusion.fp > 0  # collapse signature: over-abstention
 
-    table_lo, params_lo = run(0.124)
+    _, table_lo, params_lo = run(0.124)
     report_lo = evaluate_policy(params_lo, table_lo)
     assert report_lo.abstain_rate < report_hi.abstain_rate
 

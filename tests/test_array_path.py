@@ -5,6 +5,7 @@ completion at a time, every draw re-rendered and re-scored from text.
 """
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -42,7 +43,14 @@ from abstainrl.reward import (
     parse_completion,
     total_reward,
 )
-from abstainrl.synthenv import GenConfig, generate_dataset, read_dataset, write_dataset
+from abstainrl.synthenv import (
+    GenConfig,
+    SynthQAItem,
+    generate_dataset,
+    iter_dataset,
+    read_dataset,
+    write_dataset,
+)
 from abstainrl.textmetrics import GoldAnswer
 
 ITEMS = generate_dataset(GenConfig(n_items=40, p_unans=0.4, ambiguity=0.4, seed=31))
@@ -174,6 +182,34 @@ class TestRewardTable:
             assert np.array_equal(table.features, [ALL_FEATURES.index(i.feature) for i in items])
             assert np.array_equal(table.unanswerable, [not i.gold.aliases for i in items])
             assert np.array_equal(table.row, row)
+
+    @pytest.mark.parametrize(
+        "variant, reward_fn",
+        [(DEFAULT_VARIANT, None), (RewardVariant.ROUGE_PLUS_SEM_PLUS_EM, None),
+         (DEFAULT_VARIANT, _payout)],
+        ids=["rule", "rule-sem", "reward_fn"],
+    )
+    def test_one_shot_stream_equals_list(self, tmp_path, variant, reward_fn):
+        """A table built from a one-shot stream, of items or of a dataset
+        file, equals the table of the same items as a list bit for bit, and
+        keeps none of the streamed items."""
+        path = tmp_path / "items.jsonl"
+        write_dataset(ITEMS, path)
+        want = RewardTable(ITEMS, variant, reward_fn)
+
+        def n_items_alive() -> int:
+            gc.collect()
+            return sum(isinstance(o, SynthQAItem) for o in gc.get_objects())
+
+        alive = n_items_alive()
+        for stream in ((item for item in ITEMS), iter_dataset(path)):
+            got = RewardTable(stream, variant, reward_fn)
+            assert n_items_alive() == alive
+            assert len(got) == len(ITEMS)
+            assert got.ids == want.ids == [item.id for item in ITEMS]
+            for name in ("features", "unanswerable", "row", "rewards", "abstained", "metrics"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
     @pytest.mark.parametrize("variant", list(RewardVariant))
     def test_all_distinct_items_equal_per_pair_reward(self, variant):

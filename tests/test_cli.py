@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from abstainrl import cli
 from abstainrl.cli import _TRAIN_DEFAULTS, build_parser, main
 from abstainrl.grpo import RewardTable, evaluate_items
 from abstainrl.policy import ALL_ACTIONS, ALL_FEATURES, ActionId, Choice, Evidence, PolicyParams
-from abstainrl.synthenv import GenConfig, generate_dataset, item_to_dict
+from abstainrl.synthenv import GenConfig, generate_dataset, item_to_dict, read_dataset
 
 import numpy as np
 import pytest
@@ -268,7 +269,8 @@ class TestTrain:
         missing = tmp_path / "nope.jsonl"
         assert main(_train_args(missing, tmp_path / "o", extra=setting)) == 2
         data = _gen(tmp_path)
-        monkeypatch.setattr(cli, "read_dataset", lambda path: pytest.fail("dataset read"))
+        for reader in ("read_dataset", "iter_dataset"):
+            monkeypatch.setattr(cli, reader, lambda path: pytest.fail("dataset read"))
         assert main(_train_args(data, tmp_path / "o", extra=setting)) == 2
         assert not (tmp_path / "o").exists()
 
@@ -304,25 +306,69 @@ class TestTrain:
 
     def test_sft_traces_naming_the_dataset_are_read_once(self, tmp_path, monkeypatch):
         """--sft-traces that resolves to the --dataset file reuses its parsed
-        items, with the same artifacts as traces read from a copy."""
+        items, with the same artifacts as traces read from a copy.  Each
+        file is read once, whole or streamed: the dataset is read whole only
+        when the traces name it."""
         data = _gen(tmp_path)
         copy = tmp_path / "copy.jsonl"
         copy.write_bytes(data.read_bytes())
         reads = []
-        read_dataset = cli.read_dataset
-        monkeypatch.setattr(
-            cli, "read_dataset", lambda path: reads.append(path) or read_dataset(path)
-        )
+        for name in ("read_dataset", "iter_dataset"):
+            reader = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name,
+                lambda path, name=name, reader=reader: reads.append((name, Path(path)))
+                or reader(path),
+            )
         same = tmp_path / "same"
         spelled = tmp_path / "sub" / ".." / data.name
         (tmp_path / "sub").mkdir()
         assert main(_train_args(data, same, extra=["--sft-traces", str(spelled)])) == 0
-        assert list(map(Path, reads)) == [data]
+        assert reads == [("read_dataset", data)]
         copied = tmp_path / "copied"
         assert main(_train_args(data, copied, extra=["--sft-traces", str(copy)])) == 0
-        assert list(map(Path, reads[1:])) == [data, copy]
+        assert reads[1:] == [("iter_dataset", data), ("iter_dataset", copy)]
         for name in ("policy.json", "train_log.jsonl", "summary.csv"):
             assert (same / name).read_bytes() == (copied / name).read_bytes()
+
+    @pytest.mark.parametrize("sft", [False, True], ids=["streamed", "same-file-sft"])
+    def test_malformed_last_record_is_data_error(self, tmp_path, sft):
+        """A dataset whose last record is cut short exits 3 naming its line,
+        whether the file streams into the reward table or is read whole for
+        SFT as well, and an existing run directory keeps every byte."""
+        data = _gen(tmp_path)
+        extra = ["--sft-traces", str(data), "--sft-epochs", "5"] if sft else []
+        out = tmp_path / "run"
+        assert main(_train_args(data, out, extra=extra)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        *lines, last = data.read_text().splitlines()
+        lines.append(last[: len(last) // 2])
+        data.write_text("\n".join(lines) + "\n")
+        code, err = _main_stderr(_train_args(data, out, iters="3", extra=extra))
+        assert code == 3
+        assert f"{data}:{len(lines)}: invalid JSON" in err
+        assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_streamed_train_holds_less_than_the_parsed_dataset(self, tmp_path):
+        """Without SFT the dataset streams into the reward table: the traced
+        peak of a whole train command stays below what the list of parsed
+        items alone holds."""
+        data = _gen(tmp_path, n=3000, seed=4)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            items = read_dataset(data)
+            held = tracemalloc.get_traced_memory()[0] - base
+            del items
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code, err = _main_stderr(_train_args(data, tmp_path / "run", iters="3"))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < held
 
     @pytest.mark.parametrize("traces", ["missing", "not-utf8", "no-traces"])
     def test_bad_sft_traces_are_data_error(self, tmp_path, traces):
@@ -468,8 +514,21 @@ class TestEval:
                 "--dataset", str(tmp_path / "nope.jsonl"), "--reward-variant", "bogus"]
         assert main(argv) == 2
         argv[2], argv[4] = str(_oracle_checkpoint(tmp_path)), str(_gen(tmp_path))
-        monkeypatch.setattr(cli, "read_dataset", lambda path: pytest.fail("dataset read"))
+        for reader in ("read_dataset", "iter_dataset"):
+            monkeypatch.setattr(cli, reader, lambda path: pytest.fail("dataset read"))
         assert main(argv) == 2
+
+    def test_malformed_last_record_writes_no_summary(self, tmp_path):
+        data = _gen(tmp_path)
+        *lines, last = data.read_text().splitlines()
+        lines.append(json.dumps({k: v for k, v in json.loads(last).items() if k != "candidates"}))
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "summary.csv"
+        code, err = _main_stderr(["eval", "--checkpoint", str(_oracle_checkpoint(tmp_path)),
+                                  "--dataset", str(data), "--out", str(out)])
+        assert code == 3
+        assert f"{data}:{len(lines)}: bad dataset record: missing field 'candidates'" in err
+        assert not out.exists()
 
     def test_csv_header_and_oracle_scores(self, tmp_path, capsys):
         data = _oracle_solvable_dataset(tmp_path)
@@ -513,9 +572,10 @@ class TestEval:
             for item, item_id in zip(_SUMMARY_ITEMS, ids)
         ]
         params = PolicyParams(np.random.default_rng(seed).normal(size=(6, 6)))
-        evals = evaluate_items(params, RewardTable(items))
+        table = RewardTable(items)
+        evals = evaluate_items(params, table)
         path = tmp_path_factory.mktemp("summary") / "summary.csv"
-        cli._write_summary_csv(path, items, evals)
+        cli._write_summary_csv(path, table.ids, evals)
         rows = [["id", "r1", "r2", "rl", "sem", "em", "tp", "fp", "fn"]] + [
             [item.id, f"{e.rouge1:.6f}", f"{e.rouge2:.6f}", f"{e.rouge_l:.6f}",
              f"{e.semantic:.6f}", str(int(e.em)), str(e.tp), str(e.fp), str(e.fn)]
@@ -654,6 +714,17 @@ class TestSweep:
             assert main(["train", "--out-dir", str(alone), "--beta", beta, *flags]) == 0
             for name in ("policy.json", "train_log.jsonl"):
                 assert (out / f"beta_{beta}" / name).read_bytes() == (alone / name).read_bytes()
+
+    def test_beta_runs_share_one_reward_table(self, tmp_path, scoring_calls):
+        """A beta sweep scores the dataset once for all its runs: over the
+        whole sweep each distinct completion text is parsed once and each
+        (answer, gold) measured once."""
+        data = _gen(tmp_path)
+        parsed, measured = scoring_calls
+        assert main(["sweep", "--axis", "beta", "--values", "0,0.01,0.1", "--dataset", str(data),
+                     "--out-dir", str(tmp_path / "s"), "--iters", "4", "--batch-size", "8"]) == 0
+        assert parsed and len(parsed) == len(set(parsed))
+        assert measured and len(measured) == len(set(measured))
 
     def test_duplicate_values_rejected(self, tmp_path):
         assert main(

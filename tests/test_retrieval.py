@@ -3,6 +3,7 @@
 import http.server
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -585,6 +586,27 @@ class TestIndexCost:
         counter.reset()
         topk_semantic(store, "Person 99")
         assert counter.counts == {"trigram_embedding": 1, "normalize_text": 0}
+
+    def test_query_makes_no_float64_copy_of_the_gathered_counts(self):
+        """A semantic query widens the count rows of its nonzero trigram
+        buckets in buffered chunks: its traced peak stays below one float64
+        per (nonzero query bucket, fact)."""
+        quads = [
+            Quadruple(f"Person {i}", "employer", f"Firm {i % 97}", f"{1900 + i % 90}-{1905 + i % 90}")
+            for i in range(2000)
+        ]
+        store = KGStore(quads)
+        query = "Which company employed Person 1234 from 1950 to 1955?"
+        want = topk_semantic(store, query)  # builds the index
+        buckets = int(np.count_nonzero(textmetrics.trigram_embedding(query)))
+        tracemalloc.start()
+        try:
+            got = topk_semantic(store, query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 8 * buckets * len(quads)
 
     def test_lexical_queries_tokenize_only_the_question(self, monkeypatch):
         store = KGStore(self._quads())
