@@ -50,7 +50,7 @@ from abstainrl.synthenv import (
     build_abstained_mc,
     generate_dataset,
     iter_dataset,
-    read_dataset,
+    iter_heads,
     read_mc_sources,
     write_dataset,
     write_lines,
@@ -165,28 +165,23 @@ def _sft_settings(resolved: dict[str, Any]) -> tuple[float, int]:
     return lr, epochs
 
 
-def _read_items(path: str | Path) -> list[synthenv.SynthQAItem]:
-    """The dataset at ``path``; a missing or empty file is an input-data error."""
+def _stream_heads(path: str | Path) -> Iterator[synthenv.ItemHead]:
+    """The item heads of the dataset at ``path``, streamed; a missing or
+    empty file is an input-data error, raised before the first head is
+    yielded."""
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"dataset not found: {path}")
-    items = read_dataset(path)
-    if not items:
-        raise DatasetError(f"dataset is empty: {path}")
-    return items
-
-
-def _stream_items(path: str | Path) -> Iterator[synthenv.SynthQAItem]:
-    """The items of the dataset at ``path``, streamed; a missing or empty
-    file is an input-data error, raised before the first item is yielded."""
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"dataset not found: {path}")
-    items = iter_dataset(path)
-    first = next(items, None)
+    heads = iter_heads(path)
+    first = next(heads, None)
     if first is None:
         raise DatasetError(f"dataset is empty: {path}")
-    return itertools.chain([first], items)
+    return itertools.chain([first], heads)
+
+
+def _read_heads(path: str | Path) -> list[synthenv.ItemHead]:
+    """The item heads of ``_stream_heads(path)`` as a list."""
+    return list(_stream_heads(path))
 
 
 # a field that holds one of these is quoted: a lone "\r" too, since a reader
@@ -372,15 +367,16 @@ def _sft_reads_dataset(resolved: dict[str, Any]) -> bool:
 
 
 def _cold_start(
-    resolved: dict[str, Any], items: Iterable[synthenv.SynthQAItem] | None = None
+    resolved: dict[str, Any], heads: Iterable[synthenv.ItemHead] | None = None
 ) -> PolicyParams:
     """The policy RL starts from: the SFT fit to the expert traces of
-    ``sft_traces`` when that is set, else the zero policy.  ``items``, when
-    given, are the parsed ``sft_traces`` file; else it is streamed."""
+    ``sft_traces`` when that is set, else the zero policy.  ``heads``, when
+    given, are the item heads of the ``sft_traces`` file; else they are
+    streamed from it."""
     if not resolved["sft_traces"]:
         return PolicyParams.zeros()
     sft_lr, sft_epochs = _sft_settings(resolved)
-    traces = make_expert_traces(iter_dataset(resolved["sft_traces"]) if items is None else items)
+    traces = make_expert_traces(iter_heads(resolved["sft_traces"]) if heads is None else heads)
     if not traces:
         raise DatasetError(f"no usable expert traces in {resolved['sft_traces']}")
     return sft_train(PolicyParams.zeros(), traces, lr=sft_lr, epochs=sft_epochs)
@@ -388,13 +384,13 @@ def _cold_start(
 
 def _table_and_cold_start(resolved: dict[str, Any]) -> tuple[RewardTable, PolicyParams]:
     """The reward table of ``dataset`` and the policy RL starts from.  The
-    dataset streams into the table, so no list of its items is held, unless
-    ``sft_traces`` names the same file: then the file is read once into a
-    list that the table and the expert traces both read."""
+    dataset's item heads stream into the table, so no list of them is held,
+    unless ``sft_traces`` names the same file: then the file is read once
+    into a list of heads that the table and the expert traces both read."""
     if _sft_reads_dataset(resolved):
-        items = _read_items(resolved["dataset"])
-        return RewardTable(items, _variant(resolved)), _cold_start(resolved, items)
-    return RewardTable(_stream_items(resolved["dataset"]), _variant(resolved)), _cold_start(resolved)
+        heads = _read_heads(resolved["dataset"])
+        return RewardTable(heads, _variant(resolved)), _cold_start(resolved, heads)
+    return RewardTable(_stream_heads(resolved["dataset"]), _variant(resolved)), _cold_start(resolved)
 
 
 def _train_once(
@@ -492,9 +488,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             raise UsageError("--dataset conversion is only available with --mode kg")
         if not args.out:
             raise UsageError("--dataset conversion requires --out")
-        items = read_dataset(args.dataset)
+        # the store is built before --out is written, so a bad record writes nothing
         store = KGStore(
-            fact_to_quadruple(fact) for item in items for fact in item.facts
+            fact_to_quadruple(fact) for item in iter_dataset(args.dataset) for fact in item.facts
         )
         store.write_jsonl(args.out)
         print(f"wrote {len(store)} quadruples -> {args.out}")
@@ -587,7 +583,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         params = PolicyParams.loads(checkpoint_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise DatasetError(f"malformed checkpoint {checkpoint_path}: {exc}") from exc
-    table = RewardTable(_stream_items(args.dataset), variant)
+    table = RewardTable(_stream_heads(args.dataset), variant)
     evals = evaluate_items(params, table)
     _write_summary_csv(Path(args.out), table.ids, evals)
     _print_report(summarize_items(evals))
@@ -649,7 +645,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.axis == "beta":
         table, params0 = _table_and_cold_start(resolved)
     elif args.axis == "reward-variant":
-        items = _read_items(resolved["dataset"])
+        items = _read_heads(resolved["dataset"])
         params0 = _cold_start(resolved, items if _sft_reads_dataset(resolved) else None)
     else:
         params0 = _cold_start(resolved)

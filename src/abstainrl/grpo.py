@@ -42,7 +42,7 @@ from abstainrl.reward import (
     parse_completion,  # noqa: F401  re-exported: e2ebench's tracer tests wrap it here
     total_reward,  # noqa: F401  re-exported: e2ebench's tracer tests wrap it here
 )
-from abstainrl.synthenv import SynthQAItem, read_records, write_lines
+from abstainrl.synthenv import ItemHead, SynthQAItem, read_records, write_lines
 from abstainrl.textmetrics import ConfusionCounts
 
 
@@ -138,24 +138,27 @@ class TrainLog:
         return cls(list(read_records(path, "train", _train_record_from_dict)))
 
 
-RewardFn = Callable[[str, SynthQAItem], RewardBreakdown]
+RewardFn = Callable[[str, ItemHead | SynthQAItem], RewardBreakdown]
 
 
 class RewardTable:
     """Reward, abstention flag and eval metrics of every (item, action) pair
     of a dataset, computed once when the table is built.
 
-    The table reads ``items`` once, in order, so they may stream from a
-    file (``synthenv.iter_dataset``).  Of each item it keeps only columns:
-    ``ids``, ``features`` (the feature row index), ``unanswerable`` and
-    ``row``, its content row.  An item's six completions depend only on its
-    two candidates, and the rule-based QA reward under ``variant`` only on
-    the completion and the gold, so items with the same (candidate_a,
-    candidate_b, gold) share a content row, numbered in first-seen order and
-    scored from its first item; a lookup is a gather.  ``reward_fn``
-    overrides the rule, which is how the bandit sanity environments install
-    their own payout tables; it is called once per (item, action) pair, and
-    every item gets its own row, since a payout may depend on the item.
+    ``items`` are ``SynthQAItem``s or their heads (``ItemHead``): the table
+    reads only an item's id, feature, gold and two candidates.  It reads
+    them once, in order, so they may stream from a file
+    (``synthenv.iter_heads``, which builds no facts or questions).  Of each
+    item it keeps only columns: ``ids``, ``features`` (the feature row
+    index), ``unanswerable`` and ``row``, its content row.  An item's six
+    completions depend only on its two candidates, and the rule-based QA
+    reward under ``variant`` only on the completion and the gold, so items
+    with the same (candidate_a, candidate_b, gold) share a content row,
+    numbered in first-seen order and scored from its first item; a lookup
+    is a gather.  ``reward_fn`` overrides the rule, which is how the bandit
+    sanity environments install their own payout tables; it is called once
+    per (item, action) pair, and every item gets its own row, since a
+    payout may depend on the item.
     Each distinct text is parsed and each distinct (answer, answerable gold)
     measured once, and the rule reads its reward from those eval metrics;
     they are zero for a No-Answer gold.
@@ -163,7 +166,7 @@ class RewardTable:
 
     def __init__(
         self,
-        items: Iterable[SynthQAItem],
+        items: Iterable[ItemHead | SynthQAItem],
         variant: RewardVariant = DEFAULT_VARIANT,
         reward_fn: RewardFn | None = None,
     ) -> None:
@@ -172,7 +175,7 @@ class RewardTable:
         unanswerable: list[bool] = []
         row: list[int] = []
         index: dict[tuple, int] = {}
-        rows: list[SynthQAItem] = []  # the item each content row is scored from
+        rows: list[ItemHead | SynthQAItem] = []  # the item each content row is scored from
         for item in items:
             ids.append(item.id)
             features.append(item.feature.index)

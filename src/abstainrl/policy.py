@@ -23,7 +23,7 @@ from abstainrl.reward import NO_ANSWER_TEXT, Scorer
 from abstainrl.textmetrics import GoldAnswer, exact_match
 
 if TYPE_CHECKING:
-    from abstainrl.synthenv import SynthQAItem
+    from abstainrl.synthenv import ItemHead, SynthQAItem
 
 
 class Evidence(enum.Enum):
@@ -214,7 +214,7 @@ def greedy_action(params: PolicyParams, feature: ContextFeature) -> ActionId:
     return ALL_ACTIONS[int(np.argmax(params.logits[feature.index]))]
 
 
-def render_completion(action: ActionId, item: "SynthQAItem") -> str:
+def render_completion(action: ActionId, item: "ItemHead | SynthQAItem") -> str:
     """Render an action as completion text for one question."""
     if action.choice is Choice.ANSWER_A:
         answer = item.candidate_a
@@ -238,7 +238,7 @@ class ExpertTrace:
     gold: GoldAnswer
 
 
-def oracle_action(item: "SynthQAItem") -> ActionId:
+def oracle_action(item: "ItemHead | SynthQAItem") -> ActionId:
     """The environment oracle's preferred action: the correct formatted answer,
     or a formatted abstention when the question is unanswerable."""
     if item.gold.is_no_answer:
@@ -250,11 +250,14 @@ def oracle_action(item: "SynthQAItem") -> ActionId:
     return ActionId(Choice.ABSTAIN, formatted=True)
 
 
-def make_expert_traces(items: Iterable["SynthQAItem"]) -> list[ExpertTrace]:
+def make_expert_traces(items: Iterable["ItemHead | SynthQAItem"]) -> list[ExpertTrace]:
     """The oracle's expert traces whose answer is verifiably right: an
     answer reward of at least 1 under the default variant (exact match, or
-    a correct abstention).  The action, its text and the verdict depend only
-    on (candidate_a, candidate_b, gold), so each is decided once per triple.
+    a correct abstention).  ``items`` are read once, in order, and only for
+    their feature, gold and two candidates, so they may be item heads
+    streamed from a file (``synthenv.iter_heads``).  The action, its text
+    and the verdict depend only on (candidate_a, candidate_b, gold), so
+    each is decided once per triple.
     """
     scorer = Scorer()
     # (candidate_a, candidate_b, gold) -> (action, rendered), or None if wrong

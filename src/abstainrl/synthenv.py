@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import errno
+import functools
 import json
 import math
 import os
@@ -68,17 +69,31 @@ def read_text(path: str | Path) -> str:
 
 
 def read_records(
-    path: str | Path, kind: str, parse: Callable[[dict], _T]
+    path: str | Path,
+    kind: str,
+    parse: Callable[[dict], _T],
+    scan: Callable[[str], _T | None] | None = None,
 ) -> Iterator[_T]:
     """Yield ``parse(record)`` for each non-blank line of the UTF-8
     JSON-Lines file at ``path``, line by line.  Bytes that are not UTF-8,
     invalid JSON and a value that is not a JSON object raise
     ``DatasetError`` naming ``path:line``, as do a ``KeyError`` from
     ``parse`` (``bad <kind> record: missing field 'x'``) and a
-    ``ValueError`` (``bad <kind> record: <message>``)."""
+    ``ValueError`` (``bad <kind> record: <message>``).
+
+    ``scan``, when given, is tried on each line (with its line end) before
+    it is decoded: a value it returns is yielded for the line, and on
+    ``None`` the line is decoded and parsed as above.  It must return
+    ``None`` for any line it cannot vouch for, so that every error comes
+    from ``parse``."""
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             _require_utf8(path, line, lineno)
+            if scan is not None:
+                value = scan(line)
+                if value is not None:
+                    yield value
+                    continue
             if not line.strip():
                 continue
             try:
@@ -236,6 +251,23 @@ class SynthQAItem:
     candidate_a: str
     candidate_b: str
     feature: ContextFeature
+
+
+@dataclass(frozen=True, slots=True)
+class ItemHead:
+    """The fields of a ``SynthQAItem`` that training and evaluation read:
+    ``RewardTable``, ``make_expert_traces`` and the greedy evaluation take
+    either type."""
+
+    id: str
+    feature: ContextFeature
+    gold: GoldAnswer
+    candidate_a: str
+    candidate_b: str
+
+    @classmethod
+    def of(cls, item: SynthQAItem) -> "ItemHead":
+        return cls(item.id, item.feature, item.gold, item.candidate_a, item.candidate_b)
 
 
 @dataclass(frozen=True)
@@ -471,6 +503,36 @@ def item_to_dict(item: SynthQAItem) -> dict:
     }
 
 
+@functools.cache
+def _written_form() -> tuple[re.Pattern[str], re.Pattern[str]]:
+    """The line ``write_dataset`` writes, ``json.dumps(item_to_dict(item),
+    sort_keys=True)`` with its default separators, for a record whose
+    strings are printable ASCII with nothing to escape, whose integers have
+    at most 18 digits and whose fact texts are non-empty, as
+    ``TemporalFact`` requires.  Its groups are the candidates, the facts,
+    the feature's difficulty and evidence, the gold's JSON, the id and the
+    specifier's kind and years; the second pattern finds each fact's end
+    and start in the facts group.  A change to ``item_to_dict`` must change
+    this too.  Compiled on first use, which keeps it out of the import."""
+    # S: a printable ASCII character but '"' and '\'; Y: an integer; F: a fact
+    fact = r'\{"end": (Y), "object": "S+", "relation": "S+", "start": (Y), "subject": "S+"\}'
+    line = (
+        r'\{"candidates": \["(S*)", "(S*)"\], '
+        r'"facts": \[((?:F(?:, F)*)?)\], '
+        r'"feature": \{"difficulty": "(S*)", "evidence": "(S*)"\}, '
+        r'"gold": (null|\[(?:"S*"(?:, "S*")*)?\]), '
+        r'"id": "(S*)", "question": "S*", '
+        r'"specifier": \{"kind": "(S*)", "years": \[((?:Y(?:, Y)*)?)\]\}\}\n?'
+    ).replace("F", fact.replace("(Y)", "Y"))
+
+    def compiled(pattern: str) -> re.Pattern[str]:
+        return re.compile(
+            pattern.replace("Y", "(?:0|-?[1-9][0-9]{0,17})").replace("S", r"[ !#-\[\]-~]")
+        )
+
+    return compiled(line), compiled(fact)
+
+
 def _json_list(value: object, where: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{where} must be a list, got {value!r}")
@@ -506,13 +568,13 @@ def _json_text(value: object, where: str) -> str:
 
 
 class _DatasetParts:
-    """The value parts one ``iter_dataset`` call has built, each keyed by its
-    JSON content: specifiers by (kind, *years), golds by their aliases
-    (``None`` for No-Answer), features by (evidence, difficulty) and fact
-    scopes by (start, end).  ``texts`` maps each fact subject, relation and
-    object, candidate and gold alias to the first equal string read, so a
-    text that repeats across records is one object, checked once.  Ids and
-    questions are not kept: almost none repeat."""
+    """The value parts one ``iter_dataset`` or ``iter_heads`` call has built,
+    each keyed by its JSON content: specifiers by (kind, *years), golds by
+    their aliases (``None`` for No-Answer), features by (evidence,
+    difficulty) and fact scopes by (start, end).  ``texts`` maps each fact
+    subject, relation and object, candidate and gold alias to the first
+    equal string read, so a text that repeats across records is one object,
+    checked once.  Ids and questions are not kept: almost none repeat."""
 
     __slots__ = ("specifiers", "golds", "features", "scopes", "texts")
 
@@ -532,6 +594,41 @@ class _DatasetParts:
         if shared is None:
             shared = self.texts[value] = _json_text(value, where)
         return shared
+
+    # Each method below takes a key whose values have exactly the accepted
+    # JSON types, and builds and checks its part on first use.
+
+    def specifier(self, key: tuple) -> TimeSpecifier:
+        """The specifier of ``key``, (kind, *years)."""
+        spec = self.specifiers.get(key)
+        if spec is None:
+            spec = self.specifiers[key] = TimeSpecifier(SpecKind(key[0]), key[1:])
+        return spec
+
+    def scope(self, start: int, end: int) -> TimeInterval:
+        scope = self.scopes.get((start, end))
+        if scope is None:
+            scope = self.scopes[start, end] = TimeInterval(start, end)
+        return scope
+
+    def gold(self, aliases: tuple[str, ...] | None) -> GoldAnswer:
+        """The gold of ``aliases``, No-Answer for ``None``."""
+        gold = self.golds.get(aliases)
+        if gold is None:
+            gold = self.golds[aliases] = (
+                GoldAnswer.no_answer()
+                if aliases is None
+                else GoldAnswer.of(*[self.text(a, "gold alias") for a in aliases])
+            )
+        return gold
+
+    def feature(self, evidence: str, difficulty: str) -> ContextFeature:
+        feature = self.features.get((evidence, difficulty))
+        if feature is None:
+            feature = self.features[evidence, difficulty] = ContextFeature(
+                Evidence(evidence), Difficulty(difficulty)
+            )
+        return feature
 
 
 def item_from_dict(payload: dict, parts: _DatasetParts) -> SynthQAItem:
@@ -556,17 +653,13 @@ def item_from_dict(payload: dict, parts: _DatasetParts) -> SynthQAItem:
         _json_list(years, "specifier years")
     kind = spec_json["kind"]
     if type(kind) is str and all(type(y) is int for y in years):
-        key = (kind, *years)
-        spec = parts.specifiers.get(key)
-        if spec is None:
-            spec = parts.specifiers[key] = TimeSpecifier(SpecKind(kind), key[1:])
+        spec = parts.specifier((kind, *years))
     else:
         spec = TimeSpecifier(SpecKind(kind), tuple(_json_int(y, "specifier year") for y in years))
 
     facts_json = payload["facts"]
     if type(facts_json) is not list:
         _json_list(facts_json, "facts")
-    scopes = parts.scopes
     text = parts.text
     facts = []
     for f in facts_json:
@@ -581,21 +674,11 @@ def item_from_dict(payload: dict, parts: _DatasetParts) -> SynthQAItem:
         end = f["end"]
         if type(end) is not int:
             _json_int(end, "fact end")
-        scope = scopes.get((start, end))
-        if scope is None:
-            scope = scopes[start, end] = TimeInterval(start, end)
-        facts.append(TemporalFact(subject, relation, obj, scope))
+        facts.append(TemporalFact(subject, relation, obj, parts.scope(start, end)))
 
     aliases = payload["gold"]
     if aliases is None or (type(aliases) is list and all(type(a) is str for a in aliases)):
-        key = aliases if aliases is None else tuple(aliases)
-        gold = parts.golds.get(key)
-        if gold is None:
-            gold = parts.golds[key] = (
-                GoldAnswer.no_answer()
-                if key is None
-                else GoldAnswer.of(*[text(a, "gold alias") for a in key])
-            )
+        gold = parts.gold(aliases if aliases is None else tuple(aliases))
     else:
         gold = GoldAnswer.of(*_json_list(aliases, "gold"))
 
@@ -605,12 +688,7 @@ def item_from_dict(payload: dict, parts: _DatasetParts) -> SynthQAItem:
     evidence = feature_json["evidence"]
     difficulty = feature_json.get("difficulty")
     if type(evidence) is str and type(difficulty) is str:
-        key = (evidence, difficulty)
-        feature = parts.features.get(key)
-        if feature is None:
-            feature = parts.features[key] = ContextFeature(
-                Evidence(evidence), Difficulty(difficulty)
-            )
+        feature = parts.feature(evidence, difficulty)
     else:
         feature = ContextFeature(Evidence(evidence), Difficulty(feature_json["difficulty"]))
 
@@ -639,6 +717,43 @@ def item_from_dict(payload: dict, parts: _DatasetParts) -> SynthQAItem:
     )
 
 
+def _scan_head(
+    form: tuple[re.Pattern[str], re.Pattern[str]], parts: _DatasetParts, line: str
+) -> ItemHead | None:
+    """The head of ``line`` without decoding it, if ``line`` has the
+    written form (``_written_form``) and its fact scopes, specifier,
+    feature and gold pass the checks ``item_from_dict`` makes; else None.
+    Each distinct part is built and checked once, through ``parts``, which
+    ``item_from_dict`` shares."""
+    line_form, fact_form = form
+    match = line_form.fullmatch(line)
+    if match is None:
+        return None
+    candidate_a, candidate_b, facts, difficulty, evidence, gold_json, item_id, kind, years = (
+        match.groups()
+    )
+    # a string holds no '"', so '", "' splits a list of them
+    aliases = (
+        None if gold_json == "null" else () if gold_json == "[]"
+        else tuple(gold_json[2:-2].split('", "'))
+    )
+    try:
+        for end, start in fact_form.findall(facts):
+            parts.scope(int(start), int(end))
+        parts.specifier((kind, *map(int, years.split(", "))) if years else (kind,))
+        feature = parts.feature(evidence, difficulty)
+        gold = parts.gold(aliases)
+    except ValueError:  # a part item_from_dict refuses: it raises the error
+        return None
+    return ItemHead(
+        item_id,
+        feature,
+        gold,
+        parts.text(candidate_a, "candidate"),
+        parts.text(candidate_b, "candidate"),
+    )
+
+
 def write_dataset(items: Iterable[SynthQAItem], path: str | Path) -> None:
     write_jsonl(path, map(item_to_dict, items))
 
@@ -658,6 +773,24 @@ def iter_dataset(path: str | Path) -> Iterator[SynthQAItem]:
 def read_dataset(path: str | Path) -> list[SynthQAItem]:
     """The items of ``iter_dataset(path)`` as a list."""
     return list(iter_dataset(path))
+
+
+def iter_heads(path: str | Path) -> Iterator[ItemHead]:
+    """The heads of the items of ``iter_dataset(path)``, equal to
+    ``ItemHead.of`` of each, with the same ``DatasetError`` on the same
+    line.  A line in the form ``write_dataset`` writes (see
+    ``_written_form``) is scanned, not decoded, and yields its head without
+    building its facts and question; any other line, and a scanned one
+    whose parts fail a check, is decoded and built by ``item_from_dict``.
+    Both routes share one ``_DatasetParts``, so equal features, golds and
+    candidate texts are one object whichever route read them."""
+    parts = _DatasetParts()
+    return read_records(
+        path,
+        "dataset",
+        lambda record: ItemHead.of(item_from_dict(record, parts)),
+        functools.partial(_scan_head, _written_form(), parts),
+    )
 
 
 # --- Abstained multiple-choice construction ------------------------------------

@@ -151,6 +151,22 @@ class TestExtract:
         quads = [json.loads(line) for line in out.read_text().splitlines()]
         assert quads and all({"head", "relation", "tail", "timestamp"} <= set(q) for q in quads)
 
+    def test_malformed_last_record_writes_no_store(self, tmp_path):
+        """The dataset streams into the store, which is built before --out
+        is written: a cut-short last record exits 3 naming its line."""
+        data = _gen(tmp_path)
+        *lines, last = data.read_text().splitlines()
+        lines.append(last[: len(last) // 2])
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "store.jsonl"
+        code, err = _main_stderr(
+            ["extract", "--mode", "kg", "--dataset", str(data), "--out", str(out)]
+        )
+        assert code == 3
+        assert f"{data}:{len(lines)}: invalid JSON" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_remote_failure_falls_back(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ABSTAINRL_TEST_KEY", "sk")
         code = main(
@@ -269,7 +285,7 @@ class TestTrain:
         missing = tmp_path / "nope.jsonl"
         assert main(_train_args(missing, tmp_path / "o", extra=setting)) == 2
         data = _gen(tmp_path)
-        for reader in ("read_dataset", "iter_dataset"):
+        for reader in ("iter_heads", "iter_dataset"):
             monkeypatch.setattr(cli, reader, lambda path: pytest.fail("dataset read"))
         assert main(_train_args(data, tmp_path / "o", extra=setting)) == 2
         assert not (tmp_path / "o").exists()
@@ -305,15 +321,15 @@ class TestTrain:
         assert not summary.exists()
 
     def test_sft_traces_naming_the_dataset_are_read_once(self, tmp_path, monkeypatch):
-        """--sft-traces that resolves to the --dataset file reuses its parsed
-        items, with the same artifacts as traces read from a copy.  Each
-        file is read once, whole or streamed: the dataset is read whole only
-        when the traces name it."""
+        """--sft-traces that resolves to the --dataset file reuses its item
+        heads, with the same artifacts as traces read from a copy.  Each
+        file is read once, as a list of heads or streamed: the dataset is
+        held as a list only when the traces name it."""
         data = _gen(tmp_path)
         copy = tmp_path / "copy.jsonl"
         copy.write_bytes(data.read_bytes())
         reads = []
-        for name in ("read_dataset", "iter_dataset"):
+        for name in ("iter_heads", "iter_dataset"):
             reader = getattr(cli, name)
             monkeypatch.setattr(
                 cli, name,
@@ -324,10 +340,10 @@ class TestTrain:
         spelled = tmp_path / "sub" / ".." / data.name
         (tmp_path / "sub").mkdir()
         assert main(_train_args(data, same, extra=["--sft-traces", str(spelled)])) == 0
-        assert reads == [("read_dataset", data)]
+        assert reads == [("iter_heads", data)]
         copied = tmp_path / "copied"
         assert main(_train_args(data, copied, extra=["--sft-traces", str(copy)])) == 0
-        assert reads[1:] == [("iter_dataset", data), ("iter_dataset", copy)]
+        assert reads[1:] == [("iter_heads", data), ("iter_heads", copy)]
         for name in ("policy.json", "train_log.jsonl", "summary.csv"):
             assert (same / name).read_bytes() == (copied / name).read_bytes()
 
@@ -514,7 +530,7 @@ class TestEval:
                 "--dataset", str(tmp_path / "nope.jsonl"), "--reward-variant", "bogus"]
         assert main(argv) == 2
         argv[2], argv[4] = str(_oracle_checkpoint(tmp_path)), str(_gen(tmp_path))
-        for reader in ("read_dataset", "iter_dataset"):
+        for reader in ("iter_heads", "iter_dataset"):
             monkeypatch.setattr(cli, reader, lambda path: pytest.fail("dataset read"))
         assert main(argv) == 2
 
@@ -701,14 +717,15 @@ class TestSweep:
 
             monkeypatch.setattr(cli, name, wrapper)
 
-        counted("read_dataset")
+        counted("iter_heads")
+        counted("iter_dataset")
         counted("sft_train")
         flags = ["--dataset", str(data), "--iters", "6", "--batch-size", "8", "--seed", "2",
                  "--sft-traces", str(data), "--sft-epochs", "20"]
         out = tmp_path / "betas"
         assert main(["sweep", "--axis", "beta", "--values", "0,0.01,0.1",
                      "--out-dir", str(out), *flags]) == 0
-        assert calls == {"read_dataset": 1, "sft_train": 1}
+        assert calls == {"iter_heads": 1, "sft_train": 1}
         for beta in ("0.0", "0.01", "0.1"):
             alone = tmp_path / f"alone_{beta}"
             assert main(["train", "--out-dir", str(alone), "--beta", beta, *flags]) == 0

@@ -12,12 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
+from abstainrl import synthenv
 from abstainrl.grpo import TrainLog
 from abstainrl.policy import Difficulty, Evidence
 from abstainrl.retrieval import KGStore
 from abstainrl.synthenv import (
     DatasetError,
     GenConfig,
+    ItemHead,
     MCSourceRecord,
     TemporalFact,
     TimeInterval,
@@ -26,6 +28,7 @@ from abstainrl.synthenv import (
     build_abstained_mc,
     generate_dataset,
     item_to_dict,
+    iter_heads,
     read_dataset,
     read_mc_sources,
     read_text,
@@ -237,6 +240,9 @@ class TestDatasetSerialization:
 # so that a later record can hold their bool twins.
 _YEARS = st.sampled_from([0, 1, 1990, 1991])
 _TEXTS = st.sampled_from(["Alma", "Seabrook Rovers", "x, \"y\""])
+# printable ASCII but for '"' and '\', which json.dumps writes unescaped
+_ASCII = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\'),
+                 max_size=3)
 
 
 def _scope(years):
@@ -246,8 +252,8 @@ def _scope(years):
 
 _VALID_RECORDS = st.fixed_dictionaries(
     {
-        "id": st.text(max_size=3),
-        "question": st.text(max_size=3),
+        "id": _ASCII | st.text(max_size=3),
+        "question": _ASCII | st.text(max_size=3),
         "specifier": st.one_of(
             st.builds(lambda kind, y: {"kind": kind, "years": [y]},
                       st.sampled_from(["in_year", "after", "before", "early_decade"]), _YEARS),
@@ -419,6 +425,110 @@ class TestReadDataset:
         write_lines(path, [json.dumps(record)])
         with pytest.raises(DatasetError, match=f":1: bad dataset record: {re.escape(message)}$"):
             read_dataset(path)
+
+
+def _line(**fields):
+    """A valid record, with ``fields`` replaced, as ``write_dataset`` writes it."""
+    return json.dumps(_record(**fields), sort_keys=True)
+
+
+def _fact_line(**fields):
+    """A record with one fact, ``_FACT`` with ``fields`` replaced, as
+    ``write_dataset`` writes it."""
+    return _line(facts=[{**_FACT, **fields}])
+
+
+# Lines of valid records, written with sorted keys (the form write_dataset
+# writes, which iter_heads scans) or without (which it decodes).
+_LINES = st.builds(
+    lambda records, sort_keys: [json.dumps(r, sort_keys=sort_keys) for r in records],
+    _records(),
+    st.booleans(),
+)
+
+
+def _heads_or_error(read, path):
+    try:
+        return read(path)
+    except DatasetError as exc:
+        return str(exc)
+
+
+class TestIterHeads:
+    """``iter_heads`` scans the lines ``write_dataset`` writes instead of
+    decoding them, and is held to the heads of ``read_dataset``'s items."""
+
+    @given(_LINES)
+    # integers: -0, 19 digits (both valid JSON), a leading zero (invalid)
+    @example([_line(specifier={"kind": "in_year", "years": [4321]}).replace("[4321]", "[-0]")])
+    @example([_line(specifier={"kind": "in_year", "years": [1234567890123456789]})])
+    @example([_fact_line(start=4321, end=4322).replace('"start": 4321', '"start": 04321')])
+    # a year of another type, a specifier or a scope whose start is past its end
+    @example([_line(specifier={"kind": "in_year", "years": [1990.0]})])
+    @example([_line(specifier={"kind": "in_year", "years": [True]})])
+    @example([_line(specifier={"kind": "between", "years": [1991, 1990]})])
+    @example([_fact_line(), _fact_line(start=1991, end=1990)])
+    # the same record in other forms
+    @example([_line() + "\r", _line() + "  ", _line(zz=1), json.dumps(_record())])
+    # texts the scan leaves to the decoder
+    @example([_line(candidates=['say "a"', "b"]), _line(candidates=["\u00e9", "b"])])
+    @example([json.dumps(_record(candidates=["\u00e9", "b"]), sort_keys=True, ensure_ascii=False)])
+    @example([_line(), _line(candidates=["a", "\ud800"])])
+    # parts that are empty
+    @example([_line(gold=[""])])
+    @example([_fact_line(), _fact_line(subject="")])
+    @example([_line(facts=[])])
+    @settings(max_examples=400)
+    def test_equals_the_heads_of_read_dataset(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("heads") / "data.jsonl"
+        write_lines(path, lines)
+        got = _heads_or_error(lambda p: list(iter_heads(p)), path)
+        want = _heads_or_error(lambda p: [ItemHead.of(item) for item in read_dataset(p)], path)
+        assert got == want
+
+    def _counted(self, monkeypatch):
+        calls = []
+        original = synthenv.item_from_dict
+        monkeypatch.setattr(
+            synthenv, "item_from_dict", lambda *args: calls.append(args) or original(*args)
+        )
+        return calls
+
+    def test_written_lines_are_not_decoded(self, tmp_path, monkeypatch):
+        items = generate_dataset(GenConfig(n_items=300, p_unans=0.4, ambiguity=0.3, seed=8))
+        path = tmp_path / "data.jsonl"
+        write_dataset(items, path)
+        calls = self._counted(monkeypatch)
+        assert list(iter_heads(path)) == [ItemHead.of(item) for item in items]
+        assert calls == []
+
+    def test_both_routes_share_parts(self, tmp_path, monkeypatch):
+        """A file whose every other line is in another JSON form: equal
+        features, golds and texts are one object, whichever route read
+        them."""
+        items = generate_dataset(GenConfig(n_items=300, p_unans=0.4, seed=8))
+        path = tmp_path / "data.jsonl"
+        write_lines(path, [
+            json.dumps(item_to_dict(item), sort_keys=True) if i % 2 == 0
+            else json.dumps(item_to_dict(item), separators=(",", ":"))
+            for i, item in enumerate(items)
+        ])
+        calls = self._counted(monkeypatch)
+        heads = list(iter_heads(path))
+        assert heads == [ItemHead.of(item) for item in items]
+        assert len(calls) == len(items) // 2
+        parts = {
+            "feature": [head.feature for head in heads],
+            "gold": [head.gold for head in heads],
+            "text": [
+                *(t for head in heads for t in (head.candidate_a, head.candidate_b)),
+                *(t for head in heads for t in head.gold.aliases),
+            ],
+        }
+        for name, values in parts.items():
+            first: dict = {}
+            assert all(first.setdefault(v, v) is v for v in values), name
+            assert len(first) < len(values), name
 
 
 def _mc_records(n):
