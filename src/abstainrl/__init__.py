@@ -26,9 +26,7 @@ from abstainrl.policy import (
     ContextFeature,
     Difficulty,
     Evidence,
-    ExpertTrace,
     PolicyParams,
-    make_expert_traces,
     render_completion,
     sft_train,
 )

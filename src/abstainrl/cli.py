@@ -30,7 +30,7 @@ from abstainrl.grpo import (
     summarize_items,
     train_rl,
 )
-from abstainrl.policy import DivergenceError, PolicyParams, make_expert_traces, sft_train
+from abstainrl.policy import DivergenceError, PolicyParams, sft_train
 from abstainrl.reward import DEFAULT_VARIANT, RewardVariant
 from abstainrl.retrieval import (
     ExtractionClientConfig,
@@ -179,11 +179,6 @@ def _stream_heads(path: str | Path) -> Iterator[synthenv.ItemHead]:
     return itertools.chain([first], heads)
 
 
-def _read_heads(path: str | Path) -> list[synthenv.ItemHead]:
-    """The item heads of ``_stream_heads(path)`` as a list."""
-    return list(_stream_heads(path))
-
-
 # a field that holds one of these is quoted: a lone "\r" too, since a reader
 # takes a bare one for the end of the row
 _CSV_SPECIAL = re.compile('[,"\r\n]')
@@ -220,6 +215,13 @@ def _write_summary_csv(path: Path, ids: Sequence[str], evals: Sequence[ItemEval]
 
     header = "id,r1,r2,rl,sem,em,tp,fp,fn"
     write_lines(path, itertools.chain([header], map(line, ids, evals)))
+
+
+def _shown(path: str | Path) -> str:
+    """``path`` as a success line prints it and an SVG draws a run's name:
+    its bytes that are not UTF-8, which the OS path decoding holds as lone
+    surrogates, as U+FFFD, so that a strict UTF-8 stdout takes it."""
+    return str(path).encode("utf-8", "surrogateescape").decode("utf-8", "replace")
 
 
 def _print_report(report: EvalReport) -> None:
@@ -343,11 +345,6 @@ def render_curves_svg(runs: list[tuple[str, TrainLog]]) -> list[str]:
 
 # --- training driver (shared by train and sweep) ----------------------------------
 
-def _run_name(run_dir: str | Path) -> str:
-    """The name of a run directory, its bytes that are not UTF-8 as U+FFFD."""
-    return Path(run_dir).name.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
-
-
 def _check_run(resolved: dict[str, Any]) -> None:
     """Raise on any bad setting of a run, the SFT ones included, so that a
     run is refused before anything is read or written."""
@@ -366,31 +363,28 @@ def _sft_reads_dataset(resolved: dict[str, Any]) -> bool:
     return bool(traces) and Path(traces).resolve() == Path(resolved["dataset"]).resolve()
 
 
-def _cold_start(
-    resolved: dict[str, Any], heads: Iterable[synthenv.ItemHead] | None = None
-) -> PolicyParams:
-    """The policy RL starts from: the SFT fit to the expert traces of
-    ``sft_traces`` when that is set, else the zero policy.  ``heads``, when
-    given, are the item heads of the ``sft_traces`` file; else they are
-    streamed from it."""
+def _cold_start(resolved: dict[str, Any], table: RewardTable | None = None) -> PolicyParams:
+    """The policy RL starts from: the SFT fit to the expert cells of the
+    ``sft_traces`` file's reward table when that is set, else the zero
+    policy.  ``table``, the reward table of ``dataset``, is reused when
+    ``sft_traces`` names that file; else the traces file streams into a
+    table of its own."""
     if not resolved["sft_traces"]:
         return PolicyParams.zeros()
     sft_lr, sft_epochs = _sft_settings(resolved)
-    traces = make_expert_traces(iter_heads(resolved["sft_traces"]) if heads is None else heads)
-    if not traces:
+    if table is None or not _sft_reads_dataset(resolved):
+        table = RewardTable(_stream_heads(resolved["sft_traces"]))
+    cells = table.expert_cells()
+    if not len(cells):
         raise DatasetError(f"no usable expert traces in {resolved['sft_traces']}")
-    return sft_train(PolicyParams.zeros(), traces, lr=sft_lr, epochs=sft_epochs)
+    return sft_train(PolicyParams.zeros(), cells, lr=sft_lr, epochs=sft_epochs)
 
 
 def _table_and_cold_start(resolved: dict[str, Any]) -> tuple[RewardTable, PolicyParams]:
-    """The reward table of ``dataset`` and the policy RL starts from.  The
-    dataset's item heads stream into the table, so no list of them is held,
-    unless ``sft_traces`` names the same file: then the file is read once
-    into a list of heads that the table and the expert traces both read."""
-    if _sft_reads_dataset(resolved):
-        heads = _read_heads(resolved["dataset"])
-        return RewardTable(heads, _variant(resolved)), _cold_start(resolved, heads)
-    return RewardTable(_stream_heads(resolved["dataset"]), _variant(resolved)), _cold_start(resolved)
+    """The reward table of ``dataset``, its item heads streamed into it,
+    and the policy RL starts from."""
+    table = RewardTable(_stream_heads(resolved["dataset"]), _variant(resolved))
+    return table, _cold_start(resolved, table)
 
 
 def _train_once(
@@ -441,7 +435,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     n_unans = sum(1 for item in items if item.gold.is_no_answer)
     print(
         f"wrote {len(items)} items ({n_unans} unanswerable, "
-        f"fraction {n_unans / len(items):.6f}) -> {resolved['out']}"
+        f"fraction {n_unans / len(items):.6f}) -> {_shown(resolved['out'])}"
     )
     return EXIT_OK
 
@@ -456,7 +450,7 @@ def _cmd_build_mc(args: argparse.Namespace) -> int:
     items = build_abstained_mc(records, ratio=float(resolved["ratio"]), seed=int(resolved["seed"]))
     write_mc_items(items, resolved["out"])
     n_unans = sum(1 for item in items if item.unanswerable)
-    print(f"wrote {len(items)} items ({n_unans} unanswerable) -> {resolved['out']}")
+    print(f"wrote {len(items)} items ({n_unans} unanswerable) -> {_shown(resolved['out'])}")
     return EXIT_OK
 
 
@@ -493,7 +487,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             fact_to_quadruple(fact) for item in iter_dataset(args.dataset) for fact in item.facts
         )
         store.write_jsonl(args.out)
-        print(f"wrote {len(store)} quadruples -> {args.out}")
+        print(f"wrote {len(store)} quadruples -> {_shown(args.out)}")
         return EXIT_OK
 
     if not args.question:
@@ -552,7 +546,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
         write_lines(args.out, [text])
-        print(f"wrote extraction -> {args.out}")
+        print(f"wrote extraction -> {_shown(args.out)}")
     else:
         print(text)
     return EXIT_OK
@@ -565,10 +559,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     _check_run(resolved)
     table, params0 = _table_and_cold_start(resolved)
     report = _train_once(
-        table, {**resolved, "command": "train"}, _run_name(resolved["out_dir"]), params0
+        table, {**resolved, "command": "train"}, _shown(Path(resolved["out_dir"]).name), params0
     )
     _print_report(report)
-    print(f"artifacts -> {resolved['out_dir']}")
+    print(f"artifacts -> {_shown(resolved['out_dir'])}")
     return EXIT_OK
 
 
@@ -587,7 +581,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     evals = evaluate_items(params, table)
     _write_summary_csv(Path(args.out), table.ids, evals)
     _print_report(summarize_items(evals))
-    print(f"wrote per-item metrics -> {args.out}")
+    print(f"wrote per-item metrics -> {_shown(args.out)}")
     return EXIT_OK
 
 
@@ -640,13 +634,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         runs.append((value, gen_cfg, run_name, run_resolved))
 
     # no axis changes the shared dataset or the cold start: read and fit them
-    # once, and score once per reward variant: every beta run shares a table
-    table = items = None
+    # once, and score once per reward variant: every beta run shares a table,
+    # and a reward-variant sweep fits its cold start from its first table
+    table = items = params0 = None
     if args.axis == "beta":
         table, params0 = _table_and_cold_start(resolved)
     elif args.axis == "reward-variant":
-        items = _read_heads(resolved["dataset"])
-        params0 = _cold_start(resolved, items if _sft_reads_dataset(resolved) else None)
+        items = list(_stream_heads(resolved["dataset"]))
     else:
         params0 = _cold_start(resolved)
     summary_rows = []
@@ -656,6 +650,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             write_dataset(items, run_resolved["dataset"])
         if args.axis != "beta":
             table = RewardTable(items, _variant(run_resolved))
+        if params0 is None:
+            params0 = _cold_start(resolved, table)
         report = _train_once(table, run_resolved, run_name, params0)
         c = report.confusion
         summary_rows.append(
@@ -679,7 +675,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ["axis", "value", "mean_reward", "abstain_rate", "em_rate", "tp", "fp", "fn"],
         summary_rows,
     )
-    print(f"sweep summary -> {summary_path}")
+    print(f"sweep summary -> {_shown(summary_path)}")
     return EXIT_OK
 
 
@@ -707,7 +703,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         log_path = run_dir / "train_log.jsonl"
         if not log_path.exists():
             raise DatasetError(f"missing train log: {log_path}")
-        runs.append((_run_name(run_dir), TrainLog.read(log_path)))
+        runs.append((_shown(run_dir.name), TrainLog.read(log_path)))
     out_dir = Path(args.out_dir)
     write_lines(out_dir / "curves.svg", render_curves_svg(runs))
     _write_csv(
@@ -715,7 +711,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         ["run", "iterations", "final_mean_reward", "final_abstain_rate", "tp", "fp", "fn"],
         (_aggregate_row(name, log) for name, log in runs),
     )
-    print(f"report -> {out_dir / 'curves.svg'} and {out_dir / 'aggregate.csv'}")
+    print(f"report -> {_shown(out_dir / 'curves.svg')} and {_shown(out_dir / 'aggregate.csv')}")
     return EXIT_OK
 
 

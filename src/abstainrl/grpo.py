@@ -31,6 +31,7 @@ from abstainrl.policy import (
     DivergenceError,
     PolicyParams,
     inverse_cdf,
+    oracle_action,
     render_completion,
 )
 from abstainrl.reward import (
@@ -162,6 +163,10 @@ class RewardTable:
     Each distinct text is parsed and each distinct (answer, answerable gold)
     measured once, and the rule reads its reward from those eval metrics;
     they are zero for a No-Answer gold.
+    ``expert`` holds, per content row, the action SFT imitates: the
+    oracle's (``policy.oracle_action``) where its answer reward under the
+    default variant is at least 1 (a correct abstention, or ROUGE-L plus
+    EM of at least 1), else -1.
     """
 
     def __init__(
@@ -198,6 +203,7 @@ class RewardTable:
         self.abstained = np.empty(shape, dtype=bool)
         # em, rouge1, rouge2, rouge_l and semantic, in ItemEval's order
         self.metrics = np.zeros(shape + (5,))
+        self.expert = np.empty(len(rows), dtype=int)
         scorer = Scorer(variant)
         for r, item in enumerate(rows):
             for a, action in enumerate(ALL_ACTIONS):
@@ -212,10 +218,23 @@ class RewardTable:
                 if not item.gold.is_no_answer:
                     m = scorer.metrics(answer, item.gold)
                     self.metrics[r, a] = (m.em, m.rouge1, m.rouge2, m.rouge_l, m.semantic)
+            a = oracle_action(item).index
+            if item.gold.is_no_answer:
+                right = self.abstained[r, a]
+            else:
+                em, rouge_l = self.metrics[r, a, 0], self.metrics[r, a, 3]
+                right = not self.abstained[r, a] and rouge_l + em >= 1.0
+            self.expert[r] = a if right else -1
 
     def __len__(self) -> int:
         """The number of items."""
         return len(self.ids)
+
+    def expert_cells(self) -> np.ndarray:
+        """``feature * 6 + action`` of every item whose content row has an
+        expert action, in item order: the traces SFT fits."""
+        expert = self.expert[self.row]
+        return (self.features * N_ACTIONS + expert)[expert >= 0]
 
     def lookup(self, items: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rewards and abstention flags at the (broadcast) index arrays."""

@@ -12,15 +12,15 @@ from __future__ import annotations
 import enum
 import json
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from abstainrl.reward import NO_ANSWER_TEXT, Scorer
-from abstainrl.textmetrics import GoldAnswer, exact_match
+from abstainrl.reward import NO_ANSWER_TEXT
+from abstainrl.textmetrics import exact_match
 
 if TYPE_CHECKING:
     from abstainrl.synthenv import ItemHead, SynthQAItem
@@ -230,14 +230,6 @@ def render_completion(action: ActionId, item: "ItemHead | SynthQAItem") -> str:
     return answer
 
 
-@dataclass(frozen=True)
-class ExpertTrace:
-    feature: ContextFeature
-    action: ActionId
-    rendered: str
-    gold: GoldAnswer
-
-
 def oracle_action(item: "ItemHead | SynthQAItem") -> ActionId:
     """The environment oracle's preferred action: the correct formatted answer,
     or a formatted abstention when the question is unanswerable."""
@@ -250,53 +242,28 @@ def oracle_action(item: "ItemHead | SynthQAItem") -> ActionId:
     return ActionId(Choice.ABSTAIN, formatted=True)
 
 
-def make_expert_traces(items: Iterable["ItemHead | SynthQAItem"]) -> list[ExpertTrace]:
-    """The oracle's expert traces whose answer is verifiably right: an
-    answer reward of at least 1 under the default variant (exact match, or
-    a correct abstention).  ``items`` are read once, in order, and only for
-    their feature, gold and two candidates, so they may be item heads
-    streamed from a file (``synthenv.iter_heads``).  The action, its text
-    and the verdict depend only on (candidate_a, candidate_b, gold), so
-    each is decided once per triple.
-    """
-    scorer = Scorer()
-    # (candidate_a, candidate_b, gold) -> (action, rendered), or None if wrong
-    by_content: dict[tuple[str, str, GoldAnswer], tuple[ActionId, str] | None] = {}
-    kept: list[ExpertTrace] = []
-    for item in items:
-        key = (item.candidate_a, item.candidate_b, item.gold)
-        if key not in by_content:
-            action = oracle_action(item)
-            rendered = render_completion(action, item)
-            right = scorer.answer_reward(scorer.parse(rendered).answer, item.gold) >= 1.0
-            by_content[key] = (action, rendered) if right else None
-        trace = by_content[key]
-        if trace is not None:
-            kept.append(ExpertTrace(item.feature, *trace, item.gold))
-    return kept
-
-
 def sft_train(
     params: PolicyParams,
-    traces: Sequence[ExpertTrace],
+    cells: Sequence[int] | np.ndarray,
     lr: float = DEFAULT_SFT_LR,
     epochs: int = DEFAULT_SFT_EPOCHS,
 ) -> PolicyParams:
-    """Full-batch gradient ascent on the mean log-likelihood of trace actions.
+    """Full-batch gradient ascent on the mean log-likelihood of the expert
+    traces, one flat cell ``feature * 6 + action`` per trace
+    (``RewardTable.expert_cells``).
 
     The likelihood depends on the traces only through how often each
     (feature, action) pair occurs, so they are reduced once to a count
     matrix C; each epoch's gradient is then C - n_row * softmax(row).
     Raises DivergenceError once the logits stop being finite.
     """
-    if not traces:
+    n = len(cells)
+    if not n:
         raise ValueError("sft_train needs at least one trace")
-    counts = np.zeros((N_FEATURES, N_ACTIONS))
-    for trace in traces:
-        counts[trace.feature.index, trace.action.index] += 1.0
+    counts = np.bincount(cells, minlength=N_FEATURES * N_ACTIONS)
+    counts = counts.reshape(N_FEATURES, N_ACTIONS).astype(np.float64)
     row_totals = counts.sum(axis=1, keepdims=True)
     logits = np.array(params.logits)
-    n = len(traces)
     # overflow and inf - inf arise only once a run diverges; the finiteness
     # check turns that into DivergenceError instead of warnings
     with np.errstate(over="ignore", invalid="ignore"):

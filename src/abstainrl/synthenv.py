@@ -256,8 +256,8 @@ class SynthQAItem:
 @dataclass(frozen=True, slots=True)
 class ItemHead:
     """The fields of a ``SynthQAItem`` that training and evaluation read:
-    ``RewardTable``, ``make_expert_traces`` and the greedy evaluation take
-    either type."""
+    ``RewardTable``, and so SFT and the greedy evaluation, take either
+    type."""
 
     id: str
     feature: ContextFeature

@@ -12,6 +12,8 @@ single ``np.bincount`` in ``grpo.grpo_gradient``.  ``item_from_dict``, which
 builds every part of a dataset record afresh, is the oracle for
 ``synthenv.read_dataset``.  ``trigram_counts``, a per-character loop over an
 already padded string, is the oracle for ``textmetrics.trigram_embedding``.
+``make_expert_traces``, which renders and scores the oracle's completion of
+every item, is the oracle for ``grpo.RewardTable.expert_cells``.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from abstainrl.policy import (
     ContextFeature,
     Difficulty,
     Evidence,
-    ExpertTrace,
     PolicyParams,
+    oracle_action,
     render_completion,
 )
 from abstainrl.reward import (
     DEFAULT_VARIANT,
     RewardVariant,
+    answer_reward,
     is_no_answer,
     parse_completion,
     total_reward,
@@ -305,6 +308,30 @@ def train_rl(
             )
         )
     return params, log
+
+
+@dataclass(frozen=True)
+class ExpertTrace:
+    feature: ContextFeature
+    action: ActionId
+    rendered: str
+    gold: GoldAnswer
+
+    @property
+    def cell(self) -> int:
+        return self.feature.index * N_ACTIONS + self.action.index
+
+
+def make_expert_traces(items: Sequence[SynthQAItem]) -> list[ExpertTrace]:
+    """The oracle's completion of each item, in item order, kept where its
+    answer reward under the default variant is at least 1."""
+    kept = []
+    for item in items:
+        action = oracle_action(item)
+        rendered = render_completion(action, item)
+        if answer_reward(parse_completion(rendered).answer, item.gold) >= 1.0:
+            kept.append(ExpertTrace(item.feature, action, rendered, item.gold))
+    return kept
 
 
 def sft_train(

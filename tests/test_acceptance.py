@@ -30,7 +30,6 @@ from abstainrl.policy import (
     Evidence,
     PolicyParams,
     greedy_action,
-    make_expert_traces,
     sft_train,
 )
 from abstainrl.retrieval import (
@@ -407,8 +406,7 @@ def test_a12_sft_cold_start_direction():
     for seed in (1, 2, 3):
         items = generate_dataset(GenConfig(n_items=300, seed=seed))
         table = RewardTable(items)
-        traces = make_expert_traces(items)
-        sft_params = sft_train(PolicyParams.zeros(), traces)
+        sft_params = sft_train(PolicyParams.zeros(), table.expert_cells())
         cfg = GrpoConfig(outer_iters=100, seed=seed)
         from_sft, _ = train_rl(sft_params, table, cfg)
         from_scratch, _ = train_rl(PolicyParams.zeros(), table, cfg)

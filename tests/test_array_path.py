@@ -27,11 +27,9 @@ from abstainrl.grpo import (
 from abstainrl.policy import (
     ALL_ACTIONS,
     ALL_FEATURES,
-    ExpertTrace,
     PolicyParams,
     inverse_cdf,
     log_softmax,
-    make_expert_traces,
     render_completion,
     sft_train,
 )
@@ -52,6 +50,7 @@ from abstainrl.synthenv import (
     write_dataset,
 )
 from abstainrl.textmetrics import GoldAnswer
+from test_synthenv import _VALID_RECORDS
 
 ITEMS = generate_dataset(GenConfig(n_items=40, p_unans=0.4, ambiguity=0.4, seed=31))
 
@@ -368,13 +367,58 @@ class TestSft:
     @settings(max_examples=50)
     def test_count_matrix_equals_per_trace_loop(self, pairs, lr, epochs, seed):
         traces = [
-            ExpertTrace(ALL_FEATURES[f], ALL_ACTIONS[a], "", GoldAnswer.no_answer())
+            ref.ExpertTrace(ALL_FEATURES[f], ALL_ACTIONS[a], "", GoldAnswer.no_answer())
             for f, a in pairs
         ]
         params = PolicyParams(np.random.default_rng(seed).normal(size=(6, 6)))
-        got = sft_train(params, traces, lr=lr, epochs=epochs)
+        got = sft_train(params, [trace.cell for trace in traces], lr=lr, epochs=epochs)
         want = ref.sft_train(params, traces, lr=lr, epochs=epochs)
         np.testing.assert_allclose(got.logits, want.logits, rtol=0, atol=1e-12)
+
+
+def _record(candidates, gold):
+    """A valid dataset record with ``candidates`` and ``gold`` (its aliases,
+    or None for No-Answer)."""
+    return {
+        "id": "q", "question": "Who?", "specifier": {"kind": "in_year", "years": [1990]},
+        "facts": [], "gold": gold, "candidates": candidates,
+        "feature": {"evidence": "supports", "difficulty": "easy"},
+    }
+
+
+_TEMPLATE = "<think>t</think><answer>Alma</answer>"
+# the normalized words of the malformed completion the oracle renders for the
+# candidate "<answer>", reversed: ROUGE-1 F1 1 against it, ROUGE-L F1 1/8
+_REVERSED = "<answer><think><answer><answer><answer> to point window queried in facts <think>the"
+
+
+class TestExpertCells:
+    @given(
+        st.lists(_VALID_RECORDS, min_size=1, max_size=8),
+        st.sampled_from(list(RewardVariant)),
+        st.booleans(),
+    )
+    # the oracle answers a candidate that is itself a template: its rendered
+    # completion is malformed, and its whole text is not the gold
+    @example([_record([_TEMPLATE, "Alma"], [_TEMPLATE])], DEFAULT_VARIANT, False)
+    @example([_record([_TEMPLATE, "Alma"], ["Alma"])], DEFAULT_VARIANT, True)
+    # an exact match on the gold that abstains, which scores 0
+    @example([_record(["No Answer", "Alma"], ["No Answer"])], DEFAULT_VARIANT, False)
+    # the verdict reads ROUGE-L, not another overlap score
+    @example([_record(["<answer>", "Alma"], ["<answer>", _REVERSED])], DEFAULT_VARIANT, False)
+    # a gold in neither candidate: the oracle abstains on an answerable item
+    @example([_record(["Alma", "Seabrook Rovers"], ["Nowhere"]), _record(["Alma", "Alma"], None)],
+             RewardVariant.ROUGE_ONLY, False)
+    # a gold that candidate B matches only once both are normalized
+    @example([_record(["Alma", "the seabrook  rovers."], ["Seabrook Rovers"])],
+             DEFAULT_VARIANT, False)
+    def test_equal_the_reference_traces(self, records, variant, bandit):
+        """A table's expert cells are the reference's kept traces, in item
+        order, whatever the table's reward rule."""
+        items = [ref.item_from_dict(record) for record in records]
+        table = RewardTable(items, variant, reward_fn=_payout if bandit else None)
+        want = [trace.cell for trace in ref.make_expert_traces(items)]
+        assert table.expert_cells().tolist() == want
 
 
 class TestLogSoftmax:
@@ -492,11 +536,13 @@ class TestTrainRl:
         reward_fn = _payout if bandit else None
         rule = _CountingRule(reward_fn, variant)
         params0 = PolicyParams.zeros()
-        if sft:
-            params0 = sft_train(params0, make_expert_traces(items))
         cfg = GrpoConfig(outer_iters=40, inner_steps=inner_steps, lr=0.05, batch_size=16, seed=4)
         table = RewardTable(items, reward_fn=rule)
         built = rule.calls
+        if sft:
+            params0 = sft_train(params0, table.expert_cells())
+            want_params0 = ref.sft_train(PolicyParams.zeros(), ref.make_expert_traces(items))
+            np.testing.assert_allclose(params0.logits, want_params0.logits, rtol=0, atol=1e-12)
         params, log = train_rl(params0, table, cfg)
         want_params, want_log = ref.train_rl(params0, items, variant, cfg, reward_fn)
         np.testing.assert_allclose(params.logits, want_params.logits, rtol=0, atol=1e-12)

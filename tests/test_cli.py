@@ -321,10 +321,10 @@ class TestTrain:
         assert not summary.exists()
 
     def test_sft_traces_naming_the_dataset_are_read_once(self, tmp_path, monkeypatch):
-        """--sft-traces that resolves to the --dataset file reuses its item
-        heads, with the same artifacts as traces read from a copy.  Each
-        file is read once, as a list of heads or streamed: the dataset is
-        held as a list only when the traces name it."""
+        """--sft-traces that resolves to the --dataset file reuses the
+        dataset's reward table, with the same artifacts as traces read from
+        a copy.  Each file is streamed once: a copy into a reward table of
+        its own."""
         data = _gen(tmp_path)
         copy = tmp_path / "copy.jsonl"
         copy.write_bytes(data.read_bytes())
@@ -385,6 +385,27 @@ class TestTrain:
             tracemalloc.stop()
         assert code == 0, err
         assert peak < held
+
+    def test_same_file_sft_holds_no_list_of_heads(self, tmp_path):
+        """SFT from the dataset's own reward table adds no more than a small
+        slack to the traced peak of a train command: the dataset is never
+        held as a list of heads (on 3000 items that list is over 200 KiB)."""
+        data = _gen(tmp_path, n=3000, seed=4)
+
+        def peak(name, extra=()):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                code, err = _main_stderr(_train_args(data, tmp_path / name, iters="3", extra=extra))
+                assert code == 0, err
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        peak("warm-up")  # first-use costs: compiled patterns, memos
+        plain = peak("plain")
+        sft = peak("sft", ["--sft-traces", str(data), "--sft-epochs", "5"])
+        assert sft <= plain + 64 * 1024, (sft, plain)
 
     @pytest.mark.parametrize("traces", ["missing", "not-utf8", "no-traces"])
     def test_bad_sft_traces_are_data_error(self, tmp_path, traces):
@@ -1140,6 +1161,44 @@ class TestWriteTargets:
         assert code == 3
         assert f"Is a directory: {str(target)!r}" in err
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+class TestPrintedPaths:
+    """A success line names its path with the bytes that are not UTF-8 as
+    U+FFFD, so that a strict UTF-8 stdout (a UTF-8 locale without UTF-8
+    mode) takes it and the command exits 0."""
+
+    @pytest.mark.parametrize(
+        "command", ["gen", "build-mc", "extract", "extract-kg", "train", "eval", "sweep", "report"]
+    )
+    def test_non_utf8_path_prints_on_a_strict_stdout(self, tmp_path, monkeypatch, command):
+        data = _gen(tmp_path)
+        target = tmp_path / os.fsdecode(b"d\xff")
+        assert main(_train_args(data, tmp_path / "run", iters="2")) == 0
+        argv = {
+            "gen": ["gen", "--n", "20", "--out", str(target)],
+            "build-mc": ["build-mc", "--in", str(TestBuildMc()._sources(tmp_path)),
+                         "--out", str(target)],
+            "extract": ["extract", "--question", "Who in 1990?", "--context", "In 1990.",
+                        "--out", str(target)],
+            "extract-kg": ["extract", "--mode", "kg", "--dataset", str(data), "--out", str(target)],
+            "train": _train_args(data, target, iters="2"),
+            "eval": ["eval", "--checkpoint", str(_oracle_checkpoint(tmp_path)),
+                     "--dataset", str(data), "--out", str(target)],
+            "sweep": ["sweep", "--axis", "beta", "--values", "0,0.1", "--dataset", str(data),
+                      "--out-dir", str(target), "--iters", "2", "--batch-size", "4"],
+            "report": ["report", "--runs", str(tmp_path / "run"), "--out-dir", str(target)],
+        }[command]
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 0, err.getvalue()
+        stdout.flush()
+        assert f"{tmp_path}/d\ufffd" in stdout.buffer.getvalue().decode("utf-8")
+        if command == "train":
+            assert "d\ufffd" in (target / "curves.svg").read_text(encoding="utf-8")
 
 
 class TestImport:

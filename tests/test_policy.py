@@ -7,19 +7,19 @@ import math
 import numpy as np
 import pytest
 
-from abstainrl import policy
+import scalar_reference as ref
+from abstainrl import grpo
+from abstainrl.grpo import RewardTable
 from abstainrl.policy import (
     ALL_ACTIONS,
     ALL_FEATURES,
     ActionId,
     Choice,
     ContextFeature,
-    ExpertTrace,
     PolicyParams,
     greedy_action,
     inverse_cdf,
     log_softmax,
-    make_expert_traces,
     oracle_action,
     render_completion,
     sft_train,
@@ -154,8 +154,8 @@ class TestRenderCompletion:
 def _sft_step(params, feature, action):
     """One SFT epoch at lr 1 on a single trace: the gradient of
     log pi(action | feature) that SFT ascends."""
-    trace = ExpertTrace(feature, action, "", GoldAnswer.no_answer())
-    return sft_train(params, [trace], lr=1.0, epochs=1).logits - params.logits
+    cell = feature.index * len(ALL_ACTIONS) + action.index
+    return sft_train(params, [cell], lr=1.0, epochs=1).logits - params.logits
 
 
 class TestGradLogProb:
@@ -198,14 +198,19 @@ class TestGradLogProb:
         assert worst < 1e-6
 
 
+def _cells(traces):
+    return [trace.cell for trace in traces]
+
+
 class TestExpertTraces:
     def test_oracle_traces_all_kept_and_correct(self):
         items = generate_dataset(GenConfig(n_items=80, p_unans=0.3, seed=9))
-        traces = make_expert_traces(items)
+        traces = ref.make_expert_traces(items)
         assert len(traces) == len(items)
         for trace in traces:
             answer = parse_completion(trace.rendered).answer
             assert answer_reward(answer, trace.gold) >= 1.0
+        assert RewardTable(items).expert_cells().tolist() == _cells(traces)
 
     def test_wrong_proposals_filtered(self):
         items = generate_dataset(GenConfig(n_items=40, p_unans=0.3, seed=10))
@@ -218,27 +223,22 @@ class TestExpertTraces:
         ]
         unanswerable = [item for item in items if item.gold.is_no_answer]
         assert 0 < len(unanswerable) < len(items)
-        traces = make_expert_traces(items)
-        assert [(t.feature, t.gold) for t in traces] == [(i.feature, i.gold) for i in unanswerable]
-        assert all(t.action == ActionId(Choice.ABSTAIN, True) for t in traces)
+        abstain = ActionId(Choice.ABSTAIN, True).index
+        assert RewardTable(items).expert_cells().tolist() == [
+            item.feature.index * len(ALL_ACTIONS) + abstain for item in unanswerable
+        ]
 
     def test_oracle_action_chosen_once_per_content(self, monkeypatch):
         items = generate_dataset(GenConfig(n_items=300, p_unans=0.3, ambiguity=0.5, seed=14))
-        per_item = [oracle_action(item) for item in items]
-        one_item_per_key = {(i.candidate_a, i.candidate_b, i.gold): i for i in items}
-        assert len(one_item_per_key) < len(items)
+        rows = {(i.candidate_a, i.candidate_b, i.gold) for i in items}
+        assert len(rows) < len(items)
         calls = []
-        real = policy.exact_match
-        monkeypatch.setattr(policy, "exact_match", lambda c, g: calls.append((c, g)) or real(c, g))
-        for item in one_item_per_key.values():
-            oracle_action(item)
-        once_per_key = sorted(calls, key=repr)
-        calls.clear()
-        traces = make_expert_traces(items)
-        assert sorted(calls, key=repr) == once_per_key
-        assert traces == [
-            ExpertTrace(item.feature, action, render_completion(action, item), item.gold)
-            for item, action in zip(items, per_item)
+        real = grpo.oracle_action
+        monkeypatch.setattr(grpo, "oracle_action", lambda item: calls.append(item) or real(item))
+        cells = RewardTable(items).expert_cells()
+        assert len(calls) == len(rows)
+        assert cells.tolist() == [
+            item.feature.index * len(ALL_ACTIONS) + oracle_action(item).index for item in items
         ]
 
     def test_oracle_answers_correct_candidate(self):
@@ -251,9 +251,7 @@ class TestExpertTraces:
 
 class TestSftTrain:
     def _traces(self, feature, action, count=8):
-        return [
-            ExpertTrace(feature, action, "", GoldAnswer.no_answer()) for _ in range(count)
-        ]
+        return [feature.index * len(ALL_ACTIONS) + action.index] * count
 
     def test_convergence_on_single_action(self):
         traces = self._traces(F0, ALL_ACTIONS[2])
@@ -277,10 +275,9 @@ class TestSftTrain:
 
     def test_loss_non_increasing(self):
         items = generate_dataset(GenConfig(n_items=120, p_unans=0.3, seed=14))
-        traces = make_expert_traces(items)
+        traces = RewardTable(items).expert_cells()
         params = PolicyParams.zeros()
-        rows = [t.feature.index for t in traces]
-        actions = [t.action.index for t in traces]
+        rows, actions = np.divmod(traces, len(ALL_ACTIONS))
 
         def loss(params):
             return -float(log_softmax(params.logits)[rows, actions].mean())
@@ -294,11 +291,11 @@ class TestSftTrain:
 
     def test_recovers_expert_argmax_per_row(self):
         items = generate_dataset(GenConfig(n_items=400, p_unans=0.3, seed=15))
-        traces = make_expert_traces(items)
+        traces = RewardTable(items).expert_cells()
         params = sft_train(PolicyParams.zeros(), traces, lr=0.5, epochs=200)
         by_row: dict[int, collections.Counter] = collections.defaultdict(collections.Counter)
-        for trace in traces:
-            by_row[trace.feature.index][trace.action.index] += 1
+        for cell in traces.tolist():
+            by_row[cell // len(ALL_ACTIONS)][cell % len(ALL_ACTIONS)] += 1
         assert len(by_row) == 6
         recovered = 0
         for f in ALL_FEATURES:
