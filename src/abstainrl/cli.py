@@ -357,12 +357,6 @@ def _variant(resolved: dict[str, Any]) -> RewardVariant:
     return RewardVariant.from_name(str(resolved["reward_variant"]))
 
 
-def _sft_reads_dataset(resolved: dict[str, Any]) -> bool:
-    """Whether ``sft_traces`` names the ``dataset`` file."""
-    traces = resolved["sft_traces"]
-    return bool(traces) and Path(traces).resolve() == Path(resolved["dataset"]).resolve()
-
-
 def _cold_start(resolved: dict[str, Any], table: RewardTable | None = None) -> PolicyParams:
     """The policy RL starts from: the SFT fit to the expert cells of the
     ``sft_traces`` file's reward table when that is set, else the zero
@@ -372,8 +366,9 @@ def _cold_start(resolved: dict[str, Any], table: RewardTable | None = None) -> P
     if not resolved["sft_traces"]:
         return PolicyParams.zeros()
     sft_lr, sft_epochs = _sft_settings(resolved)
-    if table is None or not _sft_reads_dataset(resolved):
-        table = RewardTable(_stream_heads(resolved["sft_traces"]))
+    traces = Path(resolved["sft_traces"])
+    if table is None or traces.resolve() != Path(resolved["dataset"]).resolve():
+        table = RewardTable(_stream_heads(traces))
     cells = table.expert_cells()
     if not len(cells):
         raise DatasetError(f"no usable expert traces in {resolved['sft_traces']}")
@@ -391,17 +386,16 @@ def _train_once(
     table: RewardTable, resolved: dict[str, Any], run_name: str, params0: PolicyParams
 ) -> EvalReport:
     """RL over ``table`` from ``params0`` and one greedy evaluation, set by
-    ``resolved``, which is written to the run directory as config.json."""
-    cfg = _grpo_config(resolved)
-    out_dir = Path(resolved["out_dir"])
-    write_lines(out_dir / "config.json", [json.dumps(resolved, sort_keys=True, indent=2)])
-
-    params, log = train_rl(params0, table, cfg)
-
-    log.write(out_dir / "train_log.jsonl")
-    write_lines(out_dir / "policy.json", [params.dumps()])
+    ``resolved``, which is written to the run directory as config.json once
+    training is done: a run that diverges writes nothing."""
+    params, log = train_rl(params0, table, _grpo_config(resolved))
     # evaluation gathers from the table training read, so nothing is scored again
     evals = evaluate_items(params, table)
+
+    out_dir = Path(resolved["out_dir"])
+    write_lines(out_dir / "config.json", [json.dumps(resolved, sort_keys=True, indent=2)])
+    log.write(out_dir / "train_log.jsonl")
+    write_lines(out_dir / "policy.json", [params.dumps()])
     _write_summary_csv(out_dir / "summary.csv", table.ids, evals)
     write_lines(out_dir / "curves.svg", render_curves_svg([(run_name, log)]))
     return summarize_items(evals)
@@ -599,10 +593,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.out_dir_sweep:
         raise UsageError("sweep requires --out-dir")
 
-    values: list[Any]
-    if args.axis == "reward-variant":
-        values = [RewardVariant.from_name(v).value for v in raw_values]
-    else:
+    values: list[Any] = raw_values  # a reward variant is checked with its run
+    if args.axis != "reward-variant":
         values = [float(v) for v in raw_values]
         if len(set(values)) != len(values):
             raise UsageError("duplicate sweep values are not allowed")
@@ -629,29 +621,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         elif args.axis == "beta":
             run_resolved["beta"] = float(value)
         else:
-            run_resolved["reward_variant"] = str(value)
+            run_resolved["reward_variant"] = value
         _check_run(run_resolved)
         runs.append((value, gen_cfg, run_name, run_resolved))
 
-    # no axis changes the shared dataset or the cold start: read and fit them
-    # once, and score once per reward variant: every beta run shares a table,
-    # and a reward-variant sweep fits its cold start from its first table
-    table = items = params0 = None
-    if args.axis == "beta":
-        table, params0 = _table_and_cold_start(resolved)
-    elif args.axis == "reward-variant":
-        items = list(_stream_heads(resolved["dataset"]))
-    else:
+    # no axis changes the cold start, and only p-unans changes the dataset:
+    # any other sweep scores the dataset once, with the first run's checked
+    # settings, and each run rescores that table under its own variant
+    if args.axis == "p-unans":
         params0 = _cold_start(resolved)
+    else:
+        shared, params0 = _table_and_cold_start(runs[0][3])
     summary_rows = []
     for value, gen_cfg, run_name, run_resolved in runs:
         if gen_cfg is not None:
             items = generate_dataset(gen_cfg)
             write_dataset(items, run_resolved["dataset"])
-        if args.axis != "beta":
             table = RewardTable(items, _variant(run_resolved))
-        if params0 is None:
-            params0 = _cold_start(resolved, table)
+        else:
+            table = shared.with_variant(_variant(run_resolved))
         report = _train_once(table, run_resolved, run_name, params0)
         c = report.confusion
         summary_rows.append(

@@ -15,6 +15,7 @@ evaluation gather from it and never render or score completion text.
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 import math
 from collections.abc import Callable, Iterable, Sequence
@@ -41,6 +42,7 @@ from abstainrl.reward import (
     Scorer,
     is_no_answer,
     parse_completion,  # noqa: F401  re-exported: e2ebench's tracer tests wrap it here
+    rule_rewards,
     total_reward,  # noqa: F401  re-exported: e2ebench's tracer tests wrap it here
 )
 from abstainrl.synthenv import ItemHead, SynthQAItem, read_records, write_lines
@@ -143,8 +145,8 @@ RewardFn = Callable[[str, ItemHead | SynthQAItem], RewardBreakdown]
 
 
 class RewardTable:
-    """Reward, abstention flag and eval metrics of every (item, action) pair
-    of a dataset, computed once when the table is built.
+    """Reward, format flag, abstention flag and eval metrics of every (item,
+    action) pair of a dataset, computed once when the table is built.
 
     ``items`` are ``SynthQAItem``s or their heads (``ItemHead``): the table
     reads only an item's id, feature, gold and two candidates.  It reads
@@ -153,20 +155,20 @@ class RewardTable:
     item it keeps only columns: ``ids``, ``features`` (the feature row
     index), ``unanswerable`` and ``row``, its content row.  An item's six
     completions depend only on its two candidates, and the rule-based QA
-    reward under ``variant`` only on the completion and the gold, so items
-    with the same (candidate_a, candidate_b, gold) share a content row,
-    numbered in first-seen order and scored from its first item; a lookup
-    is a gather.  ``reward_fn`` overrides the rule, which is how the bandit
-    sanity environments install their own payout tables; it is called once
-    per (item, action) pair, and every item gets its own row, since a
-    payout may depend on the item.
-    Each distinct text is parsed and each distinct (answer, answerable gold)
-    measured once, and the rule reads its reward from those eval metrics;
-    they are zero for a No-Answer gold.
-    ``expert`` holds, per content row, the action SFT imitates: the
-    oracle's (``policy.oracle_action``) where its answer reward under the
-    default variant is at least 1 (a correct abstention, or ROUGE-L plus
-    EM of at least 1), else -1.
+    reward only on the completion and the gold, so items with the same
+    (candidate_a, candidate_b, gold) share a content row, numbered in
+    first-seen order and scored from its first item; a lookup is a gather.
+    Each distinct text is parsed and each distinct (answer, answerable
+    gold) measured once; the metrics are zero for a No-Answer gold.
+    ``rewards`` is ``reward.rule_rewards`` under ``variant`` over the
+    ``formatted``, ``abstained`` and ``metrics`` columns, which
+    ``with_variant`` reuses.  ``reward_fn`` overrides the rule, which is
+    how the bandit sanity environments install their own payout tables; it
+    is called once per (item, action) pair, and every item gets its own
+    row, since a payout may depend on the item.  ``expert`` holds, per
+    content row, the action SFT imitates: the oracle's
+    (``policy.oracle_action``) where the rule's answer reward under the
+    default variant is at least 1, else -1.
     """
 
     def __init__(
@@ -199,32 +201,41 @@ class RewardTable:
         self.unanswerable = np.array(unanswerable)
         self.row = np.array(row)
         shape = (len(rows), N_ACTIONS)
-        self.rewards = np.empty(shape)
+        self.formatted = np.empty(shape, dtype=bool)
         self.abstained = np.empty(shape, dtype=bool)
-        # em, rouge1, rouge2, rouge_l and semantic, in ItemEval's order
+        # em, rouge1, rouge2, rouge_l and semantic: AnswerMetrics' and ItemEval's order
         self.metrics = np.zeros(shape + (5,))
-        self.expert = np.empty(len(rows), dtype=int)
-        scorer = Scorer(variant)
+        rewards = np.empty(shape)
+        scorer = Scorer()
         for r, item in enumerate(rows):
             for a, action in enumerate(ALL_ACTIONS):
                 text = render_completion(action, item)
-                answer = scorer.parse(text).answer
-                if reward_fn is None:
-                    breakdown, abstains = scorer.score(text, item.gold)
-                else:
-                    breakdown, abstains = reward_fn(text, item), is_no_answer(answer)
-                self.rewards[r, a] = breakdown.total
-                self.abstained[r, a] = abstains
+                parsed = scorer.parse(text)
+                self.formatted[r, a] = parsed.format_ok
+                self.abstained[r, a] = is_no_answer(parsed.answer)
+                if reward_fn is not None:
+                    rewards[r, a] = reward_fn(text, item).total
                 if not item.gold.is_no_answer:
-                    m = scorer.metrics(answer, item.gold)
-                    self.metrics[r, a] = (m.em, m.rouge1, m.rouge2, m.rouge_l, m.semantic)
-            a = oracle_action(item).index
-            if item.gold.is_no_answer:
-                right = self.abstained[r, a]
-            else:
-                em, rouge_l = self.metrics[r, a, 0], self.metrics[r, a, 3]
-                right = not self.abstained[r, a] and rouge_l + em >= 1.0
-            self.expert[r] = a if right else -1
+                    self.metrics[r, a] = scorer.metrics(parsed.answer, item.gold)
+        self.rewards = rewards if reward_fn is not None else self._rule(variant, self.formatted)
+        # the rule's answer reward (no format reward) at the oracle's action
+        oracle = np.array([oracle_action(item).index for item in rows])
+        answer = self._rule(DEFAULT_VARIANT, False)[np.arange(len(rows)), oracle]
+        self.expert = np.where(answer >= 1.0, oracle, -1)
+
+    def _rule(self, variant: RewardVariant, formatted: ArrayLike) -> np.ndarray:
+        """``rule_rewards`` of every cell, with ``formatted`` as the format flags."""
+        no_answer = np.empty(len(self.abstained), dtype=bool)
+        no_answer[self.row] = self.unanswerable
+        return rule_rewards(formatted, self.abstained, no_answer[:, None], self.metrics, variant)
+
+    def with_variant(self, variant: RewardVariant) -> "RewardTable":
+        """This table with the rule's rewards under ``variant`` (in place of
+        a ``reward_fn``'s too): a shallow copy whose only new array is
+        ``rewards``."""
+        table = copy.copy(self)
+        table.rewards = self._rule(variant, self.formatted)
+        return table
 
     def __len__(self) -> int:
         """The number of items."""

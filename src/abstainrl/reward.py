@@ -10,8 +10,9 @@ but whitespace outside them.  The total reward is a format component
   variant uses them, read from the answer's eval metrics,
 * 0 otherwise (hallucination and over-abstention both score zero).
 
-``Scorer`` memoizes parses, metrics and rewards by content: every caller
-that scores the same text against the same gold shares one evaluation.
+``rule_rewards`` is that rule, as array code; the other reward functions
+apply it to one completion.  ``Scorer`` memoizes parses and metrics by
+content, so every caller of the same key shares one evaluation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from abstainrl.textmetrics import (
     GoldAnswer,
@@ -112,10 +117,10 @@ def is_no_answer(answer: str) -> bool:
     return normalize_text(answer) == _NO_ANSWER_TOKENS
 
 
-@dataclass(frozen=True)
-class AnswerMetrics:
+class AnswerMetrics(NamedTuple):
     """Eval metrics of an answer against an answerable gold, each the best
-    over the gold's aliases (F1 for the ROUGE scores)."""
+    over the gold's aliases (F1 for the ROUGE scores); as a tuple, one row
+    of ``grpo.RewardTable.metrics``."""
 
     em: float
     rouge1: float
@@ -137,17 +142,13 @@ def answer_metrics(answer: str, gold: GoldAnswer) -> AnswerMetrics:
 
 
 class Scorer:
-    """Parses per completion text, eval metrics per (answer, gold), and,
-    built from those two, the reward under ``variant`` and the abstention
-    flag per (completion text, gold), each computed once per distinct key:
-    items draw their candidates from small banks, so far fewer keys occur
-    than items or draws."""
+    """Parses per completion text and eval metrics per (answer, gold), each
+    computed once per distinct key: items draw their candidates from small
+    banks, so far fewer keys occur than items or draws."""
 
-    def __init__(self, variant: RewardVariant = DEFAULT_VARIANT) -> None:
-        self.variant = variant
+    def __init__(self) -> None:
         self._parsed: dict[str, ParsedCompletion] = {}
         self._metrics: dict[tuple[str, GoldAnswer], AnswerMetrics] = {}
-        self._scores: dict[tuple[str, GoldAnswer], tuple[RewardBreakdown, bool]] = {}
 
     def parse(self, text: str) -> ParsedCompletion:
         parsed = self._parsed.get(text)
@@ -163,39 +164,38 @@ class Scorer:
             entry = self._metrics[key] = answer_metrics(answer, gold)
         return entry
 
-    def answer_reward(self, answer: str, gold: GoldAnswer) -> float:
-        """The piecewise answer reward of ``answer`` under ``variant``."""
-        abstains = is_no_answer(answer)
-        if abstains or gold.is_no_answer:
-            return 1.0 if abstains and gold.is_no_answer else 0.0
-        m = self.metrics(answer, gold)
-        score = m.rouge_l
-        if self.variant.uses_em:
-            score += m.em
-        if self.variant.uses_sem:
-            score += m.semantic
-        return score
 
-    def score(self, text: str, gold: GoldAnswer) -> tuple[RewardBreakdown, bool]:
-        """The reward of completion ``text`` and whether its answer abstains."""
-        key = (text, gold)
-        entry = self._scores.get(key)
-        if entry is None:
-            parsed = self.parse(text)
-            fmt = format_reward(parsed)
-            ans = self.answer_reward(parsed.answer, gold)
-            breakdown = RewardBreakdown(format=fmt, answer=ans, total=fmt + ans)
-            entry = self._scores[key] = (breakdown, is_no_answer(parsed.answer))
-        return entry
+def rule_rewards(
+    formatted: ArrayLike, abstained: ArrayLike, no_answer: ArrayLike, metrics: ArrayLike,
+    variant: RewardVariant = DEFAULT_VARIANT,
+) -> np.ndarray:
+    """The rule-based reward under ``variant``, elementwise over broadcast
+    arrays: the format reward where ``formatted``, plus the answer reward of
+    an answer that ``abstained`` against a gold that is ``no_answer``.
+    ``metrics`` holds eval metrics in ``AnswerMetrics``' order along its
+    last axis, read only where neither is No-Answer: ROUGE-L, then EM, then
+    semantic similarity are added."""
+    metrics = np.asarray(metrics, dtype=float)
+    answer = metrics[..., 3]
+    if variant.uses_em:
+        answer = answer + metrics[..., 0]
+    if variant.uses_sem:
+        answer = answer + metrics[..., 4]
+    answer = np.where(abstained | no_answer, abstained & no_answer, answer)
+    return np.where(formatted, FORMAT_REWARD, 0.0) + answer
 
 
 def answer_reward(pred: str, gold: GoldAnswer, variant: RewardVariant = DEFAULT_VARIANT) -> float:
     """Piecewise answer reward on the answer segment only."""
-    return Scorer(variant).answer_reward(pred, gold)
+    # zero metrics for a No-Answer gold, as a reward table holds them
+    metrics = (0.0,) * 5 if gold.is_no_answer else answer_metrics(pred, gold)
+    return float(rule_rewards(False, is_no_answer(pred), gold.is_no_answer, metrics, variant))
 
 
 def total_reward(
     raw: str, gold: GoldAnswer, variant: RewardVariant = DEFAULT_VARIANT
 ) -> RewardBreakdown:
     """Parse the completion, then combine format and answer rewards."""
-    return Scorer(variant).score(raw, gold)[0]
+    parsed = parse_completion(raw)
+    fmt, ans = format_reward(parsed), answer_reward(parsed.answer, gold, variant)
+    return RewardBreakdown(format=fmt, answer=ans, total=fmt + ans)

@@ -83,6 +83,12 @@ class _CountingRule:
         return total_reward(raw, item.gold, self.variant)
 
 
+def _column_bytes(table, name):
+    """A column array of ``table`` as (dtype, shape, bytes)."""
+    column = getattr(table, name)
+    return column.dtype, column.shape, column.tobytes()
+
+
 index_pairs = st.lists(
     st.tuples(st.integers(0, len(ITEMS) - 1), st.integers(0, len(ALL_ACTIONS) - 1)),
     min_size=1,
@@ -102,6 +108,7 @@ class TestRewardTable:
             rule = _payout(text, ITEMS[j]) if bandit else total_reward(text, ITEMS[j].gold, variant)
             assert rewards[k] == rule.total
             assert abstained[k] == is_no_answer(parse_completion(text).answer)
+            assert table.formatted[table.row[j], a] == parse_completion(text).format_ok
 
     @given(index_pairs)
     def test_each_pair_evaluated_once(self, pairs):
@@ -255,6 +262,37 @@ class TestRewardTable:
                     answered += score > 0
                 assert table.rewards[r, a] == want, (r, a)
         assert answered > 0
+
+    @given(st.lists(_VALID_RECORDS, min_size=1, max_size=8))
+    def test_with_variant_equals_a_table_built_under_it(self, records):
+        """For every pair of variants (v, w), the table built under w and
+        rescored under v holds, column by column, the bytes of the table
+        built under v; the rescored copy shares every column but
+        ``rewards`` with the table it was made from, which it leaves as it
+        was."""
+        items = [ref.item_from_dict(record) for record in records]
+        built = {variant: RewardTable(items, variant) for variant in RewardVariant}
+        for w, base in built.items():
+            before = base.rewards.copy()
+            for v, want in built.items():
+                got = base.with_variant(v)
+                assert vars(got).keys() == vars(want).keys()
+                for name, column in vars(want).items():
+                    if isinstance(column, np.ndarray):
+                        assert _column_bytes(got, name) == _column_bytes(want, name), name
+                    else:
+                        assert getattr(got, name) == column, name
+                    if name != "rewards":
+                        assert getattr(got, name) is getattr(base, name), name
+                assert got.rewards is not base.rewards
+            assert base.rewards.tobytes() == before.tobytes()
+
+    def test_with_variant_replaces_a_reward_fn(self):
+        """Rescoring a table a ``reward_fn`` scored gives the rule's
+        rewards, one row per item."""
+        got = RewardTable(ITEMS, reward_fn=_payout).with_variant(DEFAULT_VARIANT)
+        want = RewardTable(ITEMS)
+        np.testing.assert_array_equal(got.rewards, want.rewards[want.row])
 
     @given(
         st.integers(0, 2**32 - 1), st.sampled_from(list(RewardVariant)), st.booleans()

@@ -4,6 +4,7 @@ import collections
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -371,6 +372,7 @@ class TestTrain:
         peak of a whole train command stays below what the list of parsed
         items alone holds."""
         data = _gen(tmp_path, n=3000, seed=4)
+        gc.collect()  # resets the collector's counts: collections fall alike in every run
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -393,6 +395,7 @@ class TestTrain:
         data = _gen(tmp_path, n=3000, seed=4)
 
         def peak(name, extra=()):
+            gc.collect()  # resets the collector's counts: collections fall alike in every run
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -495,6 +498,34 @@ class TestTrain:
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
         assert "Warning" not in proc.stderr
+
+    def test_diverging_train_leaves_an_earlier_run_as_it_was(self, tmp_path):
+        """A run that diverges into the directory of an earlier run leaves
+        every file of that run byte for byte, so the directory still
+        reproduces from its own config.json."""
+        data = _gen(tmp_path)
+        out = tmp_path / "run"
+        assert main(_train_args(data, out)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(_train_args(data, out, extra=["--lr", "1e308"])) == 4
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        again = tmp_path / "again"
+        assert main(["train", "--config", str(out / "config.json"), "--out-dir", str(again)]) == 0
+        assert (again / "train_log.jsonl").read_bytes() == before["train_log.jsonl"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            _train_args("{data}", "{tmp}/o", extra=["--lr", "1e308"]),
+            ["sweep", "--axis", "beta", "--values", "0.01,0.1", "--dataset", "{data}",
+             "--out-dir", "{tmp}/o", "--lr", "1e308"],
+        ],
+        ids=["train", "sweep"],
+    )
+    def test_diverging_run_into_a_fresh_path_creates_nothing(self, tmp_path, argv):
+        data = _gen(tmp_path)
+        assert main([arg.format(data=data, tmp=tmp_path) for arg in argv]) == 4
+        assert not (tmp_path / "o").exists()
 
     def test_own_config_is_accepted_as_config(self, tmp_path):
         data = _gen(tmp_path)
@@ -725,7 +756,8 @@ class TestSweep:
 
     def test_shared_inputs_are_read_and_fitted_once(self, tmp_path, monkeypatch):
         """The dataset and the traces are read once and the cold start is
-        fitted once, and every run still matches a lone train run."""
+        fitted once, in a beta sweep and in a reward-variant sweep, and
+        every run still matches a lone train run."""
         data = _gen(tmp_path)
         calls = collections.Counter()
 
@@ -743,23 +775,35 @@ class TestSweep:
         counted("sft_train")
         flags = ["--dataset", str(data), "--iters", "6", "--batch-size", "8", "--seed", "2",
                  "--sft-traces", str(data), "--sft-epochs", "20"]
-        out = tmp_path / "betas"
-        assert main(["sweep", "--axis", "beta", "--values", "0,0.01,0.1",
-                     "--out-dir", str(out), *flags]) == 0
-        assert calls == {"iter_heads": 1, "sft_train": 1}
-        for beta in ("0.0", "0.01", "0.1"):
-            alone = tmp_path / f"alone_{beta}"
-            assert main(["train", "--out-dir", str(alone), "--beta", beta, *flags]) == 0
-            for name in ("policy.json", "train_log.jsonl"):
-                assert (out / f"beta_{beta}" / name).read_bytes() == (alone / name).read_bytes()
+        for axis, values, flag in (
+            ("beta", ["0.0", "0.01", "0.1"], "--beta"),
+            ("reward-variant", ["rouge", "rouge+sem+em", "rouge+em"], "--reward-variant"),
+        ):
+            calls.clear()
+            out = tmp_path / axis
+            assert main(["sweep", "--axis", axis, "--values", ",".join(values),
+                         "--out-dir", str(out), *flags]) == 0
+            assert calls == {"iter_heads": 1, "sft_train": 1}
+            for value in values:
+                alone = tmp_path / f"alone_{axis}_{value}"
+                assert main(["train", "--out-dir", str(alone), flag, value, *flags]) == 0
+                for name in ("policy.json", "train_log.jsonl", "summary.csv"):
+                    assert (out / f"{axis}_{value}" / name).read_bytes() == (
+                        alone / name
+                    ).read_bytes(), (value, name)
 
-    def test_beta_runs_share_one_reward_table(self, tmp_path, scoring_calls):
-        """A beta sweep scores the dataset once for all its runs: over the
-        whole sweep each distinct completion text is parsed once and each
-        (answer, gold) measured once."""
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("beta", "0,0.01,0.1"), ("reward-variant", "rouge+em,rouge,rouge+sem,rouge+sem+em")],
+        ids=["beta", "reward-variant"],
+    )
+    def test_runs_share_one_reward_table(self, tmp_path, scoring_calls, axis, values):
+        """A beta or reward-variant sweep scores the dataset once for all its
+        runs: over the whole sweep each distinct completion text is parsed
+        once and each (answer, gold) measured once."""
         data = _gen(tmp_path)
         parsed, measured = scoring_calls
-        assert main(["sweep", "--axis", "beta", "--values", "0,0.01,0.1", "--dataset", str(data),
+        assert main(["sweep", "--axis", axis, "--values", values, "--dataset", str(data),
                      "--out-dir", str(tmp_path / "s"), "--iters", "4", "--batch-size", "8"]) == 0
         assert parsed and len(parsed) == len(set(parsed))
         assert measured and len(measured) == len(set(measured))

@@ -1,7 +1,8 @@
 """Completion parsing, the piecewise reward rules and the content-keyed scorer."""
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from abstainrl.reward import (
@@ -12,6 +13,7 @@ from abstainrl.reward import (
     format_reward,
     is_no_answer,
     parse_completion,
+    rule_rewards,
     total_reward,
 )
 from abstainrl.textmetrics import GoldAnswer, exact_match, rouge_l, rouge_n, semantic_sim
@@ -121,6 +123,36 @@ class TestAnswerReward:
             RewardVariant.from_name("bogus")
 
 
+_unit_floats = st.floats(0.0, 1.0)
+
+
+class TestRuleRewards:
+    @given(st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans(),
+                              st.tuples(*[_unit_floats] * 5)), min_size=1, max_size=20),
+           st.sampled_from(list(RewardVariant)))
+    # (0.1 + 0.2) + 0.6 != (0.1 + 0.6) + 0.2: the order of the terms shows
+    @example([(False, False, False, (0.2, 0.0, 0.0, 0.1, 0.6))],
+             RewardVariant.ROUGE_PLUS_SEM_PLUS_EM)
+    def test_equals_the_piecewise_rule(self, cells, variant):
+        """Over arbitrary metrics, one array call gives, bit for bit, the
+        format reward plus 1 for a correct abstention, 0 for any other
+        abstention or No-Answer gold, and else ROUGE-L, then EM, then
+        semantic similarity, added in that order as the variant uses them."""
+        want = []
+        for formatted, abstained, no_answer, (em, _, _, rouge_l, semantic) in cells:
+            if abstained or no_answer:
+                score = 1.0 if abstained and no_answer else 0.0
+            else:
+                score = rouge_l
+                if variant.uses_em:
+                    score += em
+                if variant.uses_sem:
+                    score += semantic
+            want.append((0.5 if formatted else 0.0) + score)
+        got = rule_rewards(*map(np.array, zip(*cells)), variant)
+        assert got.tolist() == want
+
+
 class TestTotalReward:
     def test_formatted_abstention(self):
         breakdown = total_reward(
@@ -196,6 +228,17 @@ _scored_golds = st.sampled_from(
 )
 
 
+def _rule_inputs(scorer, text, gold):
+    """``rule_rewards``' inputs for completion ``text`` against ``gold``,
+    read through ``scorer``'s memos; an abstention or a No-Answer gold is
+    not measured."""
+    parsed = scorer.parse(text)
+    abstains = is_no_answer(parsed.answer)
+    measured = not (abstains or gold.is_no_answer)
+    metrics = scorer.metrics(parsed.answer, gold) if measured else (0.0,) * 5
+    return parsed.format_ok, abstains, gold.is_no_answer, metrics
+
+
 class TestScorer:
     """Every memoized value equals a direct call on the same inputs, over a
     sequence of keys scored by one scorer, so that a key collision or a
@@ -203,11 +246,16 @@ class TestScorer:
 
     @given(st.lists(st.tuples(_scored_texts, _scored_golds), min_size=1, max_size=30),
            st.sampled_from(list(RewardVariant)))
-    def test_score_equals_direct_reward(self, pairs, variant):
-        scorer = Scorer(variant)
-        for text, gold in pairs * 2:  # the second pass reads the memo
-            breakdown, abstains = scorer.score(text, gold)
-            assert breakdown == total_reward(text, gold, variant)
+    def test_rule_over_memos_equals_total_reward(self, pairs, variant):
+        """The rule over the memoized parses and metrics equals
+        ``total_reward`` bit for bit, key by key and as one array call."""
+        scorer = Scorer()
+        pairs = pairs * 2  # the second pass reads the memo
+        want = [total_reward(text, gold, variant).total for text, gold in pairs]
+        inputs = [_rule_inputs(scorer, text, gold) for text, gold in pairs]
+        assert [float(rule_rewards(*cell, variant)) for cell in inputs] == want
+        assert rule_rewards(*map(np.array, zip(*inputs)), variant).tolist() == want
+        for (text, _), (_, abstains, _, _) in zip(pairs, inputs):
             assert abstains == is_no_answer(parse_completion(text).answer)
 
     @given(st.lists(st.tuples(_candidates | st.text(max_size=12), _scored_golds.filter(
@@ -233,7 +281,7 @@ class TestScorer:
                 (" paris", PARIS), ("paris", GoldAnswer.of("paris")), ("No Answer", PARIS),
                 ("paris", NO_ANSWER_GOLD), ("<think>t</think><answer>paris</answer>", PARIS)]
         for text, gold in keys:
-            scorer.score(text, gold)
+            _rule_inputs(scorer, text, gold)
         scorer.metrics("paris", PARIS)
         assert parsed == ["paris", " paris", "No Answer", "<think>t</think><answer>paris</answer>"]
         # every text above but "No Answer" has the answer "paris", and
