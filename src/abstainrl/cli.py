@@ -15,7 +15,7 @@ import json
 import math
 import re
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -87,6 +87,15 @@ _TRAIN_DEFAULTS: dict[str, Any] = {
     "sft_epochs": policy.DEFAULT_SFT_EPOCHS,
 }
 
+_GEN_DEFAULTS: dict[str, Any] = {
+    "n": GenConfig.n_items,
+    "p_unans": GenConfig.p_unans,
+    "difficulty_mix": GenConfig.difficulty_mix,
+    "ambiguity": GenConfig.ambiguity,
+    "seed": 0,
+    "out": None,
+}
+
 
 # Written into a run's config.json besides the train settings ("p_unans" by a
 # p-unans sweep), so that the file is accepted back as --config.
@@ -148,6 +157,16 @@ def _grpo_config(resolved: dict[str, Any]) -> GrpoConfig:
         inner_steps=int(resolved["inner_steps"]),
         std_eps=float(resolved["std_eps"]),
         batch_size=int(resolved["batch_size"]),
+        seed=int(resolved["seed"]),
+    )
+
+
+def _gen_config(resolved: dict[str, Any]) -> GenConfig:
+    return GenConfig(
+        n_items=int(resolved["n"]),
+        p_unans=float(resolved["p_unans"]),
+        difficulty_mix=float(resolved["difficulty_mix"]),
+        ambiguity=float(resolved["ambiguity"]),
         seed=int(resolved["seed"]),
     )
 
@@ -404,27 +423,10 @@ def _train_once(
 # --- subcommands -------------------------------------------------------------------
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        {
-            "n": GenConfig.n_items,
-            "p_unans": GenConfig.p_unans,
-            "difficulty_mix": GenConfig.difficulty_mix,
-            "ambiguity": GenConfig.ambiguity,
-            "seed": 0,
-            "out": None,
-        },
-    )
+    resolved = _resolve(args, _GEN_DEFAULTS)
     if resolved["out"] is None:
         raise UsageError("gen requires --out")
-    cfg = GenConfig(
-        n_items=int(resolved["n"]),
-        p_unans=float(resolved["p_unans"]),
-        difficulty_mix=float(resolved["difficulty_mix"]),
-        ambiguity=float(resolved["ambiguity"]),
-        seed=int(resolved["seed"]),
-    )
-    items = generate_dataset(cfg)
+    items = generate_dataset(_gen_config(resolved))
     write_dataset(items, resolved["out"])
     n_unans = sum(1 for item in items if item.gold.is_no_answer)
     print(
@@ -440,8 +442,9 @@ def _cmd_build_mc(args: argparse.Namespace) -> int:
     )
     if resolved["in_path"] is None or resolved["out"] is None:
         raise UsageError("build-mc requires --in and --out")
-    records = read_mc_sources(resolved["in_path"])
-    items = build_abstained_mc(records, ratio=float(resolved["ratio"]), seed=int(resolved["seed"]))
+    ratio, seed = float(resolved["ratio"]), int(resolved["seed"])
+    synthenv.check_mc_settings(ratio, seed)  # before --in is opened
+    items = build_abstained_mc(read_mc_sources(resolved["in_path"]), ratio=ratio, seed=seed)
     write_mc_items(items, resolved["out"])
     n_unans = sum(1 for item in items if item.unanswerable)
     print(f"wrote {len(items)} items ({n_unans} unanswerable) -> {_shown(resolved['out'])}")
@@ -468,7 +471,6 @@ def _question_interval(window: TimeInterval | None, question: str) -> TimeInterv
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     mode = args.mode
-    payload: dict[str, Any]
     window = _parse_window(args.window) if args.window is not None else None
 
     if args.dataset:
@@ -486,17 +488,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
     if not args.question:
         raise UsageError("extract requires --question")
-    if args.context_file:
-        context = synthenv.read_text(args.context_file)
-    elif args.context is not None:
-        context = args.context
-    else:
+    if not args.context_file and args.context is None:
         raise UsageError("extract requires --context or --context-file")
-
-    source = "rules"
-    fallback_reason = None
-    remote_result: list | None = None
-    if args.remote:
+    client_cfg = None
+    if args.remote:  # its settings are checked before --context-file is read
         if not args.endpoint or not args.model:
             raise UsageError("--remote requires --endpoint and --model")
         client_cfg = ExtractionClientConfig(
@@ -506,36 +501,31 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             prompt_kind=PromptKind.SUB_CONTEXT if mode == "sub-context" else PromptKind.KG,
         )
+    context = synthenv.read_text(args.context_file) if args.context_file else args.context
+
+    # the remote reply when --remote succeeds, else the rule-based extraction
+    payload: dict[str, Any] = {"mode": mode, "source": "rules"}
+    result = None
+    if client_cfg is not None:
         try:
-            remote_result = llm_extract(client_cfg, args.question, context)
-            source = "remote"
+            result = llm_extract(client_cfg, args.question, context)
+            payload["source"] = "remote"
         except ExtractionError as exc:
-            fallback_reason = f"{type(exc).__name__}: {exc}"
+            payload["fallback_reason"] = f"{type(exc).__name__}: {exc}"
             print(
-                f"remote extraction failed ({fallback_reason}); "
+                f"remote extraction failed ({payload['fallback_reason']}); "
                 "falling back to rule-based extraction",
                 file=sys.stderr,
             )
-
     if mode == "sub-context":
-        if source == "remote":
-            sentences = remote_result
-        else:
+        if result is None:
             interval = _question_interval(window, args.question)
-            sentences = retrieval.extract_time_sentences(interval, context)
-        payload = {"mode": mode, "source": source, "sentences": sentences}
+            result = retrieval.extract_time_sentences(interval, context)
+        payload["sentences"] = result
     else:
-        if source == "remote":
-            quads = remote_result
-        else:
-            quads = quadruples_from_context(args.question, context)
-        payload = {
-            "mode": mode,
-            "source": source,
-            "quadruples": [vars(quad) for quad in quads],
-        }
-    if fallback_reason:
-        payload["fallback_reason"] = fallback_reason
+        if result is None:
+            result = quadruples_from_context(args.question, context)
+        payload["quadruples"] = [vars(quad) for quad in result]
 
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
@@ -579,68 +569,61 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SWEEP_AXES = ("p-unans", "beta", "reward-variant")
+# --axis -> (the setting each run sets to one of --values, how a value parses);
+# a reward variant is checked with its run
+_SWEEP_AXES: dict[str, tuple[str, Callable[[str], Any]]] = {
+    "p-unans": ("p_unans", float),
+    "beta": ("beta", float),
+    "reward-variant": ("reward_variant", str),
+}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.axis not in _SWEEP_AXES:
-        raise UsageError(f"--axis must be one of {_SWEEP_AXES}")
-    raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
-    if len(raw_values) < 2:
+        raise UsageError(f"--axis must be one of {tuple(_SWEEP_AXES)}")
+    key, parse = _SWEEP_AXES[args.axis]
+    values = [parse(v.strip()) for v in args.values.split(",") if v.strip()]
+    if len(values) < 2:
         raise UsageError("sweep needs at least 2 values")
-    if len(set(raw_values)) != len(raw_values):
+    if len(set(values)) != len(values):
         raise UsageError("duplicate sweep values are not allowed")
     if not args.out_dir_sweep:
         raise UsageError("sweep requires --out-dir")
 
-    values: list[Any] = raw_values  # a reward variant is checked with its run
-    if args.axis != "reward-variant":
-        values = [float(v) for v in raw_values]
-        if len(set(values)) != len(values):
-            raise UsageError("duplicate sweep values are not allowed")
-
+    # only p-unans writes a dataset per run; every other axis shares --dataset
+    own_dataset = args.axis == "p-unans"
     resolved = {**_resolve(args, _TRAIN_DEFAULTS), "command": "train"}
-    if args.axis != "p-unans" and not resolved["dataset"]:
+    if not own_dataset and not resolved["dataset"]:
         raise UsageError(f"sweep over {args.axis} requires --dataset")
     out_dir = Path(args.out_dir_sweep)
-    runs: list[tuple[Any, GenConfig | None, str, dict[str, Any]]] = []
+    runs: list[tuple[Any, str, dict[str, Any], GenConfig | None]] = []
     for value in values:
         run_name = f"{args.axis}_{value}"
-        run_resolved = {**resolved, "out_dir": str(out_dir / run_name)}
+        run = {**resolved, key: value, "out_dir": str(out_dir / run_name)}
         gen_cfg = None
-        if args.axis == "p-unans":
-            gen_cfg = GenConfig(
-                n_items=int(args.n),
-                p_unans=float(value),
-                difficulty_mix=float(args.difficulty_mix),
-                ambiguity=float(args.ambiguity),
-                seed=int(resolved["seed"]),
-            )
-            run_resolved["dataset"] = str(out_dir / run_name / "dataset.jsonl")
-            run_resolved["p_unans"] = float(value)
-        elif args.axis == "beta":
-            run_resolved["beta"] = float(value)
-        else:
-            run_resolved["reward_variant"] = value
-        _check_run(run_resolved)
-        runs.append((value, gen_cfg, run_name, run_resolved))
+        if own_dataset:
+            run["dataset"] = str(out_dir / run_name / "dataset.jsonl")
+            # --n, --difficulty-mix and --ambiguity are sweep flags, not run settings
+            gen_cfg = _gen_config({**vars(args), **run})
+        _check_run(run)
+        runs.append((value, run_name, run, gen_cfg))
 
-    # no axis changes the cold start, and only p-unans changes the dataset:
-    # any other sweep scores the dataset once, with the first run's checked
-    # settings, and each run rescores that table under its own variant
-    if args.axis == "p-unans":
+    # no axis changes the cold start: any sweep but p-unans scores the dataset
+    # once, with the first run's checked settings, and each run rescores that
+    # table under its own variant
+    if own_dataset:
         params0 = _cold_start(resolved)
     else:
-        shared, params0 = _table_and_cold_start(runs[0][3])
+        shared, params0 = _table_and_cold_start(runs[0][2])
     summary_rows = []
-    for value, gen_cfg, run_name, run_resolved in runs:
+    for value, run_name, run, gen_cfg in runs:
         if gen_cfg is not None:
             items = generate_dataset(gen_cfg)
-            write_dataset(items, run_resolved["dataset"])
-            table = RewardTable(items, _variant(run_resolved))
+            write_dataset(items, run["dataset"])
+            table = RewardTable(items, _variant(run))
         else:
-            table = shared.with_variant(_variant(run_resolved))
-        report = _train_once(table, run_resolved, run_name, params0)
+            table = shared.with_variant(_variant(run))
+        report = _train_once(table, run, run_name, params0)
         c = report.confusion
         summary_rows.append(
             [
@@ -705,13 +688,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 # --- parser ------------------------------------------------------------------------
 
-def _add_train_flags(parser: argparse.ArgumentParser, *, out_dir: bool) -> None:
-    """One flag per ``_TRAIN_DEFAULTS`` key, typed as its default (a path
-    where the default is None), then ``--config``.  ``sweep`` keeps its own
-    ``--out-dir``, the parent of its run directories."""
-    for key, default in _TRAIN_DEFAULTS.items():
-        if key == "out_dir" and not out_dir:
-            continue
+def _add_flags(parser: argparse.ArgumentParser, defaults: dict[str, Any]) -> None:
+    """One flag per key of ``defaults``, typed as its default (a path where
+    the default is None), then ``--config``; the defaults apply in
+    ``_resolve``."""
+    for key, default in defaults.items():
         parser.add_argument(
             "--" + key.replace("_", "-"),
             dest=key,
@@ -733,13 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic temporal-QA dataset")
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--p-unans", dest="p_unans", type=float)
-    p_gen.add_argument("--difficulty-mix", dest="difficulty_mix", type=float)
-    p_gen.add_argument("--ambiguity", type=float)
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--out", type=str)
-    p_gen.add_argument("--config", type=str)
+    _add_flags(p_gen, _GEN_DEFAULTS)
     p_gen.set_defaults(handler=_cmd_gen)
 
     p_mc = sub.add_parser("build-mc", help="build the abstained 3-option MC dataset")
@@ -771,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.set_defaults(handler=_cmd_extract)
 
     p_train = sub.add_parser("train", help="SFT cold start (optional) plus RL training")
-    _add_train_flags(p_train, out_dir=True)
+    _add_flags(p_train, _TRAIN_DEFAULTS)
     p_train.set_defaults(handler=_cmd_train)
 
     p_eval = sub.add_parser("eval", help="greedy evaluation of a checkpoint")
@@ -784,13 +759,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="train/eval once per value of one axis")
     p_sweep.add_argument("--axis", type=str, required=True)
     p_sweep.add_argument("--values", type=str, required=True)
+    # sweep's --out-dir is the parent of its run directories
     p_sweep.add_argument("--out-dir", dest="out_dir_sweep", type=str)
-    p_sweep.add_argument("--n", type=int, default=GenConfig.n_items)
-    p_sweep.add_argument(
-        "--difficulty-mix", dest="difficulty_mix", type=float, default=GenConfig.difficulty_mix
-    )
-    p_sweep.add_argument("--ambiguity", type=float, default=GenConfig.ambiguity)
-    _add_train_flags(p_sweep, out_dir=False)
+    for key in ("n", "difficulty_mix", "ambiguity"):  # argparse defaults, not config keys
+        default = _GEN_DEFAULTS[key]
+        p_sweep.add_argument(
+            "--" + key.replace("_", "-"), dest=key, type=type(default), default=default
+        )
+    _add_flags(p_sweep, {key: v for key, v in _TRAIN_DEFAULTS.items() if key != "out_dir"})
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_rep = sub.add_parser("report", help="learning-curve SVG and aggregate CSV from run dirs")

@@ -85,6 +85,8 @@ class GrpoConfig:
             raise ValueError("std_eps must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 _COUNT_FIELDS = frozenset({"iteration", "tp", "fp", "fn"})

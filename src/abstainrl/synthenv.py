@@ -285,6 +285,8 @@ class GenConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def answerability_oracle(
@@ -821,14 +823,21 @@ class MCItem:
     unanswerable: bool
 
 
+def check_mc_settings(ratio: float, seed: int) -> None:
+    """Raise ``ValueError`` on a ``ratio`` outside [0, 1] or a negative ``seed``."""
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
 def build_abstained_mc(
     records: Sequence[MCSourceRecord], ratio: float = DEFAULT_MC_RATIO, seed: int = 0
 ) -> list[MCItem]:
     """Standardize 4-option records to 3 options, making floor(ratio * N) of
     them unanswerable by deleting their correct option and relabeling the
     answer to the placeholder key D."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
+    check_mc_settings(ratio, seed)
     records = list(records)
     rng = np.random.default_rng(seed)
     n_unans = math.floor(ratio * len(records))

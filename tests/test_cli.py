@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes, formats."""
 
+import argparse
 import collections
 import contextlib
 import csv
@@ -15,10 +16,11 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import abstainrl
-from abstainrl import cli
+from abstainrl import cli, synthenv
 from abstainrl.cli import _TRAIN_DEFAULTS, build_parser, main
 from abstainrl.grpo import RewardTable, evaluate_items
 from abstainrl.policy import ALL_ACTIONS, ALL_FEATURES, ActionId, Choice, Evidence, PolicyParams
+from abstainrl.retrieval import Quadruple
 from abstainrl.synthenv import GenConfig, generate_dataset, item_to_dict, read_dataset
 
 import numpy as np
@@ -62,6 +64,13 @@ class TestGen:
             ["gen", "--n", "10", "--p-unans", "1.5", "--out", str(tmp_path / "x.jsonl")]
         )
         assert code == 2
+
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        out = tmp_path / "x.jsonl"
+        code, err = _main_stderr(["gen", "--n", "10", "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert err == "error: seed must be >= 0\n"
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -112,6 +121,24 @@ class TestBuildMc:
         code, err = _main_stderr(["build-mc", "--in", str(src), "--out", str(out)])
         assert code == 3
         assert f"{src}:4: not valid UTF-8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [(["--ratio", "2"], "ratio must lie in [0, 1], got 2.0"),
+         (["--seed", "-1"], "seed must be >= 0")],
+        ids=["ratio", "seed"],
+    )
+    def test_bad_setting_is_refused_before_the_source_is_read(
+        self, tmp_path, monkeypatch, setting, message
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n")
+        out = tmp_path / "o.jsonl"
+        argv = ["build-mc", "--in", str(bad), *setting, "--out", str(out)]
+        assert _main_stderr(argv) == (2, f"error: {message}\n")
+        monkeypatch.setattr(cli, "read_mc_sources", lambda path: pytest.fail("source read"))
+        assert _main_stderr(argv) == (2, f"error: {message}\n")
         assert not out.exists()
 
 
@@ -191,6 +218,23 @@ class TestExtract:
         assert "fallback_reason" in payload
         assert payload["sentences"] == ["He moved in 1921."]
 
+    @pytest.mark.parametrize(
+        "mode, reply, key, shown",
+        [
+            ("sub-context", ["He left in 1980."], "sentences", ["He left in 1980."]),
+            ("sub-context", [], "sentences", []),  # an empty reply is a result too
+            ("kg", [Quadruple("A", "r", "B", "1968")], "quadruples",
+             [{"head": "A", "relation": "r", "tail": "B", "timestamp": "1968"}]),
+        ],
+        ids=["sentences", "empty", "quadruples"],
+    )
+    def test_remote_reply_is_the_result(self, capsys, monkeypatch, mode, reply, key, shown):
+        monkeypatch.setattr(cli, "llm_extract", lambda cfg, question, context: reply)
+        assert main(["extract", "--mode", mode, "--question", "Where in 1921?",
+                     "--context", "He moved in 1921.", "--remote",
+                     "--endpoint", "http://127.0.0.1:9", "--model", "stub"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"mode": mode, "source": "remote", key: shown}
+
     def test_missing_question_is_usage_error(self):
         assert main(["extract", "--mode", "sub-context", "--context", "c"]) == 2
 
@@ -216,6 +260,18 @@ class TestExtract:
                                   "--context-file", str(context)])
         assert code == 3
         assert f"{context}:2: not valid UTF-8" in err
+
+    def test_bad_remote_setting_is_refused_before_the_context_file_is_read(
+        self, tmp_path, monkeypatch
+    ):
+        context = tmp_path / "context.txt"
+        context.write_bytes(b"He moved in \xe9t\xe9 1921.\n")
+        argv = ["extract", "--question", "Where in 1921?", "--context-file", str(context),
+                "--remote", "--endpoint", "ftp://x", "--model", "stub"]
+        message = "error: endpoint must be an http(s) URL, got 'ftp://x'\n"
+        assert _main_stderr(argv) == (2, message)
+        monkeypatch.setattr(synthenv, "read_text", lambda path: pytest.fail("context read"))
+        assert _main_stderr(argv) == (2, message)
 
 
 def _train_args(data, out_dir, iters="12", extra=()):
@@ -278,7 +334,7 @@ class TestTrain:
     @pytest.mark.parametrize(
         "setting",
         [["--lr", "nan"], ["--group-size", "1"], ["--reward-variant", "bogus"],
-         ["--sft-lr=-1", "--sft-traces", "t.jsonl"]],
+         ["--sft-lr=-1", "--sft-traces", "t.jsonl"], ["--seed", "-1"]],
     )
     def test_bad_setting_is_refused_before_the_dataset_is_read(
         self, tmp_path, monkeypatch, setting
@@ -754,6 +810,45 @@ class TestSweep:
                      "--batch-size", "4"]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--axis", "p-unans", "--values", "0.1,0.5", "--n", "20"],
+         ["--axis", "beta", "--values", "0,0.01", "--dataset", "{data}"]],
+        ids=["p-unans", "beta"],
+    )
+    def test_negative_seed_is_refused_before_anything_is_read(self, tmp_path, monkeypatch, argv):
+        data = _gen(tmp_path)
+        for reader in ("iter_heads", "iter_dataset"):
+            monkeypatch.setattr(cli, reader, lambda path: pytest.fail("dataset read"))
+        out = tmp_path / "s"
+        argv = [arg.format(data=data) for arg in argv]
+        code, err = _main_stderr(["sweep", *argv, "--out-dir", str(out), "--iters", "2",
+                                  "--seed", "-1"])
+        assert code == 2
+        assert err == "error: seed must be >= 0\n"
+        assert not out.exists()
+
+    def test_p_unans_runs_equal_gen_then_train(self, tmp_path):
+        """Each run of a p-unans sweep, which trains on the items it has just
+        generated, equals gen followed by a lone train with the same settings
+        (the lone run directory carries the sweep's run name, since
+        curves.svg shows the name)."""
+        values = ["0.124", "0.5"]
+        flags = ["--iters", "20", "--lr", "0.05", "--batch-size", "8", "--seed", "7"]
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--axis", "p-unans", "--values", ",".join(values),
+                     "--out-dir", str(out), "--n", "300", "--ambiguity", "0.5", *flags]) == 0
+        for value in values:
+            data = tmp_path / f"gen_{value}.jsonl"
+            assert main(["gen", "--n", "300", "--p-unans", value, "--ambiguity", "0.5",
+                         "--seed", "7", "--out", str(data)]) == 0
+            alone = tmp_path / "alone" / f"p-unans_{value}"
+            assert main(["train", "--dataset", str(data), "--out-dir", str(alone), *flags]) == 0
+            run = out / f"p-unans_{value}"
+            assert (run / "dataset.jsonl").read_bytes() == data.read_bytes()
+            for name in ("train_log.jsonl", "policy.json", "summary.csv", "curves.svg"):
+                assert (run / name).read_bytes() == (alone / name).read_bytes(), (value, name)
+
     def test_shared_inputs_are_read_and_fitted_once(self, tmp_path, monkeypatch):
         """The dataset and the traces are read once and the cold start is
         fitted once, in a beta sweep and in a reward-variant sweep, and
@@ -953,6 +1048,109 @@ class TestTrainFlags:
         # sweep's --out-dir names the parent of its run directories
         dest = "out_dir_sweep" if (command, key) == ("sweep", "out_dir") else key
         assert getattr(args, dest) == value
+
+
+# every subcommand's flags, in order: (option strings, dest, type, default);
+# a flag whose default is None takes its value from --config or the
+# command's own defaults
+FLAGS = {
+    "gen": [
+        (("--n",), "n", int, None),
+        (("--p-unans",), "p_unans", float, None),
+        (("--difficulty-mix",), "difficulty_mix", float, None),
+        (("--ambiguity",), "ambiguity", float, None),
+        (("--seed",), "seed", int, None),
+        (("--out",), "out", str, None),
+        (("--config",), "config", str, None),
+    ],
+    "build-mc": [
+        (("--in",), "in_path", str, None),
+        (("--ratio",), "ratio", float, None),
+        (("--seed",), "seed", int, None),
+        (("--out",), "out", str, None),
+        (("--config",), "config", str, None),
+    ],
+    "extract": [
+        (("--mode",), "mode", None, "sub-context"),
+        (("--question",), "question", str, None),
+        (("--context",), "context", str, None),
+        (("--context-file",), "context_file", str, None),
+        (("--dataset",), "dataset", str, None),
+        (("--window",), "window", str, None),
+        (("--out",), "out", str, None),
+        (("--remote",), "remote", None, False),
+        (("--endpoint",), "endpoint", str, None),
+        (("--model",), "model", str, None),
+        (("--api-key-env",), "api_key_env", str, "ABSTAINRL_API_KEY"),
+        (("--timeout",), "timeout", float, 30.0),
+    ],
+    "train": [
+        (("--dataset",), "dataset", str, None),
+        (("--out-dir",), "out_dir", str, None),
+        (("--iters",), "iters", int, None),
+        (("--group-size",), "group_size", int, None),
+        (("--clip-eps",), "clip_eps", float, None),
+        (("--beta",), "beta", float, None),
+        (("--lr",), "lr", float, None),
+        (("--inner-steps",), "inner_steps", int, None),
+        (("--std-eps",), "std_eps", float, None),
+        (("--batch-size",), "batch_size", int, None),
+        (("--seed",), "seed", int, None),
+        (("--reward-variant",), "reward_variant", str, None),
+        (("--sft-traces",), "sft_traces", str, None),
+        (("--sft-lr",), "sft_lr", float, None),
+        (("--sft-epochs",), "sft_epochs", int, None),
+        (("--config",), "config", str, None),
+    ],
+    "eval": [
+        (("--checkpoint",), "checkpoint", str, None),
+        (("--dataset",), "dataset", str, None),
+        (("--reward-variant",), "reward_variant", str, "rouge+em"),
+        (("--out",), "out", str, "summary.csv"),
+    ],
+    "sweep": [
+        (("--axis",), "axis", str, None),
+        (("--values",), "values", str, None),
+        (("--out-dir",), "out_dir_sweep", str, None),
+        (("--n",), "n", int, 200),
+        (("--difficulty-mix",), "difficulty_mix", float, 0.5),
+        (("--ambiguity",), "ambiguity", float, 0.25),
+        (("--dataset",), "dataset", str, None),
+        (("--iters",), "iters", int, None),
+        (("--group-size",), "group_size", int, None),
+        (("--clip-eps",), "clip_eps", float, None),
+        (("--beta",), "beta", float, None),
+        (("--lr",), "lr", float, None),
+        (("--inner-steps",), "inner_steps", int, None),
+        (("--std-eps",), "std_eps", float, None),
+        (("--batch-size",), "batch_size", int, None),
+        (("--seed",), "seed", int, None),
+        (("--reward-variant",), "reward_variant", str, None),
+        (("--sft-traces",), "sft_traces", str, None),
+        (("--sft-lr",), "sft_lr", float, None),
+        (("--sft-epochs",), "sft_epochs", int, None),
+        (("--config",), "config", str, None),
+    ],
+    "report": [
+        (("--runs",), "runs", None, None),
+        (("--out-dir",), "out_dir", str, "report"),
+    ],
+}
+
+
+def test_every_subcommand_has_exactly_its_flags():
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    assert list(subcommands) == list(FLAGS)
+    for name, parser in subcommands.items():
+        flags = [
+            (tuple(a.option_strings), a.dest, a.type, a.default)
+            for a in parser._actions
+            if a.dest != "help"
+        ]
+        assert flags == FLAGS[name], name
 
 
 class TestConfigKeys:
