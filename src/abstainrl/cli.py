@@ -476,6 +476,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if args.dataset:
         if mode != "kg":
             raise UsageError("--dataset conversion is only available with --mode kg")
+        if args.remote:
+            raise UsageError("--dataset conversion calls no remote service: drop --remote")
         if not args.out:
             raise UsageError("--dataset conversion requires --out")
         # the store is built before --out is written, so a bad record writes nothing
@@ -600,13 +602,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for value in values:
         run_name = f"{args.axis}_{value}"
         run = {**resolved, key: value, "out_dir": str(out_dir / run_name)}
-        gen_cfg = None
+        # --n, --difficulty-mix and --ambiguity are sweep flags, not run
+        # settings; every axis checks them, though only p-unans generates
+        gen_cfg = _gen_config({**_GEN_DEFAULTS, **vars(args), **run})
         if own_dataset:
             run["dataset"] = str(out_dir / run_name / "dataset.jsonl")
-            # --n, --difficulty-mix and --ambiguity are sweep flags, not run settings
-            gen_cfg = _gen_config({**vars(args), **run})
         _check_run(run)
-        runs.append((value, run_name, run, gen_cfg))
+        runs.append((value, run_name, run, gen_cfg if own_dataset else None))
 
     # no axis changes the cold start: any sweep but p-unans scores the dataset
     # once, with the first run's checked settings, and each run rescores that

@@ -20,7 +20,7 @@ import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 
@@ -253,8 +253,7 @@ class SynthQAItem:
     feature: ContextFeature
 
 
-@dataclass(frozen=True, slots=True)
-class ItemHead:
+class ItemHead(NamedTuple):
     """The fields of a ``SynthQAItem`` that training and evaluation read:
     ``RewardTable``, and so SFT and the greedy evaluation, take either
     type."""
@@ -569,147 +568,50 @@ def _json_text(value: object, where: str) -> str:
     return text
 
 
-class _DatasetParts:
-    """The value parts one ``iter_dataset`` or ``iter_heads`` call has built,
-    each keyed by its JSON content: specifiers by (kind, *years), golds by
-    their aliases (``None`` for No-Answer), features by (evidence,
-    difficulty) and fact scopes by (start, end).  ``texts`` maps each fact
-    subject, relation and object, candidate and gold alias to the first
-    equal string read, so a text that repeats across records is one object,
-    checked once.  Ids and questions are not kept: almost none repeat."""
-
-    __slots__ = ("specifiers", "golds", "features", "scopes", "texts")
-
-    def __init__(self) -> None:
-        self.specifiers: dict[tuple, TimeSpecifier] = {}
-        self.golds: dict[tuple[str, ...] | None, GoldAnswer] = {}
-        self.features: dict[tuple[str, str], ContextFeature] = {}
-        self.scopes: dict[tuple[int, int], TimeInterval] = {}
-        self.texts: dict[str, str] = {}
-
-    def text(self, value: object, where: str) -> str:
-        """The first-read string equal to ``value``; ``_json_text``'s checks
-        run once per distinct text."""
-        if type(value) is not str:
-            _json_str(value, where)
-        shared = self.texts.get(value)
-        if shared is None:
-            shared = self.texts[value] = _json_text(value, where)
-        return shared
-
-    # Each method below takes a key whose values have exactly the accepted
-    # JSON types, and builds and checks its part on first use.
-
-    def specifier(self, key: tuple) -> TimeSpecifier:
-        """The specifier of ``key``, (kind, *years)."""
-        spec = self.specifiers.get(key)
-        if spec is None:
-            spec = self.specifiers[key] = TimeSpecifier(SpecKind(key[0]), key[1:])
-        return spec
-
-    def scope(self, start: int, end: int) -> TimeInterval:
-        scope = self.scopes.get((start, end))
-        if scope is None:
-            scope = self.scopes[start, end] = TimeInterval(start, end)
-        return scope
-
-    def gold(self, aliases: tuple[str, ...] | None) -> GoldAnswer:
-        """The gold of ``aliases``, No-Answer for ``None``."""
-        gold = self.golds.get(aliases)
-        if gold is None:
-            gold = self.golds[aliases] = (
-                GoldAnswer.no_answer()
-                if aliases is None
-                else GoldAnswer.of(*[self.text(a, "gold alias") for a in aliases])
-            )
-        return gold
-
-    def feature(self, evidence: str, difficulty: str) -> ContextFeature:
-        feature = self.features.get((evidence, difficulty))
-        if feature is None:
-            feature = self.features[evidence, difficulty] = ContextFeature(
-                Evidence(evidence), Difficulty(difficulty)
-            )
-        return feature
-
-
-def item_from_dict(payload: dict, parts: _DatasetParts) -> SynthQAItem:
+def item_from_dict(payload: dict) -> SynthQAItem:
     """Inverse of ``item_to_dict``.  Texts must be strings that UTF-8 can
     encode (no lone surrogate) and years integers; ValueError names the
     first field that breaks this, and KeyError the first missing one.
-
-    A specifier, gold, feature, fact scope or text whose JSON content
-    ``parts`` holds is that object, not a new one.  A key is looked up only
-    once its values have exactly the accepted JSON types, since ``true == 1``
-    and ``1990.0 == 1990`` hash alike; any other value takes the checks
-    below, which raise.  Fields are checked in one fixed order, so a record
-    with several faults always reports the same one.
-    """
-    # each ``if type(x) is not T: _json_t(x, ...)`` raises: JSON decoding
-    # yields no subclass of str, int, list or dict
-    spec_json = payload["specifier"]
-    if type(spec_json) is not dict:
-        _json_object(spec_json, "specifier")
-    years = spec_json["years"]
-    if type(years) is not list:
-        _json_list(years, "specifier years")
-    kind = spec_json["kind"]
-    if type(kind) is str and all(type(y) is int for y in years):
-        spec = parts.specifier((kind, *years))
-    else:
-        spec = TimeSpecifier(SpecKind(kind), tuple(_json_int(y, "specifier year") for y in years))
-
-    facts_json = payload["facts"]
-    if type(facts_json) is not list:
-        _json_list(facts_json, "facts")
-    text = parts.text
+    Fields are checked in one fixed order, so a record with several faults
+    always reports the same one."""
+    spec_json = _json_object(payload["specifier"], "specifier")
+    years = _json_list(spec_json["years"], "specifier years")
+    spec = TimeSpecifier(
+        SpecKind(spec_json["kind"]), tuple(_json_int(y, "specifier year") for y in years)
+    )
     facts = []
-    for f in facts_json:
-        if type(f) is not dict:
-            _json_object(f, "fact")
-        subject = text(f["subject"], "fact subject")
-        relation = text(f["relation"], "fact relation")
-        obj = text(f["object"], "fact object")
-        start = f["start"]
-        if type(start) is not int:
-            _json_int(start, "fact start")
-        end = f["end"]
-        if type(end) is not int:
-            _json_int(end, "fact end")
-        facts.append(TemporalFact(subject, relation, obj, parts.scope(start, end)))
-
+    for f in _json_list(payload["facts"], "facts"):
+        f = _json_object(f, "fact")
+        facts.append(
+            TemporalFact(
+                _json_text(f["subject"], "fact subject"),
+                _json_text(f["relation"], "fact relation"),
+                _json_text(f["object"], "fact object"),
+                TimeInterval(_json_int(f["start"], "fact start"), _json_int(f["end"], "fact end")),
+            )
+        )
     aliases = payload["gold"]
-    if aliases is None or (type(aliases) is list and all(type(a) is str for a in aliases)):
-        gold = parts.gold(aliases if aliases is None else tuple(aliases))
+    if aliases is None:
+        gold = GoldAnswer.no_answer()
     else:
-        gold = GoldAnswer.of(*_json_list(aliases, "gold"))
-
-    feature_json = payload["feature"]
-    if type(feature_json) is not dict:
-        _json_object(feature_json, "feature")
-    evidence = feature_json["evidence"]
-    difficulty = feature_json.get("difficulty")
-    if type(evidence) is str and type(difficulty) is str:
-        feature = parts.feature(evidence, difficulty)
-    else:
-        feature = ContextFeature(Evidence(evidence), Difficulty(feature_json["difficulty"]))
-
-    candidates = payload["candidates"]
-    if type(candidates) is not list:
-        _json_list(candidates, "candidates")
-    candidates = [text(candidate, "candidate") for candidate in candidates]
+        aliases = _json_list(aliases, "gold")
+        # all-string aliases are checked for surrogates before GoldAnswer's
+        # own checks; GoldAnswer names any other alias
+        if all(type(a) is str for a in aliases):
+            aliases = [_json_text(a, "gold alias") for a in aliases]
+        gold = GoldAnswer.of(*aliases)
+    feature_json = _json_object(payload["feature"], "feature")
+    feature = ContextFeature(
+        Evidence(feature_json["evidence"]), Difficulty(feature_json["difficulty"])
+    )
+    candidates = [
+        _json_text(c, "candidate") for c in _json_list(payload["candidates"], "candidates")
+    ]
     if len(candidates) != 2:
         raise ValueError(f"candidates must hold two options, got {len(candidates)}")
-    # an ASCII string holds no surrogate; any other value takes the checks
-    item_id = payload["id"]
-    if type(item_id) is not str or not item_id.isascii():
-        _json_text(item_id, "id")
-    question = payload["question"]
-    if type(question) is not str or not question.isascii():
-        _json_text(question, "question")
     return SynthQAItem(
-        id=item_id,
-        question=question,
+        id=_json_text(payload["id"], "id"),
+        question=_json_text(payload["question"], "question"),
         facts=tuple(facts),
         specifier=spec,
         gold=gold,
@@ -719,57 +621,17 @@ def item_from_dict(payload: dict, parts: _DatasetParts) -> SynthQAItem:
     )
 
 
-def _scan_head(
-    form: tuple[re.Pattern[str], re.Pattern[str]], parts: _DatasetParts, line: str
-) -> ItemHead | None:
-    """The head of ``line`` without decoding it, if ``line`` has the
-    written form (``_written_form``) and its fact scopes, specifier,
-    feature and gold pass the checks ``item_from_dict`` makes; else None.
-    Each distinct part is built and checked once, through ``parts``, which
-    ``item_from_dict`` shares."""
-    line_form, fact_form = form
-    match = line_form.fullmatch(line)
-    if match is None:
-        return None
-    candidate_a, candidate_b, facts, difficulty, evidence, gold_json, item_id, kind, years = (
-        match.groups()
-    )
-    # a string holds no '"', so '", "' splits a list of them
-    aliases = (
-        None if gold_json == "null" else () if gold_json == "[]"
-        else tuple(gold_json[2:-2].split('", "'))
-    )
-    try:
-        for end, start in fact_form.findall(facts):
-            parts.scope(int(start), int(end))
-        parts.specifier((kind, *map(int, years.split(", "))) if years else (kind,))
-        feature = parts.feature(evidence, difficulty)
-        gold = parts.gold(aliases)
-    except ValueError:  # a part item_from_dict refuses: it raises the error
-        return None
-    return ItemHead(
-        item_id,
-        feature,
-        gold,
-        parts.text(candidate_a, "candidate"),
-        parts.text(candidate_b, "candidate"),
-    )
-
-
 def write_dataset(items: Iterable[SynthQAItem], path: str | Path) -> None:
     write_jsonl(path, map(item_to_dict, items))
 
 
 def iter_dataset(path: str | Path) -> Iterator[SynthQAItem]:
     """The items of the dataset file at ``path``, one line at a time; the
-    file is opened when the first item is asked for.  Equal specifiers,
-    golds, features, fact scopes and texts other than ids and questions
-    within the file are one shared object.  A record that is not a JSON
-    object, lacks a field, holds a value of another type or a text with a
-    lone surrogate raises ``DatasetError`` naming ``path:line`` and the
-    field, once the iteration reaches it."""
-    parts = _DatasetParts()
-    return read_records(path, "dataset", lambda record: item_from_dict(record, parts))
+    file is opened when the first item is asked for.  A record that is not
+    a JSON object, lacks a field, holds a value of another type or a text
+    with a lone surrogate raises ``DatasetError`` naming ``path:line`` and
+    the field, once the iteration reaches it."""
+    return read_records(path, "dataset", item_from_dict)
 
 
 def read_dataset(path: str | Path) -> list[SynthQAItem]:
@@ -784,14 +646,49 @@ def iter_heads(path: str | Path) -> Iterator[ItemHead]:
     ``_written_form``) is scanned, not decoded, and yields its head without
     building its facts and question; any other line, and a scanned one
     whose parts fail a check, is decoded and built by ``item_from_dict``.
-    Both routes share one ``_DatasetParts``, so equal features, golds and
-    candidate texts are one object whichever route read them."""
-    parts = _DatasetParts()
+    Scanned heads with equal features or golds hold one object of each."""
+    line_form, fact_form = _written_form()
+    # each part keyed by its matched text, which the form spells one way
+    # per value; a specifier is only checked, since heads do not hold it
+    specifiers: set[tuple[str, str]] = set()
+    features: dict[tuple[str, str], ContextFeature] = {}
+    golds: dict[str, GoldAnswer] = {}
+
+    def scan(line: str) -> ItemHead | None:
+        """The head of ``line`` without decoding it, if ``line`` has the
+        written form and its fact scopes, specifier, feature and gold pass
+        the checks ``item_from_dict`` makes; else None."""
+        match = line_form.fullmatch(line)
+        if match is None:
+            return None
+        candidate_a, candidate_b, facts, difficulty, evidence, gold_json, item_id, kind, years = (
+            match.groups()
+        )
+        if any(int(start) > int(end) for end, start in fact_form.findall(facts)):
+            return None
+        try:
+            if (kind, years) not in specifiers:
+                TimeSpecifier(SpecKind(kind), tuple(map(int, years.split(", "))) if years else ())
+                specifiers.add((kind, years))
+            feature = features.get((evidence, difficulty))
+            if feature is None:
+                feature = features[evidence, difficulty] = ContextFeature(
+                    Evidence(evidence), Difficulty(difficulty)
+                )
+            gold = golds.get(gold_json)
+            if gold is None:
+                # a string holds no '"', so '", "' splits a list of them;
+                # "[]" splits to one empty alias, which GoldAnswer refuses
+                gold = golds[gold_json] = (
+                    GoldAnswer.no_answer() if gold_json == "null"
+                    else GoldAnswer.of(*gold_json[2:-2].split('", "'))
+                )
+        except ValueError:  # a part item_from_dict refuses: it raises the error
+            return None
+        return ItemHead(item_id, feature, gold, candidate_a, candidate_b)
+
     return read_records(
-        path,
-        "dataset",
-        lambda record: ItemHead.of(item_from_dict(record, parts)),
-        functools.partial(_scan_head, _written_form(), parts),
+        path, "dataset", lambda record: ItemHead.of(item_from_dict(record)), scan
     )
 
 

@@ -46,7 +46,7 @@ from abstainrl.synthenv import (
     SynthQAItem,
     generate_dataset,
     iter_dataset,
-    read_dataset,
+    iter_heads,
     write_dataset,
 )
 from abstainrl.textmetrics import GoldAnswer
@@ -173,11 +173,11 @@ class TestRewardTable:
     def test_item_columns_equal_per_item_construction(self, tmp_path):
         """Features and unanswerable flags cached on each distinct feature
         and gold object, and the content rows, equal the per-item
-        construction, whether items share those objects (as read from a
-        file), hold equal copies, or mix both."""
+        construction, whether items share those objects (as the heads
+        scanned from a file do), hold equal copies, or mix both."""
         path = tmp_path / "items.jsonl"
         write_dataset(ITEMS, path)
-        read = read_dataset(path)
+        read = list(iter_heads(path))
         copied = [
             dataclasses.replace(item, gold=GoldAnswer(tuple(item.gold.aliases))) for item in ITEMS
         ]

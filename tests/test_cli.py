@@ -273,6 +273,19 @@ class TestExtract:
         monkeypatch.setattr(synthenv, "read_text", lambda path: pytest.fail("context read"))
         assert _main_stderr(argv) == (2, message)
 
+    def test_dataset_conversion_refuses_remote(self, tmp_path, monkeypatch):
+        """The conversion calls no remote service, so --remote is refused
+        before the dataset is opened."""
+        data = _gen(tmp_path)
+        monkeypatch.setattr(cli, "iter_dataset", lambda path: pytest.fail("dataset read"))
+        out = tmp_path / "store.jsonl"
+        code, err = _main_stderr(["extract", "--mode", "kg", "--dataset", str(data),
+                                  "--out", str(out), "--remote", "--endpoint", "ftp://x",
+                                  "--timeout", "-1"])
+        assert (code, err) == (2, "error: --dataset conversion calls no remote service: "
+                                  "drop --remote\n")
+        assert not out.exists()
+
 
 def _train_args(data, out_dir, iters="12", extra=()):
     return [
@@ -826,6 +839,33 @@ class TestSweep:
                                   "--seed", "-1"])
         assert code == 2
         assert err == "error: seed must be >= 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--n", "0", "n_items must be >= 1"),
+         ("--difficulty-mix", "-1", "difficulty_mix must lie in [0, 1], got -1.0"),
+         ("--ambiguity", "7", "ambiguity must lie in [0, 1], got 7.0")],
+        ids=["n", "difficulty-mix", "ambiguity"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["--axis", "p-unans", "--values", "0.1,0.5"],
+         ["--axis", "beta", "--values", "0,0.01", "--dataset", "{data}"],
+         ["--axis", "reward-variant", "--values", "rouge,rouge+em", "--dataset", "{data}"]],
+        ids=["p-unans", "beta", "reward-variant"],
+    )
+    def test_generator_settings_are_checked_on_every_axis(
+        self, tmp_path, monkeypatch, argv, flag, value, message
+    ):
+        data = _gen(tmp_path)
+        for reader in ("iter_heads", "iter_dataset"):
+            monkeypatch.setattr(cli, reader, lambda path: pytest.fail("dataset read"))
+        out = tmp_path / "s"
+        argv = [arg.format(data=data) for arg in argv]
+        code, err = _main_stderr(["sweep", *argv, "--out-dir", str(out), "--iters", "2",
+                                  flag, value])
+        assert (code, err) == (2, f"error: {message}\n")
         assert not out.exists()
 
     def test_p_unans_runs_equal_gen_then_train(self, tmp_path):

@@ -364,8 +364,7 @@ _FACT = {"subject": "s", "relation": "r", "object": "o", "start": 0, "end": 1}
 
 
 class TestReadDataset:
-    """``read_dataset`` shares the parts of records with equal JSON content,
-    and is held to ``ref.item_from_dict``, which builds every part afresh."""
+    """``read_dataset`` is held to ``ref.item_from_dict``, record by record."""
 
     @given(_records())
     @example([_record_with_year(1), _record_with_year(True)])
@@ -385,27 +384,6 @@ class TestReadDataset:
         except DatasetError as exc:
             got = str(exc).removeprefix(str(path))
         assert got == _oracle_read(records)
-
-    def test_equal_parts_are_one_object(self, tmp_path):
-        path = tmp_path / "data.jsonl"
-        write_dataset(generate_dataset(GenConfig(n_items=300, p_unans=0.4, seed=8)), path)
-        items = read_dataset(path)
-        parts = {
-            "specifier": [item.specifier for item in items],
-            "gold": [item.gold for item in items],
-            "feature": [item.feature for item in items],
-            "scope": [fact.scope for item in items for fact in item.facts],
-            # one pool across fields: an alias equal to a candidate is one object
-            "text": [
-                *(t for item in items for f in item.facts for t in (f.subject, f.relation, f.obj)),
-                *(t for item in items for t in (item.candidate_a, item.candidate_b)),
-                *(t for item in items for t in item.gold.aliases),
-            ],
-        }
-        for name, values in parts.items():
-            first: dict = {}
-            assert all(first.setdefault(v, v) is v for v in values), name
-            assert len(first) < len(values), name
 
     @pytest.mark.parametrize(
         "record, message",
@@ -502,10 +480,9 @@ class TestIterHeads:
         assert list(iter_heads(path)) == [ItemHead.of(item) for item in items]
         assert calls == []
 
-    def test_both_routes_share_parts(self, tmp_path, monkeypatch):
-        """A file whose every other line is in another JSON form: equal
-        features, golds and texts are one object, whichever route read
-        them."""
+    def test_lines_in_other_forms_are_decoded(self, tmp_path, monkeypatch):
+        """A file whose every other line is in another JSON form: its heads
+        are those of its items, and exactly those other lines are decoded."""
         items = generate_dataset(GenConfig(n_items=300, p_unans=0.4, seed=8))
         path = tmp_path / "data.jsonl"
         write_lines(path, [
@@ -514,18 +491,15 @@ class TestIterHeads:
             for i, item in enumerate(items)
         ])
         calls = self._counted(monkeypatch)
-        heads = list(iter_heads(path))
-        assert heads == [ItemHead.of(item) for item in items]
+        assert list(iter_heads(path)) == [ItemHead.of(item) for item in items]
         assert len(calls) == len(items) // 2
-        parts = {
-            "feature": [head.feature for head in heads],
-            "gold": [head.gold for head in heads],
-            "text": [
-                *(t for head in heads for t in (head.candidate_a, head.candidate_b)),
-                *(t for head in heads for t in head.gold.aliases),
-            ],
-        }
-        for name, values in parts.items():
+
+    def test_scanned_heads_share_equal_parts(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_dataset(generate_dataset(GenConfig(n_items=300, p_unans=0.4, seed=8)), path)
+        heads = list(iter_heads(path))
+        for name in ("feature", "gold"):
+            values = [getattr(head, name) for head in heads]
             first: dict = {}
             assert all(first.setdefault(v, v) is v for v in values), name
             assert len(first) < len(values), name
