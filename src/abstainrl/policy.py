@@ -53,7 +53,8 @@ class ContextFeature:
     evidence: Evidence
     difficulty: Difficulty
 
-    # cached on the object: the scanned heads of a dataset share their features
+    # cached on the object: generated items and the scanned heads of a dataset
+    # share their features
     @cached_property
     def index(self) -> int:
         return _EVIDENCE_ORDER.index(self.evidence) * 2 + _DIFFICULTY_ORDER.index(

@@ -13,12 +13,14 @@ from __future__ import annotations
 import enum
 import errno
 import functools
+import itertools
 import json
 import math
 import os
 import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, TypeVar
 
@@ -142,7 +144,10 @@ def write_jsonl(path: str | Path, records: Iterable[object]) -> None:
     write_lines(path, (json.dumps(record, sort_keys=True) for record in records))
 
 
-@dataclass(frozen=True)
+# Slotted, as are TemporalFact, TimeSpecifier and SynthQAItem: a parsed
+# dataset holds one per record or fact, and a per-instance __dict__ would be
+# a large share of its memory.
+@dataclass(frozen=True, slots=True)
 class TimeInterval:
     start: int
     end: int
@@ -155,8 +160,6 @@ class TimeInterval:
         return self.start <= hi and self.end >= lo
 
 
-# Slotted, as is SynthQAItem: a parsed dataset holds one per record, and a
-# per-instance __dict__ would be a large share of its memory.
 @dataclass(frozen=True, slots=True)
 class TemporalFact:
     subject: str
@@ -181,7 +184,7 @@ _EASY_KINDS = (SpecKind.IN_YEAR, SpecKind.BETWEEN)
 _HARD_KINDS = (SpecKind.AFTER, SpecKind.BEFORE, SpecKind.EARLY_DECADE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeSpecifier:
     kind: SpecKind
     years: tuple[int, ...]
@@ -361,26 +364,96 @@ _LAST_NAMES = (
 )
 
 
-def _pick(rng: np.random.Generator, bank: Sequence[str]) -> str:
-    return bank[int(rng.integers(0, len(bank)))]
+# Each bank entry's tokens, each observed feature and each entry's gold, made
+# once: the generator reuses them for every item.
+_TOKENS = {
+    obj: frozenset(normalize_text(obj)) for bank in _OBJECT_BANKS.values() for obj in bank
+}
+_FEATURES = {
+    (evidence, hard): ContextFeature(evidence, Difficulty.HARD if hard else Difficulty.EASY)
+    for evidence in Evidence
+    for hard in (False, True)
+}
+_GOLDS = {obj: GoldAnswer.of(obj) for obj in _TOKENS}
+_NO_ANSWER = GoldAnswer.no_answer()
+
+# 64-bit words a _Draws reads from its generator at once (8 KiB); a
+# 1000-item dataset takes nine blocks
+_WORD_BLOCK = 1024
 
 
-def _pick_other(rng: np.random.Generator, bank: Sequence[str], taken: str) -> str:
-    taken_tokens = set(normalize_text(taken))
+class _Draws:
+    """The draws of a PCG64 ``np.random.Generator`` from its present state
+    on: ``random()`` and ``integers(lo, hi)`` return what the generator's own
+    methods would, call for call, without a numpy call per draw.  The 64-bit
+    words are read in blocks with ``random_raw``, which moves the generator
+    past words no draw takes, so the generator is not to be drawn from again.
+
+    ``random()`` is the top 53 bits of a word over 2**53.  ``integers`` is
+    Lemire's bounded-integer method (arXiv:1805.10941), as numpy runs it for
+    a range of at most 2**32 values: over 32-bit draws, each the low half of
+    a new word or the high half the previous 32-bit draw left pending, a half
+    ``random()`` does not take.  A one-value range draws nothing; a wider
+    range than 2**32 values raises ``ValueError``."""
+
+    __slots__ = ("_words", "_half")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        bits = rng.bit_generator
+        state = bits.state
+        assert state["bit_generator"] == "PCG64", state["bit_generator"]
+        self._words = itertools.chain.from_iterable(
+            iter(lambda: bits.random_raw(_WORD_BLOCK).tolist(), None)
+        )
+        # the half a 32-bit draw such as rng.shuffle's left pending, if any
+        self._half: int | None = state["uinteger"] if state["has_uint32"] else None
+
+    def random(self) -> float:
+        return (next(self._words) >> 11) * 2.0**-53
+
+    def integers(self, lo: int, hi: int) -> int:
+        span = hi - lo
+        if span == 1:
+            return lo
+        if not 1 < span <= 1 << 32:
+            raise ValueError(f"integers draws from 2 to 2**32 values, got [{lo}, {hi})")
+        m = self._uint32() * span
+        if m & 0xFFFFFFFF < span:
+            threshold = (1 << 32) % span
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * span
+        return lo + (m >> 32)
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = next(self._words)
+            self._half = word >> 32
+            return word & 0xFFFFFFFF
+        self._half = None
+        return half
+
+
+def _pick(draws: _Draws, bank: Sequence[str]) -> str:
+    return bank[draws.integers(0, len(bank))]
+
+
+def _pick_other(draws: _Draws, bank: Sequence[str], taken: str) -> str:
+    taken_tokens = _TOKENS[taken]
     while True:
-        candidate = _pick(rng, bank)
-        if candidate != taken and not (set(normalize_text(candidate)) & taken_tokens):
+        candidate = _pick(draws, bank)
+        if candidate != taken and taken_tokens.isdisjoint(_TOKENS[candidate]):
             return candidate
 
 
-def _make_specifier(rng: np.random.Generator, hard: bool) -> TimeSpecifier:
-    base = int(rng.integers(1880, 2020))
+def _make_specifier(draws: _Draws, hard: bool) -> TimeSpecifier:
+    base = draws.integers(1880, 2020)
     if not hard:
-        kind = _EASY_KINDS[int(rng.integers(0, len(_EASY_KINDS)))]
+        kind = _EASY_KINDS[draws.integers(0, len(_EASY_KINDS))]
         if kind is SpecKind.IN_YEAR:
             return TimeSpecifier.in_year(base)
-        return TimeSpecifier.between(base, base + int(rng.integers(0, 5)))
-    kind = _HARD_KINDS[int(rng.integers(0, len(_HARD_KINDS)))]
+        return TimeSpecifier.between(base, base + draws.integers(0, 5))
+    kind = _HARD_KINDS[draws.integers(0, len(_HARD_KINDS))]
     if kind is SpecKind.AFTER:
         return TimeSpecifier.after(base)
     if kind is SpecKind.BEFORE:
@@ -388,7 +461,7 @@ def _make_specifier(rng: np.random.Generator, hard: bool) -> TimeSpecifier:
     return TimeSpecifier.early_decade((base // 10) * 10)
 
 
-def _scope_through(rng: np.random.Generator, lo: int, hi: int) -> TimeInterval:
+def _scope_through(draws: _Draws, lo: int, hi: int) -> TimeInterval:
     """A fact scope intersecting [lo, hi], anchored near the bounded side of
     open-ended windows so generated years stay plausible."""
     if hi >= YEAR_HORIZON:
@@ -397,63 +470,62 @@ def _scope_through(rng: np.random.Generator, lo: int, hi: int) -> TimeInterval:
         a_lo, a_hi = hi - 8, hi
     else:
         a_lo, a_hi = lo, hi
-    anchor = int(rng.integers(a_lo, a_hi + 1))
-    start = max(YEAR_FLOOR, anchor - int(rng.integers(0, 5)))
-    end = min(YEAR_HORIZON, anchor + int(rng.integers(0, 5)))
+    anchor = draws.integers(a_lo, a_hi + 1)
+    start = max(YEAR_FLOOR, anchor - draws.integers(0, 5))
+    end = min(YEAR_HORIZON, anchor + draws.integers(0, 5))
     return TimeInterval(start, end)
 
 
-def _scope_outside(rng: np.random.Generator, lo: int, hi: int) -> TimeInterval:
+def _scope_outside(draws: _Draws, lo: int, hi: int) -> TimeInterval:
     """A fact scope strictly disjoint from [lo, hi]."""
-    length = int(rng.integers(1, 7))
+    length = draws.integers(1, 7)
     if lo - 2 - length >= YEAR_FLOOR:
         return TimeInterval(lo - 2 - length, lo - 2)
     return TimeInterval(hi + 2, hi + 2 + length)
 
 
 def _generate_item(
-    rng: np.random.Generator, item_id: str, unanswerable: bool, cfg: GenConfig
+    draws: _Draws, item_id: str, unanswerable: bool, cfg: GenConfig
 ) -> SynthQAItem:
-    hard = bool(rng.random() < cfg.difficulty_mix)
-    specifier = _make_specifier(rng, hard)
+    hard = draws.random() < cfg.difficulty_mix
+    specifier = _make_specifier(draws, hard)
     lo, hi = specifier.window()
 
-    subject = f"{_pick(rng, _FIRST_NAMES)} {_pick(rng, _LAST_NAMES)}"
-    relation = _RELATIONS[int(rng.integers(0, len(_RELATIONS)))]
+    subject = f"{_pick(draws, _FIRST_NAMES)} {_pick(draws, _LAST_NAMES)}"
+    relation = _RELATIONS[draws.integers(0, len(_RELATIONS))]
     bank = _OBJECT_BANKS[relation]
     question = _QUESTION_TEMPLATES[relation].format(s=subject, t=specifier.phrase())
 
     facts: list[TemporalFact] = []
     if not unanswerable:
-        gold_obj = _pick(rng, bank)
-        distractor = _pick_other(rng, bank, gold_obj)
-        facts.append(TemporalFact(subject, relation, gold_obj, _scope_through(rng, lo, hi)))
-        if rng.random() < 0.5:
+        gold_obj = _pick(draws, bank)
+        distractor = _pick_other(draws, bank, gold_obj)
+        facts.append(TemporalFact(subject, relation, gold_obj, _scope_through(draws, lo, hi)))
+        if draws.random() < 0.5:
             facts.append(
-                TemporalFact(subject, relation, distractor, _scope_outside(rng, lo, hi))
+                TemporalFact(subject, relation, distractor, _scope_outside(draws, lo, hi))
             )
-        gold = GoldAnswer.of(gold_obj)
+        gold = _GOLDS[gold_obj]
         evidence = Evidence.SUPPORTS
-        if rng.random() < 0.5:
+        if draws.random() < 0.5:
             candidate_a, candidate_b = gold_obj, distractor
         else:
             candidate_a, candidate_b = distractor, gold_obj
     else:
-        obj_one = _pick(rng, bank)
-        obj_two = _pick_other(rng, bank, obj_one)
-        if rng.random() < CONTRADICT_FRACTION:
-            facts.append(TemporalFact(subject, relation, obj_one, _scope_through(rng, lo, hi)))
-            facts.append(TemporalFact(subject, relation, obj_two, _scope_through(rng, lo, hi)))
+        obj_one = _pick(draws, bank)
+        obj_two = _pick_other(draws, bank, obj_one)
+        if draws.random() < CONTRADICT_FRACTION:
+            facts.append(TemporalFact(subject, relation, obj_one, _scope_through(draws, lo, hi)))
+            facts.append(TemporalFact(subject, relation, obj_two, _scope_through(draws, lo, hi)))
             evidence = Evidence.CONTRADICTS
         else:
-            for obj in (obj_one, obj_two)[: int(rng.integers(0, 3))]:
-                facts.append(TemporalFact(subject, relation, obj, _scope_outside(rng, lo, hi)))
+            for obj in (obj_one, obj_two)[: draws.integers(0, 3)]:
+                facts.append(TemporalFact(subject, relation, obj, _scope_outside(draws, lo, hi)))
             evidence = Evidence.NO_EVIDENCE
-        gold = GoldAnswer.no_answer()
+        gold = _NO_ANSWER
         candidate_a, candidate_b = obj_one, obj_two
 
-    observed = Evidence.NO_EVIDENCE if rng.random() < cfg.ambiguity else evidence
-    feature = ContextFeature(observed, Difficulty.HARD if hard else Difficulty.EASY)
+    observed = Evidence.NO_EVIDENCE if draws.random() < cfg.ambiguity else evidence
 
     return SynthQAItem(
         id=item_id,
@@ -463,7 +535,7 @@ def _generate_item(
         gold=gold,
         candidate_a=candidate_a,
         candidate_b=candidate_b,
-        feature=feature,
+        feature=_FEATURES[observed, hard],
     )
 
 
@@ -473,48 +545,60 @@ def generate_dataset(cfg: GenConfig) -> list[SynthQAItem]:
     n_unans = int(round(cfg.n_items * cfg.p_unans))
     flags = [True] * n_unans + [False] * (cfg.n_items - n_unans)
     rng.shuffle(flags)
+    draws = _Draws(rng)
     return [
-        _generate_item(rng, f"q{i:05d}", flag, cfg) for i, flag in enumerate(flags)
+        _generate_item(draws, f"q{i:05d}", flag, cfg) for i, flag in enumerate(flags)
     ]
 
 
 # --- JSON-Lines serialization -------------------------------------------------
 
-def item_to_dict(item: SynthQAItem) -> dict:
-    return {
-        "id": item.id,
-        "question": item.question,
-        "specifier": {"kind": item.specifier.kind.value, "years": list(item.specifier.years)},
-        "facts": [
-            {
-                "subject": f.subject,
-                "relation": f.relation,
-                "object": f.obj,
-                "start": f.scope.start,
-                "end": f.scope.end,
-            }
-            for f in item.facts
-        ],
-        "gold": list(item.gold.aliases) if not item.gold.is_no_answer else None,
-        "candidates": [item.candidate_a, item.candidate_b],
-        "feature": {
-            "evidence": item.feature.evidence.value,
-            "difficulty": item.feature.difficulty.value,
-        },
-    }
+def _written_line(item: SynthQAItem) -> str:
+    """The line ``write_dataset`` writes for ``item``: one JSON object with
+    the keys candidates, facts (each with end, object, relation, start and
+    subject), feature (difficulty, evidence), gold (the aliases, or null for
+    No-Answer), id, question and specifier (kind, years), in sorted order
+    and with ``json.dumps``' default separators.  Strings go through the
+    encoder ``json.dumps`` uses and integers through ``repr``, so for an
+    item whose fields have their declared types the line equals
+    ``json.dumps`` of that object with ``sort_keys=True``.  ``iter_heads``
+    scans it with ``_written_form``: a change here must change that too."""
+    quote = encode_basestring_ascii
+    facts = ", ".join(
+        f'{{"end": {fact.scope.end!r}, "object": {quote(fact.obj)}, '
+        f'"relation": {quote(fact.relation)}, "start": {fact.scope.start!r}, '
+        f'"subject": {quote(fact.subject)}}}'
+        for fact in item.facts
+    )
+    gold = (
+        "null" if item.gold.is_no_answer
+        else f'[{", ".join(map(quote, item.gold.aliases))}]'
+    )
+    feature = item.feature
+    specifier = item.specifier
+    return (
+        f'{{"candidates": [{quote(item.candidate_a)}, {quote(item.candidate_b)}], '
+        f'"facts": [{facts}], '
+        f'"feature": {{"difficulty": {quote(feature.difficulty.value)}, '
+        f'"evidence": {quote(feature.evidence.value)}}}, '
+        f'"gold": {gold}, "id": {quote(item.id)}, '
+        f'"question": {quote(item.question)}, '
+        f'"specifier": {{"kind": {quote(specifier.kind.value)}, '
+        f'"years": [{", ".join(map(repr, specifier.years))}]}}}}'
+    )
 
 
 @functools.cache
 def _written_form() -> tuple[re.Pattern[str], re.Pattern[str]]:
-    """The line ``write_dataset`` writes, ``json.dumps(item_to_dict(item),
-    sort_keys=True)`` with its default separators, for a record whose
-    strings are printable ASCII with nothing to escape, whose integers have
-    at most 18 digits and whose fact texts are non-empty, as
-    ``TemporalFact`` requires.  Its groups are the candidates, the facts,
-    the feature's difficulty and evidence, the gold's JSON, the id and the
-    specifier's kind and years; the second pattern finds each fact's end
-    and start in the facts group.  A change to ``item_to_dict`` must change
-    this too.  Compiled on first use, which keeps it out of the import."""
+    """The line ``write_dataset`` writes, as ``_written_line`` spells it,
+    for a record whose strings are printable ASCII with nothing to escape,
+    whose integers have at most 18 digits and whose fact texts are
+    non-empty, as ``TemporalFact`` requires.  Its groups are the candidates,
+    the facts, the feature's difficulty and evidence, the gold's JSON, the
+    id and the specifier's kind and years; the second pattern finds each
+    fact's end and start in the facts group.  A change to ``_written_line``
+    must change this too.  Compiled on first use, which keeps it out of the
+    import."""
     # S: a printable ASCII character but '"' and '\'; Y: an integer; F: a fact
     fact = r'\{"end": (Y), "object": "S+", "relation": "S+", "start": (Y), "subject": "S+"\}'
     line = (
@@ -569,9 +653,10 @@ def _json_text(value: object, where: str) -> str:
 
 
 def item_from_dict(payload: dict) -> SynthQAItem:
-    """Inverse of ``item_to_dict``.  Texts must be strings that UTF-8 can
-    encode (no lone surrogate) and years integers; ValueError names the
-    first field that breaks this, and KeyError the first missing one.
+    """The item of a decoded dataset record, in the layout ``write_dataset``
+    writes.  Texts must be strings that UTF-8 can encode (no lone surrogate)
+    and years integers; ValueError names the first field that breaks this,
+    and KeyError the first missing one.
     Fields are checked in one fixed order, so a record with several faults
     always reports the same one."""
     spec_json = _json_object(payload["specifier"], "specifier")
@@ -622,7 +707,9 @@ def item_from_dict(payload: dict) -> SynthQAItem:
 
 
 def write_dataset(items: Iterable[SynthQAItem], path: str | Path) -> None:
-    write_jsonl(path, map(item_to_dict, items))
+    """Write one ``_written_line`` per item to ``path``, through
+    ``write_lines``."""
+    write_lines(path, map(_written_line, items))
 
 
 def iter_dataset(path: str | Path) -> Iterator[SynthQAItem]:

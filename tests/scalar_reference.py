@@ -14,6 +14,9 @@ builds every part of a dataset record afresh, is the oracle for
 already padded string, is the oracle for ``textmetrics.trigram_embedding``.
 ``make_expert_traces``, which renders and scores the oracle's completion of
 every item, is the oracle for ``grpo.RewardTable.expert_cells``.
+``item_to_dict``, a dataset record as a dict, is the oracle for the lines
+``synthenv.write_dataset`` writes: each is ``json.dumps(item_to_dict(item),
+sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -383,6 +386,31 @@ def evaluate_items(
             )
         )
     return out
+
+
+def item_to_dict(item: SynthQAItem) -> dict:
+    """The record of ``item``, the inverse of ``item_from_dict``."""
+    return {
+        "id": item.id,
+        "question": item.question,
+        "specifier": {"kind": item.specifier.kind.value, "years": list(item.specifier.years)},
+        "facts": [
+            {
+                "subject": f.subject,
+                "relation": f.relation,
+                "object": f.obj,
+                "start": f.scope.start,
+                "end": f.scope.end,
+            }
+            for f in item.facts
+        ],
+        "gold": list(item.gold.aliases) if not item.gold.is_no_answer else None,
+        "candidates": [item.candidate_a, item.candidate_b],
+        "feature": {
+            "evidence": item.feature.evidence.value,
+            "difficulty": item.feature.difficulty.value,
+        },
+    }
 
 
 def item_from_dict(payload: object) -> SynthQAItem:

@@ -21,7 +21,8 @@ from abstainrl.cli import _TRAIN_DEFAULTS, build_parser, main
 from abstainrl.grpo import RewardTable, evaluate_items
 from abstainrl.policy import ALL_ACTIONS, ALL_FEATURES, ActionId, Choice, Evidence, PolicyParams
 from abstainrl.retrieval import Quadruple
-from abstainrl.synthenv import GenConfig, generate_dataset, item_to_dict, read_dataset
+from abstainrl.synthenv import GenConfig, generate_dataset, read_dataset
+from scalar_reference import item_to_dict
 
 import numpy as np
 import pytest

@@ -1,33 +1,38 @@
-"""Generator consistency, the dataset reader, the abstained-MC builder, and
-the JSON-Lines reader and atomic writer every file goes through."""
+"""Generator consistency and its draws, the dataset writer and reader, the
+abstained-MC builder, and the JSON-Lines reader and atomic writer every file
+goes through."""
 
 import copy
 import dataclasses
+import hashlib
 import json
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
 from abstainrl import synthenv
+from abstainrl.cli import main
 from abstainrl.grpo import TrainLog
-from abstainrl.policy import Difficulty, Evidence
+from abstainrl.policy import ContextFeature, Difficulty, Evidence
 from abstainrl.retrieval import KGStore
 from abstainrl.synthenv import (
     DatasetError,
     GenConfig,
     ItemHead,
     MCSourceRecord,
+    SpecKind,
+    SynthQAItem,
     TemporalFact,
     TimeInterval,
     TimeSpecifier,
     answerability_oracle,
     build_abstained_mc,
     generate_dataset,
-    item_to_dict,
     iter_heads,
     read_dataset,
     read_mc_sources,
@@ -35,7 +40,7 @@ from abstainrl.synthenv import (
     write_dataset,
     write_lines,
 )
-from abstainrl.textmetrics import normalize_text
+from abstainrl.textmetrics import GoldAnswer, normalize_text
 
 
 class TestTimeInterval:
@@ -117,8 +122,8 @@ class TestGenerateDataset:
 
     def test_determinism(self):
         cfg = GenConfig(n_items=60, p_unans=0.3, seed=17)
-        a = [item_to_dict(i) for i in generate_dataset(cfg)]
-        b = [item_to_dict(i) for i in generate_dataset(cfg)]
+        a = [ref.item_to_dict(i) for i in generate_dataset(cfg)]
+        b = [ref.item_to_dict(i) for i in generate_dataset(cfg)]
         assert a == b
 
     def test_regeneration_consistency(self):
@@ -159,6 +164,38 @@ class TestGenerateDataset:
             if item.gold.is_no_answer:
                 assert item.feature.evidence is not Evidence.SUPPORTS
 
+    # sha256 of what `gen` wrote with these flags while it called numpy's
+    # Generator once per draw and wrote each line with json.dumps
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ("--n 1000 --p-unans 0.5 --ambiguity 0.5 --seed 7",
+             "ab8114abcd8224da0099aa28711ee966511fe1151e57331549a6c9555e96cf39"),
+            ("--n 10000 --p-unans 0.124 --ambiguity 0.25 --seed 11",
+             "234e44fc9eacb1df59e67aa609a8ef6d19d9fe787678e06a2e93971632804531"),
+            ("--n 200 --seed 3",
+             "ae088cbff21a50541067ab5fa6a9f4ba16628b062290b5096f975ec3993b597c"),
+            ("--n 500 --p-unans 0 --seed 5",
+             "ef3502bcd20e80484336c810146b84d7288da09b4704891a2644c52605d65de8"),
+            ("--n 500 --p-unans 1 --seed 5",
+             "09955b9ae2e46b8355e411280fa027ae875d66bb81d4cdc0ef1cda92b34b2d5b"),
+            ("--n 500 --ambiguity 0 --seed 5",
+             "a21896edac4463ea357fd367c9b729d511833005f22915c8dbec9f8a2197bcc9"),
+            ("--n 500 --ambiguity 1 --seed 5",
+             "62227b3439074d260a36b6da329678274fe22a9960e3b087c79de2588d24a0e9"),
+            ("--n 500 --difficulty-mix 0 --seed 5",
+             "d7f9c5c3c3f4e271ed9242dc82aed05b41248316b3d44ac3c8cdc9b39f5de25a"),
+            ("--n 500 --difficulty-mix 1 --seed 5",
+             "2cf9cd588fbd3644febc6f6ff058c0bf385e172a55f9374357466f27687214c7"),
+        ],
+        ids=["readme", "train-wide", "n200", "p-unans-0", "p-unans-1", "ambiguity-0",
+             "ambiguity-1", "difficulty-mix-0", "difficulty-mix-1"],
+    )
+    def test_gen_writes_the_pinned_bytes(self, tmp_path, flags, digest):
+        path = tmp_path / "data.jsonl"
+        assert main(["gen", *flags.split(), "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GenConfig(n_items=0)
@@ -174,11 +211,11 @@ class TestDatasetSerialization:
         path = tmp_path / "data.jsonl"
         write_dataset(items, path)
         again = read_dataset(path)
-        assert [item_to_dict(i) for i in again] == [item_to_dict(i) for i in items]
+        assert [ref.item_to_dict(i) for i in again] == [ref.item_to_dict(i) for i in items]
 
     def test_stable_field_names(self, tmp_path):
         items = generate_dataset(GenConfig(n_items=1, seed=12))
-        payload = item_to_dict(items[0])
+        payload = ref.item_to_dict(items[0])
         assert set(payload) == {
             "id", "question", "specifier", "facts", "gold", "candidates", "feature",
         }
@@ -186,18 +223,24 @@ class TestDatasetSerialization:
     def test_items_and_facts_are_slotted(self):
         """No per-instance ``__dict__``; replace, equality and hashing hold."""
         item = generate_dataset(GenConfig(n_items=1, p_unans=0.0, seed=0))[0]
-        for value, field in ((item, "id"), (item.facts[0], "obj")):
+        scope, specifier = item.facts[0].scope, item.specifier
+        for value, field, new in (
+            (item, "id", "other"),
+            (item.facts[0], "obj", "other"),
+            (scope, "end", scope.end + 1),
+            (specifier, "years", tuple(year - 1 for year in specifier.years)),
+        ):
             assert not hasattr(value, "__dict__")
             twin = dataclasses.replace(value)
             assert twin == value and twin is not value and hash(twin) == hash(value)
-            other = dataclasses.replace(value, **{field: "other"})
-            assert getattr(other, field) == "other" and other != value
+            other = dataclasses.replace(value, **{field: new})
+            assert getattr(other, field) == new and other != value
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(value, field, "other")
+                setattr(value, field, new)
 
     def test_bad_record_reports_line(self, tmp_path):
         path = tmp_path / "broken.jsonl"
-        good = json.dumps(item_to_dict(generate_dataset(GenConfig(n_items=1, seed=0))[0]))
+        good = json.dumps(ref.item_to_dict(generate_dataset(GenConfig(n_items=1, seed=0))[0]))
         path.write_text(good + "\n{not json\n", encoding="utf-8")
         with pytest.raises(DatasetError, match=":2:"):
             read_dataset(path)
@@ -227,12 +270,126 @@ class TestDatasetSerialization:
              "surrogate-question", "surrogate-candidate", "surrogate-object", "surrogate-gold"],
     )
     def test_wrongly_typed_field_is_rejected(self, tmp_path, edit, named):
-        record = item_to_dict(generate_dataset(GenConfig(n_items=1, p_unans=0.0, seed=0))[0])
+        record = ref.item_to_dict(generate_dataset(GenConfig(n_items=1, p_unans=0.0, seed=0))[0])
         edit(record)
         path = tmp_path / "typed.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match=f":1: bad dataset record: {named} must"):
             read_dataset(path)
+
+
+# Items of any texts a field's type allows: non-ASCII, quotes, backslashes,
+# control characters, empty ids, questions and candidates, and years of any
+# size.
+_ANY_TEXT = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\u00e9 \u2028", "\U0001f600"]
+)
+_SOME_TEXT = _ANY_TEXT.filter(bool)
+_ANY_YEARS = st.lists(st.integers(), min_size=2, max_size=2).map(sorted)
+_ITEMS = st.builds(
+    SynthQAItem,
+    id=_ANY_TEXT,
+    question=_ANY_TEXT,
+    facts=st.lists(
+        st.builds(TemporalFact, _SOME_TEXT, _SOME_TEXT, _SOME_TEXT,
+                  _ANY_YEARS.map(lambda ys: TimeInterval(*ys))),
+        max_size=3,
+    ).map(tuple),
+    specifier=st.builds(
+        lambda kind, ys: TimeSpecifier(kind, tuple(ys) if kind is SpecKind.BETWEEN else ys[:1]),
+        st.sampled_from(SpecKind), _ANY_YEARS,
+    ),
+    gold=st.just(GoldAnswer.no_answer())
+    | st.lists(_SOME_TEXT, min_size=1, max_size=2).map(lambda aliases: GoldAnswer.of(*aliases)),
+    candidate_a=_ANY_TEXT,
+    candidate_b=_ANY_TEXT,
+    feature=st.builds(ContextFeature, st.sampled_from(Evidence), st.sampled_from(Difficulty)),
+)
+_EDGE_ITEM = SynthQAItem(
+    id="q\x00\n\t",
+    question='Who said "\\u00e9"? \u00e9\u6f22\U0001f600\x7f',
+    facts=(),
+    specifier=TimeSpecifier.between(-999999999999999999, 999999999999999999),
+    gold=GoldAnswer.of("\\", '"'),
+    candidate_a="",
+    candidate_b="",
+    feature=ContextFeature(Evidence.CONTRADICTS, Difficulty.HARD),
+)
+
+
+class TestWrittenLines:
+    """``write_dataset`` spells each line from a template; ``json.dumps`` of
+    ``ref.item_to_dict`` with sorted keys is its oracle."""
+
+    @given(st.lists(_ITEMS, max_size=4))
+    @example([_EDGE_ITEM])
+    @example([dataclasses.replace(
+        _EDGE_ITEM,
+        facts=(TemporalFact("\u00e9", "\\", '"', TimeInterval(-10**18 + 1, -1)),),
+        specifier=TimeSpecifier.early_decade(-100000000000000000),
+        gold=GoldAnswer.no_answer(),
+    )])
+    @settings(max_examples=300)
+    def test_equals_json_dumps_of_the_record(self, tmp_path_factory, items):
+        path = tmp_path_factory.mktemp("written") / "data.jsonl"
+        write_dataset(items, path)
+        want = "".join(json.dumps(ref.item_to_dict(item), sort_keys=True) + "\n" for item in items)
+        assert path.read_text(encoding="utf-8") == want
+
+
+_SPANS = st.integers(1, 2**32) | st.sampled_from([1, 2, 3, 5, 6, 2**31 + 1, 2**32 - 1, 2**32])
+
+
+class TestDraws:
+    """``_Draws`` reads a generator's words in blocks; the generator's own
+    ``random`` and ``integers`` are its oracle, draw for draw."""
+
+    @staticmethod
+    def _generators(seed, shuffled):
+        """Two generators from ``seed``, each past a shuffle of ``shuffled``
+        values."""
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in rngs:
+            rng.shuffle(list(range(shuffled)))
+        return rngs
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(0, 8),
+        st.lists(st.none() | st.tuples(st.integers(-2**40, 2**40), _SPANS), max_size=60),
+    )
+    @example(0, 2, [(0, 2**32), None, (7, 1), (0, 6), (-3, 2**32), (0, 2**32 - 1)])
+    @settings(max_examples=300)
+    def test_equals_the_generator(self, seed, shuffled, ops):
+        """``None`` draws ``random()``, ``(lo, span)`` ``integers(lo, lo + span)``."""
+        rng, twin = self._generators(seed, shuffled)
+        draws = synthenv._Draws(rng)
+        for op in ops:
+            if op is None:
+                assert draws.random() == twin.random()
+            else:
+                lo, span = op
+                got = draws.integers(lo, lo + span)
+                assert type(got) is int and got == twin.integers(lo, lo + span)
+
+    def test_takes_the_half_a_shuffle_left_pending(self):
+        rng, twin = self._generators(0, 6)
+        assert rng.bit_generator.state["has_uint32"]
+        draws = synthenv._Draws(rng)
+        got = [draws.integers(0, 6), draws.random(), draws.integers(0, 6), draws.integers(0, 6)]
+        assert got == [twin.integers(0, 6), twin.random(), twin.integers(0, 6), twin.integers(0, 6)]
+
+    def test_reads_past_a_block(self):
+        rng, twin = self._generators(3, 0)
+        draws = synthenv._Draws(rng)
+        n = 3 * synthenv._WORD_BLOCK
+        assert [draws.random() for _ in range(n)] == twin.random(n).tolist()
+
+    @pytest.mark.parametrize("lo, hi", [(0, 2**32 + 1), (-(2**40), 2**40), (5, 5), (5, 4)])
+    def test_refuses_ranges_it_cannot_draw_from(self, lo, hi):
+        draws = synthenv._Draws(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="2\\*\\*32 values"):
+            draws.integers(lo, hi)
 
 
 # Valid dataset records drawn from small pools, so that records repeat their
@@ -352,7 +509,7 @@ def _oracle_read(records):
 
 def _record(**fields):
     """A valid record, with ``fields`` replaced."""
-    record = item_to_dict(generate_dataset(GenConfig(n_items=1, p_unans=0.0, seed=0))[0])
+    record = ref.item_to_dict(generate_dataset(GenConfig(n_items=1, p_unans=0.0, seed=0))[0])
     return {**record, **fields}
 
 
@@ -486,8 +643,8 @@ class TestIterHeads:
         items = generate_dataset(GenConfig(n_items=300, p_unans=0.4, seed=8))
         path = tmp_path / "data.jsonl"
         write_lines(path, [
-            json.dumps(item_to_dict(item), sort_keys=True) if i % 2 == 0
-            else json.dumps(item_to_dict(item), separators=(",", ":"))
+            json.dumps(ref.item_to_dict(item), sort_keys=True) if i % 2 == 0
+            else json.dumps(ref.item_to_dict(item), separators=(",", ":"))
             for i, item in enumerate(items)
         ])
         calls = self._counted(monkeypatch)
