@@ -19,11 +19,13 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from abstainrl import policy, retrieval, synthenv
 from abstainrl.grpo import (
     EvalReport,
+    Evaluation,
     GrpoConfig,
-    ItemEval,
     RewardTable,
     TrainLog,
     evaluate_items,
@@ -50,6 +52,7 @@ from abstainrl.synthenv import (
     build_abstained_mc,
     generate_dataset,
     iter_dataset,
+    iter_generated,
     iter_heads,
     read_mc_sources,
     write_dataset,
@@ -217,23 +220,25 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     write_lines(path, (",".join(map(_csv_field, row)) for row in itertools.chain([header], rows)))
 
 
-def _write_summary_csv(path: Path, ids: Sequence[str], evals: Sequence[ItemEval]) -> None:
-    """One CSV row per item: its id, then the values of its evaluation.
-    Items share ``ItemEval`` objects (see ``evaluate_items``), so each
-    distinct one's values are formatted once and each item adds its id."""
-    tails: dict[int, str] = {}  # id() of an ItemEval -> ",<its values>"
+def _write_summary_csv(path: Path, ids: Sequence[str], evaluation: Evaluation) -> None:
+    """One CSV row per item: its id, then its values, which are formatted
+    once per distinct cell, since items with the same cell share them."""
+    _, first, inverse = np.unique(evaluation.cell, return_index=True, return_inverse=True)
+    columns = (evaluation.rouge1, evaluation.rouge2, evaluation.rouge_l, evaluation.semantic,
+               evaluation.em, evaluation.tp, evaluation.fp, evaluation.fn)
+    tails = [
+        f",{r1:.6f},{r2:.6f},{rl:.6f},{sem:.6f},{int(em)},{tp},{fp},{fn}"
+        for r1, r2, rl, sem, em, tp, fp, fn in zip(*(c[first].tolist() for c in columns))
+    ]
+    lines = (_csv_field(item_id) + tails[c] for item_id, c in zip(ids, inverse.tolist()))
+    write_lines(path, itertools.chain(["id,r1,r2,rl,sem,em,tp,fp,fn"], lines))
 
-    def line(item_id: str, e: ItemEval) -> str:
-        tail = tails.get(id(e))
-        if tail is None:
-            tail = tails[id(e)] = (
-                f",{e.rouge1:.6f},{e.rouge2:.6f},{e.rouge_l:.6f},{e.semantic:.6f}"
-                f",{int(e.em)},{e.tp},{e.fp},{e.fn}"
-            )
-        return _csv_field(item_id) + tail
 
-    header = "id,r1,r2,rl,sem,em,tp,fp,fn"
-    write_lines(path, itertools.chain([header], map(line, ids, evals)))
+def _evaluate_and_write(params: PolicyParams, table: RewardTable, path: Path) -> EvalReport:
+    """Greedy evaluation of ``table``'s items, written to ``path``; its report."""
+    evaluation = evaluate_items(params, table)
+    _write_summary_csv(path, table.ids, evaluation)
+    return summarize_items(evaluation)
 
 
 def _shown(path: str | Path) -> str:
@@ -408,16 +413,14 @@ def _train_once(
     ``resolved``, which is written to the run directory as config.json once
     training is done: a run that diverges writes nothing."""
     params, log = train_rl(params0, table, _grpo_config(resolved))
-    # evaluation gathers from the table training read, so nothing is scored again
-    evals = evaluate_items(params, table)
-
     out_dir = Path(resolved["out_dir"])
+    # evaluation gathers from the table training read, so nothing is scored again
+    report = _evaluate_and_write(params, table, out_dir / "summary.csv")
     write_lines(out_dir / "config.json", [json.dumps(resolved, sort_keys=True, indent=2)])
     log.write(out_dir / "train_log.jsonl")
     write_lines(out_dir / "policy.json", [params.dumps()])
-    _write_summary_csv(out_dir / "summary.csv", table.ids, evals)
     write_lines(out_dir / "curves.svg", render_curves_svg([(run_name, log)]))
-    return summarize_items(evals)
+    return report
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -426,12 +429,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _GEN_DEFAULTS)
     if resolved["out"] is None:
         raise UsageError("gen requires --out")
-    items = generate_dataset(_gen_config(resolved))
-    write_dataset(items, resolved["out"])
-    n_unans = sum(1 for item in items if item.gold.is_no_answer)
+    cfg = _gen_config(resolved)
+    n_unans = 0
+
+    def counted(items: Iterable[synthenv.SynthQAItem]) -> Iterator[synthenv.SynthQAItem]:
+        nonlocal n_unans
+        for item in items:
+            n_unans += item.gold.is_no_answer
+            yield item
+
+    # the items are written as they are drawn: the dataset is never held
+    write_dataset(counted(iter_generated(cfg)), resolved["out"])
     print(
-        f"wrote {len(items)} items ({n_unans} unanswerable, "
-        f"fraction {n_unans / len(items):.6f}) -> {_shown(resolved['out'])}"
+        f"wrote {cfg.n_items} items ({n_unans} unanswerable, "
+        f"fraction {n_unans / cfg.n_items:.6f}) -> {_shown(resolved['out'])}"
     )
     return EXIT_OK
 
@@ -564,9 +575,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise DatasetError(f"malformed checkpoint {checkpoint_path}: {exc}") from exc
     table = RewardTable(_stream_heads(args.dataset), variant)
-    evals = evaluate_items(params, table)
-    _write_summary_csv(Path(args.out), table.ids, evals)
-    _print_report(summarize_items(evals))
+    _print_report(_evaluate_and_write(params, table, Path(args.out)))
     print(f"wrote per-item metrics -> {_shown(args.out)}")
     return EXIT_OK
 

@@ -159,7 +159,8 @@ class RewardTable:
     completions depend only on its two candidates, and the rule-based QA
     reward only on the completion and the gold, so items with the same
     (candidate_a, candidate_b, gold) share a content row, numbered in
-    first-seen order and scored from its first item; a lookup is a gather.
+    first-seen order and scored from its first item, whose head the table
+    keeps for ``expert_cells``; a lookup is a gather.
     Each distinct text is parsed and each distinct (answer, answerable
     gold) measured once; the metrics are zero for a No-Answer gold.
     ``rewards`` is ``reward.rule_rewards`` under ``variant`` over the
@@ -167,10 +168,7 @@ class RewardTable:
     ``with_variant`` reuses.  ``reward_fn`` overrides the rule, which is
     how the bandit sanity environments install their own payout tables; it
     is called once per (item, action) pair, and every item gets its own
-    row, since a payout may depend on the item.  ``expert`` holds, per
-    content row, the action SFT imitates: the oracle's
-    (``policy.oracle_action``) where the rule's answer reward under the
-    default variant is at least 1, else -1.
+    row, since a payout may depend on the item.
     """
 
     def __init__(
@@ -205,7 +203,7 @@ class RewardTable:
         shape = (len(rows), N_ACTIONS)
         self.formatted = np.empty(shape, dtype=bool)
         self.abstained = np.empty(shape, dtype=bool)
-        # em, rouge1, rouge2, rouge_l and semantic: AnswerMetrics' and ItemEval's order
+        # em, rouge1, rouge2, rouge_l and semantic: AnswerMetrics' and Evaluation's order
         self.metrics = np.zeros(shape + (5,))
         rewards = np.empty(shape)
         scorer = Scorer()
@@ -220,10 +218,7 @@ class RewardTable:
                 if not item.gold.is_no_answer:
                     self.metrics[r, a] = scorer.metrics(parsed.answer, item.gold)
         self.rewards = rewards if reward_fn is not None else self._rule(variant, self.formatted)
-        # the rule's answer reward (no format reward) at the oracle's action
-        oracle = np.array([oracle_action(item).index for item in rows])
-        answer = self._rule(DEFAULT_VARIANT, False)[np.arange(len(rows)), oracle]
-        self.expert = np.where(answer >= 1.0, oracle, -1)
+        self._row_heads = [ItemHead.of(item) for item in rows]
 
     def _rule(self, variant: RewardVariant, formatted: ArrayLike) -> np.ndarray:
         """``rule_rewards`` of every cell, with ``formatted`` as the format flags."""
@@ -245,8 +240,14 @@ class RewardTable:
 
     def expert_cells(self) -> np.ndarray:
         """``feature * 6 + action`` of every item whose content row has an
-        expert action, in item order: the traces SFT fits."""
-        expert = self.expert[self.row]
+        expert action, in item order: the traces SFT fits.  A row's expert
+        action is the oracle's (``policy.oracle_action``) where the rule's
+        answer reward (no format reward) there under the default variant is
+        at least 1.  Only SFT reads it, so it is decided here, not when the
+        table is built."""
+        oracle = np.array([oracle_action(item).index for item in self._row_heads])
+        answer = self._rule(DEFAULT_VARIANT, False)[np.arange(len(oracle)), oracle]
+        expert = np.where(answer >= 1.0, oracle, -1)[self.row]
         return (self.features * N_ACTIONS + expert)[expert >= 0]
 
     def lookup(self, items: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -446,27 +447,26 @@ def train_rl(
     return params, log
 
 
-@dataclass(frozen=True)
-class ItemEval:
-    """Greedy-decoding metrics for one item.
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """Greedy-decoding metrics of a reward table's items, one array entry
+    per item.  Every field is gathered at ``cell``, the flat index ``row * 6
+    + greedy action`` into the table's per-row arrays.  Lexical/semantic
+    scores are zero for unanswerable items, where only the abstention
+    buckets (``tp``, ``fp``, ``fn``: 0 or 1) are meaningful; ``em`` treats
+    a correct abstention as a match."""
 
-    Lexical/semantic scores are against the gold aliases and are zero for
-    unanswerable items, where only the abstention buckets are meaningful;
-    ``em`` treats a correct abstention as a match.  The values depend only
-    on the item's content row and greedy action, so items that share both
-    share one object, which therefore names no item.
-    """
-
-    reward: float
-    abstained: bool
-    em: float
-    rouge1: float
-    rouge2: float
-    rouge_l: float
-    semantic: float
-    tp: int
-    fp: int
-    fn: int
+    cell: np.ndarray
+    reward: np.ndarray
+    abstained: np.ndarray
+    em: np.ndarray
+    rouge1: np.ndarray
+    rouge2: np.ndarray
+    rouge_l: np.ndarray
+    semantic: np.ndarray
+    tp: np.ndarray
+    fp: np.ndarray
+    fn: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -482,53 +482,38 @@ class EvalReport:
     semantic: float
 
 
-def evaluate_items(params: PolicyParams, table: RewardTable) -> list[ItemEval]:
-    """Greedy (argmax) evaluation of every item of the table, in item
-    order, gathered from the table's rewards, abstention flags and metrics.
-    Items with the same content row and greedy action get the same
-    ``ItemEval`` object."""
-    actions = np.argmax(params.logits, axis=1)[table.features]
-    # items of one content row with the same greedy action share every value
-    _, first, cell = np.unique(
-        table.row * N_ACTIONS + actions, return_index=True, return_inverse=True
-    )
-    rows, actions = table.row[first], actions[first]
-    abstained, unanswerable = table.abstained[rows, actions], table.unanswerable[first]
-    metrics = table.metrics[rows, actions]
+def evaluate_items(params: PolicyParams, table: RewardTable) -> Evaluation:
+    """Greedy (argmax) evaluation of every item of the table, gathered from
+    the table's rewards, abstention flags and metrics at each item's cell."""
+    cell = table.row * N_ACTIONS + np.argmax(params.logits, axis=1)[table.features]
+    abstained, unanswerable = table.abstained.take(cell), table.unanswerable
+    em, *scores = (table.metrics[..., k].take(cell) for k in range(5))
     # on an unanswerable item a correct abstention is the exact match
-    metrics[:, 0] = np.where(unanswerable, abstained, metrics[:, 0])
+    em = np.where(unanswerable, abstained, em)
     tp, fp, fn = abstained & unanswerable, abstained & ~unanswerable, ~abstained & unanswerable
-    evals = [
-        ItemEval(*values)
-        for values in zip(
-            table.rewards[rows, actions].tolist(), abstained.tolist(), *metrics.T.tolist(),
-            *np.array([tp, fp, fn], dtype=int).tolist(),
-        )
-    ]
-    return [evals[c] for c in cell.tolist()]
-
-
-def summarize_items(evals: Sequence[ItemEval]) -> EvalReport:
-    """Aggregate per-item evaluations; ROUGE/semantic means cover the
-    answerable subset."""
-    answerable = [e for e in evals if e.tp == 0 and e.fn == 0]
-    confusion = ConfusionCounts(
-        tp=sum(e.tp for e in evals), fp=sum(e.fp for e in evals), fn=sum(e.fn for e in evals)
+    return Evaluation(
+        cell, table.rewards.take(cell), abstained, em, *scores, *np.array([tp, fp, fn], dtype=int)
     )
 
-    def _mean(values: list[float]) -> float:
-        return sum(values) / len(values) if values else 0.0
+
+def summarize_items(ev: Evaluation) -> EvalReport:
+    """Aggregate per-item evaluations; ROUGE/semantic means cover the answerable subset."""
+    answerable = (ev.tp == 0) & (ev.fn == 0)
+
+    def _mean(values: np.ndarray) -> float:
+        # Python's sum in item order: NumPy's pairwise sum rounds otherwise
+        return sum(values.tolist()) / len(values) if len(values) else 0.0
 
     return EvalReport(
-        n_items=len(evals),
-        mean_reward=_mean([e.reward for e in evals]),
-        em_rate=_mean([e.em for e in evals]),
-        abstain_rate=_mean([1.0 if e.abstained else 0.0 for e in evals]),
-        confusion=confusion,
-        rouge1=_mean([e.rouge1 for e in answerable]),
-        rouge2=_mean([e.rouge2 for e in answerable]),
-        rouge_l=_mean([e.rouge_l for e in answerable]),
-        semantic=_mean([e.semantic for e in answerable]),
+        n_items=len(ev.cell),
+        mean_reward=_mean(ev.reward),
+        em_rate=_mean(ev.em),
+        abstain_rate=_mean(ev.abstained),
+        confusion=ConfusionCounts(*(int(np.count_nonzero(c)) for c in (ev.tp, ev.fp, ev.fn))),
+        rouge1=_mean(ev.rouge1[answerable]),
+        rouge2=_mean(ev.rouge2[answerable]),
+        rouge_l=_mean(ev.rouge_l[answerable]),
+        semantic=_mean(ev.semantic[answerable]),
     )
 
 

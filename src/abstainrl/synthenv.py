@@ -268,7 +268,7 @@ class ItemHead(NamedTuple):
     candidate_b: str
 
     @classmethod
-    def of(cls, item: SynthQAItem) -> "ItemHead":
+    def of(cls, item: "SynthQAItem | ItemHead") -> "ItemHead":
         return cls(item.id, item.feature, item.gold, item.candidate_a, item.candidate_b)
 
 
@@ -539,16 +539,20 @@ def _generate_item(
     )
 
 
-def generate_dataset(cfg: GenConfig) -> list[SynthQAItem]:
-    """Deterministic dataset with exactly round(n_items * p_unans) unanswerable items."""
+def iter_generated(cfg: GenConfig) -> Iterator[SynthQAItem]:
+    """The items of ``generate_dataset(cfg)``, each drawn when it is asked for."""
     rng = np.random.default_rng(cfg.seed)
     n_unans = int(round(cfg.n_items * cfg.p_unans))
     flags = [True] * n_unans + [False] * (cfg.n_items - n_unans)
     rng.shuffle(flags)
     draws = _Draws(rng)
-    return [
-        _generate_item(draws, f"q{i:05d}", flag, cfg) for i, flag in enumerate(flags)
-    ]
+    for i, flag in enumerate(flags):
+        yield _generate_item(draws, f"q{i:05d}", flag, cfg)
+
+
+def generate_dataset(cfg: GenConfig) -> list[SynthQAItem]:
+    """Deterministic dataset with exactly round(n_items * p_unans) unanswerable items."""
+    return list(iter_generated(cfg))
 
 
 # --- JSON-Lines serialization -------------------------------------------------

@@ -14,6 +14,11 @@ builds every part of a dataset record afresh, is the oracle for
 already padded string, is the oracle for ``textmetrics.trigram_embedding``.
 ``make_expert_traces``, which renders and scores the oracle's completion of
 every item, is the oracle for ``grpo.RewardTable.expert_cells``.
+``evaluate_items``, which renders and scores each item's greedy completion
+into an ``ItemEval`` record, and ``summarize_items``, which sums those
+records one at a time, are the oracles for ``grpo.evaluate_items`` and
+``grpo.summarize_items``; ``item_evals`` reads the per-item arrays of a
+``grpo.Evaluation`` back as records.
 ``item_to_dict``, a dataset record as a dict, is the oracle for the lines
 ``synthenv.write_dataset`` writes: each is ``json.dumps(item_to_dict(item),
 sort_keys=True)``.
@@ -23,12 +28,20 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from abstainrl import policy
-from abstainrl.grpo import GrpoConfig, ItemEval, RewardFn, RolloutBatch, TrainLog, TrainRecord
+from abstainrl.grpo import (
+    EvalReport,
+    Evaluation,
+    GrpoConfig,
+    RewardFn,
+    RolloutBatch,
+    TrainLog,
+    TrainRecord,
+)
 from abstainrl.policy import (
     ALL_ACTIONS,
     N_ACTIONS,
@@ -354,6 +367,33 @@ def sft_train(
     return PolicyParams(logits)
 
 
+@dataclass(frozen=True)
+class ItemEval:
+    """Greedy-decoding metrics for one item.
+
+    Lexical/semantic scores are against the gold aliases and are zero for
+    unanswerable items, where only the abstention buckets are meaningful;
+    ``em`` treats a correct abstention as a match.
+    """
+
+    reward: float
+    abstained: bool
+    em: float
+    rouge1: float
+    rouge2: float
+    rouge_l: float
+    semantic: float
+    tp: int
+    fp: int
+    fn: int
+
+
+def item_evals(evaluation: Evaluation) -> list[ItemEval]:
+    """The per-item arrays of ``evaluation`` as one record per item."""
+    columns = (getattr(evaluation, f.name).tolist() for f in fields(ItemEval))
+    return [ItemEval(*values) for values in zip(*columns)]
+
+
 def evaluate_items(
     params: PolicyParams,
     items: Sequence[SynthQAItem],
@@ -386,6 +426,30 @@ def evaluate_items(
             )
         )
     return out
+
+
+def summarize_items(evals: Sequence[ItemEval]) -> EvalReport:
+    """Aggregate per-item evaluations, one record at a time; ROUGE/semantic
+    means cover the answerable subset."""
+    answerable = [e for e in evals if e.tp == 0 and e.fn == 0]
+    confusion = ConfusionCounts(
+        tp=sum(e.tp for e in evals), fp=sum(e.fp for e in evals), fn=sum(e.fn for e in evals)
+    )
+
+    def _mean(values: list[float]) -> float:
+        return sum(values) / len(values) if values else 0.0
+
+    return EvalReport(
+        n_items=len(evals),
+        mean_reward=_mean([e.reward for e in evals]),
+        em_rate=_mean([e.em for e in evals]),
+        abstain_rate=_mean([1.0 if e.abstained else 0.0 for e in evals]),
+        confusion=confusion,
+        rouge1=_mean([e.rouge1 for e in answerable]),
+        rouge2=_mean([e.rouge2 for e in answerable]),
+        rouge_l=_mean([e.rouge_l for e in answerable]),
+        semantic=_mean([e.semantic for e in answerable]),
+    )
 
 
 def item_to_dict(item: SynthQAItem) -> dict:

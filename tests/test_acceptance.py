@@ -265,13 +265,13 @@ def test_a7_data_ratio_collapse():
 
     items_hi, table_hi, params_hi = run(0.5)
     report_hi = evaluate_policy(params_hi, table_hi)
-    evals = evaluate_items(params_hi, table_hi)
+    abstained = evaluate_items(params_hi, table_hi).abstained.tolist()
     ambiguous = [
-        e for e, item in zip(evals, items_hi)
+        a for a, item in zip(abstained, items_hi)
         if item.feature.evidence is Evidence.NO_EVIDENCE
     ]
     assert ambiguous
-    abstain_on_ambiguous = sum(1 for e in ambiguous if e.abstained) / len(ambiguous)
+    abstain_on_ambiguous = sum(ambiguous) / len(ambiguous)
     assert abstain_on_ambiguous > 0.90
     assert report_hi.confusion.fn == 0
     assert report_hi.confusion.fp > 0  # collapse signature: over-abstention

@@ -131,7 +131,7 @@ class TestRewardTable:
         built = rule.calls
         cfg = GrpoConfig(outer_iters=5, batch_size=8, seed=1)
         params, _ = train_rl(PolicyParams.zeros(), table, cfg)
-        evals = evaluate_items(params, table)
+        evals = ref.item_evals(evaluate_items(params, table))
         # the table scored every pair once; training and evaluation only gather
         assert rule.calls == built == len(set(rule.scored)) == len(ITEMS) * len(ALL_ACTIONS)
         for item, e in zip(ITEMS, evals):
@@ -287,6 +287,18 @@ class TestRewardTable:
                 assert got.rewards is not base.rewards
             assert base.rewards.tobytes() == before.tobytes()
 
+    def test_only_expert_cells_runs_the_oracle(self, monkeypatch):
+        """Building and rescoring a table ask the oracle nothing: only SFT's
+        ``expert_cells`` does, once per content row."""
+        asked = []
+        monkeypatch.setattr(
+            grpo, "oracle_action", lambda item: asked.append(item) or policy.oracle_action(item)
+        )
+        table = RewardTable(ITEMS).with_variant(RewardVariant.ROUGE_ONLY)
+        assert asked == []
+        table.expert_cells()
+        assert len(asked) == len(table.rewards)
+
     def test_with_variant_replaces_a_reward_fn(self):
         """Rescoring a table a ``reward_fn`` scored gives the rule's
         rewards, one row per item."""
@@ -303,22 +315,27 @@ class TestRewardTable:
         each item's completion."""
         reward_fn = _payout if bandit else None
         params = PolicyParams(np.random.default_rng(seed).normal(size=(6, 6)))
-        got = evaluate_items(params, RewardTable(ITEMS, variant, reward_fn))
+        got = ref.item_evals(evaluate_items(params, RewardTable(ITEMS, variant, reward_fn)))
         assert got == ref.evaluate_items(params, ITEMS, variant, reward_fn)
 
-    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @given(
+        st.integers(0, 2**32 - 1), st.sampled_from(list(RewardVariant)), st.booleans()
+    )
     @settings(max_examples=30)
-    def test_evaluation_shares_one_object_per_cell(self, seed, bandit):
-        """Items with the same content row and greedy action get one shared
-        ``ItemEval``, and items in different cells never share one."""
-        table = RewardTable(ITEMS, reward_fn=_payout if bandit else None)
+    def test_summary_equals_the_scalar_summary(self, seed, variant, bandit):
+        """The report of the per-item arrays equals, float for float, the
+        scalar oracle's, which sums its records one at a time in item order;
+        so does every field of every item, and each item's cell is its
+        content row and greedy action."""
+        reward_fn = _payout if bandit else None
+        table = RewardTable(ITEMS, variant, reward_fn)
         params = PolicyParams(np.random.default_rng(seed).normal(size=(6, 6)))
-        evals = evaluate_items(params, table)
+        got = evaluate_items(params, table)
+        want = ref.evaluate_items(params, ITEMS, variant, reward_fn)
+        assert grpo.summarize_items(got) == ref.summarize_items(want)
+        assert ref.item_evals(got) == want
         greedy = np.argmax(params.logits, axis=1)[table.features]
-        by_cell: dict = {}
-        for cell, e in zip(zip(table.row.tolist(), greedy.tolist()), evals):
-            assert by_cell.setdefault(cell, e) is e
-        assert len({id(e) for e in evals}) == len(by_cell)
+        assert got.cell.tolist() == (table.row * len(ALL_ACTIONS) + greedy).tolist()
 
 
 probs_rows = st.lists(

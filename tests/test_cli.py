@@ -22,7 +22,7 @@ from abstainrl.grpo import RewardTable, evaluate_items
 from abstainrl.policy import ALL_ACTIONS, ALL_FEATURES, ActionId, Choice, Evidence, PolicyParams
 from abstainrl.retrieval import Quadruple
 from abstainrl.synthenv import GenConfig, generate_dataset, read_dataset
-from scalar_reference import item_to_dict
+from scalar_reference import item_evals, item_to_dict
 
 import numpy as np
 import pytest
@@ -81,6 +81,27 @@ class TestGen:
         lines = out.read_text().splitlines()
         assert len(lines) == 20  # flag wins
         assert sum(1 for ln in lines if json.loads(ln)["gold"] is None) == 10
+
+    def test_streamed_gen_holds_less_than_the_generated_list(self, tmp_path):
+        """gen writes each item as it is drawn: the traced peak of a whole
+        gen command stays below what the list ``generate_dataset`` returns
+        for the same config holds."""
+        cfg = GenConfig(n_items=3000, p_unans=0.3, ambiguity=0.25, seed=4)
+        generate_dataset(cfg)  # first-use costs, which the list would otherwise count
+        gc.collect()  # resets the collector's counts: collections fall alike in every run
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            items = generate_dataset(cfg)
+            held = tracemalloc.get_traced_memory()[0] - base
+            del items
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _gen(tmp_path, n=3000, seed=4)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < held
 
 
 class TestBuildMc:
@@ -717,7 +738,7 @@ class TestEval:
         rows = [["id", "r1", "r2", "rl", "sem", "em", "tp", "fp", "fn"]] + [
             [item.id, f"{e.rouge1:.6f}", f"{e.rouge2:.6f}", f"{e.rouge_l:.6f}",
              f"{e.semantic:.6f}", str(int(e.em)), str(e.tp), str(e.fp), str(e.fn)]
-            for item, e in zip(items, evals)
+            for item, e in zip(items, item_evals(evals))
         ]
         text = path.read_bytes().decode("utf-8")
         assert list(csv.reader(io.StringIO(text, newline=""))) == rows
