@@ -50,7 +50,6 @@ from abstainrl.synthenv import (
     GenConfig,
     TimeInterval,
     build_abstained_mc,
-    generate_dataset,
     iter_dataset,
     iter_generated,
     iter_heads,
@@ -629,9 +628,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     summary_rows = []
     for value, run_name, run, gen_cfg in runs:
         if gen_cfg is not None:
-            items = generate_dataset(gen_cfg)
-            write_dataset(items, run["dataset"])
-            table = RewardTable(items, _variant(run))
+            # as gen then train: the items stream into the run's file, and
+            # their heads stream back out of it into the table
+            write_dataset(iter_generated(gen_cfg), run["dataset"])
+            table = RewardTable(_stream_heads(run["dataset"]), _variant(run))
         else:
             table = shared.with_variant(_variant(run))
         report = _train_once(table, run, run_name, params0)

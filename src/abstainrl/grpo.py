@@ -21,6 +21,7 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -155,7 +156,8 @@ class RewardTable:
     them once, in order, so they may stream from a file
     (``synthenv.iter_heads``, which builds no facts or questions).  Of each
     item it keeps only columns: ``ids``, ``features`` (the feature row
-    index), ``unanswerable`` and ``row``, its content row.  An item's six
+    index), ``unanswerable``, ``row``, its content row, and ``first_cell``,
+    ``row * 6``, the flat index of the row's first cell.  An item's six
     completions depend only on its two candidates, and the rule-based QA
     reward only on the completion and the gold, so items with the same
     (candidate_a, candidate_b, gold) share a content row, numbered in
@@ -200,6 +202,7 @@ class RewardTable:
         self.features = np.array(features)
         self.unanswerable = np.array(unanswerable)
         self.row = np.array(row)
+        self.first_cell = self.row * N_ACTIONS
         shape = (len(rows), N_ACTIONS)
         self.formatted = np.empty(shape, dtype=bool)
         self.abstained = np.empty(shape, dtype=bool)
@@ -252,18 +255,19 @@ class RewardTable:
 
     def lookup(self, items: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rewards and abstention flags at the (broadcast) index arrays."""
-        cells = self.row[items] * N_ACTIONS + actions
+        cells = self.first_cell.take(items) + actions
         return self.rewards.take(cells), self.abstained.take(cells)
 
 
-@dataclass(frozen=True)
-class RolloutBatch:
+class RolloutBatch(NamedTuple):
     """B groups of G completions drawn under one old-policy snapshot.
 
     Group b answers item ``item_idx[b]`` of the reward table, whose feature
     row is ``rows[b]``; the per-completion arrays are B x G.  ``cells`` is
     each completion's flat index ``row * 6 + action`` into a 6 x 6 table,
-    so a per-completion log-probability is one ``take``.
+    so a per-completion log-probability is one ``take``.  ``scatter`` is
+    every cell the gradient adds to, in the order it adds: ``cells`` in
+    batch order, then the six cells of each group's row.
     """
 
     item_idx: np.ndarray
@@ -271,6 +275,7 @@ class RolloutBatch:
     unanswerable: np.ndarray
     actions: np.ndarray
     cells: np.ndarray
+    scatter: np.ndarray
     logp_old: np.ndarray
     logp_ref: np.ndarray
     rewards: np.ndarray
@@ -286,21 +291,28 @@ def compute_advantages(
 
     A zero-variance group maps to all-zero advantages.  A group whose std
     underflows to 0 while its rewards differ (a subnormal spread) divides by
-    a zero ``scale`` into +-inf or NaN, as the formula does; ``train_rl``'s
-    finiteness check rejects that.
+    a zero ``scale`` into +-inf or NaN, as the formula does, without a
+    warning; ``train_rl``'s finiteness check rejects that.
     """
     r = np.asarray(rewards, dtype=np.float64)
     if r.ndim == 0 or r.shape[-1] < 2:
         raise ValueError("advantage normalization needs groups of >= 2 rewards")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _advantages(r, std_eps)
+
+
+def _advantages(r: np.ndarray, std_eps: float) -> np.ndarray:
+    """``compute_advantages`` of a float64 array, under the caller's
+    ``errstate``."""
     # exactly zero variance (np.std of identical values can round to a
-    # nonzero dust value, so compare the extremes instead)
-    flat = r.max(axis=-1, keepdims=True) == r.min(axis=-1, keepdims=True)
+    # nonzero dust value, so compare the rewards instead): a group varies
+    # where a reward differs from its first, as where its max and min differ
+    varied = np.logical_or.reduce(r != r[..., :1], axis=-1, keepdims=True)
     # np.mean and np.std's own operations, with the centered values shared
     n = r.shape[-1]
     centered = r - np.add.reduce(r, axis=-1, keepdims=True) / n
-    scale = np.sqrt(np.add.reduce(np.square(centered), axis=-1, keepdims=True) / n) + std_eps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(centered, scale, out=np.zeros(r.shape), where=~flat)
+    scale = np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / n) + std_eps
+    return np.divide(centered, scale, out=np.zeros(r.shape), where=varied)
 
 
 def importance_ratio(logp_new: ArrayLike, logp_old: ArrayLike) -> np.ndarray | float:
@@ -312,7 +324,7 @@ def clipped_term(
 ) -> np.ndarray | float:
     if not 0.0 < clip_eps < 1.0:
         raise ValueError("clip_eps must lie in (0, 1)")
-    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)
+    clipped = np.minimum(np.maximum(ratio, 1.0 - clip_eps), 1.0 + clip_eps)
     return np.minimum(np.multiply(ratio, advantage), clipped * advantage)
 
 
@@ -327,6 +339,10 @@ def kl_k3(logp_theta: ArrayLike, logp_ref: ArrayLike) -> np.ndarray | float:
     return np.maximum(0.0, np.expm1(d) - d)
 
 
+# row f holds the flat indices f * 6 + a of feature row f's six cells
+_ROW_CELLS = np.arange(N_FEATURES * N_ACTIONS).reshape(N_FEATURES, N_ACTIONS)
+
+
 def rollout_batch(
     params_old: PolicyParams,
     params_ref: PolicyParams,
@@ -337,38 +353,52 @@ def rollout_batch(
     """Draw B items, then G completions of each under the old-policy snapshot.
 
     The generator is consumed as B one-group rollouts would consume it: the
-    B item indices first, then the B * G uniforms in group order.
+    B item indices first, then the B * G uniforms in group order.  The
+    advantages are computed under the caller's ``errstate`` (``train_rl``
+    runs the loop under one): a subnormal reward spread at ``std_eps = 0``
+    warns of its division by zero otherwise.
     """
     item_idx = rng.integers(0, len(table), size=cfg.batch_size)
     u = rng.random((cfg.batch_size, cfg.group_size))
-    rows = table.features[item_idx]
-    actions = inverse_cdf(np.exp(params_old.log_probs)[rows], u)
-    cells = rows[:, None] * N_ACTIONS + actions
+    rows = table.features.take(item_idx)
+    row_cells = _ROW_CELLS.take(rows, axis=0)
+    actions = inverse_cdf(params_old.probs.take(row_cells), u)
+    cells = row_cells[:, :1] + actions
     rewards, abstained = table.lookup(item_idx[:, None], actions)
     return RolloutBatch(
         item_idx=item_idx,
         rows=rows,
-        unanswerable=table.unanswerable[item_idx],
+        unanswerable=table.unanswerable.take(item_idx),
         actions=actions,
         cells=cells,
+        scatter=np.concatenate((cells, row_cells), axis=None),
         logp_old=params_old.log_probs.take(cells),
         logp_ref=params_ref.log_probs.take(cells),
         rewards=rewards,
         abstained=abstained,
-        advantages=compute_advantages(rewards, cfg.std_eps),
+        advantages=_advantages(rewards, cfg.std_eps),
     )
+
+
+def _objective_and_kl(
+    params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig
+) -> tuple[float, float]:
+    """``grpo_objective`` and the mean k3 KL of ``params`` on ``batch``,
+    both from one KL array."""
+    logp_new = params.log_probs.take(batch.cells)
+    ratio = importance_ratio(logp_new, batch.logp_old)
+    kl = kl_k3(logp_new, batch.logp_ref)
+    terms = clipped_term(ratio, batch.advantages, cfg.clip_eps) - cfg.kl_beta * kl
+    # np.add.reduce over every cell is what ndarray.sum runs, without its wrapper
+    objective = float(np.add.reduce(terms, axis=None)) / terms.size
+    return objective, float(np.add.reduce(kl, axis=None)) / kl.size
 
 
 def grpo_objective(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) -> float:
     """Mean over groups of the per-group mean clipped surrogate minus beta * KL."""
     if batch.actions.shape[1] != cfg.group_size:
         raise ValueError("rollout group size does not match the configuration")
-    logp_new = params.log_probs.take(batch.cells)
-    surrogate = clipped_term(
-        importance_ratio(logp_new, batch.logp_old), batch.advantages, cfg.clip_eps
-    )
-    terms = surrogate - cfg.kl_beta * kl_k3(logp_new, batch.logp_ref)
-    return float(terms.sum()) / terms.size
+    return _objective_and_kl(params, batch, cfg)[0]
 
 
 def grpo_gradient(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) -> np.ndarray:
@@ -380,18 +410,19 @@ def grpo_gradient(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) ->
     """
     logp_new = params.log_probs.take(batch.cells)
     ratio = importance_ratio(logp_new, batch.logp_old)
-    unclipped = ratio * batch.advantages
-    clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * batch.advantages
+    advantages = batch.advantages
+    unclipped = ratio * advantages
+    clipped = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_eps), 1.0 + cfg.clip_eps) * advantages
     coeff = np.where(unclipped <= clipped, unclipped, 0.0)
     coeff += cfg.kl_beta * (np.exp(batch.logp_ref - logp_new) - 1.0)
     weight = (1.0 / coeff.size) * coeff
     # d logpi / d logits on a row is onehot(action) - softmax(row); each cell
     # sums its one-hot terms in batch order, then its softmax terms
-    softmax_cells = batch.rows[:, None] * N_ACTIONS + np.arange(N_ACTIONS)
-    softmax_terms = -weight.sum(axis=1)[:, None] * np.exp(params.log_probs)[batch.rows]
+    probs = params.probs.take(batch.rows, axis=0)
+    softmax_terms = -np.add.reduce(weight, axis=1)[:, None] * probs
     grad = np.bincount(
-        np.concatenate((batch.cells.ravel(), softmax_cells.ravel())),
-        np.concatenate((weight.ravel(), softmax_terms.ravel())),
+        batch.scatter,
+        np.concatenate((weight, softmax_terms), axis=None),
         minlength=N_FEATURES * N_ACTIONS,
     )
     return grad.reshape(N_FEATURES, N_ACTIONS)
@@ -410,34 +441,35 @@ def train_rl(
     params = params0
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
-    # overflow and inf - inf arise only once a run diverges; the finiteness
-    # checks turn that into GrpoDivergenceError instead of warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow, inf - inf and a group std that underflows to 0 arise only
+    # once a run diverges; the finiteness checks turn that into
+    # GrpoDivergenceError instead of warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for iteration in range(cfg.outer_iters):
             batch = rollout_batch(params, ref, table, cfg, rng)
             for _ in range(cfg.inner_steps):
                 logits = params.logits + cfg.lr * grpo_gradient(params, batch, cfg)
-                if not np.isfinite(logits).all():
+                try:
+                    params = PolicyParams(logits)
+                except ValueError:  # PolicyParams holds only finite logits
                     raise GrpoDivergenceError(
                         f"logits became non-finite at iteration {iteration}"
-                    )
-                params = PolicyParams(logits)
-            objective = grpo_objective(params, batch, cfg)
+                    ) from None
+            objective, kl = _objective_and_kl(params, batch, cfg)
             if not math.isfinite(objective):
                 raise GrpoDivergenceError(
                     f"objective became non-finite at iteration {iteration}"
                 )
-            kl = kl_k3(params.log_probs.take(batch.cells), batch.logp_ref)
-            abstained = batch.abstained
+            rewards, abstained = batch.rewards, batch.abstained
             n_abstained = int(np.count_nonzero(abstained))
             tp = int(np.count_nonzero(abstained & batch.unanswerable[:, None]))
             n_unanswerable = int(np.count_nonzero(batch.unanswerable)) * abstained.shape[1]
             log.records.append(
                 TrainRecord(
                     iteration=iteration,
-                    mean_reward=float(batch.rewards.sum()) / batch.rewards.size,
+                    mean_reward=float(np.add.reduce(rewards, axis=None)) / rewards.size,
                     abstain_rate=n_abstained / abstained.size,
-                    kl=float(kl.sum()) / kl.size,
+                    kl=kl,
                     objective=objective,
                     tp=tp,
                     fp=n_abstained - tp,
@@ -485,7 +517,7 @@ class EvalReport:
 def evaluate_items(params: PolicyParams, table: RewardTable) -> Evaluation:
     """Greedy (argmax) evaluation of every item of the table, gathered from
     the table's rewards, abstention flags and metrics at each item's cell."""
-    cell = table.row * N_ACTIONS + np.argmax(params.logits, axis=1)[table.features]
+    cell = table.first_cell + np.argmax(params.logits, axis=1)[table.features]
     abstained, unanswerable = table.abstained.take(cell), table.unanswerable
     em, *scores = (table.metrics[..., k].take(cell) for k in range(5))
     # on an unanswerable item a correct abstention is the exact match

@@ -151,6 +151,14 @@ class PolicyParams:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """``exp(log_probs)``, computed once per snapshot and shared by
+        sampling and the gradient's softmax terms; read-only."""
+        out = np.exp(self.log_probs)
+        out.flags.writeable = False
+        return out
+
     def to_json_dict(self) -> dict:
         table = {
             f.name: {a.name: float(self.logits[f.index, a.index]) for a in ALL_ACTIONS}

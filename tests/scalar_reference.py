@@ -19,6 +19,10 @@ into an ``ItemEval`` record, and ``summarize_items``, which sums those
 records one at a time, are the oracles for ``grpo.evaluate_items`` and
 ``grpo.summarize_items``; ``item_evals`` reads the per-item arrays of a
 ``grpo.Evaluation`` back as records.
+``frozen_train_rl``, with ``frozen_rollout``, ``frozen_advantages``,
+``frozen_gradient`` and ``frozen_objective``, is the batched training loop
+as it stood before its step layer was reworked: the bit-for-bit oracle for
+``grpo.train_rl``.
 ``item_to_dict``, a dataset record as a dict, is the oracle for the lines
 ``synthenv.write_dataset`` writes: each is ``json.dumps(item_to_dict(item),
 sort_keys=True)``.
@@ -37,7 +41,9 @@ from abstainrl.grpo import (
     EvalReport,
     Evaluation,
     GrpoConfig,
+    GrpoDivergenceError,
     RewardFn,
+    RewardTable,
     RolloutBatch,
     TrainLog,
     TrainRecord,
@@ -324,6 +330,150 @@ def train_rl(
             )
         )
     return params, log
+
+
+# --- the batched training loop, frozen --------------------------------------
+#
+# ``grpo.train_rl`` and its step functions as they stood when the step layer
+# still built a frozen ``RolloutBatch`` dataclass, checked each update's
+# logits before its ``PolicyParams`` checked them again, and computed a second
+# KL for the log.  Every
+# expression is copied here, with the numpy helpers it called inlined, so that
+# the oracle does not move when ``grpo`` or ``policy`` change: ``train_rl``
+# must give the same log lines, the same logits and the same generator state,
+# bit for bit, and raise the same ``GrpoDivergenceError`` at the same
+# iteration.
+
+
+def frozen_log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+
+
+@dataclass(frozen=True)
+class FrozenBatch:
+    item_idx: np.ndarray
+    rows: np.ndarray
+    unanswerable: np.ndarray
+    actions: np.ndarray
+    cells: np.ndarray
+    logp_old: np.ndarray
+    logp_ref: np.ndarray
+    rewards: np.ndarray
+    abstained: np.ndarray
+    advantages: np.ndarray
+
+
+def frozen_advantages(rewards: np.ndarray, std_eps: float) -> np.ndarray:
+    r = np.asarray(rewards, dtype=np.float64)
+    flat = r.max(axis=-1, keepdims=True) == r.min(axis=-1, keepdims=True)
+    n = r.shape[-1]
+    centered = r - np.add.reduce(r, axis=-1, keepdims=True) / n
+    scale = np.sqrt(np.add.reduce(np.square(centered), axis=-1, keepdims=True) / n) + std_eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(centered, scale, out=np.zeros(r.shape), where=~flat)
+
+
+def frozen_rollout(
+    logp_old_table: np.ndarray,
+    logp_ref_table: np.ndarray,
+    table: RewardTable,
+    cfg: GrpoConfig,
+    rng: np.random.Generator,
+) -> FrozenBatch:
+    item_idx = rng.integers(0, len(table), size=cfg.batch_size)
+    u = rng.random((cfg.batch_size, cfg.group_size))
+    rows = table.features[item_idx]
+    probs = np.exp(logp_old_table)[rows]
+    cum = np.add.accumulate(probs[..., :-1], axis=-1)
+    actions = np.add.reduce(u[..., :, None] >= cum[..., None, :], axis=-1)
+    cells = rows[:, None] * N_ACTIONS + actions
+    table_cells = table.row[item_idx[:, None]] * N_ACTIONS + actions
+    rewards, abstained = table.rewards.take(table_cells), table.abstained.take(table_cells)
+    return FrozenBatch(
+        item_idx=item_idx,
+        rows=rows,
+        unanswerable=table.unanswerable[item_idx],
+        actions=actions,
+        cells=cells,
+        logp_old=logp_old_table.take(cells),
+        logp_ref=logp_ref_table.take(cells),
+        rewards=rewards,
+        abstained=abstained,
+        advantages=frozen_advantages(rewards, cfg.std_eps),
+    )
+
+
+def frozen_objective(log_probs: np.ndarray, batch: FrozenBatch, cfg: GrpoConfig) -> float:
+    logp_new = log_probs.take(batch.cells)
+    ratio = np.exp(np.subtract(logp_new, batch.logp_old))
+    clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
+    surrogate = np.minimum(np.multiply(ratio, batch.advantages), clipped * batch.advantages)
+    d = np.subtract(batch.logp_ref, logp_new)
+    terms = surrogate - cfg.kl_beta * np.maximum(0.0, np.expm1(d) - d)
+    return float(terms.sum()) / terms.size
+
+
+def frozen_gradient(log_probs: np.ndarray, batch: FrozenBatch, cfg: GrpoConfig) -> np.ndarray:
+    logp_new = log_probs.take(batch.cells)
+    ratio = np.exp(np.subtract(logp_new, batch.logp_old))
+    unclipped = ratio * batch.advantages
+    clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * batch.advantages
+    coeff = np.where(unclipped <= clipped, unclipped, 0.0)
+    coeff += cfg.kl_beta * (np.exp(batch.logp_ref - logp_new) - 1.0)
+    weight = (1.0 / coeff.size) * coeff
+    softmax_cells = batch.rows[:, None] * N_ACTIONS + np.arange(N_ACTIONS)
+    softmax_terms = -weight.sum(axis=1)[:, None] * np.exp(log_probs)[batch.rows]
+    grad = np.bincount(
+        np.concatenate((batch.cells.ravel(), softmax_cells.ravel())),
+        np.concatenate((weight.ravel(), softmax_terms.ravel())),
+        minlength=N_FEATURES * N_ACTIONS,
+    )
+    return grad.reshape(N_FEATURES, N_ACTIONS)
+
+
+def frozen_train_rl(
+    params0: PolicyParams, table: RewardTable, cfg: GrpoConfig
+) -> tuple[PolicyParams, TrainLog, np.random.Generator]:
+    """The frozen loop; also returns its generator, to compare its state."""
+    logits = np.array(params0.logits)
+    ref_log_probs = log_probs = frozen_log_softmax(logits)
+    rng = np.random.default_rng(cfg.seed)
+    log = TrainLog()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(cfg.outer_iters):
+            batch = frozen_rollout(log_probs, ref_log_probs, table, cfg, rng)
+            for _ in range(cfg.inner_steps):
+                logits = logits + cfg.lr * frozen_gradient(log_probs, batch, cfg)
+                if not np.isfinite(logits).all():
+                    raise GrpoDivergenceError(
+                        f"logits became non-finite at iteration {iteration}"
+                    )
+                log_probs = frozen_log_softmax(logits)
+            objective = frozen_objective(log_probs, batch, cfg)
+            if not math.isfinite(objective):
+                raise GrpoDivergenceError(
+                    f"objective became non-finite at iteration {iteration}"
+                )
+            d = np.subtract(batch.logp_ref, log_probs.take(batch.cells))
+            kl = np.maximum(0.0, np.expm1(d) - d)
+            abstained = batch.abstained
+            n_abstained = int(np.count_nonzero(abstained))
+            tp = int(np.count_nonzero(abstained & batch.unanswerable[:, None]))
+            n_unanswerable = int(np.count_nonzero(batch.unanswerable)) * abstained.shape[1]
+            log.records.append(
+                TrainRecord(
+                    iteration=iteration,
+                    mean_reward=float(batch.rewards.sum()) / batch.rewards.size,
+                    abstain_rate=n_abstained / abstained.size,
+                    kl=float(kl.sum()) / kl.size,
+                    objective=objective,
+                    tp=tp,
+                    fp=n_abstained - tp,
+                    fn=n_unanswerable - tp,
+                )
+            )
+    return PolicyParams(logits), log, rng
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ completion at a time, every draw re-rendered and re-scored from text.
 
 import dataclasses
 import gc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import scalar_reference as ref
 from abstainrl import grpo, policy
 from abstainrl.grpo import (
     GrpoConfig,
+    GrpoDivergenceError,
     RewardTable,
     compute_advantages,
     evaluate_items,
@@ -659,3 +661,143 @@ class TestTrainRl:
         assert len(parsed) == len(set(parsed)) and set(parsed) == texts
         assert len(measured) == len(set(measured)) and set(measured) == answers
         assert len(texts) < per_pair.calls  # items share completions
+
+
+RULE_TABLE = RewardTable(ITEMS)
+BANDIT_TABLE = RewardTable(ITEMS, reward_fn=_payout)
+
+
+def _outcome(run):
+    """What ``run()`` (one training run) gives: its log lines, the bytes of
+    its final logits and the final state of the generator it made, or the
+    message of the ``GrpoDivergenceError`` it raised."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", recording):
+        try:
+            params, log = run()[:2]
+        except GrpoDivergenceError as exc:
+            return str(exc)
+    [rng] = made
+    return log.jsonl_lines(), params.logits.tobytes(), rng.bit_generator.state
+
+
+def _assert_same_run(params0, table, cfg):
+    got = _outcome(lambda: train_rl(params0, table, cfg))
+    want = _outcome(lambda: ref.frozen_train_rl(params0, table, cfg))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got[0] == want[0]  # every log line
+        assert got[1] == want[1]  # the final logits, bit for bit
+        assert got[2] == want[2]  # the generator, drawn from in the same order
+    return want
+
+
+# a run whose ratios leave the clip range from the second inner step on
+CLIPPING = GrpoConfig(outer_iters=4, inner_steps=3, lr=1.0, clip_eps=0.05, batch_size=16, seed=3)
+
+
+class TestFrozenLoop:
+    """``train_rl`` against the batched loop it was reworked from
+    (``scalar_reference.frozen_train_rl``): the same float operations in
+    the same order, so every byte is equal."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.integers(1, 3),
+        st.integers(2, 9),
+        st.integers(1, 64),
+        st.sampled_from([0.0, 0.01, 1.0]),
+        st.sampled_from([0.0, 1e-8]),
+        st.sampled_from([0.05, 0.2, 0.5]),
+        st.sampled_from([0.0, 0.05, 0.3, 1.0, 30.0]),
+        st.booleans(),
+        st.sampled_from(["zeros", "random", "sft"]),
+    )
+    @settings(max_examples=80)
+    @example(0, CLIPPING.outer_iters, CLIPPING.inner_steps, CLIPPING.group_size,
+             CLIPPING.batch_size, CLIPPING.kl_beta, CLIPPING.std_eps, CLIPPING.clip_eps,
+             CLIPPING.lr, False, "sft")
+    def test_equals_the_frozen_loop(self, seed, outer_iters, inner_steps, group_size,
+                                    batch_size, kl_beta, std_eps, clip_eps, lr, bandit, start):
+        table = BANDIT_TABLE if bandit else RULE_TABLE
+        if start == "zeros":
+            params0 = PolicyParams.zeros()
+        elif start == "random":
+            params0 = PolicyParams(np.random.default_rng(seed).normal(0.0, 2.0, (6, 6)))
+        else:
+            params0 = sft_train(PolicyParams.zeros(), RULE_TABLE.expert_cells())
+        cfg = GrpoConfig(
+            group_size=group_size, clip_eps=clip_eps, kl_beta=kl_beta, lr=lr,
+            outer_iters=outer_iters, inner_steps=inner_steps, std_eps=std_eps,
+            batch_size=batch_size, seed=seed % 1000,
+        )
+        _assert_same_run(params0, table, cfg)
+
+    def test_clipping_example_clips(self):
+        """The example above reaches ratios outside [1 - eps, 1 + eps]."""
+        params0 = sft_train(PolicyParams.zeros(), RULE_TABLE.expert_cells())
+        log_probs = ref.frozen_log_softmax(params0.logits)
+        batch = ref.frozen_rollout(log_probs, log_probs, RULE_TABLE, CLIPPING,
+                                   np.random.default_rng(CLIPPING.seed))
+        logits = params0.logits + CLIPPING.lr * ref.frozen_gradient(log_probs, batch, CLIPPING)
+        stepped = ref.frozen_log_softmax(logits).take(batch.cells)
+        ratio = np.exp(stepped - batch.logp_old)
+        assert (np.abs(ratio - 1.0) > CLIPPING.clip_eps).any()
+
+    @pytest.mark.parametrize(
+        "table, cfg, message",
+        [
+            (RULE_TABLE, GrpoConfig(outer_iters=40, lr=40.0, inner_steps=3, batch_size=8, seed=3),
+             "logits became non-finite at iteration 1"),
+            (RULE_TABLE, GrpoConfig(outer_iters=40, lr=30.0, inner_steps=2, batch_size=8, seed=1),
+             "objective became non-finite at iteration 7"),
+            (BANDIT_TABLE, GrpoConfig(outer_iters=40, lr=30.0, kl_beta=1.0, batch_size=8, seed=1),
+             "objective became non-finite at iteration 24"),
+            (BANDIT_TABLE, GrpoConfig(outer_iters=3, lr=1e306, inner_steps=2, batch_size=8, seed=1),
+             "logits became non-finite at iteration 0"),
+        ],
+    )
+    def test_divergence_equals_the_frozen_loop(self, table, cfg, message):
+        """A run stops with the frozen loop's GrpoDivergenceError, at the
+        same iteration, whichever check fires."""
+        assert _assert_same_run(PolicyParams.zeros(), table, cfg) == message
+
+    def test_subnormal_spread_diverges_as_the_frozen_loop(self):
+        """Rewards a subnormal apart have a group std of exactly 0: at
+        std_eps = 0 both loops stop at the logits check, warning-free."""
+        tiny = 1.1125369292536007e-308
+
+        def payout(raw, item):
+            reward = tiny if parse_completion(raw).format_ok else 0.0
+            return RewardBreakdown(format=reward, answer=0.0, total=reward)
+
+        table = RewardTable(ITEMS, reward_fn=payout)
+        cfg = GrpoConfig(outer_iters=3, std_eps=0.0, seed=1)
+        message = _assert_same_run(PolicyParams.zeros(), table, cfg)
+        assert message == "logits became non-finite at iteration 0"
+
+    def test_step_functions_alone_are_warning_free(self):
+        """compute_advantages on flat groups and on a subnormal spread at
+        std_eps = 0, and rollout_batch, grpo_gradient and grpo_objective on a
+        batch with flat groups at std_eps = 0, each called on its own,
+        outside train_rl's errstate, warn of nothing (pytest turns a warning
+        into an error)."""
+        tiny = 1.1125369292536007e-308
+        rewards = np.array([[1.0, 1.0, 1.0, 1.0], [0.1, 0.1, 0.1, 0.1], [0.0, 0.0, 0.0, tiny]])
+        adv = compute_advantages(rewards, std_eps=0.0)
+        assert not adv[:2].any() and np.isinf(adv[2]).any()
+        cfg = GrpoConfig(batch_size=8, std_eps=0.0, kl_beta=0.01, seed=0)
+        params = PolicyParams(np.random.default_rng(6).normal(size=(6, 6)))
+        batch = rollout_batch(params, params, RULE_TABLE, cfg, np.random.default_rng(7))
+        assert not batch.advantages.all()  # some groups are flat
+        stepped = PolicyParams(params.logits + grpo_gradient(params, batch, cfg))
+        assert np.isfinite(grpo_gradient(stepped, batch, cfg)).all()
+        assert np.isfinite(grpo_objective(stepped, batch, cfg))

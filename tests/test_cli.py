@@ -808,6 +808,33 @@ class TestSweep:
             assert (run_dir / "train_log.jsonl").exists()
             assert (run_dir / "dataset.jsonl").exists()
 
+    def test_p_unans_sweep_holds_less_than_a_generated_list(self, tmp_path):
+        """A p-unans sweep streams each run's items into its dataset file
+        and that file's heads into the reward table, as gen then train do:
+        the traced peak of the whole sweep stays below what the list
+        ``generate_dataset`` returns for one of its runs holds."""
+        cfg = GenConfig(n_items=3000, p_unans=0.124, ambiguity=0.25, seed=4)
+        argv = ["sweep", "--axis", "p-unans", "--values", "0.124,0.5", "--n", "3000",
+                "--ambiguity", "0.25", "--iters", "3", "--seed", "4"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            # first-use costs, which the sweep would otherwise count
+            assert main([*argv, "--out-dir", str(tmp_path / "warm")]) == 0
+        gc.collect()  # resets the collector's counts: collections fall alike in every run
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            items = generate_dataset(cfg)
+            held = tracemalloc.get_traced_memory()[0] - base
+            del items
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--out-dir", str(tmp_path / "sweep")]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < held
+
     def test_beta_sweep_uses_shared_dataset(self, tmp_path):
         data = _gen(tmp_path)
         out = tmp_path / "betas"

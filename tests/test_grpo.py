@@ -193,7 +193,7 @@ class TestGradient:
         cfg = GrpoConfig(kl_beta=0.0, seed=0)
         params = PolicyParams.zeros()
         batch = _batch(table, params, params, cfg, seed=8, count=3)
-        flattened = dataclasses.replace(batch, advantages=np.zeros_like(batch.advantages))
+        flattened = batch._replace(advantages=np.zeros_like(batch.advantages))
         np.testing.assert_allclose(grpo_gradient(params, flattened, cfg), 0.0, atol=1e-15)
 
     def test_rows_absent_from_batch_are_zero(self):
