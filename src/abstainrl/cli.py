@@ -52,7 +52,7 @@ from abstainrl.synthenv import (
     build_abstained_mc,
     iter_dataset,
     iter_generated,
-    iter_heads,
+    read_columns,
     read_mc_sources,
     write_dataset,
     write_lines,
@@ -186,18 +186,16 @@ def _sft_settings(resolved: dict[str, Any]) -> tuple[float, int]:
     return lr, epochs
 
 
-def _stream_heads(path: str | Path) -> Iterator[synthenv.ItemHead]:
-    """The item heads of the dataset at ``path``, streamed; a missing or
-    empty file is an input-data error, raised before the first head is
-    yielded."""
+def _read_columns(path: str | Path) -> synthenv.ItemColumns:
+    """The item columns of the dataset at ``path``; a missing or empty file
+    is an input-data error."""
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"dataset not found: {path}")
-    heads = iter_heads(path)
-    first = next(heads, None)
-    if first is None:
+    columns = read_columns(path)
+    if not columns.ids:
         raise DatasetError(f"dataset is empty: {path}")
-    return itertools.chain([first], heads)
+    return columns
 
 
 # a field that holds one of these is quoted: a lone "\r" too, since a reader
@@ -229,7 +227,11 @@ def _write_summary_csv(path: Path, ids: Sequence[str], evaluation: Evaluation) -
         f",{r1:.6f},{r2:.6f},{rl:.6f},{sem:.6f},{int(em)},{tp},{fp},{fn}"
         for r1, r2, rl, sem, em, tp, fp, fn in zip(*(c[first].tolist() for c in columns))
     ]
-    lines = (_csv_field(item_id) + tails[c] for item_id, c in zip(ids, inverse.tolist()))
+    # one search of the whole id column: only a column that holds a special
+    # character is quoted field by field
+    if _CSV_SPECIAL.search("".join(ids)) is not None:
+        ids = map(_csv_field, ids)
+    lines = (item_id + tails[c] for item_id, c in zip(ids, inverse.tolist()))
     write_lines(path, itertools.chain(["id,r1,r2,rl,sem,em,tp,fp,fn"], lines))
 
 
@@ -384,14 +386,14 @@ def _cold_start(resolved: dict[str, Any], table: RewardTable | None = None) -> P
     """The policy RL starts from: the SFT fit to the expert cells of the
     ``sft_traces`` file's reward table when that is set, else the zero
     policy.  ``table``, the reward table of ``dataset``, is reused when
-    ``sft_traces`` names that file; else the traces file streams into a
+    ``sft_traces`` names that file; else the traces file is read into a
     table of its own."""
     if not resolved["sft_traces"]:
         return PolicyParams.zeros()
     sft_lr, sft_epochs = _sft_settings(resolved)
     traces = Path(resolved["sft_traces"])
     if table is None or traces.resolve() != Path(resolved["dataset"]).resolve():
-        table = RewardTable(_stream_heads(traces))
+        table = RewardTable(_read_columns(traces))
     cells = table.expert_cells()
     if not len(cells):
         raise DatasetError(f"no usable expert traces in {resolved['sft_traces']}")
@@ -399,9 +401,9 @@ def _cold_start(resolved: dict[str, Any], table: RewardTable | None = None) -> P
 
 
 def _table_and_cold_start(resolved: dict[str, Any]) -> tuple[RewardTable, PolicyParams]:
-    """The reward table of ``dataset``, its item heads streamed into it,
+    """The reward table of ``dataset``, its item columns read into it,
     and the policy RL starts from."""
-    table = RewardTable(_stream_heads(resolved["dataset"]), _variant(resolved))
+    table = RewardTable(_read_columns(resolved["dataset"]), _variant(resolved))
     return table, _cold_start(resolved, table)
 
 
@@ -573,7 +575,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         params = PolicyParams.loads(checkpoint_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise DatasetError(f"malformed checkpoint {checkpoint_path}: {exc}") from exc
-    table = RewardTable(_stream_heads(args.dataset), variant)
+    table = RewardTable(_read_columns(args.dataset), variant)
     _print_report(_evaluate_and_write(params, table, Path(args.out)))
     print(f"wrote per-item metrics -> {_shown(args.out)}")
     return EXIT_OK
@@ -629,9 +631,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for value, run_name, run, gen_cfg in runs:
         if gen_cfg is not None:
             # as gen then train: the items stream into the run's file, and
-            # their heads stream back out of it into the table
+            # its columns are read back out of it into the table
             write_dataset(iter_generated(gen_cfg), run["dataset"])
-            table = RewardTable(_stream_heads(run["dataset"]), _variant(run))
+            table = RewardTable(_read_columns(run["dataset"]), _variant(run))
         else:
             table = shared.with_variant(_variant(run))
         report = _train_once(table, run, run_name, params0)

@@ -46,7 +46,7 @@ from abstainrl.reward import (
     rule_rewards,
     total_reward,  # noqa: F401  re-exported: e2ebench's tracer tests wrap it here
 )
-from abstainrl.synthenv import ItemHead, SynthQAItem, read_records, write_lines
+from abstainrl.synthenv import ItemColumns, ItemHead, SynthQAItem, read_records, write_lines
 from abstainrl.textmetrics import ConfusionCounts
 
 
@@ -146,82 +146,74 @@ class TrainLog:
 
 RewardFn = Callable[[str, ItemHead | SynthQAItem], RewardBreakdown]
 
+_NO_METRICS = (0.0,) * 5
+
 
 class RewardTable:
     """Reward, format flag, abstention flag and eval metrics of every (item,
     action) pair of a dataset, computed once when the table is built.
 
-    ``items`` are ``SynthQAItem``s or their heads (``ItemHead``): the table
-    reads only an item's id, feature, gold and two candidates.  It reads
-    them once, in order, so they may stream from a file
-    (``synthenv.iter_heads``, which builds no facts or questions).  Of each
-    item it keeps only columns: ``ids``, ``features`` (the feature row
-    index), ``unanswerable``, ``row``, its content row, and ``first_cell``,
-    ``row * 6``, the flat index of the row's first cell.  An item's six
-    completions depend only on its two candidates, and the rule-based QA
-    reward only on the completion and the gold, so items with the same
-    (candidate_a, candidate_b, gold) share a content row, numbered in
-    first-seen order and scored from its first item, whose head the table
-    keeps for ``expert_cells``; a lookup is a gather.
-    Each distinct text is parsed and each distinct (answer, answerable
-    gold) measured once; the metrics are zero for a No-Answer gold.
-    ``rewards`` is ``reward.rule_rewards`` under ``variant`` over the
-    ``formatted``, ``abstained`` and ``metrics`` columns, which
-    ``with_variant`` reuses.  ``reward_fn`` overrides the rule, which is
-    how the bandit sanity environments install their own payout tables; it
-    is called once per (item, action) pair, and every item gets its own
-    row, since a payout may depend on the item.
+    ``items`` are ``SynthQAItem``s, their heads (``ItemHead``), read once,
+    in order, or their ``ItemColumns``, which is how a file reaches the
+    table: ``synthenv.read_columns`` scans each line straight into the
+    columns and builds no item.  The table keeps the columns as arrays,
+    ``ids``, ``features`` (the feature row index), ``unanswerable`` and
+    ``row``, each item's content row, plus ``first_cell``, ``row * 6``, the
+    flat index of the row's first cell; a lookup is a gather.  Each content
+    row is scored from the head of its first item, which the table keeps
+    for ``expert_cells``: one ``Scorer`` parses each distinct text and
+    measures each distinct (answer, answerable gold) once; the metrics are
+    zero for a No-Answer gold.  ``rewards`` is ``reward.rule_rewards``
+    under ``variant`` over the ``formatted``, ``abstained`` and ``metrics``
+    columns, which ``with_variant`` reuses.  ``reward_fn`` overrides the
+    rule, which is how the bandit sanity environments install their own
+    payout tables; it is called once per (row, action) pair with the row's
+    head, and under it items given as items, not columns, get a row each,
+    since a payout may depend on the item.
     """
 
     def __init__(
         self,
-        items: Iterable[ItemHead | SynthQAItem],
+        items: Iterable[ItemHead | SynthQAItem] | ItemColumns,
         variant: RewardVariant = DEFAULT_VARIANT,
         reward_fn: RewardFn | None = None,
     ) -> None:
-        ids: list[str] = []
-        features: list[int] = []
-        unanswerable: list[bool] = []
-        row: list[int] = []
-        index: dict[tuple, int] = {}
-        rows: list[ItemHead | SynthQAItem] = []  # the item each content row is scored from
-        for item in items:
-            ids.append(item.id)
-            features.append(item.feature.index)
-            unanswerable.append(item.gold.is_no_answer)
-            if reward_fn is None:
-                r = index.setdefault((item.candidate_a, item.candidate_b, item.gold), len(rows))
-            else:
-                r = len(rows)
-            if r == len(rows):
-                rows.append(item)
-            row.append(r)
-        if not ids:
+        if not isinstance(items, ItemColumns):
+            items = ItemColumns.of(map(ItemHead.of, items), share_rows=reward_fn is None)
+        if not items.ids:
             raise ValueError("a reward table needs at least one item")
-        self.ids = ids
-        self.features = np.array(features)
-        self.unanswerable = np.array(unanswerable)
-        self.row = np.array(row)
+        self.ids = items.ids
+        self.features = np.array(items.features)
+        self.unanswerable = np.array(items.unanswerable)
+        self.row = np.array(items.row)
         self.first_cell = self.row * N_ACTIONS
-        shape = (len(rows), N_ACTIONS)
-        self.formatted = np.empty(shape, dtype=bool)
-        self.abstained = np.empty(shape, dtype=bool)
+        self._row_heads = items.heads
+        formatted = []
+        abstained = []
         # em, rouge1, rouge2, rouge_l and semantic: AnswerMetrics' and Evaluation's order
-        self.metrics = np.zeros(shape + (5,))
-        rewards = np.empty(shape)
+        metrics = []
+        rewards = []
         scorer = Scorer()
-        for r, item in enumerate(rows):
-            for a, action in enumerate(ALL_ACTIONS):
-                text = render_completion(action, item)
+        for head in items.heads:
+            for action in ALL_ACTIONS:
+                text = render_completion(action, head)
                 parsed = scorer.parse(text)
-                self.formatted[r, a] = parsed.format_ok
-                self.abstained[r, a] = is_no_answer(parsed.answer)
+                formatted.append(parsed.format_ok)
+                abstained.append(is_no_answer(parsed.answer))
                 if reward_fn is not None:
-                    rewards[r, a] = reward_fn(text, item).total
-                if not item.gold.is_no_answer:
-                    self.metrics[r, a] = scorer.metrics(parsed.answer, item.gold)
-        self.rewards = rewards if reward_fn is not None else self._rule(variant, self.formatted)
-        self._row_heads = [ItemHead.of(item) for item in rows]
+                    rewards.append(reward_fn(text, head).total)
+                metrics.append(
+                    _NO_METRICS if head.gold.is_no_answer
+                    else scorer.metrics(parsed.answer, head.gold)
+                )
+        shape = (len(items.heads), N_ACTIONS)
+        self.formatted = np.array(formatted).reshape(shape)
+        self.abstained = np.array(abstained).reshape(shape)
+        self.metrics = np.array(metrics, dtype=float).reshape(shape + (5,))
+        self.rewards = (
+            np.array(rewards, dtype=float).reshape(shape) if reward_fn is not None
+            else self._rule(variant, self.formatted)
+        )
 
     def _rule(self, variant: RewardVariant, formatted: ArrayLike) -> np.ndarray:
         """``rule_rewards`` of every cell, with ``formatted`` as the format flags."""

@@ -19,20 +19,14 @@ from __future__ import annotations
 
 import enum
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from abstainrl.textmetrics import (
-    GoldAnswer,
-    exact_match,
-    normalize_text,
-    rouge_l,
-    rouge_n,
-    semantic_sim,
-)
+from abstainrl.textmetrics import GoldAnswer, TextParts, normalize_text
 
 FORMAT_REWARD = 0.5
 
@@ -129,26 +123,38 @@ class AnswerMetrics(NamedTuple):
     semantic: float
 
 
-def answer_metrics(answer: str, gold: GoldAnswer) -> AnswerMetrics:
-    """EM, ROUGE-1/2/L F1 and semantic similarity of ``answer``; ``gold``
-    must be answerable."""
+def answer_metrics(
+    answer: str, gold: GoldAnswer, parts: Callable[[str], TextParts] = TextParts
+) -> AnswerMetrics:
+    """EM, ROUGE-1/2/L F1 and semantic similarity of ``answer``, as
+    ``textmetrics``' ``exact_match``, ``rouge_n``, ``rouge_l`` and the best
+    ``semantic_sim`` over the aliases give them; ``gold`` must be
+    answerable.  ``parts`` takes each text apart (``Scorer`` passes its
+    memo of them)."""
+    if gold.is_no_answer:
+        raise ValueError("answer metrics are undefined against a No-Answer gold")
+    cand = parts(answer)
+    aliases = [parts(alias) for alias in gold.aliases]
     return AnswerMetrics(
-        em=exact_match(answer, gold),
-        rouge1=rouge_n(answer, gold, 1).f1,
-        rouge2=rouge_n(answer, gold, 2).f1,
-        rouge_l=rouge_l(answer, gold).f1,
-        semantic=max(semantic_sim(answer, alias) for alias in gold.aliases),
+        em=cand.exact_match(aliases),
+        rouge1=cand.rouge_n(aliases, 1).f1,
+        rouge2=cand.rouge_n(aliases, 2).f1,
+        rouge_l=cand.rouge_l(aliases).f1,
+        semantic=max(cand.semantic_sim(alias) for alias in aliases),
     )
 
 
 class Scorer:
     """Parses per completion text and eval metrics per (answer, gold), each
     computed once per distinct key: items draw their candidates from small
-    banks, so far fewer keys occur than items or draws."""
+    banks, so far fewer keys occur than items or draws.  The metrics take
+    each distinct text apart once too (``textmetrics.TextParts``).  A scorer
+    lives as long as the table build that makes it, and so do its memos."""
 
     def __init__(self) -> None:
         self._parsed: dict[str, ParsedCompletion] = {}
         self._metrics: dict[tuple[str, GoldAnswer], AnswerMetrics] = {}
+        self._parts: dict[str, TextParts] = {}
 
     def parse(self, text: str) -> ParsedCompletion:
         parsed = self._parsed.get(text)
@@ -161,8 +167,14 @@ class Scorer:
         key = (answer, gold)
         entry = self._metrics.get(key)
         if entry is None:
-            entry = self._metrics[key] = answer_metrics(answer, gold)
+            entry = self._metrics[key] = answer_metrics(answer, gold, self._text_parts)
         return entry
+
+    def _text_parts(self, text: str) -> TextParts:
+        parts = self._parts.get(text)
+        if parts is None:
+            parts = self._parts[text] = TextParts(text)
+        return parts
 
 
 def rule_rewards(

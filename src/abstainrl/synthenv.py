@@ -90,7 +90,8 @@ def read_records(
     from ``parse``."""
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            _require_utf8(path, line, lineno)
+            if not line.isascii():
+                _require_utf8(path, line, lineno)
             if scan is not None:
                 value = scan(line)
                 if value is not None:
@@ -270,6 +271,47 @@ class ItemHead(NamedTuple):
     @classmethod
     def of(cls, item: "SynthQAItem | ItemHead") -> "ItemHead":
         return cls(item.id, item.feature, item.gold, item.candidate_a, item.candidate_b)
+
+
+class ItemColumns(NamedTuple):
+    """The items of a dataset as the columns ``grpo.RewardTable`` reads, in
+    item order: ``ids``, ``features`` (each item's feature row index),
+    ``unanswerable`` (its gold is No-Answer) and ``row``, its content row.
+    An item's completions depend only on its two candidates, and the
+    rule-based reward only on a completion and the gold, so items with the
+    same (candidate_a, candidate_b, gold) share a content row, numbered in
+    first-seen order; ``heads`` holds the head of each row's first item."""
+
+    ids: list[str]
+    features: list[int]
+    unanswerable: list[bool]
+    row: list[int]
+    heads: list[ItemHead]
+
+    @classmethod
+    def of(
+        cls,
+        heads: Iterable[tuple[str, ContextFeature, GoldAnswer, str, str]],
+        share_rows: bool = True,
+    ) -> "ItemColumns":
+        """The columns of ``heads``, ``ItemHead``s or plain tuples of their
+        fields, read once, in order; with ``share_rows`` False every item
+        gets a content row of its own."""
+        columns = cls([], [], [], [], [])
+        ids, features, unanswerable, row, row_heads = columns
+        rows: dict[tuple, int] = {}
+        for head in heads:
+            item_id, feature, gold, candidate_a, candidate_b = head
+            ids.append(item_id)
+            features.append(feature.index)
+            unanswerable.append(gold.is_no_answer)
+            n = len(row_heads)
+            # keyed by the aliases, whose hash is computed in C, not the gold's
+            r = rows.setdefault((candidate_a, candidate_b, gold.aliases), n) if share_rows else n
+            if r == n:
+                row_heads.append(ItemHead._make(head))
+            row.append(r)
+        return columns
 
 
 @dataclass(frozen=True)
@@ -593,33 +635,29 @@ def _written_line(item: SynthQAItem) -> str:
 
 
 @functools.cache
-def _written_form() -> tuple[re.Pattern[str], re.Pattern[str]]:
+def _written_form() -> re.Pattern[str]:
     """The line ``write_dataset`` writes, as ``_written_line`` spells it,
     for a record whose strings are printable ASCII with nothing to escape,
-    whose integers have at most 18 digits and whose fact texts are
-    non-empty, as ``TemporalFact`` requires.  Its groups are the candidates,
-    the facts, the feature's difficulty and evidence, the gold's JSON, the
-    id and the specifier's kind and years; the second pattern finds each
-    fact's end and start in the facts group.  A change to ``_written_line``
-    must change this too.  Compiled on first use, which keeps it out of the
-    import."""
+    whose integers have at most 18 digits and whose facts, at most two (as
+    generated items hold), have non-empty texts, as ``TemporalFact``
+    requires.  Its groups are the two candidates; the end and start of the
+    first fact and of the second; the feature's JSON, the gold's and the
+    id; the specifier's JSON, and in it its kind and its years.  A change
+    to ``_written_line`` must change this too.  Compiled on first use, which
+    keeps it out of the import."""
     # S: a printable ASCII character but '"' and '\'; Y: an integer; F: a fact
     fact = r'\{"end": (Y), "object": "S+", "relation": "S+", "start": (Y), "subject": "S+"\}'
     line = (
         r'\{"candidates": \["(S*)", "(S*)"\], '
-        r'"facts": \[((?:F(?:, F)*)?)\], '
-        r'"feature": \{"difficulty": "(S*)", "evidence": "(S*)"\}, '
+        r'"facts": \[(?:F(?:, F)?)?\], '
+        r'"feature": (\{"difficulty": "S*", "evidence": "S*"\}), '
         r'"gold": (null|\[(?:"S*"(?:, "S*")*)?\]), '
         r'"id": "(S*)", "question": "S*", '
-        r'"specifier": \{"kind": "(S*)", "years": \[((?:Y(?:, Y)*)?)\]\}\}\n?'
-    ).replace("F", fact.replace("(Y)", "Y"))
-
-    def compiled(pattern: str) -> re.Pattern[str]:
-        return re.compile(
-            pattern.replace("Y", "(?:0|-?[1-9][0-9]{0,17})").replace("S", r"[ !#-\[\]-~]")
-        )
-
-    return compiled(line), compiled(fact)
+        r'"specifier": (\{"kind": "(S*)", "years": \[((?:Y(?:, Y)*)?)\]\})\}\n?'
+    ).replace("F", fact)
+    return re.compile(
+        line.replace("Y", "(?:0|-?[1-9][0-9]{0,17})").replace("S", r"[ !#-\[\]-~]")
+    )
 
 
 def _json_list(value: object, where: str) -> list:
@@ -730,56 +768,61 @@ def read_dataset(path: str | Path) -> list[SynthQAItem]:
     return list(iter_dataset(path))
 
 
-def iter_heads(path: str | Path) -> Iterator[ItemHead]:
-    """The heads of the items of ``iter_dataset(path)``, equal to
-    ``ItemHead.of`` of each, with the same ``DatasetError`` on the same
-    line.  A line in the form ``write_dataset`` writes (see
-    ``_written_form``) is scanned, not decoded, and yields its head without
-    building its facts and question; any other line, and a scanned one
-    whose parts fail a check, is decoded and built by ``item_from_dict``.
-    Scanned heads with equal features or golds hold one object of each."""
-    line_form, fact_form = _written_form()
-    # each part keyed by its matched text, which the form spells one way
-    # per value; a specifier is only checked, since heads do not hold it
-    specifiers: set[tuple[str, str]] = set()
-    features: dict[tuple[str, str], ContextFeature] = {}
+def read_columns(path: str | Path) -> ItemColumns:
+    """The ``ItemColumns`` of the dataset file at ``path``, equal to those
+    of ``ItemHead.of`` of each item of ``iter_dataset(path)``, with the same
+    ``DatasetError`` on the same line.  A line in the form ``write_dataset``
+    writes for an item of at most two facts (see ``_written_form``) is
+    scanned, not decoded: its fact scopes are checked and it yields its
+    head's fields without building its facts and question.  Any other
+    line, and a scanned one whose parts fail a check, is decoded and built
+    by ``item_from_dict``.  Scanned heads with equal features or golds hold
+    one object of each."""
+    line_form = _written_form()
+    # each part keyed by its JSON text, which the form spells one way per
+    # value, and checked once; a specifier is only checked, since heads do
+    # not hold it
+    specifiers: set[str] = set()
+    features: dict[str, ContextFeature] = {}
     golds: dict[str, GoldAnswer] = {}
 
-    def scan(line: str) -> ItemHead | None:
-        """The head of ``line`` without decoding it, if ``line`` has the
-        written form and its fact scopes, specifier, feature and gold pass
-        the checks ``item_from_dict`` makes; else None."""
+    def scan(line: str) -> tuple[str, ContextFeature, GoldAnswer, str, str] | None:
+        """The head's fields of ``line`` without decoding it, if ``line``
+        has the written form and its fact scopes, specifier, feature and
+        gold pass the checks ``item_from_dict`` makes; else None."""
         match = line_form.fullmatch(line)
         if match is None:
             return None
-        candidate_a, candidate_b, facts, difficulty, evidence, gold_json, item_id, kind, years = (
-            match.groups()
-        )
-        if any(int(start) > int(end) for end, start in fact_form.findall(facts)):
+        (candidate_a, candidate_b, end, start, end2, start2,
+         feature_json, gold_json, item_id, specifier_json, kind, years) = match.groups()
+        # a fact scope whose start passes its end: TimeInterval refuses it
+        if end is not None and (
+            int(start) > int(end) or end2 is not None and int(start2) > int(end2)
+        ):
             return None
         try:
-            if (kind, years) not in specifiers:
+            if specifier_json not in specifiers:
                 TimeSpecifier(SpecKind(kind), tuple(map(int, years.split(", "))) if years else ())
-                specifiers.add((kind, years))
-            feature = features.get((evidence, difficulty))
+                specifiers.add(specifier_json)
+            feature = features.get(feature_json)
             if feature is None:
-                feature = features[evidence, difficulty] = ContextFeature(
-                    Evidence(evidence), Difficulty(difficulty)
+                parts = json.loads(feature_json)
+                feature = features[feature_json] = ContextFeature(
+                    Evidence(parts["evidence"]), Difficulty(parts["difficulty"])
                 )
             gold = golds.get(gold_json)
             if gold is None:
-                # a string holds no '"', so '", "' splits a list of them;
-                # "[]" splits to one empty alias, which GoldAnswer refuses
+                # "[]" and an empty alias are refused by GoldAnswer
+                aliases = json.loads(gold_json)
                 gold = golds[gold_json] = (
-                    GoldAnswer.no_answer() if gold_json == "null"
-                    else GoldAnswer.of(*gold_json[2:-2].split('", "'))
+                    GoldAnswer.no_answer() if aliases is None else GoldAnswer.of(*aliases)
                 )
         except ValueError:  # a part item_from_dict refuses: it raises the error
             return None
-        return ItemHead(item_id, feature, gold, candidate_a, candidate_b)
+        return item_id, feature, gold, candidate_a, candidate_b
 
-    return read_records(
-        path, "dataset", lambda record: ItemHead.of(item_from_dict(record)), scan
+    return ItemColumns.of(
+        read_records(path, "dataset", lambda record: ItemHead.of(item_from_dict(record)), scan)
     )
 
 

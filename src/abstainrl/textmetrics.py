@@ -129,24 +129,85 @@ def lcs_length(a: Sequence[object], b: Sequence[object]) -> int:
     return prev[m]
 
 
+def _ngrams(tokens: Sequence[str], n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+class TextParts:
+    """One text as the metrics read it: its normalized tokens and, each
+    made on first use, their n-gram counts and the trigram embedding of the
+    normalized text with its norm.  The metric functions below take each
+    text apart afresh; ``reward.Scorer`` keeps one per distinct text for the
+    length of a table build, so a text scored against many golds is taken
+    apart once.  The methods score this text against others' parts."""
+
+    __slots__ = ("tokens", "_grams", "_embedding")
+
+    def __init__(self, text: str) -> None:
+        self.tokens = _normalized_tokens(text)
+        self._grams: dict[int, Counter] = {}
+        self._embedding: tuple[np.ndarray, float] | None = None
+
+    def grams(self, n: int) -> Counter:
+        grams = self._grams.get(n)
+        if grams is None:
+            grams = self._grams[n] = _ngrams(self.tokens, n)
+        return grams
+
+    def embedding(self) -> tuple[np.ndarray, float]:
+        """The trigram embedding of the normalized text and its norm."""
+        if self._embedding is None:
+            vector = trigram_embedding(" ".join(self.tokens))
+            self._embedding = vector, float(np.linalg.norm(vector))
+        return self._embedding
+
+    def rouge_l(self, references: Iterable["TextParts"]) -> ScoreTriple:
+        """``rouge_l`` against the texts of ``references``."""
+        cand = self.tokens
+        best = ScoreTriple.zero()
+        for reference in references:
+            ref = reference.tokens
+            if not cand or not ref:
+                continue
+            lcs = lcs_length(cand, ref)
+            triple = ScoreTriple.from_pr(lcs / len(cand), lcs / len(ref))
+            if triple.f1 > best.f1:
+                best = triple
+        return best
+
+    def rouge_n(self, references: Iterable["TextParts"], n: int) -> ScoreTriple:
+        """``rouge_n`` against the texts of ``references``."""
+        cand_grams = self.grams(n)
+        best = ScoreTriple.zero()
+        for reference in references:
+            ref_grams = reference.grams(n)
+            if not cand_grams or not ref_grams:
+                continue
+            overlap = sum(min(count, ref_grams[g]) for g, count in cand_grams.items())
+            triple = ScoreTriple.from_pr(
+                overlap / sum(cand_grams.values()), overlap / sum(ref_grams.values())
+            )
+            if triple.f1 > best.f1:
+                best = triple
+        return best
+
+    def exact_match(self, references: Iterable["TextParts"]) -> float:
+        """``exact_match`` against the texts of ``references``."""
+        return 1.0 if any(self.tokens == reference.tokens for reference in references) else 0.0
+
+    def semantic_sim(self, reference: "TextParts") -> float:
+        """``semantic_sim`` against the text of ``reference``."""
+        # tokens hold no whitespace, so equal tokens are equal joined texts
+        if self.tokens == reference.tokens:
+            return 1.0
+        sim = _cosine(*self.embedding(), *reference.embedding())
+        return min(1.0, max(0.0, sim))
+
+
 def rouge_l(candidate: str, references: GoldAnswer) -> ScoreTriple:
     """LCS-based precision/recall/F1; the best-scoring alias (by F1) wins."""
     _require_answerable(references, "rouge_l")
-    cand = normalize_text(candidate)
-    best = ScoreTriple.zero()
-    for alias in references.aliases:
-        ref = normalize_text(alias)
-        if not cand or not ref:
-            continue
-        lcs = lcs_length(cand, ref)
-        triple = ScoreTriple.from_pr(lcs / len(cand), lcs / len(ref))
-        if triple.f1 > best.f1:
-            best = triple
-    return best
-
-
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return TextParts(candidate).rouge_l(map(TextParts, references.aliases))
 
 
 def rouge_n(candidate: str, references: GoldAnswer, n: int) -> ScoreTriple:
@@ -154,26 +215,13 @@ def rouge_n(candidate: str, references: GoldAnswer, n: int) -> ScoreTriple:
     if n not in (1, 2):
         raise ValueError(f"rouge_n supports n in {{1, 2}}, got {n}")
     _require_answerable(references, "rouge_n")
-    cand_grams = _ngrams(normalize_text(candidate), n)
-    best = ScoreTriple.zero()
-    for alias in references.aliases:
-        ref_grams = _ngrams(normalize_text(alias), n)
-        if not cand_grams or not ref_grams:
-            continue
-        overlap = sum(min(count, ref_grams[g]) for g, count in cand_grams.items())
-        triple = ScoreTriple.from_pr(
-            overlap / sum(cand_grams.values()), overlap / sum(ref_grams.values())
-        )
-        if triple.f1 > best.f1:
-            best = triple
-    return best
+    return TextParts(candidate).rouge_n(map(TextParts, references.aliases), n)
 
 
 def exact_match(candidate: str, references: GoldAnswer) -> float:
     """1.0 iff the normalized candidate equals any normalized alias."""
     _require_answerable(references, "exact_match")
-    cand = normalize_text(candidate)
-    return 1.0 if any(cand == normalize_text(alias) for alias in references.aliases) else 0.0
+    return TextParts(candidate).exact_match(map(TextParts, references.aliases))
 
 
 def trigram_embedding(text: str) -> np.ndarray:
@@ -190,8 +238,11 @@ def trigram_embedding(text: str) -> np.ndarray:
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    return _cosine(a, float(np.linalg.norm(a)), b, float(np.linalg.norm(b)))
+
+
+def _cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
+    """``cosine`` of ``a`` and ``b``, given their norms."""
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
@@ -200,12 +251,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 def semantic_sim(candidate: str, reference: str) -> float:
     """Deterministic semantic-similarity stand-in: trigram cosine of the
     normalized strings, 1.0 for inputs that normalize identically."""
-    a = " ".join(normalize_text(candidate))
-    b = " ".join(normalize_text(reference))
-    if a == b:
-        return 1.0
-    sim = cosine(trigram_embedding(a), trigram_embedding(b))
-    return min(1.0, max(0.0, sim))
+    return TextParts(candidate).semantic_sim(TextParts(reference))
 
 
 def abstention_confusion(

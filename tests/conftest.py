@@ -16,7 +16,8 @@ def scoring_calls(monkeypatch):
     parse, measure = reward.parse_completion, reward.answer_metrics
     monkeypatch.setattr(reward, "parse_completion", lambda raw: parsed.append(raw) or parse(raw))
     monkeypatch.setattr(
-        reward, "answer_metrics", lambda a, gold: measured.append((a, gold)) or measure(a, gold)
+        reward, "answer_metrics",
+        lambda a, gold, *parts: measured.append((a, gold)) or measure(a, gold, *parts),
     )
     return parsed, measured
 

@@ -25,13 +25,15 @@ as it stood before its step layer was reworked: the bit-for-bit oracle for
 ``grpo.train_rl``.
 ``item_to_dict``, a dataset record as a dict, is the oracle for the lines
 ``synthenv.write_dataset`` writes: each is ``json.dumps(item_to_dict(item),
-sort_keys=True)``.
+sort_keys=True)``.  ``iter_heads``, which decodes and builds every record
+whole, is the oracle for the columns ``synthenv.read_columns`` scans.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from pathlib import Path
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -69,6 +71,7 @@ from abstainrl.reward import (
     total_reward,
 )
 from abstainrl.synthenv import (
+    ItemHead,
     SpecKind,
     SynthQAItem,
     TemporalFact,
@@ -78,6 +81,7 @@ from abstainrl.synthenv import (
     _json_list,
     _json_object,
     _json_text,
+    read_records,
 )
 from abstainrl.textmetrics import (
     ConfusionCounts,
@@ -677,3 +681,10 @@ def item_from_dict(payload: object) -> SynthQAItem:
         candidate_b=candidates[1],
         feature=feature,
     )
+
+
+def iter_heads(path: str | Path) -> Iterator[ItemHead]:
+    """``ItemHead.of(item_from_dict(record))`` of each record of the dataset
+    at ``path``, read by ``synthenv.read_records``, so with its
+    ``DatasetError``s."""
+    return read_records(path, "dataset", lambda record: ItemHead.of(item_from_dict(record)))

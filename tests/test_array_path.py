@@ -6,6 +6,7 @@ completion at a time, every draw re-rendered and re-scored from text.
 
 import dataclasses
 import gc
+import json
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from abstainrl import grpo, policy
+from abstainrl import grpo, policy, synthenv
 from abstainrl.grpo import (
     GrpoConfig,
     GrpoDivergenceError,
@@ -48,7 +49,7 @@ from abstainrl.synthenv import (
     SynthQAItem,
     generate_dataset,
     iter_dataset,
-    iter_heads,
+    read_columns,
     write_dataset,
 )
 from abstainrl.textmetrics import GoldAnswer
@@ -175,21 +176,24 @@ class TestRewardTable:
     def test_item_columns_equal_per_item_construction(self, tmp_path):
         """Features and unanswerable flags cached on each distinct feature
         and gold object, and the content rows, equal the per-item
-        construction, whether items share those objects (as the heads
-        scanned from a file do), hold equal copies, or mix both."""
+        construction, whether items share those objects (as generated items
+        do), hold equal copies, or mix both; the columns scanned from a file
+        of the items equal those of the items."""
         path = tmp_path / "items.jsonl"
         write_dataset(ITEMS, path)
-        read = list(iter_heads(path))
         copied = [
             dataclasses.replace(item, gold=GoldAnswer(tuple(item.gold.aliases))) for item in ITEMS
         ]
-        for items in (ITEMS, read, copied, read + copied[::-1]):
+        for items in (ITEMS, copied, ITEMS + copied[::-1]):
             table = RewardTable(items)
             index: dict = {}
             row = [index.setdefault((i.candidate_a, i.candidate_b, i.gold), len(index)) for i in items]
             assert np.array_equal(table.features, [ALL_FEATURES.index(i.feature) for i in items])
             assert np.array_equal(table.unanswerable, [not i.gold.aliases for i in items])
             assert np.array_equal(table.row, row)
+        read = RewardTable(read_columns(path))
+        for name in ("features", "unanswerable", "row"):
+            assert _column_bytes(read, name) == _column_bytes(RewardTable(ITEMS), name), name
 
     @pytest.mark.parametrize(
         "variant, reward_fn",
@@ -338,6 +342,103 @@ class TestRewardTable:
         assert ref.item_evals(got) == want
         greedy = np.argmax(params.logits, axis=1)[table.features]
         assert got.cell.tolist() == (table.row * len(ALL_ACTIONS) + greedy).tolist()
+
+
+def _reserialized(line: str) -> str:
+    """The record of ``line`` in another JSON form, which is decoded, not
+    scanned: compact separators and the top-level keys in reverse order."""
+    return json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":"))
+
+
+def _bad_line(record: dict, kind: str) -> bytes:
+    """``record`` made malformed in one way, as a written-form line unless
+    the fault is one that form cannot spell."""
+    record = json.loads(json.dumps(record))
+    if kind == "scope start past end":
+        fact = {"end": 1990, "object": "Ashford", "relation": "residence", "subject": "Ann Lee"}
+        record["facts"] = [*record["facts"], {**fact, "start": 1991}]
+    elif kind == "unknown evidence":
+        record["feature"]["evidence"] = "rumour"
+    elif kind == "empty gold":
+        record["gold"] = []
+    elif kind == "bad specifier":
+        record["specifier"] = {"kind": "between", "years": [1991, 1990]}
+    elif kind == "lone surrogate":
+        record["id"] = "q\ud800"
+    line = json.dumps(record, sort_keys=True).encode()
+    if kind == "invalid UTF-8":
+        line = line.replace(b'"id": "', b'"id": "\xff', 1)
+    return line
+
+
+_BAD_KINDS = ("scope start past end", "unknown evidence", "empty gold", "bad specifier",
+              "lone surrogate", "invalid UTF-8")
+
+# a dataset as gen writes it: its size, share of unanswerable items, ambiguity and seed
+_GEN_CONFIGS = st.builds(
+    GenConfig,
+    n_items=st.integers(1, 60),
+    p_unans=st.sampled_from([0.0, 0.124, 0.5, 1.0]),
+    ambiguity=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+
+
+def _lines(cfg: GenConfig, form: str, flips: list[bool]) -> list[bytes]:
+    """The lines ``write_dataset`` writes for ``cfg``'s items, as written,
+    each re-serialized, or mixed: line i re-serialized where
+    ``flips[i % len(flips)]``."""
+    lines = [synthenv._written_line(item) for item in generate_dataset(cfg)]
+    if form != "written":
+        lines = [
+            _reserialized(line) if form == "re-serialized" or flips[i % len(flips)] else line
+            for i, line in enumerate(lines)
+        ]
+    return [line.encode() for line in lines]
+
+
+def _read_or_error(read, path):
+    try:
+        return read(path)
+    except synthenv.DatasetError as exc:
+        return str(exc)
+
+
+class TestTableFromFile:
+    """The table read from a dataset file, through the scan of
+    ``read_columns``, is held to the table of the oracle heads
+    (``ItemHead.of`` of each record decoded and built whole), and a
+    malformed line to the oracle's error."""
+
+    @given(_GEN_CONFIGS, st.sampled_from(["written", "re-serialized", "mixed"]),
+           st.lists(st.booleans(), min_size=1, max_size=5), st.sampled_from(list(RewardVariant)))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_table_of_the_oracle_heads(self, tmp_path_factory, cfg, form, flips, variant):
+        path = tmp_path_factory.mktemp("table") / "data.jsonl"
+        path.write_bytes(b"".join(line + b"\n" for line in _lines(cfg, form, flips)))
+        got = RewardTable(read_columns(path), variant)
+        want = RewardTable(list(ref.iter_heads(path)), variant)
+        assert got.ids == want.ids
+        for name in ("features", "unanswerable", "row", "formatted", "abstained", "metrics",
+                     "rewards"):
+            assert _column_bytes(got, name) == _column_bytes(want, name), name
+
+    @given(_GEN_CONFIGS, st.sampled_from(["written", "re-serialized", "mixed"]),
+           st.lists(st.booleans(), min_size=1, max_size=5), st.sampled_from(_BAD_KINDS),
+           st.integers(0, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_malformed_line_raises_the_oracle_error(
+        self, tmp_path_factory, cfg, form, flips, kind, at
+    ):
+        lines = _lines(cfg, form, flips)
+        at = min(at, len(lines))
+        record = json.loads(lines[min(at, len(lines) - 1)])
+        lines.insert(at, _bad_line(record, kind))
+        path = tmp_path_factory.mktemp("bad") / "data.jsonl"
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        got = _read_or_error(read_columns, path)
+        assert got == _read_or_error(lambda p: list(ref.iter_heads(p)), path)
+        assert isinstance(got, str) and got.startswith(f"{path}:{at + 1}: "), got
 
 
 probs_rows = st.lists(

@@ -377,7 +377,7 @@ class TestTrain:
         missing = tmp_path / "nope.jsonl"
         assert main(_train_args(missing, tmp_path / "o", extra=setting)) == 2
         data = _gen(tmp_path)
-        for reader in ("iter_heads", "iter_dataset"):
+        for reader in ("read_columns", "iter_dataset"):
             monkeypatch.setattr(cli, reader, lambda path: pytest.fail("dataset read"))
         assert main(_train_args(data, tmp_path / "o", extra=setting)) == 2
         assert not (tmp_path / "o").exists()
@@ -415,13 +415,13 @@ class TestTrain:
     def test_sft_traces_naming_the_dataset_are_read_once(self, tmp_path, monkeypatch):
         """--sft-traces that resolves to the --dataset file reuses the
         dataset's reward table, with the same artifacts as traces read from
-        a copy.  Each file is streamed once: a copy into a reward table of
-        its own."""
+        a copy.  Each file is read once: a copy into a reward table of its
+        own."""
         data = _gen(tmp_path)
         copy = tmp_path / "copy.jsonl"
         copy.write_bytes(data.read_bytes())
         reads = []
-        for name in ("iter_heads", "iter_dataset"):
+        for name in ("read_columns", "iter_dataset"):
             reader = getattr(cli, name)
             monkeypatch.setattr(
                 cli, name,
@@ -432,10 +432,10 @@ class TestTrain:
         spelled = tmp_path / "sub" / ".." / data.name
         (tmp_path / "sub").mkdir()
         assert main(_train_args(data, same, extra=["--sft-traces", str(spelled)])) == 0
-        assert reads == [("iter_heads", data)]
+        assert reads == [("read_columns", data)]
         copied = tmp_path / "copied"
         assert main(_train_args(data, copied, extra=["--sft-traces", str(copy)])) == 0
-        assert reads[1:] == [("iter_heads", data), ("iter_heads", copy)]
+        assert reads[1:] == [("read_columns", data), ("read_columns", copy)]
         for name in ("policy.json", "train_log.jsonl", "summary.csv"):
             assert (same / name).read_bytes() == (copied / name).read_bytes()
 
@@ -673,7 +673,7 @@ class TestEval:
                 "--dataset", str(tmp_path / "nope.jsonl"), "--reward-variant", "bogus"]
         assert main(argv) == 2
         argv[2], argv[4] = str(_oracle_checkpoint(tmp_path)), str(_gen(tmp_path))
-        for reader in ("iter_heads", "iter_dataset"):
+        for reader in ("read_columns", "iter_dataset"):
             monkeypatch.setattr(cli, reader, lambda path: pytest.fail("dataset read"))
         assert main(argv) == 2
 
@@ -721,11 +721,13 @@ class TestEval:
 
     @given(st.lists(st.text(max_size=6), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
     @example(["a\rb", 'c"\r'], 0)
+    @example(["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "plain"], 1)
     @settings(max_examples=50)
     def test_summary_equals_one_csv_row_per_item(self, tmp_path_factory, ids, seed):
         """Each distinct evaluation is formatted once, yet the file reads
-        back as one row per item, and where no id holds a carriage return
-        it is what the csv writer writes row by row."""
+        back as one row per item, each field quoted exactly where it holds
+        a special character, and where no id holds a carriage return it is
+        what the csv writer writes row by row."""
         items = [
             dataclasses.replace(item, id=item_id)
             for item, item_id in zip(_SUMMARY_ITEMS, ids)
@@ -742,6 +744,7 @@ class TestEval:
         ]
         text = path.read_bytes().decode("utf-8")
         assert list(csv.reader(io.StringIO(text, newline=""))) == rows
+        assert text == "".join(",".join(map(cli._csv_field, row)) + "\n" for row in rows)
         if not any("\r" in item_id for item_id in ids):
             want = io.StringIO()
             csv.writer(want, lineterminator="\n").writerows(rows)
@@ -880,7 +883,7 @@ class TestSweep:
     )
     def test_negative_seed_is_refused_before_anything_is_read(self, tmp_path, monkeypatch, argv):
         data = _gen(tmp_path)
-        for reader in ("iter_heads", "iter_dataset"):
+        for reader in ("read_columns", "iter_dataset"):
             monkeypatch.setattr(cli, reader, lambda path: pytest.fail("dataset read"))
         out = tmp_path / "s"
         argv = [arg.format(data=data) for arg in argv]
@@ -908,7 +911,7 @@ class TestSweep:
         self, tmp_path, monkeypatch, argv, flag, value, message
     ):
         data = _gen(tmp_path)
-        for reader in ("iter_heads", "iter_dataset"):
+        for reader in ("read_columns", "iter_dataset"):
             monkeypatch.setattr(cli, reader, lambda path: pytest.fail("dataset read"))
         out = tmp_path / "s"
         argv = [arg.format(data=data) for arg in argv]
@@ -954,7 +957,7 @@ class TestSweep:
 
             monkeypatch.setattr(cli, name, wrapper)
 
-        counted("iter_heads")
+        counted("read_columns")
         counted("iter_dataset")
         counted("sft_train")
         flags = ["--dataset", str(data), "--iters", "6", "--batch-size", "8", "--seed", "2",
@@ -967,7 +970,7 @@ class TestSweep:
             out = tmp_path / axis
             assert main(["sweep", "--axis", axis, "--values", ",".join(values),
                          "--out-dir", str(out), *flags]) == 0
-            assert calls == {"iter_heads": 1, "sft_train": 1}
+            assert calls == {"read_columns": 1, "sft_train": 1}
             for value in values:
                 alone = tmp_path / f"alone_{axis}_{value}"
                 assert main(["train", "--out-dir", str(alone), flag, value, *flags]) == 0

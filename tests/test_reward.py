@@ -1,14 +1,21 @@
 """Completion parsing, the piecewise reward rules and the content-keyed scorer."""
 
+import dataclasses
+import gc
+import string
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from abstainrl.grpo import RewardTable
 from abstainrl.reward import (
     AnswerMetrics,
     RewardVariant,
     Scorer,
+    answer_metrics,
     answer_reward,
     format_reward,
     is_no_answer,
@@ -16,7 +23,15 @@ from abstainrl.reward import (
     rule_rewards,
     total_reward,
 )
-from abstainrl.textmetrics import GoldAnswer, exact_match, rouge_l, rouge_n, semantic_sim
+from abstainrl.synthenv import GenConfig, generate_dataset
+from abstainrl.textmetrics import (
+    GoldAnswer,
+    TextParts,
+    exact_match,
+    rouge_l,
+    rouge_n,
+    semantic_sim,
+)
 
 NO_ANSWER_GOLD = GoldAnswer.no_answer()
 PARIS = GoldAnswer.of("paris")
@@ -228,6 +243,14 @@ _scored_golds = st.sampled_from(
 )
 
 
+# texts that normalize to nothing (empty, punctuation, articles), to each
+# other, or to a token an alias shares
+_metric_texts = st.sampled_from(
+    ["", " ", "...", "?!", "the", "a an the", "The  A.", "Paris", "paris!", "the paris",
+     "Paris, Paris", "paris london", "x y", "y x", "London"]
+) | st.text(max_size=12)
+
+
 def _rule_inputs(scorer, text, gold):
     """``rule_rewards``' inputs for completion ``text`` against ``gold``,
     read through ``scorer``'s memos; an abstention or a No-Answer gold is
@@ -258,18 +281,28 @@ class TestScorer:
         for (text, _), (_, abstains, _, _) in zip(pairs, inputs):
             assert abstains == is_no_answer(parse_completion(text).answer)
 
-    @given(st.lists(st.tuples(_candidates | st.text(max_size=12), _scored_golds.filter(
-        lambda gold: not gold.is_no_answer)), min_size=1, max_size=30))
+    @given(st.lists(st.tuples(
+        _candidates | _metric_texts,
+        _scored_golds.filter(lambda gold: not gold.is_no_answer)
+        | st.lists(_metric_texts.filter(bool), min_size=1, max_size=3).map(
+            lambda aliases: GoldAnswer.of(*aliases)),
+    ), min_size=1, max_size=30))
     def test_metrics_equal_direct_metrics(self, pairs):
+        """A scorer's metrics, whose texts it takes apart once and reuses
+        across golds, equal ``answer_metrics``' fresh ones and the metric
+        functions called one by one, bit for bit."""
         scorer = Scorer()
         for answer, gold in pairs * 2:
-            assert scorer.metrics(answer, gold) == AnswerMetrics(
+            direct = AnswerMetrics(
                 em=exact_match(answer, gold),
                 rouge1=rouge_n(answer, gold, 1).f1,
                 rouge2=rouge_n(answer, gold, 2).f1,
                 rouge_l=rouge_l(answer, gold).f1,
                 semantic=max(semantic_sim(answer, alias) for alias in gold.aliases),
             )
+            want = [v.hex() for v in direct]
+            assert [v.hex() for v in scorer.metrics(answer, gold)] == want
+            assert [v.hex() for v in answer_metrics(answer, gold)] == want
 
     def test_each_key_is_scored_once(self, scoring_calls):
         """Each distinct text is parsed once and each distinct (answer,
@@ -287,3 +320,36 @@ class TestScorer:
         # every text above but "No Answer" has the answer "paris", and
         # GoldAnswer.of("paris") == PARIS, so it shares PARIS's entries
         assert measured == [("paris", PARIS), ("paris", GoldAnswer.of("Paris"))]
+
+    @staticmethod
+    def _module_caches() -> dict[str, int]:
+        """The size of every module-level dict, list and set of abstainrl's
+        modules, and of every unbounded function cache among them."""
+        sizes = {}
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "abstainrl":
+                continue
+            for attr, value in vars(module).items():
+                if isinstance(value, (dict, list, set)) and not attr.startswith("__"):
+                    sizes[f"{name}.{attr}"] = len(value)
+                elif hasattr(value, "cache_info") and value.cache_info().maxsize is None:
+                    sizes[f"{name}.{attr}()"] = value.cache_info().currsize
+        return sizes
+
+    def test_no_memo_outlives_a_table_build(self):
+        """The memos of a table build, parts of texts included, end with
+        it: no part of a text stays alive, and no module-level cache grows
+        when texts never scored before are (their characters were seen)."""
+        RewardTable(generate_dataset(GenConfig(n_items=30, seed=4)))
+        Scorer().metrics(string.ascii_letters + string.digits + " ", PARIS)
+        before = self._module_caches()
+        items = generate_dataset(GenConfig(n_items=30, seed=5))
+        renamed = [
+            dataclasses.replace(item, candidate_a=f"{item.candidate_a} v{j}")
+            for j, item in enumerate(items)
+        ]
+        table = RewardTable(renamed)
+        assert table.metrics.any()
+        gc.collect()
+        assert not any(isinstance(o, TextParts) for o in gc.get_objects())
+        assert self._module_caches() == before

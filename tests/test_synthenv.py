@@ -23,6 +23,7 @@ from abstainrl.retrieval import KGStore
 from abstainrl.synthenv import (
     DatasetError,
     GenConfig,
+    ItemColumns,
     ItemHead,
     MCSourceRecord,
     SpecKind,
@@ -33,7 +34,7 @@ from abstainrl.synthenv import (
     answerability_oracle,
     build_abstained_mc,
     generate_dataset,
-    iter_heads,
+    read_columns,
     read_dataset,
     read_mc_sources,
     read_text,
@@ -574,7 +575,7 @@ def _fact_line(**fields):
 
 
 # Lines of valid records, written with sorted keys (the form write_dataset
-# writes, which iter_heads scans) or without (which it decodes).
+# writes, which read_columns scans) or without (which it decodes).
 _LINES = st.builds(
     lambda records, sort_keys: [json.dumps(r, sort_keys=sort_keys) for r in records],
     _records(),
@@ -582,16 +583,21 @@ _LINES = st.builds(
 )
 
 
-def _heads_or_error(read, path):
+def _columns_or_error(read, path):
     try:
         return read(path)
     except DatasetError as exc:
         return str(exc)
 
 
-class TestIterHeads:
-    """``iter_heads`` scans the lines ``write_dataset`` writes instead of
-    decoding them, and is held to the heads of ``read_dataset``'s items."""
+def _columns(items):
+    return ItemColumns.of(map(ItemHead.of, items))
+
+
+class TestReadColumns:
+    """``read_columns`` scans the lines ``write_dataset`` writes instead of
+    decoding them, and is held to the columns of the heads of
+    ``read_dataset``'s items."""
 
     @given(_LINES)
     # integers: -0, 19 digits (both valid JSON), a leading zero (invalid)
@@ -617,8 +623,8 @@ class TestIterHeads:
     def test_equals_the_heads_of_read_dataset(self, tmp_path_factory, lines):
         path = tmp_path_factory.mktemp("heads") / "data.jsonl"
         write_lines(path, lines)
-        got = _heads_or_error(lambda p: list(iter_heads(p)), path)
-        want = _heads_or_error(lambda p: [ItemHead.of(item) for item in read_dataset(p)], path)
+        got = _columns_or_error(read_columns, path)
+        want = _columns_or_error(lambda p: _columns(read_dataset(p)), path)
         assert got == want
 
     def _counted(self, monkeypatch):
@@ -634,7 +640,7 @@ class TestIterHeads:
         path = tmp_path / "data.jsonl"
         write_dataset(items, path)
         calls = self._counted(monkeypatch)
-        assert list(iter_heads(path)) == [ItemHead.of(item) for item in items]
+        assert read_columns(path) == _columns(items)
         assert calls == []
 
     def test_lines_in_other_forms_are_decoded(self, tmp_path, monkeypatch):
@@ -648,13 +654,13 @@ class TestIterHeads:
             for i, item in enumerate(items)
         ])
         calls = self._counted(monkeypatch)
-        assert list(iter_heads(path)) == [ItemHead.of(item) for item in items]
+        assert read_columns(path) == _columns(items)
         assert len(calls) == len(items) // 2
 
     def test_scanned_heads_share_equal_parts(self, tmp_path):
         path = tmp_path / "data.jsonl"
         write_dataset(generate_dataset(GenConfig(n_items=300, p_unans=0.4, seed=8)), path)
-        heads = list(iter_heads(path))
+        heads = read_columns(path).heads
         for name in ("feature", "gold"):
             values = [getattr(head, name) for head in heads]
             first: dict = {}
