@@ -18,6 +18,7 @@ import contextlib
 import copy
 import json
 import math
+import operator
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -26,15 +27,18 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import ArrayLike
 
+from abstainrl import policy
 from abstainrl.policy import (
     ALL_ACTIONS,
     N_ACTIONS,
     N_FEATURES,
+    ActionId,
+    Choice,
     DivergenceError,
     PolicyParams,
-    inverse_cdf,
-    oracle_action,
-    render_completion,
+    cdf_bounds,
+    completion_text,
+    draw_at_bounds,
 )
 from abstainrl.reward import (
     DEFAULT_VARIANT,
@@ -47,7 +51,7 @@ from abstainrl.reward import (
     total_reward,  # noqa: F401  re-exported: e2ebench's tracer tests wrap it here
 )
 from abstainrl.synthenv import ItemColumns, ItemHead, SynthQAItem, read_records, write_lines
-from abstainrl.textmetrics import ConfusionCounts
+from abstainrl.textmetrics import ConfusionCounts, GoldAnswer, exact_match
 
 
 class GrpoDivergenceError(DivergenceError):
@@ -109,8 +113,11 @@ def _record_field(d: dict, name: str) -> int | float:
     raise ValueError(f"field {name!r} must be a float and finite, got {value!r}")
 
 
-# written as vars(record): that holds exactly the fields only while there is no cached_property
-@dataclass(frozen=True)
+# written as vars(record): that holds exactly the fields only while there is
+# no cached_property.  Not frozen: train_rl makes one per iteration, and a
+# frozen dataclass sets each field through object.__setattr__, which takes
+# about five times as long.
+@dataclass
 class TrainRecord:
     iteration: int
     mean_reward: float
@@ -126,12 +133,28 @@ def _train_record_from_dict(d: dict) -> TrainRecord:
     return TrainRecord(**{f.name: _record_field(d, f.name) for f in fields(TrainRecord)})
 
 
+_RECORD_KEYS = sorted(f.name for f in fields(TrainRecord))
+# a record's line, json.dumps(vars(record), sort_keys=True), as one %-template
+# of its fields in key order: %r spells an int or a finite float as json does
+_RECORD_LINE = "{" + ", ".join(f'"{key}": %r' for key in _RECORD_KEYS) + "}"
+_record_values = operator.attrgetter(*_RECORD_KEYS)
+
+
 @dataclass
 class TrainLog:
     records: list[TrainRecord] = field(default_factory=list)
 
     def jsonl_lines(self) -> list[str]:
-        return [json.dumps(vars(r), sort_keys=True) for r in self.records]
+        """Each record as ``json.dumps(vars(record), sort_keys=True)``; the
+        counts are ints and the other fields floats, as ``train_rl`` and
+        ``read`` make them."""
+        lines = list(map(_RECORD_LINE.__mod__, map(_record_values, self.records)))
+        # %r spells a non-finite float nan or inf, which json spells NaN or
+        # Infinity; no key holds either word
+        return [
+            json.dumps(vars(r), sort_keys=True) if "nan" in line or "inf" in line else line
+            for r, line in zip(self.records, lines)
+        ]
 
     def write(self, path: str | Path) -> None:
         write_lines(path, self.jsonl_lines())
@@ -146,7 +169,12 @@ class TrainLog:
 
 RewardFn = Callable[[str, ItemHead | SynthQAItem], RewardBreakdown]
 
-_NO_METRICS = (0.0,) * 5
+# per action: its choice's column in a row's candidates (A, B, then the
+# abstention) and whether it is bare, which together pick its text
+_ACTION_CHOICE = np.array([list(Choice).index(action.choice) for action in ALL_ACTIONS])
+_ACTION_BARE = np.array([not action.formatted for action in ALL_ACTIONS])
+# the oracle's actions: each choice, formatted
+_ANSWER_A, _ANSWER_B, _ABSTAIN = (ActionId(choice, formatted=True).index for choice in Choice)
 
 
 class RewardTable:
@@ -159,17 +187,21 @@ class RewardTable:
     columns and builds no item.  The table keeps the columns as arrays,
     ``ids``, ``features`` (the feature row index), ``unanswerable`` and
     ``row``, each item's content row, plus ``first_cell``, ``row * 6``, the
-    flat index of the row's first cell; a lookup is a gather.  Each content
-    row is scored from the head of its first item, which the table keeps
-    for ``expert_cells``: one ``Scorer`` parses each distinct text and
-    measures each distinct (answer, answerable gold) once; the metrics are
-    zero for a No-Answer gold.  ``rewards`` is ``reward.rule_rewards``
-    under ``variant`` over the ``formatted``, ``abstained`` and ``metrics``
-    columns, which ``with_variant`` reuses.  ``reward_fn`` overrides the
-    rule, which is how the bandit sanity environments install their own
-    payout tables; it is called once per (row, action) pair with the row's
-    head, and under it items given as items, not columns, get a row each,
-    since a payout may depend on the item.
+    flat index of the row's first cell; a lookup is a gather.
+
+    A cell's completion is the formatted or the bare text of one of its
+    row's two candidates or of the abstention, so the table is scored from
+    the distinct texts: one ``Scorer`` parses the two completions of each
+    distinct candidate and of the abstention, and measures each distinct
+    (answer, answerable gold) once; the metrics are zero for a No-Answer
+    gold.  The per-cell ``formatted``, ``abstained`` and ``metrics``
+    columns are gathers from those.  ``rewards`` is ``reward.rule_rewards``
+    under ``variant`` over them, which ``with_variant`` reuses.
+    ``reward_fn`` overrides the rule, which is how the bandit sanity
+    environments install their own payout tables; it is called once per
+    (row, action) pair with the cell's completion and the row's head, and
+    under it items given as items, not columns, get a row each, since a
+    payout may depend on the item.
     """
 
     def __init__(
@@ -187,39 +219,71 @@ class RewardTable:
         self.unanswerable = np.array(items.unanswerable)
         self.row = np.array(items.row)
         self.first_cell = self.row * N_ACTIONS
-        self._row_heads = items.heads
-        formatted = []
-        abstained = []
-        # em, rouge1, rouge2, rouge_l and semantic: AnswerMetrics' and Evaluation's order
-        metrics = []
-        rewards = []
+        # each row's candidates (A, B, the abstention) and gold as indexes
+        # into the distinct ones; candidate 0 is the abstention, and golds are
+        # keyed by their aliases
+        candidates: dict[str | None, int] = {None: 0}
+        gold_index: dict[tuple[str, ...], int] = {}
+        self._golds: list[GoldAnswer] = []
+        row_candidates = []
+        row_gold = []
+        for _, _, gold, candidate_a, candidate_b in items.heads:
+            row_candidates.append((
+                candidates.setdefault(candidate_a, len(candidates)),
+                candidates.setdefault(candidate_b, len(candidates)),
+                0,
+            ))
+            g = gold_index.setdefault(gold.aliases, len(self._golds))
+            if g == len(self._golds):
+                self._golds.append(gold)
+            row_gold.append(g)
+        self._candidates = list(candidates)
+        self._row_candidates = np.array(row_candidates)
+        self._row_gold = np.array(row_gold)
+        self._no_answer = np.array([gold.is_no_answer for gold in self._golds])[self._row_gold]
+        # text 2k is candidate k's formatted completion, 2k + 1 its bare one
+        texts = [completion_text(c, formatted) for c in candidates for formatted in (True, False)]
+        cell_text = 2 * self._row_candidates[:, _ACTION_CHOICE] + _ACTION_BARE
         scorer = Scorer()
-        for head in items.heads:
-            for action in ALL_ACTIONS:
-                text = render_completion(action, head)
-                parsed = scorer.parse(text)
-                formatted.append(parsed.format_ok)
-                abstained.append(is_no_answer(parsed.answer))
-                if reward_fn is not None:
-                    rewards.append(reward_fn(text, head).total)
-                metrics.append(
-                    _NO_METRICS if head.gold.is_no_answer
-                    else scorer.metrics(parsed.answer, head.gold)
-                )
-        shape = (len(items.heads), N_ACTIONS)
-        self.formatted = np.array(formatted).reshape(shape)
-        self.abstained = np.array(abstained).reshape(shape)
-        self.metrics = np.array(metrics, dtype=float).reshape(shape + (5,))
-        self.rewards = (
-            np.array(rewards, dtype=float).reshape(shape) if reward_fn is not None
-            else self._rule(variant, self.formatted)
+        parsed = [scorer.parse(text) for text in texts]
+        answers: dict[str, int] = {}
+        text_answer = np.array([answers.setdefault(p.answer, len(answers)) for p in parsed])
+        cell_answer = text_answer[cell_text]
+        self.formatted = np.array([p.format_ok for p in parsed])[cell_text]
+        self.abstained = np.array([is_no_answer(answer) for answer in answers])[cell_answer]
+        # em, rouge1, rouge2, rouge_l and semantic: AnswerMetrics' and
+        # Evaluation's order; measured once per distinct (answer, gold) code
+        n_golds = len(self._golds)
+        answerable = ~self._no_answer
+        codes, where = np.unique(
+            (cell_answer * n_golds + self._row_gold[:, None])[answerable], return_inverse=True
         )
+        answer_texts = list(answers)
+        measured = [
+            scorer.metrics(answer_texts[code // n_golds], self._golds[code % n_golds])
+            for code in codes.tolist()
+        ]
+        self.metrics = np.zeros(cell_text.shape + (5,))
+        self.metrics[answerable] = np.array(measured, dtype=float).reshape(-1, 5)[
+            where.reshape(-1, N_ACTIONS)
+        ]
+        if reward_fn is None:
+            self.rewards = self._rule(variant, self.formatted)
+        else:
+            self.rewards = np.array(
+                [
+                    reward_fn(texts[t], head).total
+                    for head, row_texts in zip(items.heads, cell_text.tolist())
+                    for t in row_texts
+                ],
+                dtype=float,
+            ).reshape(cell_text.shape)
 
     def _rule(self, variant: RewardVariant, formatted: ArrayLike) -> np.ndarray:
         """``rule_rewards`` of every cell, with ``formatted`` as the format flags."""
-        no_answer = np.empty(len(self.abstained), dtype=bool)
-        no_answer[self.row] = self.unanswerable
-        return rule_rewards(formatted, self.abstained, no_answer[:, None], self.metrics, variant)
+        return rule_rewards(
+            formatted, self.abstained, self._no_answer[:, None], self.metrics, variant
+        )
 
     def with_variant(self, variant: RewardVariant) -> "RewardTable":
         """This table with the rule's rewards under ``variant`` (in place of
@@ -233,14 +297,37 @@ class RewardTable:
         """The number of items."""
         return len(self.ids)
 
+    def oracle_actions(self) -> np.ndarray:
+        """The oracle's action (``policy.oracle_action``) of each content
+        row: the formatted candidate A if it exactly matches an answerable
+        gold, else B if it does, else the formatted abstention.
+        ``exact_match`` runs once per distinct (candidate, answerable gold)."""
+        n_golds = len(self._golds)
+        answerable = ~self._no_answer
+        codes, where = np.unique(
+            (self._row_candidates[:, :2] * n_golds + self._row_gold[:, None])[answerable],
+            return_inverse=True,
+        )
+        matched = np.array(
+            [
+                exact_match(self._candidates[code // n_golds], self._golds[code % n_golds]) == 1.0
+                for code in codes.tolist()
+            ],
+            dtype=bool,
+        )[where.reshape(-1, 2)]
+        oracle = np.full(len(answerable), _ABSTAIN)
+        oracle[answerable] = np.where(
+            matched[:, 0], _ANSWER_A, np.where(matched[:, 1], _ANSWER_B, _ABSTAIN)
+        )
+        return oracle
+
     def expert_cells(self) -> np.ndarray:
         """``feature * 6 + action`` of every item whose content row has an
         expert action, in item order: the traces SFT fits.  A row's expert
-        action is the oracle's (``policy.oracle_action``) where the rule's
-        answer reward (no format reward) there under the default variant is
-        at least 1.  Only SFT reads it, so it is decided here, not when the
-        table is built."""
-        oracle = np.array([oracle_action(item).index for item in self._row_heads])
+        action is its oracle action where the rule's answer reward (no
+        format reward) there under the default variant is at least 1.  Only
+        SFT reads it, so it is decided here, not when the table is built."""
+        oracle = self.oracle_actions()
         answer = self._rule(DEFAULT_VARIANT, False)[np.arange(len(oracle)), oracle]
         expert = np.where(answer >= 1.0, oracle, -1)[self.row]
         return (self.features * N_ACTIONS + expert)[expert >= 0]
@@ -350,11 +437,26 @@ def rollout_batch(
     runs the loop under one): a subnormal reward spread at ``std_eps = 0``
     warns of its division by zero otherwise.
     """
+    bounds = cdf_bounds(params_old.probs)
+    return _rollout(params_old.log_probs, bounds, params_ref.log_probs, table, cfg, rng)
+
+
+def _rollout(
+    log_probs: np.ndarray,
+    bounds: np.ndarray,
+    ref_log_probs: np.ndarray,
+    table: RewardTable,
+    cfg: GrpoConfig,
+    rng: np.random.Generator,
+) -> RolloutBatch:
+    """``rollout_batch`` under the old snapshot's log-probs and
+    ``policy.cdf_bounds`` of its probs and the reference's log-probs, each
+    a 6 x 6 array."""
     item_idx = rng.integers(0, len(table), size=cfg.batch_size)
     u = rng.random((cfg.batch_size, cfg.group_size))
     rows = table.features.take(item_idx)
     row_cells = _ROW_CELLS.take(rows, axis=0)
-    actions = inverse_cdf(params_old.probs.take(row_cells), u)
+    actions = draw_at_bounds(bounds.take(rows, axis=0), u)
     cells = row_cells[:, :1] + actions
     rewards, abstained = table.lookup(item_idx[:, None], actions)
     return RolloutBatch(
@@ -364,33 +466,35 @@ def rollout_batch(
         actions=actions,
         cells=cells,
         scatter=np.concatenate((cells, row_cells), axis=None),
-        logp_old=params_old.log_probs.take(cells),
-        logp_ref=params_ref.log_probs.take(cells),
+        logp_old=log_probs.take(cells),
+        logp_ref=ref_log_probs.take(cells),
         rewards=rewards,
         abstained=abstained,
         advantages=_advantages(rewards, cfg.std_eps),
     )
 
 
-def _objective_and_kl(
-    params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig
-) -> tuple[float, float]:
-    """``grpo_objective`` and the mean k3 KL of ``params`` on ``batch``,
-    both from one KL array."""
-    logp_new = params.log_probs.take(batch.cells)
+def _surrogate(
+    log_probs: np.ndarray, batch: RolloutBatch, cfg: GrpoConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-completion terms of ``grpo_objective`` under the log-probs
+    ``log_probs``, and the k3 KL array they subtract."""
+    logp_new = log_probs.take(batch.cells)
     ratio = importance_ratio(logp_new, batch.logp_old)
     kl = kl_k3(logp_new, batch.logp_ref)
-    terms = clipped_term(ratio, batch.advantages, cfg.clip_eps) - cfg.kl_beta * kl
+    return clipped_term(ratio, batch.advantages, cfg.clip_eps) - cfg.kl_beta * kl, kl
+
+
+def _mean(values: np.ndarray) -> float:
     # np.add.reduce over every cell is what ndarray.sum runs, without its wrapper
-    objective = float(np.add.reduce(terms, axis=None)) / terms.size
-    return objective, float(np.add.reduce(kl, axis=None)) / kl.size
+    return float(np.add.reduce(values, axis=None)) / values.size
 
 
 def grpo_objective(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) -> float:
     """Mean over groups of the per-group mean clipped surrogate minus beta * KL."""
     if batch.actions.shape[1] != cfg.group_size:
         raise ValueError("rollout group size does not match the configuration")
-    return _objective_and_kl(params, batch, cfg)[0]
+    return _mean(_surrogate(params.log_probs, batch, cfg)[0])
 
 
 def grpo_gradient(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) -> np.ndarray:
@@ -400,7 +504,15 @@ def grpo_gradient(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) ->
     contributes no gradient through the ratio (ties go to the unclipped
     branch).
     """
-    logp_new = params.log_probs.take(batch.cells)
+    return _gradient(params.log_probs, params.probs, batch, cfg)
+
+
+def _gradient(
+    log_probs: np.ndarray, probs: np.ndarray, batch: RolloutBatch, cfg: GrpoConfig
+) -> np.ndarray:
+    """``grpo_gradient`` at the log-probs ``log_probs`` and their ``exp``,
+    ``probs``."""
+    logp_new = log_probs.take(batch.cells)
     ratio = importance_ratio(logp_new, batch.logp_old)
     advantages = batch.advantages
     unclipped = ratio * advantages
@@ -410,8 +522,7 @@ def grpo_gradient(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) ->
     weight = (1.0 / coeff.size) * coeff
     # d logpi / d logits on a row is onehot(action) - softmax(row); each cell
     # sums its one-hot terms in batch order, then its softmax terms
-    probs = params.probs.take(batch.rows, axis=0)
-    softmax_terms = -np.add.reduce(weight, axis=1)[:, None] * probs
+    softmax_terms = -np.add.reduce(weight, axis=1)[:, None] * probs.take(batch.rows, axis=0)
     grad = np.bincount(
         batch.scatter,
         np.concatenate((weight, softmax_terms), axis=None),
@@ -420,55 +531,90 @@ def grpo_gradient(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) ->
     return grad.reshape(N_FEATURES, N_ACTIONS)
 
 
+# the most completions whose log statistics train_rl keeps before it reduces
+# them into records
+_LOG_BLOCK_CELLS = 1 << 13
+
+
 def train_rl(
     params0: PolicyParams, table: RewardTable, cfg: GrpoConfig = GrpoConfig()
 ) -> tuple[PolicyParams, TrainLog]:
     """Run the full RL loop over the table's items; the reference policy is
     params0, frozen.
 
+    The loop steps on arrays: each update's logits, their log-softmax (one
+    call of ``policy.log_softmax``) and its ``exp``, which the gradient,
+    the objective and the KL read, and each iteration draws from the
+    ``policy.cdf_bounds`` of its snapshot.  Each iteration's rewards,
+    abstention flags and KL array are kept for a block of iterations of at
+    most ``_LOG_BLOCK_CELLS`` completions (at least one iteration), then
+    reduced into the block's log records at once.
+
     Deterministic given (params0, the table's items and reward rule, cfg):
     the same seed reproduces an identical training log.
     """
-    ref = params0
-    params = params0
+    logits, log_probs, probs = params0.logits, params0.log_probs, params0.probs
+    ref_log_probs = log_probs
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
+    block = max(1, _LOG_BLOCK_CELLS // (cfg.batch_size * cfg.group_size))
+    kept: list[tuple] = []
     # overflow, inf - inf and a group std that underflows to 0 arise only
     # once a run diverges; the finiteness checks turn that into
     # GrpoDivergenceError instead of warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for iteration in range(cfg.outer_iters):
-            batch = rollout_batch(params, ref, table, cfg, rng)
+            bounds = cdf_bounds(probs)
+            batch = _rollout(log_probs, bounds, ref_log_probs, table, cfg, rng)
             for _ in range(cfg.inner_steps):
-                logits = params.logits + cfg.lr * grpo_gradient(params, batch, cfg)
-                try:
-                    params = PolicyParams(logits)
-                except ValueError:  # PolicyParams holds only finite logits
+                logits = logits + cfg.lr * _gradient(log_probs, probs, batch, cfg)
+                if not np.isfinite(logits).all():
                     raise GrpoDivergenceError(
                         f"logits became non-finite at iteration {iteration}"
-                    ) from None
-            objective, kl = _objective_and_kl(params, batch, cfg)
+                    )
+                # looked up on the module at each call, as PolicyParams.log_probs
+                # looks it up
+                log_probs = policy.log_softmax(logits)
+                probs = np.exp(log_probs)
+            terms, kl = _surrogate(log_probs, batch, cfg)
+            objective = _mean(terms)
             if not math.isfinite(objective):
                 raise GrpoDivergenceError(
                     f"objective became non-finite at iteration {iteration}"
                 )
-            rewards, abstained = batch.rewards, batch.abstained
-            n_abstained = int(np.count_nonzero(abstained))
-            tp = int(np.count_nonzero(abstained & batch.unanswerable[:, None]))
-            n_unanswerable = int(np.count_nonzero(batch.unanswerable)) * abstained.shape[1]
-            log.records.append(
-                TrainRecord(
-                    iteration=iteration,
-                    mean_reward=float(np.add.reduce(rewards, axis=None)) / rewards.size,
-                    abstain_rate=n_abstained / abstained.size,
-                    kl=kl,
-                    objective=objective,
-                    tp=tp,
-                    fp=n_abstained - tp,
-                    fn=n_unanswerable - tp,
-                )
-            )
-    return params, log
+            kept.append((batch.rewards, batch.abstained, batch.unanswerable, kl, objective))
+            if len(kept) == block:
+                log.records += _records(iteration + 1 - block, kept)
+                kept = []
+        if kept:
+            log.records += _records(cfg.outer_iters - len(kept), kept)
+    return (PolicyParams(logits) if cfg.outer_iters else params0), log
+
+
+def _records(first: int, kept: list[tuple]) -> list[TrainRecord]:
+    """The log records of consecutive iterations from iteration ``first``,
+    one per kept (rewards, abstained, unanswerable, kl, objective)."""
+    rewards, abstained, unanswerable, kl, objectives = zip(*kept)
+    n, (batch_size, group) = len(kept), abstained[0].shape
+    # each iteration's B x G array as one row: a reduction along a row adds
+    # in the order a reduction over the iteration's array alone does
+    rewards, kl, abstained = (np.concatenate(a).reshape(n, -1) for a in (rewards, kl, abstained))
+    unanswerable = np.concatenate(unanswerable).reshape(n, batch_size)
+    size = rewards.shape[1]
+    n_abstained = np.count_nonzero(abstained, axis=1)
+    tp = np.count_nonzero(abstained & unanswerable.repeat(group, axis=1), axis=1)
+    n_unanswerable = np.count_nonzero(unanswerable, axis=1) * group
+    return list(map(
+        TrainRecord,
+        range(first, first + n),
+        (np.add.reduce(rewards, axis=1) / size).tolist(),
+        (n_abstained / size).tolist(),
+        (np.add.reduce(kl, axis=1) / size).tolist(),
+        objectives,
+        tp.tolist(),
+        (n_abstained - tp).tolist(),
+        (n_unanswerable - tp).tolist(),
+    ))
 
 
 @dataclass(frozen=True, eq=False)

@@ -213,10 +213,22 @@ def inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     sum exceeds it, else on K - 1; the running sums are accumulated left to
     right, as a scalar loop over the row would.
     """
-    cum = np.add.accumulate(probs[..., :-1], axis=-1)
-    # running sums never decrease, so the sums <= u form a prefix whose
-    # length is the first index past u
-    return np.add.reduce(u[..., :, None] >= cum[..., None, :], axis=-1)
+    return draw_at_bounds(cdf_bounds(probs), u)
+
+
+def cdf_bounds(probs: np.ndarray) -> np.ndarray:
+    """The bounds ``inverse_cdf`` draws from: each row's running sums of
+    all but its last probability, accumulated left to right, then +inf."""
+    bounds = np.empty(np.shape(probs))
+    np.add.accumulate(probs[..., :-1], axis=-1, out=bounds[..., :-1])
+    bounds[..., -1] = np.inf
+    return bounds
+
+
+def draw_at_bounds(bounds: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``inverse_cdf`` from rows of ``cdf_bounds``: the first index whose
+    bound exceeds the draw."""
+    return (u[..., :, None] >= bounds[..., None, :]).argmin(axis=-1)
 
 
 def greedy_action(params: PolicyParams, feature: ContextFeature) -> ActionId:
@@ -226,15 +238,22 @@ def greedy_action(params: PolicyParams, feature: ContextFeature) -> ActionId:
 def render_completion(action: ActionId, item: "ItemHead | SynthQAItem") -> str:
     """Render an action as completion text for one question."""
     if action.choice is Choice.ANSWER_A:
-        answer = item.candidate_a
-        think = f"The facts in the queried window point to {item.candidate_a}."
-    elif action.choice is Choice.ANSWER_B:
-        answer = item.candidate_b
-        think = f"The facts in the queried window point to {item.candidate_b}."
-    else:
+        return completion_text(item.candidate_a, action.formatted)
+    if action.choice is Choice.ANSWER_B:
+        return completion_text(item.candidate_b, action.formatted)
+    return completion_text(None, action.formatted)
+
+
+def completion_text(candidate: str | None, formatted: bool) -> str:
+    """The completion that answers ``candidate``, or abstains where it is
+    None, in the ``<think>/<answer>`` template or bare."""
+    if candidate is None:
         answer = NO_ANSWER_TEXT
         think = "The queried window has no single supported fact."
-    if action.formatted:
+    else:
+        answer = candidate
+        think = f"The facts in the queried window point to {candidate}."
+    if formatted:
         return f"<think>{think}</think><answer>{answer}</answer>"
     return answer
 

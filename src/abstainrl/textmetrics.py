@@ -61,6 +61,13 @@ class GoldAnswer:
         return not self.aliases
 
 
+def _f1(precision: float, recall: float) -> float:
+    """The harmonic mean of precision and recall, 0 where both are 0."""
+    if precision + recall == 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
 @dataclass(frozen=True)
 class ScoreTriple:
     precision: float
@@ -69,9 +76,7 @@ class ScoreTriple:
 
     @classmethod
     def from_pr(cls, precision: float, recall: float) -> "ScoreTriple":
-        if precision + recall == 0:
-            return cls(precision, recall, 0.0)
-        return cls(precision, recall, 2 * precision * recall / (precision + recall))
+        return cls(precision, recall, _f1(precision, recall))
 
     @classmethod
     def zero(cls) -> "ScoreTriple":
@@ -161,35 +166,39 @@ class TextParts:
             self._embedding = vector, float(np.linalg.norm(vector))
         return self._embedding
 
+    # the best triple is kept as floats and built once: a frozen dataclass
+    # is slow to build, and most references do not beat the best
+
     def rouge_l(self, references: Iterable["TextParts"]) -> ScoreTriple:
         """``rouge_l`` against the texts of ``references``."""
         cand = self.tokens
-        best = ScoreTriple.zero()
+        best = (0.0, 0.0, 0.0)
         for reference in references:
             ref = reference.tokens
             if not cand or not ref:
                 continue
             lcs = lcs_length(cand, ref)
-            triple = ScoreTriple.from_pr(lcs / len(cand), lcs / len(ref))
-            if triple.f1 > best.f1:
-                best = triple
-        return best
+            precision, recall = lcs / len(cand), lcs / len(ref)
+            f1 = _f1(precision, recall)
+            if f1 > best[2]:
+                best = precision, recall, f1
+        return ScoreTriple(*best)
 
     def rouge_n(self, references: Iterable["TextParts"], n: int) -> ScoreTriple:
         """``rouge_n`` against the texts of ``references``."""
         cand_grams = self.grams(n)
-        best = ScoreTriple.zero()
+        best = (0.0, 0.0, 0.0)
         for reference in references:
             ref_grams = reference.grams(n)
             if not cand_grams or not ref_grams:
                 continue
-            overlap = sum(min(count, ref_grams[g]) for g, count in cand_grams.items())
-            triple = ScoreTriple.from_pr(
-                overlap / sum(cand_grams.values()), overlap / sum(ref_grams.values())
-            )
-            if triple.f1 > best.f1:
-                best = triple
-        return best
+            overlap = sum(min(count, ref_grams.get(g, 0)) for g, count in cand_grams.items())
+            precision = overlap / sum(cand_grams.values())
+            recall = overlap / sum(ref_grams.values())
+            f1 = _f1(precision, recall)
+            if f1 > best[2]:
+                best = precision, recall, f1
+        return ScoreTriple(*best)
 
     def exact_match(self, references: Iterable["TextParts"]) -> float:
         """``exact_match`` against the texts of ``references``."""

@@ -14,6 +14,9 @@ builds every part of a dataset record afresh, is the oracle for
 already padded string, is the oracle for ``textmetrics.trigram_embedding``.
 ``make_expert_traces``, which renders and scores the oracle's completion of
 every item, is the oracle for ``grpo.RewardTable.expert_cells``.
+``per_cell_table``, which renders, parses and measures every (content row,
+action) on its own, is the oracle for the columns ``grpo.RewardTable``
+gathers from its distinct texts.
 ``evaluate_items``, which renders and scores each item's greedy completion
 into an ``ItemEval`` record, and ``summarize_items``, which sums those
 records one at a time, are the oracles for ``grpo.evaluate_items`` and
@@ -23,6 +26,10 @@ records one at a time, are the oracles for ``grpo.evaluate_items`` and
 ``frozen_gradient`` and ``frozen_objective``, is the batched training loop
 as it stood before its step layer was reworked: the bit-for-bit oracle for
 ``grpo.train_rl``.
+``rouge_n_per_alias`` and ``rouge_l_per_alias``, which build a
+``ScoreTriple`` per alias from
+fresh n-gram counts and LCS lengths and keep the first with the highest F1,
+are the oracles for ``textmetrics.TextParts``' ROUGE methods.
 ``item_to_dict``, a dataset record as a dict, is the oracle for the lines
 ``synthenv.write_dataset`` writes: each is ``json.dumps(item_to_dict(item),
 sort_keys=True)``.  ``iter_heads``, which decodes and builds every record
@@ -32,6 +39,7 @@ whole, is the oracle for the columns ``synthenv.read_columns`` scans.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from pathlib import Path
 from dataclasses import dataclass, fields
@@ -65,12 +73,15 @@ from abstainrl.policy import (
 from abstainrl.reward import (
     DEFAULT_VARIANT,
     RewardVariant,
+    answer_metrics,
     answer_reward,
     is_no_answer,
     parse_completion,
+    rule_rewards,
     total_reward,
 )
 from abstainrl.synthenv import (
+    ItemColumns,
     ItemHead,
     SpecKind,
     SynthQAItem,
@@ -86,8 +97,11 @@ from abstainrl.synthenv import (
 from abstainrl.textmetrics import (
     ConfusionCounts,
     GoldAnswer,
+    ScoreTriple,
     abstention_confusion,
     exact_match,
+    lcs_length,
+    normalize_text,
     rouge_l,
     rouge_n,
     semantic_sim,
@@ -480,6 +494,43 @@ def frozen_train_rl(
     return PolicyParams(logits), log, rng
 
 
+def per_cell_table(
+    columns: ItemColumns, variant: RewardVariant = DEFAULT_VARIANT, reward_fn: RewardFn | None = None
+) -> dict[str, np.ndarray]:
+    """The ``formatted``, ``abstained``, ``metrics`` and ``rewards`` columns
+    of the reward table of ``columns``, as the table built them one cell at
+    a time: each (content row, action) rendered from the row's head,
+    parsed, and measured against the row's gold (zero metrics for a
+    No-Answer gold); ``reward_fn``, if given, called once per cell in row
+    order, else the rule under ``variant``."""
+    formatted, abstained, metrics, rewards = [], [], [], []
+    for head in columns.heads:
+        for action in ALL_ACTIONS:
+            text = render_completion(action, head)
+            parsed = parse_completion(text)
+            formatted.append(parsed.format_ok)
+            abstained.append(is_no_answer(parsed.answer))
+            if reward_fn is not None:
+                rewards.append(reward_fn(text, head).total)
+            metrics.append(
+                (0.0,) * 5 if head.gold.is_no_answer else answer_metrics(parsed.answer, head.gold)
+            )
+    shape = (len(columns.heads), N_ACTIONS)
+    table = {
+        "formatted": np.array(formatted).reshape(shape),
+        "abstained": np.array(abstained).reshape(shape),
+        "metrics": np.array(metrics, dtype=float).reshape(shape + (5,)),
+    }
+    if reward_fn is not None:
+        table["rewards"] = np.array(rewards, dtype=float).reshape(shape)
+    else:
+        no_answer = np.array([head.gold.is_no_answer for head in columns.heads])
+        table["rewards"] = rule_rewards(
+            table["formatted"], table["abstained"], no_answer[:, None], table["metrics"], variant
+        )
+    return table
+
+
 @dataclass(frozen=True)
 class ExpertTrace:
     feature: ContextFeature
@@ -603,6 +654,41 @@ def summarize_items(evals: Sequence[ItemEval]) -> EvalReport:
         rouge2=_mean([e.rouge2 for e in answerable]),
         rouge_l=_mean([e.rouge_l for e in answerable]),
         semantic=_mean([e.semantic for e in answerable]),
+    )
+
+
+def _best_triple(triples: Iterator[ScoreTriple]) -> ScoreTriple:
+    best = ScoreTriple.zero()
+    for triple in triples:
+        if triple.f1 > best.f1:
+            best = triple
+    return best
+
+
+def rouge_n_per_alias(candidate: str, gold: GoldAnswer, n: int) -> ScoreTriple:
+    """ROUGE-N F1's best alias, one ``ScoreTriple`` per alias."""
+    def grams(text: str) -> Counter:
+        tokens = normalize_text(text)
+        return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+    cand = grams(candidate)
+    refs = [grams(alias) for alias in gold.aliases]
+    return _best_triple(
+        ScoreTriple.from_pr(
+            sum(min(count, ref[g]) for g, count in cand.items()) / sum(cand.values()),
+            sum(min(count, ref[g]) for g, count in cand.items()) / sum(ref.values()),
+        )
+        for ref in refs if cand and ref
+    )
+
+
+def rouge_l_per_alias(candidate: str, gold: GoldAnswer) -> ScoreTriple:
+    """ROUGE-L F1's best alias, one ``ScoreTriple`` per alias."""
+    cand = normalize_text(candidate)
+    refs = [normalize_text(alias) for alias in gold.aliases]
+    return _best_triple(
+        ScoreTriple.from_pr(lcs_length(cand, ref) / len(cand), lcs_length(cand, ref) / len(ref))
+        for ref in refs if cand and ref
     )
 
 

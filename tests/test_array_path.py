@@ -7,6 +7,8 @@ completion at a time, every draw re-rendered and re-scored from text.
 import dataclasses
 import gc
 import json
+import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -46,13 +48,15 @@ from abstainrl.reward import (
 )
 from abstainrl.synthenv import (
     GenConfig,
+    ItemColumns,
+    ItemHead,
     SynthQAItem,
     generate_dataset,
     iter_dataset,
     read_columns,
     write_dataset,
 )
-from abstainrl.textmetrics import GoldAnswer
+from abstainrl.textmetrics import GoldAnswer, exact_match
 from test_synthenv import _VALID_RECORDS
 
 ITEMS = generate_dataset(GenConfig(n_items=40, p_unans=0.4, ambiguity=0.4, seed=31))
@@ -293,17 +297,25 @@ class TestRewardTable:
                 assert got.rewards is not base.rewards
             assert base.rewards.tobytes() == before.tobytes()
 
-    def test_only_expert_cells_runs_the_oracle(self, monkeypatch):
-        """Building and rescoring a table ask the oracle nothing: only SFT's
-        ``expert_cells`` does, once per content row."""
+    def test_only_expert_cells_matches_candidates(self, monkeypatch):
+        """Building and rescoring a table run no exact match of a candidate:
+        only SFT's ``expert_cells`` does, once per distinct (candidate,
+        answerable gold) of the content rows."""
         asked = []
         monkeypatch.setattr(
-            grpo, "oracle_action", lambda item: asked.append(item) or policy.oracle_action(item)
+            grpo, "exact_match",
+            lambda candidate, gold: asked.append((candidate, gold)) or exact_match(candidate, gold),
         )
         table = RewardTable(ITEMS).with_variant(RewardVariant.ROUGE_ONLY)
         assert asked == []
         table.expert_cells()
-        assert len(asked) == len(table.rewards)
+        pairs = {
+            (candidate, item.gold)
+            for item in ITEMS if not item.gold.is_no_answer
+            for candidate in (item.candidate_a, item.candidate_b)
+        }
+        assert len(asked) == len(set(asked)) == len(pairs) < 2 * len(ITEMS)
+        assert set(asked) == pairs
 
     def test_with_variant_replaces_a_reward_fn(self):
         """Rescoring a table a ``reward_fn`` scored gives the rule's
@@ -342,6 +354,74 @@ class TestRewardTable:
         assert ref.item_evals(got) == want
         greedy = np.argmax(params.logits, axis=1)[table.features]
         assert got.cell.tolist() == (table.row * len(ALL_ACTIONS) + greedy).tolist()
+
+
+# candidate and alias texts that render, parse, abstain and match in every
+# way a cell can: surrounding whitespace, the abstention phrase spelled
+# otherwise, template tags inside a candidate, case and article variants
+_TEXTS = st.one_of(
+    st.sampled_from([
+        "Alma", " Alma ", "alma", "\tAlma\n", "the Alma.", "Seabrook Rovers",
+        "seabrook  rovers", "No Answer", "no answer", " NO ANSWER ", "No  Answer.",
+        "no-answer", "No", "Answer", "<think>t</think><answer>Alma</answer>",
+        "Alma</answer>", "<answer>Alma", "<think>", "</think>", "</answer>", "A", "a", ".",
+    ]),
+    st.text(st.sampled_from(list("aAnsw <>/thik.-\t")), min_size=1, max_size=10),
+)
+_GOLDS = st.one_of(
+    st.just(GoldAnswer.no_answer()),
+    st.lists(_TEXTS, min_size=1, max_size=3).map(lambda aliases: GoldAnswer(tuple(aliases))),
+    _TEXTS.map(lambda alias: GoldAnswer((alias, alias.swapcase(), alias.upper()))),
+)
+
+
+@st.composite
+def _heads(draw):
+    """Heads with unique ids whose content often repeats: candidate B is
+    candidate A in some, and rows share candidates and golds."""
+    texts = draw(st.lists(_TEXTS, min_size=1, max_size=4))
+    golds = draw(st.lists(_GOLDS, min_size=1, max_size=3))
+    heads = []
+    for j in range(draw(st.integers(1, 8))):
+        a = draw(st.sampled_from(texts))
+        b = a if draw(st.booleans()) else draw(st.sampled_from(texts))
+        feature = draw(st.sampled_from(ALL_FEATURES))
+        heads.append(ItemHead(f"q{j}", feature, draw(st.sampled_from(golds)), a, b))
+    return heads
+
+
+class TestDistinctTextTable:
+    """The table built from distinct texts against the per-cell build it
+    replaced (``scalar_reference.per_cell_table``)."""
+
+    @given(_heads(), st.sampled_from(list(RewardVariant)), st.booleans())
+    @settings(max_examples=150)
+    @example(
+        [ItemHead("q0", ALL_FEATURES[0], GoldAnswer(("Alma", "ALMA", "the alma")), " Alma ", " Alma "),
+         ItemHead("q1", ALL_FEATURES[3], GoldAnswer.no_answer(), "No Answer", "no-answer"),
+         ItemHead("q2", ALL_FEATURES[5], GoldAnswer(("No Answer",)),
+                  "<think>t</think><answer>Alma</answer>", "Alma</answer>")],
+        DEFAULT_VARIANT, False,
+    )
+    def test_equals_the_per_cell_oracle(self, heads, variant, bandit):
+        """Bit for bit, in every column, whatever the rule: a ``reward_fn``
+        is called once per (row, action), in row order, with the cell's
+        completion and the row's head; and each row's oracle action is
+        ``policy.oracle_action`` of its head."""
+        rule = _CountingRule(_payout) if bandit else None
+        table = RewardTable(heads, variant, reward_fn=rule)
+        columns = ItemColumns.of(heads, share_rows=not bandit)
+        want = ref.per_cell_table(columns, variant, _payout if bandit else None)
+        for name, column in want.items():
+            assert _column_bytes(table, name) == (column.dtype, column.shape, column.tobytes()), name
+        if bandit:
+            assert rule.calls == len(ALL_ACTIONS) * len(columns.heads)
+            assert rule.scored == [
+                (head.id, render_completion(action, head))
+                for head in columns.heads for action in ALL_ACTIONS
+            ]
+        oracle = [policy.oracle_action(head).index for head in columns.heads]
+        assert table.oracle_actions().tolist() == oracle
 
 
 def _reserialized(line: str) -> str:
@@ -666,18 +746,23 @@ class TestGradient:
         assert not params.log_probs.flags.writeable
 
     def test_train_rl_steps_with_grpo_gradient(self, monkeypatch):
-        """The gradient A5 checks is the one train_rl steps with."""
+        """The gradient A5 checks is the one train_rl steps with: both call
+        one core, ``grpo._gradient``, on a snapshot's log-probs and probs."""
         calls = []
-        original = grpo.grpo_gradient
+        original = grpo._gradient
 
-        def spy(params, batch, cfg):
+        def spy(log_probs, probs, batch, cfg):
             calls.append(batch)
-            return original(params, batch, cfg)
+            return original(log_probs, probs, batch, cfg)
 
-        monkeypatch.setattr(grpo, "grpo_gradient", spy)
+        monkeypatch.setattr(grpo, "_gradient", spy)
         cfg = GrpoConfig(outer_iters=3, inner_steps=2, batch_size=4, seed=0)
         train_rl(PolicyParams.zeros(), RewardTable(ITEMS), cfg)
         assert len(calls) == 6
+        params = PolicyParams.zeros()
+        batch = rollout_batch(params, params, RULE_TABLE, cfg, np.random.default_rng(0))
+        grpo_gradient(params, batch, cfg)
+        assert len(calls) == 7 and calls[-1] is batch
 
 
 class TestTrainRl:
@@ -764,6 +849,24 @@ class TestTrainRl:
         assert len(texts) < per_pair.calls  # items share completions
 
 
+    def test_log_statistics_take_bounded_memory(self):
+        """The per-iteration log statistics are reduced in blocks of a fixed
+        number of completions: a run of 3 000 iterations of 256 groups of 16
+        would hold about 105 MiB in one (iterations, B * G) buffer of its
+        float rewards and boolean abstention flags alone, and it peaks below
+        8 MiB (its records included)."""
+        table = RewardTable(ITEMS[:8])
+        cfg = GrpoConfig(outer_iters=3000, batch_size=256, group_size=16, seed=0)
+        tracemalloc.start()
+        try:
+            _, log = train_rl(PolicyParams.zeros(), table, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(log.records) == cfg.outer_iters
+        assert peak < 8 * 2**20, peak
+
+
 RULE_TABLE = RewardTable(ITEMS)
 BANDIT_TABLE = RewardTable(ITEMS, reward_fn=_payout)
 
@@ -841,6 +944,23 @@ class TestFrozenLoop:
             batch_size=batch_size, seed=seed % 1000,
         )
         _assert_same_run(params0, table, cfg)
+
+    @pytest.mark.parametrize(
+        "batch_size, group_size, outer_iters", [(4, 3, 5), (64, 9, 40), (300, 16, 3)]
+    )
+    def test_irregular_rewards_equal_the_frozen_loop(self, batch_size, group_size, outer_iters):
+        """Rewards with full mantissas, so that the order a record's mean
+        adds in shows in its last bits, over runs of several log blocks
+        and of blocks of one iteration."""
+        def payout(raw, item):
+            value = math.sqrt(sum(map(ord, raw + item.id))) / 7.0
+            return RewardBreakdown(format=0.0, answer=value, total=value)
+
+        table = RewardTable(ITEMS, reward_fn=payout)
+        cfg = GrpoConfig(outer_iters=outer_iters, batch_size=batch_size, group_size=group_size,
+                         lr=0.3, seed=batch_size)
+        want = _assert_same_run(PolicyParams.zeros(), table, cfg)
+        assert len(want[0]) == outer_iters
 
     def test_clipping_example_clips(self):
         """The example above reaches ratios outside [1 - eps, 1 + eps]."""

@@ -2,17 +2,20 @@
 objective/gradient pair, the training loop, and greedy evaluation."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from abstainrl.grpo import (
     GrpoConfig,
     GrpoDivergenceError,
     RewardTable,
+    TrainLog,
+    TrainRecord,
     clipped_term,
     compute_advantages,
     evaluate_policy,
@@ -228,6 +231,43 @@ class TestGradient:
                 ) / (2 * h)
                 denom = max(abs(numeric), 1e-8)
                 assert abs(analytic[r, c] - numeric) / denom < 1e-4
+
+
+# the floats and ints a log record can hold: signed zeros, subnormals, the
+# bounds of repr's fixed and exponent forms, large counts, and the
+# non-finite values a reward_fn can put into mean_reward
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-7, 1e-4, 0.1, 1e308]
+_LOG_FLOATS = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+_LOG_INTS = st.one_of(st.integers(0, 300), st.integers(-(2**70), 2**70), st.just(10**100))
+
+
+def _log_records(floats, ints):
+    return st.lists(
+        st.builds(TrainRecord, ints, floats, floats, floats, floats, ints, ints, ints), max_size=6
+    )
+
+
+class TestTrainLogLines:
+    @given(_log_records(_LOG_FLOATS, _LOG_INTS))
+    @example([TrainRecord(0, math.nan, math.inf, -math.inf, -0.0, 0, 2**64, 1)])
+    def test_each_line_is_the_records_json(self, records):
+        """A line is ``json.dumps(vars(record), sort_keys=True)``, for
+        every int and float a field can hold."""
+        want = [json.dumps(vars(r), sort_keys=True) for r in records]
+        assert TrainLog(records).jsonl_lines() == want
+
+    @given(_log_records(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_SPECIAL_FLOATS)),
+        st.one_of(st.integers(0, 300), st.integers(0, 2**70)),
+    ))
+    def test_written_log_reads_back(self, tmp_path_factory, records):
+        """``read`` of a written log returns records equal to the ones
+        written, wherever ``read`` accepts their values."""
+        path = tmp_path_factory.mktemp("log") / "train_log.jsonl"
+        TrainLog(records).write(path)
+        read = TrainLog.read(path)
+        assert read.records == records
+        assert read.jsonl_lines() == TrainLog(records).jsonl_lines()  # -0.0 stays -0.0
 
 
 class TestTrainRl:

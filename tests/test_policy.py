@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from abstainrl import grpo
 from abstainrl.grpo import RewardTable
 from abstainrl.policy import (
     ALL_ACTIONS,
@@ -25,7 +24,7 @@ from abstainrl.policy import (
     sft_train,
 )
 from abstainrl.reward import answer_reward, parse_completion
-from abstainrl.synthenv import GenConfig, generate_dataset
+from abstainrl.synthenv import GenConfig, ItemColumns, ItemHead, generate_dataset
 from abstainrl.textmetrics import GoldAnswer
 
 F0 = ALL_FEATURES[0]
@@ -228,16 +227,17 @@ class TestExpertTraces:
             item.feature.index * len(ALL_ACTIONS) + abstain for item in unanswerable
         ]
 
-    def test_oracle_action_chosen_once_per_content(self, monkeypatch):
+    def test_oracle_actions_equal_the_oracle_per_row(self):
+        """Each content row's oracle action is ``oracle_action`` of the
+        row's head, and every item of a generated dataset keeps its row's."""
         items = generate_dataset(GenConfig(n_items=300, p_unans=0.3, ambiguity=0.5, seed=14))
-        rows = {(i.candidate_a, i.candidate_b, i.gold) for i in items}
-        assert len(rows) < len(items)
-        calls = []
-        real = grpo.oracle_action
-        monkeypatch.setattr(grpo, "oracle_action", lambda item: calls.append(item) or real(item))
-        cells = RewardTable(items).expert_cells()
-        assert len(calls) == len(rows)
-        assert cells.tolist() == [
+        columns = ItemColumns.of(map(ItemHead.of, items))
+        assert len(columns.heads) < len(items)
+        table = RewardTable(columns)
+        assert table.oracle_actions().tolist() == [
+            oracle_action(head).index for head in columns.heads
+        ]
+        assert table.expert_cells().tolist() == [
             item.feature.index * len(ALL_ACTIONS) + oracle_action(item).index for item in items
         ]
 

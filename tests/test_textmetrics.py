@@ -154,6 +154,25 @@ class TestRougeN:
         assert triple.recall == pytest.approx(1 / 2)
 
 
+# texts whose tokens repeat and overlap, and golds of one to three aliases
+_WORDS = st.lists(st.sampled_from(["x", "y", "z", "the", "X.", "y,"]), max_size=6).map(" ".join)
+_ALIASES = st.lists(_WORDS.filter(bool), min_size=1, max_size=3)
+
+
+class TestRougeAgainstPerAlias:
+    @given(_WORDS, _ALIASES)
+    @example("x y", ["y x", "x y", "x"])
+    # equal F1s from swapped precision and recall: the first alias is kept
+    @example("x y", ["x", "x y x y"])
+    def test_equals_a_triple_per_alias(self, candidate, aliases):
+        """Bit for bit, the best (precision, recall, F1) kept as floats is
+        the best of a ``ScoreTriple`` built per alias; ties keep the first."""
+        gold = GoldAnswer(tuple(aliases))
+        for n in (1, 2):
+            assert rouge_n(candidate, gold, n) == ref.rouge_n_per_alias(candidate, gold, n)
+        assert rouge_l(candidate, gold) == ref.rouge_l_per_alias(candidate, gold)
+
+
 class TestExactMatch:
     def test_normalized_equality(self):
         assert exact_match("Tranmere Rovers.", GoldAnswer.of("tranmere rovers")) == 1.0
