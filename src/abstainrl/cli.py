@@ -719,79 +719,109 @@ def _add_flags(parser: argparse.ArgumentParser, defaults: dict[str, Any]) -> Non
     parser.add_argument("--config", type=str)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="abstainrl",
-        description="Abstention-aware temporal-QA training harness.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _gen_flags(p: argparse.ArgumentParser) -> None:
+    _add_flags(p, _GEN_DEFAULTS)
+    p.set_defaults(handler=_cmd_gen)
 
-    p_gen = sub.add_parser("gen", help="generate a synthetic temporal-QA dataset")
-    _add_flags(p_gen, _GEN_DEFAULTS)
-    p_gen.set_defaults(handler=_cmd_gen)
 
-    p_mc = sub.add_parser("build-mc", help="build the abstained 3-option MC dataset")
-    p_mc.add_argument("--in", dest="in_path", type=str)
-    p_mc.add_argument("--ratio", type=float)
-    p_mc.add_argument("--seed", type=int)
-    p_mc.add_argument("--out", type=str)
-    p_mc.add_argument("--config", type=str)
-    p_mc.set_defaults(handler=_cmd_build_mc)
+def _build_mc_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--in", dest="in_path", type=str)
+    p.add_argument("--ratio", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", type=str)
+    p.add_argument("--config", type=str)
+    p.set_defaults(handler=_cmd_build_mc)
 
-    p_ext = sub.add_parser("extract", help="rule-based or remote reasoning-information extraction")
-    p_ext.add_argument("--mode", choices=("sub-context", "kg"), default="sub-context")
-    p_ext.add_argument("--question", type=str)
-    p_ext.add_argument("--context", type=str)
-    p_ext.add_argument("--context-file", dest="context_file", type=str)
-    p_ext.add_argument("--dataset", type=str, help="convert dataset facts to a KG store")
-    p_ext.add_argument("--window", type=str, help="question interval as LO:HI years")
-    p_ext.add_argument("--out", type=str)
-    p_ext.add_argument("--remote", action="store_true")
-    p_ext.add_argument("--endpoint", type=str)
-    p_ext.add_argument("--model", type=str)
-    p_ext.add_argument(
+
+def _extract_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", choices=("sub-context", "kg"), default="sub-context")
+    p.add_argument("--question", type=str)
+    p.add_argument("--context", type=str)
+    p.add_argument("--context-file", dest="context_file", type=str)
+    p.add_argument("--dataset", type=str, help="convert dataset facts to a KG store")
+    p.add_argument("--window", type=str, help="question interval as LO:HI years")
+    p.add_argument("--out", type=str)
+    p.add_argument("--remote", action="store_true")
+    p.add_argument("--endpoint", type=str)
+    p.add_argument("--model", type=str)
+    p.add_argument(
         "--api-key-env",
         dest="api_key_env",
         type=str,
         default=ExtractionClientConfig.api_key_env,
     )
-    p_ext.add_argument("--timeout", type=float, default=ExtractionClientConfig.timeout)
-    p_ext.set_defaults(handler=_cmd_extract)
+    p.add_argument("--timeout", type=float, default=ExtractionClientConfig.timeout)
+    p.set_defaults(handler=_cmd_extract)
 
-    p_train = sub.add_parser("train", help="SFT cold start (optional) plus RL training")
-    _add_flags(p_train, _TRAIN_DEFAULTS)
-    p_train.set_defaults(handler=_cmd_train)
 
-    p_eval = sub.add_parser("eval", help="greedy evaluation of a checkpoint")
-    p_eval.add_argument("--checkpoint", type=str)
-    p_eval.add_argument("--dataset", type=str)
-    p_eval.add_argument("--reward-variant", dest="reward_variant", type=str, default=DEFAULT_VARIANT.value)
-    p_eval.add_argument("--out", type=str, default="summary.csv")
-    p_eval.set_defaults(handler=_cmd_eval)
+def _train_flags(p: argparse.ArgumentParser) -> None:
+    _add_flags(p, _TRAIN_DEFAULTS)
+    p.set_defaults(handler=_cmd_train)
 
-    p_sweep = sub.add_parser("sweep", help="train/eval once per value of one axis")
-    p_sweep.add_argument("--axis", type=str, required=True)
-    p_sweep.add_argument("--values", type=str, required=True)
+
+def _eval_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--checkpoint", type=str)
+    p.add_argument("--dataset", type=str)
+    p.add_argument("--reward-variant", dest="reward_variant", type=str, default=DEFAULT_VARIANT.value)
+    p.add_argument("--out", type=str, default="summary.csv")
+    p.set_defaults(handler=_cmd_eval)
+
+
+def _sweep_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--axis", type=str, required=True)
+    p.add_argument("--values", type=str, required=True)
     # sweep's --out-dir is the parent of its run directories
-    p_sweep.add_argument("--out-dir", dest="out_dir_sweep", type=str)
+    p.add_argument("--out-dir", dest="out_dir_sweep", type=str)
     for key in ("n", "difficulty_mix", "ambiguity"):  # argparse defaults, not config keys
         default = _GEN_DEFAULTS[key]
-        p_sweep.add_argument(
+        p.add_argument(
             "--" + key.replace("_", "-"), dest=key, type=type(default), default=default
         )
-    _add_flags(p_sweep, {key: v for key, v in _TRAIN_DEFAULTS.items() if key != "out_dir"})
-    p_sweep.set_defaults(handler=_cmd_sweep)
+    _add_flags(p, {key: v for key, v in _TRAIN_DEFAULTS.items() if key != "out_dir"})
+    p.set_defaults(handler=_cmd_sweep)
 
-    p_rep = sub.add_parser("report", help="learning-curve SVG and aggregate CSV from run dirs")
-    p_rep.add_argument("--runs", nargs="+", required=True)
-    p_rep.add_argument("--out-dir", dest="out_dir", type=str, default="report")
-    p_rep.set_defaults(handler=_cmd_report)
 
+def _report_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--runs", nargs="+", required=True)
+    p.add_argument("--out-dir", dest="out_dir", type=str, default="report")
+    p.set_defaults(handler=_cmd_report)
+
+
+# each subcommand's help line and the function that adds its flags
+_SUBCOMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "gen": ("generate a synthetic temporal-QA dataset", _gen_flags),
+    "build-mc": ("build the abstained 3-option MC dataset", _build_mc_flags),
+    "extract": ("rule-based or remote reasoning-information extraction", _extract_flags),
+    "train": ("SFT cold start (optional) plus RL training", _train_flags),
+    "eval": ("greedy evaluation of a checkpoint", _eval_flags),
+    "sweep": ("train/eval once per value of one axis", _sweep_flags),
+    "report": ("learning-curve SVG and aggregate CSV from run dirs", _report_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, each with its flags; given
+    ``command``, only that subcommand's flags are added, which is all a
+    command line naming it reads."""
+    parser = argparse.ArgumentParser(
+        prog="abstainrl",
+        description="Abstention-aware temporal-QA training harness.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_flags(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser takes no option with a value, so its first
+    # argument that is not an option names the subcommand, if any
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = build_parser(named)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

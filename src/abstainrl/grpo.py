@@ -418,8 +418,103 @@ def kl_k3(logp_theta: ArrayLike, logp_ref: ArrayLike) -> np.ndarray | float:
     return np.maximum(0.0, np.expm1(d) - d)
 
 
-# row f holds the flat indices f * 6 + a of feature row f's six cells
-_ROW_CELLS = np.arange(N_FEATURES * N_ACTIONS).reshape(N_FEATURES, N_ACTIONS)
+_N_CELLS = N_FEATURES * N_ACTIONS
+
+
+def _block_draws(
+    rng: np.random.Generator, n: int, batch_size: int, group_size: int, iters: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """What ``iters`` rounds of ``rng.integers(0, n, size=batch_size)`` then
+    ``rng.random((batch_size, group_size))`` draw: an iters x B array of
+    item indexes and an iters x B x G array of uniforms.  The generator is
+    left in the state those calls leave it in.
+
+    The draws are decoded from one ``random_raw`` read of the generator's
+    PCG64 words, as numpy decodes them (``synthenv._Draws`` does the same
+    one draw at a time): a uniform is a word's top 53 bits over 2**53, and
+    an index is Lemire's bounded integer (arXiv:1805.10941) of a 32-bit
+    draw, the low half of a word, then its high half, which ``random`` does
+    not take.  With an even B, a round's indexes take B / 2 words and its
+    uniforms the next B * G.  Where that layout does not hold, the
+    generator is rewound and numpy's own calls draw instead: an odd B, a
+    range numpy draws otherwise (fewer than 2 or more than 2**32 values), a
+    generator that holds a pending half, or a draw Lemire's rule rejects.
+    """
+    bits = rng.bit_generator
+    start = bits.state
+    if batch_size % 2 == 0 and 2 <= n <= 1 << 32 and not start["has_uint32"]:
+        halves = batch_size // 2
+        words = bits.random_raw(iters * (halves + batch_size * group_size)).reshape(iters, -1)
+        # each index word as its low then its high 32-bit half
+        draws = words[:, :halves].astype("<u8").view("<u4")
+        scaled = draws * np.uint64(n)
+        if not ((scaled & 0xFFFFFFFF) < (1 << 32) % n).any():
+            # numpy's last 32-bit draw, a high half, stays in the generator
+            state = bits.state
+            state["uinteger"] = int(draws[-1, -1])
+            bits.state = state
+            uniforms = (words[:, halves:] >> 11) * 2.0**-53
+            return (
+                (scaled >> 32).astype(np.int64),
+                uniforms.reshape(iters, batch_size, group_size),
+            )
+        bits.state = start
+    item_idx = np.empty((iters, batch_size), dtype=np.int64)
+    uniforms = np.empty((iters, batch_size, group_size))
+    for t in range(iters):
+        item_idx[t] = rng.integers(0, n, size=batch_size)
+        uniforms[t] = rng.random((batch_size, group_size))
+    return item_idx, uniforms
+
+
+class _Rollouts:
+    """The rollouts of ``iters`` consecutive iterations.  Their draws
+    (``_block_draws``) and what they gather from the table are made at
+    once: each iteration's items' ``rows`` and ``unanswerable`` flags, and
+    its ``scatter`` cells (``RolloutBatch.scatter``), the B * G
+    completions' ``cells``, then each group's row's six cells.  ``step``
+    draws an iteration's actions, the one part of a rollout that depends
+    on the policy, and fills in its ``cells`` and ``table_cells``, the
+    completions' flat indexes into the table's per-row arrays."""
+
+    __slots__ = (
+        "rows", "unanswerable", "item_idx", "scatter", "cells", "table_cells", "_uniforms",
+        "_row_cells", "_first_cells", "_first_table_cells", "_rewards", "_std_eps",
+    )
+
+    def __init__(
+        self, table: RewardTable, cfg: GrpoConfig, rng: np.random.Generator, iters: int
+    ) -> None:
+        size = cfg.batch_size * cfg.group_size
+        shape = (iters, cfg.batch_size, cfg.group_size)
+        self.item_idx, self._uniforms = _block_draws(
+            rng, len(table), cfg.batch_size, cfg.group_size, iters
+        )
+        self.rows = table.features.take(self.item_idx)
+        self.unanswerable = table.unanswerable.take(self.item_idx)
+        self.scatter = np.empty((iters, size + cfg.batch_size * N_ACTIONS), dtype=np.intp)
+        self.cells = self.scatter[:, :size].reshape(shape)
+        # the flat indices row * 6 + a of each group's row's six cells
+        self._row_cells = self.scatter[:, size:].reshape(iters, cfg.batch_size, N_ACTIONS)
+        np.add(self.rows[..., None] * N_ACTIONS, np.arange(N_ACTIONS), out=self._row_cells)
+        self.table_cells = np.empty(shape, dtype=np.intp)
+        # each group's first cell, in a 6 x 6 table and in the reward table
+        self._first_cells = self._row_cells[..., :1]
+        self._first_table_cells = table.first_cell.take(self.item_idx)[..., None]
+        self._rewards = table.rewards
+        self._std_eps = cfg.std_eps
+
+    def step(self, t: int, probs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Iteration ``t``'s actions (``policy.inverse_cdf`` of the snapshot
+        ``probs``), their cells, rewards and advantages.  The advantages are
+        computed under the caller's ``errstate``."""
+        bounds = cdf_bounds(probs).take(self._row_cells[t])
+        actions = draw_at_bounds(bounds, self._uniforms[t])
+        cells = np.add(self._first_cells[t], actions, out=self.cells[t])
+        rewards = self._rewards.take(
+            np.add(self._first_table_cells[t], actions, out=self.table_cells[t])
+        )
+        return actions, cells, rewards, _advantages(rewards, self._std_eps)
 
 
 def rollout_batch(
@@ -429,7 +524,8 @@ def rollout_batch(
     cfg: GrpoConfig,
     rng: np.random.Generator,
 ) -> RolloutBatch:
-    """Draw B items, then G completions of each under the old-policy snapshot.
+    """Draw B items, then G completions of each under the old-policy snapshot:
+    one iteration of ``train_rl``'s rollouts.
 
     The generator is consumed as B one-group rollouts would consume it: the
     B item indices first, then the B * G uniforms in group order.  The
@@ -437,64 +533,54 @@ def rollout_batch(
     runs the loop under one): a subnormal reward spread at ``std_eps = 0``
     warns of its division by zero otherwise.
     """
-    bounds = cdf_bounds(params_old.probs)
-    return _rollout(params_old.log_probs, bounds, params_ref.log_probs, table, cfg, rng)
-
-
-def _rollout(
-    log_probs: np.ndarray,
-    bounds: np.ndarray,
-    ref_log_probs: np.ndarray,
-    table: RewardTable,
-    cfg: GrpoConfig,
-    rng: np.random.Generator,
-) -> RolloutBatch:
-    """``rollout_batch`` under the old snapshot's log-probs and
-    ``policy.cdf_bounds`` of its probs and the reference's log-probs, each
-    a 6 x 6 array."""
-    item_idx = rng.integers(0, len(table), size=cfg.batch_size)
-    u = rng.random((cfg.batch_size, cfg.group_size))
-    rows = table.features.take(item_idx)
-    row_cells = _ROW_CELLS.take(rows, axis=0)
-    actions = draw_at_bounds(bounds.take(rows, axis=0), u)
-    cells = row_cells[:, :1] + actions
-    rewards, abstained = table.lookup(item_idx[:, None], actions)
+    rollouts = _Rollouts(table, cfg, rng, 1)
+    actions, cells, rewards, advantages = rollouts.step(0, params_old.probs)
     return RolloutBatch(
-        item_idx=item_idx,
-        rows=rows,
-        unanswerable=table.unanswerable.take(item_idx),
+        item_idx=rollouts.item_idx[0],
+        rows=rollouts.rows[0],
+        unanswerable=rollouts.unanswerable[0],
         actions=actions,
         cells=cells,
-        scatter=np.concatenate((cells, row_cells), axis=None),
-        logp_old=log_probs.take(cells),
-        logp_ref=ref_log_probs.take(cells),
+        scatter=rollouts.scatter[0],
+        logp_old=params_old.log_probs.take(cells),
+        logp_ref=params_ref.log_probs.take(cells),
         rewards=rewards,
-        abstained=abstained,
-        advantages=_advantages(rewards, cfg.std_eps),
+        abstained=table.abstained.take(rollouts.table_cells[0]),
+        advantages=advantages,
     )
 
 
-def _surrogate(
-    log_probs: np.ndarray, batch: RolloutBatch, cfg: GrpoConfig
+def _objectives_and_kl(
+    logp_new: np.ndarray,
+    logp_old: np.ndarray,
+    logp_ref: np.ndarray,
+    advantages: np.ndarray,
+    cfg: GrpoConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The per-completion terms of ``grpo_objective`` under the log-probs
-    ``log_probs``, and the k3 KL array they subtract."""
-    logp_new = log_probs.take(batch.cells)
-    ratio = importance_ratio(logp_new, batch.logp_old)
-    kl = kl_k3(logp_new, batch.logp_ref)
-    return clipped_term(ratio, batch.advantages, cfg.clip_eps) - cfg.kl_beta * kl, kl
-
-
-def _mean(values: np.ndarray) -> float:
-    # np.add.reduce over every cell is what ndarray.sum runs, without its wrapper
-    return float(np.add.reduce(values, axis=None)) / values.size
+    """Per iteration, along the first axis: the mean over its completions
+    of the clipped surrogate minus beta * KL, and of the k3 KL.  Each
+    iteration's mean adds along one row, in the order a reduction over its
+    array alone adds."""
+    kl = kl_k3(logp_new, logp_ref)
+    terms = clipped_term(importance_ratio(logp_new, logp_old), advantages, cfg.clip_eps)
+    terms -= cfg.kl_beta * kl
+    n = len(terms)
+    size = terms.size // n
+    return (
+        np.add.reduce(terms.reshape(n, -1), axis=1) / size,
+        np.add.reduce(kl.reshape(n, -1), axis=1) / size,
+    )
 
 
 def grpo_objective(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) -> float:
     """Mean over groups of the per-group mean clipped surrogate minus beta * KL."""
     if batch.actions.shape[1] != cfg.group_size:
         raise ValueError("rollout group size does not match the configuration")
-    return _mean(_surrogate(params.log_probs, batch, cfg)[0])
+    logp_new = params.log_probs.take(batch.cells)
+    objective, _ = _objectives_and_kl(
+        logp_new[None], batch.logp_old[None], batch.logp_ref[None], batch.advantages[None], cfg
+    )
+    return float(objective[0])
 
 
 def grpo_gradient(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) -> np.ndarray:
@@ -504,36 +590,51 @@ def grpo_gradient(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) ->
     contributes no gradient through the ratio (ties go to the unclipped
     branch).
     """
-    return _gradient(params.log_probs, params.probs, batch, cfg)
+    coeff = _clipped_coeff(
+        params.log_probs.take(batch.cells), batch.logp_old, batch.logp_ref, batch.advantages, cfg
+    )
+    return _gradient(coeff, params.probs, batch.rows, batch.scatter)
 
 
-def _gradient(
-    log_probs: np.ndarray, probs: np.ndarray, batch: RolloutBatch, cfg: GrpoConfig
+def _clipped_coeff(
+    logp_new: np.ndarray,
+    logp_old: np.ndarray,
+    logp_ref: np.ndarray,
+    advantages: np.ndarray,
+    cfg: GrpoConfig,
 ) -> np.ndarray:
-    """``grpo_gradient`` at the log-probs ``log_probs`` and their ``exp``,
-    ``probs``."""
-    logp_new = log_probs.take(batch.cells)
-    ratio = importance_ratio(logp_new, batch.logp_old)
-    advantages = batch.advantages
+    """Each completion's derivative of its objective term with respect to
+    its log-probability ``logp_new``."""
+    ratio = importance_ratio(logp_new, logp_old)
     unclipped = ratio * advantages
     clipped = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_eps), 1.0 + cfg.clip_eps) * advantages
     coeff = np.where(unclipped <= clipped, unclipped, 0.0)
-    coeff += cfg.kl_beta * (np.exp(batch.logp_ref - logp_new) - 1.0)
+    coeff += cfg.kl_beta * (np.exp(logp_ref - logp_new) - 1.0)
+    return coeff
+
+
+def _gradient(
+    coeff: np.ndarray, probs: np.ndarray, rows: np.ndarray, scatter: np.ndarray
+) -> np.ndarray:
+    """The gradient with respect to the logits of the objective whose
+    derivatives with respect to the B x G completions' log-probabilities
+    are ``coeff``, at the probabilities ``probs``.  ``rows`` are the
+    groups' feature rows and ``scatter`` the cells the gradient adds to
+    (``RolloutBatch.scatter``)."""
     weight = (1.0 / coeff.size) * coeff
     # d logpi / d logits on a row is onehot(action) - softmax(row); each cell
     # sums its one-hot terms in batch order, then its softmax terms
-    softmax_terms = -np.add.reduce(weight, axis=1)[:, None] * probs.take(batch.rows, axis=0)
+    softmax_terms = -np.add.reduce(weight, axis=1)[:, None] * probs.take(rows, axis=0)
     grad = np.bincount(
-        batch.scatter,
-        np.concatenate((weight, softmax_terms), axis=None),
-        minlength=N_FEATURES * N_ACTIONS,
+        scatter, np.concatenate((weight, softmax_terms), axis=None), minlength=_N_CELLS
     )
     return grad.reshape(N_FEATURES, N_ACTIONS)
 
 
-# the most completions whose log statistics train_rl keeps before it reduces
-# them into records
-_LOG_BLOCK_CELLS = 1 << 13
+# the most completions train_rl draws, gathers and keeps the statistics of
+# before it reduces them into a block of records: a block's arrays, and the
+# block reduction's temporaries, grow with it
+_LOG_BLOCK_CELLS = 1 << 11
 
 
 def train_rl(
@@ -542,64 +643,140 @@ def train_rl(
     """Run the full RL loop over the table's items; the reference policy is
     params0, frozen.
 
-    The loop steps on arrays: each update's logits, their log-softmax (one
-    call of ``policy.log_softmax``) and its ``exp``, which the gradient,
-    the objective and the KL read, and each iteration draws from the
-    ``policy.cdf_bounds`` of its snapshot.  Each iteration's rewards,
-    abstention flags and KL array are kept for a block of iterations of at
-    most ``_LOG_BLOCK_CELLS`` completions (at least one iteration), then
-    reduced into the block's log records at once.
+    The loop runs in blocks of iterations of at most ``_LOG_BLOCK_CELLS``
+    completions (at least one iteration).  A block's draws and gathers are
+    made at once (``_Rollouts``); each iteration then draws its actions
+    from the ``policy.cdf_bounds`` of its snapshot and steps on arrays:
+    each update's logits, their log-softmax (one call of
+    ``policy.log_softmax``) and its ``exp``.  The first inner step is taken
+    at the snapshot, where every ratio is exactly 1: its coefficient is the
+    advantage plus a gather from the 6 x 6 table of KL derivatives.  Later
+    inner steps take the clipped ``_clipped_coeff``.  Each iteration's
+    objective and KL are reduced once per block from the stacked snapshots
+    (an iteration's post-update log-probs are the next one's snapshot),
+    then the block's log records.
 
     Deterministic given (params0, the table's items and reward rule, cfg):
     the same seed reproduces an identical training log.
     """
-    logits, log_probs, probs = params0.logits, params0.log_probs, params0.probs
-    ref_log_probs = log_probs
+    state = params0.logits, params0.log_probs, params0.probs
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
     block = max(1, _LOG_BLOCK_CELLS // (cfg.batch_size * cfg.group_size))
-    kept: list[tuple] = []
     # overflow, inf - inf and a group std that underflows to 0 arise only
     # once a run diverges; the finiteness checks turn that into
     # GrpoDivergenceError instead of warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for iteration in range(cfg.outer_iters):
-            bounds = cdf_bounds(probs)
-            batch = _rollout(log_probs, bounds, ref_log_probs, table, cfg, rng)
-            for _ in range(cfg.inner_steps):
-                logits = logits + cfg.lr * _gradient(log_probs, probs, batch, cfg)
-                if not np.isfinite(logits).all():
-                    raise GrpoDivergenceError(
-                        f"logits became non-finite at iteration {iteration}"
-                    )
-                # looked up on the module at each call, as PolicyParams.log_probs
-                # looks it up
-                log_probs = policy.log_softmax(logits)
-                probs = np.exp(log_probs)
-            terms, kl = _surrogate(log_probs, batch, cfg)
-            objective = _mean(terms)
-            if not math.isfinite(objective):
-                raise GrpoDivergenceError(
-                    f"objective became non-finite at iteration {iteration}"
-                )
-            kept.append((batch.rewards, batch.abstained, batch.unanswerable, kl, objective))
-            if len(kept) == block:
-                log.records += _records(iteration + 1 - block, kept)
-                kept = []
-        if kept:
-            log.records += _records(cfg.outer_iters - len(kept), kept)
-    return (PolicyParams(logits) if cfg.outer_iters else params0), log
+        for first in range(0, cfg.outer_iters, block):
+            # a block's arrays live only while it runs
+            rollouts = _Rollouts(table, cfg, rng, min(block, cfg.outer_iters - first))
+            state = _train_block(first, rollouts, state, params0.log_probs, table, cfg, log)
+            del rollouts
+    return (PolicyParams(state[0]) if cfg.outer_iters else params0), log
 
 
-def _records(first: int, kept: list[tuple]) -> list[TrainRecord]:
-    """The log records of consecutive iterations from iteration ``first``,
-    one per kept (rewards, abstained, unanswerable, kl, objective)."""
-    rewards, abstained, unanswerable, kl, objectives = zip(*kept)
-    n, (batch_size, group) = len(kept), abstained[0].shape
+def _train_block(
+    first: int,
+    rollouts: _Rollouts,
+    state: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ref_log_probs: np.ndarray,
+    table: RewardTable,
+    cfg: GrpoConfig,
+    log: TrainLog,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the block ``rollouts`` of ``train_rl``'s iterations, from
+    iteration ``first`` on, and append their records to ``log``.
+    ``state`` is the logits, log-probs and probs the block starts from;
+    returns them as its last update left them."""
+    logits, log_probs, probs = state
+    lr, kl_beta = cfg.lr, cfg.kl_beta
+    snapshots, rewards, advantages = [log_probs], [], []
+    for t, (rows, scatter) in enumerate(zip(rollouts.rows, rollouts.scatter)):
+        _, cells, r, adv = rollouts.step(t, probs)
+        rewards.append(r)
+        advantages.append(adv)
+        # at the snapshot every ratio is exp(0) == 1, so the surrogate's
+        # coefficient is the advantage (0 where it is NaN, as the clipped
+        # form's unclipped <= clipped gives).  A cell whose log-prob is
+        # -inf, where the ratio is NaN, has a non-finite KL coefficient in
+        # either form, and the step's logits are non-finite alike.
+        kl_coeff = kl_beta * (np.exp(ref_log_probs - log_probs) - 1.0)
+        coeff = np.where(adv <= adv, adv, 0.0) + kl_coeff.take(cells)
+        if cfg.inner_steps > 1:
+            logp_old, logp_ref = log_probs.take(cells), ref_log_probs.take(cells)
+        for step in range(cfg.inner_steps):
+            if step:
+                coeff = _clipped_coeff(log_probs.take(cells), logp_old, logp_ref, adv, cfg)
+            logits = logits + lr * _gradient(coeff, probs, rows, scatter)
+            if not np.isfinite(logits).all():
+                # the block's earlier objectives were checked first
+                _block_objectives(first, snapshots, rollouts, advantages[:t], ref_log_probs, cfg)
+                raise GrpoDivergenceError(f"logits became non-finite at iteration {first + t}")
+            # looked up on the module at each call, as PolicyParams.log_probs
+            # looks it up
+            log_probs = policy.log_softmax(logits)
+            probs = np.exp(log_probs)
+        snapshots.append(log_probs)
+    objectives, kl = _block_objectives(first, snapshots, rollouts, advantages, ref_log_probs, cfg)
+    log.records += _records(
+        first, objectives, kl, _stacked(rewards), table.abstained.take(rollouts.table_cells),
+        rollouts.unanswerable,
+    )
+    return logits, log_probs, probs
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.stack(arrays)`` of equally shaped arrays, by one concatenation."""
+    return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
+
+
+def _block_objectives(
+    first: int,
+    snapshots: list[np.ndarray],
+    rollouts: _Rollouts,
+    advantages: list[np.ndarray],
+    ref_log_probs: np.ndarray,
+    cfg: GrpoConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The objectives and mean KLs of a block's first ``len(advantages)``
+    iterations, from iteration ``first`` on: iteration t's snapshot is
+    ``snapshots[t]`` and its post-update log-probs ``snapshots[t + 1]``.
+    Raises ``GrpoDivergenceError`` at the first objective that is not
+    finite."""
+    n = len(advantages)
+    if not n:
+        return np.empty(0), np.empty(0)
+    cells = rollouts.cells[:n]
+    steps = _stacked(snapshots[: n + 1]).reshape(-1)
+    at = cells + (_N_CELLS * np.arange(n))[:, None, None]
+    logp_old = steps.take(at)
+    at += _N_CELLS
+    objectives, kl = _objectives_and_kl(
+        steps.take(at), logp_old, ref_log_probs.take(cells), _stacked(advantages), cfg
+    )
+    finite = np.isfinite(objectives)
+    if not finite.all():
+        raise GrpoDivergenceError(
+            f"objective became non-finite at iteration {first + int(finite.argmin())}"
+        )
+    return objectives, kl
+
+
+def _records(
+    first: int,
+    objectives: np.ndarray,
+    kl: np.ndarray,
+    rewards: np.ndarray,
+    abstained: np.ndarray,
+    unanswerable: np.ndarray,
+) -> list[TrainRecord]:
+    """The log records of consecutive iterations from iteration ``first``:
+    their objectives and mean KLs, their n x B x G rewards and abstention
+    flags, and their n x B unanswerable flags."""
+    n, _, group = abstained.shape
     # each iteration's B x G array as one row: a reduction along a row adds
     # in the order a reduction over the iteration's array alone does
-    rewards, kl, abstained = (np.concatenate(a).reshape(n, -1) for a in (rewards, kl, abstained))
-    unanswerable = np.concatenate(unanswerable).reshape(n, batch_size)
+    rewards, abstained = rewards.reshape(n, -1), abstained.reshape(n, -1)
     size = rewards.shape[1]
     n_abstained = np.count_nonzero(abstained, axis=1)
     tp = np.count_nonzero(abstained & unanswerable.repeat(group, axis=1), axis=1)
@@ -609,8 +786,8 @@ def _records(first: int, kept: list[tuple]) -> list[TrainRecord]:
         range(first, first + n),
         (np.add.reduce(rewards, axis=1) / size).tolist(),
         (n_abstained / size).tolist(),
-        (np.add.reduce(kl, axis=1) / size).tolist(),
-        objectives,
+        kl.tolist(),
+        objectives.tolist(),
         tp.tolist(),
         (n_abstained - tp).tolist(),
         (n_unanswerable - tp).tolist(),

@@ -219,8 +219,8 @@ def inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 def cdf_bounds(probs: np.ndarray) -> np.ndarray:
     """The bounds ``inverse_cdf`` draws from: each row's running sums of
     all but its last probability, accumulated left to right, then +inf."""
-    bounds = np.empty(np.shape(probs))
-    np.add.accumulate(probs[..., :-1], axis=-1, out=bounds[..., :-1])
+    # the row's running sums, with the last (the row's total) then replaced
+    bounds = np.add.accumulate(probs, axis=-1, dtype=np.float64)
     bounds[..., -1] = np.inf
     return bounds
 

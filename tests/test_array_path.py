@@ -747,22 +747,36 @@ class TestGradient:
 
     def test_train_rl_steps_with_grpo_gradient(self, monkeypatch):
         """The gradient A5 checks is the one train_rl steps with: both call
-        one core, ``grpo._gradient``, on a snapshot's log-probs and probs."""
-        calls = []
-        original = grpo._gradient
+        one core, ``grpo._gradient``, on the completions' coefficients and
+        a snapshot's probs.  Every step goes through it; the steps after
+        the first of an iteration take their coefficients from the clipped
+        ``grpo._clipped_coeff`` that ``grpo_gradient`` reads, the first
+        from its ratio-one form."""
+        calls, clipped = [], []
+        original, original_coeff = grpo._gradient, grpo._clipped_coeff
 
-        def spy(log_probs, probs, batch, cfg):
-            calls.append(batch)
-            return original(log_probs, probs, batch, cfg)
+        def spy(coeff, probs, rows, scatter):
+            calls.append((rows, scatter))
+            return original(coeff, probs, rows, scatter)
+
+        def spy_coeff(*args):
+            clipped.append(args)
+            return original_coeff(*args)
 
         monkeypatch.setattr(grpo, "_gradient", spy)
+        monkeypatch.setattr(grpo, "_clipped_coeff", spy_coeff)
         cfg = GrpoConfig(outer_iters=3, inner_steps=2, batch_size=4, seed=0)
         train_rl(PolicyParams.zeros(), RewardTable(ITEMS), cfg)
-        assert len(calls) == 6
+        assert len(calls) == 6 and len(clipped) == 3
         params = PolicyParams.zeros()
         batch = rollout_batch(params, params, RULE_TABLE, cfg, np.random.default_rng(0))
         grpo_gradient(params, batch, cfg)
-        assert len(calls) == 7 and calls[-1] is batch
+        assert len(calls) == 7
+        assert calls[-1][0] is batch.rows and calls[-1][1] is batch.scatter
+        assert len(clipped) == 4
+        _, logp_old, logp_ref, advantages, used_cfg = clipped[-1]
+        assert logp_old is batch.logp_old and logp_ref is batch.logp_ref
+        assert advantages is batch.advantages and used_cfg is cfg
 
 
 class TestTrainRl:
@@ -907,6 +921,95 @@ def _assert_same_run(params0, table, cfg):
 CLIPPING = GrpoConfig(outer_iters=4, inner_steps=3, lr=1.0, clip_eps=0.05, batch_size=16, seed=3)
 
 
+@pytest.fixture(scope="module")
+def readme_table():
+    """The README run's reward table (``gen --n 1000 --p-unans 0.5
+    --ambiguity 0.5 --seed 7``) and its SFT start."""
+    items = generate_dataset(GenConfig(n_items=1000, p_unans=0.5, ambiguity=0.5, seed=7))
+    table = RewardTable(items)
+    return table, sft_train(PolicyParams.zeros(), table.expert_cells())
+
+
+class _DrawCalls:
+    """A generator's ``bit_generator`` with its ``integers`` and ``random``
+    calls recorded."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.calls = rng, rng.bit_generator, []
+
+    def integers(self, *args, **kwargs):
+        self.calls.append("integers")
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.calls.append("random")
+        return self.rng.random(*args, **kwargs)
+
+
+class TestBlockDraws:
+    """``grpo._block_draws`` against the numpy calls it decodes."""
+
+    @given(
+        st.integers(0, 2**64 - 1),
+        # 2**31 + 1 rejects about half of all 32-bit draws; 2**32 rejects
+        # none; numpy draws 2**32 + 1 values from 64-bit words
+        st.sampled_from([1, 2, 1000, 2**31 + 1, 2**32, 2**32 + 1]),
+        st.integers(1, 9),
+        st.integers(1, 5),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    @settings(max_examples=200)
+    @example(0, 1000, 8, 4, 3, False)
+    @example(0, 1000, 8, 4, 3, True)
+    @example(0, 2**31 + 1, 2, 1, 1, False)
+    def test_equals_numpy_calls(self, seed, n, batch_size, group_size, iters, pending):
+        """The item indexes, the uniforms and the generator's state, its
+        pending 32-bit half (``has_uint32``, ``uinteger``) included, equal
+        those of ``iters`` rounds of ``integers`` then ``random``, over two
+        calls in a row."""
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        if pending:  # a 32-bit draw leaves its word's high half pending
+            got.integers(0, 7), want.integers(0, 7)
+            assert got.bit_generator.state["has_uint32"]
+        for _ in range(2):
+            item_idx, uniforms = grpo._block_draws(got, n, batch_size, group_size, iters)
+            rounds = [
+                (want.integers(0, n, size=batch_size), want.random((batch_size, group_size)))
+                for _ in range(iters)
+            ]
+            assert item_idx.dtype == np.int64
+            assert item_idx.tolist() == [idx.tolist() for idx, _ in rounds]
+            assert uniforms.shape == (iters, batch_size, group_size)
+            assert uniforms.tobytes() == np.stack([u for _, u in rounds]).tobytes()
+            assert got.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "n, batch_size, pending, numpy_calls",
+        [
+            (1000, 32, False, False),
+            (2**32, 2, False, False),
+            (1000, 33, False, True),
+            (1000, 32, True, True),
+            (1, 32, False, True),
+            (2**31 + 1, 32, False, True),
+            (2**32 + 1, 32, False, True),
+        ],
+    )
+    def test_numpy_calls_only_where_the_layout_breaks(self, n, batch_size, pending,
+                                                      numpy_calls):
+        """The words are decoded without a numpy draw call unless B is odd,
+        the range is one value or more than 2**32, the generator holds a
+        pending half, or a draw is rejected (at 2**31 + 1, 32 draws all
+        pass with odds of about 2**-32)."""
+        rng = np.random.default_rng(5)
+        if pending:
+            rng.integers(0, 7)
+        calls = _DrawCalls(rng)
+        grpo._block_draws(calls, n, batch_size, 4, 3)
+        assert calls.calls == (["integers", "random"] * 3 if numpy_calls else [])
+
+
 class TestFrozenLoop:
     """``train_rl`` against the batched loop it was reworked from
     (``scalar_reference.frozen_train_rl``): the same float operations in
@@ -929,6 +1032,12 @@ class TestFrozenLoop:
     @example(0, CLIPPING.outer_iters, CLIPPING.inner_steps, CLIPPING.group_size,
              CLIPPING.batch_size, CLIPPING.kl_beta, CLIPPING.std_eps, CLIPPING.clip_eps,
              CLIPPING.lr, False, "sft")
+    # within one block, the objective turns non-finite at iteration 1 and the
+    # logits at iteration 2: the objective's message, at iteration 1
+    @example(10, 8, 3, 4, 8, 0.01, 1e-8, 0.2, 30.0, True, "zeros")
+    # within one block, the logits turn non-finite at iteration 1, after a
+    # finite objective at iteration 0
+    @example(2, 8, 3, 4, 8, 0.01, 1e-8, 0.2, 30.0, True, "zeros")
     def test_equals_the_frozen_loop(self, seed, outer_iters, inner_steps, group_size,
                                     batch_size, kl_beta, std_eps, clip_eps, lr, bandit, start):
         table = BANDIT_TABLE if bandit else RULE_TABLE
@@ -961,6 +1070,41 @@ class TestFrozenLoop:
                          lr=0.3, seed=batch_size)
         want = _assert_same_run(PolicyParams.zeros(), table, cfg)
         assert len(want[0]) == outer_iters
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {},  # the README configuration
+            {"batch_size": 33, "group_size": 3},  # an odd B: numpy's own draw calls
+            {"inner_steps": 3},  # clipped steps after the first
+        ],
+        ids=["readme", "odd-batch", "inner-steps-3"],
+    )
+    def test_readme_runs_equal_the_frozen_loop(self, readme_table, settings):
+        """The README run (its dataset, its SFT start, 300 iterations over
+        five log blocks) and two variants of it."""
+        table, params0 = readme_table
+        cfg = GrpoConfig(outer_iters=300, lr=0.05, seed=1, **settings)
+        want = _assert_same_run(params0, table, cfg)
+        assert len(want[0]) == cfg.outer_iters
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "table, cfg",
+        [
+            (RULE_TABLE, GrpoConfig(outer_iters=7, lr=0.3, inner_steps=2, batch_size=8, seed=4)),
+            (RULE_TABLE, GrpoConfig(outer_iters=40, lr=40.0, inner_steps=3, batch_size=8, seed=3)),
+            (RULE_TABLE, GrpoConfig(outer_iters=40, lr=30.0, inner_steps=2, batch_size=8, seed=1)),
+            (BANDIT_TABLE, GrpoConfig(outer_iters=40, lr=30.0, kl_beta=1.0, batch_size=8, seed=1)),
+            (BANDIT_TABLE, GrpoConfig(outer_iters=8, lr=30.0, inner_steps=3, batch_size=8,
+                                      seed=10)),
+        ],
+    )
+    def test_block_edges_equal_the_frozen_loop(self, monkeypatch, table, cfg, block):
+        """Log blocks of one to three iterations: runs and divergences that
+        span block edges, or fall on them."""
+        monkeypatch.setattr(grpo, "_LOG_BLOCK_CELLS", block * cfg.batch_size * cfg.group_size)
+        _assert_same_run(PolicyParams.zeros(), table, cfg)
 
     def test_clipping_example_clips(self):
         """The example above reaches ratios outside [1 - eps, 1 + eps]."""
@@ -1004,6 +1148,20 @@ class TestFrozenLoop:
         cfg = GrpoConfig(outer_iters=3, std_eps=0.0, seed=1)
         message = _assert_same_run(PolicyParams.zeros(), table, cfg)
         assert message == "logits became non-finite at iteration 0"
+
+    def test_nan_rewards_diverge_as_the_frozen_loop(self):
+        """A NaN reward makes its group's advantages NaN: the first step's
+        coefficients there are the KL term alone, as the clipped form's
+        comparison gives, so the logits stay finite and the objective's
+        check fires."""
+        def payout(raw, item):
+            reward = math.nan if not parse_completion(raw).format_ok else 1.0
+            return RewardBreakdown(format=reward, answer=0.0, total=reward)
+
+        table = RewardTable(ITEMS, reward_fn=payout)
+        cfg = GrpoConfig(outer_iters=3, seed=2)
+        message = _assert_same_run(PolicyParams.zeros(), table, cfg)
+        assert message == "objective became non-finite at iteration 0"
 
     def test_step_functions_alone_are_warning_free(self):
         """compute_advantages on flat groups and on a subnormal spread at

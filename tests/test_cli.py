@@ -1245,6 +1245,47 @@ def test_every_subcommand_has_exactly_its_flags():
         assert flags == FLAGS[name], name
 
 
+# the exit code, stdout and stderr of each command line, recorded at 80
+# columns from the parser that built every subcommand's flags on every call
+CLI_OUTPUTS = json.loads((Path(__file__).parent / "data" / "cli_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("case", CLI_OUTPUTS, ids=[" ".join(c["argv"]) or "-" for c in CLI_OUTPUTS])
+def test_help_and_usage_errors_are_unchanged(monkeypatch, capsys, case):
+    """``abstainrl --help``, each subcommand's ``--help`` and a usage error
+    of each subcommand print what the parser of every subcommand printed,
+    byte for byte, with the same exit code."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(list(case["argv"])) == case["code"]
+    out, err = capsys.readouterr()
+    assert (out, err) == (case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["gen", "--help"], ["gen"]),
+        (["train", "--iters", "x"], ["train"]),
+        (["report", "--help"], ["report"]),
+        (["--help"], list(cli._SUBCOMMANDS)),
+        (["bogus"], []),
+    ],
+)
+def test_a_command_line_builds_only_its_subcommands_flags(monkeypatch, capsys, argv, built):
+    """Only the subcommand a command line names gets its flags; with none
+    named, every subcommand does."""
+    calls = []
+    for name, (help_text, add_flags) in cli._SUBCOMMANDS.items():
+        def recording(parser, name=name, add_flags=add_flags):
+            calls.append(name)
+            add_flags(parser)
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, recording))
+    main(argv)
+    capsys.readouterr()
+    assert calls == built
+
+
 class TestConfigKeys:
     @pytest.mark.parametrize(
         "argv",
