@@ -15,7 +15,7 @@ import json
 import math
 import re
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -51,10 +51,9 @@ from abstainrl.synthenv import (
     TimeInterval,
     build_abstained_mc,
     iter_dataset,
-    iter_generated,
+    iter_lines,
     read_columns,
     read_mc_sources,
-    write_dataset,
     write_lines,
     write_mc_items,
 )
@@ -431,16 +430,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if resolved["out"] is None:
         raise UsageError("gen requires --out")
     cfg = _gen_config(resolved)
-    n_unans = 0
-
-    def counted(items: Iterable[synthenv.SynthQAItem]) -> Iterator[synthenv.SynthQAItem]:
-        nonlocal n_unans
-        for item in items:
-            n_unans += item.gold.is_no_answer
-            yield item
-
-    # the items are written as they are drawn: the dataset is never held
-    write_dataset(counted(iter_generated(cfg)), resolved["out"])
+    # the lines are written as they are drawn: the dataset is never held
+    write_lines(resolved["out"], iter_lines(cfg))
+    n_unans = cfg.n_unanswerable
     print(
         f"wrote {cfg.n_items} items ({n_unans} unanswerable, "
         f"fraction {n_unans / cfg.n_items:.6f}) -> {_shown(resolved['out'])}"
@@ -630,9 +622,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     summary_rows = []
     for value, run_name, run, gen_cfg in runs:
         if gen_cfg is not None:
-            # as gen then train: the items stream into the run's file, and
+            # as gen then train: the lines stream into the run's file, and
             # its columns are read back out of it into the table
-            write_dataset(iter_generated(gen_cfg), run["dataset"])
+            write_lines(run["dataset"], iter_lines(gen_cfg))
             table = RewardTable(_read_columns(run["dataset"]), _variant(run))
         else:
             table = shared.with_variant(_variant(run))

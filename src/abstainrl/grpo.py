@@ -332,11 +332,6 @@ class RewardTable:
         expert = np.where(answer >= 1.0, oracle, -1)[self.row]
         return (self.features * N_ACTIONS + expert)[expert >= 0]
 
-    def lookup(self, items: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rewards and abstention flags at the (broadcast) index arrays."""
-        cells = self.first_cell.take(items) + actions
-        return self.rewards.take(cells), self.abstained.take(cells)
-
 
 class RolloutBatch(NamedTuple):
     """B groups of G completions drawn under one old-policy snapshot.
@@ -505,9 +500,10 @@ class _Rollouts:
         self._std_eps = cfg.std_eps
 
     def step(self, t: int, probs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Iteration ``t``'s actions (``policy.inverse_cdf`` of the snapshot
-        ``probs``), their cells, rewards and advantages.  The advantages are
-        computed under the caller's ``errstate``."""
+        """Iteration ``t``'s actions (``policy.draw_at_bounds`` of the
+        ``cdf_bounds`` of the snapshot ``probs``), their cells, rewards and
+        advantages.  The advantages are computed under the caller's
+        ``errstate``."""
         bounds = cdf_bounds(probs).take(self._row_cells[t])
         actions = draw_at_bounds(bounds, self._uniforms[t])
         cells = np.add(self._first_cells[t], actions, out=self.cells[t])

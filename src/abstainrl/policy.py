@@ -53,8 +53,7 @@ class ContextFeature:
     evidence: Evidence
     difficulty: Difficulty
 
-    # cached on the object: generated items and the scanned heads of a dataset
-    # share their features
+    # cached on the object: the scanned heads of a dataset share their features
     @cached_property
     def index(self) -> int:
         return _EVIDENCE_ORDER.index(self.evidence) * 2 + _DIFFICULTY_ORDER.index(
@@ -205,20 +204,11 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Indices drawn by inverting each row's CDF at the uniform draws ``u``.
-
-    ``probs`` is (..., K) and ``u`` is (..., M), one row of draws per row of
-    probabilities.  A draw lands on the first index i < K - 1 whose running
-    sum exceeds it, else on K - 1; the running sums are accumulated left to
-    right, as a scalar loop over the row would.
-    """
-    return draw_at_bounds(cdf_bounds(probs), u)
-
-
 def cdf_bounds(probs: np.ndarray) -> np.ndarray:
-    """The bounds ``inverse_cdf`` draws from: each row's running sums of
-    all but its last probability, accumulated left to right, then +inf."""
+    """The bounds an inverse-CDF draw over each row of ``probs`` (..., K)
+    falls between: each row's running sums of all but its last probability,
+    accumulated left to right, as a scalar loop over the row would, then
+    +inf."""
     # the row's running sums, with the last (the row's total) then replaced
     bounds = np.add.accumulate(probs, axis=-1, dtype=np.float64)
     bounds[..., -1] = np.inf
@@ -226,8 +216,9 @@ def cdf_bounds(probs: np.ndarray) -> np.ndarray:
 
 
 def draw_at_bounds(bounds: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``inverse_cdf`` from rows of ``cdf_bounds``: the first index whose
-    bound exceeds the draw."""
+    """The indices drawn by inverting each row's CDF at the uniform draws
+    ``u`` (..., M), one row of draws per row of ``cdf_bounds``: a draw lands
+    on the first index whose bound exceeds it."""
     return (u[..., :, None] >= bounds[..., None, :]).argmin(axis=-1)
 
 

@@ -34,7 +34,7 @@ YEAR_HORIZON = 2100
 
 # Fraction of unanswerable items whose facts conflict (the rest have no
 # fact in the queried window).  Tests derive closed-form reward oracles
-# from this constant, so keep it in sync with _generate_item.
+# from this constant, so keep it in sync with iter_lines.
 CONTRADICT_FRACTION = 0.5
 
 _T = TypeVar("_T")
@@ -233,17 +233,6 @@ class TimeSpecifier:
             return YEAR_FLOOR, self.years[0] - 1
         return self.years[0], self.years[0] + 3
 
-    def phrase(self) -> str:
-        if self.kind is SpecKind.IN_YEAR:
-            return f"in {self.years[0]}"
-        if self.kind is SpecKind.BETWEEN:
-            return f"from {self.years[0]} to {self.years[1]}"
-        if self.kind is SpecKind.AFTER:
-            return f"after {self.years[0]}"
-        if self.kind is SpecKind.BEFORE:
-            return f"before {self.years[0]}"
-        return f"in the early {self.years[0]}s"
-
 
 @dataclass(frozen=True, slots=True)
 class SynthQAItem:
@@ -332,6 +321,11 @@ class GenConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
+    @property
+    def n_unanswerable(self) -> int:
+        """The number of items with a No-Answer gold: round(n_items * p_unans)."""
+        return int(round(self.n_items * self.p_unans))
+
 
 def answerability_oracle(
     facts: Iterable[TemporalFact], specifier: TimeSpecifier
@@ -406,18 +400,40 @@ _LAST_NAMES = (
 )
 
 
-# Each bank entry's tokens, each observed feature and each entry's gold, made
-# once: the generator reuses them for every item.
+# Each bank entry's tokens, made once: the generator reuses them for every item.
 _TOKENS = {
     obj: frozenset(normalize_text(obj)) for bank in _OBJECT_BANKS.values() for obj in bank
 }
-_FEATURES = {
-    (evidence, hard): ContextFeature(evidence, Difficulty.HARD if hard else Difficulty.EASY)
+
+
+def _spelled(text: str) -> str:
+    """``text`` as ``json.dumps`` spells it, quotes included.  Each text a
+    generated line holds is spelled from constants spelled by this once, at
+    import; each must be non-empty, as ``TemporalFact`` requires of a
+    fact's texts.  JSON escapes character by character, so a text made by
+    joining spelled parts is spelled as the joined text would be."""
+    if not text:
+        raise ValueError("a generated text must be non-empty")
+    return encode_basestring_ascii(text)
+
+
+# The texts of a generated line, spelled once: names without their quotes
+# (a subject is two of them, and it is also a part of its question), the
+# rest with them.  A question template keeps its {s} and {t} fields.
+_FIRST_SPELLED = tuple(_spelled(name)[1:-1] for name in _FIRST_NAMES)
+_LAST_SPELLED = tuple(_spelled(name)[1:-1] for name in _LAST_NAMES)
+_RELATION_SPELLED = tuple(_spelled(relation) for relation in _RELATIONS)
+_QUESTION_SPELLED = tuple(_spelled(_QUESTION_TEMPLATES[relation]) for relation in _RELATIONS)
+_OBJECT_SPELLED = {obj: _spelled(obj) for obj in _TOKENS}
+_KIND_SPELLED = {kind: _spelled(kind.value) for kind in SpecKind}
+# each evidence's feature, easy then hard
+_FEATURE_SPELLED = {
+    evidence: tuple(
+        f'{{"difficulty": {_spelled(difficulty.value)}, "evidence": {_spelled(evidence.value)}}}'
+        for difficulty in (Difficulty.EASY, Difficulty.HARD)
+    )
     for evidence in Evidence
-    for hard in (False, True)
 }
-_GOLDS = {obj: GoldAnswer.of(obj) for obj in _TOKENS}
-_NO_ANSWER = GoldAnswer.no_answer()
 
 # 64-bit words a _Draws reads from its generator at once (8 KiB); a
 # 1000-item dataset takes nine blocks
@@ -438,20 +454,20 @@ class _Draws:
     ``random()`` does not take.  A one-value range draws nothing; a wider
     range than 2**32 values raises ``ValueError``."""
 
-    __slots__ = ("_words", "_half")
+    __slots__ = ("_next_word", "_half")
 
     def __init__(self, rng: np.random.Generator) -> None:
         bits = rng.bit_generator
         state = bits.state
         assert state["bit_generator"] == "PCG64", state["bit_generator"]
-        self._words = itertools.chain.from_iterable(
+        self._next_word = itertools.chain.from_iterable(
             iter(lambda: bits.random_raw(_WORD_BLOCK).tolist(), None)
-        )
+        ).__next__
         # the half a 32-bit draw such as rng.shuffle's left pending, if any
         self._half: int | None = state["uinteger"] if state["has_uint32"] else None
 
     def random(self) -> float:
-        return (next(self._words) >> 11) * 2.0**-53
+        return (self._next_word() >> 11) * 2.0**-53
 
     def integers(self, lo: int, hi: int) -> int:
         span = hi - lo
@@ -459,51 +475,55 @@ class _Draws:
             return lo
         if not 1 < span <= 1 << 32:
             raise ValueError(f"integers draws from 2 to 2**32 values, got [{lo}, {hi})")
-        m = self._uint32() * span
-        if m & 0xFFFFFFFF < span:
-            threshold = (1 << 32) % span
-            while m & 0xFFFFFFFF < threshold:
-                m = self._uint32() * span
-        return lo + (m >> 32)
-
-    def _uint32(self) -> int:
-        half = self._half
-        if half is None:
-            word = next(self._words)
-            self._half = word >> 32
-            return word & 0xFFFFFFFF
-        self._half = None
-        return half
-
-
-def _pick(draws: _Draws, bank: Sequence[str]) -> str:
-    return bank[draws.integers(0, len(bank))]
+        while True:
+            half = self._half
+            if half is None:
+                word = self._next_word()
+                self._half = word >> 32
+                half = word & 0xFFFFFFFF
+            else:
+                self._half = None
+            m = half * span
+            low = m & 0xFFFFFFFF
+            # numpy redraws while low < 2**32 % span, which is below span
+            if low >= span or low >= (1 << 32) % span:
+                return lo + (m >> 32)
 
 
 def _pick_other(draws: _Draws, bank: Sequence[str], taken: str) -> str:
     taken_tokens = _TOKENS[taken]
     while True:
-        candidate = _pick(draws, bank)
+        candidate = bank[draws.integers(0, len(bank))]
         if candidate != taken and taken_tokens.isdisjoint(_TOKENS[candidate]):
             return candidate
 
 
-def _make_specifier(draws: _Draws, hard: bool) -> TimeSpecifier:
+def _specifier(draws: _Draws, hard: bool) -> tuple[str, str, int, int]:
+    """A drawn specifier: its JSON, its phrase in the question, and the
+    bounds of its window, as ``TimeSpecifier.window`` gives them."""
     base = draws.integers(1880, 2020)
     if not hard:
         kind = _EASY_KINDS[draws.integers(0, len(_EASY_KINDS))]
         if kind is SpecKind.IN_YEAR:
-            return TimeSpecifier.in_year(base)
-        return TimeSpecifier.between(base, base + draws.integers(0, 5))
-    kind = _HARD_KINDS[draws.integers(0, len(_HARD_KINDS))]
-    if kind is SpecKind.AFTER:
-        return TimeSpecifier.after(base)
-    if kind is SpecKind.BEFORE:
-        return TimeSpecifier.before(base)
-    return TimeSpecifier.early_decade((base // 10) * 10)
+            years, phrase, lo, hi = f"{base}", f"in {base}", base, base
+        else:
+            lo, hi = base, base + draws.integers(0, 5)
+            if lo > hi:
+                raise ValueError("between requires a <= b")
+            years, phrase = f"{lo}, {hi}", f"from {lo} to {hi}"
+    else:
+        kind = _HARD_KINDS[draws.integers(0, len(_HARD_KINDS))]
+        if kind is SpecKind.AFTER:
+            years, phrase, lo, hi = f"{base}", f"after {base}", base + 1, YEAR_HORIZON
+        elif kind is SpecKind.BEFORE:
+            years, phrase, lo, hi = f"{base}", f"before {base}", YEAR_FLOOR, base - 1
+        else:
+            lo = (base // 10) * 10
+            years, phrase, hi = f"{lo}", f"in the early {lo}s", lo + 3
+    return f'{{"kind": {_KIND_SPELLED[kind]}, "years": [{years}]}}', phrase, lo, hi
 
 
-def _scope_through(draws: _Draws, lo: int, hi: int) -> TimeInterval:
+def _scope_through(draws: _Draws, lo: int, hi: int) -> tuple[int, int]:
     """A fact scope intersecting [lo, hi], anchored near the bounded side of
     open-ended windows so generated years stay plausible."""
     if hi >= YEAR_HORIZON:
@@ -514,137 +534,109 @@ def _scope_through(draws: _Draws, lo: int, hi: int) -> TimeInterval:
         a_lo, a_hi = lo, hi
     anchor = draws.integers(a_lo, a_hi + 1)
     start = max(YEAR_FLOOR, anchor - draws.integers(0, 5))
-    end = min(YEAR_HORIZON, anchor + draws.integers(0, 5))
-    return TimeInterval(start, end)
+    return start, min(YEAR_HORIZON, anchor + draws.integers(0, 5))
 
 
-def _scope_outside(draws: _Draws, lo: int, hi: int) -> TimeInterval:
+def _scope_outside(draws: _Draws, lo: int, hi: int) -> tuple[int, int]:
     """A fact scope strictly disjoint from [lo, hi]."""
     length = draws.integers(1, 7)
     if lo - 2 - length >= YEAR_FLOOR:
-        return TimeInterval(lo - 2 - length, lo - 2)
-    return TimeInterval(hi + 2, hi + 2 + length)
+        return lo - 2 - length, lo - 2
+    return hi + 2, hi + 2 + length
 
 
-def _generate_item(
-    draws: _Draws, item_id: str, unanswerable: bool, cfg: GenConfig
-) -> SynthQAItem:
-    hard = draws.random() < cfg.difficulty_mix
-    specifier = _make_specifier(draws, hard)
-    lo, hi = specifier.window()
-
-    subject = f"{_pick(draws, _FIRST_NAMES)} {_pick(draws, _LAST_NAMES)}"
-    relation = _RELATIONS[draws.integers(0, len(_RELATIONS))]
-    bank = _OBJECT_BANKS[relation]
-    question = _QUESTION_TEMPLATES[relation].format(s=subject, t=specifier.phrase())
-
-    facts: list[TemporalFact] = []
-    if not unanswerable:
-        gold_obj = _pick(draws, bank)
-        distractor = _pick_other(draws, bank, gold_obj)
-        facts.append(TemporalFact(subject, relation, gold_obj, _scope_through(draws, lo, hi)))
-        if draws.random() < 0.5:
-            facts.append(
-                TemporalFact(subject, relation, distractor, _scope_outside(draws, lo, hi))
-            )
-        gold = _GOLDS[gold_obj]
-        evidence = Evidence.SUPPORTS
-        if draws.random() < 0.5:
-            candidate_a, candidate_b = gold_obj, distractor
-        else:
-            candidate_a, candidate_b = distractor, gold_obj
-    else:
-        obj_one = _pick(draws, bank)
-        obj_two = _pick_other(draws, bank, obj_one)
-        if draws.random() < CONTRADICT_FRACTION:
-            facts.append(TemporalFact(subject, relation, obj_one, _scope_through(draws, lo, hi)))
-            facts.append(TemporalFact(subject, relation, obj_two, _scope_through(draws, lo, hi)))
-            evidence = Evidence.CONTRADICTS
-        else:
-            for obj in (obj_one, obj_two)[: draws.integers(0, 3)]:
-                facts.append(TemporalFact(subject, relation, obj, _scope_outside(draws, lo, hi)))
-            evidence = Evidence.NO_EVIDENCE
-        gold = _NO_ANSWER
-        candidate_a, candidate_b = obj_one, obj_two
-
-    observed = Evidence.NO_EVIDENCE if draws.random() < cfg.ambiguity else evidence
-
-    return SynthQAItem(
-        id=item_id,
-        question=question,
-        facts=tuple(facts),
-        specifier=specifier,
-        gold=gold,
-        candidate_a=candidate_a,
-        candidate_b=candidate_b,
-        feature=_FEATURES[observed, hard],
+def _fact(obj: str, scope: tuple[int, int], relation: str, subject: str) -> str:
+    """The JSON of a fact: ``obj``, a bank entry, over ``scope``, with the
+    spelled ``relation`` and ``subject``.  A scope whose start passes its
+    end raises ``ValueError``, as ``TimeInterval`` does."""
+    start, end = scope
+    if start > end:
+        raise ValueError(f"interval start {start} exceeds end {end}")
+    return (
+        f'{{"end": {end}, "object": {_OBJECT_SPELLED[obj]}, "relation": {relation}, '
+        f'"start": {start}, "subject": {subject}}}'
     )
 
 
-def iter_generated(cfg: GenConfig) -> Iterator[SynthQAItem]:
-    """The items of ``generate_dataset(cfg)``, each drawn when it is asked for."""
+def iter_lines(cfg: GenConfig) -> Iterator[str]:
+    """The lines of the dataset ``cfg`` describes, each spelled as it is
+    drawn: line i holds item ``q{i:05d}``, and exactly
+    ``cfg.n_unanswerable`` items, placed by a shuffle, have a No-Answer
+    gold.  A line is ``json.dumps`` of its record with ``sort_keys=True``:
+    candidates, facts (each with end, object, relation, start and subject),
+    feature (difficulty, evidence), gold (the one alias, or null for
+    No-Answer), id, question and specifier (kind, years).  It holds at most
+    two facts, and the bank and template texts it is spelled from are
+    printable ASCII with nothing to escape, so ``read_columns`` scans it
+    with ``_written_form``: a change here must change that too."""
     rng = np.random.default_rng(cfg.seed)
-    n_unans = int(round(cfg.n_items * cfg.p_unans))
+    n_unans = cfg.n_unanswerable
     flags = [True] * n_unans + [False] * (cfg.n_items - n_unans)
     rng.shuffle(flags)
     draws = _Draws(rng)
-    for i, flag in enumerate(flags):
-        yield _generate_item(draws, f"q{i:05d}", flag, cfg)
+    random, integers = draws.random, draws.integers
+    supports, contradicts, no_evidence = (
+        _FEATURE_SPELLED[e] for e in (Evidence.SUPPORTS, Evidence.CONTRADICTS, Evidence.NO_EVIDENCE)
+    )
+    for i, unanswerable in enumerate(flags):
+        hard = random() < cfg.difficulty_mix
+        specifier, phrase, lo, hi = _specifier(draws, hard)
+        first = _FIRST_SPELLED[integers(0, len(_FIRST_SPELLED))]
+        subject = f"{first} {_LAST_SPELLED[integers(0, len(_LAST_SPELLED))]}"
+        r = integers(0, len(_RELATIONS))
+        bank, relation = _OBJECT_BANKS[_RELATIONS[r]], _RELATION_SPELLED[r]
+        subject_json = f'"{subject}"'
+        if not unanswerable:
+            gold_obj = bank[integers(0, len(bank))]
+            distractor = _pick_other(draws, bank, gold_obj)
+            facts = _fact(gold_obj, _scope_through(draws, lo, hi), relation, subject_json)
+            if random() < 0.5:
+                scope = _scope_outside(draws, lo, hi)
+                facts += f", {_fact(distractor, scope, relation, subject_json)}"
+            gold, evidence = f"[{_OBJECT_SPELLED[gold_obj]}]", supports
+            candidates = (gold_obj, distractor) if random() < 0.5 else (distractor, gold_obj)
+        else:
+            obj_one = bank[integers(0, len(bank))]
+            obj_two = _pick_other(draws, bank, obj_one)
+            if random() < CONTRADICT_FRACTION:
+                scopes = _scope_through(draws, lo, hi), _scope_through(draws, lo, hi)
+                evidence = contradicts
+            else:
+                scopes = [_scope_outside(draws, lo, hi) for _ in range(integers(0, 3))]
+                evidence = no_evidence
+            facts = ", ".join([
+                _fact(obj, scope, relation, subject_json)
+                for obj, scope in zip((obj_one, obj_two), scopes)
+            ])
+            gold, candidates = "null", (obj_one, obj_two)
+        feature = (no_evidence if random() < cfg.ambiguity else evidence)[hard]
+        yield (
+            f'{{"candidates": [{_OBJECT_SPELLED[candidates[0]]}, '
+            f'{_OBJECT_SPELLED[candidates[1]]}], "facts": [{facts}], '
+            f'"feature": {feature}, "gold": {gold}, "id": "q{i:05d}", '
+            f'"question": {_QUESTION_SPELLED[r].format(s=subject, t=phrase)}, '
+            f'"specifier": {specifier}}}'
+        )
 
 
 def generate_dataset(cfg: GenConfig) -> list[SynthQAItem]:
-    """Deterministic dataset with exactly round(n_items * p_unans) unanswerable items."""
-    return list(iter_generated(cfg))
+    """The items of ``iter_lines(cfg)``, read back by ``item_from_dict``."""
+    return [item_from_dict(json.loads(line)) for line in iter_lines(cfg)]
 
 
 # --- JSON-Lines serialization -------------------------------------------------
 
-def _written_line(item: SynthQAItem) -> str:
-    """The line ``write_dataset`` writes for ``item``: one JSON object with
-    the keys candidates, facts (each with end, object, relation, start and
-    subject), feature (difficulty, evidence), gold (the aliases, or null for
-    No-Answer), id, question and specifier (kind, years), in sorted order
-    and with ``json.dumps``' default separators.  Strings go through the
-    encoder ``json.dumps`` uses and integers through ``repr``, so for an
-    item whose fields have their declared types the line equals
-    ``json.dumps`` of that object with ``sort_keys=True``.  ``iter_heads``
-    scans it with ``_written_form``: a change here must change that too."""
-    quote = encode_basestring_ascii
-    facts = ", ".join(
-        f'{{"end": {fact.scope.end!r}, "object": {quote(fact.obj)}, '
-        f'"relation": {quote(fact.relation)}, "start": {fact.scope.start!r}, '
-        f'"subject": {quote(fact.subject)}}}'
-        for fact in item.facts
-    )
-    gold = (
-        "null" if item.gold.is_no_answer
-        else f'[{", ".join(map(quote, item.gold.aliases))}]'
-    )
-    feature = item.feature
-    specifier = item.specifier
-    return (
-        f'{{"candidates": [{quote(item.candidate_a)}, {quote(item.candidate_b)}], '
-        f'"facts": [{facts}], '
-        f'"feature": {{"difficulty": {quote(feature.difficulty.value)}, '
-        f'"evidence": {quote(feature.evidence.value)}}}, '
-        f'"gold": {gold}, "id": {quote(item.id)}, '
-        f'"question": {quote(item.question)}, '
-        f'"specifier": {{"kind": {quote(specifier.kind.value)}, '
-        f'"years": [{", ".join(map(repr, specifier.years))}]}}}}'
-    )
-
-
 @functools.cache
 def _written_form() -> re.Pattern[str]:
-    """The line ``write_dataset`` writes, as ``_written_line`` spells it,
-    for a record whose strings are printable ASCII with nothing to escape,
-    whose integers have at most 18 digits and whose facts, at most two (as
-    generated items hold), have non-empty texts, as ``TemporalFact``
-    requires.  Its groups are the two candidates; the end and start of the
-    first fact and of the second; the feature's JSON, the gold's and the
-    id; the specifier's JSON, and in it its kind and its years.  A change
-    to ``_written_line`` must change this too.  Compiled on first use, which
-    keeps it out of the import."""
+    """The line ``json.dumps`` writes with ``sort_keys=True``, the template
+    ``iter_lines`` spells, for a record whose strings are printable ASCII
+    with nothing to escape, whose integers have at most 18 digits and whose
+    facts, at most two (as generated items hold), have non-empty texts, as
+    ``TemporalFact`` requires.  Its groups are the two candidates; the end
+    and start of the first fact and of the second; the feature's JSON, the
+    gold's and the id; the specifier's JSON, and in it its kind and its
+    years.  A change to the line ``iter_lines`` spells must change this
+    too.  Compiled on first use, which keeps it out of the import."""
     # S: a printable ASCII character but '"' and '\'; Y: an integer; F: a fact
     fact = r'\{"end": (Y), "object": "S+", "relation": "S+", "start": (Y), "subject": "S+"\}'
     line = (
@@ -695,7 +687,7 @@ def _json_text(value: object, where: str) -> str:
 
 
 def item_from_dict(payload: dict) -> SynthQAItem:
-    """The item of a decoded dataset record, in the layout ``write_dataset``
+    """The item of a decoded dataset record, in the layout ``iter_lines``
     writes.  Texts must be strings that UTF-8 can encode (no lone surrogate)
     and years integers; ValueError names the first field that breaks this,
     and KeyError the first missing one.
@@ -748,12 +740,6 @@ def item_from_dict(payload: dict) -> SynthQAItem:
     )
 
 
-def write_dataset(items: Iterable[SynthQAItem], path: str | Path) -> None:
-    """Write one ``_written_line`` per item to ``path``, through
-    ``write_lines``."""
-    write_lines(path, map(_written_line, items))
-
-
 def iter_dataset(path: str | Path) -> Iterator[SynthQAItem]:
     """The items of the dataset file at ``path``, one line at a time; the
     file is opened when the first item is asked for.  A record that is not
@@ -771,7 +757,7 @@ def read_dataset(path: str | Path) -> list[SynthQAItem]:
 def read_columns(path: str | Path) -> ItemColumns:
     """The ``ItemColumns`` of the dataset file at ``path``, equal to those
     of ``ItemHead.of`` of each item of ``iter_dataset(path)``, with the same
-    ``DatasetError`` on the same line.  A line in the form ``write_dataset``
+    ``DatasetError`` on the same line.  A line in the form ``iter_lines``
     writes for an item of at most two facts (see ``_written_form``) is
     scanned, not decoded: its fact scopes are checked and it yields its
     head's fields without building its facts and question.  Any other

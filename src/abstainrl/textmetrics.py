@@ -54,8 +54,7 @@ class GoldAnswer:
             raise ValueError("an answerable gold needs at least one alias")
         return cls(tuple(aliases))
 
-    # cached on the object: generated items and the scanned heads of a dataset
-    # share their golds
+    # cached on the object: the scanned heads of a dataset share their golds
     @functools.cached_property
     def is_no_answer(self) -> bool:
         return not self.aliases

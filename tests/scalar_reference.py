@@ -6,7 +6,10 @@ completion at a time, rewards recomputed from text on every draw, and
 evaluation one item at a time from its rendered greedy completion.  They are
 kept only as oracles; the tests hold the array path to them.  The scalar
 log-softmax and inverse-CDF sampler they call are the oracles for
-``policy.log_softmax`` and ``policy.inverse_cdf``.  ``grpo_gradient_add_at``
+``policy.log_softmax`` and for ``inverse_cdf``, the draw ``grpo.train_rl``
+makes through ``policy.cdf_bounds`` and ``policy.draw_at_bounds``.
+``gather`` reads a ``grpo.RewardTable``'s rewards and abstention flags at
+(item, action) index arrays.  ``grpo_gradient_add_at``
 is the batched gradient as two ``np.add.at`` scatters, the oracle for the
 single ``np.bincount`` in ``grpo.grpo_gradient``.  ``item_from_dict``, which
 builds every part of a dataset record afresh, is the oracle for
@@ -31,16 +34,18 @@ as it stood before its step layer was reworked: the bit-for-bit oracle for
 fresh n-gram counts and LCS lengths and keep the first with the highest F1,
 are the oracles for ``textmetrics.TextParts``' ROUGE methods.
 ``item_to_dict``, a dataset record as a dict, is the oracle for the lines
-``synthenv.write_dataset`` writes: each is ``json.dumps(item_to_dict(item),
-sort_keys=True)``.  ``iter_heads``, which decodes and builds every record
-whole, is the oracle for the columns ``synthenv.read_columns`` scans.
+``synthenv.iter_lines`` spells: each is ``json.dumps(item_to_dict(item),
+sort_keys=True)``, the line ``write_items`` writes for any item.
+``iter_heads``, which decodes and builds every record whole, is the oracle
+for the columns ``synthenv.read_columns`` scans.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 from dataclasses import dataclass, fields
 
@@ -93,6 +98,7 @@ from abstainrl.synthenv import (
     _json_object,
     _json_text,
     read_records,
+    write_lines,
 )
 from abstainrl.textmetrics import (
     ConfusionCounts,
@@ -117,6 +123,22 @@ def log_softmax(row: np.ndarray) -> np.ndarray:
     for v in ex:
         total += float(v)
     return shifted - math.log(total)
+
+
+def inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Indices drawn by inverting each row's CDF at the uniform draws ``u``,
+    as ``grpo.train_rl`` draws them: ``probs`` is (..., K) and ``u`` is
+    (..., M), one row of draws per row of probabilities."""
+    return policy.draw_at_bounds(policy.cdf_bounds(probs), u)
+
+
+def gather(
+    table: RewardTable, items: np.ndarray, actions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rewards and abstention flags of ``table`` at the (broadcast) item
+    and action index arrays."""
+    cells = table.first_cell.take(items) + actions
+    return table.rewards.take(cells), table.abstained.take(cells)
 
 
 def sample_categorical(probs: np.ndarray, u: float) -> int:
@@ -767,6 +789,12 @@ def item_from_dict(payload: object) -> SynthQAItem:
         candidate_b=candidates[1],
         feature=feature,
     )
+
+
+def write_items(items: Iterable[SynthQAItem], path: str | Path) -> None:
+    """Write the line of each of ``items``, ``json.dumps`` of its record
+    with sorted keys, to ``path``."""
+    write_lines(path, (json.dumps(item_to_dict(item), sort_keys=True) for item in items))
 
 
 def iter_heads(path: str | Path) -> Iterator[ItemHead]:

@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
+import scalar_reference
 from abstainrl.cli import main
 from abstainrl.grpo import (
     GrpoConfig,
@@ -214,7 +215,9 @@ def test_a6_bandit_sanity():
     # closed-form payout table: the target action earns 2.5 on every item,
     # every other action earns 0.5 -- margin 2.0 >= 1.0
     n_items = len(table)
-    payouts, _ = table.lookup(np.arange(n_items)[:, None], np.arange(len(ALL_ACTIONS)))
+    payouts, _ = scalar_reference.gather(
+        table, np.arange(n_items)[:, None], np.arange(len(ALL_ACTIONS))
+    )
     assert (payouts[:, target.index] == 2.5).all()
     assert (np.delete(payouts, target.index, axis=1) <= 0.5).all()
 

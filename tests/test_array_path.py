@@ -33,7 +33,6 @@ from abstainrl.policy import (
     ALL_ACTIONS,
     ALL_FEATURES,
     PolicyParams,
-    inverse_cdf,
     log_softmax,
     render_completion,
     sft_train,
@@ -53,8 +52,8 @@ from abstainrl.synthenv import (
     SynthQAItem,
     generate_dataset,
     iter_dataset,
+    iter_lines,
     read_columns,
-    write_dataset,
 )
 from abstainrl.textmetrics import GoldAnswer, exact_match
 from test_synthenv import _VALID_RECORDS
@@ -109,7 +108,7 @@ class TestRewardTable:
         table = RewardTable(ITEMS, variant, reward_fn=_payout if bandit else None)
         items = np.array([j for j, _ in pairs])
         actions = np.array([a for _, a in pairs])
-        rewards, abstained = table.lookup(items, actions)
+        rewards, abstained = ref.gather(table, items, actions)
         for k, (j, a) in enumerate(pairs):
             text = render_completion(ALL_ACTIONS[a], ITEMS[j])
             rule = _payout(text, ITEMS[j]) if bandit else total_reward(text, ITEMS[j].gold, variant)
@@ -120,15 +119,15 @@ class TestRewardTable:
     @given(index_pairs)
     def test_each_pair_evaluated_once(self, pairs):
         """A ``reward_fn`` scores every (item, action) pair once, when the
-        table is built, and never on lookup."""
+        table is built, and never when it is gathered from."""
         rule = _CountingRule()
         table = RewardTable(ITEMS, reward_fn=rule)
         every_pair = [(item.id, render_completion(a, item)) for item in ITEMS for a in ALL_ACTIONS]
         assert sorted(rule.scored) == sorted(every_pair)
         items = np.array([j for j, _ in pairs])
         actions = np.array([a for _, a in pairs])
-        first, _ = table.lookup(items, actions)
-        again, _ = table.lookup(items, actions)
+        first, _ = ref.gather(table, items, actions)
+        again, _ = ref.gather(table, items, actions)
         assert rule.calls == len(every_pair)
         np.testing.assert_array_equal(first, again)
 
@@ -152,7 +151,7 @@ class TestRewardTable:
         item = dataclasses.replace(ITEMS[0], candidate_a=candidate)
         table = RewardTable([item])
         actions = np.arange(len(ALL_ACTIONS))
-        rewards, abstained = table.lookup(np.zeros(len(actions), dtype=int), actions)
+        rewards, abstained = ref.gather(table, np.zeros(len(actions), dtype=int), actions)
         for a, action in enumerate(ALL_ACTIONS):
             text = render_completion(action, item)
             assert abstained[a] == is_no_answer(parse_completion(text).answer)
@@ -175,20 +174,30 @@ class TestRewardTable:
         for j, item in enumerate(items):
             for a, action in enumerate(ALL_ACTIONS):
                 text = render_completion(action, item)
-                assert table.lookup(np.array(j), np.array(a))[0] == total_reward(text, item.gold).total
+                reward = ref.gather(table, np.array(j), np.array(a))[0]
+                assert reward == total_reward(text, item.gold).total
 
     def test_item_columns_equal_per_item_construction(self, tmp_path):
         """Features and unanswerable flags cached on each distinct feature
         and gold object, and the content rows, equal the per-item
-        construction, whether items share those objects (as generated items
-        do), hold equal copies, or mix both; the columns scanned from a file
-        of the items equal those of the items."""
+        construction, whether items share those objects (as the scanned
+        heads of a dataset do), hold equal copies, or mix both; the columns
+        scanned from a file of the items equal those of the items."""
         path = tmp_path / "items.jsonl"
-        write_dataset(ITEMS, path)
+        ref.write_items(ITEMS, path)
+        first: dict = {}
+        shared = [
+            dataclasses.replace(
+                item,
+                gold=first.setdefault(item.gold, item.gold),
+                feature=first.setdefault(item.feature, item.feature),
+            )
+            for item in ITEMS
+        ]
         copied = [
             dataclasses.replace(item, gold=GoldAnswer(tuple(item.gold.aliases))) for item in ITEMS
         ]
-        for items in (ITEMS, copied, ITEMS + copied[::-1]):
+        for items in (shared, copied, shared + copied[::-1]):
             table = RewardTable(items)
             index: dict = {}
             row = [index.setdefault((i.candidate_a, i.candidate_b, i.gold), len(index)) for i in items]
@@ -210,7 +219,7 @@ class TestRewardTable:
         file, equals the table of the same items as a list bit for bit, and
         keeps none of the streamed items."""
         path = tmp_path / "items.jsonl"
-        write_dataset(ITEMS, path)
+        ref.write_items(ITEMS, path)
         want = RewardTable(ITEMS, variant, reward_fn)
 
         def n_items_alive() -> int:
@@ -465,10 +474,9 @@ _GEN_CONFIGS = st.builds(
 
 
 def _lines(cfg: GenConfig, form: str, flips: list[bool]) -> list[bytes]:
-    """The lines ``write_dataset`` writes for ``cfg``'s items, as written,
-    each re-serialized, or mixed: line i re-serialized where
-    ``flips[i % len(flips)]``."""
-    lines = [synthenv._written_line(item) for item in generate_dataset(cfg)]
+    """The lines ``gen`` writes for ``cfg``, as written, each re-serialized,
+    or mixed: line i re-serialized where ``flips[i % len(flips)]``."""
+    lines = list(iter_lines(cfg))
     if form != "written":
         lines = [
             _reserialized(line) if form == "re-serialized" or flips[i % len(flips)] else line
@@ -532,7 +540,7 @@ class TestSampler:
         # u = 0, every running sum exactly, and the float just below each one
         cum = np.cumsum(probs[:-1])
         u = np.array([0.0, *cum, *np.nextafter(cum, 0.0), *draws])
-        got = inverse_cdf(probs[None, :], u[None, :])[0]
+        got = ref.inverse_cdf(probs[None, :], u[None, :])[0]
         want = [ref.sample_categorical(probs, float(x)) for x in u]
         assert got.tolist() == want
 
@@ -540,9 +548,9 @@ class TestSampler:
     def test_rows_are_independent(self, rows, seed):
         probs = np.stack(rows)
         u = np.random.default_rng(seed).random((len(rows), 5))
-        got = inverse_cdf(probs, u)
+        got = ref.inverse_cdf(probs, u)
         for b in range(len(rows)):
-            assert got[b].tolist() == inverse_cdf(probs[b], u[b]).tolist()
+            assert got[b].tolist() == ref.inverse_cdf(probs[b], u[b]).tolist()
 
 
 class TestAdvantages:

@@ -55,6 +55,20 @@ class TestGen:
         assert unans == 500
         assert "500 unanswerable" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("p", ["0.5", "0", "1"])
+    def test_message_counts_the_null_golds(self, tmp_path, capsys, p):
+        """The counts gen prints agree with the "gold": null lines it wrote,
+        at the README config and at either end of --p-unans."""
+        path = tmp_path / "data.jsonl"
+        argv = ["gen", "--n", "1000", "--p-unans", p, "--ambiguity", "0.5", "--seed", "7"]
+        assert main([*argv, "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        k = sum('"gold": null' in line for line in lines)
+        assert k == sum(json.loads(line)["gold"] is None for line in lines)
+        assert capsys.readouterr().out == (
+            f"wrote {len(lines)} items ({k} unanswerable, fraction {k / len(lines):.6f}) -> {path}\n"
+        )
+
     def test_creates_missing_output_dir(self, tmp_path):
         out = tmp_path / "deep" / "nested" / "data.jsonl"
         assert main(["gen", "--n", "10", "--out", str(out)]) == 0

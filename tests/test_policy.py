@@ -17,7 +17,6 @@ from abstainrl.policy import (
     ContextFeature,
     PolicyParams,
     greedy_action,
-    inverse_cdf,
     log_softmax,
     oracle_action,
     render_completion,
@@ -36,7 +35,7 @@ def _probs(params):
 
 def _draws(params, feature, rng, n):
     """``n`` actions of ``feature``'s row, as the rollout samples them."""
-    return inverse_cdf(_probs(params)[feature.index], rng.random(n)).tolist()
+    return ref.inverse_cdf(_probs(params)[feature.index], rng.random(n)).tolist()
 
 
 class TestIndexing:

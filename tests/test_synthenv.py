@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ import scalar_reference as ref
 from abstainrl import synthenv
 from abstainrl.cli import main
 from abstainrl.grpo import TrainLog
-from abstainrl.policy import ContextFeature, Difficulty, Evidence
+from abstainrl.policy import Difficulty, Evidence
 from abstainrl.retrieval import KGStore
 from abstainrl.synthenv import (
     DatasetError,
@@ -27,21 +28,20 @@ from abstainrl.synthenv import (
     ItemHead,
     MCSourceRecord,
     SpecKind,
-    SynthQAItem,
     TemporalFact,
     TimeInterval,
     TimeSpecifier,
     answerability_oracle,
     build_abstained_mc,
     generate_dataset,
+    iter_lines,
     read_columns,
     read_dataset,
     read_mc_sources,
     read_text,
-    write_dataset,
     write_lines,
 )
-from abstainrl.textmetrics import GoldAnswer, normalize_text
+from abstainrl.textmetrics import normalize_text
 
 
 class TestTimeInterval:
@@ -210,7 +210,7 @@ class TestDatasetSerialization:
     def test_roundtrip(self, tmp_path):
         items = generate_dataset(GenConfig(n_items=40, p_unans=0.4, seed=11))
         path = tmp_path / "data.jsonl"
-        write_dataset(items, path)
+        ref.write_items(items, path)
         again = read_dataset(path)
         assert [ref.item_to_dict(i) for i in again] == [ref.item_to_dict(i) for i in items]
 
@@ -279,63 +279,83 @@ class TestDatasetSerialization:
             read_dataset(path)
 
 
-# Items of any texts a field's type allows: non-ASCII, quotes, backslashes,
-# control characters, empty ids, questions and candidates, and years of any
-# size.
-_ANY_TEXT = st.text(max_size=6) | st.sampled_from(
-    ['"', "\\", "\x00\x1f\x7f", "\u00e9 \u2028", "\U0001f600"]
-)
-_SOME_TEXT = _ANY_TEXT.filter(bool)
-_ANY_YEARS = st.lists(st.integers(), min_size=2, max_size=2).map(sorted)
-_ITEMS = st.builds(
-    SynthQAItem,
-    id=_ANY_TEXT,
-    question=_ANY_TEXT,
-    facts=st.lists(
-        st.builds(TemporalFact, _SOME_TEXT, _SOME_TEXT, _SOME_TEXT,
-                  _ANY_YEARS.map(lambda ys: TimeInterval(*ys))),
-        max_size=3,
-    ).map(tuple),
-    specifier=st.builds(
-        lambda kind, ys: TimeSpecifier(kind, tuple(ys) if kind is SpecKind.BETWEEN else ys[:1]),
-        st.sampled_from(SpecKind), _ANY_YEARS,
-    ),
-    gold=st.just(GoldAnswer.no_answer())
-    | st.lists(_SOME_TEXT, min_size=1, max_size=2).map(lambda aliases: GoldAnswer.of(*aliases)),
-    candidate_a=_ANY_TEXT,
-    candidate_b=_ANY_TEXT,
-    feature=st.builds(ContextFeature, st.sampled_from(Evidence), st.sampled_from(Difficulty)),
-)
-_EDGE_ITEM = SynthQAItem(
-    id="q\x00\n\t",
-    question='Who said "\\u00e9"? \u00e9\u6f22\U0001f600\x7f',
-    facts=(),
-    specifier=TimeSpecifier.between(-999999999999999999, 999999999999999999),
-    gold=GoldAnswer.of("\\", '"'),
-    candidate_a="",
-    candidate_b="",
-    feature=ContextFeature(Evidence.CONTRADICTS, Difficulty.HARD),
+# the settings of a generated dataset, each free in its range
+_GEN_CONFIGS = st.builds(
+    GenConfig,
+    n_items=st.integers(1, 60),
+    p_unans=st.floats(0.0, 1.0),
+    difficulty_mix=st.floats(0.0, 1.0),
+    ambiguity=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
 )
 
 
-class TestWrittenLines:
-    """``write_dataset`` spells each line from a template; ``json.dumps`` of
-    ``ref.item_to_dict`` with sorted keys is its oracle."""
+def _counted_decodes(calls):
+    """A patch of ``synthenv.item_from_dict`` that appends each call's
+    arguments to ``calls``."""
+    original = synthenv.item_from_dict
+    return mock.patch.object(
+        synthenv, "item_from_dict", lambda *args: calls.append(args) or original(*args)
+    )
 
-    @given(st.lists(_ITEMS, max_size=4))
-    @example([_EDGE_ITEM])
-    @example([dataclasses.replace(
-        _EDGE_ITEM,
-        facts=(TemporalFact("\u00e9", "\\", '"', TimeInterval(-10**18 + 1, -1)),),
-        specifier=TimeSpecifier.early_decade(-100000000000000000),
-        gold=GoldAnswer.no_answer(),
-    )])
-    @settings(max_examples=300)
-    def test_equals_json_dumps_of_the_record(self, tmp_path_factory, items):
-        path = tmp_path_factory.mktemp("written") / "data.jsonl"
-        write_dataset(items, path)
-        want = "".join(json.dumps(ref.item_to_dict(item), sort_keys=True) + "\n" for item in items)
-        assert path.read_text(encoding="utf-8") == want
+
+class TestIterLines:
+    """``iter_lines`` spells each line from its draws; ``json.dumps`` of
+    ``ref.item_to_dict`` of the item read back from it, with sorted keys, is
+    its oracle."""
+
+    @given(_GEN_CONFIGS)
+    @example(GenConfig(n_items=60, p_unans=0.0, difficulty_mix=1.0, ambiguity=0.0, seed=0))
+    @example(GenConfig(n_items=60, p_unans=1.0, difficulty_mix=0.0, ambiguity=1.0, seed=1))
+    @settings(max_examples=150)
+    def test_equals_json_dumps_of_each_item(self, tmp_path_factory, cfg):
+        """Each line is ``json.dumps`` of its item's record, and
+        ``read_columns`` scans every line without decoding it."""
+        lines = list(iter_lines(cfg))
+        items = generate_dataset(cfg)
+        assert lines == [json.dumps(ref.item_to_dict(item), sort_keys=True) for item in items]
+        assert [item.id for item in items] == [f"q{i:05d}" for i in range(cfg.n_items)]
+        assert sum(item.gold.is_no_answer for item in items) == cfg.n_unanswerable
+        path = tmp_path_factory.mktemp("lines") / "data.jsonl"
+        write_lines(path, lines)
+        calls = []
+        with _counted_decodes(calls):
+            assert read_columns(path) == _columns(items)
+        assert calls == []
+
+    def test_keeps_the_checks_of_the_item_objects(self, monkeypatch):
+        """A drawn ``between`` whose a passes its b, a fact scope whose
+        start passes its end and an empty text raise, as ``TimeSpecifier``,
+        ``TimeInterval`` and ``TemporalFact`` do."""
+        cfg = GenConfig(n_items=5, p_unans=0.0, difficulty_mix=0.0, seed=0)
+        integers = synthenv._Draws.integers
+        # every easy specifier a between, whose b is one year before its a
+        forced = {(0, 2): 1, (0, 5): -1}
+        monkeypatch.setattr(
+            synthenv._Draws, "integers",
+            lambda draws, lo, hi: forced.get((lo, hi)) or integers(draws, lo, hi),
+        )
+        with pytest.raises(ValueError, match="between requires a <= b"):
+            next(iter_lines(cfg))
+        monkeypatch.undo()
+        monkeypatch.setattr(synthenv, "_scope_through", lambda draws, lo, hi: (1991, 1990))
+        with pytest.raises(ValueError, match="interval start 1991 exceeds end 1990"):
+            next(iter_lines(cfg))
+        with pytest.raises(ValueError, match="non-empty"):
+            synthenv._spelled("")
+
+    def test_bank_and_template_texts_need_no_escape(self):
+        """Every constant a line is spelled from is printable ASCII with no
+        '"' or '\\', so it is written in quotes as it stands, and the line
+        keeps the form ``read_columns`` scans."""
+        texts = [
+            *synthenv._FIRST_NAMES, *synthenv._LAST_NAMES, *synthenv._RELATIONS,
+            *synthenv._QUESTION_TEMPLATES.values(),
+            *(obj for bank in synthenv._OBJECT_BANKS.values() for obj in bank),
+            *(member.value for enum in (SpecKind, Evidence, Difficulty) for member in enum),
+        ]
+        for text in texts:
+            assert text and all(" " <= c <= "~" and c not in '"\\' for c in text), text
 
 
 _SPANS = st.integers(1, 2**32) | st.sampled_from([1, 2, 3, 5, 6, 2**31 + 1, 2**32 - 1, 2**32])
@@ -564,18 +584,19 @@ class TestReadDataset:
 
 
 def _line(**fields):
-    """A valid record, with ``fields`` replaced, as ``write_dataset`` writes it."""
+    """A valid record, with ``fields`` replaced, in the form of ``gen``'s
+    lines."""
     return json.dumps(_record(**fields), sort_keys=True)
 
 
 def _fact_line(**fields):
-    """A record with one fact, ``_FACT`` with ``fields`` replaced, as
-    ``write_dataset`` writes it."""
+    """A record with one fact, ``_FACT`` with ``fields`` replaced, in the
+    form of ``gen``'s lines."""
     return _line(facts=[{**_FACT, **fields}])
 
 
-# Lines of valid records, written with sorted keys (the form write_dataset
-# writes, which read_columns scans) or without (which it decodes).
+# Lines of valid records, written with sorted keys (the form gen writes,
+# which read_columns scans) or without (which it decodes).
 _LINES = st.builds(
     lambda records, sort_keys: [json.dumps(r, sort_keys=sort_keys) for r in records],
     _records(),
@@ -595,8 +616,8 @@ def _columns(items):
 
 
 class TestReadColumns:
-    """``read_columns`` scans the lines ``write_dataset`` writes instead of
-    decoding them, and is held to the columns of the heads of
+    """``read_columns`` scans the lines ``gen`` writes instead of decoding
+    them, and is held to the columns of the heads of
     ``read_dataset``'s items."""
 
     @given(_LINES)
@@ -627,23 +648,17 @@ class TestReadColumns:
         want = _columns_or_error(lambda p: _columns(read_dataset(p)), path)
         assert got == want
 
-    def _counted(self, monkeypatch):
-        calls = []
-        original = synthenv.item_from_dict
-        monkeypatch.setattr(
-            synthenv, "item_from_dict", lambda *args: calls.append(args) or original(*args)
-        )
-        return calls
-
-    def test_written_lines_are_not_decoded(self, tmp_path, monkeypatch):
-        items = generate_dataset(GenConfig(n_items=300, p_unans=0.4, ambiguity=0.3, seed=8))
+    def test_written_lines_are_not_decoded(self, tmp_path):
+        cfg = GenConfig(n_items=300, p_unans=0.4, ambiguity=0.3, seed=8)
         path = tmp_path / "data.jsonl"
-        write_dataset(items, path)
-        calls = self._counted(monkeypatch)
-        assert read_columns(path) == _columns(items)
+        write_lines(path, iter_lines(cfg))
+        want = _columns(generate_dataset(cfg))
+        calls = []
+        with _counted_decodes(calls):
+            assert read_columns(path) == want
         assert calls == []
 
-    def test_lines_in_other_forms_are_decoded(self, tmp_path, monkeypatch):
+    def test_lines_in_other_forms_are_decoded(self, tmp_path):
         """A file whose every other line is in another JSON form: its heads
         are those of its items, and exactly those other lines are decoded."""
         items = generate_dataset(GenConfig(n_items=300, p_unans=0.4, seed=8))
@@ -653,13 +668,14 @@ class TestReadColumns:
             else json.dumps(ref.item_to_dict(item), separators=(",", ":"))
             for i, item in enumerate(items)
         ])
-        calls = self._counted(monkeypatch)
-        assert read_columns(path) == _columns(items)
+        calls = []
+        with _counted_decodes(calls):
+            assert read_columns(path) == _columns(items)
         assert len(calls) == len(items) // 2
 
     def test_scanned_heads_share_equal_parts(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        write_dataset(generate_dataset(GenConfig(n_items=300, p_unans=0.4, seed=8)), path)
+        write_lines(path, iter_lines(GenConfig(n_items=300, p_unans=0.4, seed=8)))
         heads = read_columns(path).heads
         for name in ("feature", "gold"):
             values = [getattr(head, name) for head in heads]
