@@ -34,15 +34,7 @@ from abstainrl.grpo import (
 )
 from abstainrl.policy import DivergenceError, PolicyParams, sft_train
 from abstainrl.reward import DEFAULT_VARIANT, RewardVariant
-from abstainrl.retrieval import (
-    ExtractionClientConfig,
-    ExtractionError,
-    KGStore,
-    PromptKind,
-    fact_to_quadruple,
-    llm_extract,
-    quadruples_from_context,
-)
+from abstainrl.retrieval import KGStore, fact_to_quadruple, quadruples_from_context
 from abstainrl.synthenv import (
     YEAR_FLOOR,
     YEAR_HORIZON,
@@ -268,7 +260,7 @@ _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff
 def _escape(text: str) -> str:
     """``text`` with ``&``, ``<`` and ``>`` as XML entities, as
     ``xml.sax.saxutils.escape`` writes them; that module is not imported
-    because it imports ``urllib.request``."""
+    because it pulls in the URL and HTTP client modules."""
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
@@ -475,13 +467,15 @@ def _question_interval(window: TimeInterval | None, question: str) -> TimeInterv
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     mode = args.mode
-    window = _parse_window(args.window) if args.window is not None else None
-
+    # a flag the command line would ignore is refused before any file is read
     if args.dataset:
         if mode != "kg":
             raise UsageError("--dataset conversion is only available with --mode kg")
-        if args.remote:
-            raise UsageError("--dataset conversion calls no remote service: drop --remote")
+        for flag in ("question", "context", "context_file", "window"):
+            if getattr(args, flag) is not None:
+                raise UsageError(
+                    f"--dataset conversion reads only the dataset: drop --{flag.replace('_', '-')}"
+                )
         if not args.out:
             raise UsageError("--dataset conversion requires --out")
         # the store is built before --out is written, so a bad record writes nothing
@@ -492,46 +486,23 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         print(f"wrote {len(store)} quadruples -> {_shown(args.out)}")
         return EXIT_OK
 
+    if args.context is not None and args.context_file is not None:
+        raise UsageError("--context and --context-file both give the context: drop one")
+    if mode == "kg" and args.window is not None:
+        raise UsageError("--mode kg reads no question interval: drop --window")
+    window = _parse_window(args.window) if args.window is not None else None
     if not args.question:
         raise UsageError("extract requires --question")
     if not args.context_file and args.context is None:
         raise UsageError("extract requires --context or --context-file")
-    client_cfg = None
-    if args.remote:  # its settings are checked before --context-file is read
-        if not args.endpoint or not args.model:
-            raise UsageError("--remote requires --endpoint and --model")
-        client_cfg = ExtractionClientConfig(
-            endpoint=args.endpoint,
-            model=args.model,
-            api_key_env=args.api_key_env,
-            timeout=args.timeout,
-            prompt_kind=PromptKind.SUB_CONTEXT if mode == "sub-context" else PromptKind.KG,
-        )
     context = synthenv.read_text(args.context_file) if args.context_file else args.context
 
-    # the remote reply when --remote succeeds, else the rule-based extraction
     payload: dict[str, Any] = {"mode": mode, "source": "rules"}
-    result = None
-    if client_cfg is not None:
-        try:
-            result = llm_extract(client_cfg, args.question, context)
-            payload["source"] = "remote"
-        except ExtractionError as exc:
-            payload["fallback_reason"] = f"{type(exc).__name__}: {exc}"
-            print(
-                f"remote extraction failed ({payload['fallback_reason']}); "
-                "falling back to rule-based extraction",
-                file=sys.stderr,
-            )
     if mode == "sub-context":
-        if result is None:
-            interval = _question_interval(window, args.question)
-            result = retrieval.extract_time_sentences(interval, context)
-        payload["sentences"] = result
+        interval = _question_interval(window, args.question)
+        payload["sentences"] = retrieval.extract_time_sentences(interval, context)
     else:
-        if result is None:
-            result = quadruples_from_context(args.question, context)
-        payload["quadruples"] = [vars(quad) for quad in result]
+        payload["quadruples"] = [vars(q) for q in quadruples_from_context(args.question, context)]
 
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
@@ -733,16 +704,6 @@ def _extract_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", type=str, help="convert dataset facts to a KG store")
     p.add_argument("--window", type=str, help="question interval as LO:HI years")
     p.add_argument("--out", type=str)
-    p.add_argument("--remote", action="store_true")
-    p.add_argument("--endpoint", type=str)
-    p.add_argument("--model", type=str)
-    p.add_argument(
-        "--api-key-env",
-        dest="api_key_env",
-        type=str,
-        default=ExtractionClientConfig.api_key_env,
-    )
-    p.add_argument("--timeout", type=float, default=ExtractionClientConfig.timeout)
     p.set_defaults(handler=_cmd_extract)
 
 
@@ -783,7 +744,7 @@ def _report_flags(p: argparse.ArgumentParser) -> None:
 _SUBCOMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
     "gen": ("generate a synthetic temporal-QA dataset", _gen_flags),
     "build-mc": ("build the abstained 3-option MC dataset", _build_mc_flags),
-    "extract": ("rule-based or remote reasoning-information extraction", _extract_flags),
+    "extract": ("rule-based reasoning-information extraction", _extract_flags),
     "train": ("SFT cold start (optional) plus RL training", _train_flags),
     "eval": ("greedy evaluation of a checkpoint", _eval_flags),
     "sweep": ("train/eval once per value of one axis", _sweep_flags),

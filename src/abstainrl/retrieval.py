@@ -2,16 +2,12 @@
 
 Rule-based pieces: year-expression parsing, time-relevant sub-context
 filtering, a temporal knowledge-graph store with semantic (trigram-cosine)
-and lexical (keyword-overlap) top-k retrieval, and quadruple rephrasing.
-An optional remote client can delegate extraction to a hosted model; every
-acceptance path works without it.
+and lexical (keyword-overlap) top-k retrieval, quadruple rephrasing, and a
+heuristic quadruple extractor for free text.
 """
 
 from __future__ import annotations
 
-import enum
-import json
-import os
 import re
 from array import array
 from collections.abc import Iterable, Sequence
@@ -20,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from abstainrl import prompts
 from abstainrl.synthenv import YEAR_FLOOR, YEAR_HORIZON, TemporalFact, TimeInterval
 from abstainrl.synthenv import _json_str, read_records, write_jsonl
 from abstainrl.textmetrics import EMBEDDING_DIM, normalize_text, trigram_embedding
@@ -330,136 +325,7 @@ def rephrase_quadruples(quads: Sequence[Quadruple]) -> str:
     return "\n".join(lines)
 
 
-# --- optional remote extraction client ------------------------------------------
-
-class PromptKind(enum.Enum):
-    SUB_CONTEXT = "sub-context"
-    KG = "kg"
-
-
-class ExtractionError(RuntimeError):
-    """Base class for remote-extraction failures."""
-
-
-class TransportError(ExtractionError):
-    """Network-level failure: refused connection, timeout, HTTP error."""
-
-
-class ResponseFormatError(ExtractionError):
-    """The service replied with something that is not the expected JSON."""
-
-
-class SchemaError(ExtractionError):
-    """The extraction payload is JSON but violates the expected schema."""
-
-
-@dataclass(frozen=True)
-class ExtractionClientConfig:
-    endpoint: str
-    model: str
-    api_key_env: str = "ABSTAINRL_API_KEY"
-    timeout: float = 30.0
-    prompt_kind: PromptKind = PromptKind.SUB_CONTEXT
-
-    def __post_init__(self) -> None:
-        if not self.endpoint.startswith(("http://", "https://")):
-            raise ValueError(f"endpoint must be an http(s) URL, got {self.endpoint!r}")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-
-
-_QUAD_KEYS = {"head", "head_type", "relation", "tail", "tail_type", "timestamp"}
-
-
-def _parse_sub_context_payload(payload) -> list[str]:
-    if not isinstance(payload, list) or any(not isinstance(s, str) for s in payload):
-        raise SchemaError("expected a JSON list of sentences")
-    return payload
-
-
-def _parse_kg_payload(payload) -> list[Quadruple]:
-    if not isinstance(payload, list):
-        raise SchemaError("expected a JSON list of quadruple objects")
-    quads = []
-    for entry in payload:
-        if not isinstance(entry, dict) or not _QUAD_KEYS.issubset(entry):
-            missing = _QUAD_KEYS - set(entry) if isinstance(entry, dict) else _QUAD_KEYS
-            raise SchemaError(f"quadruple object missing keys: {sorted(missing)}")
-        timestamp = entry["timestamp"]
-        if timestamp is not None and not isinstance(timestamp, str):
-            raise SchemaError("timestamp must be a string or null")
-        try:
-            quads.append(
-                Quadruple(str(entry["head"]), str(entry["relation"]), str(entry["tail"]), timestamp)
-            )
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-    return quads
-
-
-def llm_extract(
-    cfg: ExtractionClientConfig, question: str, context: str
-) -> list[str] | list[Quadruple]:
-    """Send the extraction prompt to a hosted model and parse the reply.
-
-    Returns sentences for SUB_CONTEXT, quadruples for KG.  Raises
-    TransportError / ResponseFormatError / SchemaError so callers can fall
-    back to the rule-based extractors.
-    """
-    # imported here, not at the top: urllib.request pulls in http.client and
-    # email, which every other use of this module would pay for at import
-    import urllib.error
-    import urllib.request
-
-    api_key = os.environ.get(cfg.api_key_env)
-    if not api_key:
-        raise TransportError(
-            f"environment variable {cfg.api_key_env} is not set; cannot authenticate"
-        )
-    template = (
-        prompts.SUB_CONTEXT_EXTRACTION_PROMPT
-        if cfg.prompt_kind is PromptKind.SUB_CONTEXT
-        else prompts.KG_EXTRACTION_PROMPT
-    )
-    body = json.dumps(
-        {
-            "model": cfg.model,
-            "messages": [
-                {"role": "user", "content": template.format(question=question, context=context)}
-            ],
-        }
-    ).encode("utf-8")
-    request = urllib.request.Request(
-        cfg.endpoint,
-        data=body,
-        headers={
-            "Content-Type": "application/json",
-            "Authorization": f"Bearer {api_key}",
-        },
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=cfg.timeout) as response:
-            raw = response.read().decode("utf-8")
-    except (urllib.error.URLError, urllib.error.HTTPError, TimeoutError, OSError) as exc:
-        raise TransportError(f"request to {cfg.endpoint} failed: {exc}") from exc
-
-    try:
-        envelope = json.loads(raw)
-        content = envelope["choices"][0]["message"]["content"]
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
-        raise ResponseFormatError(f"unexpected response envelope: {exc}") from exc
-    try:
-        payload = json.loads(content)
-    except json.JSONDecodeError as exc:
-        raise ResponseFormatError(f"message content is not JSON: {exc}") from exc
-
-    if cfg.prompt_kind is PromptKind.SUB_CONTEXT:
-        return _parse_sub_context_payload(payload)
-    return _parse_kg_payload(payload)
-
-
-# --- crude rule-based KG fallback ------------------------------------------------
+# --- heuristic KG extraction -----------------------------------------------------
 
 _CAP_SPAN_RE = re.compile(r"\b(?:[A-Z][\w'-]*)(?:\s+[A-Z][\w'-]*)*")
 

@@ -20,7 +20,6 @@ from abstainrl import cli, synthenv
 from abstainrl.cli import _TRAIN_DEFAULTS, build_parser, main
 from abstainrl.grpo import RewardTable, evaluate_items
 from abstainrl.policy import ALL_ACTIONS, ALL_FEATURES, ActionId, Choice, Evidence, PolicyParams
-from abstainrl.retrieval import Quadruple
 from abstainrl.synthenv import GenConfig, generate_dataset, read_dataset
 from scalar_reference import item_evals, item_to_dict
 
@@ -231,46 +230,6 @@ class TestExtract:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_remote_failure_falls_back(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ABSTAINRL_TEST_KEY", "sk")
-        code = main(
-            [
-                "extract",
-                "--mode", "sub-context",
-                "--question", "q in 1921?",
-                "--context", "He moved in 1921.",
-                "--remote",
-                "--endpoint", "http://127.0.0.1:9",
-                "--model", "stub",
-                "--api-key-env", "ABSTAINRL_TEST_KEY",
-                "--timeout", "0.5",
-            ]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "falling back" in captured.err
-        payload = json.loads(captured.out)
-        assert payload["source"] == "rules"
-        assert "fallback_reason" in payload
-        assert payload["sentences"] == ["He moved in 1921."]
-
-    @pytest.mark.parametrize(
-        "mode, reply, key, shown",
-        [
-            ("sub-context", ["He left in 1980."], "sentences", ["He left in 1980."]),
-            ("sub-context", [], "sentences", []),  # an empty reply is a result too
-            ("kg", [Quadruple("A", "r", "B", "1968")], "quadruples",
-             [{"head": "A", "relation": "r", "tail": "B", "timestamp": "1968"}]),
-        ],
-        ids=["sentences", "empty", "quadruples"],
-    )
-    def test_remote_reply_is_the_result(self, capsys, monkeypatch, mode, reply, key, shown):
-        monkeypatch.setattr(cli, "llm_extract", lambda cfg, question, context: reply)
-        assert main(["extract", "--mode", mode, "--question", "Where in 1921?",
-                     "--context", "He moved in 1921.", "--remote",
-                     "--endpoint", "http://127.0.0.1:9", "--model", "stub"]) == 0
-        assert json.loads(capsys.readouterr().out) == {"mode": mode, "source": "remote", key: shown}
-
     def test_missing_question_is_usage_error(self):
         assert main(["extract", "--mode", "sub-context", "--context", "c"]) == 2
 
@@ -297,29 +256,54 @@ class TestExtract:
         assert code == 3
         assert f"{context}:2: not valid UTF-8" in err
 
-    def test_bad_remote_setting_is_refused_before_the_context_file_is_read(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--question", "Where in 1921?", "--context", "He moved in 1921.",
+              "--context-file", "context.txt"],
+             "--context and --context-file both give the context: drop one"),
+            (["--mode", "kg", "--question", "Who?", "--context-file", "context.txt",
+              "--window", "1800:1801"],
+             "--mode kg reads no question interval: drop --window"),
+            *(
+                (["--mode", "kg", "--dataset", "data.jsonl", flag, value],
+                 f"--dataset conversion reads only the dataset: drop {flag}")
+                for flag, value in [("--question", "Where in 1921?"),
+                                    ("--context", "He moved in 1921."),
+                                    ("--context-file", "context.txt"),
+                                    ("--window", "1800:1801")]
+            ),
+        ],
+        ids=["context-twice", "kg-window", "dataset-question", "dataset-context",
+             "dataset-context-file", "dataset-window"],
+    )
+    def test_an_ignored_flag_is_refused_before_anything_is_read(
+        self, tmp_path, monkeypatch, extra, message
     ):
-        context = tmp_path / "context.txt"
-        context.write_bytes(b"He moved in \xe9t\xe9 1921.\n")
-        argv = ["extract", "--question", "Where in 1921?", "--context-file", str(context),
-                "--remote", "--endpoint", "ftp://x", "--model", "stub"]
-        message = "error: endpoint must be an http(s) URL, got 'ftp://x'\n"
-        assert _main_stderr(argv) == (2, message)
+        """A flag that the command line would ignore exits 2 naming it; no
+        file is read and nothing is written."""
         monkeypatch.setattr(synthenv, "read_text", lambda path: pytest.fail("context read"))
-        assert _main_stderr(argv) == (2, message)
+        monkeypatch.setattr(cli, "iter_dataset", lambda path: pytest.fail("dataset read"))
+        monkeypatch.chdir(tmp_path)
+        assert _main_stderr(["extract", "--out", "out.json", *extra]) == (2, f"error: {message}\n")
+        assert not (tmp_path / "out.json").exists()
 
-    def test_dataset_conversion_refuses_remote(self, tmp_path, monkeypatch):
-        """The conversion calls no remote service, so --remote is refused
-        before the dataset is opened."""
-        data = _gen(tmp_path)
+    @pytest.mark.parametrize(
+        "flag",
+        [["--remote"], ["--endpoint", "http://127.0.0.1:9"], ["--model", "stub"],
+         ["--api-key-env", "KEY"], ["--timeout", "1"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_remote_flag_is_unrecognized(self, tmp_path, monkeypatch, capsys, flag):
+        """extract has no remote client, so its former flags are argparse
+        usage errors, before the dataset is opened."""
         monkeypatch.setattr(cli, "iter_dataset", lambda path: pytest.fail("dataset read"))
         out = tmp_path / "store.jsonl"
-        code, err = _main_stderr(["extract", "--mode", "kg", "--dataset", str(data),
-                                  "--out", str(out), "--remote", "--endpoint", "ftp://x",
-                                  "--timeout", "-1"])
-        assert (code, err) == (2, "error: --dataset conversion calls no remote service: "
-                                  "drop --remote\n")
+        argv = ["extract", "--mode", "kg", "--dataset", str(tmp_path / "data.jsonl"),
+                "--out", str(out), *flag]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
         assert not out.exists()
 
 
@@ -1184,11 +1168,6 @@ FLAGS = {
         (("--dataset",), "dataset", str, None),
         (("--window",), "window", str, None),
         (("--out",), "out", str, None),
-        (("--remote",), "remote", None, False),
-        (("--endpoint",), "endpoint", str, None),
-        (("--model",), "model", str, None),
-        (("--api-key-env",), "api_key_env", str, "ABSTAINRL_API_KEY"),
-        (("--timeout",), "timeout", float, 30.0),
     ],
     "train": [
         (("--dataset",), "dataset", str, None),
@@ -1591,19 +1570,28 @@ class TestPrintedPaths:
 
 
 class TestImport:
-    def test_cli_import_leaves_out_urllib(self):
-        """urllib.request (with http.client and email) is imported only by
-        the remote extraction client, not by every CLI call."""
+    def test_no_module_imports_the_network(self):
+        """No abstainrl module opens a socket or speaks HTTP, so importing
+        every one of them leaves the network modules unloaded."""
         src_root = str(Path(abstainrl.__file__).resolve().parents[1])
+        code = (
+            "import importlib, pkgutil, sys, abstainrl\n"
+            "for m in pkgutil.iter_modules(abstainrl.__path__):\n"
+            "    importlib.import_module('abstainrl.' + m.name)\n"
+            "print(sorted(m.name for m in pkgutil.iter_modules(abstainrl.__path__)))\n"
+            "print([m for m in ('socket', 'ssl', 'http.client', 'urllib.request')"
+            " if m in sys.modules])"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, abstainrl.cli; print('urllib.request' in sys.modules)"],
+            [sys.executable, "-c", code],
             env=dict(os.environ, PYTHONPATH=src_root),
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        modules, loaded = proc.stdout.splitlines()
+        assert "'cli'" in modules and "'retrieval'" in modules
+        assert loaded == "[]"
 
     @given(st.text(alphabet=st.sampled_from("&<>;a\"' "), max_size=20) | st.text(max_size=20))
     def test_svg_escape_equals_saxutils(self, text):

@@ -1,8 +1,6 @@
-"""Rule-based extraction, top-k retrieval against brute force, remote client."""
+"""Rule-based extraction and top-k retrieval against brute force."""
 
-import http.server
 import json
-import threading
 import tracemalloc
 
 import numpy as np
@@ -13,19 +11,13 @@ from hypothesis import strategies as st
 from abstainrl import cli, retrieval, synthenv, textmetrics
 from abstainrl.retrieval import (
     DEFAULT_TOP_K,
-    ExtractionClientConfig,
     KGStore,
-    PromptKind,
     Quadruple,
-    ResponseFormatError,
-    SchemaError,
-    TransportError,
     default_embedding,
     extract_keywords,
     extract_time_sentences,
     fact_to_quadruple,
     kg_sentence,
-    llm_extract,
     parse_time_expressions,
     quadruples_from_context,
     rephrase_quadruples,
@@ -297,147 +289,6 @@ class TestStorePersistence:
         assert quad.head == fact.subject
         assert quad.tail == fact.obj
         assert str(fact.scope.start) in quad.timestamp
-
-
-class _StubHandler(http.server.BaseHTTPRequestHandler):
-    """Returns whatever payload the test installed; records the request."""
-
-    payload: bytes = b"{}"
-    status: int = 200
-    last_request: dict = {}
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = self.rfile.read(length)
-        type(self).last_request = {
-            "body": json.loads(body),
-            "auth": self.headers.get("Authorization"),
-        }
-        self.send_response(self.status)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(self.payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def stub_server():
-    server = http.server.HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=2)
-
-
-def _envelope(content) -> bytes:
-    return json.dumps(
-        {"choices": [{"message": {"role": "assistant", "content": json.dumps(content)}}]}
-    ).encode("utf-8")
-
-
-def _client_config(server, kind) -> ExtractionClientConfig:
-    host, port = server.server_address
-    return ExtractionClientConfig(
-        endpoint=f"http://{host}:{port}/v1/chat/completions",
-        model="stub-model",
-        api_key_env="ABSTAINRL_TEST_KEY",
-        timeout=5.0,
-        prompt_kind=kind,
-    )
-
-
-class TestLlmExtract:
-    def test_sub_context_success(self, stub_server, monkeypatch):
-        monkeypatch.setenv("ABSTAINRL_TEST_KEY", "sk-test")
-        _StubHandler.payload = _envelope(["He joined in 1921.", "He left in 1923."])
-        _StubHandler.status = 200
-        cfg = _client_config(stub_server, PromptKind.SUB_CONTEXT)
-        out = llm_extract(cfg, "when did he play", "some context")
-        assert out == ["He joined in 1921.", "He left in 1923."]
-        sent = _StubHandler.last_request
-        assert sent["auth"] == "Bearer sk-test"
-        assert sent["body"]["model"] == "stub-model"
-        content = sent["body"]["messages"][0]["content"]
-        assert "when did he play" in content
-        assert "some context" in content
-
-    def test_kg_success(self, stub_server, monkeypatch):
-        monkeypatch.setenv("ABSTAINRL_TEST_KEY", "sk-test")
-        _StubHandler.payload = _envelope(
-            [
-                {
-                    "head": "Anna",
-                    "head_type": "Person",
-                    "relation": "spouse",
-                    "tail": "Pierre",
-                    "tail_type": "Person",
-                    "timestamp": "1968-1974",
-                },
-                {
-                    "head": "Anna",
-                    "head_type": "Person",
-                    "relation": "residence",
-                    "tail": "Paris",
-                    "tail_type": "City",
-                    "timestamp": None,
-                },
-            ]
-        )
-        cfg = _client_config(stub_server, PromptKind.KG)
-        out = llm_extract(cfg, "q", "c")
-        assert out == [
-            Quadruple("Anna", "spouse", "Pierre", "1968-1974"),
-            Quadruple("Anna", "residence", "Paris", None),
-        ]
-
-    def test_missing_relation_key_is_schema_error(self, stub_server, monkeypatch):
-        monkeypatch.setenv("ABSTAINRL_TEST_KEY", "sk-test")
-        _StubHandler.payload = _envelope(
-            [{"head": "a", "head_type": "t", "tail": "b", "tail_type": "t", "timestamp": None}]
-        )
-        cfg = _client_config(stub_server, PromptKind.KG)
-        with pytest.raises(SchemaError, match="relation"):
-            llm_extract(cfg, "q", "c")
-
-    def test_non_json_content_is_format_error(self, stub_server, monkeypatch):
-        monkeypatch.setenv("ABSTAINRL_TEST_KEY", "sk-test")
-        _StubHandler.payload = json.dumps(
-            {"choices": [{"message": {"role": "assistant", "content": "not json at all"}}]}
-        ).encode()
-        cfg = _client_config(stub_server, PromptKind.SUB_CONTEXT)
-        with pytest.raises(ResponseFormatError):
-            llm_extract(cfg, "q", "c")
-
-    def test_unreachable_endpoint_is_transport_error(self, monkeypatch):
-        monkeypatch.setenv("ABSTAINRL_TEST_KEY", "sk-test")
-        cfg = ExtractionClientConfig(
-            endpoint="http://127.0.0.1:9",  # discard port; nothing listens
-            model="stub",
-            api_key_env="ABSTAINRL_TEST_KEY",
-            timeout=0.5,
-        )
-        with pytest.raises(TransportError):
-            llm_extract(cfg, "q", "c")
-
-    def test_missing_api_key_is_transport_error(self, monkeypatch):
-        monkeypatch.delenv("ABSTAINRL_TEST_KEY", raising=False)
-        cfg = ExtractionClientConfig(
-            endpoint="http://127.0.0.1:9",
-            model="stub",
-            api_key_env="ABSTAINRL_TEST_KEY",
-        )
-        with pytest.raises(TransportError, match="ABSTAINRL_TEST_KEY"):
-            llm_extract(cfg, "q", "c")
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ExtractionClientConfig(endpoint="ftp://x", model="m")
-        with pytest.raises(ValueError):
-            ExtractionClientConfig(endpoint="http://x", model="m", timeout=0)
 
 
 class TestHeuristicKgFallback:
