@@ -11,12 +11,8 @@ from abstainrl.grpo import (
     GrpoConfig,
     GrpoDivergenceError,
     RewardTable,
-    RolloutBatch,
     TrainLog,
-    compute_advantages,
     evaluate_policy,
-    grpo_gradient,
-    grpo_objective,
     kl_k3,
     train_rl,
 )
@@ -35,7 +31,6 @@ from abstainrl.reward import (
     ParsedCompletion,
     RewardBreakdown,
     RewardVariant,
-    Scorer,
     answer_reward,
     format_reward,
     is_no_answer,

@@ -490,8 +490,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         raise UsageError("--context and --context-file both give the context: drop one")
     if mode == "kg" and args.window is not None:
         raise UsageError("--mode kg reads no question interval: drop --window")
+    if mode == "kg" and args.question is not None:
+        raise UsageError("--mode kg reads no question: drop --question")
     window = _parse_window(args.window) if args.window is not None else None
-    if not args.question:
+    if mode == "sub-context" and not args.question:
         raise UsageError("extract requires --question")
     if not args.context_file and args.context is None:
         raise UsageError("extract requires --context or --context-file")
@@ -502,7 +504,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         interval = _question_interval(window, args.question)
         payload["sentences"] = retrieval.extract_time_sentences(interval, context)
     else:
-        payload["quadruples"] = [vars(q) for q in quadruples_from_context(args.question, context)]
+        payload["quadruples"] = [vars(q) for q in quadruples_from_context(context)]
 
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import json
 import math
 import operator
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -44,14 +44,14 @@ from abstainrl.reward import (
     DEFAULT_VARIANT,
     RewardBreakdown,
     RewardVariant,
-    Scorer,
+    answer_metrics,
     is_no_answer,
-    parse_completion,  # noqa: F401  re-exported: e2ebench's tracer tests wrap it here
+    parse_completion,
     rule_rewards,
     total_reward,  # noqa: F401  re-exported: e2ebench's tracer tests wrap it here
 )
 from abstainrl.synthenv import ItemColumns, ItemHead, SynthQAItem, read_records, write_lines
-from abstainrl.textmetrics import ConfusionCounts, GoldAnswer, exact_match
+from abstainrl.textmetrics import ConfusionCounts, GoldAnswer, TextParts, exact_match
 
 
 class GrpoDivergenceError(DivergenceError):
@@ -191,11 +191,13 @@ class RewardTable:
 
     A cell's completion is the formatted or the bare text of one of its
     row's two candidates or of the abstention, so the table is scored from
-    the distinct texts: one ``Scorer`` parses the two completions of each
-    distinct candidate and of the abstention, and measures each distinct
-    (answer, answerable gold) once; the metrics are zero for a No-Answer
-    gold.  The per-cell ``formatted``, ``abstained`` and ``metrics``
-    columns are gathers from those.  ``rewards`` is ``reward.rule_rewards``
+    the distinct texts: ``parse_completion`` parses the two completions of
+    each distinct candidate and of the abstention once, and
+    ``answer_metrics`` measures each distinct (answer, answerable gold)
+    once, taking each distinct text apart once (``textmetrics.TextParts``,
+    kept only while the table is built); the metrics are zero for a
+    No-Answer gold.  The per-cell ``formatted``, ``abstained`` and
+    ``metrics`` columns are gathers from those.  ``rewards`` is ``reward.rule_rewards``
     under ``variant`` over them, which ``with_variant`` reuses.
     ``reward_fn`` overrides the rule, which is how the bandit sanity
     environments install their own payout tables; it is called once per
@@ -244,8 +246,7 @@ class RewardTable:
         # text 2k is candidate k's formatted completion, 2k + 1 its bare one
         texts = [completion_text(c, formatted) for c in candidates for formatted in (True, False)]
         cell_text = 2 * self._row_candidates[:, _ACTION_CHOICE] + _ACTION_BARE
-        scorer = Scorer()
-        parsed = [scorer.parse(text) for text in texts]
+        parsed = [parse_completion(text) for text in texts]
         answers: dict[str, int] = {}
         text_answer = np.array([answers.setdefault(p.answer, len(answers)) for p in parsed])
         cell_answer = text_answer[cell_text]
@@ -259,8 +260,9 @@ class RewardTable:
             (cell_answer * n_golds + self._row_gold[:, None])[answerable], return_inverse=True
         )
         answer_texts = list(answers)
+        parts = functools.cache(TextParts)
         measured = [
-            scorer.metrics(answer_texts[code // n_golds], self._golds[code % n_golds])
+            answer_metrics(answer_texts[code // n_golds], self._golds[code % n_golds], parts)
             for code in codes.tolist()
         ]
         self.metrics = np.zeros(cell_text.shape + (5,))
@@ -333,51 +335,16 @@ class RewardTable:
         return (self.features * N_ACTIONS + expert)[expert >= 0]
 
 
-class RolloutBatch(NamedTuple):
-    """B groups of G completions drawn under one old-policy snapshot.
-
-    Group b answers item ``item_idx[b]`` of the reward table, whose feature
-    row is ``rows[b]``; the per-completion arrays are B x G.  ``cells`` is
-    each completion's flat index ``row * 6 + action`` into a 6 x 6 table,
-    so a per-completion log-probability is one ``take``.  ``scatter`` is
-    every cell the gradient adds to, in the order it adds: ``cells`` in
-    batch order, then the six cells of each group's row.
-    """
-
-    item_idx: np.ndarray
-    rows: np.ndarray
-    unanswerable: np.ndarray
-    actions: np.ndarray
-    cells: np.ndarray
-    scatter: np.ndarray
-    logp_old: np.ndarray
-    logp_ref: np.ndarray
-    rewards: np.ndarray
-    abstained: np.ndarray
-    advantages: np.ndarray
-
-
-def compute_advantages(
-    rewards: Sequence[float] | np.ndarray, std_eps: float = 1e-8
-) -> np.ndarray:
-    """Group-standardized rewards along the last axis:
-    (r - mean) / (population std + std_eps).
+def _advantages(r: np.ndarray, std_eps: float) -> np.ndarray:
+    """Group-standardized float64 rewards along the last axis:
+    (r - mean) / (population std + std_eps), under the caller's
+    ``errstate``.
 
     A zero-variance group maps to all-zero advantages.  A group whose std
     underflows to 0 while its rewards differ (a subnormal spread) divides by
-    a zero ``scale`` into +-inf or NaN, as the formula does, without a
-    warning; ``train_rl``'s finiteness check rejects that.
+    a zero ``scale`` into +-inf or NaN, as the formula does;
+    ``train_rl``'s finiteness check rejects that.
     """
-    r = np.asarray(rewards, dtype=np.float64)
-    if r.ndim == 0 or r.shape[-1] < 2:
-        raise ValueError("advantage normalization needs groups of >= 2 rewards")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _advantages(r, std_eps)
-
-
-def _advantages(r: np.ndarray, std_eps: float) -> np.ndarray:
-    """``compute_advantages`` of a float64 array, under the caller's
-    ``errstate``."""
     # exactly zero variance (np.std of identical values can round to a
     # nonzero dust value, so compare the rewards instead): a group varies
     # where a reward differs from its first, as where its max and min differ
@@ -466,11 +433,12 @@ class _Rollouts:
     """The rollouts of ``iters`` consecutive iterations.  Their draws
     (``_block_draws``) and what they gather from the table are made at
     once: each iteration's items' ``rows`` and ``unanswerable`` flags, and
-    its ``scatter`` cells (``RolloutBatch.scatter``), the B * G
-    completions' ``cells``, then each group's row's six cells.  ``step``
-    draws an iteration's actions, the one part of a rollout that depends
-    on the policy, and fills in its ``cells`` and ``table_cells``, the
-    completions' flat indexes into the table's per-row arrays."""
+    its ``scatter`` cells, every cell the gradient adds to in the order it
+    adds: the B * G completions' ``cells`` in batch order, then each
+    group's row's six cells.  ``step`` draws an iteration's actions, the
+    one part of a rollout that depends on the policy, and fills in its
+    ``cells`` and ``table_cells``, the completions' flat indexes into the
+    table's per-row arrays."""
 
     __slots__ = (
         "rows", "unanswerable", "item_idx", "scatter", "cells", "table_cells", "_uniforms",
@@ -513,39 +481,6 @@ class _Rollouts:
         return actions, cells, rewards, _advantages(rewards, self._std_eps)
 
 
-def rollout_batch(
-    params_old: PolicyParams,
-    params_ref: PolicyParams,
-    table: RewardTable,
-    cfg: GrpoConfig,
-    rng: np.random.Generator,
-) -> RolloutBatch:
-    """Draw B items, then G completions of each under the old-policy snapshot:
-    one iteration of ``train_rl``'s rollouts.
-
-    The generator is consumed as B one-group rollouts would consume it: the
-    B item indices first, then the B * G uniforms in group order.  The
-    advantages are computed under the caller's ``errstate`` (``train_rl``
-    runs the loop under one): a subnormal reward spread at ``std_eps = 0``
-    warns of its division by zero otherwise.
-    """
-    rollouts = _Rollouts(table, cfg, rng, 1)
-    actions, cells, rewards, advantages = rollouts.step(0, params_old.probs)
-    return RolloutBatch(
-        item_idx=rollouts.item_idx[0],
-        rows=rollouts.rows[0],
-        unanswerable=rollouts.unanswerable[0],
-        actions=actions,
-        cells=cells,
-        scatter=rollouts.scatter[0],
-        logp_old=params_old.log_probs.take(cells),
-        logp_ref=params_ref.log_probs.take(cells),
-        rewards=rewards,
-        abstained=table.abstained.take(rollouts.table_cells[0]),
-        advantages=advantages,
-    )
-
-
 def _objectives_and_kl(
     logp_new: np.ndarray,
     logp_old: np.ndarray,
@@ -566,30 +501,6 @@ def _objectives_and_kl(
         np.add.reduce(terms.reshape(n, -1), axis=1) / size,
         np.add.reduce(kl.reshape(n, -1), axis=1) / size,
     )
-
-
-def grpo_objective(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) -> float:
-    """Mean over groups of the per-group mean clipped surrogate minus beta * KL."""
-    if batch.actions.shape[1] != cfg.group_size:
-        raise ValueError("rollout group size does not match the configuration")
-    logp_new = params.log_probs.take(batch.cells)
-    objective, _ = _objectives_and_kl(
-        logp_new[None], batch.logp_old[None], batch.logp_ref[None], batch.advantages[None], cfg
-    )
-    return float(objective[0])
-
-
-def grpo_gradient(params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig) -> np.ndarray:
-    """Exact gradient of the objective with respect to the logits.
-
-    The min/clip is handled by active-branch selection: a clipped term
-    contributes no gradient through the ratio (ties go to the unclipped
-    branch).
-    """
-    coeff = _clipped_coeff(
-        params.log_probs.take(batch.cells), batch.logp_old, batch.logp_ref, batch.advantages, cfg
-    )
-    return _gradient(coeff, params.probs, batch.rows, batch.scatter)
 
 
 def _clipped_coeff(
@@ -616,7 +527,9 @@ def _gradient(
     derivatives with respect to the B x G completions' log-probabilities
     are ``coeff``, at the probabilities ``probs``.  ``rows`` are the
     groups' feature rows and ``scatter`` the cells the gradient adds to
-    (``RolloutBatch.scatter``)."""
+    (``_Rollouts.scatter``).  A clipped term contributes no gradient
+    through its ratio (``_clipped_coeff``: ties go to the unclipped
+    branch)."""
     weight = (1.0 / coeff.size) * coeff
     # d logpi / d logits on a row is onehot(action) - softmax(row); each cell
     # sums its one-hot terms in batch order, then its softmax terms

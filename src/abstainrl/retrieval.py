@@ -330,7 +330,7 @@ def rephrase_quadruples(quads: Sequence[Quadruple]) -> str:
 _CAP_SPAN_RE = re.compile(r"\b(?:[A-Z][\w'-]*)(?:\s+[A-Z][\w'-]*)*")
 
 
-def quadruples_from_context(question: str, context: str) -> list[Quadruple]:
+def quadruples_from_context(context: str) -> list[Quadruple]:
     """Heuristic quadruples from time-bearing sentences: first capitalized span
     as head, last as tail, with the sentence's first time expression as the
     timestamp.  A deliberately rough offline stand-in for model extraction."""

@@ -11,8 +11,8 @@ but whitespace outside them.  The total reward is a format component
 * 0 otherwise (hallucination and over-abstention both score zero).
 
 ``rule_rewards`` is that rule, as array code; the other reward functions
-apply it to one completion.  ``Scorer`` memoizes parses and metrics by
-content, so every caller of the same key shares one evaluation.
+apply it to one completion.  ``grpo.RewardTable`` applies it to a
+dataset's distinct parses and metrics.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def answer_metrics(
     """EM, ROUGE-1/2/L F1 and semantic similarity of ``answer``, as
     ``textmetrics``' ``exact_match``, ``rouge_n``, ``rouge_l`` and the best
     ``semantic_sim`` over the aliases give them; ``gold`` must be
-    answerable.  ``parts`` takes each text apart (``Scorer`` passes its
-    memo of them)."""
+    answerable.  ``parts`` takes each text apart (``grpo.RewardTable``
+    passes its memo of them)."""
     if gold.is_no_answer:
         raise ValueError("answer metrics are undefined against a No-Answer gold")
     cand = parts(answer)
@@ -142,39 +142,6 @@ def answer_metrics(
         rouge_l=cand.rouge_l(aliases).f1,
         semantic=max(cand.semantic_sim(alias) for alias in aliases),
     )
-
-
-class Scorer:
-    """Parses per completion text and eval metrics per (answer, gold), each
-    computed once per distinct key: items draw their candidates from small
-    banks, so far fewer keys occur than items or draws.  The metrics take
-    each distinct text apart once too (``textmetrics.TextParts``).  A scorer
-    lives as long as the table build that makes it, and so do its memos."""
-
-    def __init__(self) -> None:
-        self._parsed: dict[str, ParsedCompletion] = {}
-        self._metrics: dict[tuple[str, GoldAnswer], AnswerMetrics] = {}
-        self._parts: dict[str, TextParts] = {}
-
-    def parse(self, text: str) -> ParsedCompletion:
-        parsed = self._parsed.get(text)
-        if parsed is None:
-            parsed = self._parsed[text] = parse_completion(text)
-        return parsed
-
-    def metrics(self, answer: str, gold: GoldAnswer) -> AnswerMetrics:
-        """``answer_metrics``; ``gold`` must be answerable."""
-        key = (answer, gold)
-        entry = self._metrics.get(key)
-        if entry is None:
-            entry = self._metrics[key] = answer_metrics(answer, gold, self._text_parts)
-        return entry
-
-    def _text_parts(self, text: str) -> TextParts:
-        parts = self._parts.get(text)
-        if parts is None:
-            parts = self._parts[text] = TextParts(text)
-        return parts
 
 
 def rule_rewards(

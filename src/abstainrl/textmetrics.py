@@ -141,8 +141,8 @@ class TextParts:
     """One text as the metrics read it: its normalized tokens and, each
     made on first use, their n-gram counts and the trigram embedding of the
     normalized text with its norm.  The metric functions below take each
-    text apart afresh; ``reward.Scorer`` keeps one per distinct text for the
-    length of a table build, so a text scored against many golds is taken
+    text apart afresh; ``grpo.RewardTable`` keeps one per distinct text for
+    the length of its build, so a text scored against many golds is taken
     apart once.  The methods score this text against others' parts."""
 
     __slots__ = ("tokens", "_grams", "_embedding")

@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import settings
 
-from abstainrl import reward
+from abstainrl import grpo, reward
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -11,14 +11,18 @@ settings.load_profile("suite")
 @pytest.fixture
 def scoring_calls(monkeypatch):
     """The lists of the texts ``reward.parse_completion`` and the (answer,
-    gold) pairs ``reward.answer_metrics`` are called with from here on."""
+    gold) pairs ``reward.answer_metrics`` are called with from here on, in
+    ``reward`` and in ``grpo``, whose reward table calls them."""
     parsed, measured = [], []
     parse, measure = reward.parse_completion, reward.answer_metrics
-    monkeypatch.setattr(reward, "parse_completion", lambda raw: parsed.append(raw) or parse(raw))
-    monkeypatch.setattr(
-        reward, "answer_metrics",
-        lambda a, gold, *parts: measured.append((a, gold)) or measure(a, gold, *parts),
-    )
+    for module in (reward, grpo):
+        monkeypatch.setattr(
+            module, "parse_completion", lambda raw: parsed.append(raw) or parse(raw)
+        )
+        monkeypatch.setattr(
+            module, "answer_metrics",
+            lambda a, gold, *parts: measured.append((a, gold)) or measure(a, gold, *parts),
+        )
     return parsed, measured
 
 

@@ -11,7 +11,7 @@ makes through ``policy.cdf_bounds`` and ``policy.draw_at_bounds``.
 ``gather`` reads a ``grpo.RewardTable``'s rewards and abstention flags at
 (item, action) index arrays.  ``grpo_gradient_add_at``
 is the batched gradient as two ``np.add.at`` scatters, the oracle for the
-single ``np.bincount`` in ``grpo.grpo_gradient``.  ``item_from_dict``, which
+single ``np.bincount`` in ``grpo._gradient``.  ``item_from_dict``, which
 builds every part of a dataset record afresh, is the oracle for
 ``synthenv.read_dataset``.  ``trigram_counts``, a per-character loop over an
 already padded string, is the oracle for ``textmetrics.trigram_embedding``.
@@ -51,6 +51,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+import grpo_step
 from abstainrl import policy
 from abstainrl.grpo import (
     EvalReport,
@@ -59,7 +60,6 @@ from abstainrl.grpo import (
     GrpoDivergenceError,
     RewardFn,
     RewardTable,
-    RolloutBatch,
     TrainLog,
     TrainRecord,
 )
@@ -294,10 +294,11 @@ def grpo_gradient(
 
 
 def grpo_gradient_add_at(
-    params: PolicyParams, batch: RolloutBatch, cfg: GrpoConfig
+    params: PolicyParams, batch: grpo_step.Batch, cfg: GrpoConfig
 ) -> np.ndarray:
-    """The batched gradient with every one-hot term scattered by one
-    ``np.add.at``, in batch order, then every row's softmax terms by a second."""
+    """The gradient of a ``grpo_step`` batch with every one-hot term
+    scattered by one ``np.add.at``, in batch order, then every row's
+    softmax terms by a second."""
     log_probs = policy.log_softmax(params.logits)
     logp_new = log_probs[batch.rows[:, None], batch.actions]
     ratio = np.exp(logp_new - batch.logp_old)

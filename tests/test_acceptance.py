@@ -9,18 +9,15 @@ import itertools
 import numpy as np
 import pytest
 
+import grpo_step
 import scalar_reference
 from abstainrl.cli import main
 from abstainrl.grpo import (
     GrpoConfig,
     RewardTable,
-    compute_advantages,
     evaluate_items,
     evaluate_policy,
-    grpo_gradient,
-    grpo_objective,
     kl_k3,
-    rollout_batch,
     train_rl,
 )
 from abstainrl.policy import (
@@ -133,7 +130,7 @@ def test_a3_advantage_normalization():
             rewards = np.full(g, float(rng.choice(lattice)))
         else:
             rewards = rng.choice(lattice, size=g)
-        adv = compute_advantages(rewards)
+        adv = grpo_step.advantages(rewards)
         if float(rewards.max()) == float(rewards.min()):
             checked_zero_variance += 1
             assert not adv.any()
@@ -175,19 +172,19 @@ def test_a5_gradient_check():
         cfg = GrpoConfig(kl_beta=beta, batch_size=5, seed=trial)
         old = PolicyParams(rng.normal(0, 0.5, (6, 6)))
         ref = PolicyParams(rng.normal(0, 0.5, (6, 6)))
-        # the batch and gradient functions train_rl itself calls
-        batch = rollout_batch(old, ref, table, cfg, rng)
+        # the rollout, gradient and objective cores train_rl itself runs
+        batch = grpo_step.batch(old, ref, table, cfg, rng)
         # evaluate away from the old snapshot so some ratios clip; random
         # offsets land on exact clip boundaries with probability zero
         params = PolicyParams(old.logits + rng.normal(0, 0.3, (6, 6)))
-        analytic = grpo_gradient(params, batch, cfg)
+        analytic = grpo_step.gradient(params, batch, cfg)
         for r in range(6):
             for c in range(6):
                 bump = np.zeros((6, 6))
                 bump[r, c] = h
                 numeric = (
-                    grpo_objective(PolicyParams(params.logits + bump), batch, cfg)
-                    - grpo_objective(PolicyParams(params.logits - bump), batch, cfg)
+                    grpo_step.objective(PolicyParams(params.logits + bump), batch, cfg)
+                    - grpo_step.objective(PolicyParams(params.logits - bump), batch, cfg)
                 ) / (2 * h)
                 denom = max(abs(numeric), 1e-8)
                 assert abs(analytic[r, c] - numeric) / denom < 1e-4

@@ -16,17 +16,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import grpo_step
 import scalar_reference as ref
 from abstainrl import grpo, policy, synthenv
 from abstainrl.grpo import (
     GrpoConfig,
     GrpoDivergenceError,
     RewardTable,
-    compute_advantages,
     evaluate_items,
-    grpo_gradient,
-    grpo_objective,
-    rollout_batch,
     train_rl,
 )
 from abstainrl.policy import (
@@ -562,7 +559,7 @@ class TestAdvantages:
         )
     )
     def test_batched_rows_equal_single_groups(self, rows):
-        batched = compute_advantages(np.array(rows))
+        batched = grpo_step.advantages(np.array(rows))
         for b, row in enumerate(rows):
             np.testing.assert_array_equal(batched[b], ref.compute_advantages(np.array(row), 1e-8))
 
@@ -588,7 +585,7 @@ class TestAdvantages:
         with np.errstate(invalid="ignore", divide="ignore"):
             formula = (r - r.mean(-1, keepdims=True)) / (r.std(-1, keepdims=True) + std_eps)
         want = np.where(flat, 0.0, formula)
-        assert compute_advantages(r, std_eps).tobytes() == want.tobytes()
+        assert grpo_step.advantages(r, std_eps).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("std_eps", [1e-8, 0.0])
     def test_flat_groups_are_exactly_zero(self, std_eps):
@@ -596,7 +593,7 @@ class TestAdvantages:
         # zero-variance rule gives exact zeros (and no 0/0 at std_eps = 0)
         rewards = np.array([[0.1, 0.1, 0.1], [0.0, 0.5, 1.0]])
         with np.errstate(all="raise"):
-            adv = compute_advantages(rewards, std_eps)
+            adv = grpo._advantages(rewards, std_eps)
         assert not adv[0].any()
         assert adv[1].any()
 
@@ -703,17 +700,17 @@ class TestGradient:
             cfg = GrpoConfig(kl_beta=beta, batch_size=6, group_size=2 + trial % 5, seed=trial)
             old = PolicyParams(rng.normal(0, 0.5, (6, 6)))
             reference = PolicyParams(rng.normal(0, 0.5, (6, 6)))
-            batch = rollout_batch(old, reference, table, cfg, rng)
+            batch = grpo_step.batch(old, reference, table, cfg, rng)
             groups = _as_groups(batch, ITEMS)
             # far enough from the snapshot that some ratios clip
             params = PolicyParams(old.logits + rng.normal(0, 0.3, (6, 6)))
             np.testing.assert_allclose(
-                grpo_gradient(params, batch, cfg),
+                grpo_step.gradient(params, batch, cfg),
                 ref.grpo_gradient(params, groups, cfg),
                 rtol=0,
                 atol=1e-12,
             )
-            assert grpo_objective(params, batch, cfg) == pytest.approx(
+            assert grpo_step.objective(params, batch, cfg) == pytest.approx(
                 ref.grpo_objective(params, groups, cfg), rel=0, abs=1e-12
             )
 
@@ -733,9 +730,9 @@ class TestGradient:
                          group_size=group_size, clip_eps=clip_eps)
         old = PolicyParams(rng.normal(0, 1.0, (6, 6)))
         reference = PolicyParams(rng.normal(0, 1.0, (6, 6)))
-        batch = rollout_batch(old, reference, RewardTable(ITEMS), cfg, rng)
+        batch = grpo_step.batch(old, reference, RewardTable(ITEMS), cfg, rng)
         params = PolicyParams(old.logits + rng.normal(0, 0.5, (6, 6)))
-        got = grpo_gradient(params, batch, cfg)
+        got = grpo_step.gradient(params, batch, cfg)
         assert got.tobytes() == ref.grpo_gradient_add_at(params, batch, cfg).tobytes()
 
     def test_one_log_softmax_per_snapshot(self, monkeypatch):
@@ -754,12 +751,12 @@ class TestGradient:
         assert not params.log_probs.flags.writeable
 
     def test_train_rl_steps_with_grpo_gradient(self, monkeypatch):
-        """The gradient A5 checks is the one train_rl steps with: both call
-        one core, ``grpo._gradient``, on the completions' coefficients and
-        a snapshot's probs.  Every step goes through it; the steps after
-        the first of an iteration take their coefficients from the clipped
-        ``grpo._clipped_coeff`` that ``grpo_gradient`` reads, the first
-        from its ratio-one form."""
+        """The gradient A5 checks is the one train_rl steps with: every step
+        goes through one core, ``grpo._gradient``, on the completions'
+        coefficients and a snapshot's probs.  The steps after the first of
+        an iteration take their coefficients from the clipped
+        ``grpo._clipped_coeff`` that A5 checks too, the first from its
+        ratio-one form, which the next test holds to it."""
         calls, clipped = [], []
         original, original_coeff = grpo._gradient, grpo._clipped_coeff
 
@@ -776,15 +773,37 @@ class TestGradient:
         cfg = GrpoConfig(outer_iters=3, inner_steps=2, batch_size=4, seed=0)
         train_rl(PolicyParams.zeros(), RewardTable(ITEMS), cfg)
         assert len(calls) == 6 and len(clipped) == 3
-        params = PolicyParams.zeros()
-        batch = rollout_batch(params, params, RULE_TABLE, cfg, np.random.default_rng(0))
-        grpo_gradient(params, batch, cfg)
-        assert len(calls) == 7
-        assert calls[-1][0] is batch.rows and calls[-1][1] is batch.scatter
-        assert len(clipped) == 4
-        _, logp_old, logp_ref, advantages, used_cfg = clipped[-1]
-        assert logp_old is batch.logp_old and logp_ref is batch.logp_ref
-        assert advantages is batch.advantages and used_cfg is cfg
+        assert all(used_cfg is cfg for *_, used_cfg in clipped)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.01, 1.0])
+    def test_first_inner_step_is_the_clipped_step_at_ratio_one(self, monkeypatch, beta):
+        """An iteration's first step, taken at its snapshot, steps with the
+        coefficients ``grpo._clipped_coeff`` gives there, where every ratio
+        is 1, bit for bit."""
+        steps, coeffs, snapshots = [], [], []
+
+        def kept(results, fn):
+            return lambda *args: results.append(fn(*args)) or results[-1]
+
+        gradient = grpo._gradient
+        monkeypatch.setattr(grpo._Rollouts, "step", kept(steps, grpo._Rollouts.step))
+        monkeypatch.setattr(policy, "log_softmax", kept(snapshots, policy.log_softmax))
+        monkeypatch.setattr(
+            grpo, "_gradient", lambda coeff, *args: coeffs.append(coeff) or gradient(coeff, *args)
+        )
+        for seed in range(4):
+            params0 = PolicyParams(np.random.default_rng(seed).normal(0, 1.0, (6, 6)))
+            ref_log_probs = params0.log_probs
+            # iteration t's snapshot: the reference, then each update's log-probs
+            snapshots[:], steps[:], coeffs[:] = [ref_log_probs], [], []
+            cfg = GrpoConfig(outer_iters=5, kl_beta=beta, batch_size=6, seed=seed)
+            train_rl(params0, RULE_TABLE, cfg)
+            assert len(coeffs) == len(steps) == cfg.outer_iters
+            for (_, cells, _, adv), log_probs, coeff in zip(steps, snapshots, coeffs):
+                assert np.isfinite(log_probs).all()
+                logp = log_probs.take(cells)
+                want = grpo._clipped_coeff(logp, logp, ref_log_probs.take(cells), adv, cfg)
+                assert coeff.tobytes() == want.tobytes()
 
 
 class TestTrainRl:
@@ -1170,21 +1189,3 @@ class TestFrozenLoop:
         cfg = GrpoConfig(outer_iters=3, seed=2)
         message = _assert_same_run(PolicyParams.zeros(), table, cfg)
         assert message == "objective became non-finite at iteration 0"
-
-    def test_step_functions_alone_are_warning_free(self):
-        """compute_advantages on flat groups and on a subnormal spread at
-        std_eps = 0, and rollout_batch, grpo_gradient and grpo_objective on a
-        batch with flat groups at std_eps = 0, each called on its own,
-        outside train_rl's errstate, warn of nothing (pytest turns a warning
-        into an error)."""
-        tiny = 1.1125369292536007e-308
-        rewards = np.array([[1.0, 1.0, 1.0, 1.0], [0.1, 0.1, 0.1, 0.1], [0.0, 0.0, 0.0, tiny]])
-        adv = compute_advantages(rewards, std_eps=0.0)
-        assert not adv[:2].any() and np.isinf(adv[2]).any()
-        cfg = GrpoConfig(batch_size=8, std_eps=0.0, kl_beta=0.01, seed=0)
-        params = PolicyParams(np.random.default_rng(6).normal(size=(6, 6)))
-        batch = rollout_batch(params, params, RULE_TABLE, cfg, np.random.default_rng(7))
-        assert not batch.advantages.all()  # some groups are flat
-        stepped = PolicyParams(params.logits + grpo_gradient(params, batch, cfg))
-        assert np.isfinite(grpo_gradient(stepped, batch, cfg)).all()
-        assert np.isfinite(grpo_objective(stepped, batch, cfg))

@@ -198,7 +198,6 @@ class TestExtract:
             [
                 "extract",
                 "--mode", "kg",
-                "--question", "who",
                 "--context", "Anna Karina married Pierre Fabre in 1968.",
                 "--out", str(out),
             ]
@@ -206,6 +205,18 @@ class TestExtract:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["quadruples"][0]["head"] == "Anna Karina"
+
+    def test_kg_context_file_needs_no_question(self, tmp_path, capsys):
+        """--mode kg reads only the context: without --question it exits 0
+        and prints the quadruples of the file's sentences."""
+        context = tmp_path / "context.txt"
+        context.write_text("He moved in 1921.\nAnna Karina married Pierre Fabre in 1968.\n")
+        assert main(["extract", "--mode", "kg", "--context-file", str(context)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"mode": "kg", "source": "rules", "quadruples": [
+            {"head": "Anna Karina", "relation": "associated_with", "tail": "Pierre Fabre",
+             "timestamp": "1968-1968"},
+        ]}
 
     def test_dataset_to_store(self, tmp_path):
         data = _gen(tmp_path, n=20, p=0.0)
@@ -265,6 +276,8 @@ class TestExtract:
             (["--mode", "kg", "--question", "Who?", "--context-file", "context.txt",
               "--window", "1800:1801"],
              "--mode kg reads no question interval: drop --window"),
+            (["--mode", "kg", "--question", "Who?", "--context-file", "context.txt"],
+             "--mode kg reads no question: drop --question"),
             *(
                 (["--mode", "kg", "--dataset", "data.jsonl", flag, value],
                  f"--dataset conversion reads only the dataset: drop {flag}")
@@ -274,7 +287,7 @@ class TestExtract:
                                     ("--window", "1800:1801")]
             ),
         ],
-        ids=["context-twice", "kg-window", "dataset-question", "dataset-context",
+        ids=["context-twice", "kg-window", "kg-question", "dataset-question", "dataset-context",
              "dataset-context-file", "dataset-window"],
     )
     def test_an_ignored_flag_is_refused_before_anything_is_read(

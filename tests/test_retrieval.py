@@ -294,13 +294,13 @@ class TestStorePersistence:
 class TestHeuristicKgFallback:
     def test_extracts_quads_from_dated_sentences(self):
         context = "George Moorhouse joined Tranmere Rovers in 1921. The weather was mild."
-        quads = quadruples_from_context("who did he play for", context)
+        quads = quadruples_from_context(context)
         assert len(quads) == 1
         assert quads[0].head == "George Moorhouse"
         assert quads[0].timestamp == "1921-1921"
 
     def test_undated_context_yields_nothing(self):
-        assert quadruples_from_context("q", "No years mentioned here.") == []
+        assert quadruples_from_context("No years mentioned here.") == []
 
 
 # "a" * 300 holds one trigram more than 255 times, past the smallest count type

@@ -1,6 +1,8 @@
-"""Completion parsing, the piecewise reward rules and the content-keyed scorer."""
+"""Completion parsing, the piecewise reward rules and the answer metrics a
+reward table shares."""
 
 import dataclasses
+import functools
 import gc
 import string
 import sys
@@ -14,7 +16,6 @@ from abstainrl.grpo import RewardTable
 from abstainrl.reward import (
     AnswerMetrics,
     RewardVariant,
-    Scorer,
     answer_metrics,
     answer_reward,
     format_reward,
@@ -251,35 +252,37 @@ _metric_texts = st.sampled_from(
 ) | st.text(max_size=12)
 
 
-def _rule_inputs(scorer, text, gold):
+def _rule_inputs(parts, text, gold):
     """``rule_rewards``' inputs for completion ``text`` against ``gold``,
-    read through ``scorer``'s memos; an abstention or a No-Answer gold is
-    not measured."""
-    parsed = scorer.parse(text)
+    its metrics taken from texts ``parts`` takes apart; an abstention or a
+    No-Answer gold is not measured."""
+    parsed = parse_completion(text)
     abstains = is_no_answer(parsed.answer)
     measured = not (abstains or gold.is_no_answer)
-    metrics = scorer.metrics(parsed.answer, gold) if measured else (0.0,) * 5
+    metrics = answer_metrics(parsed.answer, gold, parts) if measured else (0.0,) * 5
     return parsed.format_ok, abstains, gold.is_no_answer, metrics
 
 
 class TestScorer:
-    """Every memoized value equals a direct call on the same inputs, over a
-    sequence of keys scored by one scorer, so that a key collision or a
-    stale entry would show."""
+    """The scoring a reward table does: every value equals a direct call on
+    the same inputs, over a sequence of keys whose texts one memo of
+    ``TextParts`` takes apart, as a table build shares it, so that a key
+    collision or a stale entry would show."""
 
     @given(st.lists(st.tuples(_scored_texts, _scored_golds), min_size=1, max_size=30),
            st.sampled_from(list(RewardVariant)))
     def test_rule_over_memos_equals_total_reward(self, pairs, variant):
-        """The rule over the memoized parses and metrics equals
-        ``total_reward`` bit for bit, key by key and as one array call."""
-        scorer = Scorer()
+        """The rule over the parses and metrics, with and without a shared
+        parts memo, equals ``total_reward`` bit for bit, key by key and as
+        one array call."""
         pairs = pairs * 2  # the second pass reads the memo
         want = [total_reward(text, gold, variant).total for text, gold in pairs]
-        inputs = [_rule_inputs(scorer, text, gold) for text, gold in pairs]
-        assert [float(rule_rewards(*cell, variant)) for cell in inputs] == want
-        assert rule_rewards(*map(np.array, zip(*inputs)), variant).tolist() == want
-        for (text, _), (_, abstains, _, _) in zip(pairs, inputs):
-            assert abstains == is_no_answer(parse_completion(text).answer)
+        for parts in (TextParts, functools.cache(TextParts)):
+            inputs = [_rule_inputs(parts, text, gold) for text, gold in pairs]
+            assert [float(rule_rewards(*cell, variant)) for cell in inputs] == want
+            assert rule_rewards(*map(np.array, zip(*inputs)), variant).tolist() == want
+            for (text, _), (_, abstains, _, _) in zip(pairs, inputs):
+                assert abstains == is_no_answer(parse_completion(text).answer)
 
     @given(st.lists(st.tuples(
         _candidates | _metric_texts,
@@ -288,10 +291,10 @@ class TestScorer:
             lambda aliases: GoldAnswer.of(*aliases)),
     ), min_size=1, max_size=30))
     def test_metrics_equal_direct_metrics(self, pairs):
-        """A scorer's metrics, whose texts it takes apart once and reuses
-        across golds, equal ``answer_metrics``' fresh ones and the metric
+        """``answer_metrics``, with fresh parts and with a memo that takes
+        each text apart once and reuses it across golds, equals the metric
         functions called one by one, bit for bit."""
-        scorer = Scorer()
+        parts = functools.cache(TextParts)
         for answer, gold in pairs * 2:
             direct = AnswerMetrics(
                 em=exact_match(answer, gold),
@@ -301,25 +304,8 @@ class TestScorer:
                 semantic=max(semantic_sim(answer, alias) for alias in gold.aliases),
             )
             want = [v.hex() for v in direct]
-            assert [v.hex() for v in scorer.metrics(answer, gold)] == want
+            assert [v.hex() for v in answer_metrics(answer, gold, parts)] == want
             assert [v.hex() for v in answer_metrics(answer, gold)] == want
-
-    def test_each_key_is_scored_once(self, scoring_calls):
-        """Each distinct text is parsed once and each distinct (answer,
-        answerable gold) measured once, however often it is scored; an
-        abstention or a No-Answer gold needs no metrics to be scored."""
-        parsed, measured = scoring_calls
-        scorer = Scorer()
-        keys = [("paris", PARIS), ("paris", GoldAnswer.of("Paris")), ("paris", PARIS),
-                (" paris", PARIS), ("paris", GoldAnswer.of("paris")), ("No Answer", PARIS),
-                ("paris", NO_ANSWER_GOLD), ("<think>t</think><answer>paris</answer>", PARIS)]
-        for text, gold in keys:
-            _rule_inputs(scorer, text, gold)
-        scorer.metrics("paris", PARIS)
-        assert parsed == ["paris", " paris", "No Answer", "<think>t</think><answer>paris</answer>"]
-        # every text above but "No Answer" has the answer "paris", and
-        # GoldAnswer.of("paris") == PARIS, so it shares PARIS's entries
-        assert measured == [("paris", PARIS), ("paris", GoldAnswer.of("Paris"))]
 
     @staticmethod
     def _module_caches() -> dict[str, int]:
@@ -341,7 +327,7 @@ class TestScorer:
         it: no part of a text stays alive, and no module-level cache grows
         when texts never scored before are (their characters were seen)."""
         RewardTable(generate_dataset(GenConfig(n_items=30, seed=4)))
-        Scorer().metrics(string.ascii_letters + string.digits + " ", PARIS)
+        answer_metrics(string.ascii_letters + string.digits + " ", PARIS)
         before = self._module_caches()
         items = generate_dataset(GenConfig(n_items=30, seed=5))
         renamed = [
