@@ -278,6 +278,16 @@ def render_curves_svg(runs: list[tuple[str, TrainLog]]) -> list[str]:
     TP/FP/FN bars per run; a run name's characters that XML forbids show as
     U+FFFD."""
     runs = [(_NOT_XML_CHAR.sub("\ufffd", name), log) for name, log in runs]
+    # the reward scale runs from min(0, lowest) to the highest value (at least
+    # 1e-9), the abstain scale from min(0, lowest) to max(1, highest), so every
+    # value a log holds lies on them; a log train writes has rewards >= 0 and
+    # rates in [0, 1], so its scales are 0 to highest and 0-1
+    rewards = [rec.mean_reward for _, log in runs for rec in log.records]
+    rates = [rec.abstain_rate for _, log in runs for rec in log.records]
+    reward_lo = min(0.0, min(rewards, default=0.0))
+    reward_hi = max(max(rewards, default=1.0), 1e-9)
+    rate_lo = min(0.0, min(rates, default=0.0))
+    rate_hi = max(1.0, max(rates, default=1.0))
     width, height = 960, 700
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -285,23 +295,23 @@ def render_curves_svg(runs: list[tuple[str, TrainLog]]) -> list[str]:
         f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         '<text x="70" y="24">mean reward (solid, left scale) and abstain rate '
-        "(dashed, 0-1 scale) vs iteration</text>",
+        f"(dashed, {rate_lo:g}-{rate_hi:g} scale) vs iteration</text>",
     ]
     x0, x1, y0, y1 = 70.0, 930.0, 40.0, 320.0
-    max_reward = max(
-        (rec.mean_reward for _, log in runs for rec in log.records), default=1.0
-    )
-    max_reward = max(max_reward, 1e-9)
     max_iter = max((len(log.records) - 1 for _, log in runs), default=1)
     max_iter = max(max_iter, 1)
 
     def _x(i: int) -> float:
         return x0 + (x1 - x0) * (i / max_iter)
 
+    def _y(value: float, lo: float, hi: float) -> float:
+        # halved first, so that hi - lo cannot overflow on finite floats
+        return y1 - (y1 - y0) * ((value * 0.5 - lo * 0.5) / (hi * 0.5 - lo * 0.5))
+
     parts.append(f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="black"/>')
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
-    parts.append(f'<text x="{x0 - 60}" y="{y0 + 10}">{max_reward:.2f}</text>')
-    parts.append(f'<text x="{x0 - 60}" y="{y1}">0.00</text>')
+    parts.append(f'<text x="{x0 - 60}" y="{y0 + 10}">{reward_hi:.2f}</text>')
+    parts.append(f'<text x="{x0 - 60}" y="{y1}">{reward_lo:.2f}</text>')
     parts.append(f'<text x="{x1 - 30}" y="{y1 + 16}">{max_iter}</text>')
 
     # a record is plotted at its position in the log, which is its iteration
@@ -309,11 +319,10 @@ def render_curves_svg(runs: list[tuple[str, TrainLog]]) -> list[str]:
     for idx, (name, log) in enumerate(runs):
         color = _PALETTE[idx % len(_PALETTE)]
         reward_pts = [
-            (_x(i), y1 - (y1 - y0) * (rec.mean_reward / max_reward))
-            for i, rec in enumerate(log.records)
+            (_x(i), _y(rec.mean_reward, reward_lo, reward_hi)) for i, rec in enumerate(log.records)
         ]
         abstain_pts = [
-            (_x(i), y1 - (y1 - y0) * rec.abstain_rate) for i, rec in enumerate(log.records)
+            (_x(i), _y(rec.abstain_rate, rate_lo, rate_hi)) for i, rec in enumerate(log.records)
         ]
         parts.append(_polyline(reward_pts, color))
         parts.append(_polyline(abstain_pts, color, dashed=True))
@@ -553,12 +562,25 @@ _SWEEP_AXES: dict[str, tuple[str, Callable[[str], Any]]] = {
     "beta": ("beta", float),
     "reward-variant": ("reward_variant", str),
 }
+# sweep flags that set the generator of a p-unans sweep, not a run setting
+_SWEEP_GEN_FLAGS = ("n", "difficulty_mix", "ambiguity")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.axis not in _SWEEP_AXES:
         raise UsageError(f"--axis must be one of {tuple(_SWEEP_AXES)}")
     key, parse = _SWEEP_AXES[args.axis]
+    # only p-unans writes a dataset per run; every other axis shares --dataset.
+    # A flag the sweep would ignore is refused before any file is read.
+    own_dataset = args.axis == "p-unans"
+    if own_dataset:
+        ignored = {"dataset": "writes each run's dataset"}
+    else:
+        ignored = dict.fromkeys(_SWEEP_GEN_FLAGS, "generates no dataset")
+    ignored[key] = "sets the value per run"
+    for dest, reason in ignored.items():
+        if getattr(args, dest, None) is not None:
+            raise UsageError(f"sweep over {args.axis} {reason}: drop --{dest.replace('_', '-')}")
     values = [parse(v.strip()) for v in args.values.split(",") if v.strip()]
     if len(values) < 2:
         raise UsageError("sweep needs at least 2 values")
@@ -567,23 +589,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.out_dir_sweep:
         raise UsageError("sweep requires --out-dir")
 
-    # only p-unans writes a dataset per run; every other axis shares --dataset
-    own_dataset = args.axis == "p-unans"
     resolved = {**_resolve(args, _TRAIN_DEFAULTS), "command": "train"}
     if not own_dataset and not resolved["dataset"]:
         raise UsageError(f"sweep over {args.axis} requires --dataset")
+    gen_flags = {f: getattr(args, f) for f in _SWEEP_GEN_FLAGS if getattr(args, f) is not None}
     out_dir = Path(args.out_dir_sweep)
     runs: list[tuple[Any, str, dict[str, Any], GenConfig | None]] = []
     for value in values:
         run_name = f"{args.axis}_{value}"
         run = {**resolved, key: value, "out_dir": str(out_dir / run_name)}
-        # --n, --difficulty-mix and --ambiguity are sweep flags, not run
-        # settings; every axis checks them, though only p-unans generates
-        gen_cfg = _gen_config({**_GEN_DEFAULTS, **vars(args), **run})
+        gen_cfg = None
         if own_dataset:
+            gen_cfg = _gen_config({**_GEN_DEFAULTS, **gen_flags, **run})
             run["dataset"] = str(out_dir / run_name / "dataset.jsonl")
         _check_run(run)
-        runs.append((value, run_name, run, gen_cfg if own_dataset else None))
+        runs.append((value, run_name, run, gen_cfg))
 
     # no axis changes the cold start: any sweep but p-unans scores the dataset
     # once, with the first run's checked settings, and each run rescores that
@@ -727,11 +747,8 @@ def _sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--values", type=str, required=True)
     # sweep's --out-dir is the parent of its run directories
     p.add_argument("--out-dir", dest="out_dir_sweep", type=str)
-    for key in ("n", "difficulty_mix", "ambiguity"):  # argparse defaults, not config keys
-        default = _GEN_DEFAULTS[key]
-        p.add_argument(
-            "--" + key.replace("_", "-"), dest=key, type=type(default), default=default
-        )
+    for key in _SWEEP_GEN_FLAGS:  # not config keys; _cmd_sweep fills in gen's defaults
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(_GEN_DEFAULTS[key]))
     _add_flags(p, {key: v for key, v in _TRAIN_DEFAULTS.items() if key != "out_dir"})
     p.set_defaults(handler=_cmd_sweep)
 

@@ -9,6 +9,7 @@ import gc
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -921,6 +922,11 @@ class TestSweep:
     def test_generator_settings_are_checked_on_every_axis(
         self, tmp_path, monkeypatch, argv, flag, value, message
     ):
+        """A bad generator setting exits 2 before anything is read: a p-unans
+        sweep checks it, and the other axes, which generate nothing, refuse
+        the flag."""
+        if argv[1] != "p-unans":
+            message = f"sweep over {argv[1]} generates no dataset: drop {flag}"
         data = _gen(tmp_path)
         for reader in ("read_columns", "iter_dataset"):
             monkeypatch.setattr(cli, reader, lambda path: pytest.fail("dataset read"))
@@ -930,6 +936,59 @@ class TestSweep:
                                   flag, value])
         assert (code, err) == (2, f"error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--axis", "p-unans", "--values", "0.1,0.5", "--dataset", "/nonexistent.jsonl"],
+             "sweep over p-unans writes each run's dataset: drop --dataset"),
+            *(
+                (["--axis", axis, "--values", values, "--dataset", "data.jsonl", flag, value],
+                 f"sweep over {axis} generates no dataset: drop {flag}")
+                for axis, values in [("beta", "0,0.01"), ("reward-variant", "rouge,rouge+em")]
+                for flag, value in [("--n", "7"), ("--difficulty-mix", "0.5"),
+                                    ("--ambiguity", "0.9")]
+            ),
+            (["--axis", "beta", "--values", "0,0.01", "--dataset", "data.jsonl", "--beta", "5"],
+             "sweep over beta sets the value per run: drop --beta"),
+            (["--axis", "reward-variant", "--values", "rouge+em,rouge+sem", "--dataset",
+              "data.jsonl", "--reward-variant", "rouge"],
+             "sweep over reward-variant sets the value per run: drop --reward-variant"),
+        ],
+        ids=["p-unans-dataset", "beta-n", "beta-difficulty-mix", "beta-ambiguity",
+             "reward-variant-n", "reward-variant-difficulty-mix", "reward-variant-ambiguity",
+             "beta-beta", "reward-variant-reward-variant"],
+    )
+    def test_an_ignored_flag_is_refused_before_anything_is_read(
+        self, tmp_path, monkeypatch, argv, message
+    ):
+        """A flag that the sweep's axis would ignore or override exits 2
+        naming it; no dataset or config file is read and nothing is
+        written."""
+        for reader in ("read_columns", "iter_dataset"):
+            monkeypatch.setattr(cli, reader, lambda path: pytest.fail("dataset read"))
+        monkeypatch.chdir(tmp_path)
+        # a config file that does not exist: reading it would exit 3
+        argv = ["sweep", *argv, "--out-dir", "s", "--config", "missing.json"]
+        assert _main_stderr(argv) == (2, f"error: {message}\n")
+        assert not (tmp_path / "s").exists()
+
+    def test_a_runs_config_is_accepted_as_config(self, tmp_path):
+        """A run's config.json carries the dataset, beta and reward variant
+        that the sweep flags refuse; as --config they are accepted, and the
+        axis still sets its value per run."""
+        data = _gen(tmp_path)
+        run = tmp_path / "run"
+        assert main(_train_args(data, run, iters="4", extra=["--beta", "5"])) == 0
+        for axis, values in [("beta", "0.0,0.01"), ("reward-variant", "rouge,rouge+em"),
+                             ("p-unans", "0.1,0.5")]:
+            out = tmp_path / axis
+            assert main(["sweep", "--axis", axis, "--values", values, "--out-dir", str(out),
+                         "--config", str(run / "config.json")]) == 0
+            first = json.loads((out / f"{axis}_{values.split(',')[0]}" / "config.json").read_text())
+            assert first["beta"] == (0.0 if axis == "beta" else 5.0)
+            if axis == "p-unans":
+                assert first["dataset"] == str(out / "p-unans_0.1" / "dataset.jsonl")
 
     def test_p_unans_runs_equal_gen_then_train(self, tmp_path):
         """Each run of a p-unans sweep, which trains on the items it has just
@@ -1104,6 +1163,36 @@ class TestReport:
         assert f"train_log.jsonl:2: bad train record: field {field!r} must be an integer >= 0" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "lines, labels",
+        [
+            ([{"mean_reward": -5.0}], ['y="320.0">-5.00<']),
+            ([{"abstain_rate": 5.0}], ["(dashed, 0-5 scale)"]),
+            ([{"mean_reward": -1.7e308, "abstain_rate": -1.7e308},
+              {"mean_reward": 1.7e308, "abstain_rate": 1.7e308}],
+             [f">{-1.7e308:.2f}<", f">{1.7e308:.2f}<", "(dashed, -1.7e+308-1.7e+308 scale)"]),
+        ],
+        ids=["negative-reward", "abstain-above-one", "extremes"],
+    )
+    def test_every_curve_lies_on_the_plot(self, tmp_path, lines, labels):
+        """Values that train never writes but TrainLog.read accepts widen
+        the scales, whose labels show them, and stay inside the SVG."""
+        later = [json.dumps({**self.RECORD, "iteration": i + 1, **edit})
+                 for i, edit in enumerate(lines)]
+        assert self._report(tmp_path, "\n".join(later))[0] == 0
+        svg = (tmp_path / "r" / "curves.svg").read_text()
+        root = ET.fromstring(svg)
+        _, _, width, height = map(float, root.get("viewBox").split())
+        points = [
+            tuple(map(float, xy.split(",")))
+            for polyline in root.iter("{http://www.w3.org/2000/svg}polyline")
+            for xy in polyline.get("points").split()
+        ]
+        assert len(points) == 2 * (1 + len(lines))
+        assert all(0 <= x <= width and 0 <= y <= height for x, y in points)
+        for label in labels:
+            assert label in svg
+
     def test_run_names_with_csv_specials_read_back(self, tmp_path):
         # a lone "\r" must be quoted too, or a reader ends the row there
         names = ["a\rb", "c,d", 'e"f', "g\r\nh", "plain"]
@@ -1210,9 +1299,9 @@ FLAGS = {
         (("--axis",), "axis", str, None),
         (("--values",), "values", str, None),
         (("--out-dir",), "out_dir_sweep", str, None),
-        (("--n",), "n", int, 200),
-        (("--difficulty-mix",), "difficulty_mix", float, 0.5),
-        (("--ambiguity",), "ambiguity", float, 0.25),
+        (("--n",), "n", int, None),
+        (("--difficulty-mix",), "difficulty_mix", float, None),
+        (("--ambiguity",), "ambiguity", float, None),
         (("--dataset",), "dataset", str, None),
         (("--iters",), "iters", int, None),
         (("--group-size",), "group_size", int, None),
@@ -1605,6 +1694,23 @@ class TestImport:
         modules, loaded = proc.stdout.splitlines()
         assert "'cli'" in modules and "'retrieval'" in modules
         assert loaded == "[]"
+
+    def test_each_module_imports_alone(self):
+        """The package imports none of its modules, and each module imports
+        alone in a fresh interpreter with warnings as errors, so no module
+        leans on another having been imported first."""
+        src_root = str(Path(abstainrl.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src_root)
+        loaded = "import sys; print(sorted(m for m in sys.modules if m.startswith('abstainrl.')))"
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", f"import abstainrl; {loaded}"],
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+        modules = [m.name for m in pkgutil.iter_modules(abstainrl.__path__)]
+        assert "cli" in modules and "textmetrics" in modules
+        for name in modules:
+            proc = subprocess.run([sys.executable, "-W", "error", "-c", f"import abstainrl.{name}"],
+                                  env=env, capture_output=True, text=True)
+            assert (proc.returncode, proc.stderr) == (0, ""), name
 
     @given(st.text(alphabet=st.sampled_from("&<>;a\"' "), max_size=20) | st.text(max_size=20))
     def test_svg_escape_equals_saxutils(self, text):
