@@ -90,9 +90,13 @@ _GEN_DEFAULTS: dict[str, Any] = {
 }
 
 
-# Written into a run's config.json besides the train settings ("p_unans" by a
-# p-unans sweep), so that the file is accepted back as --config.
-_RUN_RECORD_KEYS = frozenset({"command", "p_unans"})
+# Written into a run's config.json besides the train settings (the generator
+# settings by a p-unans sweep), so that the file is accepted back as --config;
+# each mapped to a value of the JSON type it must have there.
+_RUN_RECORD_KEYS: dict[str, Any] = {
+    "command": "train",
+    **{key: _GEN_DEFAULTS[key] for key in ("n", "p_unans", "difficulty_mix", "ambiguity")},
+}
 
 
 def _check_config_value(key: str, value: Any, default: Any) -> None:
@@ -122,10 +126,10 @@ def _resolve(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, An
             raise UsageError(f"config file {config_path}: {exc}") from None
         if not isinstance(from_file, dict):
             raise UsageError(f"config file {config_path}: must hold a JSON object")
-        unknown = sorted(set(from_file) - set(defaults) - _RUN_RECORD_KEYS)
+        unknown = sorted(set(from_file) - set(defaults) - set(_RUN_RECORD_KEYS))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(map(repr, unknown))}")
-        for key, default in defaults.items():
+        for key, default in {**_RUN_RECORD_KEYS, **defaults}.items():
             if key in from_file:
                 _check_config_value(key, from_file[key], default)
     resolved = {}
@@ -589,10 +593,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.out_dir_sweep:
         raise UsageError("sweep requires --out-dir")
 
-    resolved = {**_resolve(args, _TRAIN_DEFAULTS), "command": "train"}
+    # a p-unans sweep takes the generator settings from the flags or --config,
+    # and each run's config.json records them; other axes ignore them in a file
+    defaults = _TRAIN_DEFAULTS
+    if own_dataset:
+        defaults = {**_TRAIN_DEFAULTS, **{f: _GEN_DEFAULTS[f] for f in _SWEEP_GEN_FLAGS}}
+    resolved = {**_resolve(args, defaults), "command": "train"}
     if not own_dataset and not resolved["dataset"]:
         raise UsageError(f"sweep over {args.axis} requires --dataset")
-    gen_flags = {f: getattr(args, f) for f in _SWEEP_GEN_FLAGS if getattr(args, f) is not None}
     out_dir = Path(args.out_dir_sweep)
     runs: list[tuple[Any, str, dict[str, Any], GenConfig | None]] = []
     for value in values:
@@ -600,7 +608,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         run = {**resolved, key: value, "out_dir": str(out_dir / run_name)}
         gen_cfg = None
         if own_dataset:
-            gen_cfg = _gen_config({**_GEN_DEFAULTS, **gen_flags, **run})
+            gen_cfg = _gen_config(run)
             run["dataset"] = str(out_dir / run_name / "dataset.jsonl")
         _check_run(run)
         runs.append((value, run_name, run, gen_cfg))
@@ -747,7 +755,7 @@ def _sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--values", type=str, required=True)
     # sweep's --out-dir is the parent of its run directories
     p.add_argument("--out-dir", dest="out_dir_sweep", type=str)
-    for key in _SWEEP_GEN_FLAGS:  # not config keys; _cmd_sweep fills in gen's defaults
+    for key in _SWEEP_GEN_FLAGS:  # default None: _cmd_sweep refuses them off the p-unans axis
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(_GEN_DEFAULTS[key]))
     _add_flags(p, {key: v for key, v in _TRAIN_DEFAULTS.items() if key != "out_dir"})
     p.set_defaults(handler=_cmd_sweep)

@@ -20,7 +20,7 @@ import functools
 import json
 import math
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -42,7 +42,6 @@ from abstainrl.policy import (
 )
 from abstainrl.reward import (
     DEFAULT_VARIANT,
-    RewardBreakdown,
     RewardVariant,
     answer_metrics,
     is_no_answer,
@@ -167,8 +166,6 @@ class TrainLog:
         return cls(list(read_records(path, "train", _train_record_from_dict)))
 
 
-RewardFn = Callable[[str, ItemHead | SynthQAItem], RewardBreakdown]
-
 # per action: its choice's column in a row's candidates (A, B, then the
 # abstention) and whether it is bare, which together pick its text
 _ACTION_CHOICE = np.array([list(Choice).index(action.choice) for action in ALL_ACTIONS])
@@ -197,23 +194,19 @@ class RewardTable:
     once, taking each distinct text apart once (``textmetrics.TextParts``,
     kept only while the table is built); the metrics are zero for a
     No-Answer gold.  The per-cell ``formatted``, ``abstained`` and
-    ``metrics`` columns are gathers from those.  ``rewards`` is ``reward.rule_rewards``
-    under ``variant`` over them, which ``with_variant`` reuses.
-    ``reward_fn`` overrides the rule, which is how the bandit sanity
-    environments install their own payout tables; it is called once per
-    (row, action) pair with the cell's completion and the row's head, and
-    under it items given as items, not columns, get a row each, since a
-    payout may depend on the item.
+    ``metrics`` columns are gathers from those.  ``rewards`` holds the one
+    reward rule's values, ``reward.rule_rewards`` under ``variant`` over
+    those columns, which ``with_variant`` reuses to rescore under another
+    variant.
     """
 
     def __init__(
         self,
         items: Iterable[ItemHead | SynthQAItem] | ItemColumns,
         variant: RewardVariant = DEFAULT_VARIANT,
-        reward_fn: RewardFn | None = None,
     ) -> None:
         if not isinstance(items, ItemColumns):
-            items = ItemColumns.of(map(ItemHead.of, items), share_rows=reward_fn is None)
+            items = ItemColumns.of(map(ItemHead.of, items))
         if not items.ids:
             raise ValueError("a reward table needs at least one item")
         self.ids = items.ids
@@ -269,17 +262,7 @@ class RewardTable:
         self.metrics[answerable] = np.array(measured, dtype=float).reshape(-1, 5)[
             where.reshape(-1, N_ACTIONS)
         ]
-        if reward_fn is None:
-            self.rewards = self._rule(variant, self.formatted)
-        else:
-            self.rewards = np.array(
-                [
-                    reward_fn(texts[t], head).total
-                    for head, row_texts in zip(items.heads, cell_text.tolist())
-                    for t in row_texts
-                ],
-                dtype=float,
-            ).reshape(cell_text.shape)
+        self.rewards = self._rule(variant, self.formatted)
 
     def _rule(self, variant: RewardVariant, formatted: ArrayLike) -> np.ndarray:
         """``rule_rewards`` of every cell, with ``formatted`` as the format flags."""
@@ -288,9 +271,8 @@ class RewardTable:
         )
 
     def with_variant(self, variant: RewardVariant) -> "RewardTable":
-        """This table with the rule's rewards under ``variant`` (in place of
-        a ``reward_fn``'s too): a shallow copy whose only new array is
-        ``rewards``."""
+        """This table with the rule's rewards under ``variant``: a shallow
+        copy whose only new array is ``rewards``."""
         table = copy.copy(self)
         table.rewards = self._rule(variant, self.formatted)
         return table
@@ -771,8 +753,3 @@ def summarize_items(ev: Evaluation) -> EvalReport:
         rouge_l=_mean(ev.rouge_l[answerable]),
         semantic=_mean(ev.semantic[answerable]),
     )
-
-
-def evaluate_policy(params: PolicyParams, table: RewardTable) -> EvalReport:
-    """Aggregate greedy-decoding report of every item of the table."""
-    return summarize_items(evaluate_items(params, table))

@@ -68,11 +68,6 @@ class ContextFeature:
     def from_index(cls, index: int) -> "ContextFeature":
         return cls(_EVIDENCE_ORDER[index // 2], _DIFFICULTY_ORDER[index % 2])
 
-    @classmethod
-    def from_name(cls, name: str) -> "ContextFeature":
-        ev, diff = name.split(":")
-        return cls(Evidence(ev), Difficulty(diff))
-
 
 @dataclass(frozen=True)
 class ActionId:
@@ -90,11 +85,6 @@ class ActionId:
     @classmethod
     def from_index(cls, index: int) -> "ActionId":
         return cls(_CHOICE_ORDER[index // 2], index % 2 == 0)
-
-    @classmethod
-    def from_name(cls, name: str) -> "ActionId":
-        choice, style = name.split(":")
-        return cls(Choice(choice), style == "formatted")
 
 
 ALL_FEATURES = tuple(ContextFeature.from_index(i) for i in range(6))

@@ -236,11 +236,6 @@ def extract_time_sentences(question_interval: TimeInterval, context: str) -> lis
 
 # --- top-k retrieval ------------------------------------------------------------
 
-def default_embedding(text: str) -> np.ndarray:
-    """Deterministic hashed character-trigram embedding (dimension 512)."""
-    return trigram_embedding(text)
-
-
 def _check_query(store: KGStore, k: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")

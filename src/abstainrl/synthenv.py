@@ -197,26 +197,6 @@ class TimeSpecifier:
         if self.kind is SpecKind.BETWEEN and self.years[0] > self.years[1]:
             raise ValueError("between requires a <= b")
 
-    @classmethod
-    def in_year(cls, y: int) -> "TimeSpecifier":
-        return cls(SpecKind.IN_YEAR, (y,))
-
-    @classmethod
-    def between(cls, a: int, b: int) -> "TimeSpecifier":
-        return cls(SpecKind.BETWEEN, (a, b))
-
-    @classmethod
-    def after(cls, y: int) -> "TimeSpecifier":
-        return cls(SpecKind.AFTER, (y,))
-
-    @classmethod
-    def before(cls, y: int) -> "TimeSpecifier":
-        return cls(SpecKind.BEFORE, (y,))
-
-    @classmethod
-    def early_decade(cls, d: int) -> "TimeSpecifier":
-        return cls(SpecKind.EARLY_DECADE, (d,))
-
     @property
     def difficulty(self) -> Difficulty:
         return Difficulty.EASY if self.kind in _EASY_KINDS else Difficulty.HARD
@@ -281,11 +261,9 @@ class ItemColumns(NamedTuple):
     def of(
         cls,
         heads: Iterable[tuple[str, ContextFeature, GoldAnswer, str, str]],
-        share_rows: bool = True,
     ) -> "ItemColumns":
         """The columns of ``heads``, ``ItemHead``s or plain tuples of their
-        fields, read once, in order; with ``share_rows`` False every item
-        gets a content row of its own."""
+        fields, read once, in order."""
         columns = cls([], [], [], [], [])
         ids, features, unanswerable, row, row_heads = columns
         rows: dict[tuple, int] = {}
@@ -296,7 +274,7 @@ class ItemColumns(NamedTuple):
             unanswerable.append(gold.is_no_answer)
             n = len(row_heads)
             # keyed by the aliases, whose hash is computed in C, not the gold's
-            r = rows.setdefault((candidate_a, candidate_b, gold.aliases), n) if share_rows else n
+            r = rows.setdefault((candidate_a, candidate_b, gold.aliases), n)
             if r == n:
                 row_heads.append(ItemHead._make(head))
             row.append(r)
@@ -747,11 +725,6 @@ def iter_dataset(path: str | Path) -> Iterator[SynthQAItem]:
     with a lone surrogate raises ``DatasetError`` naming ``path:line`` and
     the field, once the iteration reaches it."""
     return read_records(path, "dataset", item_from_dict)
-
-
-def read_dataset(path: str | Path) -> list[SynthQAItem]:
-    """The items of ``iter_dataset(path)`` as a list."""
-    return list(iter_dataset(path))
 
 
 def read_columns(path: str | Path) -> ItemColumns:

@@ -12,14 +12,16 @@ makes through ``policy.cdf_bounds`` and ``policy.draw_at_bounds``.
 (item, action) index arrays.  ``grpo_gradient_add_at``
 is the batched gradient as two ``np.add.at`` scatters, the oracle for the
 single ``np.bincount`` in ``grpo._gradient``.  ``item_from_dict``, which
-builds every part of a dataset record afresh, is the oracle for
-``synthenv.read_dataset``.  ``trigram_counts``, a per-character loop over an
+builds every part of a dataset record afresh, is the oracle for the items
+``synthenv.iter_dataset`` reads.  ``trigram_counts``, a per-character loop over an
 already padded string, is the oracle for ``textmetrics.trigram_embedding``.
 ``make_expert_traces``, which renders and scores the oracle's completion of
 every item, is the oracle for ``grpo.RewardTable.expert_cells``.
 ``per_cell_table``, which renders, parses and measures every (content row,
 action) on its own, is the oracle for the columns ``grpo.RewardTable``
-gathers from its distinct texts.
+gathers from its distinct texts; ``payout_table`` puts its per-cell rewards
+under a payout rule in place of a table's rule rewards, which is how the
+bandit sanity environments get their payout tables.
 ``evaluate_items``, which renders and scores each item's greedy completion
 into an ``ItemEval`` record, and ``summarize_items``, which sums those
 records one at a time, are the oracles for ``grpo.evaluate_items`` and
@@ -45,7 +47,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
 from dataclasses import dataclass, fields
 
@@ -58,7 +60,6 @@ from abstainrl.grpo import (
     Evaluation,
     GrpoConfig,
     GrpoDivergenceError,
-    RewardFn,
     RewardTable,
     TrainLog,
     TrainRecord,
@@ -77,6 +78,7 @@ from abstainrl.policy import (
 )
 from abstainrl.reward import (
     DEFAULT_VARIANT,
+    RewardBreakdown,
     RewardVariant,
     answer_metrics,
     answer_reward,
@@ -112,6 +114,9 @@ from abstainrl.textmetrics import (
     rouge_n,
     semantic_sim,
 )
+
+# a payout rule: the reward of a completion text for an item or its head
+RewardFn = Callable[[str, ItemHead | SynthQAItem], RewardBreakdown]
 
 
 def log_softmax(row: np.ndarray) -> np.ndarray:
@@ -551,6 +556,17 @@ def per_cell_table(
         table["rewards"] = rule_rewards(
             table["formatted"], table["abstained"], no_answer[:, None], table["metrics"], variant
         )
+    return table
+
+
+def payout_table(items: Iterable[ItemHead | SynthQAItem], payout: RewardFn) -> RewardTable:
+    """The reward table of ``items`` with ``payout``'s rewards in place of
+    the rule's, as ``with_variant`` puts a variant's: ``per_cell_table``'s,
+    ``payout`` called once per (content row, action) with the cell's
+    completion and the row's head."""
+    columns = ItemColumns.of(map(ItemHead.of, items))
+    table = RewardTable(columns)
+    table.rewards = per_cell_table(columns, reward_fn=payout)["rewards"]
     return table
 
 

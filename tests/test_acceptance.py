@@ -16,8 +16,8 @@ from abstainrl.grpo import (
     GrpoConfig,
     RewardTable,
     evaluate_items,
-    evaluate_policy,
     kl_k3,
+    summarize_items,
     train_rl,
 )
 from abstainrl.policy import (
@@ -33,7 +33,6 @@ from abstainrl.policy import (
 from abstainrl.retrieval import (
     KGStore,
     Quadruple,
-    default_embedding,
     extract_keywords,
     kg_sentence,
     topk_lexical,
@@ -58,6 +57,7 @@ from abstainrl.textmetrics import (
     lcs_length,
     normalize_text,
     rouge_l,
+    trigram_embedding,
 )
 
 
@@ -201,7 +201,7 @@ def _bandit_table(seed: int) -> RewardTable:
         return RewardBreakdown(format=0.0, answer=0.5, total=0.5)
 
     items = generate_dataset(GenConfig(n_items=120, p_unans=0.5, ambiguity=0.3, seed=seed))
-    return RewardTable(items, reward_fn=payout)
+    return scalar_reference.payout_table(items, payout)
 
 
 def test_a6_bandit_sanity():
@@ -264,7 +264,7 @@ def test_a7_data_ratio_collapse():
         return items, table, params
 
     items_hi, table_hi, params_hi = run(0.5)
-    report_hi = evaluate_policy(params_hi, table_hi)
+    report_hi = summarize_items(evaluate_items(params_hi, table_hi))
     abstained = evaluate_items(params_hi, table_hi).abstained.tolist()
     ambiguous = [
         a for a, item in zip(abstained, items_hi)
@@ -277,7 +277,7 @@ def test_a7_data_ratio_collapse():
     assert report_hi.confusion.fp > 0  # collapse signature: over-abstention
 
     _, table_lo, params_lo = run(0.124)
-    report_lo = evaluate_policy(params_lo, table_lo)
+    report_lo = summarize_items(evaluate_items(params_lo, table_lo))
     assert report_lo.abstain_rate < report_hi.abstain_rate
 
 
@@ -348,8 +348,8 @@ def test_a10_retrieval_oracle_equivalence():
         )
 
     def brute_semantic(store, query, k):
-        qv = default_embedding(query)
-        scored = [(i, cosine(qv, default_embedding(s))) for i, s in enumerate(store.sentences)]
+        qv = trigram_embedding(query)
+        scored = [(i, cosine(qv, trigram_embedding(s))) for i, s in enumerate(store.sentences)]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return [(store.quads[i], s) for i, s in scored[: min(k, len(store))]]
 
@@ -410,7 +410,7 @@ def test_a12_sft_cold_start_direction():
         cfg = GrpoConfig(outer_iters=100, seed=seed)
         from_sft, _ = train_rl(sft_params, table, cfg)
         from_scratch, _ = train_rl(PolicyParams.zeros(), table, cfg)
-        reward_sft = evaluate_policy(from_sft, table).mean_reward
-        reward_scratch = evaluate_policy(from_scratch, table).mean_reward
+        reward_sft = summarize_items(evaluate_items(from_sft, table)).mean_reward
+        reward_scratch = summarize_items(evaluate_items(from_scratch, table)).mean_reward
         wins += reward_sft >= reward_scratch
     assert wins >= 2

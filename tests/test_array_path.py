@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import grpo_step
@@ -66,26 +66,6 @@ def _payout(raw: str, item) -> RewardBreakdown:
     return RewardBreakdown(format=0.0, answer=0.5, total=0.5)
 
 
-class _CountingRule:
-    """A ``reward_fn`` that records each completion it scores: ``rule`` if
-    given, else the rule-based reward under ``variant``."""
-
-    def __init__(self, rule=None, variant=DEFAULT_VARIANT) -> None:
-        self.rule = rule
-        self.variant = variant
-        self.scored = []
-
-    @property
-    def calls(self) -> int:
-        return len(self.scored)
-
-    def __call__(self, raw, item) -> RewardBreakdown:
-        self.scored.append((item.id, raw))
-        if self.rule is not None:
-            return self.rule(raw, item)
-        return total_reward(raw, item.gold, self.variant)
-
-
 def _column_bytes(table, name):
     """A column array of ``table`` as (dtype, shape, bytes)."""
     column = getattr(table, name)
@@ -102,7 +82,7 @@ index_pairs = st.lists(
 class TestRewardTable:
     @given(index_pairs, st.sampled_from(list(RewardVariant)), st.booleans())
     def test_entries_equal_per_call_reward(self, pairs, variant, bandit):
-        table = RewardTable(ITEMS, variant, reward_fn=_payout if bandit else None)
+        table = ref.payout_table(ITEMS, _payout) if bandit else RewardTable(ITEMS, variant)
         items = np.array([j for j, _ in pairs])
         actions = np.array([a for _, a in pairs])
         rewards, abstained = ref.gather(table, items, actions)
@@ -114,29 +94,41 @@ class TestRewardTable:
             assert table.formatted[table.row[j], a] == parse_completion(text).format_ok
 
     @given(index_pairs)
-    def test_each_pair_evaluated_once(self, pairs):
-        """A ``reward_fn`` scores every (item, action) pair once, when the
-        table is built, and never when it is gathered from."""
-        rule = _CountingRule()
-        table = RewardTable(ITEMS, reward_fn=rule)
-        every_pair = [(item.id, render_completion(a, item)) for item in ITEMS for a in ALL_ACTIONS]
-        assert sorted(rule.scored) == sorted(every_pair)
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_each_pair_evaluated_once(self, scoring_calls, pairs):
+        """The table parses every distinct completion of the (item, action)
+        pairs once, and measures every distinct (answer, answerable gold)
+        once, when it is built, and never when it is gathered from."""
+        parsed, measured = scoring_calls
+        parsed.clear()
+        measured.clear()
+        table = RewardTable(ITEMS)
+        every_pair = [(render_completion(a, item), item) for item in ITEMS for a in ALL_ACTIONS]
+        answers = {
+            (parse_completion(text).answer, item.gold)
+            for text, item in every_pair
+            if not item.gold.is_no_answer
+        }
+        assert sorted(parsed) == sorted({text for text, _ in every_pair})
+        assert len(measured) == len(set(measured)) and set(measured) == answers
+        built = (list(parsed), list(measured))
         items = np.array([j for j, _ in pairs])
         actions = np.array([a for _, a in pairs])
         first, _ = ref.gather(table, items, actions)
         again, _ = ref.gather(table, items, actions)
-        assert rule.calls == len(every_pair)
+        assert (parsed, measured) == built
         np.testing.assert_array_equal(first, again)
 
-    def test_evaluation_rescores_no_pair_training_scored(self):
-        rule = _CountingRule()
-        table = RewardTable(ITEMS, reward_fn=rule)
-        built = rule.calls
+    def test_evaluation_rescores_no_pair_training_scored(self, scoring_calls):
+        parsed, measured = scoring_calls
+        table = RewardTable(ITEMS)
+        built = (list(parsed), list(measured))
         cfg = GrpoConfig(outer_iters=5, batch_size=8, seed=1)
         params, _ = train_rl(PolicyParams.zeros(), table, cfg)
         evals = ref.item_evals(evaluate_items(params, table))
-        # the table scored every pair once; training and evaluation only gather
-        assert rule.calls == built == len(set(rule.scored)) == len(ITEMS) * len(ALL_ACTIONS)
+        # the table scored each distinct text once; training and evaluation only gather
+        assert (parsed, measured) == built
+        assert len(parsed) == len(set(parsed)) < len(ITEMS) * len(ALL_ACTIONS)
         for item, e in zip(ITEMS, evals):
             action = ALL_ACTIONS[int(np.argmax(params.logits[item.feature.index]))]
             text = render_completion(action, item)
@@ -206,18 +198,15 @@ class TestRewardTable:
             assert _column_bytes(read, name) == _column_bytes(RewardTable(ITEMS), name), name
 
     @pytest.mark.parametrize(
-        "variant, reward_fn",
-        [(DEFAULT_VARIANT, None), (RewardVariant.ROUGE_PLUS_SEM_PLUS_EM, None),
-         (DEFAULT_VARIANT, _payout)],
-        ids=["rule", "rule-sem", "reward_fn"],
+        "variant", [DEFAULT_VARIANT, RewardVariant.ROUGE_PLUS_SEM_PLUS_EM], ids=["rule", "rule-sem"]
     )
-    def test_one_shot_stream_equals_list(self, tmp_path, variant, reward_fn):
+    def test_one_shot_stream_equals_list(self, tmp_path, variant):
         """A table built from a one-shot stream, of items or of a dataset
         file, equals the table of the same items as a list bit for bit, and
         keeps none of the streamed items."""
         path = tmp_path / "items.jsonl"
         ref.write_items(ITEMS, path)
-        want = RewardTable(ITEMS, variant, reward_fn)
+        want = RewardTable(ITEMS, variant)
 
         def n_items_alive() -> int:
             gc.collect()
@@ -225,7 +214,7 @@ class TestRewardTable:
 
         alive = n_items_alive()
         for stream in ((item for item in ITEMS), iter_dataset(path)):
-            got = RewardTable(stream, variant, reward_fn)
+            got = RewardTable(stream, variant)
             assert n_items_alive() == alive
             assert len(got) == len(ITEMS)
             assert got.ids == want.ids == [item.id for item in ITEMS]
@@ -323,13 +312,6 @@ class TestRewardTable:
         assert len(asked) == len(set(asked)) == len(pairs) < 2 * len(ITEMS)
         assert set(asked) == pairs
 
-    def test_with_variant_replaces_a_reward_fn(self):
-        """Rescoring a table a ``reward_fn`` scored gives the rule's
-        rewards, one row per item."""
-        got = RewardTable(ITEMS, reward_fn=_payout).with_variant(DEFAULT_VARIANT)
-        want = RewardTable(ITEMS)
-        np.testing.assert_array_equal(got.rewards, want.rewards[want.row])
-
     @given(
         st.integers(0, 2**32 - 1), st.sampled_from(list(RewardVariant)), st.booleans()
     )
@@ -337,10 +319,10 @@ class TestRewardTable:
     def test_evaluation_equals_per_item_scoring(self, seed, variant, bandit):
         """Gathered greedy evaluation equals rendering, parsing and scoring
         each item's completion."""
-        reward_fn = _payout if bandit else None
+        table = ref.payout_table(ITEMS, _payout) if bandit else RewardTable(ITEMS, variant)
         params = PolicyParams(np.random.default_rng(seed).normal(size=(6, 6)))
-        got = ref.item_evals(evaluate_items(params, RewardTable(ITEMS, variant, reward_fn)))
-        assert got == ref.evaluate_items(params, ITEMS, variant, reward_fn)
+        got = ref.item_evals(evaluate_items(params, table))
+        assert got == ref.evaluate_items(params, ITEMS, variant, _payout if bandit else None)
 
     @given(
         st.integers(0, 2**32 - 1), st.sampled_from(list(RewardVariant)), st.booleans()
@@ -351,11 +333,10 @@ class TestRewardTable:
         scalar oracle's, which sums its records one at a time in item order;
         so does every field of every item, and each item's cell is its
         content row and greedy action."""
-        reward_fn = _payout if bandit else None
-        table = RewardTable(ITEMS, variant, reward_fn)
+        table = ref.payout_table(ITEMS, _payout) if bandit else RewardTable(ITEMS, variant)
         params = PolicyParams(np.random.default_rng(seed).normal(size=(6, 6)))
         got = evaluate_items(params, table)
-        want = ref.evaluate_items(params, ITEMS, variant, reward_fn)
+        want = ref.evaluate_items(params, ITEMS, variant, _payout if bandit else None)
         assert grpo.summarize_items(got) == ref.summarize_items(want)
         assert ref.item_evals(got) == want
         greedy = np.argmax(params.logits, axis=1)[table.features]
@@ -400,32 +381,23 @@ class TestDistinctTextTable:
     """The table built from distinct texts against the per-cell build it
     replaced (``scalar_reference.per_cell_table``)."""
 
-    @given(_heads(), st.sampled_from(list(RewardVariant)), st.booleans())
+    @given(_heads(), st.sampled_from(list(RewardVariant)))
     @settings(max_examples=150)
     @example(
         [ItemHead("q0", ALL_FEATURES[0], GoldAnswer(("Alma", "ALMA", "the alma")), " Alma ", " Alma "),
          ItemHead("q1", ALL_FEATURES[3], GoldAnswer.no_answer(), "No Answer", "no-answer"),
          ItemHead("q2", ALL_FEATURES[5], GoldAnswer(("No Answer",)),
                   "<think>t</think><answer>Alma</answer>", "Alma</answer>")],
-        DEFAULT_VARIANT, False,
+        DEFAULT_VARIANT,
     )
-    def test_equals_the_per_cell_oracle(self, heads, variant, bandit):
-        """Bit for bit, in every column, whatever the rule: a ``reward_fn``
-        is called once per (row, action), in row order, with the cell's
-        completion and the row's head; and each row's oracle action is
-        ``policy.oracle_action`` of its head."""
-        rule = _CountingRule(_payout) if bandit else None
-        table = RewardTable(heads, variant, reward_fn=rule)
-        columns = ItemColumns.of(heads, share_rows=not bandit)
-        want = ref.per_cell_table(columns, variant, _payout if bandit else None)
+    def test_equals_the_per_cell_oracle(self, heads, variant):
+        """Bit for bit, in every column, under every variant; and each row's
+        oracle action is ``policy.oracle_action`` of its head."""
+        table = RewardTable(heads, variant)
+        columns = ItemColumns.of(heads)
+        want = ref.per_cell_table(columns, variant)
         for name, column in want.items():
             assert _column_bytes(table, name) == (column.dtype, column.shape, column.tobytes()), name
-        if bandit:
-            assert rule.calls == len(ALL_ACTIONS) * len(columns.heads)
-            assert rule.scored == [
-                (head.id, render_completion(action, head))
-                for head in columns.heads for action in ALL_ACTIONS
-            ]
         oracle = [policy.oracle_action(head).index for head in columns.heads]
         assert table.oracle_actions().tolist() == oracle
 
@@ -659,7 +631,7 @@ class TestExpertCells:
         """A table's expert cells are the reference's kept traces, in item
         order, whatever the table's reward rule."""
         items = [ref.item_from_dict(record) for record in records]
-        table = RewardTable(items, variant, reward_fn=_payout if bandit else None)
+        table = ref.payout_table(items, _payout) if bandit else RewardTable(items, variant)
         want = [trace.cell for trace in ref.make_expert_traces(items)]
         assert table.expert_cells().tolist() == want
 
@@ -815,19 +787,23 @@ class TestTrainRl:
             (RewardVariant.ROUGE_ONLY, True, 1, False),
         ],
     )
-    def test_matches_scalar_loop(self, variant, bandit, inner_steps, sft):
+    def test_matches_scalar_loop(self, scoring_calls, variant, bandit, inner_steps, sft):
         items = generate_dataset(GenConfig(n_items=80, p_unans=0.5, ambiguity=0.5, seed=8))
         reward_fn = _payout if bandit else None
-        rule = _CountingRule(reward_fn, variant)
         params0 = PolicyParams.zeros()
         cfg = GrpoConfig(outer_iters=40, inner_steps=inner_steps, lr=0.05, batch_size=16, seed=4)
-        table = RewardTable(items, reward_fn=rule)
-        built = rule.calls
+        parsed, measured = scoring_calls
+        table = ref.payout_table(items, _payout) if bandit else RewardTable(items, variant)
+        built = (list(parsed), list(measured))
         if sft:
             params0 = sft_train(params0, table.expert_cells())
+        params, log = train_rl(params0, table, cfg)
+        # each distinct text scored once, when the table is built; SFT and training only gather
+        assert (parsed, measured) == built
+        assert len(parsed) == len(set(parsed)) < len(items) * len(ALL_ACTIONS)
+        if sft:
             want_params0 = ref.sft_train(PolicyParams.zeros(), ref.make_expert_traces(items))
             np.testing.assert_allclose(params0.logits, want_params0.logits, rtol=0, atol=1e-12)
-        params, log = train_rl(params0, table, cfg)
         want_params, want_log = ref.train_rl(params0, items, variant, cfg, reward_fn)
         np.testing.assert_allclose(params.logits, want_params.logits, rtol=0, atol=1e-12)
         assert len(log.records) == len(want_log.records)
@@ -839,8 +815,6 @@ class TestTrainRl:
                 assert getattr(got, field) == pytest.approx(
                     getattr(want, field), rel=1e-9, abs=0.0
                 ), (got.iteration, field)
-        # one reward evaluation per (item, action) pair, when the table is built
-        assert rule.calls == built == len(items) * len(ALL_ACTIONS)
 
     def test_each_completion_text_is_parsed_once(self, scoring_calls):
         """A table build parses each distinct completion text once, for its
@@ -859,20 +833,18 @@ class TestTrainRl:
         """The default rule reads the table's content-keyed scorer: when the
         table is built, each distinct completion text is parsed once and
         each distinct (answer, answerable gold) measured once, and the run
-        equals one that scores every (item, action) pair through
-        ``reward_fn``."""
+        equals one over a table whose every (content row, action) is scored
+        on its own (``scalar_reference.per_cell_table``)."""
         items = generate_dataset(GenConfig(n_items=80, p_unans=0.5, ambiguity=0.5, seed=8))
         cfg = GrpoConfig(outer_iters=40, lr=0.05, batch_size=16, seed=4)
-        per_pair = _CountingRule(variant=variant)
-        want_params, want_log = train_rl(
-            PolicyParams.zeros(), RewardTable(items, reward_fn=per_pair), cfg
-        )
-        gold_of = {item.id: item.gold for item in items}
-        texts = {raw for _, raw in per_pair.scored}
+        per_cell = ref.payout_table(items, lambda raw, head: total_reward(raw, head.gold, variant))
+        want_params, want_log = train_rl(PolicyParams.zeros(), per_cell, cfg)
+        pairs = [(render_completion(action, item), item) for item in items for action in ALL_ACTIONS]
+        texts = {raw for raw, _ in pairs}
         answers = {
-            (parse_completion(raw).answer, gold_of[item_id])
-            for item_id, raw in per_pair.scored
-            if not gold_of[item_id].is_no_answer
+            (parse_completion(raw).answer, item.gold)
+            for raw, item in pairs
+            if not item.gold.is_no_answer
         }
 
         parsed, measured = scoring_calls
@@ -887,7 +859,7 @@ class TestTrainRl:
         assert (parsed, measured) == built  # training and evaluation score nothing
         assert len(parsed) == len(set(parsed)) and set(parsed) == texts
         assert len(measured) == len(set(measured)) and set(measured) == answers
-        assert len(texts) < per_pair.calls  # items share completions
+        assert len(texts) < len(pairs)  # items share completions
 
 
     def test_log_statistics_take_bounded_memory(self):
@@ -909,7 +881,7 @@ class TestTrainRl:
 
 
 RULE_TABLE = RewardTable(ITEMS)
-BANDIT_TABLE = RewardTable(ITEMS, reward_fn=_payout)
+BANDIT_TABLE = ref.payout_table(ITEMS, _payout)
 
 
 def _outcome(run):
@@ -1092,7 +1064,7 @@ class TestFrozenLoop:
             value = math.sqrt(sum(map(ord, raw + item.id))) / 7.0
             return RewardBreakdown(format=0.0, answer=value, total=value)
 
-        table = RewardTable(ITEMS, reward_fn=payout)
+        table = ref.payout_table(ITEMS, payout)
         cfg = GrpoConfig(outer_iters=outer_iters, batch_size=batch_size, group_size=group_size,
                          lr=0.3, seed=batch_size)
         want = _assert_same_run(PolicyParams.zeros(), table, cfg)
@@ -1171,7 +1143,7 @@ class TestFrozenLoop:
             reward = tiny if parse_completion(raw).format_ok else 0.0
             return RewardBreakdown(format=reward, answer=0.0, total=reward)
 
-        table = RewardTable(ITEMS, reward_fn=payout)
+        table = ref.payout_table(ITEMS, payout)
         cfg = GrpoConfig(outer_iters=3, std_eps=0.0, seed=1)
         message = _assert_same_run(PolicyParams.zeros(), table, cfg)
         assert message == "logits became non-finite at iteration 0"
@@ -1185,7 +1157,7 @@ class TestFrozenLoop:
             reward = math.nan if not parse_completion(raw).format_ok else 1.0
             return RewardBreakdown(format=reward, answer=0.0, total=reward)
 
-        table = RewardTable(ITEMS, reward_fn=payout)
+        table = ref.payout_table(ITEMS, payout)
         cfg = GrpoConfig(outer_iters=3, seed=2)
         message = _assert_same_run(PolicyParams.zeros(), table, cfg)
         assert message == "objective became non-finite at iteration 0"

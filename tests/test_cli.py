@@ -21,7 +21,7 @@ from abstainrl import cli, synthenv
 from abstainrl.cli import _TRAIN_DEFAULTS, build_parser, main
 from abstainrl.grpo import RewardTable, evaluate_items
 from abstainrl.policy import ALL_ACTIONS, ALL_FEATURES, ActionId, Choice, Evidence, PolicyParams
-from abstainrl.synthenv import GenConfig, generate_dataset, read_dataset
+from abstainrl.synthenv import GenConfig, generate_dataset, iter_dataset
 from scalar_reference import item_evals, item_to_dict
 
 import numpy as np
@@ -479,7 +479,7 @@ class TestTrain:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            items = read_dataset(data)
+            items = list(iter_dataset(data))
             held = tracemalloc.get_traced_memory()[0] - base
             del items
             base = tracemalloc.get_traced_memory()[0]
@@ -1011,6 +1011,39 @@ class TestSweep:
             for name in ("train_log.jsonl", "policy.json", "summary.csv", "curves.svg"):
                 assert (run / name).read_bytes() == (alone / name).read_bytes(), (value, name)
 
+    def test_a_p_unans_runs_config_regenerates_its_dataset(self, tmp_path):
+        """A p-unans run's config.json records the generator settings the
+        run used: gen with its n, p_unans, difficulty_mix, ambiguity and
+        seed writes the run's dataset byte for byte, and so does a p-unans
+        sweep given the file as --config, whose flags win over it."""
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--axis", "p-unans", "--values", "0.2,0.5", "--out-dir", str(out),
+                     "--n", "50", "--difficulty-mix", "0.3", "--ambiguity", "0.5",
+                     "--iters", "3", "--seed", "7"]) == 0
+        gen_keys = ("n", "p_unans", "difficulty_mix", "ambiguity", "seed")
+        for value in ("0.2", "0.5"):
+            run = out / f"p-unans_{value}"
+            config = json.loads((run / "config.json").read_text())
+            assert {key: config[key] for key in gen_keys} == {
+                "n": 50, "p_unans": float(value), "difficulty_mix": 0.3, "ambiguity": 0.5,
+                "seed": 7,
+            }
+            data = tmp_path / f"gen_{value}.jsonl"
+            flags = [arg for key in gen_keys for arg in (f"--{key.replace('_', '-')}",
+                                                         str(config[key]))]
+            assert main(["gen", *flags, "--out", str(data)]) == 0
+            assert data.read_bytes() == (run / "dataset.jsonl").read_bytes()
+            again = tmp_path / f"again_{value}"
+            assert main(["sweep", "--axis", "p-unans", "--values", f"{value},0.9",
+                         "--out-dir", str(again), "--config", str(run / "config.json")]) == 0
+            assert (again / f"p-unans_{value}" / "dataset.jsonl").read_bytes() == data.read_bytes()
+        flagged = tmp_path / "flagged"
+        assert main(["sweep", "--axis", "p-unans", "--values", "0.2,0.9", "--out-dir", str(flagged),
+                     "--config", str(out / "p-unans_0.2" / "config.json"), "--n", "20"]) == 0
+        config = json.loads((flagged / "p-unans_0.2" / "config.json").read_text())
+        assert (config["n"], config["ambiguity"]) == (20, 0.5)
+        assert len((flagged / "p-unans_0.2" / "dataset.jsonl").read_text().splitlines()) == 20
+
     def test_shared_inputs_are_read_and_fitted_once(self, tmp_path, monkeypatch):
         """The dataset and the traces are read once and the cold start is
         fitted once, in a beta sweep and in a reward-variant sweep, and
@@ -1406,6 +1439,28 @@ class TestConfigKeys:
         cfg.write_text(json.dumps({"n": value}))
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.jsonl")]) == 2
         assert "'n'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("n", "many"), ("ambiguity", True), ("p_unans", [1]), ("command", 5)]
+    )
+    @pytest.mark.parametrize("axis", [None, "beta", "p-unans"])
+    def test_a_wrongly_typed_run_record_key_is_usage_error(self, tmp_path, capsys, key, value,
+                                                           axis):
+        """The keys a run's config.json carries besides the command's own
+        settings are accepted as --config, but only with their JSON type,
+        by every command that ignores them as well as by the p-unans sweep
+        that reads the generator settings."""
+        data = _gen(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        if axis is None:
+            argv = _train_args(data, tmp_path / "run", iters="2")
+        else:
+            argv = ["sweep", "--axis", axis, "--values", "0,1", "--out-dir", str(tmp_path / "s")]
+            argv += [] if axis == "p-unans" else ["--dataset", str(data)]
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert f"config key {key!r} has the wrong type" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize(
         "content, message",

@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import grpo_step
+import scalar_reference
 from abstainrl.grpo import (
     GrpoConfig,
     GrpoDivergenceError,
@@ -18,9 +19,10 @@ from abstainrl.grpo import (
     TrainLog,
     TrainRecord,
     clipped_term,
-    evaluate_policy,
+    evaluate_items,
     importance_ratio,
     kl_k3,
+    summarize_items,
     train_rl,
 )
 from abstainrl.policy import (
@@ -221,7 +223,7 @@ class TestGradient:
 
 # the floats and ints a log record can hold: signed zeros, subnormals, the
 # bounds of repr's fixed and exponent forms, large counts, and the
-# non-finite values a reward_fn can put into mean_reward
+# non-finite values a record's float fields can hold
 _SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-7, 1e-4, 0.1, 1e308]
 _LOG_FLOATS = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
 _LOG_INTS = st.one_of(st.integers(0, 300), st.integers(-(2**70), 2**70), st.just(10**100))
@@ -299,7 +301,7 @@ class TestTrainRl:
             return RewardBreakdown(format=reward, answer=0.0, total=reward)
 
         items = generate_dataset(GenConfig(n_items=20, seed=4))
-        table = RewardTable(items, reward_fn=payout)
+        table = scalar_reference.payout_table(items, payout)
         with pytest.raises(GrpoDivergenceError, match="iteration 0"):
             train_rl(PolicyParams.zeros(), table, GrpoConfig(outer_iters=3, std_eps=0.0, seed=1))
 
@@ -329,7 +331,7 @@ class TestEvaluatePolicy:
     def test_always_abstain_on_all_unanswerable(self):
         items = generate_dataset(GenConfig(n_items=25, p_unans=1.0, seed=6))
         abstain = _constant_policy(ActionId(Choice.ABSTAIN, True))
-        report = evaluate_policy(abstain, RewardTable(items))
+        report = summarize_items(evaluate_items(abstain, RewardTable(items)))
         assert report.confusion.tp == 25
         assert report.confusion.fp == 0
         assert report.confusion.fn == 0
@@ -337,7 +339,7 @@ class TestEvaluatePolicy:
     def test_always_abstain_on_all_answerable(self):
         items = generate_dataset(GenConfig(n_items=25, p_unans=0.0, seed=7))
         abstain = _constant_policy(ActionId(Choice.ABSTAIN, True))
-        report = evaluate_policy(abstain, RewardTable(items))
+        report = summarize_items(evaluate_items(abstain, RewardTable(items)))
         assert report.confusion.fp == 25
         assert report.em_rate == 0.0
 
@@ -354,13 +356,13 @@ class TestEvaluatePolicy:
                 else ActionId(Choice.ABSTAIN, True)
             )
             logits[f.index, target.index] = 50.0
-        report = evaluate_policy(PolicyParams(logits), RewardTable(items))
+        report = summarize_items(evaluate_items(PolicyParams(logits), RewardTable(items)))
         assert report.confusion.fp == 0
         assert report.confusion.fn == 0
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_policy(PolicyParams.zeros(), RewardTable([]))
+            RewardTable([])
 
 
 class TestConfigValidation:

@@ -13,7 +13,6 @@ from abstainrl.retrieval import (
     DEFAULT_TOP_K,
     KGStore,
     Quadruple,
-    default_embedding,
     extract_keywords,
     extract_time_sentences,
     fact_to_quadruple,
@@ -32,7 +31,7 @@ from abstainrl.synthenv import (
     TimeInterval,
     generate_dataset,
 )
-from abstainrl.textmetrics import cosine, normalize_text
+from abstainrl.textmetrics import cosine, normalize_text, trigram_embedding
 
 
 class TestParseTimeExpressions:
@@ -128,9 +127,9 @@ def _random_store(rng, size):
 
 
 def brute_force_semantic(store, query, k):
-    qv = default_embedding(query)
+    qv = trigram_embedding(query)
     scored = [
-        (i, cosine(qv, default_embedding(sentence)))
+        (i, cosine(qv, trigram_embedding(sentence)))
         for i, sentence in enumerate(store.sentences)
     ]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))

@@ -34,9 +34,9 @@ from abstainrl.synthenv import (
     answerability_oracle,
     build_abstained_mc,
     generate_dataset,
+    iter_dataset,
     iter_lines,
     read_columns,
-    read_dataset,
     read_mc_sources,
     read_text,
     write_lines,
@@ -58,31 +58,31 @@ class TestTimeInterval:
 
 class TestSpecifierWindows:
     def test_in_year(self):
-        assert TimeSpecifier.in_year(1969).window() == (1969, 1969)
+        assert TimeSpecifier(SpecKind.IN_YEAR, (1969,)).window() == (1969, 1969)
 
     def test_between(self):
-        assert TimeSpecifier.between(1966, 1967).window() == (1966, 1967)
+        assert TimeSpecifier(SpecKind.BETWEEN, (1966, 1967)).window() == (1966, 1967)
         with pytest.raises(ValueError):
-            TimeSpecifier.between(1967, 1966)
+            TimeSpecifier(SpecKind.BETWEEN, (1967, 1966))
 
     def test_after_excludes_the_named_year(self):
-        lo, hi = TimeSpecifier.after(1969).window()
+        lo, hi = TimeSpecifier(SpecKind.AFTER, (1969,)).window()
         assert lo == 1970
 
     def test_before_excludes_the_named_year(self):
-        _, hi = TimeSpecifier.before(1957).window()
+        _, hi = TimeSpecifier(SpecKind.BEFORE, (1957,)).window()
         assert hi == 1956
 
     def test_early_decade(self):
-        assert TimeSpecifier.early_decade(1980).window() == (1980, 1983)
+        assert TimeSpecifier(SpecKind.EARLY_DECADE, (1980,)).window() == (1980, 1983)
 
     def test_difficulty_split(self):
-        assert TimeSpecifier.in_year(1969).difficulty is Difficulty.EASY
-        assert TimeSpecifier.between(1, 2).difficulty is Difficulty.EASY
+        assert TimeSpecifier(SpecKind.IN_YEAR, (1969,)).difficulty is Difficulty.EASY
+        assert TimeSpecifier(SpecKind.BETWEEN, (1, 2)).difficulty is Difficulty.EASY
         for spec in (
-            TimeSpecifier.after(1969),
-            TimeSpecifier.before(1957),
-            TimeSpecifier.early_decade(1980),
+            TimeSpecifier(SpecKind.AFTER, (1969,)),
+            TimeSpecifier(SpecKind.BEFORE, (1957,)),
+            TimeSpecifier(SpecKind.EARLY_DECADE, (1980,)),
         ):
             assert spec.difficulty is Difficulty.HARD
 
@@ -90,26 +90,26 @@ class TestSpecifierWindows:
 class TestAnswerabilityOracle:
     def test_single_matching_fact(self):
         facts = [TemporalFact("X", "role", "chief", TimeInterval(1969, 1975))]
-        gold = answerability_oracle(facts, TimeSpecifier.after(1969))
+        gold = answerability_oracle(facts, TimeSpecifier(SpecKind.AFTER, (1969,)))
         assert gold.aliases == ("chief",)
 
     def test_no_matching_fact(self):
         facts = [TemporalFact("X", "role", "chief", TimeInterval(1950, 1960))]
-        assert answerability_oracle(facts, TimeSpecifier.in_year(1970)).is_no_answer
+        assert answerability_oracle(facts, TimeSpecifier(SpecKind.IN_YEAR, (1970,))).is_no_answer
 
     def test_conflicting_objects(self):
         facts = [
             TemporalFact("X", "role", "chief", TimeInterval(1969, 1975)),
             TemporalFact("X", "role", "deputy", TimeInterval(1970, 1972)),
         ]
-        assert answerability_oracle(facts, TimeSpecifier.in_year(1971)).is_no_answer
+        assert answerability_oracle(facts, TimeSpecifier(SpecKind.IN_YEAR, (1971,))).is_no_answer
 
     def test_same_object_twice_is_answerable(self):
         facts = [
             TemporalFact("X", "role", "chief", TimeInterval(1969, 1970)),
             TemporalFact("X", "role", "chief", TimeInterval(1971, 1975)),
         ]
-        gold = answerability_oracle(facts, TimeSpecifier.between(1969, 1975))
+        gold = answerability_oracle(facts, TimeSpecifier(SpecKind.BETWEEN, (1969, 1975)))
         assert gold.aliases == ("chief",)
 
 
@@ -211,7 +211,7 @@ class TestDatasetSerialization:
         items = generate_dataset(GenConfig(n_items=40, p_unans=0.4, seed=11))
         path = tmp_path / "data.jsonl"
         ref.write_items(items, path)
-        again = read_dataset(path)
+        again = list(iter_dataset(path))
         assert [ref.item_to_dict(i) for i in again] == [ref.item_to_dict(i) for i in items]
 
     def test_stable_field_names(self, tmp_path):
@@ -244,7 +244,7 @@ class TestDatasetSerialization:
         good = json.dumps(ref.item_to_dict(generate_dataset(GenConfig(n_items=1, seed=0))[0]))
         path.write_text(good + "\n{not json\n", encoding="utf-8")
         with pytest.raises(DatasetError, match=":2:"):
-            read_dataset(path)
+            list(iter_dataset(path))
 
     @pytest.mark.parametrize(
         "edit, named",
@@ -276,7 +276,7 @@ class TestDatasetSerialization:
         path = tmp_path / "typed.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match=f":1: bad dataset record: {named} must"):
-            read_dataset(path)
+            list(iter_dataset(path))
 
 
 # the settings of a generated dataset, each free in its range
@@ -515,7 +515,7 @@ def _records(draw):
 
 
 def _oracle_read(records):
-    """The items of ``records``, or the message ``read_dataset`` gives, past
+    """The items of ``records``, or the message ``iter_dataset`` gives, past
     the path, for the first one ``ref.item_from_dict`` rejects."""
     items = []
     for lineno, record in enumerate(records, start=1):
@@ -542,7 +542,7 @@ _FACT = {"subject": "s", "relation": "r", "object": "o", "start": 0, "end": 1}
 
 
 class TestReadDataset:
-    """``read_dataset`` is held to ``ref.item_from_dict``, record by record."""
+    """``iter_dataset`` is held to ``ref.item_from_dict``, record by record."""
 
     @given(_records())
     @example([_record_with_year(1), _record_with_year(True)])
@@ -558,7 +558,7 @@ class TestReadDataset:
         path = tmp_path_factory.mktemp("oracle") / "data.jsonl"
         write_lines(path, [json.dumps(record) for record in records])
         try:
-            got = read_dataset(path)
+            got = list(iter_dataset(path))
         except DatasetError as exc:
             got = str(exc).removeprefix(str(path))
         assert got == _oracle_read(records)
@@ -580,7 +580,7 @@ class TestReadDataset:
         path = tmp_path / "data.jsonl"
         write_lines(path, [json.dumps(record)])
         with pytest.raises(DatasetError, match=f":1: bad dataset record: {re.escape(message)}$"):
-            read_dataset(path)
+            list(iter_dataset(path))
 
 
 def _line(**fields):
@@ -618,7 +618,7 @@ def _columns(items):
 class TestReadColumns:
     """``read_columns`` scans the lines ``gen`` writes instead of decoding
     them, and is held to the columns of the heads of
-    ``read_dataset``'s items."""
+    ``iter_dataset``'s items."""
 
     @given(_LINES)
     # integers: -0, 19 digits (both valid JSON), a leading zero (invalid)
@@ -641,11 +641,11 @@ class TestReadColumns:
     @example([_fact_line(), _fact_line(subject="")])
     @example([_line(facts=[])])
     @settings(max_examples=400)
-    def test_equals_the_heads_of_read_dataset(self, tmp_path_factory, lines):
+    def test_equals_the_heads_of_iter_dataset(self, tmp_path_factory, lines):
         path = tmp_path_factory.mktemp("heads") / "data.jsonl"
         write_lines(path, lines)
         got = _columns_or_error(read_columns, path)
-        want = _columns_or_error(lambda p: _columns(read_dataset(p)), path)
+        want = _columns_or_error(lambda p: _columns(iter_dataset(p)), path)
         assert got == want
 
     def test_written_lines_are_not_decoded(self, tmp_path):
@@ -773,7 +773,7 @@ class TestFiles:
 
     @pytest.mark.parametrize(
         "read",
-        [read_dataset, read_mc_sources, KGStore.read_jsonl, TrainLog.read],
+        [lambda path: list(iter_dataset(path)), read_mc_sources, KGStore.read_jsonl, TrainLog.read],
         ids=["dataset", "mc-sources", "kg-store", "train-log"],
     )
     def test_invalid_json_names_its_line(self, tmp_path, read):
@@ -786,7 +786,7 @@ class TestFiles:
     @pytest.mark.parametrize(
         "read, kind, first_field",
         [
-            (read_dataset, "dataset", "specifier"),
+            (lambda path: list(iter_dataset(path)), "dataset", "specifier"),
             (read_mc_sources, "multiple-choice source", "options"),
             (KGStore.read_jsonl, "quadruple", "head"),
             (TrainLog.read, "train", "iteration"),
@@ -821,7 +821,10 @@ class TestFiles:
 
     @pytest.mark.parametrize(
         "read",
-        [read_dataset, read_mc_sources, KGStore.read_jsonl, TrainLog.read, read_text],
+        [
+            lambda path: list(iter_dataset(path)), read_mc_sources, KGStore.read_jsonl,
+            TrainLog.read, read_text,
+        ],
         ids=["dataset", "mc-sources", "kg-store", "train-log", "text"],
     )
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
