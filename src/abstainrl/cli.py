@@ -101,14 +101,16 @@ _RUN_RECORD_KEYS: dict[str, Any] = {
 
 def _check_config_value(key: str, value: Any, default: Any) -> None:
     """A config-file value must have its default's JSON type: an integer for
-    an int, any number for a float, a string (or null) where the default is
-    a string or null."""
+    an int, any number a float can hold for a float, a string (or null)
+    where the default is a string or null."""
     if isinstance(value, bool):  # an int subclass, but never a setting here
         ok = False
     elif isinstance(default, int):
         ok = isinstance(value, int)
     elif isinstance(default, float):
         ok = isinstance(value, (int, float))
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise UsageError(f"config key {key!r} is too large for a float")
     else:
         ok = value is None or isinstance(value, str)
     if not ok:
@@ -122,7 +124,8 @@ def _resolve(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, An
     if config_path:
         try:
             from_file = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
+        # a missing file or a directory, invalid JSON, or bytes that are not UTF-8
+        except (OSError, ValueError) as exc:
             raise UsageError(f"config file {config_path}: {exc}") from None
         if not isinstance(from_file, dict):
             raise UsageError(f"config file {config_path}: must hold a JSON object")
@@ -822,6 +825,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (MemoryError, OverflowError) as exc:  # a size no array or list can hold
+        print(f"error: a setting is too large: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -19,7 +19,6 @@ import copy
 import functools
 import json
 import math
-import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -132,28 +131,13 @@ def _train_record_from_dict(d: dict) -> TrainRecord:
     return TrainRecord(**{f.name: _record_field(d, f.name) for f in fields(TrainRecord)})
 
 
-_RECORD_KEYS = sorted(f.name for f in fields(TrainRecord))
-# a record's line, json.dumps(vars(record), sort_keys=True), as one %-template
-# of its fields in key order: %r spells an int or a finite float as json does
-_RECORD_LINE = "{" + ", ".join(f'"{key}": %r' for key in _RECORD_KEYS) + "}"
-_record_values = operator.attrgetter(*_RECORD_KEYS)
-
-
 @dataclass
 class TrainLog:
     records: list[TrainRecord] = field(default_factory=list)
 
     def jsonl_lines(self) -> list[str]:
-        """Each record as ``json.dumps(vars(record), sort_keys=True)``; the
-        counts are ints and the other fields floats, as ``train_rl`` and
-        ``read`` make them."""
-        lines = list(map(_RECORD_LINE.__mod__, map(_record_values, self.records)))
-        # %r spells a non-finite float nan or inf, which json spells NaN or
-        # Infinity; no key holds either word
-        return [
-            json.dumps(vars(r), sort_keys=True) if "nan" in line or "inf" in line else line
-            for r, line in zip(self.records, lines)
-        ]
+        """Each record as ``json.dumps(vars(record), sort_keys=True)``."""
+        return [json.dumps(vars(r), sort_keys=True) for r in self.records]
 
     def write(self, path: str | Path) -> None:
         write_lines(path, self.jsonl_lines())
@@ -365,62 +349,17 @@ def kl_k3(logp_theta: ArrayLike, logp_ref: ArrayLike) -> np.ndarray | float:
 _N_CELLS = N_FEATURES * N_ACTIONS
 
 
-def _block_draws(
-    rng: np.random.Generator, n: int, batch_size: int, group_size: int, iters: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """What ``iters`` rounds of ``rng.integers(0, n, size=batch_size)`` then
-    ``rng.random((batch_size, group_size))`` draw: an iters x B array of
-    item indexes and an iters x B x G array of uniforms.  The generator is
-    left in the state those calls leave it in.
-
-    The draws are decoded from one ``random_raw`` read of the generator's
-    PCG64 words, as numpy decodes them (``synthenv._Draws`` does the same
-    one draw at a time): a uniform is a word's top 53 bits over 2**53, and
-    an index is Lemire's bounded integer (arXiv:1805.10941) of a 32-bit
-    draw, the low half of a word, then its high half, which ``random`` does
-    not take.  With an even B, a round's indexes take B / 2 words and its
-    uniforms the next B * G.  Where that layout does not hold, the
-    generator is rewound and numpy's own calls draw instead: an odd B, a
-    range numpy draws otherwise (fewer than 2 or more than 2**32 values), a
-    generator that holds a pending half, or a draw Lemire's rule rejects.
-    """
-    bits = rng.bit_generator
-    start = bits.state
-    if batch_size % 2 == 0 and 2 <= n <= 1 << 32 and not start["has_uint32"]:
-        halves = batch_size // 2
-        words = bits.random_raw(iters * (halves + batch_size * group_size)).reshape(iters, -1)
-        # each index word as its low then its high 32-bit half
-        draws = words[:, :halves].astype("<u8").view("<u4")
-        scaled = draws * np.uint64(n)
-        if not ((scaled & 0xFFFFFFFF) < (1 << 32) % n).any():
-            # numpy's last 32-bit draw, a high half, stays in the generator
-            state = bits.state
-            state["uinteger"] = int(draws[-1, -1])
-            bits.state = state
-            uniforms = (words[:, halves:] >> 11) * 2.0**-53
-            return (
-                (scaled >> 32).astype(np.int64),
-                uniforms.reshape(iters, batch_size, group_size),
-            )
-        bits.state = start
-    item_idx = np.empty((iters, batch_size), dtype=np.int64)
-    uniforms = np.empty((iters, batch_size, group_size))
-    for t in range(iters):
-        item_idx[t] = rng.integers(0, n, size=batch_size)
-        uniforms[t] = rng.random((batch_size, group_size))
-    return item_idx, uniforms
-
-
 class _Rollouts:
-    """The rollouts of ``iters`` consecutive iterations.  Their draws
-    (``_block_draws``) and what they gather from the table are made at
-    once: each iteration's items' ``rows`` and ``unanswerable`` flags, and
-    its ``scatter`` cells, every cell the gradient adds to in the order it
-    adds: the B * G completions' ``cells`` in batch order, then each
-    group's row's six cells.  ``step`` draws an iteration's actions, the
-    one part of a rollout that depends on the policy, and fills in its
-    ``cells`` and ``table_cells``, the completions' flat indexes into the
-    table's per-row arrays."""
+    """The rollouts of ``iters`` consecutive iterations.  Their draws, each
+    iteration's ``rng.integers(0, n, size=B)`` then ``rng.random((B, G))``,
+    and what they gather from the table are made at once: each iteration's
+    items' ``rows`` and ``unanswerable`` flags, and its ``scatter`` cells,
+    every cell the gradient adds to in the order it adds: the B * G
+    completions' ``cells`` in batch order, then each group's row's six
+    cells.  ``step`` draws an iteration's actions, the one part of a
+    rollout that depends on the policy, and fills in its ``cells`` and
+    ``table_cells``, the completions' flat indexes into the table's per-row
+    arrays."""
 
     __slots__ = (
         "rows", "unanswerable", "item_idx", "scatter", "cells", "table_cells", "_uniforms",
@@ -432,9 +371,11 @@ class _Rollouts:
     ) -> None:
         size = cfg.batch_size * cfg.group_size
         shape = (iters, cfg.batch_size, cfg.group_size)
-        self.item_idx, self._uniforms = _block_draws(
-            rng, len(table), cfg.batch_size, cfg.group_size, iters
-        )
+        self.item_idx = np.empty((iters, cfg.batch_size), dtype=np.int64)
+        self._uniforms = np.empty(shape)
+        for t in range(iters):
+            self.item_idx[t] = rng.integers(0, len(table), size=cfg.batch_size)
+            self._uniforms[t] = rng.random((cfg.batch_size, cfg.group_size))
         self.rows = table.features.take(self.item_idx)
         self.unanswerable = table.unanswerable.take(self.item_idx)
         self.scatter = np.empty((iters, size + cfg.batch_size * N_ACTIONS), dtype=np.intp)

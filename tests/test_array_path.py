@@ -929,86 +929,6 @@ def readme_table():
     return table, sft_train(PolicyParams.zeros(), table.expert_cells())
 
 
-class _DrawCalls:
-    """A generator's ``bit_generator`` with its ``integers`` and ``random``
-    calls recorded."""
-
-    def __init__(self, rng):
-        self.rng, self.bit_generator, self.calls = rng, rng.bit_generator, []
-
-    def integers(self, *args, **kwargs):
-        self.calls.append("integers")
-        return self.rng.integers(*args, **kwargs)
-
-    def random(self, *args, **kwargs):
-        self.calls.append("random")
-        return self.rng.random(*args, **kwargs)
-
-
-class TestBlockDraws:
-    """``grpo._block_draws`` against the numpy calls it decodes."""
-
-    @given(
-        st.integers(0, 2**64 - 1),
-        # 2**31 + 1 rejects about half of all 32-bit draws; 2**32 rejects
-        # none; numpy draws 2**32 + 1 values from 64-bit words
-        st.sampled_from([1, 2, 1000, 2**31 + 1, 2**32, 2**32 + 1]),
-        st.integers(1, 9),
-        st.integers(1, 5),
-        st.integers(1, 4),
-        st.booleans(),
-    )
-    @settings(max_examples=200)
-    @example(0, 1000, 8, 4, 3, False)
-    @example(0, 1000, 8, 4, 3, True)
-    @example(0, 2**31 + 1, 2, 1, 1, False)
-    def test_equals_numpy_calls(self, seed, n, batch_size, group_size, iters, pending):
-        """The item indexes, the uniforms and the generator's state, its
-        pending 32-bit half (``has_uint32``, ``uinteger``) included, equal
-        those of ``iters`` rounds of ``integers`` then ``random``, over two
-        calls in a row."""
-        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
-        if pending:  # a 32-bit draw leaves its word's high half pending
-            got.integers(0, 7), want.integers(0, 7)
-            assert got.bit_generator.state["has_uint32"]
-        for _ in range(2):
-            item_idx, uniforms = grpo._block_draws(got, n, batch_size, group_size, iters)
-            rounds = [
-                (want.integers(0, n, size=batch_size), want.random((batch_size, group_size)))
-                for _ in range(iters)
-            ]
-            assert item_idx.dtype == np.int64
-            assert item_idx.tolist() == [idx.tolist() for idx, _ in rounds]
-            assert uniforms.shape == (iters, batch_size, group_size)
-            assert uniforms.tobytes() == np.stack([u for _, u in rounds]).tobytes()
-            assert got.bit_generator.state == want.bit_generator.state
-
-    @pytest.mark.parametrize(
-        "n, batch_size, pending, numpy_calls",
-        [
-            (1000, 32, False, False),
-            (2**32, 2, False, False),
-            (1000, 33, False, True),
-            (1000, 32, True, True),
-            (1, 32, False, True),
-            (2**31 + 1, 32, False, True),
-            (2**32 + 1, 32, False, True),
-        ],
-    )
-    def test_numpy_calls_only_where_the_layout_breaks(self, n, batch_size, pending,
-                                                      numpy_calls):
-        """The words are decoded without a numpy draw call unless B is odd,
-        the range is one value or more than 2**32, the generator holds a
-        pending half, or a draw is rejected (at 2**31 + 1, 32 draws all
-        pass with odds of about 2**-32)."""
-        rng = np.random.default_rng(5)
-        if pending:
-            rng.integers(0, 7)
-        calls = _DrawCalls(rng)
-        grpo._block_draws(calls, n, batch_size, 4, 3)
-        assert calls.calls == (["integers", "random"] * 3 if numpy_calls else [])
-
-
 class TestFrozenLoop:
     """``train_rl`` against the batched loop it was reworked from
     (``scalar_reference.frozen_train_rl``): the same float operations in
@@ -1074,7 +994,7 @@ class TestFrozenLoop:
         "settings",
         [
             {},  # the README configuration
-            {"batch_size": 33, "group_size": 3},  # an odd B: numpy's own draw calls
+            {"batch_size": 33, "group_size": 3},  # an odd B: a pending 32-bit half
             {"inner_steps": 3},  # clipped steps after the first
         ],
         ids=["readme", "odd-batch", "inner-steps-3"],

@@ -1468,16 +1468,62 @@ class TestConfigKeys:
             (b"{bad", "Expecting property name enclosed in double quotes"),
             (b'{"n": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
             (b"[1]", "must hold a JSON object"),
+            ("missing", "[Errno 2] No such file or directory"),
+            ("directory", "[Errno 21] Is a directory"),
         ],
-        ids=["invalid-json", "not-utf8", "not-an-object"],
+        ids=["invalid-json", "not-utf8", "not-an-object", "missing", "directory"],
     )
     def test_bad_file_is_named(self, tmp_path, content, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_bytes(content)
+        if content == "directory":
+            cfg.mkdir()
+        elif content != "missing":
+            cfg.write_bytes(content)
         code, err = _main_stderr(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.jsonl")])
         assert code == 2
         assert err.startswith(f"error: config file {cfg}: ") and message in err
         assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("command, key", [("gen", "p_unans"), ("train", "lr")])
+    def test_an_integer_too_large_for_a_float_is_usage_error(self, tmp_path, command, key):
+        """A float setting given as an integer no float can hold (10**400)
+        is refused and named, and nothing is written."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": 1{"0" * 400}}}')
+        if command == "gen":
+            argv = ["gen", "--out", str(tmp_path / "x.jsonl")]
+        else:
+            argv = _train_args(_gen(tmp_path), tmp_path / "run", iters="2")
+        code, err = _main_stderr([*argv, "--config", str(cfg)])
+        assert (code, err) == (2, f"error: config key {key!r} is too large for a float\n")
+        assert not (tmp_path / "x.jsonl").exists() and not (tmp_path / "run").exists()
+
+
+class TestTooLarge:
+    """A size too large to allocate or to index is a usage error: one
+    ``error:`` line, exit 2, nothing written.  Every size here is past a
+    47-bit address space, so no allocation is made."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("gen", "--n", 10**15),  # MemoryError
+            ("gen", "--n", 10**23),  # OverflowError
+            ("train", "--batch-size", 10**15),  # numpy's _ArrayMemoryError
+        ],
+    )
+    def test_is_usage_error(self, tmp_path, command, flag, value):
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "gen":
+            argv = ["gen", "--out", str(out / "x.jsonl")]
+        else:
+            argv = _train_args(_gen(tmp_path), out / "run", iters="2")
+        code, err = _main_stderr([*argv, flag, str(value)])
+        assert code == 2
+        assert err.startswith("error: a setting is too large: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
 
 json_values = st.recursive(
