@@ -19,7 +19,6 @@ import copy
 import functools
 import json
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -48,7 +47,7 @@ from abstainrl.reward import (
     rule_rewards,
     total_reward,  # noqa: F401  re-exported: e2ebench's tracer tests wrap it here
 )
-from abstainrl.synthenv import ItemColumns, ItemHead, SynthQAItem, read_records, write_lines
+from abstainrl.synthenv import ItemColumns, read_records, write_lines
 from abstainrl.textmetrics import ConfusionCounts, GoldAnswer, TextParts, exact_match
 
 
@@ -162,13 +161,12 @@ class RewardTable:
     """Reward, format flag, abstention flag and eval metrics of every (item,
     action) pair of a dataset, computed once when the table is built.
 
-    ``items`` are ``SynthQAItem``s, their heads (``ItemHead``), read once,
-    in order, or their ``ItemColumns``, which is how a file reaches the
-    table: ``synthenv.read_columns`` scans each line straight into the
-    columns and builds no item.  The table keeps the columns as arrays,
-    ``ids``, ``features`` (the feature row index), ``unanswerable`` and
-    ``row``, each item's content row, plus ``first_cell``, ``row * 6``, the
-    flat index of the row's first cell; a lookup is a gather.
+    The table takes a dataset's ``ItemColumns``, which
+    ``synthenv.read_columns`` fills from a file line by line.  It keeps the
+    columns as arrays, ``ids``, ``features`` (the feature row index),
+    ``unanswerable`` and ``row``, each item's content row, plus
+    ``first_cell``, ``row * 6``, the flat index of the row's first cell; a
+    lookup is a gather.
 
     A cell's completion is the formatted or the bare text of one of its
     row's two candidates or of the abstention, so the table is scored from
@@ -184,19 +182,13 @@ class RewardTable:
     variant.
     """
 
-    def __init__(
-        self,
-        items: Iterable[ItemHead | SynthQAItem] | ItemColumns,
-        variant: RewardVariant = DEFAULT_VARIANT,
-    ) -> None:
-        if not isinstance(items, ItemColumns):
-            items = ItemColumns.of(map(ItemHead.of, items))
-        if not items.ids:
+    def __init__(self, columns: ItemColumns, variant: RewardVariant = DEFAULT_VARIANT) -> None:
+        if not columns.ids:
             raise ValueError("a reward table needs at least one item")
-        self.ids = items.ids
-        self.features = np.array(items.features)
-        self.unanswerable = np.array(items.unanswerable)
-        self.row = np.array(items.row)
+        self.ids = columns.ids
+        self.features = np.array(columns.features)
+        self.unanswerable = np.array(columns.unanswerable)
+        self.row = np.array(columns.row)
         self.first_cell = self.row * N_ACTIONS
         # each row's candidates (A, B, the abstention) and gold as indexes
         # into the distinct ones; candidate 0 is the abstention, and golds are
@@ -206,7 +198,7 @@ class RewardTable:
         self._golds: list[GoldAnswer] = []
         row_candidates = []
         row_gold = []
-        for _, _, gold, candidate_a, candidate_b in items.heads:
+        for _, _, gold, candidate_a, candidate_b in columns.heads:
             row_candidates.append((
                 candidates.setdefault(candidate_a, len(candidates)),
                 candidates.setdefault(candidate_b, len(candidates)),
@@ -266,9 +258,9 @@ class RewardTable:
         return len(self.ids)
 
     def oracle_actions(self) -> np.ndarray:
-        """The oracle's action (``policy.oracle_action``) of each content
-        row: the formatted candidate A if it exactly matches an answerable
-        gold, else B if it does, else the formatted abstention.
+        """The oracle's action of each content row: the formatted candidate
+        A if it exactly matches an answerable gold, else B if it does, else
+        the formatted abstention.
         ``exact_match`` runs once per distinct (candidate, answerable gold)."""
         n_golds = len(self._golds)
         answerable = ~self._no_answer

@@ -15,15 +15,10 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from abstainrl.reward import NO_ANSWER_TEXT
-from abstainrl.textmetrics import exact_match
-
-if TYPE_CHECKING:
-    from abstainrl.synthenv import ItemHead, SynthQAItem
 
 
 class Evidence(enum.Enum):
@@ -212,19 +207,6 @@ def draw_at_bounds(bounds: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u[..., :, None] >= bounds[..., None, :]).argmin(axis=-1)
 
 
-def greedy_action(params: PolicyParams, feature: ContextFeature) -> ActionId:
-    return ALL_ACTIONS[int(np.argmax(params.logits[feature.index]))]
-
-
-def render_completion(action: ActionId, item: "ItemHead | SynthQAItem") -> str:
-    """Render an action as completion text for one question."""
-    if action.choice is Choice.ANSWER_A:
-        return completion_text(item.candidate_a, action.formatted)
-    if action.choice is Choice.ANSWER_B:
-        return completion_text(item.candidate_b, action.formatted)
-    return completion_text(None, action.formatted)
-
-
 def completion_text(candidate: str | None, formatted: bool) -> str:
     """The completion that answers ``candidate``, or abstains where it is
     None, in the ``<think>/<answer>`` template or bare."""
@@ -237,18 +219,6 @@ def completion_text(candidate: str | None, formatted: bool) -> str:
     if formatted:
         return f"<think>{think}</think><answer>{answer}</answer>"
     return answer
-
-
-def oracle_action(item: "ItemHead | SynthQAItem") -> ActionId:
-    """The environment oracle's preferred action: the correct formatted answer,
-    or a formatted abstention when the question is unanswerable."""
-    if item.gold.is_no_answer:
-        return ActionId(Choice.ABSTAIN, formatted=True)
-    if exact_match(item.candidate_a, item.gold) == 1.0:
-        return ActionId(Choice.ANSWER_A, formatted=True)
-    if exact_match(item.candidate_b, item.gold) == 1.0:
-        return ActionId(Choice.ANSWER_B, formatted=True)
-    return ActionId(Choice.ABSTAIN, formatted=True)
 
 
 def sft_train(

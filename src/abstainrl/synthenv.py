@@ -70,50 +70,39 @@ def read_text(path: str | Path) -> str:
     return text
 
 
-def read_records(
-    path: str | Path,
-    kind: str,
-    parse: Callable[[dict], _T],
-    scan: Callable[[str], _T | None] | None = None,
-) -> Iterator[_T]:
-    """Yield ``parse(record)`` for each non-blank line of the UTF-8
-    JSON-Lines file at ``path``, line by line.  Bytes that are not UTF-8,
-    invalid JSON and a value that is not a JSON object raise
+def _parsed(path: str | Path, lineno: int, line: str, kind: str, parse: Callable[[dict], _T]) -> _T:
+    """``parse`` of the record on line ``lineno`` of ``path``, a non-blank
+    ``line``.  Invalid JSON and a value that is not a JSON object raise
     ``DatasetError`` naming ``path:line``, as do a ``KeyError`` from
     ``parse`` (``bad <kind> record: missing field 'x'``) and a
-    ``ValueError`` (``bad <kind> record: <message>``).
+    ``ValueError`` (``bad <kind> record: <message>``)."""
+    try:
+        record = json.loads(line)
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
+        raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    try:
+        if type(record) is not dict:
+            _json_object(record, "record")
+        return parse(record)
+    except KeyError as exc:
+        raise DatasetError(
+            f"{path}:{lineno}: bad {kind} record: missing field {exc.args[0]!r}"
+        ) from exc
+    except ValueError as exc:
+        raise DatasetError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
 
-    ``scan``, when given, is tried on each line (with its line end) before
-    it is decoded: a value it returns is yielded for the line, and on
-    ``None`` the line is decoded and parsed as above.  It must return
-    ``None`` for any line it cannot vouch for, so that every error comes
-    from ``parse``."""
+
+def read_records(path: str | Path, kind: str, parse: Callable[[dict], _T]) -> Iterator[_T]:
+    """Yield ``parse(record)`` for each non-blank line of the UTF-8
+    JSON-Lines file at ``path``, line by line.  Bytes that are not UTF-8
+    raise ``DatasetError`` naming ``path:line``, and so does each fault
+    ``_parsed`` names."""
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
                 _require_utf8(path, line, lineno)
-            if scan is not None:
-                value = scan(line)
-                if value is not None:
-                    yield value
-                    continue
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
-                raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                if type(record) is not dict:
-                    _json_object(record, "record")
-                value = parse(record)
-            except KeyError as exc:
-                raise DatasetError(
-                    f"{path}:{lineno}: bad {kind} record: missing field {exc.args[0]!r}"
-                ) from exc
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
-            yield value
+            if line.strip():
+                yield _parsed(path, lineno, line, kind, parse)
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
@@ -228,8 +217,7 @@ class SynthQAItem:
 
 class ItemHead(NamedTuple):
     """The fields of a ``SynthQAItem`` that training and evaluation read:
-    ``RewardTable``, and so SFT and the greedy evaluation, take either
-    type."""
+    ``ItemColumns.heads`` holds one per content row."""
 
     id: str
     feature: ContextFeature
@@ -237,48 +225,22 @@ class ItemHead(NamedTuple):
     candidate_a: str
     candidate_b: str
 
-    @classmethod
-    def of(cls, item: "SynthQAItem | ItemHead") -> "ItemHead":
-        return cls(item.id, item.feature, item.gold, item.candidate_a, item.candidate_b)
-
 
 class ItemColumns(NamedTuple):
     """The items of a dataset as the columns ``grpo.RewardTable`` reads, in
-    item order: ``ids``, ``features`` (each item's feature row index),
-    ``unanswerable`` (its gold is No-Answer) and ``row``, its content row.
-    An item's completions depend only on its two candidates, and the
-    rule-based reward only on a completion and the gold, so items with the
-    same (candidate_a, candidate_b, gold) share a content row, numbered in
-    first-seen order; ``heads`` holds the head of each row's first item."""
+    item order, as ``read_columns`` fills them: ``ids``, ``features`` (each
+    item's feature row index), ``unanswerable`` (its gold is No-Answer) and
+    ``row``, its content row.  An item's completions depend only on its two
+    candidates, and the rule-based reward only on a completion and the gold,
+    so items with the same (candidate_a, candidate_b, gold) share a content
+    row, numbered in first-seen order; ``heads`` holds the head of each
+    row's first item."""
 
     ids: list[str]
     features: list[int]
     unanswerable: list[bool]
     row: list[int]
     heads: list[ItemHead]
-
-    @classmethod
-    def of(
-        cls,
-        heads: Iterable[tuple[str, ContextFeature, GoldAnswer, str, str]],
-    ) -> "ItemColumns":
-        """The columns of ``heads``, ``ItemHead``s or plain tuples of their
-        fields, read once, in order."""
-        columns = cls([], [], [], [], [])
-        ids, features, unanswerable, row, row_heads = columns
-        rows: dict[tuple, int] = {}
-        for head in heads:
-            item_id, feature, gold, candidate_a, candidate_b = head
-            ids.append(item_id)
-            features.append(feature.index)
-            unanswerable.append(gold.is_no_answer)
-            n = len(row_heads)
-            # keyed by the aliases, whose hash is computed in C, not the gold's
-            r = rows.setdefault((candidate_a, candidate_b, gold.aliases), n)
-            if r == n:
-                row_heads.append(ItemHead._make(head))
-            row.append(r)
-        return columns
 
 
 @dataclass(frozen=True)
@@ -548,8 +510,10 @@ def iter_lines(cfg: GenConfig) -> Iterator[str]:
     printable ASCII with nothing to escape, so ``read_columns`` scans it
     with ``_written_form``: a change here must change that too."""
     rng = np.random.default_rng(cfg.seed)
-    n_unans = cfg.n_unanswerable
-    flags = [True] * n_unans + [False] * (cfg.n_items - n_unans)
+    # one byte a flag; np.intp raises OverflowError on a count past any
+    # array's size, which np.zeros would report as a ValueError
+    flags = np.zeros(np.intp(cfg.n_items), dtype=bool)
+    flags[: cfg.n_unanswerable] = True
     rng.shuffle(flags)
     draws = _Draws(rng)
     random, integers = draws.random, draws.integers
@@ -729,14 +693,15 @@ def iter_dataset(path: str | Path) -> Iterator[SynthQAItem]:
 
 def read_columns(path: str | Path) -> ItemColumns:
     """The ``ItemColumns`` of the dataset file at ``path``, equal to those
-    of ``ItemHead.of`` of each item of ``iter_dataset(path)``, with the same
-    ``DatasetError`` on the same line.  A line in the form ``iter_lines``
-    writes for an item of at most two facts (see ``_written_form``) is
-    scanned, not decoded: its fact scopes are checked and it yields its
-    head's fields without building its facts and question.  Any other
-    line, and a scanned one whose parts fail a check, is decoded and built
-    by ``item_from_dict``.  Scanned heads with equal features or golds hold
-    one object of each."""
+    of the heads of the items of ``iter_dataset(path)``, with the same
+    ``DatasetError`` on the same line.  One loop walks the file's lines and
+    appends each line's head straight into the columns.  A line in the form
+    ``iter_lines`` writes for an item of at most two facts (see
+    ``_written_form``) is scanned, not decoded: its fact scopes are checked
+    and it gives its head's fields without building its facts and question.
+    Any other non-blank line, and a scanned one whose parts fail a check, is
+    decoded and built by ``item_from_dict``, as ``read_records`` does.
+    Scanned heads with equal features or golds hold one object of each."""
     line_form = _written_form()
     # each part keyed by its JSON text, which the form spells one way per
     # value, and checked once; a specifier is only checked, since heads do
@@ -780,9 +745,30 @@ def read_columns(path: str | Path) -> ItemColumns:
             return None
         return item_id, feature, gold, candidate_a, candidate_b
 
-    return ItemColumns.of(
-        read_records(path, "dataset", lambda record: ItemHead.of(item_from_dict(record)), scan)
-    )
+    columns = ItemColumns([], [], [], [], [])
+    ids, feature_rows, unanswerable, row, heads = columns
+    rows: dict[tuple, int] = {}
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                _require_utf8(path, line, lineno)
+            head = scan(line)
+            if head is None:
+                if not line.strip():
+                    continue
+                item = _parsed(path, lineno, line, "dataset", item_from_dict)
+                head = item.id, item.feature, item.gold, item.candidate_a, item.candidate_b
+            item_id, feature, gold, candidate_a, candidate_b = head
+            ids.append(item_id)
+            feature_rows.append(feature.index)
+            unanswerable.append(gold.is_no_answer)
+            n = len(heads)
+            # keyed by the aliases, whose hash is computed in C, not the gold's
+            r = rows.setdefault((candidate_a, candidate_b, gold.aliases), n)
+            if r == n:
+                heads.append(ItemHead._make(head))
+            row.append(r)
+    return columns
 
 
 # --- Abstained multiple-choice construction ------------------------------------

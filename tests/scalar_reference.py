@@ -38,8 +38,14 @@ are the oracles for ``textmetrics.TextParts``' ROUGE methods.
 ``item_to_dict``, a dataset record as a dict, is the oracle for the lines
 ``synthenv.iter_lines`` spells: each is ``json.dumps(item_to_dict(item),
 sort_keys=True)``, the line ``write_items`` writes for any item.
-``iter_heads``, which decodes and builds every record whole, is the oracle
-for the columns ``synthenv.read_columns`` scans.
+``iter_heads``, which decodes and builds every record whole, and
+``columns_of``, which fills the columns one head at a time, are the oracles
+for the columns ``synthenv.read_columns`` fills; ``columns_of`` is also how
+a test builds a ``grpo.RewardTable`` from items.  ``oracle_action``, the
+oracle's action decided one item at a time, is the oracle for
+``grpo.RewardTable.oracle_actions``; it, ``render_completion`` (an action's
+completion text for one item) and ``greedy_action`` (a feature's argmax
+action) are the per-item entry points no command calls.
 """
 
 from __future__ import annotations
@@ -69,12 +75,12 @@ from abstainrl.policy import (
     N_ACTIONS,
     N_FEATURES,
     ActionId,
+    Choice,
     ContextFeature,
     Difficulty,
     Evidence,
     PolicyParams,
-    oracle_action,
-    render_completion,
+    completion_text,
 )
 from abstainrl.reward import (
     DEFAULT_VARIANT,
@@ -117,6 +123,56 @@ from abstainrl.textmetrics import (
 
 # a payout rule: the reward of a completion text for an item or its head
 RewardFn = Callable[[str, ItemHead | SynthQAItem], RewardBreakdown]
+
+
+def head_of(item: ItemHead | SynthQAItem) -> ItemHead:
+    """The fields of ``item`` that training and evaluation read."""
+    return ItemHead(item.id, item.feature, item.gold, item.candidate_a, item.candidate_b)
+
+
+def columns_of(items: Iterable[ItemHead | SynthQAItem]) -> ItemColumns:
+    """The ``ItemColumns`` of ``items`` or of their heads, read once, in
+    order: items with equal (candidate_a, candidate_b, gold) share a
+    content row, numbered in first-seen order, whose head is its first
+    item's."""
+    columns = ItemColumns([], [], [], [], [])
+    ids, features, unanswerable, row, heads = columns
+    rows: dict[tuple, int] = {}
+    for item in items:
+        head = head_of(item)
+        ids.append(head.id)
+        features.append(head.feature.index)
+        unanswerable.append(head.gold.is_no_answer)
+        r = rows.setdefault((head.candidate_a, head.candidate_b, head.gold), len(heads))
+        if r == len(heads):
+            heads.append(head)
+        row.append(r)
+    return columns
+
+
+def greedy_action(params: PolicyParams, feature: ContextFeature) -> ActionId:
+    return ALL_ACTIONS[int(np.argmax(params.logits[feature.index]))]
+
+
+def render_completion(action: ActionId, item: ItemHead | SynthQAItem) -> str:
+    """Render an action as completion text for one question."""
+    if action.choice is Choice.ANSWER_A:
+        return completion_text(item.candidate_a, action.formatted)
+    if action.choice is Choice.ANSWER_B:
+        return completion_text(item.candidate_b, action.formatted)
+    return completion_text(None, action.formatted)
+
+
+def oracle_action(item: ItemHead | SynthQAItem) -> ActionId:
+    """The environment oracle's preferred action: the correct formatted answer,
+    or a formatted abstention when the question is unanswerable."""
+    if item.gold.is_no_answer:
+        return ActionId(Choice.ABSTAIN, formatted=True)
+    if exact_match(item.candidate_a, item.gold) == 1.0:
+        return ActionId(Choice.ANSWER_A, formatted=True)
+    if exact_match(item.candidate_b, item.gold) == 1.0:
+        return ActionId(Choice.ANSWER_B, formatted=True)
+    return ActionId(Choice.ABSTAIN, formatted=True)
 
 
 def log_softmax(row: np.ndarray) -> np.ndarray:
@@ -564,7 +620,7 @@ def payout_table(items: Iterable[ItemHead | SynthQAItem], payout: RewardFn) -> R
     the rule's, as ``with_variant`` puts a variant's: ``per_cell_table``'s,
     ``payout`` called once per (content row, action) with the cell's
     completion and the row's head."""
-    columns = ItemColumns.of(map(ItemHead.of, items))
+    columns = columns_of(items)
     table = RewardTable(columns)
     table.rewards = per_cell_table(columns, reward_fn=payout)["rewards"]
     return table
@@ -815,7 +871,7 @@ def write_items(items: Iterable[SynthQAItem], path: str | Path) -> None:
 
 
 def iter_heads(path: str | Path) -> Iterator[ItemHead]:
-    """``ItemHead.of(item_from_dict(record))`` of each record of the dataset
+    """``head_of(item_from_dict(record))`` of each record of the dataset
     at ``path``, read by ``synthenv.read_records``, so with its
     ``DatasetError``s."""
-    return read_records(path, "dataset", lambda record: ItemHead.of(item_from_dict(record)))
+    return read_records(path, "dataset", lambda record: head_of(item_from_dict(record)))

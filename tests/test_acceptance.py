@@ -27,7 +27,6 @@ from abstainrl.policy import (
     Choice,
     Evidence,
     PolicyParams,
-    greedy_action,
     sft_train,
 )
 from abstainrl.retrieval import (
@@ -164,7 +163,7 @@ def test_a5_gradient_check():
     """Analytic GRPO gradient vs central finite differences (h=1e-5), 20
     random (params, batch) instances, beta in {0, 0.01}, rel err < 1e-4."""
     items = generate_dataset(GenConfig(n_items=50, p_unans=0.4, ambiguity=0.4, seed=2))
-    table = RewardTable(items)
+    table = RewardTable(scalar_reference.columns_of(items))
     rng = np.random.default_rng(404)
     h = 1e-5
     for trial in range(20):
@@ -221,7 +220,7 @@ def test_a6_bandit_sanity():
     cfg = GrpoConfig(outer_iters=300, seed=9)  # G=4, eps=0.2, beta=0.01, lr=1e-2
     trained, _ = train_rl(PolicyParams.zeros(), table, cfg)
     for feature in ALL_FEATURES:
-        assert greedy_action(trained, feature) == target, feature.name
+        assert scalar_reference.greedy_action(trained, feature) == target, feature.name
 
 
 def _expected_answer_value(p_unans: float, ambiguity: float) -> float:
@@ -259,7 +258,7 @@ def test_a7_data_ratio_collapse():
         items = generate_dataset(
             GenConfig(n_items=400, p_unans=p_unans, ambiguity=ambiguity, seed=11)
         )
-        table = RewardTable(items)
+        table = RewardTable(scalar_reference.columns_of(items))
         params, _ = train_rl(PolicyParams.zeros(), table, cfg)
         return items, table, params
 
@@ -405,7 +404,7 @@ def test_a12_sft_cold_start_direction():
     wins = 0
     for seed in (1, 2, 3):
         items = generate_dataset(GenConfig(n_items=300, seed=seed))
-        table = RewardTable(items)
+        table = RewardTable(scalar_reference.columns_of(items))
         sft_params = sft_train(PolicyParams.zeros(), table.expert_cells())
         cfg = GrpoConfig(outer_iters=100, seed=seed)
         from_sft, _ = train_rl(sft_params, table, cfg)

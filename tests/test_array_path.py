@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import grpo_step
 import scalar_reference as ref
+from scalar_reference import columns_of, render_completion
 from abstainrl import grpo, policy, synthenv
 from abstainrl.grpo import (
     GrpoConfig,
@@ -31,7 +32,6 @@ from abstainrl.policy import (
     ALL_FEATURES,
     PolicyParams,
     log_softmax,
-    render_completion,
     sft_train,
 )
 from abstainrl.reward import (
@@ -44,7 +44,6 @@ from abstainrl.reward import (
 )
 from abstainrl.synthenv import (
     GenConfig,
-    ItemColumns,
     ItemHead,
     SynthQAItem,
     generate_dataset,
@@ -82,7 +81,9 @@ index_pairs = st.lists(
 class TestRewardTable:
     @given(index_pairs, st.sampled_from(list(RewardVariant)), st.booleans())
     def test_entries_equal_per_call_reward(self, pairs, variant, bandit):
-        table = ref.payout_table(ITEMS, _payout) if bandit else RewardTable(ITEMS, variant)
+        table = (
+            ref.payout_table(ITEMS, _payout) if bandit else RewardTable(columns_of(ITEMS), variant)
+        )
         items = np.array([j for j, _ in pairs])
         actions = np.array([a for _, a in pairs])
         rewards, abstained = ref.gather(table, items, actions)
@@ -102,7 +103,7 @@ class TestRewardTable:
         parsed, measured = scoring_calls
         parsed.clear()
         measured.clear()
-        table = RewardTable(ITEMS)
+        table = RewardTable(columns_of(ITEMS))
         every_pair = [(render_completion(a, item), item) for item in ITEMS for a in ALL_ACTIONS]
         answers = {
             (parse_completion(text).answer, item.gold)
@@ -121,7 +122,7 @@ class TestRewardTable:
 
     def test_evaluation_rescores_no_pair_training_scored(self, scoring_calls):
         parsed, measured = scoring_calls
-        table = RewardTable(ITEMS)
+        table = RewardTable(columns_of(ITEMS))
         built = (list(parsed), list(measured))
         cfg = GrpoConfig(outer_iters=5, batch_size=8, seed=1)
         params, _ = train_rl(PolicyParams.zeros(), table, cfg)
@@ -138,7 +139,7 @@ class TestRewardTable:
     @given(st.sampled_from(["No Answer", "no answer", "No  Answer.", "no-answer", "No", "Answer"]))
     def test_abstained_follows_the_text_not_the_action(self, candidate):
         item = dataclasses.replace(ITEMS[0], candidate_a=candidate)
-        table = RewardTable([item])
+        table = RewardTable(columns_of([item]))
         actions = np.arange(len(ALL_ACTIONS))
         rewards, abstained = ref.gather(table, np.zeros(len(actions), dtype=int), actions)
         for a, action in enumerate(ALL_ACTIONS):
@@ -157,7 +158,7 @@ class TestRewardTable:
             base, id="recased", gold=GoldAnswer(tuple(a.swapcase() for a in base.gold.aliases))
         )
         items = [base, twin, recased]
-        table = RewardTable(items)
+        table = RewardTable(columns_of(items))
         assert table.row.tolist() == [0, 0, 1]
         assert table.rewards.shape == (2, len(ALL_ACTIONS))
         for j, item in enumerate(items):
@@ -187,34 +188,37 @@ class TestRewardTable:
             dataclasses.replace(item, gold=GoldAnswer(tuple(item.gold.aliases))) for item in ITEMS
         ]
         for items in (shared, copied, shared + copied[::-1]):
-            table = RewardTable(items)
+            table = RewardTable(columns_of(items))
             index: dict = {}
             row = [index.setdefault((i.candidate_a, i.candidate_b, i.gold), len(index)) for i in items]
             assert np.array_equal(table.features, [ALL_FEATURES.index(i.feature) for i in items])
             assert np.array_equal(table.unanswerable, [not i.gold.aliases for i in items])
             assert np.array_equal(table.row, row)
-        read = RewardTable(read_columns(path))
+        read, want = RewardTable(read_columns(path)), RewardTable(columns_of(ITEMS))
         for name in ("features", "unanswerable", "row"):
-            assert _column_bytes(read, name) == _column_bytes(RewardTable(ITEMS), name), name
+            assert _column_bytes(read, name) == _column_bytes(want, name), name
 
     @pytest.mark.parametrize(
         "variant", [DEFAULT_VARIANT, RewardVariant.ROUGE_PLUS_SEM_PLUS_EM], ids=["rule", "rule-sem"]
     )
     def test_one_shot_stream_equals_list(self, tmp_path, variant):
-        """A table built from a one-shot stream, of items or of a dataset
-        file, equals the table of the same items as a list bit for bit, and
-        keeps none of the streamed items."""
+        """A table built from the columns of a one-shot stream, of items or
+        of a dataset file, or from the columns ``read_columns`` reads from
+        that file, equals the table of the same items as a list bit for
+        bit, and keeps none of the streamed items."""
         path = tmp_path / "items.jsonl"
         ref.write_items(ITEMS, path)
-        want = RewardTable(ITEMS, variant)
+        want = RewardTable(columns_of(ITEMS), variant)
 
         def n_items_alive() -> int:
             gc.collect()
             return sum(isinstance(o, SynthQAItem) for o in gc.get_objects())
 
         alive = n_items_alive()
-        for stream in ((item for item in ITEMS), iter_dataset(path)):
-            got = RewardTable(stream, variant)
+        for columns in (
+            columns_of(item for item in ITEMS), columns_of(iter_dataset(path)), read_columns(path)
+        ):
+            got = RewardTable(columns, variant)
             assert n_items_alive() == alive
             assert len(got) == len(ITEMS)
             assert got.ids == want.ids == [item.id for item in ITEMS]
@@ -230,7 +234,7 @@ class TestRewardTable:
             dataclasses.replace(item, candidate_a=f"{item.candidate_a} {j}")
             for j, item in enumerate(ITEMS)
         ]
-        table = RewardTable(items, variant)
+        table = RewardTable(columns_of(items), variant)
         assert table.row.tolist() == list(range(len(items)))
         for j, item in enumerate(items):
             for a, action in enumerate(ALL_ACTIONS):
@@ -245,7 +249,7 @@ class TestRewardTable:
         No-Answer gold, and else ROUGE-L, then EM, then semantic similarity
         as the variant uses them, read from the cell's own metrics row."""
         items = generate_dataset(GenConfig(n_items=300, p_unans=0.4, ambiguity=0.5, seed=21))
-        table = RewardTable(items, variant)
+        table = RewardTable(columns_of(items), variant)
         gold_of_row = {}
         for item, r in zip(items, table.row.tolist()):
             gold_of_row.setdefault(r, item.gold)
@@ -276,7 +280,7 @@ class TestRewardTable:
         ``rewards`` with the table it was made from, which it leaves as it
         was."""
         items = [ref.item_from_dict(record) for record in records]
-        built = {variant: RewardTable(items, variant) for variant in RewardVariant}
+        built = {variant: RewardTable(columns_of(items), variant) for variant in RewardVariant}
         for w, base in built.items():
             before = base.rewards.copy()
             for v, want in built.items():
@@ -301,7 +305,7 @@ class TestRewardTable:
             grpo, "exact_match",
             lambda candidate, gold: asked.append((candidate, gold)) or exact_match(candidate, gold),
         )
-        table = RewardTable(ITEMS).with_variant(RewardVariant.ROUGE_ONLY)
+        table = RewardTable(columns_of(ITEMS)).with_variant(RewardVariant.ROUGE_ONLY)
         assert asked == []
         table.expert_cells()
         pairs = {
@@ -319,7 +323,9 @@ class TestRewardTable:
     def test_evaluation_equals_per_item_scoring(self, seed, variant, bandit):
         """Gathered greedy evaluation equals rendering, parsing and scoring
         each item's completion."""
-        table = ref.payout_table(ITEMS, _payout) if bandit else RewardTable(ITEMS, variant)
+        table = (
+            ref.payout_table(ITEMS, _payout) if bandit else RewardTable(columns_of(ITEMS), variant)
+        )
         params = PolicyParams(np.random.default_rng(seed).normal(size=(6, 6)))
         got = ref.item_evals(evaluate_items(params, table))
         assert got == ref.evaluate_items(params, ITEMS, variant, _payout if bandit else None)
@@ -333,7 +339,9 @@ class TestRewardTable:
         scalar oracle's, which sums its records one at a time in item order;
         so does every field of every item, and each item's cell is its
         content row and greedy action."""
-        table = ref.payout_table(ITEMS, _payout) if bandit else RewardTable(ITEMS, variant)
+        table = (
+            ref.payout_table(ITEMS, _payout) if bandit else RewardTable(columns_of(ITEMS), variant)
+        )
         params = PolicyParams(np.random.default_rng(seed).normal(size=(6, 6)))
         got = evaluate_items(params, table)
         want = ref.evaluate_items(params, ITEMS, variant, _payout if bandit else None)
@@ -392,13 +400,13 @@ class TestDistinctTextTable:
     )
     def test_equals_the_per_cell_oracle(self, heads, variant):
         """Bit for bit, in every column, under every variant; and each row's
-        oracle action is ``policy.oracle_action`` of its head."""
-        table = RewardTable(heads, variant)
-        columns = ItemColumns.of(heads)
+        oracle action is ``scalar_reference.oracle_action`` of its head."""
+        columns = columns_of(heads)
+        table = RewardTable(columns, variant)
         want = ref.per_cell_table(columns, variant)
         for name, column in want.items():
             assert _column_bytes(table, name) == (column.dtype, column.shape, column.tobytes()), name
-        oracle = [policy.oracle_action(head).index for head in columns.heads]
+        oracle = [ref.oracle_action(head).index for head in columns.heads]
         assert table.oracle_actions().tolist() == oracle
 
 
@@ -464,7 +472,7 @@ def _read_or_error(read, path):
 class TestTableFromFile:
     """The table read from a dataset file, through the scan of
     ``read_columns``, is held to the table of the oracle heads
-    (``ItemHead.of`` of each record decoded and built whole), and a
+    (``scalar_reference.head_of`` of each record decoded and built whole), and a
     malformed line to the oracle's error."""
 
     @given(_GEN_CONFIGS, st.sampled_from(["written", "re-serialized", "mixed"]),
@@ -474,7 +482,7 @@ class TestTableFromFile:
         path = tmp_path_factory.mktemp("table") / "data.jsonl"
         path.write_bytes(b"".join(line + b"\n" for line in _lines(cfg, form, flips)))
         got = RewardTable(read_columns(path), variant)
-        want = RewardTable(list(ref.iter_heads(path)), variant)
+        want = RewardTable(columns_of(ref.iter_heads(path)), variant)
         assert got.ids == want.ids
         for name in ("features", "unanswerable", "row", "formatted", "abstained", "metrics",
                      "rewards"):
@@ -631,7 +639,9 @@ class TestExpertCells:
         """A table's expert cells are the reference's kept traces, in item
         order, whatever the table's reward rule."""
         items = [ref.item_from_dict(record) for record in records]
-        table = ref.payout_table(items, _payout) if bandit else RewardTable(items, variant)
+        table = (
+            ref.payout_table(items, _payout) if bandit else RewardTable(columns_of(items), variant)
+        )
         want = [trace.cell for trace in ref.make_expert_traces(items)]
         assert table.expert_cells().tolist() == want
 
@@ -666,7 +676,7 @@ def _as_groups(batch, items):
 class TestGradient:
     @pytest.mark.parametrize("beta", [0.0, 0.01, 1.0])
     def test_gradient_and_objective_equal_scalar_oracle(self, beta):
-        table = RewardTable(ITEMS)
+        table = RewardTable(columns_of(ITEMS))
         rng = np.random.default_rng(55)
         for trial in range(20):
             cfg = GrpoConfig(kl_beta=beta, batch_size=6, group_size=2 + trial % 5, seed=trial)
@@ -702,7 +712,7 @@ class TestGradient:
                          group_size=group_size, clip_eps=clip_eps)
         old = PolicyParams(rng.normal(0, 1.0, (6, 6)))
         reference = PolicyParams(rng.normal(0, 1.0, (6, 6)))
-        batch = grpo_step.batch(old, reference, RewardTable(ITEMS), cfg, rng)
+        batch = grpo_step.batch(old, reference, RewardTable(columns_of(ITEMS)), cfg, rng)
         params = PolicyParams(old.logits + rng.normal(0, 0.5, (6, 6)))
         got = grpo_step.gradient(params, batch, cfg)
         assert got.tobytes() == ref.grpo_gradient_add_at(params, batch, cfg).tobytes()
@@ -716,7 +726,7 @@ class TestGradient:
             policy, "log_softmax", lambda logits: calls.append(logits) or original(logits)
         )
         cfg = GrpoConfig(outer_iters=7, inner_steps=3, batch_size=4, seed=0)
-        params0, table = PolicyParams.zeros(), RewardTable(ITEMS)
+        params0, table = PolicyParams.zeros(), RewardTable(columns_of(ITEMS))
         assert not calls
         params, _ = train_rl(params0, table, cfg)
         assert len(calls) == 1 + cfg.outer_iters * cfg.inner_steps
@@ -743,7 +753,7 @@ class TestGradient:
         monkeypatch.setattr(grpo, "_gradient", spy)
         monkeypatch.setattr(grpo, "_clipped_coeff", spy_coeff)
         cfg = GrpoConfig(outer_iters=3, inner_steps=2, batch_size=4, seed=0)
-        train_rl(PolicyParams.zeros(), RewardTable(ITEMS), cfg)
+        train_rl(PolicyParams.zeros(), RewardTable(columns_of(ITEMS)), cfg)
         assert len(calls) == 6 and len(clipped) == 3
         assert all(used_cfg is cfg for *_, used_cfg in clipped)
 
@@ -793,7 +803,9 @@ class TestTrainRl:
         params0 = PolicyParams.zeros()
         cfg = GrpoConfig(outer_iters=40, inner_steps=inner_steps, lr=0.05, batch_size=16, seed=4)
         parsed, measured = scoring_calls
-        table = ref.payout_table(items, _payout) if bandit else RewardTable(items, variant)
+        table = (
+            ref.payout_table(items, _payout) if bandit else RewardTable(columns_of(items), variant)
+        )
         built = (list(parsed), list(measured))
         if sft:
             params0 = sft_train(params0, table.expert_cells())
@@ -821,7 +833,7 @@ class TestTrainRl:
         answer, its format and its reward alike."""
         items = generate_dataset(GenConfig(n_items=80, p_unans=0.5, ambiguity=0.5, seed=8))
         parsed, _ = scoring_calls
-        RewardTable(items)
+        RewardTable(columns_of(items))
         texts = {render_completion(action, item) for item in items for action in ALL_ACTIONS}
         assert set(parsed) == texts
         assert len(parsed) == len(texts) < len(items) * len(ALL_ACTIONS)
@@ -850,7 +862,7 @@ class TestTrainRl:
         parsed, measured = scoring_calls
         parsed.clear()
         measured.clear()
-        table = RewardTable(items, variant)
+        table = RewardTable(columns_of(items), variant)
         built = (list(parsed), list(measured))
         params, log = train_rl(PolicyParams.zeros(), table, cfg)
         evaluate_items(params, table)
@@ -868,7 +880,7 @@ class TestTrainRl:
         would hold about 105 MiB in one (iterations, B * G) buffer of its
         float rewards and boolean abstention flags alone, and it peaks below
         8 MiB (its records included)."""
-        table = RewardTable(ITEMS[:8])
+        table = RewardTable(columns_of(ITEMS[:8]))
         cfg = GrpoConfig(outer_iters=3000, batch_size=256, group_size=16, seed=0)
         tracemalloc.start()
         try:
@@ -880,7 +892,7 @@ class TestTrainRl:
         assert peak < 8 * 2**20, peak
 
 
-RULE_TABLE = RewardTable(ITEMS)
+RULE_TABLE = RewardTable(columns_of(ITEMS))
 BANDIT_TABLE = ref.payout_table(ITEMS, _payout)
 
 
@@ -925,7 +937,7 @@ def readme_table():
     """The README run's reward table (``gen --n 1000 --p-unans 0.5
     --ambiguity 0.5 --seed 7``) and its SFT start."""
     items = generate_dataset(GenConfig(n_items=1000, p_unans=0.5, ambiguity=0.5, seed=7))
-    table = RewardTable(items)
+    table = RewardTable(columns_of(items))
     return table, sft_train(PolicyParams.zeros(), table.expert_cells())
 
 

@@ -22,7 +22,7 @@ from abstainrl.cli import _TRAIN_DEFAULTS, build_parser, main
 from abstainrl.grpo import RewardTable, evaluate_items
 from abstainrl.policy import ALL_ACTIONS, ALL_FEATURES, ActionId, Choice, Evidence, PolicyParams
 from abstainrl.synthenv import GenConfig, generate_dataset, iter_dataset
-from scalar_reference import item_evals, item_to_dict
+from scalar_reference import columns_of, item_evals, item_to_dict
 
 import numpy as np
 import pytest
@@ -745,7 +745,7 @@ class TestEval:
             for item, item_id in zip(_SUMMARY_ITEMS, ids)
         ]
         params = PolicyParams(np.random.default_rng(seed).normal(size=(6, 6)))
-        table = RewardTable(items)
+        table = RewardTable(columns_of(items))
         evals = evaluate_items(params, table)
         path = tmp_path_factory.mktemp("summary") / "summary.csv"
         cli._write_summary_csv(path, table.ids, evals)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import grpo_step
 import scalar_reference
+from scalar_reference import columns_of
 from abstainrl.grpo import (
     GrpoConfig,
     GrpoDivergenceError,
@@ -139,7 +140,7 @@ class TestKlK3:
 
 def _table(n=60, p_unans=0.4, ambiguity=0.4, seed=2):
     cfg = GenConfig(n, p_unans=p_unans, ambiguity=ambiguity, seed=seed)
-    return RewardTable(generate_dataset(cfg))
+    return RewardTable(columns_of(generate_dataset(cfg)))
 
 
 def _batch(table, old, ref, cfg, seed, count=6):
@@ -236,13 +237,34 @@ def _log_records(floats, ints):
 
 
 class TestTrainLogLines:
+    def test_fixed_records_lines(self):
+        """The exact text of two records' lines, non-finite floats and a
+        negative zero included."""
+        records = [
+            TrainRecord(3, 0.5, 0.25, 1e-05, -0.0, 2, 0, 1),
+            TrainRecord(0, math.nan, math.inf, -math.inf, 1e16, 0, 2**64, 1),
+        ]
+        assert TrainLog(records).jsonl_lines() == [
+            '{"abstain_rate": 0.25, "fn": 1, "fp": 0, "iteration": 3, "kl": 1e-05, '
+            '"mean_reward": 0.5, "objective": -0.0, "tp": 2}',
+            '{"abstain_rate": Infinity, "fn": 1, "fp": 18446744073709551616, "iteration": 0, '
+            '"kl": -Infinity, "mean_reward": NaN, "objective": 1e+16, "tp": 0}',
+        ]
+
     @given(_log_records(_LOG_FLOATS, _LOG_INTS))
     @example([TrainRecord(0, math.nan, math.inf, -math.inf, -0.0, 0, 2**64, 1)])
     def test_each_line_is_the_records_json(self, records):
-        """A line is ``json.dumps(vars(record), sort_keys=True)``, for
-        every int and float a field can hold."""
-        want = [json.dumps(vars(r), sort_keys=True) for r in records]
-        assert TrainLog(records).jsonl_lines() == want
+        """A line's keys come in sorted order, and it decodes to
+        ``vars(record)`` with each value's type, a NaN as a NaN and a
+        negative zero kept, for every int and float a field can hold."""
+        lines = TrainLog(records).jsonl_lines()
+        assert len(lines) == len(records)
+        for line, record in zip(lines, records):
+            pairs = json.loads(line, object_pairs_hook=list)
+            assert [key for key, _ in pairs] == sorted(vars(record))
+            assert [(key, type(value), repr(value)) for key, value in pairs] == [
+                (key, type(value), repr(value)) for key, value in sorted(vars(record).items())
+            ]
 
     @given(_log_records(
         st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_SPECIAL_FLOATS)),
@@ -307,7 +329,7 @@ class TestTrainRl:
 
     def test_kl_anchoring_monotone_in_beta(self):
         items = generate_dataset(GenConfig(n_items=200, p_unans=0.5, ambiguity=0.3, seed=21))
-        table = RewardTable(items)
+        table = RewardTable(columns_of(items))
         ref = PolicyParams.zeros()
         tv = {}
         for beta in (0.0, 0.01, 10.0):
@@ -331,7 +353,7 @@ class TestEvaluatePolicy:
     def test_always_abstain_on_all_unanswerable(self):
         items = generate_dataset(GenConfig(n_items=25, p_unans=1.0, seed=6))
         abstain = _constant_policy(ActionId(Choice.ABSTAIN, True))
-        report = summarize_items(evaluate_items(abstain, RewardTable(items)))
+        report = summarize_items(evaluate_items(abstain, RewardTable(columns_of(items))))
         assert report.confusion.tp == 25
         assert report.confusion.fp == 0
         assert report.confusion.fn == 0
@@ -339,7 +361,7 @@ class TestEvaluatePolicy:
     def test_always_abstain_on_all_answerable(self):
         items = generate_dataset(GenConfig(n_items=25, p_unans=0.0, seed=7))
         abstain = _constant_policy(ActionId(Choice.ABSTAIN, True))
-        report = summarize_items(evaluate_items(abstain, RewardTable(items)))
+        report = summarize_items(evaluate_items(abstain, RewardTable(columns_of(items))))
         assert report.confusion.fp == 25
         assert report.em_rate == 0.0
 
@@ -356,13 +378,14 @@ class TestEvaluatePolicy:
                 else ActionId(Choice.ABSTAIN, True)
             )
             logits[f.index, target.index] = 50.0
-        report = summarize_items(evaluate_items(PolicyParams(logits), RewardTable(items)))
+        table = RewardTable(columns_of(items))
+        report = summarize_items(evaluate_items(PolicyParams(logits), table))
         assert report.confusion.fp == 0
         assert report.confusion.fn == 0
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            RewardTable([])
+            RewardTable(columns_of([]))
 
 
 class TestConfigValidation:

@@ -16,14 +16,11 @@ from abstainrl.policy import (
     Choice,
     ContextFeature,
     PolicyParams,
-    greedy_action,
     log_softmax,
-    oracle_action,
-    render_completion,
     sft_train,
 )
 from abstainrl.reward import answer_reward, parse_completion
-from abstainrl.synthenv import GenConfig, ItemColumns, ItemHead, generate_dataset
+from abstainrl.synthenv import GenConfig, generate_dataset
 from abstainrl.textmetrics import GoldAnswer
 
 F0 = ALL_FEATURES[0]
@@ -126,14 +123,14 @@ def _one_item():
 
 class TestRenderCompletion:
     def test_formatted_abstain(self):
-        text = render_completion(ActionId(Choice.ABSTAIN, True), _one_item())
+        text = ref.render_completion(ActionId(Choice.ABSTAIN, True), _one_item())
         pc = parse_completion(text)
         assert pc.format_ok
         assert pc.answer == "No Answer"
 
     def test_bare_candidate(self):
         item = _one_item()
-        text = render_completion(ActionId(Choice.ANSWER_A, False), item)
+        text = ref.render_completion(ActionId(Choice.ANSWER_A, False), item)
         assert text == item.candidate_a
 
     def test_parser_roundtrip(self):
@@ -146,7 +143,7 @@ class TestRenderCompletion:
                 Choice.ANSWER_B: item.candidate_b,
                 Choice.ABSTAIN: "No Answer",
             }[action.choice]
-            assert parse_completion(render_completion(action, item)).answer == expected
+            assert parse_completion(ref.render_completion(action, item)).answer == expected
 
 
 def _sft_step(params, feature, action):
@@ -208,7 +205,7 @@ class TestExpertTraces:
         for trace in traces:
             answer = parse_completion(trace.rendered).answer
             assert answer_reward(answer, trace.gold) >= 1.0
-        assert RewardTable(items).expert_cells().tolist() == _cells(traces)
+        assert RewardTable(ref.columns_of(items)).expert_cells().tolist() == _cells(traces)
 
     def test_wrong_proposals_filtered(self):
         items = generate_dataset(GenConfig(n_items=40, p_unans=0.3, seed=10))
@@ -222,28 +219,28 @@ class TestExpertTraces:
         unanswerable = [item for item in items if item.gold.is_no_answer]
         assert 0 < len(unanswerable) < len(items)
         abstain = ActionId(Choice.ABSTAIN, True).index
-        assert RewardTable(items).expert_cells().tolist() == [
+        assert RewardTable(ref.columns_of(items)).expert_cells().tolist() == [
             item.feature.index * len(ALL_ACTIONS) + abstain for item in unanswerable
         ]
 
     def test_oracle_actions_equal_the_oracle_per_row(self):
-        """Each content row's oracle action is ``oracle_action`` of the
+        """Each content row's oracle action is ``scalar_reference.oracle_action`` of the
         row's head, and every item of a generated dataset keeps its row's."""
         items = generate_dataset(GenConfig(n_items=300, p_unans=0.3, ambiguity=0.5, seed=14))
-        columns = ItemColumns.of(map(ItemHead.of, items))
+        columns = ref.columns_of(items)
         assert len(columns.heads) < len(items)
         table = RewardTable(columns)
         assert table.oracle_actions().tolist() == [
-            oracle_action(head).index for head in columns.heads
+            ref.oracle_action(head).index for head in columns.heads
         ]
         assert table.expert_cells().tolist() == [
-            item.feature.index * len(ALL_ACTIONS) + oracle_action(item).index for item in items
+            item.feature.index * len(ALL_ACTIONS) + ref.oracle_action(item).index for item in items
         ]
 
     def test_oracle_answers_correct_candidate(self):
         items = generate_dataset(GenConfig(n_items=60, p_unans=0.0, seed=12))
         for item in items:
-            action = oracle_action(item)
+            action = ref.oracle_action(item)
             chosen = item.candidate_a if action.choice is Choice.ANSWER_A else item.candidate_b
             assert chosen in item.gold.aliases
 
@@ -274,7 +271,7 @@ class TestSftTrain:
 
     def test_loss_non_increasing(self):
         items = generate_dataset(GenConfig(n_items=120, p_unans=0.3, seed=14))
-        traces = RewardTable(items).expert_cells()
+        traces = RewardTable(ref.columns_of(items)).expert_cells()
         params = PolicyParams.zeros()
         rows, actions = np.divmod(traces, len(ALL_ACTIONS))
 
@@ -290,7 +287,7 @@ class TestSftTrain:
 
     def test_recovers_expert_argmax_per_row(self):
         items = generate_dataset(GenConfig(n_items=400, p_unans=0.3, seed=15))
-        traces = RewardTable(items).expert_cells()
+        traces = RewardTable(ref.columns_of(items)).expert_cells()
         params = sft_train(PolicyParams.zeros(), traces, lr=0.5, epochs=200)
         by_row: dict[int, collections.Counter] = collections.defaultdict(collections.Counter)
         for cell in traces.tolist():
@@ -304,5 +301,5 @@ class TestSftTrain:
             if mode_count == runner_up:
                 recovered += 1  # tied mode: any argmax is a valid recovery
             else:
-                recovered += greedy_action(params, f).index == mode
+                recovered += ref.greedy_action(params, f).index == mode
         assert recovered == 6

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from scalar_reference import columns_of
 from abstainrl.grpo import RewardTable
 from abstainrl.reward import (
     AnswerMetrics,
@@ -326,7 +327,7 @@ class TestScorer:
         """The memos of a table build, parts of texts included, end with
         it: no part of a text stays alive, and no module-level cache grows
         when texts never scored before are (their characters were seen)."""
-        RewardTable(generate_dataset(GenConfig(n_items=30, seed=4)))
+        RewardTable(columns_of(generate_dataset(GenConfig(n_items=30, seed=4))))
         answer_metrics(string.ascii_letters + string.digits + " ", PARIS)
         before = self._module_caches()
         items = generate_dataset(GenConfig(n_items=30, seed=5))
@@ -334,7 +335,7 @@ class TestScorer:
             dataclasses.replace(item, candidate_a=f"{item.candidate_a} v{j}")
             for j, item in enumerate(items)
         ]
-        table = RewardTable(renamed)
+        table = RewardTable(columns_of(renamed))
         assert table.metrics.any()
         gc.collect()
         assert not any(isinstance(o, TextParts) for o in gc.get_objects())

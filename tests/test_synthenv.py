@@ -24,8 +24,6 @@ from abstainrl.retrieval import KGStore
 from abstainrl.synthenv import (
     DatasetError,
     GenConfig,
-    ItemColumns,
-    ItemHead,
     MCSourceRecord,
     SpecKind,
     TemporalFact,
@@ -320,7 +318,7 @@ class TestIterLines:
         write_lines(path, lines)
         calls = []
         with _counted_decodes(calls):
-            assert read_columns(path) == _columns(items)
+            assert read_columns(path) == ref.columns_of(items)
         assert calls == []
 
     def test_keeps_the_checks_of_the_item_objects(self, monkeypatch):
@@ -611,10 +609,6 @@ def _columns_or_error(read, path):
         return str(exc)
 
 
-def _columns(items):
-    return ItemColumns.of(map(ItemHead.of, items))
-
-
 class TestReadColumns:
     """``read_columns`` scans the lines ``gen`` writes instead of decoding
     them, and is held to the columns of the heads of
@@ -640,19 +634,27 @@ class TestReadColumns:
     @example([_line(gold=[""])])
     @example([_fact_line(), _fact_line(subject="")])
     @example([_line(facts=[])])
+    # scanned lines, decoded-only ones (reordered keys, three facts, a
+    # non-ASCII id) and blank ones, interleaved
+    @example([
+        _line(), "", json.dumps(dict(reversed(_record(id="q1").items()))), "",
+        _line(id="q2", facts=[_FACT, {**_FACT, "object": "p"}, {**_FACT, "object": "q"}]),
+        "  ", _line(id="q3"), json.dumps(_record(id="q\u00e9"), sort_keys=True, ensure_ascii=False),
+        "", "", _line(id="q4"),
+    ])
     @settings(max_examples=400)
     def test_equals_the_heads_of_iter_dataset(self, tmp_path_factory, lines):
         path = tmp_path_factory.mktemp("heads") / "data.jsonl"
         write_lines(path, lines)
         got = _columns_or_error(read_columns, path)
-        want = _columns_or_error(lambda p: _columns(iter_dataset(p)), path)
+        want = _columns_or_error(lambda p: ref.columns_of(iter_dataset(p)), path)
         assert got == want
 
     def test_written_lines_are_not_decoded(self, tmp_path):
         cfg = GenConfig(n_items=300, p_unans=0.4, ambiguity=0.3, seed=8)
         path = tmp_path / "data.jsonl"
         write_lines(path, iter_lines(cfg))
-        want = _columns(generate_dataset(cfg))
+        want = ref.columns_of(generate_dataset(cfg))
         calls = []
         with _counted_decodes(calls):
             assert read_columns(path) == want
@@ -670,7 +672,7 @@ class TestReadColumns:
         ])
         calls = []
         with _counted_decodes(calls):
-            assert read_columns(path) == _columns(items)
+            assert read_columns(path) == ref.columns_of(items)
         assert len(calls) == len(items) // 2
 
     def test_scanned_heads_share_equal_parts(self, tmp_path):
