@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -17,7 +18,7 @@ import re
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
-from typing import Any
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -62,40 +63,33 @@ class UsageError(ValueError):
 
 # --- config resolution ----------------------------------------------------------
 
+def _field_defaults(cls: type[Any]) -> dict[str, Any]:
+    """Each field of the dataclass ``cls`` mapped to its default."""
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+# a GRPO or generator setting is named as its config field: flag, config.json
+# key, field and error message
 _TRAIN_DEFAULTS: dict[str, Any] = {
     "dataset": None,
     "out_dir": None,
-    "iters": GrpoConfig.outer_iters,
-    "group_size": GrpoConfig.group_size,
-    "clip_eps": GrpoConfig.clip_eps,
-    "beta": GrpoConfig.kl_beta,
-    "lr": GrpoConfig.lr,
-    "inner_steps": GrpoConfig.inner_steps,
-    "std_eps": GrpoConfig.std_eps,
-    "batch_size": GrpoConfig.batch_size,
-    "seed": 0,
+    **_field_defaults(GrpoConfig),
     "reward_variant": DEFAULT_VARIANT.value,
     "sft_traces": None,
     "sft_lr": policy.DEFAULT_SFT_LR,
     "sft_epochs": policy.DEFAULT_SFT_EPOCHS,
 }
 
-_GEN_DEFAULTS: dict[str, Any] = {
-    "n": GenConfig.n_items,
-    "p_unans": GenConfig.p_unans,
-    "difficulty_mix": GenConfig.difficulty_mix,
-    "ambiguity": GenConfig.ambiguity,
-    "seed": 0,
-    "out": None,
-}
+_GEN_DEFAULTS: dict[str, Any] = {**_field_defaults(GenConfig), "out": None}
 
 
-# Written into a run's config.json besides the train settings (the generator
-# settings by a p-unans sweep), so that the file is accepted back as --config;
-# each mapped to a value of the JSON type it must have there.
+# Written into a run's config.json besides the train settings: the command
+# and (by a p-unans sweep) the generator settings that are not train settings,
+# so that the file is accepted back as --config; each mapped to a value of the
+# JSON type it must have there.
 _RUN_RECORD_KEYS: dict[str, Any] = {
     "command": "train",
-    **{key: _GEN_DEFAULTS[key] for key in ("n", "p_unans", "difficulty_mix", "ambiguity")},
+    **{k: v for k, v in _field_defaults(GenConfig).items() if k not in _TRAIN_DEFAULTS},
 }
 
 
@@ -147,28 +141,13 @@ def _resolve(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, An
     return resolved
 
 
-def _grpo_config(resolved: dict[str, Any]) -> GrpoConfig:
-    return GrpoConfig(
-        group_size=int(resolved["group_size"]),
-        clip_eps=float(resolved["clip_eps"]),
-        kl_beta=float(resolved["beta"]),
-        lr=float(resolved["lr"]),
-        outer_iters=int(resolved["iters"]),
-        inner_steps=int(resolved["inner_steps"]),
-        std_eps=float(resolved["std_eps"]),
-        batch_size=int(resolved["batch_size"]),
-        seed=int(resolved["seed"]),
-    )
+_Config = TypeVar("_Config", GrpoConfig, GenConfig)
 
 
-def _gen_config(resolved: dict[str, Any]) -> GenConfig:
-    return GenConfig(
-        n_items=int(resolved["n"]),
-        p_unans=float(resolved["p_unans"]),
-        difficulty_mix=float(resolved["difficulty_mix"]),
-        ambiguity=float(resolved["ambiguity"]),
-        seed=int(resolved["seed"]),
-    )
+def _config(cls: type[_Config], resolved: dict[str, Any]) -> _Config:
+    """``cls`` built from the settings in ``resolved`` that its fields name,
+    each cast to its field default's type."""
+    return cls(**{f.name: type(f.default)(resolved[f.name]) for f in dataclasses.fields(cls)})
 
 
 def _sft_settings(resolved: dict[str, Any]) -> tuple[float, int]:
@@ -381,7 +360,7 @@ def _check_run(resolved: dict[str, Any]) -> None:
     """Raise on any bad setting of a run, the SFT ones included, so that a
     run is refused before anything is read or written."""
     _sft_settings(resolved)
-    _grpo_config(resolved)
+    _config(GrpoConfig, resolved)
     _variant(resolved)
 
 
@@ -420,7 +399,7 @@ def _train_once(
     """RL over ``table`` from ``params0`` and one greedy evaluation, set by
     ``resolved``, which is written to the run directory as config.json once
     training is done: a run that diverges writes nothing."""
-    params, log = train_rl(params0, table, _grpo_config(resolved))
+    params, log = train_rl(params0, table, _config(GrpoConfig, resolved))
     out_dir = Path(resolved["out_dir"])
     # evaluation gathers from the table training read, so nothing is scored again
     report = _evaluate_and_write(params, table, out_dir / "summary.csv")
@@ -437,13 +416,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _GEN_DEFAULTS)
     if resolved["out"] is None:
         raise UsageError("gen requires --out")
-    cfg = _gen_config(resolved)
+    cfg = _config(GenConfig, resolved)
     # the lines are written as they are drawn: the dataset is never held
     write_lines(resolved["out"], iter_lines(cfg))
     n_unans = cfg.n_unanswerable
     print(
-        f"wrote {cfg.n_items} items ({n_unans} unanswerable, "
-        f"fraction {n_unans / cfg.n_items:.6f}) -> {_shown(resolved['out'])}"
+        f"wrote {cfg.n} items ({n_unans} unanswerable, "
+        f"fraction {n_unans / cfg.n:.6f}) -> {_shown(resolved['out'])}"
     )
     return EXIT_OK
 
@@ -562,13 +541,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# --axis -> (the setting each run sets to one of --values, how a value parses);
-# a reward variant is checked with its run
-_SWEEP_AXES: dict[str, tuple[str, Callable[[str], Any]]] = {
-    "p-unans": ("p_unans", float),
-    "beta": ("beta", float),
-    "reward-variant": ("reward_variant", str),
-}
+# --axis -> the setting each run sets to one of --values, which parse as that
+# setting's default's type; a reward variant is checked with its run
+_SWEEP_AXES = {"p-unans": "p_unans", "beta": "beta", "reward-variant": "reward_variant"}
 # sweep flags that set the generator of a p-unans sweep, not a run setting
 _SWEEP_GEN_FLAGS = ("n", "difficulty_mix", "ambiguity")
 
@@ -576,7 +551,7 @@ _SWEEP_GEN_FLAGS = ("n", "difficulty_mix", "ambiguity")
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.axis not in _SWEEP_AXES:
         raise UsageError(f"--axis must be one of {tuple(_SWEEP_AXES)}")
-    key, parse = _SWEEP_AXES[args.axis]
+    key = _SWEEP_AXES[args.axis]
     # only p-unans writes a dataset per run; every other axis shares --dataset.
     # A flag the sweep would ignore is refused before any file is read.
     own_dataset = args.axis == "p-unans"
@@ -588,6 +563,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for dest, reason in ignored.items():
         if getattr(args, dest, None) is not None:
             raise UsageError(f"sweep over {args.axis} {reason}: drop --{dest.replace('_', '-')}")
+    parse = type({**_GEN_DEFAULTS, **_TRAIN_DEFAULTS}[key])
     values = [parse(v.strip()) for v in args.values.split(",") if v.strip()]
     if len(values) < 2:
         raise UsageError("sweep needs at least 2 values")
@@ -605,16 +581,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not own_dataset and not resolved["dataset"]:
         raise UsageError(f"sweep over {args.axis} requires --dataset")
     out_dir = Path(args.out_dir_sweep)
-    runs: list[tuple[Any, str, dict[str, Any], GenConfig | None]] = []
+    runs: list[tuple[Any, str, dict[str, Any]]] = []
     for value in values:
         run_name = f"{args.axis}_{value}"
         run = {**resolved, key: value, "out_dir": str(out_dir / run_name)}
-        gen_cfg = None
         if own_dataset:
-            gen_cfg = _gen_config(run)
+            _config(GenConfig, run)  # checked now, built again when the dataset is written
             run["dataset"] = str(out_dir / run_name / "dataset.jsonl")
         _check_run(run)
-        runs.append((value, run_name, run, gen_cfg))
+        runs.append((value, run_name, run))
 
     # no axis changes the cold start: any sweep but p-unans scores the dataset
     # once, with the first run's checked settings, and each run rescores that
@@ -624,11 +599,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         shared, params0 = _table_and_cold_start(runs[0][2])
     summary_rows = []
-    for value, run_name, run, gen_cfg in runs:
-        if gen_cfg is not None:
+    for value, run_name, run in runs:
+        if own_dataset:
             # as gen then train: the lines stream into the run's file, and
             # its columns are read back out of it into the table
-            write_lines(run["dataset"], iter_lines(gen_cfg))
+            write_lines(run["dataset"], iter_lines(_config(GenConfig, run)))
             table = RewardTable(_read_columns(run["dataset"]), _variant(run))
         else:
             table = shared.with_variant(_variant(run))

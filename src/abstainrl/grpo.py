@@ -57,30 +57,30 @@ class GrpoDivergenceError(DivergenceError):
 
 @dataclass(frozen=True)
 class GrpoConfig:
+    iters: int = 200
     group_size: int = 4
     clip_eps: float = 0.2
-    kl_beta: float = 0.01
+    beta: float = 0.01
     lr: float = 1e-2
-    outer_iters: int = 200
     inner_steps: int = 1
     std_eps: float = 1e-8
     batch_size: int = 32
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("clip_eps", "kl_beta", "lr", "std_eps"):
+        for name in ("clip_eps", "beta", "lr", "std_eps"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.group_size < 2:
             raise ValueError("group_size must be >= 2")
         if not 0.0 < self.clip_eps < 1.0:
             raise ValueError("clip_eps must lie in (0, 1)")
-        if self.kl_beta < 0.0:
-            raise ValueError("kl_beta must be >= 0")
+        if self.beta < 0.0:
+            raise ValueError("beta must be >= 0")
         if self.lr < 0.0:
             raise ValueError("lr must be >= 0")
-        if self.outer_iters < 0:
-            raise ValueError("outer_iters must be >= 0")
+        if self.iters < 0:
+            raise ValueError("iters must be >= 0")
         if self.inner_steps < 1:
             raise ValueError("inner_steps must be >= 1")
         if self.std_eps < 0.0:
@@ -409,7 +409,7 @@ def _objectives_and_kl(
     array alone adds."""
     kl = kl_k3(logp_new, logp_ref)
     terms = clipped_term(importance_ratio(logp_new, logp_old), advantages, cfg.clip_eps)
-    terms -= cfg.kl_beta * kl
+    terms -= cfg.beta * kl
     n = len(terms)
     size = terms.size // n
     return (
@@ -431,7 +431,7 @@ def _clipped_coeff(
     unclipped = ratio * advantages
     clipped = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_eps), 1.0 + cfg.clip_eps) * advantages
     coeff = np.where(unclipped <= clipped, unclipped, 0.0)
-    coeff += cfg.kl_beta * (np.exp(logp_ref - logp_new) - 1.0)
+    coeff += cfg.beta * (np.exp(logp_ref - logp_new) - 1.0)
     return coeff
 
 
@@ -491,12 +491,12 @@ def train_rl(
     # once a run diverges; the finiteness checks turn that into
     # GrpoDivergenceError instead of warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for first in range(0, cfg.outer_iters, block):
+        for first in range(0, cfg.iters, block):
             # a block's arrays live only while it runs
-            rollouts = _Rollouts(table, cfg, rng, min(block, cfg.outer_iters - first))
+            rollouts = _Rollouts(table, cfg, rng, min(block, cfg.iters - first))
             state = _train_block(first, rollouts, state, params0.log_probs, table, cfg, log)
             del rollouts
-    return (PolicyParams(state[0]) if cfg.outer_iters else params0), log
+    return (PolicyParams(state[0]) if cfg.iters else params0), log
 
 
 def _train_block(
@@ -513,7 +513,7 @@ def _train_block(
     ``state`` is the logits, log-probs and probs the block starts from;
     returns them as its last update left them."""
     logits, log_probs, probs = state
-    lr, kl_beta = cfg.lr, cfg.kl_beta
+    lr, beta = cfg.lr, cfg.beta
     snapshots, rewards, advantages = [log_probs], [], []
     for t, (rows, scatter) in enumerate(zip(rollouts.rows, rollouts.scatter)):
         _, cells, r, adv = rollouts.step(t, probs)
@@ -524,7 +524,7 @@ def _train_block(
         # form's unclipped <= clipped gives).  A cell whose log-prob is
         # -inf, where the ratio is NaN, has a non-finite KL coefficient in
         # either form, and the step's logits are non-finite alike.
-        kl_coeff = kl_beta * (np.exp(ref_log_probs - log_probs) - 1.0)
+        kl_coeff = beta * (np.exp(ref_log_probs - log_probs) - 1.0)
         coeff = np.where(adv <= adv, adv, 0.0) + kl_coeff.take(cells)
         if cfg.inner_steps > 1:
             logp_old, logp_ref = log_probs.take(cells), ref_log_probs.take(cells)

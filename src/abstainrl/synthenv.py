@@ -245,15 +245,15 @@ class ItemColumns(NamedTuple):
 
 @dataclass(frozen=True)
 class GenConfig:
-    n_items: int = 200
+    n: int = 200
     p_unans: float = 0.124
     difficulty_mix: float = 0.5
     ambiguity: float = 0.25
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_items < 1:
-            raise ValueError("n_items must be >= 1")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         for name in ("p_unans", "difficulty_mix", "ambiguity"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -263,8 +263,8 @@ class GenConfig:
 
     @property
     def n_unanswerable(self) -> int:
-        """The number of items with a No-Answer gold: round(n_items * p_unans)."""
-        return int(round(self.n_items * self.p_unans))
+        """The number of items with a No-Answer gold: round(n * p_unans)."""
+        return int(round(self.n * self.p_unans))
 
 
 def answerability_oracle(
@@ -512,7 +512,7 @@ def iter_lines(cfg: GenConfig) -> Iterator[str]:
     rng = np.random.default_rng(cfg.seed)
     # one byte a flag; np.intp raises OverflowError on a count past any
     # array's size, which np.zeros would report as a ValueError
-    flags = np.zeros(np.intp(cfg.n_items), dtype=bool)
+    flags = np.zeros(np.intp(cfg.n), dtype=bool)
     flags[: cfg.n_unanswerable] = True
     rng.shuffle(flags)
     draws = _Draws(rng)

@@ -323,7 +323,7 @@ def grpo_objective(
             logp_new = log_probs[row, action.index]
             ratio = math.exp(logp_new - float(group.logp_old[i]))
             acc += clipped_term(ratio, float(group.advantages[i]), cfg.clip_eps)
-            acc -= cfg.kl_beta * kl_k3(logp_new, float(group.logp_ref[i]))
+            acc -= cfg.beta * kl_k3(logp_new, float(group.logp_ref[i]))
         total += acc / cfg.group_size
     return total / len(groups)
 
@@ -348,7 +348,7 @@ def grpo_gradient(
             if unclipped <= clipped:
                 coeff += unclipped
             u = math.exp(float(group.logp_ref[i]) - logp_new)
-            coeff += cfg.kl_beta * (u - 1.0)
+            coeff += cfg.beta * (u - 1.0)
             grad[row] -= scale * coeff * probs
             grad[row, action.index] += scale * coeff
     return grad
@@ -366,7 +366,7 @@ def grpo_gradient_add_at(
     unclipped = ratio * batch.advantages
     clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * batch.advantages
     coeff = np.where(unclipped <= clipped, unclipped, 0.0)
-    coeff += cfg.kl_beta * (np.exp(batch.logp_ref - logp_new) - 1.0)
+    coeff += cfg.beta * (np.exp(batch.logp_ref - logp_new) - 1.0)
     weight = (1.0 / coeff.size) * coeff
     grad = np.zeros((N_FEATURES, N_ACTIONS))
     np.add.at(grad, (batch.rows[:, None], batch.actions), weight)
@@ -395,7 +395,7 @@ def train_rl(
     params = params0
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
-    for iteration in range(cfg.outer_iters):
+    for iteration in range(cfg.iters):
         old = params
         item_idx = rng.integers(0, len(items), size=cfg.batch_size)
         groups = [
@@ -512,7 +512,7 @@ def frozen_objective(log_probs: np.ndarray, batch: FrozenBatch, cfg: GrpoConfig)
     clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
     surrogate = np.minimum(np.multiply(ratio, batch.advantages), clipped * batch.advantages)
     d = np.subtract(batch.logp_ref, logp_new)
-    terms = surrogate - cfg.kl_beta * np.maximum(0.0, np.expm1(d) - d)
+    terms = surrogate - cfg.beta * np.maximum(0.0, np.expm1(d) - d)
     return float(terms.sum()) / terms.size
 
 
@@ -522,7 +522,7 @@ def frozen_gradient(log_probs: np.ndarray, batch: FrozenBatch, cfg: GrpoConfig) 
     unclipped = ratio * batch.advantages
     clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * batch.advantages
     coeff = np.where(unclipped <= clipped, unclipped, 0.0)
-    coeff += cfg.kl_beta * (np.exp(batch.logp_ref - logp_new) - 1.0)
+    coeff += cfg.beta * (np.exp(batch.logp_ref - logp_new) - 1.0)
     weight = (1.0 / coeff.size) * coeff
     softmax_cells = batch.rows[:, None] * N_ACTIONS + np.arange(N_ACTIONS)
     softmax_terms = -weight.sum(axis=1)[:, None] * np.exp(log_probs)[batch.rows]
@@ -543,7 +543,7 @@ def frozen_train_rl(
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
     with np.errstate(over="ignore", invalid="ignore"):
-        for iteration in range(cfg.outer_iters):
+        for iteration in range(cfg.iters):
             batch = frozen_rollout(log_probs, ref_log_probs, table, cfg, rng)
             for _ in range(cfg.inner_steps):
                 logits = logits + cfg.lr * frozen_gradient(log_probs, batch, cfg)

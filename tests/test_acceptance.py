@@ -162,13 +162,13 @@ def test_a4_kl_estimator():
 def test_a5_gradient_check():
     """Analytic GRPO gradient vs central finite differences (h=1e-5), 20
     random (params, batch) instances, beta in {0, 0.01}, rel err < 1e-4."""
-    items = generate_dataset(GenConfig(n_items=50, p_unans=0.4, ambiguity=0.4, seed=2))
+    items = generate_dataset(GenConfig(n=50, p_unans=0.4, ambiguity=0.4, seed=2))
     table = RewardTable(scalar_reference.columns_of(items))
     rng = np.random.default_rng(404)
     h = 1e-5
     for trial in range(20):
         beta = 0.0 if trial % 2 == 0 else 0.01
-        cfg = GrpoConfig(kl_beta=beta, batch_size=5, seed=trial)
+        cfg = GrpoConfig(beta=beta, batch_size=5, seed=trial)
         old = PolicyParams(rng.normal(0, 0.5, (6, 6)))
         ref = PolicyParams(rng.normal(0, 0.5, (6, 6)))
         # the rollout, gradient and objective cores train_rl itself runs
@@ -199,7 +199,7 @@ def _bandit_table(seed: int) -> RewardTable:
             return RewardBreakdown(format=0.5, answer=2.0, total=2.5)
         return RewardBreakdown(format=0.0, answer=0.5, total=0.5)
 
-    items = generate_dataset(GenConfig(n_items=120, p_unans=0.5, ambiguity=0.3, seed=seed))
+    items = generate_dataset(GenConfig(n=120, p_unans=0.5, ambiguity=0.3, seed=seed))
     return scalar_reference.payout_table(items, payout)
 
 
@@ -217,7 +217,7 @@ def test_a6_bandit_sanity():
     assert (payouts[:, target.index] == 2.5).all()
     assert (np.delete(payouts, target.index, axis=1) <= 0.5).all()
 
-    cfg = GrpoConfig(outer_iters=300, seed=9)  # G=4, eps=0.2, beta=0.01, lr=1e-2
+    cfg = GrpoConfig(iters=300, seed=9)  # G=4, eps=0.2, beta=0.01, lr=1e-2
     trained, _ = train_rl(PolicyParams.zeros(), table, cfg)
     for feature in ALL_FEATURES:
         assert scalar_reference.greedy_action(trained, feature) == target, feature.name
@@ -252,11 +252,11 @@ def test_a7_data_ratio_collapse():
     assert _expected_answer_value(0.5, ambiguity) < 1.0
     assert _expected_answer_value(0.124, ambiguity) > 1.0
 
-    cfg = GrpoConfig(outer_iters=400, lr=0.05, seed=3)
+    cfg = GrpoConfig(iters=400, lr=0.05, seed=3)
 
     def run(p_unans):
         items = generate_dataset(
-            GenConfig(n_items=400, p_unans=p_unans, ambiguity=ambiguity, seed=11)
+            GenConfig(n=400, p_unans=p_unans, ambiguity=ambiguity, seed=11)
         )
         table = RewardTable(scalar_reference.columns_of(items))
         params, _ = train_rl(PolicyParams.zeros(), table, cfg)
@@ -403,10 +403,10 @@ def test_a12_sft_cold_start_direction():
     from-scratch run after 100 iterations (majority rule)."""
     wins = 0
     for seed in (1, 2, 3):
-        items = generate_dataset(GenConfig(n_items=300, seed=seed))
+        items = generate_dataset(GenConfig(n=300, seed=seed))
         table = RewardTable(scalar_reference.columns_of(items))
         sft_params = sft_train(PolicyParams.zeros(), table.expert_cells())
-        cfg = GrpoConfig(outer_iters=100, seed=seed)
+        cfg = GrpoConfig(iters=100, seed=seed)
         from_sft, _ = train_rl(sft_params, table, cfg)
         from_scratch, _ = train_rl(PolicyParams.zeros(), table, cfg)
         reward_sft = summarize_items(evaluate_items(from_sft, table)).mean_reward

@@ -54,7 +54,7 @@ from abstainrl.synthenv import (
 from abstainrl.textmetrics import GoldAnswer, exact_match
 from test_synthenv import _VALID_RECORDS
 
-ITEMS = generate_dataset(GenConfig(n_items=40, p_unans=0.4, ambiguity=0.4, seed=31))
+ITEMS = generate_dataset(GenConfig(n=40, p_unans=0.4, ambiguity=0.4, seed=31))
 
 
 def _payout(raw: str, item) -> RewardBreakdown:
@@ -124,7 +124,7 @@ class TestRewardTable:
         parsed, measured = scoring_calls
         table = RewardTable(columns_of(ITEMS))
         built = (list(parsed), list(measured))
-        cfg = GrpoConfig(outer_iters=5, batch_size=8, seed=1)
+        cfg = GrpoConfig(iters=5, batch_size=8, seed=1)
         params, _ = train_rl(PolicyParams.zeros(), table, cfg)
         evals = ref.item_evals(evaluate_items(params, table))
         # the table scored each distinct text once; training and evaluation only gather
@@ -168,13 +168,11 @@ class TestRewardTable:
                 assert reward == total_reward(text, item.gold).total
 
     def test_item_columns_equal_per_item_construction(self, tmp_path):
-        """Features and unanswerable flags cached on each distinct feature
-        and gold object, and the content rows, equal the per-item
-        construction, whether items share those objects (as the scanned
-        heads of a dataset do), hold equal copies, or mix both; the columns
-        scanned from a file of the items equal those of the items."""
-        path = tmp_path / "items.jsonl"
-        ref.write_items(ITEMS, path)
+        """The features, unanswerable flags and content rows of the columns
+        ``read_columns`` reads from a file of items equal the per-item
+        construction, whether the items share their feature and gold
+        objects, hold equal copies, or mix both, and equal those of the
+        items."""
         first: dict = {}
         shared = [
             dataclasses.replace(
@@ -187,14 +185,17 @@ class TestRewardTable:
         copied = [
             dataclasses.replace(item, gold=GoldAnswer(tuple(item.gold.aliases))) for item in ITEMS
         ]
-        for items in (shared, copied, shared + copied[::-1]):
-            table = RewardTable(columns_of(items))
+        for n, items in enumerate((shared, copied, shared + copied[::-1])):
+            path = tmp_path / f"items{n}.jsonl"
+            ref.write_items(items, path)
+            table = RewardTable(read_columns(path))
             index: dict = {}
             row = [index.setdefault((i.candidate_a, i.candidate_b, i.gold), len(index)) for i in items]
             assert np.array_equal(table.features, [ALL_FEATURES.index(i.feature) for i in items])
             assert np.array_equal(table.unanswerable, [not i.gold.aliases for i in items])
             assert np.array_equal(table.row, row)
-        read, want = RewardTable(read_columns(path)), RewardTable(columns_of(ITEMS))
+        read = RewardTable(read_columns(tmp_path / "items0.jsonl"))
+        want = RewardTable(columns_of(ITEMS))
         for name in ("features", "unanswerable", "row"):
             assert _column_bytes(read, name) == _column_bytes(want, name), name
 
@@ -202,9 +203,9 @@ class TestRewardTable:
         "variant", [DEFAULT_VARIANT, RewardVariant.ROUGE_PLUS_SEM_PLUS_EM], ids=["rule", "rule-sem"]
     )
     def test_one_shot_stream_equals_list(self, tmp_path, variant):
-        """A table built from the columns of a one-shot stream, of items or
-        of a dataset file, or from the columns ``read_columns`` reads from
-        that file, equals the table of the same items as a list bit for
+        """A table built from the columns of a dataset file's one-shot
+        stream of decoded items, or from the columns ``read_columns`` reads
+        from that file, equals the table of the same items as a list bit for
         bit, and keeps none of the streamed items."""
         path = tmp_path / "items.jsonl"
         ref.write_items(ITEMS, path)
@@ -215,9 +216,7 @@ class TestRewardTable:
             return sum(isinstance(o, SynthQAItem) for o in gc.get_objects())
 
         alive = n_items_alive()
-        for columns in (
-            columns_of(item for item in ITEMS), columns_of(iter_dataset(path)), read_columns(path)
-        ):
+        for columns in (columns_of(iter_dataset(path)), read_columns(path)):
             got = RewardTable(columns, variant)
             assert n_items_alive() == alive
             assert len(got) == len(ITEMS)
@@ -248,7 +247,7 @@ class TestRewardTable:
         abstaining on a No-Answer gold, 0 for any other abstention or
         No-Answer gold, and else ROUGE-L, then EM, then semantic similarity
         as the variant uses them, read from the cell's own metrics row."""
-        items = generate_dataset(GenConfig(n_items=300, p_unans=0.4, ambiguity=0.5, seed=21))
+        items = generate_dataset(GenConfig(n=300, p_unans=0.4, ambiguity=0.5, seed=21))
         table = RewardTable(columns_of(items), variant)
         gold_of_row = {}
         for item, r in zip(items, table.row.tolist()):
@@ -443,7 +442,7 @@ _BAD_KINDS = ("scope start past end", "unknown evidence", "empty gold", "bad spe
 # a dataset as gen writes it: its size, share of unanswerable items, ambiguity and seed
 _GEN_CONFIGS = st.builds(
     GenConfig,
-    n_items=st.integers(1, 60),
+    n=st.integers(1, 60),
     p_unans=st.sampled_from([0.0, 0.124, 0.5, 1.0]),
     ambiguity=st.sampled_from([0.0, 0.5]),
     seed=st.integers(0, 2**16),
@@ -679,7 +678,7 @@ class TestGradient:
         table = RewardTable(columns_of(ITEMS))
         rng = np.random.default_rng(55)
         for trial in range(20):
-            cfg = GrpoConfig(kl_beta=beta, batch_size=6, group_size=2 + trial % 5, seed=trial)
+            cfg = GrpoConfig(beta=beta, batch_size=6, group_size=2 + trial % 5, seed=trial)
             old = PolicyParams(rng.normal(0, 0.5, (6, 6)))
             reference = PolicyParams(rng.normal(0, 0.5, (6, 6)))
             batch = grpo_step.batch(old, reference, table, cfg, rng)
@@ -708,7 +707,7 @@ class TestGradient:
         to each cell in the order the two np.add.at scatters did: the
         gradients are equal bit for bit."""
         rng = np.random.default_rng(seed)
-        cfg = GrpoConfig(kl_beta=beta, batch_size=int(rng.integers(1, 12)),
+        cfg = GrpoConfig(beta=beta, batch_size=int(rng.integers(1, 12)),
                          group_size=group_size, clip_eps=clip_eps)
         old = PolicyParams(rng.normal(0, 1.0, (6, 6)))
         reference = PolicyParams(rng.normal(0, 1.0, (6, 6)))
@@ -725,11 +724,11 @@ class TestGradient:
         monkeypatch.setattr(
             policy, "log_softmax", lambda logits: calls.append(logits) or original(logits)
         )
-        cfg = GrpoConfig(outer_iters=7, inner_steps=3, batch_size=4, seed=0)
+        cfg = GrpoConfig(iters=7, inner_steps=3, batch_size=4, seed=0)
         params0, table = PolicyParams.zeros(), RewardTable(columns_of(ITEMS))
         assert not calls
         params, _ = train_rl(params0, table, cfg)
-        assert len(calls) == 1 + cfg.outer_iters * cfg.inner_steps
+        assert len(calls) == 1 + cfg.iters * cfg.inner_steps
         assert not params.log_probs.flags.writeable
 
     def test_train_rl_steps_with_grpo_gradient(self, monkeypatch):
@@ -752,7 +751,7 @@ class TestGradient:
 
         monkeypatch.setattr(grpo, "_gradient", spy)
         monkeypatch.setattr(grpo, "_clipped_coeff", spy_coeff)
-        cfg = GrpoConfig(outer_iters=3, inner_steps=2, batch_size=4, seed=0)
+        cfg = GrpoConfig(iters=3, inner_steps=2, batch_size=4, seed=0)
         train_rl(PolicyParams.zeros(), RewardTable(columns_of(ITEMS)), cfg)
         assert len(calls) == 6 and len(clipped) == 3
         assert all(used_cfg is cfg for *_, used_cfg in clipped)
@@ -778,9 +777,9 @@ class TestGradient:
             ref_log_probs = params0.log_probs
             # iteration t's snapshot: the reference, then each update's log-probs
             snapshots[:], steps[:], coeffs[:] = [ref_log_probs], [], []
-            cfg = GrpoConfig(outer_iters=5, kl_beta=beta, batch_size=6, seed=seed)
+            cfg = GrpoConfig(iters=5, beta=beta, batch_size=6, seed=seed)
             train_rl(params0, RULE_TABLE, cfg)
-            assert len(coeffs) == len(steps) == cfg.outer_iters
+            assert len(coeffs) == len(steps) == cfg.iters
             for (_, cells, _, adv), log_probs, coeff in zip(steps, snapshots, coeffs):
                 assert np.isfinite(log_probs).all()
                 logp = log_probs.take(cells)
@@ -798,10 +797,10 @@ class TestTrainRl:
         ],
     )
     def test_matches_scalar_loop(self, scoring_calls, variant, bandit, inner_steps, sft):
-        items = generate_dataset(GenConfig(n_items=80, p_unans=0.5, ambiguity=0.5, seed=8))
+        items = generate_dataset(GenConfig(n=80, p_unans=0.5, ambiguity=0.5, seed=8))
         reward_fn = _payout if bandit else None
         params0 = PolicyParams.zeros()
-        cfg = GrpoConfig(outer_iters=40, inner_steps=inner_steps, lr=0.05, batch_size=16, seed=4)
+        cfg = GrpoConfig(iters=40, inner_steps=inner_steps, lr=0.05, batch_size=16, seed=4)
         parsed, measured = scoring_calls
         table = (
             ref.payout_table(items, _payout) if bandit else RewardTable(columns_of(items), variant)
@@ -831,7 +830,7 @@ class TestTrainRl:
     def test_each_completion_text_is_parsed_once(self, scoring_calls):
         """A table build parses each distinct completion text once, for its
         answer, its format and its reward alike."""
-        items = generate_dataset(GenConfig(n_items=80, p_unans=0.5, ambiguity=0.5, seed=8))
+        items = generate_dataset(GenConfig(n=80, p_unans=0.5, ambiguity=0.5, seed=8))
         parsed, _ = scoring_calls
         RewardTable(columns_of(items))
         texts = {render_completion(action, item) for item in items for action in ALL_ACTIONS}
@@ -847,8 +846,8 @@ class TestTrainRl:
         each distinct (answer, answerable gold) measured once, and the run
         equals one over a table whose every (content row, action) is scored
         on its own (``scalar_reference.per_cell_table``)."""
-        items = generate_dataset(GenConfig(n_items=80, p_unans=0.5, ambiguity=0.5, seed=8))
-        cfg = GrpoConfig(outer_iters=40, lr=0.05, batch_size=16, seed=4)
+        items = generate_dataset(GenConfig(n=80, p_unans=0.5, ambiguity=0.5, seed=8))
+        cfg = GrpoConfig(iters=40, lr=0.05, batch_size=16, seed=4)
         per_cell = ref.payout_table(items, lambda raw, head: total_reward(raw, head.gold, variant))
         want_params, want_log = train_rl(PolicyParams.zeros(), per_cell, cfg)
         pairs = [(render_completion(action, item), item) for item in items for action in ALL_ACTIONS]
@@ -881,14 +880,14 @@ class TestTrainRl:
         float rewards and boolean abstention flags alone, and it peaks below
         8 MiB (its records included)."""
         table = RewardTable(columns_of(ITEMS[:8]))
-        cfg = GrpoConfig(outer_iters=3000, batch_size=256, group_size=16, seed=0)
+        cfg = GrpoConfig(iters=3000, batch_size=256, group_size=16, seed=0)
         tracemalloc.start()
         try:
             _, log = train_rl(PolicyParams.zeros(), table, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(log.records) == cfg.outer_iters
+        assert len(log.records) == cfg.iters
         assert peak < 8 * 2**20, peak
 
 
@@ -929,14 +928,14 @@ def _assert_same_run(params0, table, cfg):
 
 
 # a run whose ratios leave the clip range from the second inner step on
-CLIPPING = GrpoConfig(outer_iters=4, inner_steps=3, lr=1.0, clip_eps=0.05, batch_size=16, seed=3)
+CLIPPING = GrpoConfig(iters=4, inner_steps=3, lr=1.0, clip_eps=0.05, batch_size=16, seed=3)
 
 
 @pytest.fixture(scope="module")
 def readme_table():
     """The README run's reward table (``gen --n 1000 --p-unans 0.5
     --ambiguity 0.5 --seed 7``) and its SFT start."""
-    items = generate_dataset(GenConfig(n_items=1000, p_unans=0.5, ambiguity=0.5, seed=7))
+    items = generate_dataset(GenConfig(n=1000, p_unans=0.5, ambiguity=0.5, seed=7))
     table = RewardTable(columns_of(items))
     return table, sft_train(PolicyParams.zeros(), table.expert_cells())
 
@@ -960,8 +959,8 @@ class TestFrozenLoop:
         st.sampled_from(["zeros", "random", "sft"]),
     )
     @settings(max_examples=80)
-    @example(0, CLIPPING.outer_iters, CLIPPING.inner_steps, CLIPPING.group_size,
-             CLIPPING.batch_size, CLIPPING.kl_beta, CLIPPING.std_eps, CLIPPING.clip_eps,
+    @example(0, CLIPPING.iters, CLIPPING.inner_steps, CLIPPING.group_size,
+             CLIPPING.batch_size, CLIPPING.beta, CLIPPING.std_eps, CLIPPING.clip_eps,
              CLIPPING.lr, False, "sft")
     # within one block, the objective turns non-finite at iteration 1 and the
     # logits at iteration 2: the objective's message, at iteration 1
@@ -969,8 +968,8 @@ class TestFrozenLoop:
     # within one block, the logits turn non-finite at iteration 1, after a
     # finite objective at iteration 0
     @example(2, 8, 3, 4, 8, 0.01, 1e-8, 0.2, 30.0, True, "zeros")
-    def test_equals_the_frozen_loop(self, seed, outer_iters, inner_steps, group_size,
-                                    batch_size, kl_beta, std_eps, clip_eps, lr, bandit, start):
+    def test_equals_the_frozen_loop(self, seed, iters, inner_steps, group_size,
+                                    batch_size, beta, std_eps, clip_eps, lr, bandit, start):
         table = BANDIT_TABLE if bandit else RULE_TABLE
         if start == "zeros":
             params0 = PolicyParams.zeros()
@@ -979,16 +978,16 @@ class TestFrozenLoop:
         else:
             params0 = sft_train(PolicyParams.zeros(), RULE_TABLE.expert_cells())
         cfg = GrpoConfig(
-            group_size=group_size, clip_eps=clip_eps, kl_beta=kl_beta, lr=lr,
-            outer_iters=outer_iters, inner_steps=inner_steps, std_eps=std_eps,
+            group_size=group_size, clip_eps=clip_eps, beta=beta, lr=lr,
+            iters=iters, inner_steps=inner_steps, std_eps=std_eps,
             batch_size=batch_size, seed=seed % 1000,
         )
         _assert_same_run(params0, table, cfg)
 
     @pytest.mark.parametrize(
-        "batch_size, group_size, outer_iters", [(4, 3, 5), (64, 9, 40), (300, 16, 3)]
+        "batch_size, group_size, iters", [(4, 3, 5), (64, 9, 40), (300, 16, 3)]
     )
-    def test_irregular_rewards_equal_the_frozen_loop(self, batch_size, group_size, outer_iters):
+    def test_irregular_rewards_equal_the_frozen_loop(self, batch_size, group_size, iters):
         """Rewards with full mantissas, so that the order a record's mean
         adds in shows in its last bits, over runs of several log blocks
         and of blocks of one iteration."""
@@ -997,10 +996,10 @@ class TestFrozenLoop:
             return RewardBreakdown(format=0.0, answer=value, total=value)
 
         table = ref.payout_table(ITEMS, payout)
-        cfg = GrpoConfig(outer_iters=outer_iters, batch_size=batch_size, group_size=group_size,
+        cfg = GrpoConfig(iters=iters, batch_size=batch_size, group_size=group_size,
                          lr=0.3, seed=batch_size)
         want = _assert_same_run(PolicyParams.zeros(), table, cfg)
-        assert len(want[0]) == outer_iters
+        assert len(want[0]) == iters
 
     @pytest.mark.parametrize(
         "settings",
@@ -1015,19 +1014,19 @@ class TestFrozenLoop:
         """The README run (its dataset, its SFT start, 300 iterations over
         five log blocks) and two variants of it."""
         table, params0 = readme_table
-        cfg = GrpoConfig(outer_iters=300, lr=0.05, seed=1, **settings)
+        cfg = GrpoConfig(iters=300, lr=0.05, seed=1, **settings)
         want = _assert_same_run(params0, table, cfg)
-        assert len(want[0]) == cfg.outer_iters
+        assert len(want[0]) == cfg.iters
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     @pytest.mark.parametrize(
         "table, cfg",
         [
-            (RULE_TABLE, GrpoConfig(outer_iters=7, lr=0.3, inner_steps=2, batch_size=8, seed=4)),
-            (RULE_TABLE, GrpoConfig(outer_iters=40, lr=40.0, inner_steps=3, batch_size=8, seed=3)),
-            (RULE_TABLE, GrpoConfig(outer_iters=40, lr=30.0, inner_steps=2, batch_size=8, seed=1)),
-            (BANDIT_TABLE, GrpoConfig(outer_iters=40, lr=30.0, kl_beta=1.0, batch_size=8, seed=1)),
-            (BANDIT_TABLE, GrpoConfig(outer_iters=8, lr=30.0, inner_steps=3, batch_size=8,
+            (RULE_TABLE, GrpoConfig(iters=7, lr=0.3, inner_steps=2, batch_size=8, seed=4)),
+            (RULE_TABLE, GrpoConfig(iters=40, lr=40.0, inner_steps=3, batch_size=8, seed=3)),
+            (RULE_TABLE, GrpoConfig(iters=40, lr=30.0, inner_steps=2, batch_size=8, seed=1)),
+            (BANDIT_TABLE, GrpoConfig(iters=40, lr=30.0, beta=1.0, batch_size=8, seed=1)),
+            (BANDIT_TABLE, GrpoConfig(iters=8, lr=30.0, inner_steps=3, batch_size=8,
                                       seed=10)),
         ],
     )
@@ -1051,13 +1050,13 @@ class TestFrozenLoop:
     @pytest.mark.parametrize(
         "table, cfg, message",
         [
-            (RULE_TABLE, GrpoConfig(outer_iters=40, lr=40.0, inner_steps=3, batch_size=8, seed=3),
+            (RULE_TABLE, GrpoConfig(iters=40, lr=40.0, inner_steps=3, batch_size=8, seed=3),
              "logits became non-finite at iteration 1"),
-            (RULE_TABLE, GrpoConfig(outer_iters=40, lr=30.0, inner_steps=2, batch_size=8, seed=1),
+            (RULE_TABLE, GrpoConfig(iters=40, lr=30.0, inner_steps=2, batch_size=8, seed=1),
              "objective became non-finite at iteration 7"),
-            (BANDIT_TABLE, GrpoConfig(outer_iters=40, lr=30.0, kl_beta=1.0, batch_size=8, seed=1),
+            (BANDIT_TABLE, GrpoConfig(iters=40, lr=30.0, beta=1.0, batch_size=8, seed=1),
              "objective became non-finite at iteration 24"),
-            (BANDIT_TABLE, GrpoConfig(outer_iters=3, lr=1e306, inner_steps=2, batch_size=8, seed=1),
+            (BANDIT_TABLE, GrpoConfig(iters=3, lr=1e306, inner_steps=2, batch_size=8, seed=1),
              "logits became non-finite at iteration 0"),
         ],
     )
@@ -1076,7 +1075,7 @@ class TestFrozenLoop:
             return RewardBreakdown(format=reward, answer=0.0, total=reward)
 
         table = ref.payout_table(ITEMS, payout)
-        cfg = GrpoConfig(outer_iters=3, std_eps=0.0, seed=1)
+        cfg = GrpoConfig(iters=3, std_eps=0.0, seed=1)
         message = _assert_same_run(PolicyParams.zeros(), table, cfg)
         assert message == "logits became non-finite at iteration 0"
 
@@ -1090,6 +1089,6 @@ class TestFrozenLoop:
             return RewardBreakdown(format=reward, answer=0.0, total=reward)
 
         table = ref.payout_table(ITEMS, payout)
-        cfg = GrpoConfig(outer_iters=3, seed=2)
+        cfg = GrpoConfig(iters=3, seed=2)
         message = _assert_same_run(PolicyParams.zeros(), table, cfg)
         assert message == "objective became non-finite at iteration 0"

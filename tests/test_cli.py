@@ -19,7 +19,7 @@ from pathlib import Path
 import abstainrl
 from abstainrl import cli, synthenv
 from abstainrl.cli import _TRAIN_DEFAULTS, build_parser, main
-from abstainrl.grpo import RewardTable, evaluate_items
+from abstainrl.grpo import GrpoConfig, RewardTable, evaluate_items
 from abstainrl.policy import ALL_ACTIONS, ALL_FEATURES, ActionId, Choice, Evidence, PolicyParams
 from abstainrl.synthenv import GenConfig, generate_dataset, iter_dataset
 from scalar_reference import columns_of, item_evals, item_to_dict
@@ -87,6 +87,12 @@ class TestGen:
         assert err == "error: seed must be >= 0\n"
         assert not out.exists()
 
+    def test_zero_items_is_named_as_its_flag(self, tmp_path):
+        out = tmp_path / "x.jsonl"
+        code, err = _main_stderr(["gen", "--n", "0", "--out", str(out)])
+        assert (code, err) == (2, "error: n must be >= 1\n")
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 30, "p_unans": 0.5, "seed": 3}))
@@ -100,7 +106,7 @@ class TestGen:
         """gen writes each item as it is drawn: the traced peak of a whole
         gen command stays below what the list ``generate_dataset`` returns
         for the same config holds."""
-        cfg = GenConfig(n_items=3000, p_unans=0.3, ambiguity=0.25, seed=4)
+        cfg = GenConfig(n=3000, p_unans=0.3, ambiguity=0.25, seed=4)
         generate_dataset(cfg)  # first-use costs, which the list would otherwise count
         gc.collect()  # resets the collector's counts: collections fall alike in every run
         tracemalloc.start()
@@ -319,6 +325,14 @@ class TestExtract:
         err = capsys.readouterr().err
         assert err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
         assert not out.exists()
+
+
+# a bad GRPO setting and its one error line, which names it as its flag does
+_BAD_GRPO_SETTINGS = [
+    pytest.param("--iters", "-1", "iters must be >= 0", id="iters"),
+    pytest.param("--beta", "-1", "beta must be >= 0", id="beta"),
+    pytest.param("--beta", "inf", "beta must be finite, got inf", id="beta-inf"),
+]
 
 
 def _train_args(data, out_dir, iters="12", extra=()):
@@ -568,10 +582,17 @@ class TestTrain:
 
     def test_non_finite_hyperparameter_is_usage_error(self, tmp_path, capsys):
         data = _gen(tmp_path)
-        for flag, field in (("--lr", "lr"), ("--beta", "kl_beta"), ("--std-eps", "std_eps")):
+        for flag, field in (("--lr", "lr"), ("--beta", "beta"), ("--std-eps", "std_eps")):
             capsys.readouterr()
             assert main(_train_args(data, tmp_path / "o", extra=[flag, "nan"])) == 2
             assert f"{field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", _BAD_GRPO_SETTINGS)
+    def test_a_bad_grpo_setting_is_named_as_its_flag(self, tmp_path, flag, value, message):
+        out = tmp_path / "o"
+        code, err = _main_stderr(_train_args(_gen(tmp_path), out, extra=[f"{flag}={value}"]))
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "extra",
@@ -664,7 +685,7 @@ def _oracle_checkpoint(tmp_path):
 
 def _oracle_solvable_dataset(tmp_path):
     """Noise-free items rewritten so the gold is always candidate A."""
-    items = generate_dataset(GenConfig(n_items=40, p_unans=0.3, ambiguity=0.0, seed=9))
+    items = generate_dataset(GenConfig(n=40, p_unans=0.3, ambiguity=0.0, seed=9))
     fixed = []
     for item in items:
         d = item_to_dict(item)
@@ -676,7 +697,7 @@ def _oracle_solvable_dataset(tmp_path):
     return path
 
 
-_SUMMARY_ITEMS = generate_dataset(GenConfig(n_items=12, p_unans=0.4, ambiguity=0.5, seed=3))
+_SUMMARY_ITEMS = generate_dataset(GenConfig(n=12, p_unans=0.4, ambiguity=0.5, seed=3))
 
 
 class TestEval:
@@ -718,7 +739,7 @@ class TestEval:
 
     def test_id_column_is_the_dataset_ids(self, tmp_path):
         ids = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " pad ", "plain"]
-        items = generate_dataset(GenConfig(n_items=len(ids), p_unans=0.3, seed=9))
+        items = generate_dataset(GenConfig(n=len(ids), p_unans=0.3, seed=9))
         data = tmp_path / "ids.jsonl"
         data.write_text("".join(
             json.dumps({**item_to_dict(item), "id": item_id}) + "\n"
@@ -828,7 +849,7 @@ class TestSweep:
         and that file's heads into the reward table, as gen then train do:
         the traced peak of the whole sweep stays below what the list
         ``generate_dataset`` returns for one of its runs holds."""
-        cfg = GenConfig(n_items=3000, p_unans=0.124, ambiguity=0.25, seed=4)
+        cfg = GenConfig(n=3000, p_unans=0.124, ambiguity=0.25, seed=4)
         argv = ["sweep", "--axis", "p-unans", "--values", "0.124,0.5", "--n", "3000",
                 "--ambiguity", "0.25", "--iters", "3", "--seed", "4"]
         with contextlib.redirect_stdout(io.StringIO()):
@@ -870,21 +891,27 @@ class TestSweep:
         assert cfg["beta"] == 0.01
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["--axis", "p-unans", "--values", "0.1,0.5", "--n", "20", "--sft-lr=-1"],
-            ["--axis", "beta", "--values", "0.01,-1", "--dataset", "{data}"],
-            ["--axis", "p-unans", "--values", "0.1,1.5", "--n", "20"],
+            (["--axis", "p-unans", "--values", "0.1,0.5", "--n", "20", "--sft-lr=-1"],
+             "sft_lr must be >= 0"),
+            (["--axis", "beta", "--values", "0.01,-1", "--dataset", "{data}"], "beta must be >= 0"),
+            (["--axis", "beta", "--values", "0.01,inf", "--dataset", "{data}"],
+             "beta must be finite, got inf"),
+            (["--axis", "p-unans", "--values", "0.1,1.5", "--n", "20"],
+             "p_unans must lie in [0, 1], got 1.5"),
         ],
-        ids=["sft-lr", "late-beta", "late-p-unans"],
+        ids=["sft-lr", "late-beta", "late-beta-inf", "late-p-unans"],
     )
-    def test_bad_run_setting_writes_nothing(self, tmp_path, argv):
-        """Every run is checked before the first one writes anything."""
+    def test_bad_run_setting_writes_nothing(self, tmp_path, argv, message):
+        """Every run is checked before the first one writes anything; the
+        error names the setting as its flag does."""
         data = _gen(tmp_path)
         out = tmp_path / "s"
         argv = [arg.format(data=data) for arg in argv]
-        assert main(["sweep", *argv, "--out-dir", str(out), "--iters", "2",
-                     "--batch-size", "4"]) == 2
+        code, err = _main_stderr(["sweep", *argv, "--out-dir", str(out), "--iters", "2",
+                                  "--batch-size", "4"])
+        assert (code, err) == (2, f"error: {message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -905,9 +932,24 @@ class TestSweep:
         assert err == "error: seed must be >= 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", _BAD_GRPO_SETTINGS)
+    @pytest.mark.parametrize(
+        "argv",
+        [["--axis", "p-unans", "--values", "0.1,0.5", "--n", "20"],
+         ["--axis", "reward-variant", "--values", "rouge,rouge+em", "--dataset", "{data}"]],
+        ids=["p-unans", "reward-variant"],
+    )
+    def test_a_bad_grpo_setting_is_named_as_its_flag(self, tmp_path, argv, flag, value, message):
+        data = _gen(tmp_path)
+        out = tmp_path / "s"
+        argv = [arg.format(data=data) for arg in argv]
+        code, err = _main_stderr(["sweep", *argv, "--out-dir", str(out), f"{flag}={value}"])
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--n", "0", "n_items must be >= 1"),
+        [("--n", "0", "n must be >= 1"),
          ("--difficulty-mix", "-1", "difficulty_mix must lie in [0, 1], got -1.0"),
          ("--ambiguity", "7", "ambiguity must lie in [0, 1], got 7.0")],
         ids=["n", "difficulty-mix", "ambiguity"],
@@ -1274,6 +1316,21 @@ class TestTrainFlags:
         dest = "out_dir_sweep" if (command, key) == ("sweep", "out_dir") else key
         assert getattr(args, dest) == value
 
+    @pytest.mark.parametrize("field", dataclasses.fields(GrpoConfig), ids=lambda f: f.name)
+    def test_each_grpo_field_is_a_train_and_sweep_flag(self, field):
+        """A GRPO setting has one name and one default, its config field's."""
+        default = _TRAIN_DEFAULTS[field.name]
+        assert (type(default), default) == (type(field.default), field.default)
+        for argv in (["train"], ["sweep", "--axis", "beta", "--values", "0,1"]):
+            args = build_parser().parse_args([*argv, f"--{field.name.replace('_', '-')}", "7"])
+            assert getattr(args, field.name) == 7
+
+    @pytest.mark.parametrize("field", dataclasses.fields(GenConfig), ids=lambda f: f.name)
+    def test_each_generator_field_is_a_gen_setting(self, field):
+        """A generator setting has one name and one default, its config field's."""
+        default = cli._GEN_DEFAULTS[field.name]
+        assert (type(default), default) == (type(field.default), field.default)
+
 
 # every subcommand's flags, in order: (option strings, dest, type, default);
 # a flag whose default is None takes its value from --config or the
@@ -1607,7 +1664,7 @@ def _field(record, path):
 
 
 # a valid answerable record with one fact, and a path to each of its values
-VALID_RECORD = item_to_dict(generate_dataset(GenConfig(n_items=1, p_unans=0.0, seed=4))[0])
+VALID_RECORD = item_to_dict(generate_dataset(GenConfig(n=1, p_unans=0.0, seed=4))[0])
 RECORD_PATHS = [
     ("id",), ("question",), ("gold",), ("gold", 0), ("candidates",), ("candidates", 0),
     ("candidates", 1), ("specifier",), ("specifier", "kind"), ("specifier", "years"),

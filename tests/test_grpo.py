@@ -152,7 +152,7 @@ def _batch(table, old, ref, cfg, seed, count=6):
 class TestObjective:
     def test_zero_at_old_params_without_kl(self):
         table = _table()
-        cfg = GrpoConfig(kl_beta=0.0, seed=0)
+        cfg = GrpoConfig(beta=0.0, seed=0)
         params = PolicyParams(np.random.default_rng(1).normal(size=(6, 6)))
         batch = _batch(table, params, params, cfg, seed=3)
         # ratios are 1, so the objective is the mean advantage, which centers to 0
@@ -162,13 +162,13 @@ class TestObjective:
         table = _table()
         params = PolicyParams(np.random.default_rng(4).normal(size=(6, 6)))
         batch = _batch(table, params, params, GrpoConfig(seed=0), seed=5)
-        without = grpo_step.objective(params, batch, GrpoConfig(kl_beta=0.0, seed=0))
-        with_kl = grpo_step.objective(params, batch, GrpoConfig(kl_beta=5.0, seed=0))
+        without = grpo_step.objective(params, batch, GrpoConfig(beta=0.0, seed=0))
+        with_kl = grpo_step.objective(params, batch, GrpoConfig(beta=5.0, seed=0))
         assert with_kl == pytest.approx(without, abs=1e-12)
 
     def test_raising_best_action_logit_increases_objective(self):
         table = _table()
-        cfg = GrpoConfig(kl_beta=0.0, seed=0)
+        cfg = GrpoConfig(beta=0.0, seed=0)
         old = PolicyParams.zeros()
         batch = _batch(table, old, old, cfg, seed=6, count=12)
         base = grpo_step.objective(old, batch, cfg)
@@ -182,7 +182,7 @@ class TestObjective:
 class TestGradient:
     def test_zero_when_all_advantages_zero_and_beta_zero(self):
         table = _table()
-        cfg = GrpoConfig(kl_beta=0.0, seed=0)
+        cfg = GrpoConfig(beta=0.0, seed=0)
         params = PolicyParams.zeros()
         batch = _batch(table, params, params, cfg, seed=8, count=3)
         flattened = batch._replace(advantages=np.zeros_like(batch.advantages))
@@ -203,7 +203,7 @@ class TestGradient:
     def test_finite_difference_agreement(self, beta):
         table = _table()
         rng = np.random.default_rng(10)
-        cfg = GrpoConfig(kl_beta=beta, seed=0)
+        cfg = GrpoConfig(beta=beta, seed=0)
         old = PolicyParams(rng.normal(0, 0.5, (6, 6)))
         ref = PolicyParams(rng.normal(0, 0.5, (6, 6)))
         batch = _batch(table, old, ref, cfg, seed=11, count=5)
@@ -283,7 +283,7 @@ class TestTrainLogLines:
 class TestTrainRl:
     def test_zero_lr_keeps_params_and_logs(self):
         table = _table(n=30)
-        cfg = GrpoConfig(outer_iters=5, lr=0.0, batch_size=8, seed=1)
+        cfg = GrpoConfig(iters=5, lr=0.0, batch_size=8, seed=1)
         params0 = PolicyParams(np.random.default_rng(12).normal(size=(6, 6)))
         params, log = train_rl(params0, table, cfg)
         np.testing.assert_array_equal(params.logits, params0.logits)
@@ -291,7 +291,7 @@ class TestTrainRl:
 
     def test_same_seed_identical_logs(self):
         table = _table(n=40)
-        cfg = GrpoConfig(outer_iters=8, batch_size=8, seed=5)
+        cfg = GrpoConfig(iters=8, batch_size=8, seed=5)
         _, log_a = train_rl(PolicyParams.zeros(), table, cfg)
         _, log_b = train_rl(PolicyParams.zeros(), table, cfg)
         assert log_a.jsonl_lines() == log_b.jsonl_lines()
@@ -299,7 +299,7 @@ class TestTrainRl:
     def test_log_fields_finite(self):
         table = _table(n=30)
         _, log = train_rl(
-            PolicyParams.zeros(), table, GrpoConfig(outer_iters=4, batch_size=8, seed=2)
+            PolicyParams.zeros(), table, GrpoConfig(iters=4, batch_size=8, seed=2)
         )
         for record in log.records:
             for value in (record.mean_reward, record.abstain_rate, record.kl, record.objective):
@@ -307,7 +307,7 @@ class TestTrainRl:
 
     def test_inner_steps_exercise_clipping(self):
         table = _table(n=40)
-        cfg = GrpoConfig(outer_iters=6, inner_steps=3, lr=0.3, batch_size=8, seed=3)
+        cfg = GrpoConfig(iters=6, inner_steps=3, lr=0.3, batch_size=8, seed=3)
         params, log = train_rl(PolicyParams.zeros(), table, cfg)
         assert len(log.records) == 6
         assert np.all(np.isfinite(params.logits))
@@ -322,19 +322,19 @@ class TestTrainRl:
             reward = tiny if parse_completion(raw).format_ok else 0.0
             return RewardBreakdown(format=reward, answer=0.0, total=reward)
 
-        items = generate_dataset(GenConfig(n_items=20, seed=4))
+        items = generate_dataset(GenConfig(n=20, seed=4))
         table = scalar_reference.payout_table(items, payout)
         with pytest.raises(GrpoDivergenceError, match="iteration 0"):
-            train_rl(PolicyParams.zeros(), table, GrpoConfig(outer_iters=3, std_eps=0.0, seed=1))
+            train_rl(PolicyParams.zeros(), table, GrpoConfig(iters=3, std_eps=0.0, seed=1))
 
     def test_kl_anchoring_monotone_in_beta(self):
-        items = generate_dataset(GenConfig(n_items=200, p_unans=0.5, ambiguity=0.3, seed=21))
+        items = generate_dataset(GenConfig(n=200, p_unans=0.5, ambiguity=0.3, seed=21))
         table = RewardTable(columns_of(items))
         ref = PolicyParams.zeros()
         tv = {}
         for beta in (0.0, 0.01, 10.0):
             trained, _ = train_rl(
-                ref, table, GrpoConfig(outer_iters=150, lr=0.05, kl_beta=beta, seed=7)
+                ref, table, GrpoConfig(iters=150, lr=0.05, beta=beta, seed=7)
             )
             gap = np.exp(log_softmax(trained.logits)) - np.exp(log_softmax(ref.logits))
             # mean over feature rows of the total-variation distance
@@ -351,7 +351,7 @@ def _constant_policy(action: ActionId) -> PolicyParams:
 
 class TestEvaluatePolicy:
     def test_always_abstain_on_all_unanswerable(self):
-        items = generate_dataset(GenConfig(n_items=25, p_unans=1.0, seed=6))
+        items = generate_dataset(GenConfig(n=25, p_unans=1.0, seed=6))
         abstain = _constant_policy(ActionId(Choice.ABSTAIN, True))
         report = summarize_items(evaluate_items(abstain, RewardTable(columns_of(items))))
         assert report.confusion.tp == 25
@@ -359,7 +359,7 @@ class TestEvaluatePolicy:
         assert report.confusion.fn == 0
 
     def test_always_abstain_on_all_answerable(self):
-        items = generate_dataset(GenConfig(n_items=25, p_unans=0.0, seed=7))
+        items = generate_dataset(GenConfig(n=25, p_unans=0.0, seed=7))
         abstain = _constant_policy(ActionId(Choice.ABSTAIN, True))
         report = summarize_items(evaluate_items(abstain, RewardTable(columns_of(items))))
         assert report.confusion.fp == 25
@@ -369,7 +369,7 @@ class TestEvaluatePolicy:
         # with no observation noise, "answer in supports rows, abstain
         # elsewhere" never abstains on answerable items nor answers
         # unanswerable ones
-        items = generate_dataset(GenConfig(n_items=60, p_unans=0.4, ambiguity=0.0, seed=8))
+        items = generate_dataset(GenConfig(n=60, p_unans=0.4, ambiguity=0.0, seed=8))
         logits = np.zeros((6, 6))
         for f in ALL_FEATURES:
             target = (
@@ -395,7 +395,7 @@ class TestConfigValidation:
             {"group_size": 1},
             {"clip_eps": 0.0},
             {"clip_eps": 1.0},
-            {"kl_beta": -0.1},
+            {"beta": -0.1},
             {"inner_steps": 0},
             {"batch_size": 0},
         ],

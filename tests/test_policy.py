@@ -115,9 +115,16 @@ class TestSampling:
         seq_b = [_draws(params, F0, rng_b, 1)[0] for _ in range(50)]
         assert seq_a == seq_b
 
+    def test_sample_categorical_edge_draws(self):
+        probs = np.array([0.25, 0.25, 0.25, 0.25])
+        # u at or beyond the final cumulative boundary lands on the last index
+        for u, want in ((0.0, 0), (0.999999999, 3)):
+            assert ref.sample_categorical(probs, u) == want
+            assert ref.inverse_cdf(probs, np.array([u])).tolist() == [want]
+
 
 def _one_item():
-    items = generate_dataset(GenConfig(n_items=1, p_unans=0.0, seed=4))
+    items = generate_dataset(GenConfig(n=1, p_unans=0.0, seed=4))
     return items[0]
 
 
@@ -199,7 +206,7 @@ def _cells(traces):
 
 class TestExpertTraces:
     def test_oracle_traces_all_kept_and_correct(self):
-        items = generate_dataset(GenConfig(n_items=80, p_unans=0.3, seed=9))
+        items = generate_dataset(GenConfig(n=80, p_unans=0.3, seed=9))
         traces = ref.make_expert_traces(items)
         assert len(traces) == len(items)
         for trace in traces:
@@ -208,7 +215,7 @@ class TestExpertTraces:
         assert RewardTable(ref.columns_of(items)).expert_cells().tolist() == _cells(traces)
 
     def test_wrong_proposals_filtered(self):
-        items = generate_dataset(GenConfig(n_items=40, p_unans=0.3, seed=10))
+        items = generate_dataset(GenConfig(n=40, p_unans=0.3, seed=10))
         # a gold in neither candidate: the oracle abstains, which is wrong on
         # every answerable item and right on every unanswerable one
         elsewhere = GoldAnswer.of("Nowhere In Particular")
@@ -226,7 +233,7 @@ class TestExpertTraces:
     def test_oracle_actions_equal_the_oracle_per_row(self):
         """Each content row's oracle action is ``scalar_reference.oracle_action`` of the
         row's head, and every item of a generated dataset keeps its row's."""
-        items = generate_dataset(GenConfig(n_items=300, p_unans=0.3, ambiguity=0.5, seed=14))
+        items = generate_dataset(GenConfig(n=300, p_unans=0.3, ambiguity=0.5, seed=14))
         columns = ref.columns_of(items)
         assert len(columns.heads) < len(items)
         table = RewardTable(columns)
@@ -238,7 +245,7 @@ class TestExpertTraces:
         ]
 
     def test_oracle_answers_correct_candidate(self):
-        items = generate_dataset(GenConfig(n_items=60, p_unans=0.0, seed=12))
+        items = generate_dataset(GenConfig(n=60, p_unans=0.0, seed=12))
         for item in items:
             action = ref.oracle_action(item)
             chosen = item.candidate_a if action.choice is Choice.ANSWER_A else item.candidate_b
@@ -270,7 +277,7 @@ class TestSftTrain:
             sft_train(PolicyParams.zeros(), [])
 
     def test_loss_non_increasing(self):
-        items = generate_dataset(GenConfig(n_items=120, p_unans=0.3, seed=14))
+        items = generate_dataset(GenConfig(n=120, p_unans=0.3, seed=14))
         traces = RewardTable(ref.columns_of(items)).expert_cells()
         params = PolicyParams.zeros()
         rows, actions = np.divmod(traces, len(ALL_ACTIONS))
@@ -286,7 +293,7 @@ class TestSftTrain:
             previous = current
 
     def test_recovers_expert_argmax_per_row(self):
-        items = generate_dataset(GenConfig(n_items=400, p_unans=0.3, seed=15))
+        items = generate_dataset(GenConfig(n=400, p_unans=0.3, seed=15))
         traces = RewardTable(ref.columns_of(items)).expert_cells()
         params = sft_train(PolicyParams.zeros(), traces, lr=0.5, epochs=200)
         by_row: dict[int, collections.Counter] = collections.defaultdict(collections.Counter)

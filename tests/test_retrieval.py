@@ -282,7 +282,7 @@ class TestStorePersistence:
             KGStore.read_jsonl(path)
 
     def test_fact_conversion(self):
-        items = generate_dataset(GenConfig(n_items=5, p_unans=0.0, seed=6))
+        items = generate_dataset(GenConfig(n=5, p_unans=0.0, seed=6))
         fact = items[0].facts[0]
         quad = fact_to_quadruple(fact)
         assert quad.head == fact.subject

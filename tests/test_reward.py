@@ -327,10 +327,10 @@ class TestScorer:
         """The memos of a table build, parts of texts included, end with
         it: no part of a text stays alive, and no module-level cache grows
         when texts never scored before are (their characters were seen)."""
-        RewardTable(columns_of(generate_dataset(GenConfig(n_items=30, seed=4))))
+        RewardTable(columns_of(generate_dataset(GenConfig(n=30, seed=4))))
         answer_metrics(string.ascii_letters + string.digits + " ", PARIS)
         before = self._module_caches()
-        items = generate_dataset(GenConfig(n_items=30, seed=5))
+        items = generate_dataset(GenConfig(n=30, seed=5))
         renamed = [
             dataclasses.replace(item, candidate_a=f"{item.candidate_a} v{j}")
             for j, item in enumerate(items)

@@ -115,23 +115,23 @@ class TestGenerateDataset:
     @pytest.mark.parametrize("n", [10, 100, 1000])
     @pytest.mark.parametrize("p", [0.0, 0.124, 0.5, 1.0])
     def test_exact_unanswerable_fraction(self, n, p):
-        items = generate_dataset(GenConfig(n_items=n, p_unans=p, seed=3))
+        items = generate_dataset(GenConfig(n=n, p_unans=p, seed=3))
         assert len(items) == n
         assert sum(1 for i in items if i.gold.is_no_answer) == round(n * p)
 
     def test_determinism(self):
-        cfg = GenConfig(n_items=60, p_unans=0.3, seed=17)
+        cfg = GenConfig(n=60, p_unans=0.3, seed=17)
         a = [ref.item_to_dict(i) for i in generate_dataset(cfg)]
         b = [ref.item_to_dict(i) for i in generate_dataset(cfg)]
         assert a == b
 
     def test_regeneration_consistency(self):
-        items = generate_dataset(GenConfig(n_items=300, p_unans=0.4, ambiguity=0.6, seed=5))
+        items = generate_dataset(GenConfig(n=300, p_unans=0.4, ambiguity=0.6, seed=5))
         for item in items:
             assert answerability_oracle(item.facts, item.specifier) == item.gold
 
     def test_answerable_items_have_gold_candidate(self):
-        items = generate_dataset(GenConfig(n_items=200, p_unans=0.3, seed=6))
+        items = generate_dataset(GenConfig(n=200, p_unans=0.3, seed=6))
         for item in items:
             if item.gold.is_no_answer:
                 continue
@@ -139,14 +139,14 @@ class TestGenerateDataset:
             assert len(gold_hits) == 1
 
     def test_candidates_token_disjoint(self):
-        items = generate_dataset(GenConfig(n_items=200, p_unans=0.5, seed=7))
+        items = generate_dataset(GenConfig(n=200, p_unans=0.5, seed=7))
         for item in items:
             a = set(normalize_text(item.candidate_a))
             b = set(normalize_text(item.candidate_b))
             assert not a & b
 
     def test_zero_ambiguity_feature_matches_truth(self):
-        items = generate_dataset(GenConfig(n_items=150, p_unans=0.5, ambiguity=0.0, seed=8))
+        items = generate_dataset(GenConfig(n=150, p_unans=0.5, ambiguity=0.0, seed=8))
         for item in items:
             if item.gold.is_no_answer:
                 assert item.feature.evidence in (Evidence.CONTRADICTS, Evidence.NO_EVIDENCE)
@@ -154,11 +154,11 @@ class TestGenerateDataset:
                 assert item.feature.evidence is Evidence.SUPPORTS
 
     def test_full_ambiguity_hides_everything(self):
-        items = generate_dataset(GenConfig(n_items=100, p_unans=0.5, ambiguity=1.0, seed=9))
+        items = generate_dataset(GenConfig(n=100, p_unans=0.5, ambiguity=1.0, seed=9))
         assert all(i.feature.evidence is Evidence.NO_EVIDENCE for i in items)
 
     def test_unanswerable_never_observed_as_supports(self):
-        items = generate_dataset(GenConfig(n_items=400, p_unans=0.5, ambiguity=0.7, seed=10))
+        items = generate_dataset(GenConfig(n=400, p_unans=0.5, ambiguity=0.7, seed=10))
         for item in items:
             if item.gold.is_no_answer:
                 assert item.feature.evidence is not Evidence.SUPPORTS
@@ -197,23 +197,23 @@ class TestGenerateDataset:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            GenConfig(n_items=0)
+            GenConfig(n=0)
         with pytest.raises(ValueError):
-            GenConfig(n_items=10, p_unans=1.2)
+            GenConfig(n=10, p_unans=1.2)
         with pytest.raises(ValueError):
-            GenConfig(n_items=10, ambiguity=-0.1)
+            GenConfig(n=10, ambiguity=-0.1)
 
 
 class TestDatasetSerialization:
     def test_roundtrip(self, tmp_path):
-        items = generate_dataset(GenConfig(n_items=40, p_unans=0.4, seed=11))
+        items = generate_dataset(GenConfig(n=40, p_unans=0.4, seed=11))
         path = tmp_path / "data.jsonl"
         ref.write_items(items, path)
         again = list(iter_dataset(path))
         assert [ref.item_to_dict(i) for i in again] == [ref.item_to_dict(i) for i in items]
 
     def test_stable_field_names(self, tmp_path):
-        items = generate_dataset(GenConfig(n_items=1, seed=12))
+        items = generate_dataset(GenConfig(n=1, seed=12))
         payload = ref.item_to_dict(items[0])
         assert set(payload) == {
             "id", "question", "specifier", "facts", "gold", "candidates", "feature",
@@ -221,7 +221,7 @@ class TestDatasetSerialization:
 
     def test_items_and_facts_are_slotted(self):
         """No per-instance ``__dict__``; replace, equality and hashing hold."""
-        item = generate_dataset(GenConfig(n_items=1, p_unans=0.0, seed=0))[0]
+        item = generate_dataset(GenConfig(n=1, p_unans=0.0, seed=0))[0]
         scope, specifier = item.facts[0].scope, item.specifier
         for value, field, new in (
             (item, "id", "other"),
@@ -239,7 +239,7 @@ class TestDatasetSerialization:
 
     def test_bad_record_reports_line(self, tmp_path):
         path = tmp_path / "broken.jsonl"
-        good = json.dumps(ref.item_to_dict(generate_dataset(GenConfig(n_items=1, seed=0))[0]))
+        good = json.dumps(ref.item_to_dict(generate_dataset(GenConfig(n=1, seed=0))[0]))
         path.write_text(good + "\n{not json\n", encoding="utf-8")
         with pytest.raises(DatasetError, match=":2:"):
             list(iter_dataset(path))
@@ -269,7 +269,7 @@ class TestDatasetSerialization:
              "surrogate-question", "surrogate-candidate", "surrogate-object", "surrogate-gold"],
     )
     def test_wrongly_typed_field_is_rejected(self, tmp_path, edit, named):
-        record = ref.item_to_dict(generate_dataset(GenConfig(n_items=1, p_unans=0.0, seed=0))[0])
+        record = ref.item_to_dict(generate_dataset(GenConfig(n=1, p_unans=0.0, seed=0))[0])
         edit(record)
         path = tmp_path / "typed.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
@@ -280,7 +280,7 @@ class TestDatasetSerialization:
 # the settings of a generated dataset, each free in its range
 _GEN_CONFIGS = st.builds(
     GenConfig,
-    n_items=st.integers(1, 60),
+    n=st.integers(1, 60),
     p_unans=st.floats(0.0, 1.0),
     difficulty_mix=st.floats(0.0, 1.0),
     ambiguity=st.floats(0.0, 1.0),
@@ -303,8 +303,8 @@ class TestIterLines:
     its oracle."""
 
     @given(_GEN_CONFIGS)
-    @example(GenConfig(n_items=60, p_unans=0.0, difficulty_mix=1.0, ambiguity=0.0, seed=0))
-    @example(GenConfig(n_items=60, p_unans=1.0, difficulty_mix=0.0, ambiguity=1.0, seed=1))
+    @example(GenConfig(n=60, p_unans=0.0, difficulty_mix=1.0, ambiguity=0.0, seed=0))
+    @example(GenConfig(n=60, p_unans=1.0, difficulty_mix=0.0, ambiguity=1.0, seed=1))
     @settings(max_examples=150)
     def test_equals_json_dumps_of_each_item(self, tmp_path_factory, cfg):
         """Each line is ``json.dumps`` of its item's record, and
@@ -312,7 +312,7 @@ class TestIterLines:
         lines = list(iter_lines(cfg))
         items = generate_dataset(cfg)
         assert lines == [json.dumps(ref.item_to_dict(item), sort_keys=True) for item in items]
-        assert [item.id for item in items] == [f"q{i:05d}" for i in range(cfg.n_items)]
+        assert [item.id for item in items] == [f"q{i:05d}" for i in range(cfg.n)]
         assert sum(item.gold.is_no_answer for item in items) == cfg.n_unanswerable
         path = tmp_path_factory.mktemp("lines") / "data.jsonl"
         write_lines(path, lines)
@@ -325,7 +325,7 @@ class TestIterLines:
         """A drawn ``between`` whose a passes its b, a fact scope whose
         start passes its end and an empty text raise, as ``TimeSpecifier``,
         ``TimeInterval`` and ``TemporalFact`` do."""
-        cfg = GenConfig(n_items=5, p_unans=0.0, difficulty_mix=0.0, seed=0)
+        cfg = GenConfig(n=5, p_unans=0.0, difficulty_mix=0.0, seed=0)
         integers = synthenv._Draws.integers
         # every easy specifier a between, whose b is one year before its a
         forced = {(0, 2): 1, (0, 5): -1}
@@ -528,7 +528,7 @@ def _oracle_read(records):
 
 def _record(**fields):
     """A valid record, with ``fields`` replaced."""
-    record = ref.item_to_dict(generate_dataset(GenConfig(n_items=1, p_unans=0.0, seed=0))[0])
+    record = ref.item_to_dict(generate_dataset(GenConfig(n=1, p_unans=0.0, seed=0))[0])
     return {**record, **fields}
 
 
@@ -651,7 +651,7 @@ class TestReadColumns:
         assert got == want
 
     def test_written_lines_are_not_decoded(self, tmp_path):
-        cfg = GenConfig(n_items=300, p_unans=0.4, ambiguity=0.3, seed=8)
+        cfg = GenConfig(n=300, p_unans=0.4, ambiguity=0.3, seed=8)
         path = tmp_path / "data.jsonl"
         write_lines(path, iter_lines(cfg))
         want = ref.columns_of(generate_dataset(cfg))
@@ -663,7 +663,7 @@ class TestReadColumns:
     def test_lines_in_other_forms_are_decoded(self, tmp_path):
         """A file whose every other line is in another JSON form: its heads
         are those of its items, and exactly those other lines are decoded."""
-        items = generate_dataset(GenConfig(n_items=300, p_unans=0.4, seed=8))
+        items = generate_dataset(GenConfig(n=300, p_unans=0.4, seed=8))
         path = tmp_path / "data.jsonl"
         write_lines(path, [
             json.dumps(ref.item_to_dict(item), sort_keys=True) if i % 2 == 0
@@ -677,7 +677,7 @@ class TestReadColumns:
 
     def test_scanned_heads_share_equal_parts(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        write_lines(path, iter_lines(GenConfig(n_items=300, p_unans=0.4, seed=8)))
+        write_lines(path, iter_lines(GenConfig(n=300, p_unans=0.4, seed=8)))
         heads = read_columns(path).heads
         for name in ("feature", "gold"):
             values = [getattr(head, name) for head in heads]
