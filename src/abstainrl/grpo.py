@@ -35,13 +35,13 @@ from abstainrl.policy import (
     DivergenceError,
     PolicyParams,
     cdf_bounds,
-    completion_text,
     draw_at_bounds,
 )
 from abstainrl.reward import (
     DEFAULT_VARIANT,
     RewardVariant,
     answer_metrics,
+    completion_text,
     is_no_answer,
     parse_completion,
     rule_rewards,
@@ -163,10 +163,10 @@ class RewardTable:
 
     The table takes a dataset's ``ItemColumns``, which
     ``synthenv.read_columns`` fills from a file line by line.  It keeps the
-    columns as arrays, ``ids``, ``features`` (the feature row index),
-    ``unanswerable`` and ``row``, each item's content row, plus
-    ``first_cell``, ``row * 6``, the flat index of the row's first cell; a
-    lookup is a gather.
+    columns as arrays, ``ids``, ``features`` (the feature row index) and
+    ``row``, each item's content row, plus ``unanswerable``, whether the
+    item's row's gold is No-Answer, and ``first_cell``, ``row * 6``, the
+    flat index of the row's first cell; a lookup is a gather.
 
     A cell's completion is the formatted or the bare text of one of its
     row's two candidates or of the abstention, so the table is scored from
@@ -187,7 +187,6 @@ class RewardTable:
             raise ValueError("a reward table needs at least one item")
         self.ids = columns.ids
         self.features = np.array(columns.features)
-        self.unanswerable = np.array(columns.unanswerable)
         self.row = np.array(columns.row)
         self.first_cell = self.row * N_ACTIONS
         # each row's candidates (A, B, the abstention) and gold as indexes
@@ -212,6 +211,7 @@ class RewardTable:
         self._row_candidates = np.array(row_candidates)
         self._row_gold = np.array(row_gold)
         self._no_answer = np.array([gold.is_no_answer for gold in self._golds])[self._row_gold]
+        self.unanswerable = self._no_answer[self.row]
         # text 2k is candidate k's formatted completion, 2k + 1 its bare one
         texts = [completion_text(c, formatted) for c in candidates for formatted in (True, False)]
         cell_text = 2 * self._row_candidates[:, _ACTION_CHOICE] + _ACTION_BARE
@@ -222,23 +222,25 @@ class RewardTable:
         self.formatted = np.array([p.format_ok for p in parsed])[cell_text]
         self.abstained = np.array([is_no_answer(answer) for answer in answers])[cell_answer]
         # em, rouge1, rouge2, rouge_l and semantic: AnswerMetrics' and
-        # Evaluation's order; measured once per distinct (answer, gold) code
-        n_golds = len(self._golds)
-        answerable = ~self._no_answer
-        codes, where = np.unique(
-            (cell_answer * n_golds + self._row_gold[:, None])[answerable], return_inverse=True
-        )
+        # Evaluation's order; measured once per distinct (answer, gold)
+        pairs, where = self._answerable_pairs(cell_answer)
         answer_texts = list(answers)
         parts = functools.cache(TextParts)
-        measured = [
-            answer_metrics(answer_texts[code // n_golds], self._golds[code % n_golds], parts)
-            for code in codes.tolist()
-        ]
+        measured = [answer_metrics(answer_texts[a], gold, parts) for a, gold in pairs]
         self.metrics = np.zeros(cell_text.shape + (5,))
-        self.metrics[answerable] = np.array(measured, dtype=float).reshape(-1, 5)[
-            where.reshape(-1, N_ACTIONS)
-        ]
+        self.metrics[~self._no_answer] = np.array(measured, dtype=float).reshape(-1, 5)[where]
         self.rewards = self._rule(variant, self.formatted)
+
+    def _answerable_pairs(self, x: np.ndarray) -> tuple[list[tuple[int, GoldAnswer]], np.ndarray]:
+        """The distinct (x, gold) pairs of the rows whose gold is
+        answerable, ``x`` holding k ints per row, and each such row's k
+        pairs as indexes into them."""
+        n_golds = len(self._golds)
+        codes, where = np.unique(
+            (x * n_golds + self._row_gold[:, None])[~self._no_answer], return_inverse=True
+        )
+        pairs = [(code // n_golds, self._golds[code % n_golds]) for code in codes.tolist()]
+        return pairs, where.reshape(-1, x.shape[1])
 
     def _rule(self, variant: RewardVariant, formatted: ArrayLike) -> np.ndarray:
         """``rule_rewards`` of every cell, with ``formatted`` as the format flags."""
@@ -262,19 +264,11 @@ class RewardTable:
         A if it exactly matches an answerable gold, else B if it does, else
         the formatted abstention.
         ``exact_match`` runs once per distinct (candidate, answerable gold)."""
-        n_golds = len(self._golds)
-        answerable = ~self._no_answer
-        codes, where = np.unique(
-            (self._row_candidates[:, :2] * n_golds + self._row_gold[:, None])[answerable],
-            return_inverse=True,
-        )
+        pairs, where = self._answerable_pairs(self._row_candidates[:, :2])
         matched = np.array(
-            [
-                exact_match(self._candidates[code // n_golds], self._golds[code % n_golds]) == 1.0
-                for code in codes.tolist()
-            ],
-            dtype=bool,
-        )[where.reshape(-1, 2)]
+            [exact_match(self._candidates[c], gold) == 1.0 for c, gold in pairs], dtype=bool
+        )[where]
+        answerable = ~self._no_answer
         oracle = np.full(len(answerable), _ABSTAIN)
         oracle[answerable] = np.where(
             matched[:, 0], _ANSWER_A, np.where(matched[:, 1], _ANSWER_B, _ABSTAIN)
@@ -419,19 +413,16 @@ def _objectives_and_kl(
 
 
 def _clipped_coeff(
-    logp_new: np.ndarray,
-    logp_old: np.ndarray,
-    logp_ref: np.ndarray,
-    advantages: np.ndarray,
-    cfg: GrpoConfig,
+    ratio: np.ndarray | float, advantages: np.ndarray, kl_coeff: np.ndarray, cfg: GrpoConfig
 ) -> np.ndarray:
     """Each completion's derivative of its objective term with respect to
-    its log-probability ``logp_new``."""
-    ratio = importance_ratio(logp_new, logp_old)
+    its log-probability, at its importance ``ratio`` (1.0 at the snapshot):
+    the clipped surrogate's, 0 where the clip binds or the advantage is
+    NaN, plus ``kl_coeff``, the k3 penalty's, ``beta * (pi_ref / pi - 1)``."""
     unclipped = ratio * advantages
     clipped = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_eps), 1.0 + cfg.clip_eps) * advantages
     coeff = np.where(unclipped <= clipped, unclipped, 0.0)
-    coeff += cfg.beta * (np.exp(logp_ref - logp_new) - 1.0)
+    coeff += kl_coeff
     return coeff
 
 
@@ -472,13 +463,12 @@ def train_rl(
     made at once (``_Rollouts``); each iteration then draws its actions
     from the ``policy.cdf_bounds`` of its snapshot and steps on arrays:
     each update's logits, their log-softmax (one call of
-    ``policy.log_softmax``) and its ``exp``.  The first inner step is taken
-    at the snapshot, where every ratio is exactly 1: its coefficient is the
-    advantage plus a gather from the 6 x 6 table of KL derivatives.  Later
-    inner steps take the clipped ``_clipped_coeff``.  Each iteration's
-    objective and KL are reduced once per block from the stacked snapshots
-    (an iteration's post-update log-probs are the next one's snapshot),
-    then the block's log records.
+    ``policy.log_softmax``) and its ``exp``.  Every inner step takes its
+    coefficients from ``_clipped_coeff``, at ratio 1.0 for the first, which
+    is taken at the snapshot, and with the KL derivatives gathered from the
+    6 x 6 table of them.  Each iteration's objective and KL are reduced once
+    per block from the stacked snapshots (an iteration's post-update
+    log-probs are the next one's snapshot), then the block's log records.
 
     Deterministic given (params0, the table's items and reward rule, cfg):
     the same seed reproduces an identical training log.
@@ -519,18 +509,12 @@ def _train_block(
         _, cells, r, adv = rollouts.step(t, probs)
         rewards.append(r)
         advantages.append(adv)
-        # at the snapshot every ratio is exp(0) == 1, so the surrogate's
-        # coefficient is the advantage (0 where it is NaN, as the clipped
-        # form's unclipped <= clipped gives).  A cell whose log-prob is
-        # -inf, where the ratio is NaN, has a non-finite KL coefficient in
-        # either form, and the step's logits are non-finite alike.
-        kl_coeff = beta * (np.exp(ref_log_probs - log_probs) - 1.0)
-        coeff = np.where(adv <= adv, adv, 0.0) + kl_coeff.take(cells)
-        if cfg.inner_steps > 1:
-            logp_old, logp_ref = log_probs.take(cells), ref_log_probs.take(cells)
+        logp_old = log_probs.take(cells)
         for step in range(cfg.inner_steps):
-            if step:
-                coeff = _clipped_coeff(log_probs.take(cells), logp_old, logp_ref, adv, cfg)
+            # at the snapshot every ratio is exp(0) == 1
+            ratio = importance_ratio(log_probs.take(cells), logp_old) if step else 1.0
+            kl_coeff = beta * (np.exp(ref_log_probs - log_probs) - 1.0)
+            coeff = _clipped_coeff(ratio, adv, kl_coeff.take(cells), cfg)
             logits = logits + lr * _gradient(coeff, probs, rows, scatter)
             if not np.isfinite(logits).all():
                 # the block's earlier objectives were checked first

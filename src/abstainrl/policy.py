@@ -18,8 +18,6 @@ from functools import cached_property
 
 import numpy as np
 
-from abstainrl.reward import NO_ANSWER_TEXT
-
 
 class Evidence(enum.Enum):
     SUPPORTS = "supports"
@@ -205,20 +203,6 @@ def draw_at_bounds(bounds: np.ndarray, u: np.ndarray) -> np.ndarray:
     ``u`` (..., M), one row of draws per row of ``cdf_bounds``: a draw lands
     on the first index whose bound exceeds it."""
     return (u[..., :, None] >= bounds[..., None, :]).argmin(axis=-1)
-
-
-def completion_text(candidate: str | None, formatted: bool) -> str:
-    """The completion that answers ``candidate``, or abstains where it is
-    None, in the ``<think>/<answer>`` template or bare."""
-    if candidate is None:
-        answer = NO_ANSWER_TEXT
-        think = "The queried window has no single supported fact."
-    else:
-        answer = candidate
-        think = f"The facts in the queried window point to {candidate}."
-    if formatted:
-        return f"<think>{think}</think><answer>{answer}</answer>"
-    return answer
 
 
 def sft_train(

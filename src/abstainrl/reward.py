@@ -1,6 +1,7 @@
-"""Completion parsing and the rule-based reward.
+"""The completion template, completion parsing and the rule-based reward.
 
-A completion is well-formatted when it is exactly one ``<think>...</think>``
+``completion_text`` renders a completion in the template or bare.  A
+completion is well-formatted when it is exactly one ``<think>...</think>``
 block followed by exactly one ``<answer>...</answer>`` block, with nothing
 but whitespace outside them.  The total reward is a format component
 (0.5 or 0) plus a piecewise answer component:
@@ -100,6 +101,20 @@ def parse_completion(raw: str) -> ParsedCompletion:
     ):
         return ParsedCompletion(raw, match.group(1).strip(), match.group(2).strip(), True)
     return ParsedCompletion(raw, None, raw.strip(), False)
+
+
+def completion_text(candidate: str | None, formatted: bool) -> str:
+    """The completion that answers ``candidate``, or abstains where it is
+    None, in the ``<think>/<answer>`` template or bare."""
+    if candidate is None:
+        answer = NO_ANSWER_TEXT
+        think = "The queried window has no single supported fact."
+    else:
+        answer = candidate
+        think = f"The facts in the queried window point to {candidate}."
+    if formatted:
+        return f"<think>{think}</think><answer>{answer}</answer>"
+    return answer
 
 
 def format_reward(pc: ParsedCompletion) -> float:

@@ -229,16 +229,14 @@ class ItemHead(NamedTuple):
 class ItemColumns(NamedTuple):
     """The items of a dataset as the columns ``grpo.RewardTable`` reads, in
     item order, as ``read_columns`` fills them: ``ids``, ``features`` (each
-    item's feature row index), ``unanswerable`` (its gold is No-Answer) and
-    ``row``, its content row.  An item's completions depend only on its two
-    candidates, and the rule-based reward only on a completion and the gold,
-    so items with the same (candidate_a, candidate_b, gold) share a content
-    row, numbered in first-seen order; ``heads`` holds the head of each
-    row's first item."""
+    item's feature row index) and ``row``, its content row.  An item's
+    completions depend only on its two candidates, and the rule-based
+    reward only on a completion and the gold, so items with the same
+    (candidate_a, candidate_b, gold) share a content row, numbered in
+    first-seen order; ``heads`` holds the head of each row's first item."""
 
     ids: list[str]
     features: list[int]
-    unanswerable: list[bool]
     row: list[int]
     heads: list[ItemHead]
 
@@ -745,8 +743,8 @@ def read_columns(path: str | Path) -> ItemColumns:
             return None
         return item_id, feature, gold, candidate_a, candidate_b
 
-    columns = ItemColumns([], [], [], [], [])
-    ids, feature_rows, unanswerable, row, heads = columns
+    columns = ItemColumns([], [], [], [])
+    ids, feature_rows, row, heads = columns
     rows: dict[tuple, int] = {}
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -761,7 +759,6 @@ def read_columns(path: str | Path) -> ItemColumns:
             item_id, feature, gold, candidate_a, candidate_b = head
             ids.append(item_id)
             feature_rows.append(feature.index)
-            unanswerable.append(gold.is_no_answer)
             n = len(heads)
             # keyed by the aliases, whose hash is computed in C, not the gold's
             r = rows.setdefault((candidate_a, candidate_b, gold.aliases), n)

@@ -20,17 +20,10 @@ EMBEDDING_DIM = 512
 
 _ARTICLES = frozenset({"a", "an", "the"})
 
-# memo: char -> replacement ('' for punctuation, the char otherwise)
-_char_cache: dict[str, str] = {}
-
-
+@functools.cache
 def _keep(ch: str) -> str:
-    try:
-        return _char_cache[ch]
-    except KeyError:
-        kept = "" if unicodedata.category(ch).startswith("P") else ch
-        _char_cache[ch] = kept
-        return kept
+    """``ch``'s replacement: '' for punctuation, the char otherwise."""
+    return "" if unicodedata.category(ch).startswith("P") else ch
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 ``batch`` draws B groups of G completions as a one-iteration block of
 ``grpo._Rollouts`` draws them, under ``train_rl``'s ``errstate``.  At
 ``params``, ``objective`` is ``grpo._objectives_and_kl``'s objective of the
-batch and ``gradient`` is ``grpo._gradient`` of ``grpo._clipped_coeff``.
+batch and ``gradient`` is ``grpo._gradient`` of ``grpo._clipped_coeff`` at
+the batch's importance ratios and k3 KL derivatives.
 ``advantages`` is ``grpo._advantages`` under the same ``errstate``.
 """
 
@@ -52,5 +53,7 @@ def objective(params, batch, cfg) -> float:
 
 def gradient(params, batch, cfg) -> np.ndarray:
     logp_new = params.log_probs.take(batch.cells)
-    coeff = grpo._clipped_coeff(logp_new, batch.logp_old, batch.logp_ref, batch.advantages, cfg)
+    ratio = grpo.importance_ratio(logp_new, batch.logp_old)
+    kl_coeff = cfg.beta * (np.exp(batch.logp_ref - logp_new) - 1.0)
+    coeff = grpo._clipped_coeff(ratio, batch.advantages, kl_coeff, cfg)
     return grpo._gradient(coeff, params.probs, batch.rows, batch.scatter)

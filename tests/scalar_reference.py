@@ -80,7 +80,6 @@ from abstainrl.policy import (
     Difficulty,
     Evidence,
     PolicyParams,
-    completion_text,
 )
 from abstainrl.reward import (
     DEFAULT_VARIANT,
@@ -88,6 +87,7 @@ from abstainrl.reward import (
     RewardVariant,
     answer_metrics,
     answer_reward,
+    completion_text,
     is_no_answer,
     parse_completion,
     rule_rewards,
@@ -135,14 +135,13 @@ def columns_of(items: Iterable[ItemHead | SynthQAItem]) -> ItemColumns:
     order: items with equal (candidate_a, candidate_b, gold) share a
     content row, numbered in first-seen order, whose head is its first
     item's."""
-    columns = ItemColumns([], [], [], [], [])
-    ids, features, unanswerable, row, heads = columns
+    columns = ItemColumns([], [], [], [])
+    ids, features, row, heads = columns
     rows: dict[tuple, int] = {}
     for item in items:
         head = head_of(item)
         ids.append(head.id)
         features.append(head.feature.index)
-        unanswerable.append(head.gold.is_no_answer)
         r = rows.setdefault((head.candidate_a, head.candidate_b, head.gold), len(heads))
         if r == len(heads):
             heads.append(head)

@@ -734,10 +734,10 @@ class TestGradient:
     def test_train_rl_steps_with_grpo_gradient(self, monkeypatch):
         """The gradient A5 checks is the one train_rl steps with: every step
         goes through one core, ``grpo._gradient``, on the completions'
-        coefficients and a snapshot's probs.  The steps after the first of
-        an iteration take their coefficients from the clipped
-        ``grpo._clipped_coeff`` that A5 checks too, the first from its
-        ratio-one form, which the next test holds to it."""
+        coefficients and a snapshot's probs, and takes its coefficients
+        from the clipped ``grpo._clipped_coeff`` that A5 checks too, the
+        first of an iteration at ratio 1.0, which the next test holds to
+        the ratios there."""
         calls, clipped = [], []
         original, original_coeff = grpo._gradient, grpo._clipped_coeff
 
@@ -753,14 +753,14 @@ class TestGradient:
         monkeypatch.setattr(grpo, "_clipped_coeff", spy_coeff)
         cfg = GrpoConfig(iters=3, inner_steps=2, batch_size=4, seed=0)
         train_rl(PolicyParams.zeros(), RewardTable(columns_of(ITEMS)), cfg)
-        assert len(calls) == 6 and len(clipped) == 3
+        assert len(calls) == 6 and len(clipped) == 6
         assert all(used_cfg is cfg for *_, used_cfg in clipped)
 
     @pytest.mark.parametrize("beta", [0.0, 0.01, 1.0])
     def test_first_inner_step_is_the_clipped_step_at_ratio_one(self, monkeypatch, beta):
         """An iteration's first step, taken at its snapshot, steps with the
-        coefficients ``grpo._clipped_coeff`` gives there, where every ratio
-        is 1, bit for bit."""
+        coefficients ``grpo._clipped_coeff`` gives at the ratios there,
+        ``importance_ratio(logp, logp)``, every one 1, bit for bit."""
         steps, coeffs, snapshots = [], [], []
 
         def kept(results, fn):
@@ -783,7 +783,9 @@ class TestGradient:
             for (_, cells, _, adv), log_probs, coeff in zip(steps, snapshots, coeffs):
                 assert np.isfinite(log_probs).all()
                 logp = log_probs.take(cells)
-                want = grpo._clipped_coeff(logp, logp, ref_log_probs.take(cells), adv, cfg)
+                kl_coeff = beta * (np.exp(ref_log_probs.take(cells) - logp) - 1.0)
+                ratio = grpo.importance_ratio(logp, logp)
+                want = grpo._clipped_coeff(ratio, adv, kl_coeff, cfg)
                 assert coeff.tobytes() == want.tobytes()
 
 

@@ -898,10 +898,11 @@ class TestSweep:
             (["--axis", "beta", "--values", "0.01,-1", "--dataset", "{data}"], "beta must be >= 0"),
             (["--axis", "beta", "--values", "0.01,inf", "--dataset", "{data}"],
              "beta must be finite, got inf"),
+            (["--axis", "beta", "--values=-1,0.1", "--dataset", "{data}"], "beta must be >= 0"),
             (["--axis", "p-unans", "--values", "0.1,1.5", "--n", "20"],
              "p_unans must lie in [0, 1], got 1.5"),
         ],
-        ids=["sft-lr", "late-beta", "late-beta-inf", "late-p-unans"],
+        ids=["sft-lr", "late-beta", "late-beta-inf", "first-beta-negative", "late-p-unans"],
     )
     def test_bad_run_setting_writes_nothing(self, tmp_path, argv, message):
         """Every run is checked before the first one writes anything; the
@@ -1856,7 +1857,8 @@ class TestImport:
     def test_each_module_imports_alone(self):
         """The package imports none of its modules, and each module imports
         alone in a fresh interpreter with warnings as errors, so no module
-        leans on another having been imported first."""
+        leans on another having been imported first.  The policy, a table
+        of logits, imports no other module of the package."""
         src_root = str(Path(abstainrl.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src_root)
         loaded = "import sys; print(sorted(m for m in sys.modules if m.startswith('abstainrl.')))"
@@ -1869,6 +1871,9 @@ class TestImport:
             proc = subprocess.run([sys.executable, "-W", "error", "-c", f"import abstainrl.{name}"],
                                   env=env, capture_output=True, text=True)
             assert (proc.returncode, proc.stderr) == (0, ""), name
+        proc = subprocess.run([sys.executable, "-c", f"import abstainrl.policy; {loaded}"],
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "['abstainrl.policy']\n")
 
     @given(st.text(alphabet=st.sampled_from("&<>;a\"' "), max_size=20) | st.text(max_size=20))
     def test_svg_escape_equals_saxutils(self, text):
